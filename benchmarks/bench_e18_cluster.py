@@ -143,10 +143,12 @@ def _throughput_phase(nodes: int, requests_from=None):
 
     ``replication=1`` keeps each schedule on its owner only, so cache
     pressure per node is exactly its owned shard — the fixed-node-spec
-    premise of the scale-out claim.
+    premise of the scale-out claim.  The router's request cache is off
+    in every phase: it would answer each repeat at the front door, so
+    no repeat would ever reach the node caches this experiment measures.
     """
     with LocalCluster(nodes=nodes, cache_capacity=CAPACITY,
-                      replication=1) as cluster:
+                      replication=1, request_cache_size=0) as cluster:
         requests = requests_from(cluster) if requests_from else \
             _pick_balanced(cluster, PER_NODE)
         wall, latencies, failed = _run_workload(
@@ -163,7 +165,7 @@ def _chaos_phase(requests, healthy_p99: float):
     """Warm a replicated 3-node cluster, kill one node mid-run."""
     with LocalCluster(nodes=NODES, cache_capacity=64, replication=2,
                       retry=RetryPolicy(attempts=4, backoff_s=0.02),
-                      mark_down_after=2) as cluster:
+                      mark_down_after=2, request_cache_size=0) as cluster:
         # Re-shard the request set for THIS cluster's ring (node names are
         # per-run); ownership balance does not matter here, replication does.
         client = cluster.client()

@@ -197,16 +197,16 @@ def _cmd_serve(args) -> int:
     from repro.service import InductionServer, ServerConfig, ServiceClient
 
     if args.status or args.stop or args.metrics:
-        client = ServiceClient(args.socket)
-        if args.status:
-            print(f"service at {args.socket}:")
-            for name, value in sorted(client.stats().items()):
-                print(f"  {name:32s} {value:g}")
-        if args.metrics:
-            print(client.metrics(), end="")
-        if args.stop:
-            client.shutdown(drain=True)
-            print("server drained and stopped")
+        with ServiceClient(args.socket) as client:
+            if args.status:
+                print(f"service at {args.socket}:")
+                for name, value in sorted(client.stats().items()):
+                    print(f"  {name:32s} {value:g}")
+            if args.metrics:
+                print(client.metrics(), end="")
+            if args.stop:
+                client.shutdown(drain=True)
+                print("server drained and stopped")
         return 0
 
     cache = ScheduleCache(cache_dir=args.cache_dir) if args.cache_dir \
@@ -284,11 +284,12 @@ def _cmd_submit(args) -> int:
             return label, None, exc
 
     start = time.monotonic()
-    if args.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=args.concurrency) as pool:
-            outcomes = list(pool.map(one, requests))
-    else:
-        outcomes = [one(item) for item in requests]
+    with client:
+        if args.concurrency > 1:
+            with ThreadPoolExecutor(max_workers=args.concurrency) as pool:
+                outcomes = list(pool.map(one, requests))
+        else:
+            outcomes = [one(item) for item in requests]
     wall = time.monotonic() - start
 
     ok = busy = 0

@@ -4,8 +4,8 @@
 :class:`~repro.service.server.InductionServer` in a test: it boots ``n``
 real induction nodes (each with its own worker pool and a
 :class:`~repro.cluster.remotecache.RemoteScheduleCache`-wrapped cache) on
-short-lived unix sockets, plus a :class:`~repro.cluster.router.ClusterRouter`
-front door.  Tests, the fuzz harness's cluster oracle and
+unix sockets in a temporary directory, plus a
+:class:`~repro.cluster.router.ClusterRouter` front door.  Tests, the fuzz harness's cluster oracle and
 ``bench_e18_cluster`` all use it; the sockets are real, so everything from
 framing to failover is exercised exactly as in a multi-process deployment.
 
@@ -50,7 +50,6 @@ class LocalCluster:
                  mark_down_after: int = 2,
                  start_probes: bool = False,
                  remote_cache: bool = True,
-                 batch_wait_s: float = 0.002,
                  request_cache_size: int = 256,
                  router_tracer=None) -> None:
         if nodes < 1:
@@ -74,13 +73,9 @@ class LocalCluster:
             cache = RemoteScheduleCache(
                 local, self.config, self_name=str(endpoint)) \
                 if remote_cache else local
-            # batch_wait_s defaults low: in-process clusters submit over
-            # loopback latencies, so the production 10ms batching window
-            # would dominate every cache hit.
             server = InductionServer(
                 ServerConfig(endpoint=endpoint, workers=workers,
                              allow_chaos=allow_chaos,
-                             batch_wait_s=batch_wait_s,
                              default_deadline_s=default_deadline_s),
                 cache=cache)
             self.caches.append(cache)

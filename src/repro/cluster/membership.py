@@ -79,7 +79,8 @@ def _default_probe(endpoint: Endpoint, timeout: float) -> Mapping:
     """Probe one node: its ``stats`` snapshot (raises on failure)."""
     from repro.service.client import ServiceClient
 
-    return ServiceClient(endpoint, timeout=timeout).stats()
+    with ServiceClient(endpoint, timeout=timeout) as client:
+        return client.stats()
 
 
 class Membership:

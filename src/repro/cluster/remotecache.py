@@ -15,7 +15,9 @@ usually already holds its schedules locally.
 
 Peer reads use a tight ``peer_timeout_s`` and swallow every transport
 error into a miss — a dead peer must degrade a lookup, never stall or
-fail an induction.  Counters land in the *local* cache's counter set
+fail an induction.  One client per peer keeps its connections open
+across lookups; :meth:`RemoteScheduleCache.close` closes them.  Counters
+land in the *local* cache's counter set
 (``remote_hits``/``remote_misses``/``remote_errors``/``remote_stores``),
 so they surface through the server's existing ``cache_*`` stats without
 any new plumbing.
@@ -29,6 +31,7 @@ fingerprint can't fan out to each other forever.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Callable
 
 from repro.cluster.config import ClusterConfig
@@ -65,7 +68,9 @@ class RemoteScheduleCache:
 
             client_factory = lambda endpoint: ServiceClient(  # noqa: E731
                 endpoint, timeout=config.peer_timeout_s)
-        self._client_for = client_factory
+        self._client_factory = client_factory
+        self._clients: dict[str, object] = {}
+        self._clients_lock = threading.Lock()
 
     # -- ScheduleCache surface --------------------------------------------
 
@@ -117,7 +122,7 @@ class RemoteScheduleCache:
                 payload = (schedule_to_payload(schedule),
                            dataclasses.asdict(stats) if stats else None)
             try:
-                self._client_for(self.config.endpoint_named(peer)).cache_put(
+                self._client_for(peer).cache_put(
                     fingerprint, payload[0], payload[1])
                 self.counters.bump("remote_stores")
             except Exception:  # noqa: BLE001 - replication is best-effort
@@ -133,7 +138,25 @@ class RemoteScheduleCache:
                   stats: SearchStats | None = None) -> None:
         self.local.put(fingerprint, schedule, stats)
 
+    def close(self) -> None:
+        """Close the peer clients' connections."""
+        with self._clients_lock:
+            clients = list(self._clients.values())
+            self._clients.clear()
+        for client in clients:
+            close = getattr(client, "close", None)
+            if close is not None:
+                close()
+
     # -- internals ---------------------------------------------------------
+
+    def _client_for(self, peer: str):
+        with self._clients_lock:
+            client = self._clients.get(peer)
+            if client is None:
+                client = self._clients[peer] = self._client_factory(
+                    self.config.endpoint_named(peer))
+            return client
 
     def _peers_for(self, fingerprint: str) -> list[str]:
         """The fingerprint's replica owners, excluding this node."""
@@ -142,8 +165,7 @@ class RemoteScheduleCache:
 
     def _peer_get(self, peer: str, fingerprint: str) -> dict | None:
         try:
-            client = self._client_for(self.config.endpoint_named(peer))
-            return client.cache_get(fingerprint)
+            return self._client_for(peer).cache_get(fingerprint)
         except Exception:  # noqa: BLE001 - dead peer == miss
             self.counters.bump("remote_errors")
             return None

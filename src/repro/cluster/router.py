@@ -81,7 +81,7 @@ from repro.obs.slo import SLOTracker
 from repro.service import protocol
 from repro.service.client import ServiceBusy, ServiceError, absorb_reply_obs
 from repro.service.endpoint import Endpoint
-from repro.service.server import flightrec_reply
+from repro.service.server import Connections, flightrec_reply
 
 __all__ = ["ClusterClient", "ClusterForwarder", "ClusterRouter"]
 
@@ -134,12 +134,22 @@ class ClusterForwarder:
         self._flights_lock = threading.Lock()
         self._request_cache: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._request_cache_lock = threading.Lock()
+        #: Open connections to each node not in use by a forward.
+        self._idle: dict[str, list[socket.socket]] = {}
+        self._idle_lock = threading.Lock()
+        self._closed = False
         self._started = time.monotonic()
         if start_probes:
             self.membership.start()
 
     def close(self) -> None:
         self.membership.stop()
+        with self._idle_lock:
+            self._closed = True
+            socks = [sock for idle in self._idle.values() for sock in idle]
+            self._idle.clear()
+        for sock in socks:
+            sock.close()
 
     # -- planning ----------------------------------------------------------
 
@@ -378,19 +388,30 @@ class ClusterForwarder:
                 replay_events(obs.get("spans") or [], tee)
 
     def _roundtrip(self, node: str, message: Mapping[str, Any]) -> dict:
+        """One exchange with ``node`` over a kept-alive connection.
+
+        An idle connection that the node closed meanwhile (it restarted,
+        say) is retried once on a fresh one, so only a node that fails a
+        fresh connection costs a failover and a membership strike.
+        """
         endpoint = self.membership.endpoint_of(node)
+        with self._idle_lock:
+            idle = self._idle.get(node)
+            kept = idle.pop() if idle else None
         with self._loads_lock:
             self._loads[node] = self._loads.get(node, 0) + 1
         try:
-            with endpoint.connect(
-                    timeout=self.config.forward_timeout_s) as sock:
-                protocol.send_message(sock, message)
-                reply = protocol.recv_message(sock)
+            sock, reply = protocol.exchange(
+                kept, message, lambda: endpoint.connect(
+                    timeout=self.config.forward_timeout_s))
         finally:
             with self._loads_lock:
                 self._loads[node] -= 1
-        if reply is None:
-            raise protocol.ProtocolError(f"{node} closed the connection")
+        with self._idle_lock:
+            if not self._closed:
+                self._idle.setdefault(node, []).append(sock)
+                return reply
+        sock.close()
         return reply
 
     # -- request cache -----------------------------------------------------
@@ -455,8 +476,9 @@ class ClusterForwarder:
         from repro.service.client import ServiceClient
 
         endpoint = self.membership.endpoint_of(name)
-        reply = ServiceClient(
-            endpoint, timeout=self.config.peer_timeout_s).drain()
+        with ServiceClient(endpoint,
+                           timeout=self.config.peer_timeout_s) as client:
+            reply = client.drain()
         self.membership.drain(name)
         self.counters.bump("drains")
         return reply
@@ -559,8 +581,11 @@ class ClusterRouter(ClusterForwarder):
         self._unix_path = listen.path if listen.scheme == "unix" else None
         self._listener = listen.bind(backlog=64)
         self._endpoint = listen.resolved(self._listener)
+        self._conns = Connections(self._dispatch_op, self.shutdown,
+                                  "router-conn")
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="router-accept", daemon=True)
+            target=self._conns.accept_loop, args=(self._listener,),
+            name="router-accept", daemon=True)
         self._accept_thread.start()
 
     @property
@@ -587,57 +612,14 @@ class ClusterRouter(ClusterForwarder):
                 os.unlink(self._unix_path)
             except OSError:
                 pass
+        self._conns.close()
         self.close()
         self._stopped.set()
 
     def wait_stopped(self, timeout: float | None = None) -> bool:
         return self._stopped.wait(timeout)
 
-    # -- connection handling ------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=lambda c=conn: self._handle(c),
-                             name="router-conn", daemon=True).start()
-
-    def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    msg = protocol.recv_message(conn)
-                except protocol.ProtocolError as exc:
-                    self._send(conn, {"status": "error", "error": str(exc)})
-                    return
-                except OSError:
-                    return
-                if msg is None:
-                    return
-                try:
-                    reply = self._dispatch_op(msg)
-                except protocol.ProtocolError as exc:
-                    reply = {"status": "error", "error": str(exc)}
-                sent = self._send(conn, reply)
-                if msg.get("op") == "shutdown" and reply.get("status") == "ok":
-                    self._stopping = True
-                    try:
-                        self._listener.close()
-                    except OSError:
-                        pass
-                    self._finalize()
-                    return
-                if not sent:
-                    return
-
-    def _send(self, conn: socket.socket, obj: dict) -> bool:
-        try:
-            protocol.send_message(conn, obj)
-            return True
-        except OSError:
-            return False
+    # -- requests -----------------------------------------------------------
 
     def _dispatch_op(self, msg: dict) -> dict:
         op = msg.get("op")

@@ -1,17 +1,20 @@
 """Blocking client for the induction service.
 
-One :class:`ServiceClient` per caller; each call opens, uses and closes a
-short-lived connection, so a client object is safe to share across threads
-(the benchmark's submit pool does exactly that).  Admission-control sheds
-surface as :class:`ServiceBusy` — a clear, retryable signal distinct from
-:class:`ServiceError` (malformed request or genuine server-side bug).
-Degraded results are *not* errors: they come back as ordinary results with
-``degraded=True``, per the service's graceful-degradation contract.
+One :class:`ServiceClient` per caller.  It keeps one open connection per
+calling thread, so a client object is safe to share across threads (the
+benchmark's submit pool does exactly that) and sequential calls pay for
+no connect; :meth:`ServiceClient.close` (or leaving its ``with`` block)
+closes them all.  Admission-control sheds surface as :class:`ServiceBusy`
+— a clear, retryable signal distinct from :class:`ServiceError`
+(malformed request or genuine server-side bug).  Degraded results are
+*not* errors: they come back as ordinary results with ``degraded=True``,
+per the service's graceful-degradation contract.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 from typing import Any, Mapping
 
 from repro.api import InductionRequest
@@ -58,31 +61,57 @@ class ServiceClient:
         #: warn-once deprecation shim.
         self.endpoint = Endpoint.coerce(endpoint, where="ServiceClient(...)")
         self.timeout = timeout
+        #: Each calling thread's open connection.
+        self._socks: dict[threading.Thread, socket.socket] = {}
+        self._lock = threading.Lock()
 
     @property
     def address(self) -> str:
         """Legacy bare-string form of :attr:`endpoint` (back-compat)."""
         return self.endpoint.legacy
 
-    # Context-manager form mirrors the tracer API; connections are
-    # per-call, so there is nothing to tear down.
     def __enter__(self) -> "ServiceClient":
         return self
 
     def __exit__(self, *exc: object) -> None:
-        pass
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; the next call opens anew."""
+        with self._lock:
+            socks = list(self._socks.values())
+            self._socks.clear()
+        for sock in socks:
+            sock.close()
+
+    def __del__(self) -> None:
+        # A client dropped without close() still releases its connections.
+        if hasattr(self, "_socks"):
+            self.close()
+
+    def _open(self) -> socket.socket:
+        sock = self.endpoint.connect(timeout=self.timeout)
+        with self._lock:
+            # Connections of threads that have since exited go first.
+            gone = [t for t in self._socks if not t.is_alive()]
+            stale = [self._socks.pop(t) for t in gone]
+            self._socks[threading.current_thread()] = sock
+        for old in stale:
+            old.close()
+        return sock
 
     def _roundtrip(self, message: Mapping[str, Any]) -> dict[str, Any]:
+        me = threading.current_thread()
         try:
-            with self.endpoint.connect(timeout=self.timeout) as sock:
-                protocol.send_message(sock, message)
-                reply = protocol.recv_message(sock)
+            _sock, reply = protocol.exchange(self._socks.get(me), message,
+                                             self._open)
         except (OSError, protocol.ProtocolError) as exc:
+            # The exchange closed the socket; a broken reply costs the
+            # connection, and the next call opens a fresh one.
+            with self._lock:
+                self._socks.pop(me, None)
             raise ServiceError(
                 f"service at {self.endpoint} unreachable: {exc}") from exc
-        if reply is None:
-            raise ServiceError(
-                f"service at {self.endpoint} closed the connection")
         return reply
 
     def submit(self, request: InductionRequest,
@@ -204,5 +233,6 @@ class ServiceClient:
     def shutdown(self, drain: bool = True) -> None:
         """Ask the server to stop; returns after the drain completes."""
         reply = self._roundtrip({"op": "shutdown", "drain": drain})
+        self.close()
         if reply.get("status") != "ok":
             raise ServiceError(f"shutdown failed: {reply!r}")

@@ -9,6 +9,11 @@ IPC models in :mod:`repro.models`: requests flow over a shared stream like
 :class:`~repro.models.pipes.PipeModel`'s request pipe, and the address
 syntax mirrors the pipe-vs-datagram split of §3.2/§3.3.
 
+A connection carries any number of request/reply exchanges, one at a
+time.  Clients keep theirs open across requests and reopen once when a
+kept-alive connection turns out to be closed (:func:`exchange`); a
+stopping daemon closes its idle connections.
+
 Requests are flat JSON objects with an ``op``:
 
 - ``submit`` — one induction request (region text, model payload or name,
@@ -42,15 +47,17 @@ import dataclasses
 import json
 import socket
 import struct
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.api import InductionRequest
 from repro.core.costmodel import CostModel
+from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
 from repro.obs import current_context
 
 __all__ = [
     "ProtocolError",
+    "exchange",
     "model_from_payload",
     "model_to_payload",
     "parse_address",
@@ -83,11 +90,23 @@ def send_message(sock: socket.socket, obj: Mapping[str, Any]) -> None:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+    """``n`` bytes, or None if the peer hung up before sending any of them.
+
+    A reset before the first byte counts as a hang-up too; a peer that
+    stops partway is a protocol error.
+    """
     chunks: list[bytes] = []
     remaining = n
     while remaining:
-        chunk = sock.recv(remaining)
+        try:
+            chunk = sock.recv(remaining)
+        except ConnectionResetError:
+            if chunks:
+                raise
+            return None
         if not chunk:
+            if chunks:
+                raise ProtocolError("connection closed mid-frame")
             return None
         chunks.append(chunk)
         remaining -= len(chunk)
@@ -95,7 +114,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 def recv_message(sock: socket.socket) -> dict[str, Any] | None:
-    """Read one framed JSON message; None on clean EOF."""
+    """Read one framed JSON message; None if the peer hung up first."""
     header = _recv_exact(sock, _LEN.size)
     if header is None:
         return None
@@ -112,6 +131,37 @@ def recv_message(sock: socket.socket) -> dict[str, Any] | None:
     if not isinstance(obj, dict):
         raise ProtocolError(f"frame is {type(obj).__name__}, expected object")
     return obj
+
+
+def exchange(sock: socket.socket | None, message: Mapping[str, Any],
+             connect: Callable[[], socket.socket],
+             ) -> tuple[socket.socket, dict[str, Any]]:
+    """One request/reply over a kept-alive connection, reconnecting once.
+
+    ``sock`` is an open connection to reuse, or None; ``connect()`` opens
+    a fresh one.  If the peer closed ``sock`` before any byte of the reply
+    — it restarted, say — ``sock`` is closed and the exchange retried once
+    on a fresh connection.  Returns the connection that carried the
+    exchange and the reply.  Any failure closes the connection in hand and
+    raises :class:`OSError` or :class:`ProtocolError`.
+    """
+    for fresh in ((False, True) if sock is not None else (True,)):
+        if fresh:
+            sock = connect()
+        try:
+            try:
+                send_message(sock, message)
+            except ConnectionError:
+                reply = None
+            else:
+                reply = recv_message(sock)
+        except BaseException:
+            sock.close()
+            raise
+        if reply is not None:
+            return sock, reply
+        sock.close()
+    raise ProtocolError("peer closed the connection before replying")
 
 
 # -- addresses -------------------------------------------------------------
@@ -209,11 +259,20 @@ def request_to_wire(request: InductionRequest,
 
 
 def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
-    """Rebuild an :class:`InductionRequest` server-side (validating)."""
+    """Rebuild an :class:`InductionRequest` server-side (validating).
+
+    The region text is parsed and a named model resolved here, once: the
+    returned request carries the :class:`Region` and :class:`CostModel`
+    that its fingerprint, cache hit and degraded fallback all reuse, and
+    malformed text is a ``bad submit payload`` error, not a crash.
+    """
     try:
+        text = wire["region"]
+        if not isinstance(text, str):
+            raise TypeError(f"region must be text, not {type(text).__name__}")
         config = SearchConfig(**wire["config"]) if "config" in wire else None
-        return InductionRequest(
-            region=wire["region"],
+        request = InductionRequest(
+            region=parse_region(text),
             model=model_from_payload(wire.get("model", "maspar")),
             method=wire.get("method", "search"),
             window=int(wire.get("window", 0)),
@@ -224,6 +283,8 @@ def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
             vn=str(wire.get("vn", "off")),
             routing=wire.get("routing"),
         )
+        request.model = request.resolved_model()
+        return request
     except ProtocolError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

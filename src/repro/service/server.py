@@ -3,14 +3,16 @@
 One :class:`InductionServer` owns a listening socket and three layers of
 threads:
 
-- *handlers* (one per connection) parse frames, apply admission control
-  and wait for their ticket's response;
-- the *batcher* gathers admitted tickets, joins duplicates onto in-flight
-  groups, groups the rest by request fingerprint (the dedup key) and
-  dispatches each unique group once;
-- *dispatchers* (as many as there are workers) run a group through the
-  request-level cache and the supervised :class:`~repro.service.workers.WorkerPool`,
-  then respond to every member.
+- *handlers* (one per connection, kept open across requests) parse each
+  frame once, apply admission control, answer a cached fingerprint
+  themselves and otherwise queue a ticket and wait for its response;
+- the *batcher* takes the first queued ticket plus whatever else is
+  already queued — it never waits for more — joins duplicates onto
+  in-flight groups, groups the rest by request fingerprint (the dedup
+  key) and dispatches each unique group once;
+- *dispatchers* (as many as there are workers) re-check the local cache
+  tier, run a group through the supervised
+  :class:`~repro.service.workers.WorkerPool`, then respond to every member.
 
 Robustness contract (the point of the service):
 
@@ -41,8 +43,9 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
+from repro.api import InductionRequest
 from repro.core.cache import (
     ScheduleCache,
     schedule_from_payload,
@@ -85,7 +88,8 @@ from repro.service.workers import (
     record_portfolio_outcome,
 )
 
-__all__ = ["InductionServer", "ServerConfig", "flightrec_reply"]
+__all__ = ["Connections", "InductionServer", "ServerConfig",
+           "flightrec_reply"]
 
 
 @dataclass
@@ -103,7 +107,6 @@ class ServerConfig:
     workers: int = 1
     queue_size: int = 64
     batch_max: int = 16
-    batch_wait_s: float = 0.01
     default_deadline_s: float | None = None
     max_retries: int = 2
     backoff_s: float = 0.05
@@ -158,15 +161,104 @@ def flightrec_reply(recorder: FlightRecorder, msg: dict) -> dict:
     }}
 
 
-class _Ticket:
-    """One admitted submit: wire payload plus its response rendezvous."""
+def _send(conn: socket.socket, obj: dict) -> bool:
+    try:
+        protocol.send_message(conn, obj)
+        return True
+    except OSError:
+        return False
 
-    __slots__ = ("wire", "fingerprint", "deadline", "enqueued_at",
+
+class Connections:
+    """A daemon's accepted connections, each served on its own thread.
+
+    Shared by the induction server and the cluster router.  ``dispatch``
+    turns one request frame into its reply (a
+    :class:`~repro.service.protocol.ProtocolError` becomes an ``error``
+    reply); ``on_shutdown`` runs once an ``ok`` reply to a ``shutdown``
+    op is on the wire.  Clients keep connections open across requests, so
+    a stopping daemon must close them itself: :meth:`close` shuts the read
+    side of each, which wakes an idle handler with EOF and lets a busy one
+    send its reply before it reads EOF in turn.
+    """
+
+    def __init__(self, dispatch: Callable[[dict], dict],
+                 on_shutdown: Callable[[], None], name: str) -> None:
+        self._dispatch = dispatch
+        self._on_shutdown = on_shutdown
+        self._name = name
+        self._open: set[socket.socket] = set()
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def accept_loop(self, listener: socket.socket) -> None:
+        while not self._closed:
+            try:
+                conn, _addr = listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self.serve, args=(conn,),
+                             name=self._name, daemon=True).start()
+
+    def serve(self, conn: socket.socket) -> None:
+        with self._lock:
+            if self._closed:
+                conn.close()
+                return
+            self._open.add(conn)
+        try:
+            with conn:
+                self._serve(conn)
+        finally:
+            with self._lock:
+                self._open.discard(conn)
+
+    def _serve(self, conn: socket.socket) -> None:
+        while True:
+            try:
+                msg = protocol.recv_message(conn)
+            except protocol.ProtocolError as exc:
+                _send(conn, {"status": "error", "error": str(exc)})
+                return
+            except OSError:
+                return
+            if msg is None:
+                return
+            try:
+                reply = self._dispatch(msg)
+            except protocol.ProtocolError as exc:
+                reply = {"status": "error", "error": str(exc)}
+            sent = _send(conn, reply)
+            if msg.get("op") == "shutdown" and reply.get("status") == "ok":
+                self._on_shutdown()
+                return
+            if not sent:
+                return
+
+    def close(self) -> None:
+        """Stop serving: shut the read side of every open connection."""
+        with self._lock:
+            self._closed = True
+            conns = list(self._open)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+
+
+class _Ticket:
+    """One admitted submit: parsed request plus its response rendezvous."""
+
+    __slots__ = ("wire", "request", "fingerprint", "deadline", "enqueued_at",
                  "event", "response", "trace_ctx", "recorder")
 
-    def __init__(self, wire: dict, fingerprint: str,
-                 deadline: float | None) -> None:
+    def __init__(self, wire: dict, request: InductionRequest,
+                 fingerprint: str, deadline: float | None) -> None:
         self.wire = wire
+        #: The request parsed from ``wire`` at admission; every later
+        #: consumer reuses it instead of parsing the region text again.
+        self.request = request
         self.fingerprint = fingerprint
         self.deadline = deadline
         self.enqueued_at = time.monotonic()
@@ -252,7 +344,13 @@ class InductionServer:
         self._unix_path: str | None = None
         self._listener = self._bind(config.endpoint)
         self._endpoint = config.endpoint.resolved(self._listener)
-        self._accept_thread = self._spawn(self._accept_loop, "serve-accept")
+        # Finalize only after the drained-ack is on the wire, so a
+        # foreground `repro serve` doesn't exit (killing the handler
+        # thread) before the client hears back.
+        self._conns = Connections(self._dispatch_op, self._finalize,
+                                  "serve-conn")
+        self._accept_thread = self._spawn(
+            lambda: self._conns.accept_loop(self._listener), "serve-accept")
         self._batcher_thread = self._spawn(self._batch_loop, "serve-batch")
 
     # -- lifecycle ---------------------------------------------------------
@@ -314,54 +412,17 @@ class InductionServer:
                 os.unlink(self._unix_path)
             except OSError:
                 pass
+        self._conns.close()
+        close_cache = getattr(self.cache, "close", None)
+        if close_cache is not None:
+            close_cache()
         self.pool.close()
         self._stopped.set()
 
     def wait_stopped(self, timeout: float | None = None) -> bool:
         return self._stopped.wait(timeout)
 
-    # -- connection handling -----------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return
-            self._spawn(lambda c=conn: self._handle(c), "serve-conn")
-
-    def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    msg = protocol.recv_message(conn)
-                except protocol.ProtocolError as exc:
-                    self._send(conn, {"status": "error", "error": str(exc)})
-                    return
-                except OSError:
-                    return
-                if msg is None:
-                    return
-                try:
-                    reply = self._dispatch_op(msg)
-                except protocol.ProtocolError as exc:
-                    reply = {"status": "error", "error": str(exc)}
-                sent = self._send(conn, reply)
-                if msg.get("op") == "shutdown" and reply.get("status") == "ok":
-                    # Finalize only after the drained-ack is on the wire, so
-                    # a foreground `repro serve` doesn't exit (killing this
-                    # daemon thread) before the client hears back.
-                    self._finalize()
-                    return
-                if not sent:
-                    return
-
-    def _send(self, conn: socket.socket, obj: dict) -> bool:
-        try:
-            protocol.send_message(conn, obj)
-            return True
-        except OSError:
-            return False
+    # -- requests ----------------------------------------------------------
 
     def _dispatch_op(self, msg: dict) -> dict:
         op = msg.get("op")
@@ -443,15 +504,15 @@ class InductionServer:
         self.counters.bump("requests")
         if not self.config.allow_chaos:
             wire.pop("chaos", None)
-        # Validate now so a malformed region is an error on the client's
-        # connection, not a crash in the batcher.
+        # Parse and validate now, once: a malformed region is an error on
+        # the client's connection, and the parsed request rides the ticket.
         request = protocol.request_from_wire(wire)
         fingerprint = request.fingerprint()
         deadline_s = request.deadline_s if request.deadline_s is not None \
             else self.config.default_deadline_s
         deadline = None if deadline_s is None \
             else time.monotonic() + float(deadline_s)
-        ticket = _Ticket(wire, fingerprint, deadline)
+        ticket = _Ticket(wire, request, fingerprint, deadline)
         # The handler thread owns the request's server-side span: it covers
         # queue wait, dispatch and response, and continues the client's
         # trace when the wire carried a context.  The ticket's recorder
@@ -473,6 +534,10 @@ class InductionServer:
             return {"status": "busy",
                     "reason": "draining" if self._draining and
                     not self._stopping else "shutdown"}
+        cached = self._answer_from_cache(ticket)
+        if cached is not None:
+            live.set(status="ok", disposition="cache")
+            return cached
         with self._open_lock:
             self._open_tickets += 1
             self._drained.clear()
@@ -493,6 +558,57 @@ class InductionServer:
                     "error": "response timed out in server"}
         live.set(status=ticket.response.get("status", "ok"))
         return ticket.response
+
+    def _answer_from_cache(self, ticket: _Ticket) -> dict | None:
+        """Reply to a cached fingerprint on the handler thread, or None.
+
+        A hit never queues, so it waits behind neither the batcher nor a
+        saturated worker pool.  A miss asks the cache's every tier (peers
+        included) here; the dispatcher re-checks the local tier only.
+        """
+        if self.cache is None:
+            return None
+        with use_registry(self.metrics):
+            hit = self.cache.get(ticket.fingerprint)
+            if hit is None:
+                return None
+            result = build_result(
+                ticket.request, hit[0], hit[1], cache_hit=True,
+                wall_s=time.monotonic() - ticket.enqueued_at)
+        self.counters.bump("cache_hits")
+        return self._ok_reply(ticket, result_to_payload(result), "cache",
+                              batch=1, deduped=False,
+                              started=ticket.enqueued_at)
+
+    def _ok_reply(self, ticket: _Ticket, payload: dict, disposition: str,
+                  batch: int, deduped: bool, started: float) -> dict:
+        """One member's ``ok`` reply, counted and timed.
+
+        ``started`` is when its work began: the dispatch for a queued
+        ticket, admission itself for a cache hit (zero queue wait).
+        """
+        now = time.monotonic()
+        self.metrics.observe("service_queue_wait_seconds",
+                             max(0.0, started - ticket.enqueued_at))
+        self.metrics.observe("service_request_seconds",
+                             now - ticket.enqueued_at,
+                             trace_id=(ticket.trace_ctx or {}).get("trace"))
+        extras = {
+            "batch": batch,
+            "deduped": deduped,
+            "queue_wait_s": round(started - ticket.enqueued_at, 6),
+            "server_wall_s": round(now - ticket.enqueued_at, 6),
+            "disposition": disposition,
+        }
+        if deduped:
+            self.counters.bump("dedup_served")
+        self.counters.bump("ok")
+        if self.tracer.enabled:
+            self.tracer.emit("service_request", disposition=disposition,
+                             degraded=bool(payload.get("degraded")),
+                             batch=batch, deduped=deduped,
+                             wall_s=extras["server_wall_s"])
+        return {"status": "ok", "result": {**payload, **extras}}
 
     def _finish_request(self, ticket: _Ticket, response: dict,
                         trace_id: str, stitch: bool) -> dict:
@@ -541,14 +657,12 @@ class InductionServer:
                 if self._stopped.is_set():
                     return
                 continue
+            # No linger: a lone ticket dispatches at once, and a burst
+            # that queued up meanwhile (behind busy workers) still batches.
             batch = [first]
-            cutoff = time.monotonic() + self.config.batch_wait_s
             while len(batch) < self.config.batch_max:
-                wait = cutoff - time.monotonic()
                 try:
-                    batch.append(self._queue.get(
-                        timeout=max(0.0, wait)) if wait > 0
-                        else self._queue.get_nowait())
+                    batch.append(self._queue.get_nowait())
                 except queue.Empty:
                     break
             self.counters.set("queue_depth", self._queue.qsize())
@@ -602,7 +716,7 @@ class InductionServer:
 
     def _run_group_inner(self, group: _Group) -> None:
         first = group.tickets[0]
-        request = protocol.request_from_wire(first.wire)
+        request = first.request
         started = time.monotonic()
 
         # The dispatch span hangs off the first member's service.request
@@ -618,7 +732,10 @@ class InductionServer:
             payload: dict | None = None
             disposition = "miss"
             if self.cache is not None:
-                hit = self.cache.get(group.fingerprint)
+                # A duplicate that finished while this group queued has
+                # filled the local tier; admission already asked the peers.
+                get = getattr(self.cache, "get_local", self.cache.get)
+                hit = get(group.fingerprint)
                 if hit is not None:
                     result = build_result(request, hit[0], hit[1],
                                           cache_hit=True,
@@ -689,32 +806,10 @@ class InductionServer:
             live.set(disposition=disposition)
 
         members = group.members()
-        now = time.monotonic()
         for position, ticket in enumerate(members):
-            self.metrics.observe("service_queue_wait_seconds",
-                                 max(0.0, started - ticket.enqueued_at))
-            self.metrics.observe("service_request_seconds",
-                                 now - ticket.enqueued_at,
-                                 trace_id=(ticket.trace_ctx or
-                                           {}).get("trace"))
-            extras = {
-                "batch": len(members),
-                "deduped": position > 0,
-                "queue_wait_s": round(started - ticket.enqueued_at, 6),
-                "server_wall_s": round(now - ticket.enqueued_at, 6),
-                "disposition": disposition,
-            }
-            self._respond(ticket,
-                          {"status": "ok", "result": {**payload, **extras}})
-            if position:
-                self.counters.bump("dedup_served")
-            self.counters.bump("ok")
-            if self.tracer.enabled:
-                self.tracer.emit("service_request",
-                                 disposition=disposition,
-                                 degraded=bool(payload.get("degraded")),
-                                 batch=len(members), deduped=position > 0,
-                                 wall_s=extras["server_wall_s"])
+            self._respond(ticket, self._ok_reply(
+                ticket, payload, disposition, batch=len(members),
+                deduped=position > 0, started=started))
 
     # -- introspection -----------------------------------------------------
 

@@ -184,6 +184,19 @@ class TestRouterProtocol:
         assert reply["status"] == "error"
         assert "unknown op" in reply["error"]
 
+    def test_malformed_region_text_is_an_error_not_a_crash(self, cluster):
+        from repro.service import protocol
+        wire = protocol.request_to_wire(request(9))
+        wire["region"] = "thread 3:\n    a = ld x\n"
+        with cluster.router.endpoint.connect(timeout=5.0) as sock:
+            protocol.send_message(sock, wire)
+            reply = protocol.recv_message(sock)
+            assert reply["status"] == "error"
+            assert "bad submit payload" in reply["error"]
+            # The same kept-alive connection still answers.
+            protocol.send_message(sock, {"op": "ping"})
+            assert protocol.recv_message(sock)["status"] == "pong"
+
     def test_router_shutdown_leaves_nodes_running(self):
         clu = LocalCluster(nodes=2, cache_capacity=4)
         try:

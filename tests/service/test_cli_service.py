@@ -108,8 +108,7 @@ def test_flightrec_command_empty_and_captured(region_file, tmp_path, capsys):
     from repro.service import InductionServer, ServerConfig
 
     server = InductionServer(
-        ServerConfig(address=str(tmp_path / "rec.sock"), workers=1,
-                     batch_wait_s=0.005),
+        ServerConfig(address=str(tmp_path / "rec.sock"), workers=1),
         flightrec=FlightRecorder(FlightConfig(capture_all=True)))
     try:
         # Nothing considered yet: empty snapshot exits 1.

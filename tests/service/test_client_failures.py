@@ -5,7 +5,8 @@ bare listening socket the test scripts byte-by-byte — because the point is
 the client's behaviour when the far side misbehaves: nothing listening,
 connect that times out, a connection dropped before the reply header, a
 frame truncated mid-body, garbage bytes, and recovery after the real server
-restarts on the same address.
+restarts on the same address.  The client keeps one connection per thread
+open across calls, so the last group checks when it reconnects.
 """
 
 import socket
@@ -15,7 +16,8 @@ import pytest
 
 from repro.api import InductionRequest
 from repro.service import (
-    InductionServer, ServerConfig, ServiceClient, ServiceError,
+    Endpoint, InductionServer, ServerConfig, ServiceClient, ServiceError,
+    protocol,
 )
 
 REGION = """
@@ -175,3 +177,140 @@ class TestReconnect:
 
         assert first.cost == second.cost
         assert not second.degraded
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Count every client connection opened through :class:`Endpoint`."""
+    opened = []
+    original = Endpoint.connect
+
+    def counting(self, timeout=None):
+        sock = original(self, timeout)
+        opened.append(sock)
+        return sock
+
+    monkeypatch.setattr(Endpoint, "connect", counting)
+    return opened
+
+
+class TestKeepAlive:
+    def test_sequential_calls_connect_once(self, tmp_path, request_,
+                                           connects):
+        server = InductionServer(ServerConfig(
+            endpoint=Endpoint.unix(str(tmp_path / "svc.sock")), workers=1))
+        try:
+            with ServiceClient(server.endpoint) as client:
+                for _ in range(5):
+                    client.submit(request_)
+                assert client.ping()
+                assert client.stats()["requests"] == 5
+        finally:
+            server.shutdown()
+        assert len(connects) == 1
+
+    def test_threads_sharing_a_client_get_their_own(self, tmp_path,
+                                                    request_, connects):
+        server = InductionServer(ServerConfig(
+            endpoint=Endpoint.unix(str(tmp_path / "svc.sock")), workers=1))
+        barrier = threading.Barrier(3)
+        errors = []
+
+        def work(client):
+            try:
+                client.ping()
+                barrier.wait(timeout=10)
+                client.submit(request_)
+                client.ping()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        try:
+            with ServiceClient(server.endpoint) as client:
+                threads = [threading.Thread(target=work, args=(client,))
+                           for _ in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+        finally:
+            server.shutdown()
+        assert not errors
+        assert len(connects) == 3
+
+    @pytest.mark.parametrize("reply", [
+        len(b"\xffgarbage").to_bytes(4, "big") + b"\xffgarbage",
+        (100).to_bytes(4, "big") + b'{"s',
+    ], ids=["garbage", "truncated"])
+    def test_broken_reply_drops_the_socket(self, tmp_path, request_, reply):
+        seen = []
+
+        def handler(conn):
+            seen.append(conn)
+            msg = protocol.recv_message(conn)
+            if len(seen) == 1:
+                conn.sendall(reply)
+                return
+            while msg is not None:
+                protocol.send_message(conn, {"status": "pong"})
+                msg = protocol.recv_message(conn)
+
+        fake = FakeServer(tmp_path, handler)
+        try:
+            client = ServiceClient(fake.path, timeout=2.0)
+            with pytest.raises(ServiceError):
+                client.submit(request_)
+            assert client.ping() and client.ping()
+            client.close()
+        finally:
+            fake.close()
+        assert len(seen) == 2
+
+    def test_stale_socket_is_reopened_once(self, tmp_path, request_):
+        seen = []
+
+        def handler(conn):
+            # First connection answers one ping, then hangs up on the
+            # next request; every later one hangs up on its first.
+            seen.append(conn)
+            protocol.recv_message(conn)
+            if len(seen) == 1:
+                protocol.send_message(conn, {"status": "pong"})
+                protocol.recv_message(conn)
+
+        fake = FakeServer(tmp_path, handler)
+        try:
+            client = ServiceClient(fake.path, timeout=2.0)
+            assert client.ping()
+            with pytest.raises(ServiceError, match="closed the connection"):
+                client.submit(request_)
+        finally:
+            fake.close()
+        assert len(seen) == 2
+
+    def test_restart_between_calls_is_transparent(self, tmp_path, request_,
+                                                  connects):
+        endpoint = Endpoint.unix(str(tmp_path / "svc.sock"))
+        client = ServiceClient(endpoint, timeout=10.0)
+        server = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
+        try:
+            first = client.submit(request_)
+        finally:
+            server.shutdown()
+        server = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
+        try:
+            second = client.submit(request_)
+        finally:
+            server.shutdown()
+            client.close()
+        assert second.cost == first.cost
+        assert len(connects) == 2
+
+    def test_stopping_server_closes_idle_connections(self, tmp_path):
+        endpoint = Endpoint.unix(str(tmp_path / "svc.sock"))
+        server = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
+        with endpoint.connect(timeout=5.0) as sock:
+            protocol.send_message(sock, {"op": "ping"})
+            assert protocol.recv_message(sock)["status"] == "pong"
+            server.shutdown()
+            assert protocol.recv_message(sock) is None

@@ -32,7 +32,7 @@ thread 1:
 
 def make_server(tmp_path, **overrides):
     defaults = dict(address=str(tmp_path / "svc.sock"), workers=1,
-                    batch_wait_s=0.005, backoff_s=0.01, allow_chaos=True)
+                    backoff_s=0.01, allow_chaos=True)
     defaults.update(overrides)
     return InductionServer(ServerConfig(**defaults))
 
@@ -110,8 +110,8 @@ class TestSLOPlane:
                                                           request_):
         slo = SLOTracker(SLOConfig(latency_threshold_s=1e-6))
         server = InductionServer(
-            ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
-                         batch_wait_s=0.005), slo=slo)
+            ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+            slo=slo)
         try:
             with ServiceClient(server.address) as client:
                 client.submit(request_)
@@ -163,8 +163,8 @@ class TestFlightRecorderPlane:
     def test_capture_all_server_records_phases(self, tmp_path, request_):
         flightrec = FlightRecorder(FlightConfig(capture_all=True))
         server = InductionServer(
-            ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
-                         batch_wait_s=0.005), flightrec=flightrec)
+            ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+            flightrec=flightrec)
         try:
             with ServiceClient(server.address) as client:
                 client.submit(request_)

@@ -1,6 +1,7 @@
 """Tests for the service wire protocol (framing, addresses, payloads)."""
 
 import socket
+import threading
 
 import pytest
 
@@ -49,6 +50,50 @@ class TestFraming:
         a.close()
         with pytest.raises(protocol.ProtocolError, match="mid-frame"):
             protocol.recv_message(b)
+
+    def test_partial_header_eof_is_error(self, pair):
+        a, b = pair
+        a.sendall(b"\x00\x00")
+        a.close()
+        with pytest.raises(protocol.ProtocolError, match="mid-frame"):
+            protocol.recv_message(b)
+
+    def test_exchange_reconnects_once_when_the_kept_peer_hung_up(self,
+                                                                 pair):
+        a, b = pair
+        b.close()
+        fresh, far = socket.socketpair()
+
+        def answer():
+            protocol.recv_message(far)
+            protocol.send_message(far, {"status": "pong"})
+
+        server = threading.Thread(target=answer)
+        server.start()
+        try:
+            sock, reply = protocol.exchange(a, {"op": "ping"}, lambda: fresh)
+            assert sock is fresh and reply == {"status": "pong"}
+        finally:
+            server.join(timeout=5)
+            fresh.close()
+            far.close()
+
+    def test_exchange_does_not_retry_a_fresh_connection(self, pair):
+        a, b = pair
+
+        def swallow():
+            protocol.recv_message(b)
+            b.close()
+
+        server = threading.Thread(target=swallow)
+        server.start()
+        opened = []
+        with pytest.raises(protocol.ProtocolError,
+                           match="closed the connection"):
+            protocol.exchange(None, {"op": "ping"},
+                              lambda: opened.append(a) or a)
+        server.join(timeout=5)
+        assert opened == [a]
 
     def test_oversize_header_rejected(self, pair):
         a, b = pair
@@ -117,6 +162,28 @@ class TestRequestWire:
         assert back.window == 2 and back.jobs == 3
         assert back.deadline_s == 9.0
         assert back.resolved_config().node_budget == 5000
+
+    def test_region_parsed_and_model_resolved_once(self):
+        from repro.core.ops import Region
+
+        back = protocol.request_from_wire(
+            protocol.request_to_wire(InductionRequest(region=REGION)))
+        assert isinstance(back.region, Region)
+        assert isinstance(back.model, CostModel)
+        assert back.resolved_region() is back.region
+        assert back.resolved_model() is back.model
+
+    @pytest.mark.parametrize("field, value", [
+        ("region", "thread 3:\n    a = ld x\n"),
+        ("region", "thread 0:\n    = = =\n"),
+        ("region", 42),
+        ("model", "no-such-model"),
+    ])
+    def test_malformed_submit_is_protocol_error(self, field, value):
+        wire = protocol.request_to_wire(InductionRequest(region=REGION))
+        wire[field] = value
+        with pytest.raises(protocol.ProtocolError, match="bad submit"):
+            protocol.request_from_wire(wire)
 
     def test_chaos_rides_separately(self):
         request = InductionRequest(region=REGION)

@@ -30,7 +30,7 @@ thread 1:
 
 def make_server(tmp_path, **overrides):
     defaults = dict(address=str(tmp_path / "svc.sock"), workers=1,
-                    queue_size=8, batch_max=4, batch_wait_s=0.005,
+                    queue_size=8, batch_max=4,
                     backoff_s=0.01, allow_chaos=True)
     defaults.update(overrides)
     return InductionServer(ServerConfig(**defaults))
@@ -260,6 +260,97 @@ def test_malformed_region_is_an_error_not_a_crash(tmp_path, request_):
         server.shutdown()
 
 
+def test_malformed_region_text_is_an_error_not_a_crash(tmp_path, request_):
+    from repro.service import protocol
+
+    server = make_server(tmp_path)
+    try:
+        wire = protocol.request_to_wire(request_)
+        wire["region"] = "thread 3:\n    a = ld x\n"
+        with protocol.connect(server.address, timeout=10.0) as sock:
+            protocol.send_message(sock, wire)
+            reply = protocol.recv_message(sock)
+            assert reply["status"] == "error"
+            assert "bad submit payload" in reply["error"]
+            # The same kept-alive connection still answers.
+            protocol.send_message(sock, {"op": "ping"})
+            assert protocol.recv_message(sock)["status"] == "pong"
+    finally:
+        server.shutdown()
+
+
+def _series(text, name):
+    for line in text.splitlines():
+        parts = line.split(" # ")[0].split()
+        if len(parts) == 2 and parts[0] == name:
+            return float(parts[1])
+    return 0.0
+
+
+def test_cached_submit_is_answered_without_queueing(tmp_path, request_):
+    from repro.core import ScheduleCache
+    from repro.obs import FlightConfig, FlightRecorder, MemoryTracer
+
+    tracer = MemoryTracer()
+    server = InductionServer(
+        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+        cache=ScheduleCache(), tracer=tracer,
+        flightrec=FlightRecorder(FlightConfig(capture_all=True)))
+    try:
+        with ServiceClient(server.address) as client:
+            assert client.submit(request_).extras["disposition"] == "miss"
+            before = client.stats()
+            seconds = _series(client.metrics(),
+                              "repro_service_request_seconds_count")
+            slo = server.slo.status()["requests_total"]
+            digests = server.flightrec.counts()["considered"]
+            spans_before = len(tracer.events)
+            hit = client.submit(request_)
+            after = client.stats()
+            assert _series(client.metrics(),
+                           "repro_service_request_seconds_count") \
+                == seconds + 1
+    finally:
+        server.shutdown()
+    assert hit.extras["disposition"] == "cache"
+    assert hit.extras["queue_wait_s"] == 0.0
+    assert hit.extras["batch"] == 1
+    assert hit.cache_hit and not hit.degraded
+    for key in ("requests", "ok", "cache_hits"):
+        assert after[key] == before.get(key, 0) + 1, key
+    assert after["batches"] == before["batches"]
+    assert server.slo.status()["requests_total"] == slo + 1
+    assert server.flightrec.counts()["considered"] == digests + 1
+    # A cached request's trace is one lone service.request span.
+    spans = [e for e in tracer.events[spans_before:] if e["kind"] == "span"]
+    assert [e["name"] for e in spans] == ["service.request"]
+    assert spans[0]["disposition"] == "cache"
+
+
+def test_cache_hit_does_not_wait_behind_busy_workers(tmp_path, request_):
+    from repro.core import ScheduleCache
+
+    server = InductionServer(
+        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
+                     allow_chaos=True), cache=ScheduleCache())
+    try:
+        client = ServiceClient(server.address)
+        client.submit(request_)
+        # Occupy the only worker with a slow, distinct request.
+        slow = threading.Thread(target=client.submit, args=(
+            request_.replace(budget=12_345),), kwargs={
+            "chaos": {"sleep_s": 1.5}})
+        slow.start()
+        time.sleep(0.2)
+        start = time.monotonic()
+        hit = client.submit(request_)
+        assert time.monotonic() - start < 1.0
+        assert hit.extras["disposition"] == "cache"
+        slow.join(timeout=30)
+    finally:
+        server.shutdown()
+
+
 def test_stats_gauges_and_percentiles(tmp_path, request_):
     server = make_server(tmp_path)
     try:
@@ -309,8 +400,8 @@ def test_service_round_trip_is_one_stitched_trace(tmp_path, request_):
 
     tracer = MemoryTracer()
     server = InductionServer(
-        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
-                     batch_wait_s=0.005), tracer=tracer)
+        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+        tracer=tracer)
     try:
         with ServiceClient(server.address) as client:
             assert not client.submit(request_).degraded
