@@ -1,45 +1,31 @@
-"""E16 — the three search engines head to head: array vs bitmask vs legacy.
+"""E16 — the production search engine vs the legacy reference oracle.
 
-The branch-and-bound hot path has been rewritten twice: first as an
-allocation-free bitmask engine (int done-masks, incrementally maintained
-ready sets and bounds, one explicit-stack loop), then as the array engine
-(generation-time batched bounds, a state-keyed generation cache with
-per-edge successor links, lazy state materialisation; numpy-vectorised
-scoring past a fan-out threshold).  The original recursive implementation
-is kept in-tree as the equivalence oracle (``SearchConfig(engine="legacy")``).
-This experiment measures what each rewrite bought on the E3 region
-(3 threads x 8 ops/thread, MasPar cost model) across pruning configs.
+The branch-and-bound hot path was rewritten as an allocation-free bitmask
+engine (int done-masks, incrementally maintained ready sets and bounds,
+one explicit-stack loop).  The original recursive implementation is kept
+in-tree as the equivalence oracle, reached through
+``branch_and_bound(..., search_fn=legacy_search)``.  This experiment
+measures what the rewrite bought on the E3 region (3 threads x 8
+ops/thread, MasPar cost model) across pruning configs.
 
 Honest accounting: ``branch_and_bound`` wall time includes shared setup
-(DAG construction, critical paths, the greedy seed) that all engines pay
-identically, so on small searches the end-to-end ratio understates the
-hot-path gain.  We therefore time the *engine functions themselves* with
-the setup precomputed once and shared, and report nodes/second — the
-metric the engines can actually differ on.  Equality of every SearchStats
-counter and of the returned slots is asserted on every run: a speedup on
-a different traversal would be meaningless.
-
-The array engine's win concentrates on the node-heavy (pruning-off)
-config, where revisited states replay cached child batches; on the
-bound-heavy configs subtrees die before the cache amortises and the
-bitmask engine's lower per-node constant keeps it the better default.
-Both facts are recorded — the per-config ratios below are the honest
-trade-off, not a victory lap.
+(DAG construction, critical paths, the verified greedy seed) that both
+engines pay identically, so on small searches the end-to-end ratio
+understates the hot-path gain.  Every run therefore goes through the one
+``branch_and_bound`` driver with a ``search_fn`` wrapper that times only
+the engine call, and the bench reports nodes/second — the metric the
+engines can actually differ on.  Equality of every SearchStats counter
+and of the returned schedule is asserted on every run: a speedup on a
+different traversal would be meaningless.
 
 Acceptance criteria, gated by ``test_e16_search_engine``:
 
-- bitmask >= 5x legacy nodes/sec on the node-heavy config (2x in smoke);
-- array >= 3x bitmask nodes/sec on the node-heavy config (smoke and full);
-- array absolute throughput >= the committed nodes/sec floor for the mode
-  (``array_floor_nodes_per_s`` in ``benchmarks/BENCH_search.json``, set
-  conservatively below dev-box measurements so slow CI runners pass);
-- both ratios stay within 30% of the committed snapshot ratios.
+- bitmask >= 5x legacy nodes/sec on the best config (2x in smoke);
+- that ratio stays within 30% of the committed snapshot ratio
+  (``best_ratio`` in ``benchmarks/BENCH_search.json``).
 
-``E16_SMOKE=1`` shrinks budgets/reps for CI.  ``E16_SCALAR=1`` disables
-the numpy vectorised path (``arrayengine._np = None``) to time and gate
-the pure-Python fallback — results are bit-identical either way, and the
-bench skips cleanly if numpy is missing entirely (the workload generator
-needs it).
+``E16_SMOKE=1`` shrinks budgets/reps for CI.  The bench skips cleanly if
+numpy is missing (the workload generator needs it).
 """
 
 import json
@@ -51,13 +37,8 @@ import pytest
 
 from conftest import bench_seed, record_table
 from repro.core import maspar_cost_model
-from repro.core.dag import build_dags
-from repro.core.greedy import greedy_schedule
-from repro.core.search import (
-    _ENGINE_IMPLS,
-    SearchConfig,
-    SearchStats,
-)
+from repro.core.engines import bitmask_search, legacy_search
+from repro.core.search import SearchConfig, branch_and_bound
 from repro.util import format_table
 
 try:
@@ -67,18 +48,13 @@ except ImportError:  # pragma: no cover - numpy-less install
                 allow_module_level=True)
 
 SMOKE = os.environ.get("E16_SMOKE", "") not in ("", "0")
-SCALAR = os.environ.get("E16_SCALAR", "") not in ("", "0")
-if SCALAR:
-    from repro.core.engines import arrayengine
-
-    arrayengine._np = None
 MODEL = maspar_cost_model()
 BUDGET = 4_000 if SMOKE else 400_000
 REPS = 2 if SMOKE else 3
 SNAPSHOT = pathlib.Path(__file__).parent / "BENCH_search.json"
 
-#: Measurement order: the reference first, then the two fast engines.
-ENGINES_MEASURED = ("legacy", "bitmask", "array")
+#: Measurement order: the reference first, then the production engine.
+ENGINES = {"legacy": legacy_search, "bitmask": bitmask_search}
 
 CONFIGS = {
     "full pruning": dict(node_budget=BUDGET),
@@ -100,92 +76,64 @@ def e3_region(size: int = 8):
         seed=bench_seed(42))
 
 
-def _run_engine(engine, region, config, dags, crit, seed_slots, seed_cost):
-    """One engine-only run replicating branch_and_bound's prologue."""
-    stats = SearchStats(engine=engine)
-    best_slots = list(seed_slots)
-    if config.seed_with_greedy:
-        stats.best_cost = seed_cost
-    t0 = time.perf_counter()
-    slots = _ENGINE_IMPLS[engine](region, MODEL, config, dags, crit,
-                                  stats, best_slots)
-    wall = time.perf_counter() - t0
-    return slots, stats, wall
+def _timed(search_fn, walls: list[float]):
+    """``search_fn`` wrapped to append its engine-only wall time."""
+    def run(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return search_fn(*args, **kwargs)
+        finally:
+            walls.append(time.perf_counter() - t0)
+    return run
 
 
 def run_experiment():
     region = e3_region()
     rows = []
-    data = {"smoke": SMOKE, "scalar": SCALAR, "budget": BUDGET,
-            "reps": REPS, "configs": {}}
+    data = {"smoke": SMOKE, "budget": BUDGET, "reps": REPS, "configs": {}}
     for name, kwargs in CONFIGS.items():
         config = SearchConfig(**kwargs)
-        # Shared setup, computed once: all engines get identical inputs.
-        dags = build_dags(region, respect_order=config.respect_order)
-        crit = tuple(dag.critical_path_costs(region[t], MODEL)
-                     for t, dag in enumerate(dags))
-        if config.seed_with_greedy:
-            incumbent = greedy_schedule(region, MODEL, dags=dags)
-            seed_slots = list(incumbent.slots)
-            seed_cost = incumbent.cost(MODEL)
-        else:
-            seed_slots, seed_cost = [], 0.0
-
-        walls = {engine: [] for engine in ENGINES_MEASURED}
+        walls = {engine: [] for engine in ENGINES}
         outcome = {}
         for _ in range(REPS):
-            for engine in ENGINES_MEASURED:
-                slots, stats, wall = _run_engine(
-                    engine, region, config, dags, crit, seed_slots, seed_cost)
-                walls[engine].append(wall)
-                outcome[engine] = (slots, stats)
+            for engine, search_fn in ENGINES.items():
+                outcome[engine] = branch_and_bound(
+                    region, MODEL, config,
+                    search_fn=_timed(search_fn, walls[engine]))
         # A faster engine on a different traversal would be meaningless:
         # schedules and every counter must agree before timing counts.
-        slots_ref, stats_ref = outcome["legacy"]
-        for engine in ("bitmask", "array"):
-            slots_e, stats_e = outcome[engine]
-            assert slots_e == slots_ref, f"{name}: {engine} schedule diverged"
-            for field in _COMPARED:
-                assert getattr(stats_e, field) == getattr(stats_ref, field), \
-                    f"{name}: {engine} {field} diverged"
+        sched_ref, stats_ref = outcome["legacy"]
+        sched, stats = outcome["bitmask"]
+        assert sched == sched_ref, f"{name}: bitmask schedule diverged"
+        for field in _COMPARED:
+            assert getattr(stats, field) == getattr(stats_ref, field), \
+                f"{name}: bitmask {field} diverged"
 
         nodes = stats_ref.nodes_expanded
-        wall = {e: min(walls[e]) for e in ENGINES_MEASURED}
+        wall = {e: min(walls[e]) for e in ENGINES}
         nps = {e: nodes / wall[e] if wall[e] else float("inf")
-               for e in ENGINES_MEASURED}
+               for e in ENGINES}
         ratio = nps["bitmask"] / nps["legacy"] if nps["legacy"] \
-            else float("inf")
-        array_ratio = nps["array"] / nps["bitmask"] if nps["bitmask"] \
             else float("inf")
         data["configs"][name] = {
             "nodes": nodes,
             "legacy_wall_s": wall["legacy"],
             "bitmask_wall_s": wall["bitmask"],
-            "array_wall_s": wall["array"],
             "legacy_nodes_per_s": nps["legacy"],
             "bitmask_nodes_per_s": nps["bitmask"],
-            "array_nodes_per_s": nps["array"],
             "ratio": ratio,
-            "array_ratio": array_ratio,
         }
-        rows.append([name, nodes,
-                     f"{nps['legacy']:,.0f}", f"{nps['bitmask']:,.0f}",
-                     f"{nps['array']:,.0f}",
-                     f"{ratio:.2f}x", f"{array_ratio:.2f}x"])
+        rows.append([name, nodes, f"{nps['legacy']:,.0f}",
+                     f"{nps['bitmask']:,.0f}", f"{ratio:.2f}x"])
 
     data["best_ratio"] = max(c["ratio"] for c in data["configs"].values())
-    data["best_array_ratio"] = max(
-        c["array_ratio"] for c in data["configs"].values())
-    data["best_array_nodes_per_s"] = max(
-        c["array_nodes_per_s"] for c in data["configs"].values())
     text = format_table(
         ["config", "nodes", "legacy nodes/s", "bitmask nodes/s",
-         "array nodes/s", "bitmask/legacy", "array/bitmask"],
+         "bitmask/legacy"],
         rows,
-        title=f"E16: search engines, engine-only timing "
+        title=f"E16: bitmask vs legacy, engine-only timing "
               f"(3x8-op E3 region, budget {BUDGET:,}"
-              f"{', smoke' if SMOKE else ''}"
-              f"{', scalar' if SCALAR else ''})")
+              f"{', smoke' if SMOKE else ''})")
     record_table("E16_search_engine", text, data=data)
     return data
 
@@ -200,36 +148,22 @@ def _snapshot_mode():
 
 def test_e16_search_engine(benchmark):
     data = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    # Acceptance criterion: >= 5x bitmask/legacy nodes/sec on the
-    # node-heavy config (the smoke budget is too small to fully amortize
-    # per-call constants, so CI gates at 2x there and leans on the
-    # snapshot ratio below), and >= 3x array/bitmask in both modes.
+    # Acceptance criterion: >= 5x bitmask/legacy nodes/sec on the best
+    # config (the smoke budget is too small to fully amortize per-call
+    # constants, so CI gates at 2x there and leans on the snapshot ratio
+    # below).
     floor = 2.0 if SMOKE else 5.0
     assert data["best_ratio"] >= floor, (
         f"bitmask engine only {data['best_ratio']:.2f}x legacy "
         f"(floor {floor}x)")
-    assert data["best_array_ratio"] >= 3.0, (
-        f"array engine only {data['best_array_ratio']:.2f}x bitmask "
-        f"(floor 3x)")
     reference = _snapshot_mode()
     if reference is not None:
-        # Absolute throughput floor: the array engine must clear a fixed
-        # nodes/sec bar on the node-heavy config.  The committed floor is
-        # far below dev-box measurements (CI runners are slow), but a
-        # pure-Python search that drops under it has lost the plot.
-        abs_floor = reference.get("array_floor_nodes_per_s")
-        if abs_floor:
-            assert data["best_array_nodes_per_s"] >= abs_floor, (
-                f"array engine at {data['best_array_nodes_per_s']:,.0f} "
-                f"nodes/s, below the absolute floor {abs_floor:,.0f}")
-        # Regression gates vs the committed snapshot: the engine/engine
-        # ratios are hardware-independent (same box runs all three), so a
-        # >30% drop means a fast path itself regressed.
-        for key, measured in (("best_ratio", data["best_ratio"]),
-                              ("array_ratio", data["best_array_ratio"])):
-            committed = reference.get(key)
-            if committed:
-                assert measured >= 0.7 * committed, (
-                    f"{key} regressed: {measured:.2f}x vs snapshot "
-                    f"{committed:.2f}x (allowed floor "
-                    f"{0.7 * committed:.2f}x)")
+        # Regression gate vs the committed snapshot: the engine/engine
+        # ratio is hardware-independent (one box runs both engines on
+        # identical inputs), so a >30% drop means the hot path regressed.
+        committed = reference.get("best_ratio")
+        if committed:
+            assert data["best_ratio"] >= 0.7 * committed, (
+                f"best_ratio regressed: {data['best_ratio']:.2f}x vs "
+                f"snapshot {committed:.2f}x (allowed floor "
+                f"{0.7 * committed:.2f}x)")

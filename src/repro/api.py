@@ -41,7 +41,7 @@ from repro.core.costmodel import CostModel, maspar_cost_model, uniform_cost_mode
 from repro.core.ops import Region, parse_region
 from repro.core.pipeline import METHODS, InductionResult, _induce_impl
 from repro.core.result import ResultBase
-from repro.core.search import ENGINES, SearchConfig
+from repro.core.search import SearchConfig
 from repro.core.vn import VN_MODES, vn_prepass
 from repro.core.window import WindowedResult, _windowed_induce_impl
 from repro.obs import Tracer
@@ -61,9 +61,7 @@ REQUEST_METHODS = METHODS + ("portfolio",)
 #: non-default value actually reaches the execution path.  Every other
 #: combination would be silently ignored, so :class:`InductionRequest`
 #: rejects it with :class:`ValueError` — the same error type for every
-#: knob, built by :func:`_reject_knob`.  (``engine=`` used to be the only
-#: knob checked this way while ``window``/``jobs``/``budget`` passed
-#: through unvalidated; now the whole table is enforced.)
+#: knob, built by :func:`_reject_knob`.
 KNOB_METHODS: Mapping[str, tuple[str, ...]] = {
     # Windowing splits the branch-and-bound search; baselines and the
     # portfolio race always schedule the whole region.
@@ -71,8 +69,6 @@ KNOB_METHODS: Mapping[str, tuple[str, ...]] = {
     # Process fan-out parallelizes *windows*; without windowing there is
     # nothing to fan out (enforced as: jobs != 1 requires window > 0).
     "jobs": ("search",),
-    # The engine switch picks a branch-and-bound implementation.
-    "engine": ("search", "portfolio"),
     # node_budget bounds branch-and-bound expansion; greedy/anneal/factor/
     # lockstep/serial never read it.
     "budget": ("search", "portfolio"),
@@ -96,10 +92,7 @@ class InductionRequest:
     textual/named form (``parse_region`` syntax, ``"maspar"``/``"uniform"``)
     so CLI, tests and the service build requests the same way.  ``budget``
     is a shorthand for ``config=SearchConfig(node_budget=...)``; an explicit
-    ``config`` wins.  ``engine`` overrides the search engine on whatever
-    config is resolved: "bitmask" (the default), "array" (the batched
-    fast path) or "legacy" (the reference implementation kept as an escape
-    hatch and equivalence oracle).
+    ``config`` wins.
     ``cache`` and ``tracer`` are live handles and stay local — they never
     cross a process boundary.
     """
@@ -111,7 +104,6 @@ class InductionRequest:
     jobs: int = 1
     config: SearchConfig | None = None
     budget: int | None = None
-    engine: str | None = None
     deadline_s: float | None = None
     verify: bool = True
     #: Cross-thread value-numbering pre-pass (:mod:`repro.core.vn`):
@@ -144,10 +136,6 @@ class InductionRequest:
             raise ValueError(f"window must be >= 0, got {self.window}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline_s}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {self.engine!r}; expected one of "
-                f"{ENGINES}")
         if self.vn not in VN_MODES:
             raise ValueError(
                 f"unknown vn mode {self.vn!r}; expected one of {VN_MODES}")
@@ -161,9 +149,6 @@ class InductionRequest:
             raise ValueError(
                 f"jobs={self.jobs!r} has no effect without window > 0; "
                 "process fan-out parallelizes windows")
-        if self.engine is not None and \
-                self.method not in KNOB_METHODS["engine"]:
-            _reject_knob("engine", self.engine, self.method)
         if self.budget is not None and \
                 self.method not in KNOB_METHODS["budget"]:
             _reject_knob("budget", self.budget, self.method)
@@ -188,14 +173,10 @@ class InductionRequest:
 
     def resolved_config(self) -> SearchConfig:
         if self.config is not None:
-            config = self.config
-        elif self.budget is not None:
-            config = SearchConfig(node_budget=self.budget)
-        else:
-            config = SearchConfig()
-        if self.engine is not None and self.engine != config.engine:
-            config = dataclasses.replace(config, engine=self.engine)
-        return config
+            return self.config
+        if self.budget is not None:
+            return SearchConfig(node_budget=self.budget)
+        return SearchConfig()
 
     def fingerprint(self) -> str:
         """Content fingerprint of the *request* — the service's dedup key.

@@ -143,7 +143,6 @@ def _build_request(args, region_text: str, strategy_store=None):
         return api.InductionRequest(
             region=region_text, model=args.model, method=args.method,
             window=args.window, jobs=args.jobs, budget=budget,
-            engine=getattr(args, "engine", None),
             strategy_store=strategy_store,
             deadline_s=args.deadline,
             vn=getattr(args, "vn", "off"))
@@ -621,12 +620,9 @@ def _cmd_fuzz(args) -> int:
     import os
     import tempfile
 
-    from repro.core.search import ENGINES
     from repro.fuzz import (FuzzConfig, case_from_payload, check_case,
                             entry_needs_vn, fuzz_run, load_corpus)
     from repro.obs import JsonlTracer
-
-    engines = ENGINES if args.engine == "all" else (args.engine,)
 
     if args.replay:
         try:
@@ -645,8 +641,7 @@ def _cmd_fuzz(args) -> int:
         for path, case in entries:
             # Entries recorded by a vn_* oracle re-run under the vn battery
             # even without --vn, so they replay against the bug they found.
-            found = check_case(case, engines=engines,
-                               vn=args.vn or entry_needs_vn(path))
+            found = check_case(case, vn=args.vn or entry_needs_vn(path))
             status = "ok" if not found else "FAIL"
             print(f"{status}  {path}  [{case.describe()}]")
             for failure in found:
@@ -664,7 +659,6 @@ def _cmd_fuzz(args) -> int:
                 max_ops=args.max_ops,
                 max_threads=args.max_threads,
                 time_budget_s=args.time_budget,
-                engines=engines,
                 program_fraction=args.program_fraction,
                 cluster_fraction=args.cluster_fraction,
                 shrink=not args.no_shrink,
@@ -680,8 +674,7 @@ def _cmd_fuzz(args) -> int:
 
     rate = report.cases_run / report.wall_s if report.wall_s > 0 else 0.0
     print(f"fuzz: seed={report.seed} cases={report.cases_run} "
-          f"(regions={report.region_cases}, programs={report.program_cases}) "
-          f"engines={','.join(engines)}")
+          f"(regions={report.region_cases}, programs={report.program_cases})")
     print(f"fuzz: {report.wall_s:.2f}s ({rate:.1f} cases/s), "
           f"stopped by {report.stopped_by}")
     if tracer is not None:
@@ -771,11 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="branch-and-bound node budget (default 100000; only "
                         "valid for methods that search)")
-    p.add_argument("--engine", default=None,
-                   choices=["bitmask", "array", "legacy"],
-                   help="branch-and-bound engine (default bitmask; array is "
-                        "the batched fast path; legacy is the reference "
-                        "implementation)")
     p.add_argument("--window", type=int, default=0, metavar="SIZE",
                    help="induce window-by-window at this window size (0 = whole region)")
     p.add_argument("--jobs", type=int, default=1,
@@ -849,11 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="branch-and-bound node budget (default 100000; only "
                         "valid for methods that search)")
-    p.add_argument("--engine", default=None,
-                   choices=["bitmask", "array", "legacy"],
-                   help="branch-and-bound engine (default bitmask; array is "
-                        "the batched fast path; legacy is the reference "
-                        "implementation)")
     p.add_argument("--window", type=int, default=0, metavar="SIZE",
                    help="induce window-by-window at this window size (0 = whole region)")
     p.add_argument("--jobs", type=int, default=1,
@@ -998,10 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum threads per generated region")
     p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
                    help="stop after this much wall time even if cases remain")
-    p.add_argument("--engine",
-                   choices=("all", "bitmask", "array", "legacy"),
-                   default="all",
-                   help="search engine(s); 'all' asserts cross-engine parity")
     p.add_argument("--program-fraction", type=float, default=0.15,
                    help="fraction of cases that are MIMDC programs")
     p.add_argument("--cluster-fraction", type=float, default=0.1,

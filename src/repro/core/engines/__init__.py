@@ -1,35 +1,19 @@
 """Branch-and-bound engine implementations.
 
-Three engines implement the *identical* search — same schedules, same
-costs, same :class:`~repro.core.search.SearchStats` counters, bit for bit
-(``tests/core/test_engine_equivalence.py`` enforces this across the
-pruning-knob matrix, and the fuzz harness re-checks it on random regions):
-
-- ``legacy`` — the original frozenset/dict recursion, kept as the
-  reference oracle (:mod:`repro.core.engines.legacy`);
 - ``bitmask`` — incremental int-bitmask state over an explicit stack, the
-  default hot path (:mod:`repro.core.engines.bitmask`);
-- ``array`` — batched generation-time bounds, a state-keyed generation
-  cache and lazy state materialisation, the fastest engine
-  (:mod:`repro.core.engines.arrayengine`; vectorises with numpy when
-  available, bit-identical without it).
+  one production engine (:mod:`repro.core.engines.bitmask`);
+- ``legacy`` — the original frozenset/dict recursion, kept only as the
+  reference oracle (:mod:`repro.core.engines.legacy`).
 
-:mod:`repro.core.search` re-exports this registry; ``SearchConfig.engine``
-selects an implementation by name.
+Both take the same arguments and run under the one driver,
+:func:`repro.core.search.branch_and_bound`, whose ``search_fn`` keyword
+picks the engine.  They must return the same schedules, costs and
+:class:`~repro.core.search.SearchStats` counters, bit for bit:
+``tests/core/test_engine_equivalence.py`` enforces this across the
+pruning-knob matrix, and ``repro fuzz`` re-checks it on random regions.
 """
 
-from repro.core.engines.arrayengine import array_search
 from repro.core.engines.bitmask import bitmask_search
 from repro.core.engines.legacy import legacy_search
 
-__all__ = ["ENGINES", "ENGINE_IMPLS",
-           "array_search", "bitmask_search", "legacy_search"]
-
-#: Known search engine implementations (identical results, different speed).
-ENGINES = ("bitmask", "legacy", "array")
-
-ENGINE_IMPLS = {
-    "bitmask": bitmask_search,
-    "legacy": legacy_search,
-    "array": array_search,
-}
+__all__ = ["bitmask_search", "legacy_search"]

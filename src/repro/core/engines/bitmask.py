@@ -1,4 +1,4 @@
-"""Bitmask engine — the incremental-state hot path (default engine).
+"""Bitmask engine — the incremental-state hot path (the production engine).
 
 Semantically identical to :func:`repro.core.engines.legacy.legacy_search`
 node for node — same exploration order, same pruning decisions, same
@@ -46,11 +46,13 @@ def bitmask_search(
     - the ready index (ready ops per merge key per thread) is maintained
       incrementally on apply/undo instead of rescanned, with undo tokens
       recording newly-ready ops as one int mask per completed op;
-    - the critical-path bound tracks one running max per thread, recomputed
-      only when the completed op *was* that thread's max (a scan over ops
-      sorted by remaining path, skipping done bits);
     - the class-count bound is one running float adjusted by the single
       key a move touches;
+    - the critical-path bound is maintained only when the class bound is
+      off, because the class bound dominates it (see
+      :mod:`repro.core.search`).  It tracks one running max per thread,
+      recomputed only when the completed op *was* that thread's max (a
+      scan over ops sorted by remaining path, skipping done bits);
     - the dominance memo keys on the tuple of int masks;
     - recursion is an explicit stack over preallocated parallel arrays.
 
@@ -80,8 +82,10 @@ def bitmask_search(
 
     maximal = config.maximal_merges_only
     branch_choices = config.branch_thread_choices
-    use_cp = config.use_cp_bound
     use_class = config.use_class_bound
+    # The class bound dominates the critical-path bound, so per-node cp
+    # upkeep only pays when the class bound is off.
+    use_cp = config.use_cp_bound and not use_class
     use_memo = config.use_memo
     node_budget = config.node_budget
     fast_moves = maximal and not branch_choices
@@ -100,10 +104,13 @@ def bitmask_search(
             class_bound += contrib[kid]
 
     # Running per-thread critical-path max + the scan order for refreshes.
-    crit_sorted = tuple(
-        tuple(sorted(range(len(crit[t])), key=lambda i: -crit[t][i]))
-        for t in thread_ids)
-    thread_max = [max(crit[t], default=0.0) for t in thread_ids]
+    crit_sorted: tuple[tuple[int, ...], ...] = ()
+    thread_max: list[float] = []
+    if use_cp:
+        crit_sorted = tuple(
+            tuple(sorted(range(len(crit[t])), key=lambda i: -crit[t][i]))
+            for t in thread_ids)
+        thread_max = [max(crit[t], default=0.0) for t in thread_ids]
 
     memo: dict[tuple[int, ...], float] = {}
 

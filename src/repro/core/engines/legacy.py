@@ -1,11 +1,15 @@
 """Legacy engine — the reference oracle.
 
 This is the original frozenset/dict implementation, preserved verbatim.
-It defines the search semantics every other engine must reproduce exactly
-(schedules, costs and all pruning counters); the equivalence property
-tests diff the engines against each other, so changes here must be
-mirrored in :mod:`repro.core.engines.bitmask` and
-:mod:`repro.core.engines.arrayengine` and vice versa.
+It defines the search semantics the production bitmask engine must
+reproduce exactly (schedules, costs and all pruning counters).  Nothing
+in production runs it: ``repro fuzz`` and the equivalence suite pass it
+to :func:`repro.core.search.branch_and_bound` as ``search_fn`` and diff
+the two engines, so changes here must be mirrored in
+:mod:`repro.core.engines.bitmask` and vice versa.  Its ``_lower_bound``
+still takes ``max(cp, class)`` at every node, which re-proves on every
+checked case that skipping the dominated critical-path bound in the
+bitmask engine changes nothing.
 """
 
 from __future__ import annotations

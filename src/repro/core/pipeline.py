@@ -227,7 +227,6 @@ def _induce_impl(
             )
         if stats is not None:
             event.update(
-                engine=stats.engine,
                 nodes_per_s=round(stats.nodes_per_second, 1),
                 nodes=stats.nodes_expanded,
                 pruned_bound=stats.pruned_by_bound,

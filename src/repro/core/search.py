@@ -16,7 +16,12 @@ the minimum execution time code schedule using these merges"):
      bounds are combined: the *critical-path bound* (max over threads of the
      cost-weighted longest remaining dependence path) and the *class-count
      bound* (ops of equal key in the same thread can never merge, so each
-     key needs at least ``max_t remaining_t(key)`` slots);
+     key needs at least ``max_t remaining_t(key)`` slots).  The class
+     bound dominates the critical-path one: slot cost depends only on the
+     merge key's class and one thread's ops take distinct slots, so
+     ``cp_t <= sum of t's remaining slot costs <= sum_k cost_k * max_t
+     cnt(t, k)``.  The engine therefore maintains the critical-path bound
+     only when the class bound is off (the E3 ablation);
    - **dominance memoization** — the scheduler state is exactly the set of
      completed ops per thread; reaching a previously seen state at equal or
      higher cost is cut;
@@ -31,25 +36,17 @@ the minimum execution time code schedule using these merges"):
    algorithm: with a node budget it degrades gracefully toward the greedy
    result instead of failing.
 
-Three engines implement the identical search (same schedules, costs and
-every :class:`SearchStats` counter, bit for bit — see
-:mod:`repro.core.engines`):
-
-- ``engine="bitmask"`` (default) — incremental int-bitmask state over an
-  explicit stack; the per-node cost is a handful of int ops.
-- ``engine="array"`` — the fastest path: all candidate children of a node
-  are scored and lower-bounded in one batched pass at generation time
-  (vectorised via numpy past a fan-out threshold, scalar-identical
-  without it), bound-failing children are discarded before any frame or
-  state is materialised, and finished child batches are interned in a
-  generation cache keyed on the done-mask state so revisited states
-  replay them without touching the ready index.
-- ``engine="legacy"`` — the original frozenset/dict implementation, kept
-  as the *reference oracle* (``tests/core/test_engine_equivalence.py``
-  enforces counter-exact parity across the pruning-knob matrix).  Parity
-  is exact whenever slot costs are exactly representable floats; the
-  faster engines' running/cached class-count bound can differ from the
-  legacy fresh summation by float-rounding ulps otherwise.
+One engine runs the search:
+:func:`repro.core.engines.bitmask.bitmask_search`, incremental int-bitmask
+state over an explicit stack, where the per-node cost is a handful of int
+ops.  :func:`repro.core.engines.legacy.legacy_search`, the original
+frozenset/dict implementation, is kept only as the *reference oracle*:
+the fuzzer, the equivalence suite and E16 pass it through
+``branch_and_bound(..., search_fn=legacy_search)`` and require the same
+schedule, cost and every :class:`SearchStats` counter, bit for bit.
+Parity is exact whenever slot costs are exactly representable floats;
+the bitmask engine's running class-count bound can differ from the
+legacy fresh summation by float-rounding ulps otherwise.
 """
 
 from __future__ import annotations
@@ -60,20 +57,13 @@ from typing import Callable
 
 from repro.core.costmodel import CostModel
 from repro.core.dag import DependenceDAG, build_dags
-from repro.core.engines import ENGINE_IMPLS, ENGINES
-from repro.core.engines.arrayengine import array_search as _array_search
-from repro.core.engines.bitmask import bitmask_search as _bitmask_search
-from repro.core.engines.legacy import legacy_search as _legacy_search
+from repro.core.engines import bitmask_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
 from repro.core.schedule import Schedule, Slot
 from repro.core.verify import verify_schedule
 
-__all__ = ["ENGINES", "SearchConfig", "SearchStats", "branch_and_bound"]
-
-#: Engine-name -> implementation registry (back-compat alias; benchmarks
-#: and the equivalence suite time the implementations directly).
-_ENGINE_IMPLS = ENGINE_IMPLS
+__all__ = ["SearchConfig", "SearchStats", "branch_and_bound"]
 
 
 @dataclass(frozen=True)
@@ -88,14 +78,10 @@ class SearchConfig:
     use_class_bound: bool = True
     use_memo: bool = True
     seed_with_greedy: bool = True
-    engine: str = "bitmask"
 
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise ValueError(f"node budget must be positive, got {self.node_budget}")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {self.engine!r}; expected one of {ENGINES}")
 
 
 @dataclass
@@ -111,7 +97,6 @@ class SearchStats:
     optimal: bool = False
     budget_exhausted: bool = False
     wall_s: float = 0.0
-    engine: str = "bitmask"
     #: Filled by the pipeline when the value-numbering pre-pass ran: ops
     #: whose semantic fingerprint collides across threads, and rewrites
     #: actually applied.  Defaulted so cached/wire stats from pre-vn runs
@@ -131,6 +116,8 @@ def branch_and_bound(
     config: SearchConfig | None = None,
     dags: tuple[DependenceDAG, ...] | None = None,
     should_stop: Callable[[], bool] | None = None,
+    *,
+    search_fn: Callable[..., list[Slot]] = bitmask_search,
 ) -> tuple[Schedule, SearchStats]:
     """Run the CSI search; returns the best schedule found and statistics.
 
@@ -141,16 +128,18 @@ def branch_and_bound(
     which the test-suite cross-checks against exhaustive mode on small
     regions).
 
-    ``config.engine`` selects the implementation: ``"bitmask"`` (default),
-    ``"array"`` (fastest) or ``"legacy"`` (the reference oracle) — all
-    return identical schedules, costs and pruning counters.
+    ``search_fn`` is the engine the node loop runs in.  Production code
+    never passes it; the fuzzer, the equivalence suite and the E16
+    benchmark pass :func:`~repro.core.engines.legacy.legacy_search`, the
+    reference oracle, so both engines share this one driver: DAGs,
+    critical paths, the verified greedy seed and the final checks.
 
     When ``config.seed_with_greedy`` is on (the default), the greedy list
     schedule is *verified* against the independent checker and its cost
-    seeds the incumbent for every engine.  The seed is what makes the
-    search anytime — and also what gates the pruning, so a buggy-but-cheap
-    incumbent would silently prune the true optimum away; verification
-    turns that failure mode into a loud :class:`~repro.core.verify.ScheduleError`.
+    seeds the incumbent.  The seed is what makes the search anytime — and
+    also what gates the pruning, so a buggy-but-cheap incumbent would
+    silently prune the true optimum away; verification turns that failure
+    mode into a loud :class:`~repro.core.verify.ScheduleError`.
 
     ``should_stop`` (optional, polled every 256 expanded nodes) requests a
     cooperative early exit: the search returns its incumbent best-so-far
@@ -163,7 +152,7 @@ def branch_and_bound(
     if dags is None:
         dags = build_dags(region, respect_order=config.respect_order)
     crit = tuple(dag.critical_path_costs(region[t], model) for t, dag in enumerate(dags))
-    stats = SearchStats(engine=config.engine)
+    stats = SearchStats()
 
     best_slots: list[Slot] = []
     if config.seed_with_greedy:
@@ -172,9 +161,8 @@ def branch_and_bound(
         stats.best_cost = incumbent.cost(model)
         best_slots = list(incumbent.slots)
 
-    best_slots = ENGINE_IMPLS[config.engine](
-        region, model, config, dags, crit, stats, best_slots,
-        should_stop=should_stop)
+    best_slots = search_fn(region, model, config, dags, crit, stats,
+                           best_slots, should_stop=should_stop)
 
     stats.optimal = not stats.budget_exhausted
     stats.wall_s = perf_counter() - t_start

@@ -366,7 +366,6 @@ def _windowed_body(
                 ops=sub.num_ops,
                 slots=len(sched),
                 cost=sched.cost(model),
-                engine=st.engine,
                 nodes_per_s=round(st.nodes_per_second, 1),
                 nodes=st.nodes_expanded,
                 pruned_bound=st.pruned_by_bound,

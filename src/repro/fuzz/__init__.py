@@ -10,10 +10,10 @@ imagined; this package generates the rest:
   search configurations, random interpreter-handler subsets, and random
   MIMDC programs built on :mod:`repro.workloads.programs` templates;
 - :mod:`repro.fuzz.oracles` — the differential harness: every case runs
-  through every search engine (bitmask, legacy, array), the independent
-  verifier, a
-  cost-model recomputation, the greedy/serial upper bounds, a cache
-  round-trip and the wire/`as_dict` round-trip; any disagreement is a bug;
+  through the production bitmask engine and the legacy reference oracle,
+  the independent verifier, a cost-model recomputation, the greedy/serial
+  upper bounds, a cache round-trip and the wire/`as_dict` round-trip; any
+  disagreement is a bug;
 - :mod:`repro.fuzz.shrink` — delta debugging that reduces a failing case
   to a minimal region before it is reported;
 - :mod:`repro.fuzz.corpus` — failing cases persist as JSON (one file per

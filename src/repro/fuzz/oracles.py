@@ -1,11 +1,12 @@
 """Differential oracles: every way a generated case can prove a bug.
 
-A *region* case is pushed through every search engine and a battery of
-independent checks, each of which holds for **any** correct implementation:
+A *region* case is pushed through the production search engine and the
+reference oracle, plus a battery of independent checks, each of which
+holds for **any** correct implementation:
 
-- **engine parity** — ``bitmask``, ``legacy`` and ``array`` must return the
-  identical slot sequence, cost, and every pruning counter (the repo's core
-  contract, see :mod:`repro.core.search`);
+- **engine parity** — the production ``bitmask`` engine and the ``legacy``
+  oracle must return the identical slot sequence, cost, and every pruning
+  counter (the repo's core contract, see :mod:`repro.core.search`);
 - **validity** — every schedule passes :func:`repro.core.verify.verify_schedule`,
   the from-first-principles checker;
 - **cost recomputation** — ``stats.best_cost`` equals the schedule's cost
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.core.cache import ScheduleCache, region_fingerprint, schedule_to_payload
 from repro.core.dag import build_dags
+from repro.core.engines import legacy_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import parse_region
 from repro.core.pipeline import InductionResult
@@ -56,8 +58,8 @@ __all__ = ["OracleFailure", "check_case"]
 
 _EPS = 1e-9
 
-#: SearchStats fields the engines must agree on exactly (wall time and the
-#: engine tag legitimately differ).
+#: SearchStats fields the engines must agree on exactly (wall time
+#: legitimately differs).
 _PARITY_COUNTERS = (
     "nodes_expanded", "children_generated", "pruned_by_bound",
     "pruned_by_memo", "best_cost", "incumbent_updates", "optimal",
@@ -80,41 +82,37 @@ def _slots_payload(schedule) -> list:
     return schedule_to_payload(schedule)
 
 
-def _check_engine_parity(case: FuzzCase, dags,
-                         engines: tuple[str, ...]) -> tuple[list[OracleFailure], dict]:
-    """Run the requested engines; return failures plus (schedule, stats) each."""
+def _check_engine_parity(case: FuzzCase,
+                         dags) -> tuple[list[OracleFailure], dict]:
+    """Run the production engine and the legacy oracle; return failures
+    plus (schedule, stats) for each, keyed ``bitmask`` / ``legacy``."""
+    region, model, config = case.region, case.model, case.config
+    runs = {
+        "bitmask": branch_and_bound(region, model, config, dags=dags),
+        "legacy": branch_and_bound(region, model, config, dags=dags,
+                                   search_fn=legacy_search),
+    }
     failures: list[OracleFailure] = []
-    runs: dict[str, tuple] = {}
-    for engine in engines:
-        cfg = dataclasses.replace(case.config, engine=engine)
-        schedule, stats = branch_and_bound(case.region, case.model, cfg, dags=dags)
-        runs[engine] = (schedule, stats)
-
-    if len(engines) < 2:
-        return failures, runs
-    ref = engines[0]
-    ref_sched, ref_stats = runs[ref]
-    for other in engines[1:]:
-        o_sched, o_stats = runs[other]
-        if _slots_payload(ref_sched) != _slots_payload(o_sched):
+    (b_sched, b_stats), (l_sched, l_stats) = runs["bitmask"], runs["legacy"]
+    if _slots_payload(b_sched) != _slots_payload(l_sched):
+        failures.append(OracleFailure(
+            "engine_schedule",
+            f"bitmask={_slots_payload(b_sched)} legacy={_slots_payload(l_sched)}"))
+    for name in _PARITY_COUNTERS:
+        bv, lv = getattr(b_stats, name), getattr(l_stats, name)
+        if bv != lv:
             failures.append(OracleFailure(
-                "engine_schedule",
-                f"{ref}={_slots_payload(ref_sched)} {other}={_slots_payload(o_sched)}"))
-        for name in _PARITY_COUNTERS:
-            rv, ov = getattr(ref_stats, name), getattr(o_stats, name)
-            if rv != ov:
-                failures.append(OracleFailure(
-                    "engine_counters", f"{name}: {ref}={rv!r} {other}={ov!r}"))
+                "engine_counters", f"{name}: bitmask={bv!r} legacy={lv!r}"))
     return failures, runs
 
 
-def _check_region(case: FuzzCase, workdir: Path | None,
-                  engines: tuple[str, ...]) -> list[OracleFailure]:
+def _check_region(case: FuzzCase,
+                  workdir: Path | None) -> list[OracleFailure]:
     region, model, config = case.region, case.model, case.config
     dags = build_dags(region, respect_order=config.respect_order)
 
-    failures, runs = _check_engine_parity(case, dags, engines)
-    schedule, stats = runs[engines[0]]
+    failures, runs = _check_engine_parity(case, dags)
+    schedule, stats = runs["bitmask"]
 
     # Independent validity check, for both engines' schedules.
     for engine, (sched, _) in runs.items():
@@ -224,8 +222,7 @@ def _check_region(case: FuzzCase, workdir: Path | None,
     return failures
 
 
-def _check_vn(case: FuzzCase,
-              engines: tuple[str, ...]) -> list[OracleFailure]:
+def _check_vn(case: FuzzCase) -> list[OracleFailure]:
     """The vn-on/vn-off differential: rewriting must be invisible but free.
 
     - ``vn_equivalence`` — the rewritten region computes identical values
@@ -234,8 +231,8 @@ def _check_vn(case: FuzzCase,
     - ``vn_idempotent`` — rewriting a rewritten region is a no-op;
     - ``vn_serial_bound`` — per-op slot costs never rise (the pass's
       hard never-worse guarantee, which holds unconditionally);
-    - ``vn_engine_*`` / ``vn_verify:*`` — the engines stay bit-identical
-      on the rewritten region and every schedule of it verifies;
+    - ``vn_engine_*`` / ``vn_verify:*`` — bitmask and legacy stay
+      bit-identical on the rewritten region and every schedule of it verifies;
     - ``vn_cost`` — end-to-end search cost with vn ≤ without, asserted
       only when *both* searches prove optimality under a common
       comparison config (budget-exhausted incumbents can legitimately
@@ -264,7 +261,7 @@ def _check_vn(case: FuzzCase,
 
     vncase = dataclasses.replace(case, region=rewritten)
     dags = build_dags(rewritten, respect_order=case.config.respect_order)
-    parity, runs = _check_engine_parity(vncase, dags, engines)
+    parity, runs = _check_engine_parity(vncase, dags)
     failures.extend(OracleFailure(f"vn_{f.oracle}", f.detail) for f in parity)
     for engine, (sched, _st) in runs.items():
         try:
@@ -275,8 +272,7 @@ def _check_vn(case: FuzzCase,
 
     if rewrites:
         comparison = dataclasses.replace(
-            case.config, engine=engines[0], node_budget=50_000,
-            seed_with_greedy=True)
+            case.config, node_budget=50_000, seed_with_greedy=True)
         _s_off, st_off = branch_and_bound(region, model, comparison)
         _s_vn, st_vn = branch_and_bound(rewritten, model, comparison)
         if st_off.optimal and st_vn.optimal and \
@@ -288,8 +284,7 @@ def _check_vn(case: FuzzCase,
     return failures
 
 
-def _check_cluster(case: FuzzCase, cluster,
-                   engines: tuple[str, ...]) -> list[OracleFailure]:
+def _check_cluster(case: FuzzCase, cluster) -> list[OracleFailure]:
     """Cluster round-trip: route → induce must equal a local single run.
 
     The whole routed path — fingerprint routing, forwarding, the node's
@@ -300,10 +295,9 @@ def _check_cluster(case: FuzzCase, cluster,
     from repro.api import InductionRequest
 
     failures: list[OracleFailure] = []
-    cfg = dataclasses.replace(case.config, engine=engines[0])
-    schedule, stats = branch_and_bound(case.region, case.model, cfg)
+    schedule, stats = branch_and_bound(case.region, case.model, case.config)
     request = InductionRequest(region=case.region, model=case.model,
-                               config=cfg)
+                               config=case.config)
     try:
         result = cluster.client().submit(request)
     except Exception as exc:  # noqa: BLE001 - any transport blowup is a bug
@@ -360,12 +354,11 @@ def _check_program(case: FuzzCase) -> list[OracleFailure]:
 
 
 def check_case(case: FuzzCase, workdir: Path | None = None,
-               engines: tuple[str, ...] = ("bitmask", "legacy", "array"),
                cluster=None, vn: bool = False) -> list[OracleFailure]:
     """Run every applicable oracle; an empty list means the case passed.
 
-    ``engines`` picks the search implementations a region case runs through;
-    cross-engine parity is only asserted when more than one is given.
+    A region case always runs through both the production engine and the
+    legacy oracle, and their parity is always asserted.
     ``cluster`` (a live :class:`repro.cluster.LocalCluster`) additionally
     routes the region through the cluster front door and insists the routed
     result equals the local one.  ``vn=True`` adds the value-numbering
@@ -373,16 +366,14 @@ def check_case(case: FuzzCase, workdir: Path | None = None,
     inside an oracle is itself a failure (generated inputs must never crash
     the stack) and is reported as ``exception:<Type>``.
     """
-    if not engines:
-        raise ValueError("need at least one engine")
     try:
         if case.kind == "program":
             return _check_program(case)
-        failures = _check_region(case, workdir, tuple(engines))
+        failures = _check_region(case, workdir)
         if vn:
-            failures.extend(_check_vn(case, tuple(engines)))
+            failures.extend(_check_vn(case))
         if cluster is not None:
-            failures.extend(_check_cluster(case, cluster, tuple(engines)))
+            failures.extend(_check_cluster(case, cluster))
         return failures
     except Exception as exc:
         return [OracleFailure(f"exception:{type(exc).__name__}", repr(exc))]

@@ -38,8 +38,6 @@ class FuzzConfig:
     max_threads: int = 4
     #: Wall-clock budget in seconds; ``None`` means run all ``cases``.
     time_budget_s: float | None = None
-    #: Search engines region cases run through; parity needs at least two.
-    engines: tuple[str, ...] = ("bitmask", "legacy", "array")
     program_fraction: float = 0.15
     shrink: bool = True
     shrink_attempts: int = 400
@@ -61,8 +59,6 @@ class FuzzConfig:
             raise ValueError(f"need at least one case, got {self.cases}")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ValueError(f"bad time budget {self.time_budget_s}")
-        if not self.engines:
-            raise ValueError("need at least one engine")
         if not 0.0 <= self.cluster_fraction <= 1.0:
             raise ValueError(
                 f"cluster fraction must be in [0, 1], got "
@@ -159,7 +155,7 @@ def fuzz_run(config: FuzzConfig | None = None,
             with span("fuzz.case", tracer, index=index, case_kind=case.kind,
                       note=case.note, ops=case.num_ops):
                 found = check_case(
-                    case, workdir=workdir, engines=config.engines,
+                    case, workdir=workdir,
                     cluster=cluster if route_through_cluster else None,
                     vn=config.vn)
             registry.inc("fuzz_cases_total")
@@ -177,7 +173,6 @@ def fuzz_run(config: FuzzConfig | None = None,
                 if config.shrink:
                     shrunk = shrink_case(case, found,
                                          max_attempts=config.shrink_attempts,
-                                         engines=config.engines,
                                          vn=config.vn)
                     if shrunk is case:
                         shrunk = None

@@ -54,18 +54,15 @@ class _Budget:
         return True
 
 
-def _still_fails(case: FuzzCase, oracles: frozenset[str],
-                 engines: tuple[str, ...], vn: bool) -> bool:
+def _still_fails(case: FuzzCase, oracles: frozenset[str], vn: bool) -> bool:
     # ``vn`` rides through every re-check so the vn oracle set stays fixed
     # while ddmin runs: a candidate only counts as "still failing" if it
     # fails the same oracle under the same oracle battery.
-    return any(f.oracle in oracles
-               for f in check_case(case, engines=engines, vn=vn))
+    return any(f.oracle in oracles for f in check_case(case, vn=vn))
 
 
 def _shrink_region(case: FuzzCase, oracles: frozenset[str],
-                   budget: _Budget, engines: tuple[str, ...],
-                   vn: bool) -> FuzzCase:
+                   budget: _Budget, vn: bool) -> FuzzCase:
     best = case
 
     def try_candidate(threads: list[list[Operation]]) -> FuzzCase | None:
@@ -73,8 +70,7 @@ def _shrink_region(case: FuzzCase, oracles: frozenset[str],
             return None
         candidate = dataclasses.replace(
             best, region=_rebuild_region([ops for ops in threads if ops]))
-        return candidate if _still_fails(candidate, oracles, engines, vn) \
-            else None
+        return candidate if _still_fails(candidate, oracles, vn) else None
 
     progress = True
     while progress and budget.left > 0:
@@ -138,8 +134,7 @@ def _shrink_region(case: FuzzCase, oracles: frozenset[str],
 
 
 def _shrink_program(case: FuzzCase, oracles: frozenset[str],
-                    budget: _Budget, engines: tuple[str, ...],
-                    vn: bool) -> FuzzCase:
+                    budget: _Budget, vn: bool) -> FuzzCase:
     best = case
     progress = True
     while progress and budget.left > 0:
@@ -153,7 +148,7 @@ def _shrink_program(case: FuzzCase, oracles: frozenset[str],
                     return best
                 trimmed = lines[:start] + lines[start + chunk:]
                 candidate = dataclasses.replace(best, source="\n".join(trimmed) + "\n")
-                if trimmed and _still_fails(candidate, oracles, engines, vn):
+                if trimmed and _still_fails(candidate, oracles, vn):
                     best = candidate
                     lines = trimmed
                     progress = True
@@ -164,9 +159,7 @@ def _shrink_program(case: FuzzCase, oracles: frozenset[str],
 
 
 def shrink_case(case: FuzzCase, failing: list[OracleFailure],
-                max_attempts: int = 400,
-                engines: tuple[str, ...] = ("bitmask", "legacy", "array"),
-                vn: bool = False) -> FuzzCase:
+                max_attempts: int = 400, vn: bool = False) -> FuzzCase:
     """Reduce ``case`` while it keeps failing one of ``failing``'s oracles.
 
     Returns the smallest case found (possibly ``case`` itself), with
@@ -181,9 +174,9 @@ def shrink_case(case: FuzzCase, failing: list[OracleFailure],
     oracles = frozenset(f.oracle for f in failing)
     budget = _Budget(max_attempts)
     if case.kind == "program":
-        shrunk = _shrink_program(case, oracles, budget, tuple(engines), vn)
+        shrunk = _shrink_program(case, oracles, budget, vn)
     else:
-        shrunk = _shrink_region(case, oracles, budget, tuple(engines), vn)
+        shrunk = _shrink_region(case, oracles, budget, vn)
     if shrunk is case:
         return case
     return dataclasses.replace(shrunk, shrunk_from_ops=case.num_ops or None,

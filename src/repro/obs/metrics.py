@@ -308,11 +308,9 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
 
 
 def observe_search_throughput(registry: MetricsRegistry, stats) -> None:
-    """Record one search's throughput in nodes/second.
+    """Record one search's throughput in the ``search_nodes_per_second``
+    histogram.
 
-    Observes both an overall ``search_nodes_per_second`` histogram and a
-    per-engine one — the registry has no label support, so the engine is
-    encoded in the metric name (``search_nodes_per_second_engine_bitmask``).
     Searches with no measured wall time (``nodes_per_second == 0``) are
     skipped rather than recorded as zero-throughput outliers.
     """
@@ -320,9 +318,6 @@ def observe_search_throughput(registry: MetricsRegistry, stats) -> None:
     if nps <= 0:
         return
     registry.observe("search_nodes_per_second", nps,
-                     buckets=DEFAULT_VALUE_BUCKETS)
-    engine = getattr(stats, "engine", "") or "unknown"
-    registry.observe(f"search_nodes_per_second_engine_{engine}", nps,
                      buckets=DEFAULT_VALUE_BUCKETS)
 
 

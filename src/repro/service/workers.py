@@ -132,8 +132,15 @@ def absorb_obs(payload: dict, tracer=None,
         (registry if registry is not None else get_registry()).merge(snapshot)
 
 
-def _worker_main(conn) -> None:
-    """Child process loop: ``(wire, attempt)`` in, ``(status, payload)`` out."""
+def _worker_main(conn, parent_end) -> None:
+    """Child process loop: ``(wire, attempt)`` in, ``(status, payload)`` out.
+
+    A forked child inherits ``parent_end``, the supervisor's end of its own
+    pipe.  It is closed first thing: while the child holds it, ``recv``
+    never sees EOF, so a supervisor killed with SIGKILL would leave the
+    worker running forever.
+    """
+    parent_end.close()
     while True:
         try:
             msg = conn.recv()
@@ -165,7 +172,7 @@ class _WorkerHandle:
         parent, child = self._ctx.Pipe()
         self.conn = parent
         self.proc = self._ctx.Process(
-            target=_worker_main, args=(child,), daemon=True)
+            target=_worker_main, args=(child, parent), daemon=True)
         self.proc.start()
         child.close()
 

@@ -58,22 +58,6 @@ class TestInductionRequest:
         with pytest.raises(ValueError, match="window"):
             api.InductionRequest(region=REGION, window=2, method="portfolio")
 
-    @pytest.mark.parametrize("method",
-                             ["greedy", "anneal", "serial", "factor",
-                              "lockstep"])
-    def test_rejects_engine_with_searchless_method(self, method):
-        # engine= used to silently no-op for methods that never search;
-        # now the invalid combination is rejected up front.
-        with pytest.raises(ValueError, match="engine"):
-            api.InductionRequest(region=REGION, method=method,
-                                 engine="bitmask")
-
-    @pytest.mark.parametrize("method", ["search", "portfolio"])
-    def test_engine_accepted_where_a_search_runs(self, method):
-        request = api.InductionRequest(region=REGION, method=method,
-                                       engine="legacy")
-        assert request.resolved_config().engine == "legacy"
-
     def test_budget_shorthand(self):
         request = api.InductionRequest(region=REGION, budget=123)
         assert request.resolved_config().node_budget == 123
@@ -221,7 +205,7 @@ class TestDeprecatedShims:
 
 def _knob_value(knob):
     from repro.sched import StrategyOutcomesStore
-    return {"window": 2, "jobs": 4, "engine": "legacy", "budget": 99,
+    return {"window": 2, "jobs": 4, "budget": 99,
             "strategy_store": StrategyOutcomesStore()}[knob]
 
 

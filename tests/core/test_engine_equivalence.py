@@ -1,32 +1,37 @@
-"""Fast engines vs legacy reference: exact behavioural equivalence.
+"""Production engine vs legacy reference: exact behavioural equivalence.
 
-The bitmask and array engines are pure performance rewrites of the
-branch-and-bound hot path; the legacy implementation is kept in-tree as
-the oracle.  These tests pin the contract from DESIGN.md: for every
-region and every knob combination all engines must return the *same*
-schedule at the *same* cost with the *same* SearchStats counters — not
-just equal costs, but an identical traversal (nodes expanded, children
-generated, every pruning counter, budget disposition).  A counter drift
-is a traversal drift and fails the suite even when the final schedule
-happens to agree.
+The bitmask engine is a pure performance rewrite of the branch-and-bound
+hot path; the legacy implementation is kept in-tree as the oracle and
+reached through ``branch_and_bound(..., search_fn=legacy_search)``.  These
+tests pin the contract from DESIGN.md: for every region and every knob
+combination both engines must return the *same* schedule at the *same*
+cost with the *same* SearchStats counters — not just equal costs, but an
+identical traversal (nodes expanded, children generated, every pruning
+counter, budget disposition).  A counter drift is a traversal drift and
+fails the suite even when the final schedule happens to agree.
 
-The array engine additionally runs the whole matrix twice via the
-``force_vec`` fixture: once on its scalar generation path and once with
-the numpy vectorisation threshold forced to zero, so the batched float
-math is proven bit-identical to the scalar loops on every case.
+The bitmask engine skips the critical-path bound whenever the class bound
+is on, while legacy still takes ``max(cp, class)`` at every node, so the
+knob matrix below also re-proves on every case that the class bound
+dominates the critical-path bound.
+
+Every case runs in two legs via the ``shared_dags`` fixture: once with
+each engine's call building its own dependence DAGs, and once with both
+calls handed one prebuilt ``dags`` tuple, legacy first — the way the
+fuzzer and the portfolio call the driver — so state one engine leaves on
+the shared DAGs cannot steer the other's traversal.
 """
 
 import pytest
 
-import repro.core.engines.arrayengine as arrayengine
-
 from repro.core import maspar_cost_model, uniform_cost_model, verify_schedule
-from repro.core.search import ENGINES, SearchConfig, branch_and_bound
+from repro.core.dag import build_dags
+from repro.core.engines import legacy_search
+from repro.core.search import SearchConfig, branch_and_bound
 from repro.workloads import RandomRegionSpec, random_region
 
-#: Counters that must match field-for-field across engines.  ``wall_s`` and
-#: ``engine`` are intentionally excluded: wall time is nondeterministic and
-#: the engine label *should* differ.
+#: Counters that must match field-for-field across engines.  ``wall_s`` is
+#: intentionally excluded: wall time is nondeterministic.
 _COMPARED_FIELDS = (
     "nodes_expanded",
     "children_generated",
@@ -54,78 +59,79 @@ def _region(seed: int, threads: int, length: int):
         seed=seed)
 
 
-def _run(region, model, **cfg_kwargs):
-    out = {}
-    for engine in ENGINES:
-        config = SearchConfig(engine=engine, **cfg_kwargs)
-        out[engine] = branch_and_bound(region, model, config)
-    return out
+def _run(region, model, shared_dags, **cfg_kwargs):
+    config = SearchConfig(**cfg_kwargs)
+    if not shared_dags:
+        return {
+            "bitmask": branch_and_bound(region, model, config),
+            "legacy": branch_and_bound(region, model, config,
+                                       search_fn=legacy_search),
+        }
+    dags = build_dags(region, respect_order=config.respect_order)
+    legacy = branch_and_bound(region, model, config, dags=dags,
+                              search_fn=legacy_search)
+    return {"legacy": legacy,
+            "bitmask": branch_and_bound(region, model, config, dags=dags)}
 
 
-def _assert_equivalent(region, model, **cfg_kwargs):
-    out = _run(region, model, **cfg_kwargs)
+def _assert_equivalent(region, model, shared_dags, **cfg_kwargs):
+    out = _run(region, model, shared_dags, **cfg_kwargs)
     sched_ref, stats_ref = out["legacy"]
-    for engine in ENGINES:
-        if engine == "legacy":
-            continue
-        sched, stats = out[engine]
-        for field in _COMPARED_FIELDS:
-            assert getattr(stats, field) == getattr(stats_ref, field), (
-                f"{field} diverged: {engine}={getattr(stats, field)} "
-                f"legacy={getattr(stats_ref, field)} (config={cfg_kwargs})")
-        assert sched == sched_ref, (
-            f"schedules diverged: {engine} vs legacy (config={cfg_kwargs})")
-        assert sched.cost(model) == sched_ref.cost(model)
-        assert stats.engine == engine
-    assert stats_ref.engine == "legacy"
+    sched, stats = out["bitmask"]
+    for field in _COMPARED_FIELDS:
+        assert getattr(stats, field) == getattr(stats_ref, field), (
+            f"{field} diverged: bitmask={getattr(stats, field)} "
+            f"legacy={getattr(stats_ref, field)} (config={cfg_kwargs})")
+    assert sched == sched_ref, (
+        f"schedules diverged: bitmask vs legacy (config={cfg_kwargs})")
+    assert sched.cost(model) == sched_ref.cost(model)
     verify_schedule(sched_ref, region, model)
 
 
 @pytest.fixture(params=["scalar", "vec"])
-def force_vec(request, monkeypatch):
-    """Run once normally and once with the array engine's numpy batch
-    path forced on for every node (threshold 0); skip the forced leg
-    when numpy is unavailable."""
-    if request.param == "vec":
-        if arrayengine._np is None:
-            pytest.skip("numpy not installed; vectorised path unavailable")
-        monkeypatch.setattr(arrayengine, "VEC_MIN_KEYS", 0)
-    return request.param
+def shared_dags(request):
+    """``scalar``: each engine builds its own DAGs.  ``vec``: both engines
+    share one prebuilt ``dags`` tuple.  The leg ids are the ones the former
+    array engine's scalar and numpy-vectorised legs used, so every case
+    keeps its id."""
+    return request.param == "vec"
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("knobs", _KNOBS,
                              ids=["all", "no-cp", "no-class", "none"])
-    def test_random_regions_all_knob_combos(self, seed, knobs, force_vec):
+    def test_random_regions_all_knob_combos(self, seed, knobs,
+                                            shared_dags):
         threads = 2 + seed % 3           # 2..4 threads
         length = 4 + seed % 7            # <= 10 ops/thread
         region = _region(seed, threads, length)
-        _assert_equivalent(region, maspar_cost_model(),
+        _assert_equivalent(region, maspar_cost_model(), shared_dags,
                            node_budget=20_000, **knobs)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_require_equal_imm(self, seed, force_vec):
+    def test_require_equal_imm(self, seed, shared_dags):
         region = _region(100 + seed, 3, 6)
         model = maspar_cost_model(require_equal_imm=True)
-        _assert_equivalent(region, model, node_budget=20_000)
+        _assert_equivalent(region, model, shared_dags, node_budget=20_000)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_uniform_model(self, seed, force_vec):
+    def test_uniform_model(self, seed, shared_dags):
         region = _region(200 + seed, 2 + seed % 3, 6)
-        _assert_equivalent(region, uniform_cost_model(), node_budget=20_000)
+        _assert_equivalent(region, uniform_cost_model(), shared_dags,
+                           node_budget=20_000)
 
     @pytest.mark.parametrize("maximal,branch",
                              [(True, False), (True, True),
                               (False, False), (False, True)])
-    def test_movegen_variants(self, maximal, branch, force_vec):
+    def test_movegen_variants(self, maximal, branch, shared_dags):
         region = _region(7, 3, 6)
-        _assert_equivalent(region, maspar_cost_model(), node_budget=20_000,
-                           maximal_merges_only=maximal,
+        _assert_equivalent(region, maspar_cost_model(), shared_dags,
+                           node_budget=20_000, maximal_merges_only=maximal,
                            branch_thread_choices=branch)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_budget_exhaustion_parity(self, seed, force_vec):
+    def test_budget_exhaustion_parity(self, seed, shared_dags):
         # A tiny budget (with pruning disabled so the search cannot finish
         # early) forces cutoff: both engines must stop at the same node
         # with the same incumbent and the same budget flags.
@@ -135,38 +141,39 @@ class TestEngineEquivalence:
             seed=300 + seed)
         knobs = dict(node_budget=40, use_cp_bound=False,
                      use_class_bound=False)
-        out = _run(region, maspar_cost_model(), **knobs)
+        out = _run(region, maspar_cost_model(), shared_dags, **knobs)
         (_, stats_a), (_, stats_b) = out["bitmask"], out["legacy"]
         assert stats_a.budget_exhausted and stats_b.budget_exhausted
-        _assert_equivalent(region, maspar_cost_model(), **knobs)
+        _assert_equivalent(region, maspar_cost_model(), shared_dags, **knobs)
 
-    def test_respect_order(self, force_vec):
+    def test_respect_order(self, shared_dags):
         region = _region(9, 3, 6)
-        _assert_equivalent(region, maspar_cost_model(), node_budget=20_000,
-                           respect_order=True)
+        _assert_equivalent(region, maspar_cost_model(), shared_dags,
+                           node_budget=20_000, respect_order=True)
 
-    def test_empty_region(self, force_vec):
+    def test_empty_region(self, shared_dags):
         from repro.core.ops import Region
         region = Region(())
-        _assert_equivalent(region, maspar_cost_model())
+        _assert_equivalent(region, maspar_cost_model(), shared_dags)
 
 
 class TestVnRewrittenEquivalence:
     """Engine parity must survive the vn pre-pass: a rewritten region is
-    just another region, so all three engines must traverse it identically
+    just another region, so both engines must traverse it identically
     — same schedules, same costs, same counters."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("knobs", _KNOBS,
                              ids=["all", "no-cp", "no-class", "none"])
-    def test_rewritten_random_regions(self, seed, knobs, force_vec):
+    def test_rewritten_random_regions(self, seed, knobs, shared_dags):
         from repro.core.vn import rewrite_region
         region = _region(400 + seed, 2 + seed % 3, 4 + seed % 5)
         model = maspar_cost_model()
         rewritten, _ = rewrite_region(region, model)
-        _assert_equivalent(rewritten, model, node_budget=20_000, **knobs)
+        _assert_equivalent(rewritten, model, shared_dags,
+                           node_budget=20_000, **knobs)
 
-    def test_rewritten_region_with_actual_rewrites(self, force_vec):
+    def test_rewritten_region_with_actual_rewrites(self, shared_dags):
         # Random regions may canonicalize to themselves; pin one that is
         # guaranteed to rewrite (strength reduction + float imm folding)
         # so the parity claim is exercised on a genuinely changed region.
@@ -185,28 +192,5 @@ class TestVnRewrittenEquivalence:
         model = maspar_cost_model()
         rewritten, rewrites = rewrite_region(region, model)
         assert rewrites > 0
-        _assert_equivalent(rewritten, model, node_budget=20_000)
+        _assert_equivalent(rewritten, model, shared_dags, node_budget=20_000)
 
-
-class TestEngineConfig:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown search engine"):
-            SearchConfig(engine="turbo")
-
-    def test_stats_carry_engine_label(self):
-        region = _region(1, 2, 4)
-        for engine in ENGINES:
-            _, stats = branch_and_bound(region, maspar_cost_model(),
-                                        SearchConfig(engine=engine))
-            assert stats.engine == engine
-            assert stats.nodes_per_second >= 0.0
-
-    def test_engine_folds_into_cache_fingerprint(self):
-        # engine is part of SearchConfig, so region_fingerprint (built from
-        # asdict(config)) must separate the two engines' cache entries.
-        from repro.core.cache import region_fingerprint
-        region = _region(1, 2, 4)
-        model = maspar_cost_model()
-        fp = {e: region_fingerprint(region, model, SearchConfig(engine=e))
-              for e in ENGINES}
-        assert len(set(fp.values())) == len(ENGINES)

@@ -4,16 +4,16 @@ The main equivalence suite (``test_engine_equivalence.py``) drives the
 engines over ``repro.workloads`` random regions, which need numpy, so a
 numpy-less install skips it wholesale.  This file keeps a slice of the
 same contract alive in that configuration: regions come from
-``parse_region`` (pure Python), and all three engines — including the
-array engine on its scalar generation path — must agree schedule-for-
-schedule and counter-for-counter.  With numpy installed it runs too, as
-a cheap sanity layer under the big suite.
+``parse_region`` (pure Python), and the bitmask engine must agree with
+the legacy oracle schedule-for-schedule and counter-for-counter.  With
+numpy installed it runs too, as a cheap sanity layer under the big suite.
 """
 
 import pytest
 
 from repro.core import maspar_cost_model, parse_region, verify_schedule
-from repro.core.search import ENGINES, SearchConfig, branch_and_bound
+from repro.core.engines import legacy_search
+from repro.core.search import SearchConfig, branch_and_bound
 
 _DIAMOND = """
 thread 0:
@@ -78,18 +78,15 @@ _KNOBS = [
 
 def _assert_parity(region, knobs):
     model = maspar_cost_model()
-    out = {}
-    for engine in ENGINES:
-        config = SearchConfig(engine=engine, node_budget=20_000, **knobs)
-        out[engine] = branch_and_bound(region, model, config)
-    sched_ref, stats_ref = out["legacy"]
+    config = SearchConfig(node_budget=20_000, **knobs)
+    sched, stats = branch_and_bound(region, model, config)
+    sched_ref, stats_ref = branch_and_bound(region, model, config,
+                                            search_fn=legacy_search)
     verify_schedule(sched_ref, region, model)
-    for engine in ENGINES:
-        sched, stats = out[engine]
-        assert sched == sched_ref, f"{engine} schedule diverged ({knobs})"
-        for field in _COMPARED:
-            assert getattr(stats, field) == getattr(stats_ref, field), (
-                f"{engine} {field} diverged ({knobs})")
+    assert sched == sched_ref, f"schedule diverged ({knobs})"
+    for field in _COMPARED:
+        assert getattr(stats, field) == getattr(stats_ref, field), (
+            f"{field} diverged ({knobs})")
 
 
 @pytest.mark.parametrize("text", [_DIAMOND, _RAGGED, _REDUNDANT],

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.costmodel import CostModel, uniform_cost_model
+from repro.core.engines import bitmask_search, legacy_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import parse_region
-from repro.core.search import ENGINES, SearchConfig, branch_and_bound
+from repro.core.search import SearchConfig, branch_and_bound
 from repro.core.serial import serial_schedule
 from repro.core.verify import ScheduleError, verify_schedule
 from repro.workloads import RandomRegionSpec, random_region
@@ -235,6 +236,8 @@ class TestStats:
         # Either the root was bound-pruned outright (greedy seed already
         # provably optimal) or children were generated.
         assert stats.children_generated > 0 or stats.pruned_by_bound > 0
+        assert stats.wall_s > 0.0
+        assert stats.nodes_per_second == stats.nodes_expanded / stats.wall_s
 
     def test_serial_upper_bound_always_holds(self):
         for seed in range(6):
@@ -246,22 +249,25 @@ class TestStats:
 
 
 class TestGreedySeeding:
-    """The verified greedy incumbent seeds branch-and-bound (all engines)."""
+    """The verified greedy incumbent seeds branch-and-bound (the bitmask
+    engine and the legacy oracle alike)."""
 
     # The E3 benchmark fixture (benchmarks/bench_e16_search_engine.py).
     E3 = RandomRegionSpec(num_threads=3, min_len=8, max_len=8, vocab_size=8,
                           overlap=0.6, private_vocab=False)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_seeding_never_increases_node_count(self, engine):
+    @pytest.mark.parametrize("search_fn", [bitmask_search, legacy_search],
+                             ids=["bitmask", "legacy"])
+    def test_seeding_never_increases_node_count(self, search_fn):
         region = random_region(self.E3, seed=42)
         budget = 50_000
         _, seeded = branch_and_bound(
-            region, UNIT, SearchConfig(engine=engine, node_budget=budget))
+            region, UNIT, SearchConfig(node_budget=budget),
+            search_fn=search_fn)
         _, unseeded = branch_and_bound(
             region, UNIT,
-            SearchConfig(engine=engine, node_budget=budget,
-                         seed_with_greedy=False))
+            SearchConfig(node_budget=budget, seed_with_greedy=False),
+            search_fn=search_fn)
         assert seeded.nodes_expanded <= unseeded.nodes_expanded
         assert seeded.best_cost == pytest.approx(unseeded.best_cost)
 

@@ -16,11 +16,6 @@ class TestFuzzCommand:
         assert "seed=42" in out
         assert "all oracles agree" in out
 
-    def test_single_engine_flag(self, capsys):
-        assert main(["fuzz", "--cases", "4", "--seed", "1",
-                     "--engine", "bitmask"]) == 0
-        assert "engines=bitmask" in capsys.readouterr().out
-
     def test_trace_written(self, tmp_path, capsys):
         trace = tmp_path / "fuzz.jsonl"
         assert main(["fuzz", "--cases", "3", "--seed", "1",
@@ -32,14 +27,16 @@ class TestFuzzCommand:
     def test_failing_run_exits_one_and_saves_corpus(self, monkeypatch,
                                                     tmp_path, capsys):
         import repro.core.search as search
-        real = search._ENGINE_IMPLS["bitmask"]
+        from repro.core.engines import bitmask_search
 
-        def buggy(region, model, config, dags, crit, stats, best_slots):
-            return real(region, model,
-                        dataclasses.replace(config, use_cp_bound=False),
-                        dags, crit, stats, best_slots)
+        def buggy(region, model, config, dags, crit, stats, best_slots,
+                  **kwargs):
+            return bitmask_search(region, model,
+                                  dataclasses.replace(config, use_cp_bound=False),
+                                  dags, crit, stats, best_slots, **kwargs)
 
-        monkeypatch.setitem(search._ENGINE_IMPLS, "bitmask", buggy)
+        monkeypatch.setitem(search.branch_and_bound.__kwdefaults__,
+                            "search_fn", buggy)
         corpus = tmp_path / "corpus"
         code = main(["fuzz", "--cases", "100", "--seed", "7", "--fail-fast",
                      "--corpus-dir", str(corpus)])

@@ -13,20 +13,25 @@ import json
 
 import repro.core.canon as canon
 import repro.core.search as search
+from repro.core.engines import bitmask_search
 from repro.fuzz import (FuzzConfig, case_from_payload, check_case,
                         entry_needs_vn, fuzz_run, shrink_case)
 
 
 def _install_buggy_bitmask(monkeypatch):
-    real = search._ENGINE_IMPLS["bitmask"]
-
+    """Make the production default of ``branch_and_bound`` the buggy
+    engine; the fuzzer's legacy oracle run passes ``search_fn`` explicitly
+    and stays correct.  With the class bound on the flip is invisible (the
+    class bound dominates the critical-path bound), so the fuzzer has to
+    find it through a class-bound-off case."""
     def buggy(region, model, config, dags, crit, stats, best_slots,
               **kwargs):
-        return real(region, model,
-                    dataclasses.replace(config, use_cp_bound=False),
-                    dags, crit, stats, best_slots, **kwargs)
+        return bitmask_search(region, model,
+                              dataclasses.replace(config, use_cp_bound=False),
+                              dags, crit, stats, best_slots, **kwargs)
 
-    monkeypatch.setitem(search._ENGINE_IMPLS, "bitmask", buggy)
+    monkeypatch.setitem(search.branch_and_bound.__kwdefaults__,
+                        "search_fn", buggy)
 
 
 class TestMutationSmoke:

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.core.costmodel import maspar_cost_model
 from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
@@ -40,14 +38,6 @@ class TestRegionOracles:
                 case = region_case(maximal_merges_only=maximal,
                                    respect_order=respect_order)
                 assert check_case(case) == []
-
-    def test_single_engine_skips_parity(self):
-        assert check_case(region_case(), engines=("bitmask",)) == []
-        assert check_case(region_case(), engines=("legacy",)) == []
-
-    def test_no_engines_rejected(self):
-        with pytest.raises(ValueError):
-            check_case(region_case(), engines=())
 
     def test_generated_cases_pass(self, tmp_path):
         for index in range(40):
@@ -100,7 +90,6 @@ class TestClusterOracle:
             def client(self):
                 return Degraded()
 
-        failures = _check_cluster(region_case(), FakeCluster(),
-                                  engines=("bitmask",))
+        failures = _check_cluster(region_case(), FakeCluster())
         assert failures
         assert all(f.oracle == "cluster_roundtrip" for f in failures)

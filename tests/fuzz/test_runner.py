@@ -48,8 +48,6 @@ class TestBudgets:
             FuzzConfig(cases=0)
         with pytest.raises(ValueError):
             FuzzConfig(time_budget_s=0.0)
-        with pytest.raises(ValueError):
-            FuzzConfig(engines=())
 
 
 class TestObservability:
@@ -73,14 +71,16 @@ class TestObservability:
 class TestFailurePath:
     def test_failures_are_collected_not_raised(self, monkeypatch, tmp_path):
         import repro.core.search as search
-        real = search._ENGINE_IMPLS["bitmask"]
+        from repro.core.engines import bitmask_search
 
-        def buggy(region, model, config, dags, crit, stats, best_slots):
-            return real(region, model,
-                        dataclasses.replace(config, use_class_bound=False),
-                        dags, crit, stats, best_slots)
+        def buggy(region, model, config, dags, crit, stats, best_slots,
+                  **kwargs):
+            return bitmask_search(region, model,
+                                  dataclasses.replace(config, use_class_bound=False),
+                                  dags, crit, stats, best_slots, **kwargs)
 
-        monkeypatch.setitem(search._ENGINE_IMPLS, "bitmask", buggy)
+        monkeypatch.setitem(search.branch_and_bound.__kwdefaults__,
+                            "search_fn", buggy)
         report = fuzz_run(FuzzConfig(seed=3, cases=60, shrink=False,
                                      corpus_dir=str(tmp_path / "corpus")))
         assert report.failures

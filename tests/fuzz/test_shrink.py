@@ -50,14 +50,16 @@ class TestShrinkCase:
         # Inject a real bug so shrinking actually happens, then check the
         # provenance field.
         import repro.core.search as search
-        real = search._ENGINE_IMPLS["bitmask"]
+        from repro.core.engines import bitmask_search
 
-        def buggy(region, model, config, dags, crit, stats, best_slots):
-            return real(region, model,
-                        dataclasses.replace(config, use_memo=False),
-                        dags, crit, stats, best_slots)
+        def buggy(region, model, config, dags, crit, stats, best_slots,
+                  **kwargs):
+            return bitmask_search(region, model,
+                                  dataclasses.replace(config, use_memo=False),
+                                  dags, crit, stats, best_slots, **kwargs)
 
-        monkeypatch.setitem(search._ENGINE_IMPLS, "bitmask", buggy)
+        monkeypatch.setitem(search.branch_and_bound.__kwdefaults__,
+                            "search_fn", buggy)
         from repro.fuzz import FuzzConfig, fuzz_run
         report = fuzz_run(FuzzConfig(seed=11, cases=200, fail_fast=True))
         assert report.failures

@@ -1,5 +1,6 @@
 """Tests for the service wire protocol (framing, addresses, payloads)."""
 
+import dataclasses
 import socket
 import threading
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.api import InductionRequest
 from repro.core.costmodel import CostModel, maspar_cost_model
+from repro.core.search import SearchConfig
 from repro.service import protocol
 
 REGION = """
@@ -178,6 +180,9 @@ class TestRequestWire:
         ("region", "thread 0:\n    = = =\n"),
         ("region", 42),
         ("model", "no-such-model"),
+        # There is no engine knob: a config naming a search engine is
+        # rejected, not silently ignored.
+        ("config", {**dataclasses.asdict(SearchConfig()), "engine": "array"}),
     ])
     def test_malformed_submit_is_protocol_error(self, field, value):
         wire = protocol.request_to_wire(InductionRequest(region=REGION))

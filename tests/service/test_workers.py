@@ -1,5 +1,10 @@
 """Tests for the supervised worker pool and the local deadline route."""
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -94,6 +99,64 @@ class TestWorkerPool:
             WorkerPool(workers=0)
         with pytest.raises(ValueError):
             WorkerPool(max_retries=-1)
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """Fields of ``/proc/<pid>/stat`` after the command name, or None."""
+    try:
+        text = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # "pid (comm) state ppid ...": comm may itself hold spaces or parens.
+    return text.rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> set[int]:
+    kids = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _proc_stat(int(entry))
+            if fields is not None and int(fields[1]) == pid:
+                kids.add(int(entry))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to find worker processes")
+def test_workers_exit_when_the_server_is_sigkilled(tmp_path):
+    """A SIGKILLed ``repro serve`` must not leave its workers running: each
+    worker closes its inherited copy of the supervisor's pipe end, so the
+    supervisor's death is EOF on every worker's pipe."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--jobs", "2",
+         "--socket", f"unix://{tmp_path / 'svc.sock'}"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        assert "listening" in server.stdout.readline()
+        deadline = time.monotonic() + 10.0
+        workers = _children(server.pid)
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(server.pid)
+        assert len(workers) >= 2, workers
+    finally:
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=10)
+        server.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = sorted(pid for pid in workers if _running(pid))
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"workers outlived their SIGKILLed server: {survivors}"
 
 
 class TestDegradedResult:
