@@ -9,9 +9,9 @@ measures what the rewrite bought on the E3 region (3 threads x 8
 ops/thread, MasPar cost model) across pruning configs.
 
 Honest accounting: ``branch_and_bound`` wall time includes shared setup
-(DAG construction, critical paths, the verified greedy seed) that both
-engines pay identically, so on small searches the end-to-end ratio
-understates the hot-path gain.  Every run therefore goes through the one
+(the prepared region's DAGs, merge-key table and critical paths, and the
+greedy seed) that both engines pay identically, so on small searches the
+end-to-end ratio understates the hot-path gain.  Every run therefore goes through the one
 ``branch_and_bound`` driver with a ``search_fn`` wrapper that times only
 the engine call, and the bench reports nodes/second — the metric the
 engines can actually differ on.  Equality of every SearchStats counter
@@ -78,10 +78,11 @@ def e3_region(size: int = 8):
 
 def _timed(search_fn, walls: list[float]):
     """``search_fn`` wrapped to append its engine-only wall time."""
-    def run(*args, **kwargs):
+    def run(prepared, config, stats, best_slots, should_stop=None):
         t0 = time.perf_counter()
         try:
-            return search_fn(*args, **kwargs)
+            return search_fn(prepared, config, stats, best_slots,
+                             should_stop=should_stop)
         finally:
             walls.append(time.perf_counter() - t0)
     return run

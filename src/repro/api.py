@@ -105,7 +105,6 @@ class InductionRequest:
     config: SearchConfig | None = None
     budget: int | None = None
     deadline_s: float | None = None
-    verify: bool = True
     #: Cross-thread value-numbering pre-pass (:mod:`repro.core.vn`):
     #: ``"off"`` (default — bit-identical to pre-vn behavior), ``"on"``
     #: (always canonicalize the region before scheduling) or ``"auto"``
@@ -217,9 +216,8 @@ def _execute_local(request: InductionRequest,
                                           request.tracer)
         return run_portfolio(
             region, model, config, deadline_s=request.deadline_s,
-            verify=request.verify, order=portfolio_order,
-            skip=portfolio_skip, store=request.strategy_store,
-            tracer=request.tracer)
+            order=portfolio_order, skip=portfolio_skip,
+            store=request.strategy_store, tracer=request.tracer)
     if request.window:
         return _windowed_induce_impl(
             region, model, window_size=request.window, config=config,
@@ -227,8 +225,7 @@ def _execute_local(request: InductionRequest,
             vn=request.vn)
     return _induce_impl(
         region, model, method=request.method, config=config,
-        verify=request.verify, cache=request.cache, tracer=request.tracer,
-        vn=request.vn)
+        cache=request.cache, tracer=request.tracer, vn=request.vn)
 
 
 def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:

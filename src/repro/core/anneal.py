@@ -24,8 +24,9 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     np = None
 
 from repro.core.costmodel import CostModel
-from repro.core.dag import DependenceDAG, build_dags
+from repro.core.dag import DependenceDAG
 from repro.core.ops import Region
+from repro.core.prepared import PreparedRegion
 from repro.core.schedule import Schedule, Slot
 from repro.util.rng import make_rng, resolve_seed
 
@@ -87,7 +88,7 @@ def anneal_schedule(
     initial_temperature: float | None = None,
     cooling: float = 0.99,
     respect_order: bool = False,
-    dags: tuple[DependenceDAG, ...] | None = None,
+    prepared: PreparedRegion | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> tuple[Schedule, AnnealStats]:
     """Anneal op priorities; returns the best schedule seen and stats.
@@ -99,6 +100,9 @@ def anneal_schedule(
     the historical default of 0 — so the single seed knob that drives the
     fuzzer and the benchmarks reaches the annealer too (previously a
     hardcoded ``seed=0`` default silently ignored it).
+
+    ``prepared`` supplies the DAGs and critical paths (built here with
+    ``respect_order`` when absent).
 
     ``should_stop`` (polled once per step) requests a cooperative early
     exit with the best schedule found so far — used by the portfolio racer
@@ -115,10 +119,9 @@ def anneal_schedule(
     if seed is None:
         seed = resolve_seed(default=0)
     rng = make_rng(seed)
-    if dags is None:
-        dags = build_dags(region, respect_order=respect_order)
-    crit = tuple(dag.critical_path_costs(region[t], model)
-                 for t, dag in enumerate(dags))
+    if prepared is None:
+        prepared = PreparedRegion.build(region, model, respect_order)
+    dags, crit = prepared.dags, prepared.crit
     priority = {(t, i): crit[t][i]
                 for t, dag in enumerate(dags) for i in range(len(dag))}
     op_keys = list(priority)

@@ -12,9 +12,8 @@ import itertools
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.costmodel import CostModel, MergeKeyTable
-from repro.core.dag import DependenceDAG, ReadyIndex
-from repro.core.ops import Region
+from repro.core.dag import ReadyIndex
+from repro.core.prepared import PreparedRegion
 from repro.core.schedule import Slot
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
@@ -26,11 +25,8 @@ _MOVE_ORDER_KEY = itemgetter(0, 1, 2)   # (saved, longest, width)
 
 
 def bitmask_search(
-    region: Region,
-    model: CostModel,
+    prepared: PreparedRegion,
     config: "SearchConfig",
-    dags: tuple[DependenceDAG, ...],
-    crit: tuple[tuple[float, ...], ...],
     stats: "SearchStats",
     best_slots: list[Slot],
     should_stop: Callable[[], bool] | None = None,
@@ -61,11 +57,13 @@ def bitmask_search(
     attribute load is measurable, so the enter/apply/undo steps are inlined
     rather than factored, mirroring the legacy ``_dfs`` control flow.
     """
+    region = prepared.region
+    crit = prepared.crit
+    table = prepared.table
     num_threads = region.num_threads
     total_ops = region.num_ops
-    table = MergeKeyTable(model, region)
     num_keys = len(table)
-    index = ReadyIndex(region, dags, table)
+    index = ReadyIndex(region, prepared.dags, table)
     orders = index.pick_orders(crit)
 
     # True locals for everything the per-node loop touches.
@@ -91,10 +89,7 @@ def bitmask_search(
     fast_moves = maximal and not branch_choices
 
     # Remaining-ops-per-(key, thread) counts and the running class bound.
-    counts: list[list[int]] = [[0] * num_threads for _ in range(num_keys)]
-    for t in thread_ids:
-        for kid in key_of[t]:
-            counts[kid][t] += 1
+    counts: list[list[int]] = [list(row) for row in prepared.class_counts]
     contrib = [0.0] * num_keys
     class_bound = 0.0
     for kid in key_ids:

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.costmodel import CostModel, merge_key_sort_key
 from repro.core.dag import DependenceDAG
 from repro.core.ops import Region
+from repro.core.prepared import PreparedRegion
 from repro.core.schedule import Slot
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
@@ -174,19 +175,17 @@ def _dfs(
 
 
 def legacy_search(
-    region: Region,
-    model: CostModel,
+    prepared: PreparedRegion,
     config: "SearchConfig",
-    dags: tuple[DependenceDAG, ...],
-    crit: tuple[tuple[float, ...], ...],
     stats: "SearchStats",
     best_slots: list[Slot],
     should_stop: Callable[[], bool] | None = None,
 ) -> list[Slot]:
     """Run the reference engine; returns the best slot list found."""
-    ctx = _SearchCtx(region=region, model=model, dags=dags, crit=crit,
-                     config=config, stats=stats, best_slots=best_slots,
-                     should_stop=should_stop)
+    region, model = prepared.region, prepared.model
+    ctx = _SearchCtx(region=region, model=model, dags=prepared.dags,
+                     crit=prepared.crit, config=config, stats=stats,
+                     best_slots=best_slots, should_stop=should_stop)
     key_counts: dict[tuple, list[int]] = {}
     for t, tc in enumerate(region.threads):
         for op in tc.ops:

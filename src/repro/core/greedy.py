@@ -26,9 +26,10 @@ work.
 
 from __future__ import annotations
 
-from repro.core.costmodel import CostModel, MergeKeyTable
-from repro.core.dag import DependenceDAG, ReadyIndex, build_dags
+from repro.core.costmodel import CostModel
+from repro.core.dag import ReadyIndex
 from repro.core.ops import Region
+from repro.core.prepared import PreparedRegion
 from repro.core.schedule import Schedule, Slot
 
 __all__ = ["greedy_schedule"]
@@ -37,17 +38,16 @@ __all__ = ["greedy_schedule"]
 def greedy_schedule(
     region: Region,
     model: CostModel,
-    dags: tuple[DependenceDAG, ...] | None = None,
+    prepared: PreparedRegion | None = None,
     respect_order: bool = False,
 ) -> Schedule:
-    """Build a valid schedule greedily (see module docstring for the policy)."""
-    if dags is None:
-        dags = build_dags(region, respect_order=respect_order)
-    crit = tuple(
-        dag.critical_path_costs(region[t], model) for t, dag in enumerate(dags)
-    )
-    table = MergeKeyTable(model, region)
-    index = ReadyIndex(region, dags, table)
+    """Build a valid schedule greedily (see module docstring for the policy)
+    from ``prepared``, or from one built here with ``respect_order``."""
+    if prepared is None:
+        prepared = PreparedRegion.build(region, model, respect_order)
+    crit = prepared.crit
+    table = prepared.table
+    index = ReadyIndex(region, prepared.dags, table)
     orders = index.pick_orders(crit, prefer_low_index=True)
     num_threads = region.num_threads
     num_keys = len(table)

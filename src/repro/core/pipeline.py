@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from repro.core.anneal import anneal_schedule
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel
-from repro.core.dag import build_dags
 from repro.core.deprecation import warn_once
 from repro.core.factor import factor_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
+from repro.core.prepared import PreparedRegion
 from repro.core.result import ResultBase
 from repro.core.schedule import Schedule
 from repro.core.search import SearchConfig, SearchStats, branch_and_bound
@@ -61,23 +61,22 @@ class InductionResult(ResultBase):
 
 
 def _build_schedule(
-    region: Region,
-    model: CostModel,
+    prepared: PreparedRegion,
     method: str,
     config: SearchConfig | None,
 ) -> tuple[Schedule, SearchStats | None]:
-    respect_order = bool(config and config.respect_order)
+    region, model = prepared.region, prepared.model
     stats: SearchStats | None = None
     if method == "search":
-        schedule, stats = branch_and_bound(region, model, config)
+        schedule, stats = branch_and_bound(region, model, config, prepared)
     elif method == "greedy":
-        schedule = greedy_schedule(region, model, respect_order=respect_order)
+        schedule = greedy_schedule(region, model, prepared)
     elif method == "anneal":
         # Resolve the seed here (explicit None -> $REPRO_SEED -> 0) so the
         # single seed knob reaches the annealer like every other RNG user.
         schedule, _astats = anneal_schedule(region, model,
                                             seed=resolve_seed(default=0),
-                                            respect_order=respect_order)
+                                            prepared=prepared)
     elif method == "factor":
         schedule = factor_schedule(region, model)
     elif method == "lockstep":
@@ -98,10 +97,11 @@ def induce(
 ) -> InductionResult:
     """Deprecated positional entry point; use :func:`repro.api.induce`.
 
-    Behaves exactly like the original ``induce`` and warns once per
-    process.  New code should build a :class:`repro.api.InductionRequest`
-    and call :func:`repro.api.induce`, which routes between one-shot,
-    windowed and service execution.
+    Behaves like the original ``induce`` and warns once per process;
+    ``verify`` is accepted for positional compatibility and ignored, since
+    every computed schedule is verified.  New code should build a
+    :class:`repro.api.InductionRequest` and call :func:`repro.api.induce`,
+    which routes between one-shot, windowed and service execution.
     """
     warn_once(
         "core.induce",
@@ -109,7 +109,7 @@ def induce(
         "repro.api.InductionRequest and call repro.api.induce(request)",
     )
     return _induce_impl(region, model, method=method, config=config,
-                        verify=verify, cache=cache, tracer=tracer)
+                        cache=cache, tracer=tracer)
 
 
 def _induce_impl(
@@ -117,7 +117,6 @@ def _induce_impl(
     model: CostModel,
     method: str = "search",
     config: SearchConfig | None = None,
-    verify: bool = True,
     cache: ScheduleCache | None = None,
     tracer: Tracer | None = None,
     vn: str = "off",
@@ -129,11 +128,13 @@ def _induce_impl(
     ``factor`` (common prefix/suffix hand-factoring), ``lockstep`` (naive
     interpreter), ``serial`` (thread-at-a-time).
 
-    With ``verify=True`` (default) a freshly computed schedule is checked by
-    the independent verifier before being returned; an invalid schedule is a
-    library bug and raises :class:`repro.core.verify.ScheduleError`.  Cache
-    hits return the previously verified schedule without re-checking — that
-    skip is the point of the cache.
+    A computed request prepares its region once
+    (:class:`~repro.core.prepared.PreparedRegion`): the method reads it,
+    and the independent verifier checks the resulting schedule exactly
+    once against the prepared DAGs.  An invalid schedule is a library bug
+    and raises :class:`repro.core.verify.ScheduleError`.  Cache hits return
+    the previously verified schedule without re-checking — that skip is the
+    point of the cache.
 
     ``cache`` memoizes (schedule, stats) under a content fingerprint;
     ``tracer`` receives one ``induce`` event per call.  ``vn`` runs the
@@ -164,15 +165,14 @@ def _induce_impl(
 
         if schedule is None:
             with span("induce.build", tracer, method=method):
-                schedule, stats = _build_schedule(region, model, method, config)
-            if verify:
-                # Baselines built in program order are valid under any
-                # dependence structure; reordering methods are checked
-                # against the real DAGs.
-                with span("induce.verify", tracer):
-                    respect_order = bool(config and config.respect_order)
-                    dags = build_dags(region, respect_order=respect_order)
-                    verify_schedule(schedule, region, model, dags=dags)
+                prepared = PreparedRegion.build(
+                    region, model, bool(config and config.respect_order))
+                schedule, stats = _build_schedule(prepared, method, config)
+            # Baselines built in program order are valid under any
+            # dependence structure; reordering methods are checked against
+            # the real DAGs.
+            with span("induce.verify", tracer):
+                verify_schedule(schedule, region, model, dags=prepared.dags)
             if cache is not None:
                 cache.put(fingerprint, schedule, stats)
 

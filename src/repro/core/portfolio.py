@@ -41,9 +41,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.anneal import anneal_schedule
 from repro.core.costmodel import CostModel
-from repro.core.dag import DependenceDAG, build_dags
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
+from repro.core.prepared import PreparedRegion
 from repro.core.result import ResultBase
 from repro.core.schedule import Schedule
 from repro.core.search import SearchConfig, SearchStats, branch_and_bound
@@ -123,33 +123,17 @@ def feature_bucket(features: Mapping[str, float]) -> str:
             f"_ops{pow2}_share{quarter * 25}")
 
 
-def region_lower_bound(
-    region: Region,
-    model: CostModel,
-    dags: tuple[DependenceDAG, ...] | None = None,
-) -> float:
+def region_lower_bound(region: Region, model: CostModel) -> float:
     """Schedule-independent lower bound on any valid schedule's cost.
 
     The max of the paper's two admissible bounds evaluated at the root
     state: the longest critical path through any thread's dependence DAG,
     and the class-count bound (each merge key needs at least ``max`` ops
     of that key per thread slots).  An incumbent at this bound is optimal
-    and the race can stop everyone.
+    and the race can stop everyone.  The race itself reads it from its
+    :class:`~repro.core.prepared.PreparedRegion`.
     """
-    if dags is None:
-        dags = build_dags(region)
-    cp_bound = 0.0
-    for t, dag in enumerate(dags):
-        crit = dag.critical_path_costs(region[t], model)
-        cp_bound = max(cp_bound, max(crit, default=0.0))
-    counts: dict[tuple, dict[int, int]] = {}
-    for op in region.all_ops():
-        key = model.merge_key(op)
-        cell = counts.setdefault(key, {})
-        cell[op.thread] = cell.get(op.thread, 0) + 1
-    class_bound = sum(max(cell.values()) * model.slot_cost(key[0])
-                      for key, cell in counts.items())
-    return max(cp_bound, class_bound)
+    return PreparedRegion.build(region, model).lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -268,30 +252,31 @@ class _RaceState:
 # ---------------------------------------------------------------------------
 # Strategy builders.
 #
-# One entry per racable strategy: (region, model, config, dags, should_stop,
-# seed) -> (schedule, search_stats | None).  A dict (rather than inline
-# dispatch) so tests can monkeypatch a crashing or hanging strategy into
-# the race without touching the real implementations.
+# One entry per racable strategy: (region, model, config, prepared,
+# should_stop, seed) -> (schedule, search_stats | None).  A dict (rather
+# than inline dispatch) so tests can monkeypatch a crashing or hanging
+# strategy into the race without touching the real implementations.
 # ---------------------------------------------------------------------------
 
 
-def _build_search(region, model, config, dags, should_stop, seed):
-    schedule, stats = branch_and_bound(region, model, config, dags=dags,
+def _build_search(region, model, config, prepared, should_stop, seed):
+    schedule, stats = branch_and_bound(region, model, config, prepared,
                                        should_stop=should_stop)
     return schedule, stats
 
 
-def _build_greedy(region, model, config, dags, should_stop, seed):
-    return greedy_schedule(region, model, dags=dags), None
+def _build_greedy(region, model, config, prepared, should_stop, seed):
+    return greedy_schedule(region, model, prepared), None
 
 
-def _build_anneal(region, model, config, dags, should_stop, seed):
-    schedule, _stats = anneal_schedule(region, model, seed=seed, dags=dags,
+def _build_anneal(region, model, config, prepared, should_stop, seed):
+    schedule, _stats = anneal_schedule(region, model, seed=seed,
+                                       prepared=prepared,
                                        should_stop=should_stop)
     return schedule, None
 
 
-def _build_serial(region, model, config, dags, should_stop, seed):
+def _build_serial(region, model, config, prepared, should_stop, seed):
     return serial_schedule(region, model), None
 
 
@@ -311,9 +296,8 @@ def _race_one(
     region: Region,
     model: CostModel,
     config: SearchConfig | None,
-    dags: tuple[DependenceDAG, ...],
+    prepared: PreparedRegion,
     seed: int,
-    verify: bool,
     tracer: Tracer,
     ctx: Mapping[str, str] | None,
 ) -> None:
@@ -326,9 +310,8 @@ def _race_one(
         with span("portfolio.strategy", tracer, strategy=name) as live:
             try:
                 schedule, stats = _BUILDERS[name](
-                    region, model, config, dags, state.should_stop, seed)
-                if verify:
-                    verify_schedule(schedule, region, model, dags=dags)
+                    region, model, config, prepared, state.should_stop, seed)
+                verify_schedule(schedule, region, model, dags=prepared.dags)
                 now = perf_counter()
                 cost = schedule.cost(model)
                 outcome.schedule = schedule
@@ -351,7 +334,6 @@ def run_portfolio(
     config: SearchConfig | None = None,
     *,
     deadline_s: float | None = None,
-    verify: bool = True,
     strategies: Sequence[str] | None = None,
     order: Sequence[str] | None = None,
     skip: Sequence[str] | None = None,
@@ -387,8 +369,8 @@ def run_portfolio(
     if not chosen:
         raise ValueError("portfolio needs at least one strategy")
 
-    respect_order = bool(config and config.respect_order)
-    dags = build_dags(region, respect_order=respect_order)
+    prepared = PreparedRegion.build(
+        region, model, bool(config and config.respect_order))
     features = region_features(region, model)
     bucket = feature_bucket(features)
     seed = resolve_seed(seed, default=0)
@@ -402,7 +384,7 @@ def run_portfolio(
     if not active:  # a skip set can never empty the race
         active, skip_set = [ordered[0]], set(ordered[1:])
 
-    lb = region_lower_bound(region, model, dags)
+    lb = prepared.lower_bound
     t0 = perf_counter()
     deadline_at = t0 + deadline_s if deadline_s is not None else None
     state = _RaceState(lb, deadline_at)
@@ -421,7 +403,7 @@ def run_portfolio(
             t = threading.Thread(
                 target=_race_one,
                 args=(name, outcomes[name], state, t0, region, model, config,
-                      dags, seed, verify, tracer, ctx),
+                      prepared, seed, tracer, ctx),
                 name=f"portfolio-{name}",
                 daemon=True,
             )
@@ -458,8 +440,8 @@ def run_portfolio(
         else:
             winner = None
             with span("portfolio.fallback", tracer):
-                schedule = greedy_schedule(region, model, dags=dags)
-                verify_schedule(schedule, region, model, dags=dags)
+                schedule = greedy_schedule(region, model, prepared)
+                verify_schedule(schedule, region, model, dags=prepared.dags)
             stats = None
             degraded = True
 

@@ -31,10 +31,11 @@ the minimum execution time code schedule using these merges"):
      (``maximal_merges_only=False``) restores exhaustive subset enumeration
      for small inputs, which the tests use to measure the heuristic's gap;
 
-4. the greedy list schedule seeds the incumbent — after being verified
-   against the independent checker — making the search an anytime
-   algorithm: with a node budget it degrades gracefully toward the greedy
-   result instead of failing.
+4. the greedy list schedule seeds the incumbent, making the search an
+   anytime algorithm: with a node budget it degrades gracefully toward the
+   greedy result instead of failing.  The seed is not checked here; the
+   request drivers verify the schedule the search returns, which is enough
+   (see :func:`branch_and_bound`).
 
 One engine runs the search:
 :func:`repro.core.engines.bitmask.bitmask_search`, incremental int-bitmask
@@ -56,12 +57,11 @@ from time import perf_counter
 from typing import Callable
 
 from repro.core.costmodel import CostModel
-from repro.core.dag import DependenceDAG, build_dags
 from repro.core.engines import bitmask_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
+from repro.core.prepared import PreparedRegion
 from repro.core.schedule import Schedule, Slot
-from repro.core.verify import verify_schedule
 
 __all__ = ["SearchConfig", "SearchStats", "branch_and_bound"]
 
@@ -114,7 +114,7 @@ def branch_and_bound(
     region: Region,
     model: CostModel,
     config: SearchConfig | None = None,
-    dags: tuple[DependenceDAG, ...] | None = None,
+    prepared: PreparedRegion | None = None,
     should_stop: Callable[[], bool] | None = None,
     *,
     search_fn: Callable[..., list[Slot]] = bitmask_search,
@@ -128,18 +128,23 @@ def branch_and_bound(
     which the test-suite cross-checks against exhaustive mode on small
     regions).
 
+    ``prepared`` (:class:`~repro.core.prepared.PreparedRegion`) is built
+    here with ``config.respect_order`` when the caller passes none.
+
     ``search_fn`` is the engine the node loop runs in.  Production code
     never passes it; the fuzzer, the equivalence suite and the E16
     benchmark pass :func:`~repro.core.engines.legacy.legacy_search`, the
-    reference oracle, so both engines share this one driver: DAGs,
-    critical paths, the verified greedy seed and the final checks.
+    reference oracle, so both engines share this one driver: the prepared
+    region, the greedy seed and the final checks.
 
-    When ``config.seed_with_greedy`` is on (the default), the greedy list
-    schedule is *verified* against the independent checker and its cost
-    seeds the incumbent.  The seed is what makes the search anytime — and
-    also what gates the pruning, so a buggy-but-cheap incumbent would
-    silently prune the true optimum away; verification turns that failure
-    mode into a loud :class:`~repro.core.verify.ScheduleError`.
+    The returned schedule is **not** verified here: the request drivers
+    (``_induce_impl``, windowed induction, the portfolio) check it once.
+    That covers the greedy seed too, whose cost gates the pruning: an
+    invalid seed of cost ``C`` prunes only nodes whose cost plus bound is
+    ``>= C``.  If the search returns the seed, the caller's check raises
+    :class:`~repro.core.verify.ScheduleError`; if it returns something
+    cheaper, that schedule is checked, and no path cheaper than ``C`` was
+    cut.
 
     ``should_stop`` (optional, polled every 256 expanded nodes) requests a
     cooperative early exit: the search returns its incumbent best-so-far
@@ -149,20 +154,18 @@ def branch_and_bound(
     """
     t_start = perf_counter()
     config = config or SearchConfig()
-    if dags is None:
-        dags = build_dags(region, respect_order=config.respect_order)
-    crit = tuple(dag.critical_path_costs(region[t], model) for t, dag in enumerate(dags))
+    if prepared is None:
+        prepared = PreparedRegion.build(region, model, config.respect_order)
     stats = SearchStats()
 
     best_slots: list[Slot] = []
     if config.seed_with_greedy:
-        incumbent = greedy_schedule(region, model, dags=dags)
-        verify_schedule(incumbent, region, model, dags=dags)
+        incumbent = greedy_schedule(region, model, prepared=prepared)
         stats.best_cost = incumbent.cost(model)
         best_slots = list(incumbent.slots)
 
-    best_slots = search_fn(region, model, config, dags, crit, stats,
-                           best_slots, should_stop=should_stop)
+    best_slots = search_fn(prepared, config, stats, best_slots,
+                           should_stop=should_stop)
 
     stats.optimal = not stats.budget_exhausted
     stats.wall_s = perf_counter() - t_start

@@ -9,7 +9,8 @@ window schedules are concatenated.
 Correctness: a window boundary is a cut across all threads at op index
 ``k*w``; every dependence inside a thread points forward in program order,
 so a concatenation of per-window schedules (each internally valid) is
-globally valid — verified by the standard checker in tests.
+globally valid.  The standard checker verifies the stitched schedule once
+against the whole region whenever a window was searched.
 
 Cost: windowing can only lose optimality at the seams (an op in window k
 cannot share a slot with an op in window k+1), trading schedule quality
@@ -43,6 +44,7 @@ from repro.core.result import ResultBase
 from repro.core.schedule import Schedule, Slot
 from repro.core.search import SearchConfig, SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
+from repro.core.verify import verify_schedule
 from repro.obs import (
     MemoryTracer,
     NULL_TRACER,
@@ -379,6 +381,9 @@ def _windowed_body(
             )
 
     schedule = Schedule(tuple(slots))
+    if unique_idx:  # all-cached windows were checked when computed
+        verify_schedule(schedule, region, model,
+                        respect_order=config.respect_order)
     wall_s = watch.stop()
     result = WindowedResult(
         schedule=schedule,

@@ -39,11 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cache import ScheduleCache, region_fingerprint, schedule_to_payload
-from repro.core.dag import build_dags
 from repro.core.engines import legacy_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import parse_region
 from repro.core.pipeline import InductionResult
+from repro.core.prepared import PreparedRegion
 from repro.core.result import result_from_payload, result_to_payload
 from repro.core.search import branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
@@ -83,13 +83,14 @@ def _slots_payload(schedule) -> list:
 
 
 def _check_engine_parity(case: FuzzCase,
-                         dags) -> tuple[list[OracleFailure], dict]:
-    """Run the production engine and the legacy oracle; return failures
-    plus (schedule, stats) for each, keyed ``bitmask`` / ``legacy``."""
+                         prepared) -> tuple[list[OracleFailure], dict]:
+    """Run the production engine and the legacy oracle on one shared
+    prepared region; return failures plus (schedule, stats) for each,
+    keyed ``bitmask`` / ``legacy``."""
     region, model, config = case.region, case.model, case.config
     runs = {
-        "bitmask": branch_and_bound(region, model, config, dags=dags),
-        "legacy": branch_and_bound(region, model, config, dags=dags,
+        "bitmask": branch_and_bound(region, model, config, prepared),
+        "legacy": branch_and_bound(region, model, config, prepared,
                                    search_fn=legacy_search),
     }
     failures: list[OracleFailure] = []
@@ -109,15 +110,15 @@ def _check_engine_parity(case: FuzzCase,
 def _check_region(case: FuzzCase,
                   workdir: Path | None) -> list[OracleFailure]:
     region, model, config = case.region, case.model, case.config
-    dags = build_dags(region, respect_order=config.respect_order)
+    prepared = PreparedRegion.build(region, model, config.respect_order)
 
-    failures, runs = _check_engine_parity(case, dags)
+    failures, runs = _check_engine_parity(case, prepared)
     schedule, stats = runs["bitmask"]
 
     # Independent validity check, for both engines' schedules.
     for engine, (sched, _) in runs.items():
         try:
-            verify_schedule(sched, region, model, dags=dags,
+            verify_schedule(sched, region, model, dags=prepared.dags,
                             respect_order=config.respect_order)
         except ScheduleError as exc:
             failures.append(OracleFailure(f"verify:{engine}", str(exc)))
@@ -132,7 +133,7 @@ def _check_region(case: FuzzCase,
 
     # Upper bounds.  Slot cost includes masking for every slot, so merging
     # strictly removes cost: any leaf ≤ serial, and greedy ≤ serial too.
-    greedy = greedy_schedule(region, model, dags=dags)
+    greedy = greedy_schedule(region, model, prepared)
     serial = serial_schedule(region, model)
     greedy_cost = greedy.cost(model)
     serial_cost = serial.cost(model)
@@ -209,7 +210,8 @@ def _check_region(case: FuzzCase,
         windowed = _windowed_induce_impl(region, model, window_size=4,
                                          config=config)
         try:
-            verify_schedule(windowed.schedule, region, model, dags=dags,
+            verify_schedule(windowed.schedule, region, model,
+                            dags=prepared.dags,
                             respect_order=config.respect_order)
         except ScheduleError as exc:
             failures.append(OracleFailure("windowed_valid", str(exc)))
@@ -260,12 +262,13 @@ def _check_vn(case: FuzzCase) -> list[OracleFailure]:
             f"serial issue cost rose {serial_off!r} -> {serial_vn!r}"))
 
     vncase = dataclasses.replace(case, region=rewritten)
-    dags = build_dags(rewritten, respect_order=case.config.respect_order)
-    parity, runs = _check_engine_parity(vncase, dags)
+    prepared = PreparedRegion.build(rewritten, model,
+                                    case.config.respect_order)
+    parity, runs = _check_engine_parity(vncase, prepared)
     failures.extend(OracleFailure(f"vn_{f.oracle}", f.detail) for f in parity)
     for engine, (sched, _st) in runs.items():
         try:
-            verify_schedule(sched, rewritten, model, dags=dags,
+            verify_schedule(sched, rewritten, model, dags=prepared.dags,
                             respect_order=case.config.respect_order)
         except ScheduleError as exc:
             failures.append(OracleFailure(f"vn_verify:{engine}", str(exc)))

@@ -237,7 +237,6 @@ def request_to_wire(request: InductionRequest,
         "window": request.window,
         "jobs": request.jobs,
         "config": dataclasses.asdict(request.resolved_config()),
-        "verify": request.verify,
     }
     if request.vn != "off":
         # Additive key: pre-vn servers rebuild from the keys they know.
@@ -264,7 +263,9 @@ def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
     The region text is parsed and a named model resolved here, once: the
     returned request carries the :class:`Region` and :class:`CostModel`
     that its fingerprint, cache hit and degraded fallback all reuse, and
-    malformed text is a ``bad submit payload`` error, not a crash.
+    malformed text is a ``bad submit payload`` error, not a crash.  The
+    ``verify`` key older clients still send is ignored: the server
+    verifies every schedule it computes.
     """
     try:
         text = wire["region"]
@@ -279,7 +280,6 @@ def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
             jobs=int(wire.get("jobs", 1)),
             config=config,
             deadline_s=wire.get("deadline_s"),
-            verify=bool(wire.get("verify", True)),
             vn=str(wire.get("vn", "off")),
             routing=wire.get("routing"),
         )

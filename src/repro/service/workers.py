@@ -416,8 +416,7 @@ def degraded_result(request: InductionRequest,
     """
     res = _induce_impl(
         request.resolved_region(), request.resolved_model(), method="greedy",
-        config=request.resolved_config(), verify=request.verify,
-        vn=request.vn)
+        config=request.resolved_config(), vn=request.vn)
     return dataclasses.replace(
         res, degraded=True,
         wall_s=wall_s if wall_s is not None else res.wall_s)

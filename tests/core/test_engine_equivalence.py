@@ -15,18 +15,19 @@ is on, while legacy still takes ``max(cp, class)`` at every node, so the
 knob matrix below also re-proves on every case that the class bound
 dominates the critical-path bound.
 
-Every case runs in two legs via the ``shared_dags`` fixture: once with
-each engine's call building its own dependence DAGs, and once with both
-calls handed one prebuilt ``dags`` tuple, legacy first — the way the
-fuzzer and the portfolio call the driver — so state one engine leaves on
-the shared DAGs cannot steer the other's traversal.
+Every case runs in two legs via the ``shared_prepared`` fixture: once
+with each engine's call preparing its own region, and once with both
+calls handed one prebuilt :class:`~repro.core.prepared.PreparedRegion`,
+legacy first — the way the fuzzer and the request drivers call the
+driver — so state one engine leaves on the shared DAGs, table or
+critical paths cannot steer the other's traversal.
 """
 
 import pytest
 
 from repro.core import maspar_cost_model, uniform_cost_model, verify_schedule
-from repro.core.dag import build_dags
 from repro.core.engines import legacy_search
+from repro.core.prepared import PreparedRegion
 from repro.core.search import SearchConfig, branch_and_bound
 from repro.workloads import RandomRegionSpec, random_region
 
@@ -59,23 +60,23 @@ def _region(seed: int, threads: int, length: int):
         seed=seed)
 
 
-def _run(region, model, shared_dags, **cfg_kwargs):
+def _run(region, model, shared_prepared, **cfg_kwargs):
     config = SearchConfig(**cfg_kwargs)
-    if not shared_dags:
+    if not shared_prepared:
         return {
             "bitmask": branch_and_bound(region, model, config),
             "legacy": branch_and_bound(region, model, config,
                                        search_fn=legacy_search),
         }
-    dags = build_dags(region, respect_order=config.respect_order)
-    legacy = branch_and_bound(region, model, config, dags=dags,
+    prepared = PreparedRegion.build(region, model, config.respect_order)
+    legacy = branch_and_bound(region, model, config, prepared,
                               search_fn=legacy_search)
     return {"legacy": legacy,
-            "bitmask": branch_and_bound(region, model, config, dags=dags)}
+            "bitmask": branch_and_bound(region, model, config, prepared)}
 
 
-def _assert_equivalent(region, model, shared_dags, **cfg_kwargs):
-    out = _run(region, model, shared_dags, **cfg_kwargs)
+def _assert_equivalent(region, model, shared_prepared, **cfg_kwargs):
+    out = _run(region, model, shared_prepared, **cfg_kwargs)
     sched_ref, stats_ref = out["legacy"]
     sched, stats = out["bitmask"]
     for field in _COMPARED_FIELDS:
@@ -89,11 +90,11 @@ def _assert_equivalent(region, model, shared_dags, **cfg_kwargs):
 
 
 @pytest.fixture(params=["scalar", "vec"])
-def shared_dags(request):
-    """``scalar``: each engine builds its own DAGs.  ``vec``: both engines
-    share one prebuilt ``dags`` tuple.  The leg ids are the ones the former
-    array engine's scalar and numpy-vectorised legs used, so every case
-    keeps its id."""
+def shared_prepared(request):
+    """``scalar``: each engine prepares its own region.  ``vec``: both
+    engines share one prebuilt ``PreparedRegion``.  The leg ids are the
+    ones the former array engine's scalar and numpy-vectorised legs used,
+    so every case keeps its id."""
     return request.param == "vec"
 
 
@@ -102,36 +103,36 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("knobs", _KNOBS,
                              ids=["all", "no-cp", "no-class", "none"])
     def test_random_regions_all_knob_combos(self, seed, knobs,
-                                            shared_dags):
+                                            shared_prepared):
         threads = 2 + seed % 3           # 2..4 threads
         length = 4 + seed % 7            # <= 10 ops/thread
         region = _region(seed, threads, length)
-        _assert_equivalent(region, maspar_cost_model(), shared_dags,
+        _assert_equivalent(region, maspar_cost_model(), shared_prepared,
                            node_budget=20_000, **knobs)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_require_equal_imm(self, seed, shared_dags):
+    def test_require_equal_imm(self, seed, shared_prepared):
         region = _region(100 + seed, 3, 6)
         model = maspar_cost_model(require_equal_imm=True)
-        _assert_equivalent(region, model, shared_dags, node_budget=20_000)
+        _assert_equivalent(region, model, shared_prepared, node_budget=20_000)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_uniform_model(self, seed, shared_dags):
+    def test_uniform_model(self, seed, shared_prepared):
         region = _region(200 + seed, 2 + seed % 3, 6)
-        _assert_equivalent(region, uniform_cost_model(), shared_dags,
+        _assert_equivalent(region, uniform_cost_model(), shared_prepared,
                            node_budget=20_000)
 
     @pytest.mark.parametrize("maximal,branch",
                              [(True, False), (True, True),
                               (False, False), (False, True)])
-    def test_movegen_variants(self, maximal, branch, shared_dags):
+    def test_movegen_variants(self, maximal, branch, shared_prepared):
         region = _region(7, 3, 6)
-        _assert_equivalent(region, maspar_cost_model(), shared_dags,
+        _assert_equivalent(region, maspar_cost_model(), shared_prepared,
                            node_budget=20_000, maximal_merges_only=maximal,
                            branch_thread_choices=branch)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_budget_exhaustion_parity(self, seed, shared_dags):
+    def test_budget_exhaustion_parity(self, seed, shared_prepared):
         # A tiny budget (with pruning disabled so the search cannot finish
         # early) forces cutoff: both engines must stop at the same node
         # with the same incumbent and the same budget flags.
@@ -141,20 +142,21 @@ class TestEngineEquivalence:
             seed=300 + seed)
         knobs = dict(node_budget=40, use_cp_bound=False,
                      use_class_bound=False)
-        out = _run(region, maspar_cost_model(), shared_dags, **knobs)
+        out = _run(region, maspar_cost_model(), shared_prepared, **knobs)
         (_, stats_a), (_, stats_b) = out["bitmask"], out["legacy"]
         assert stats_a.budget_exhausted and stats_b.budget_exhausted
-        _assert_equivalent(region, maspar_cost_model(), shared_dags, **knobs)
+        _assert_equivalent(region, maspar_cost_model(), shared_prepared,
+                           **knobs)
 
-    def test_respect_order(self, shared_dags):
+    def test_respect_order(self, shared_prepared):
         region = _region(9, 3, 6)
-        _assert_equivalent(region, maspar_cost_model(), shared_dags,
+        _assert_equivalent(region, maspar_cost_model(), shared_prepared,
                            node_budget=20_000, respect_order=True)
 
-    def test_empty_region(self, shared_dags):
+    def test_empty_region(self, shared_prepared):
         from repro.core.ops import Region
         region = Region(())
-        _assert_equivalent(region, maspar_cost_model(), shared_dags)
+        _assert_equivalent(region, maspar_cost_model(), shared_prepared)
 
 
 class TestVnRewrittenEquivalence:
@@ -165,15 +167,15 @@ class TestVnRewrittenEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("knobs", _KNOBS,
                              ids=["all", "no-cp", "no-class", "none"])
-    def test_rewritten_random_regions(self, seed, knobs, shared_dags):
+    def test_rewritten_random_regions(self, seed, knobs, shared_prepared):
         from repro.core.vn import rewrite_region
         region = _region(400 + seed, 2 + seed % 3, 4 + seed % 5)
         model = maspar_cost_model()
         rewritten, _ = rewrite_region(region, model)
-        _assert_equivalent(rewritten, model, shared_dags,
+        _assert_equivalent(rewritten, model, shared_prepared,
                            node_budget=20_000, **knobs)
 
-    def test_rewritten_region_with_actual_rewrites(self, shared_dags):
+    def test_rewritten_region_with_actual_rewrites(self, shared_prepared):
         # Random regions may canonicalize to themselves; pin one that is
         # guaranteed to rewrite (strength reduction + float imm folding)
         # so the parity claim is exercised on a genuinely changed region.
@@ -192,5 +194,6 @@ class TestVnRewrittenEquivalence:
         model = maspar_cost_model()
         rewritten, rewrites = rewrite_region(region, model)
         assert rewrites > 0
-        _assert_equivalent(rewritten, model, shared_dags, node_budget=20_000)
+        _assert_equivalent(rewritten, model, shared_prepared,
+                           node_budget=20_000)
 

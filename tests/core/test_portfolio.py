@@ -95,7 +95,7 @@ class TestCancellation:
     def test_zero_finishers_returns_verified_greedy(self, monkeypatch):
         region = make_region()
 
-        def stuck(region_, model, config, dags, should_stop, seed):
+        def stuck(region_, model, config, prepared, should_stop, seed):
             time.sleep(30.0)
             raise AssertionError("unreachable in this test")
 
@@ -112,7 +112,7 @@ class TestCancellation:
     def test_crashing_strategy_does_not_poison_race(self, monkeypatch):
         region = make_region()
 
-        def crash(region_, model, config, dags, should_stop, seed):
+        def crash(region_, model, config, prepared, should_stop, seed):
             raise RuntimeError("injected strategy crash")
 
         monkeypatch.setitem(portfolio._BUILDERS, "anneal", crash)
@@ -128,11 +128,11 @@ class TestCancellation:
     def test_cooperative_strategy_cancelled_at_deadline(self, monkeypatch):
         region = make_region()
 
-        def cooperative(region_, model, config, dags, should_stop, seed):
+        def cooperative(region_, model, config, prepared, should_stop, seed):
             while not should_stop():
                 time.sleep(0.01)
             # Cancelled strategies still hand back their best-so-far.
-            return greedy_schedule(region_, model, dags=dags), None
+            return greedy_schedule(region_, model, prepared), None
 
         monkeypatch.setitem(portfolio._BUILDERS, "search", cooperative)
         start = time.monotonic()
@@ -147,14 +147,14 @@ class TestCancellation:
         region = make_region()
         stops = []
 
-        def cooperative(region_, model, config, dags, should_stop, seed):
+        def cooperative(region_, model, config, prepared, should_stop, seed):
             deadline = time.monotonic() + 30.0
             while not should_stop():
                 if time.monotonic() > deadline:  # pragma: no cover
                     raise AssertionError("never cancelled")
                 time.sleep(0.005)
             stops.append(True)
-            return greedy_schedule(region_, model, dags=dags), None
+            return greedy_schedule(region_, model, prepared), None
 
         # 'anneal' now spins until cancelled; the real search should find
         # (and prove) the optimum, which must cancel the whole race well

@@ -249,8 +249,8 @@ class TestStats:
 
 
 class TestGreedySeeding:
-    """The verified greedy incumbent seeds branch-and-bound (the bitmask
-    engine and the legacy oracle alike)."""
+    """The greedy incumbent seeds branch-and-bound (the bitmask engine and
+    the legacy oracle alike); the request drivers verify what it returns."""
 
     # The E3 benchmark fixture (benchmarks/bench_e16_search_engine.py).
     E3 = RandomRegionSpec(num_threads=3, min_len=8, max_len=8, vocab_size=8,
@@ -272,16 +272,20 @@ class TestGreedySeeding:
         assert seeded.best_cost == pytest.approx(unseeded.best_cost)
 
     def test_corrupt_greedy_seed_fails_loud(self, monkeypatch):
-        """A buggy greedy incumbent would silently prune the optimum away;
-        the pre-seed verification must turn that into a ScheduleError."""
+        """A buggy greedy incumbent would silently prune the optimum away.
+        ``branch_and_bound`` returns its schedule unchecked; the request
+        entry point verifies it once and must raise.  A seed cheaper than
+        the optimum (only its first slot) cannot be beaten, so the search
+        has to return it."""
         import repro.core.search as search_mod
+        from repro import api
         from repro.core.schedule import Schedule
 
         region = random_region(self.E3, seed=42)
-        real = greedy_schedule(region, UNIT)
-        # Drop the last slot: ops go missing, which the checker rejects.
-        monkeypatch.setattr(
-            search_mod, "greedy_schedule",
-            lambda *a, **kw: Schedule(real.slots[:-1]))
+        corrupt = Schedule(greedy_schedule(region, UNIT).slots[:1])
+        monkeypatch.setattr(search_mod, "greedy_schedule",
+                            lambda *a, **kw: corrupt)
+        sched, _ = branch_and_bound(region, UNIT)
+        assert sched == corrupt
         with pytest.raises(ScheduleError):
-            branch_and_bound(region, UNIT)
+            api.induce(api.InductionRequest(region=region, model=UNIT))

@@ -24,11 +24,10 @@ def _install_buggy_bitmask(monkeypatch):
     and stays correct.  With the class bound on the flip is invisible (the
     class bound dominates the critical-path bound), so the fuzzer has to
     find it through a class-bound-off case."""
-    def buggy(region, model, config, dags, crit, stats, best_slots,
-              **kwargs):
-        return bitmask_search(region, model,
+    def buggy(prepared, config, stats, best_slots, **kwargs):
+        return bitmask_search(prepared,
                               dataclasses.replace(config, use_cp_bound=False),
-                              dags, crit, stats, best_slots, **kwargs)
+                              stats, best_slots, **kwargs)
 
     monkeypatch.setitem(search.branch_and_bound.__kwdefaults__,
                         "search_fn", buggy)

@@ -73,11 +73,10 @@ class TestFailurePath:
         import repro.core.search as search
         from repro.core.engines import bitmask_search
 
-        def buggy(region, model, config, dags, crit, stats, best_slots,
-                  **kwargs):
-            return bitmask_search(region, model,
+        def buggy(prepared, config, stats, best_slots, **kwargs):
+            return bitmask_search(prepared,
                                   dataclasses.replace(config, use_class_bound=False),
-                                  dags, crit, stats, best_slots, **kwargs)
+                                  stats, best_slots, **kwargs)
 
         monkeypatch.setitem(search.branch_and_bound.__kwdefaults__,
                             "search_fn", buggy)
