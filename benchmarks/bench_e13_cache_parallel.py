@@ -13,8 +13,8 @@ measures the two scale features layered on top of it:
   the schedules are identical.
 
 Honest accounting: parallel speedup depends on core count and workload
-size — on tiny regions the pool overhead loses (which is why
-``windowed_induce`` falls back to serial there, covered by unit tests),
+size — on tiny regions the pool overhead loses (which is why the
+windowed search falls back to serial there, covered by unit tests),
 and on a single-core machine the fan-out cannot beat the serial loop at
 all.  The table reports whatever this machine delivers, alongside its
 core count, rather than asserting a ratio.

@@ -34,7 +34,8 @@ import pathlib
 
 from conftest import bench_seed, record_table
 from repro.core import maspar_cost_model
-from repro.core.portfolio import PORTFOLIO_STRATEGIES, run_portfolio
+from repro.core.pipeline import run_induction
+from repro.core.portfolio import PORTFOLIO_STRATEGIES
 from repro.core.search import SearchConfig
 from repro.sched import StrategyOutcomesStore
 from repro.sched.outcomes import MIN_RACES_TO_SKIP
@@ -74,7 +75,8 @@ def workload():
 
 
 def _race(region, **kwargs):
-    return run_portfolio(region, MODEL, config=SearchConfig(node_budget=BUDGET),
+    return run_induction(region, MODEL, "portfolio",
+                         SearchConfig(node_budget=BUDGET),
                          deadline_s=DEADLINE_S, **kwargs)
 
 

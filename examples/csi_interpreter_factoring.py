@@ -13,7 +13,8 @@ at it.  Watch the `fetch` slot: CSI merges it across *all* handlers.
 Run:  python examples/csi_interpreter_factoring.py
 """
 
-from repro.core import induce, lower_schedule, render_simd_code
+from repro import api
+from repro.core import lower_schedule, render_simd_code
 from repro.core.search import SearchConfig
 from repro.util import format_table
 from repro.workloads.threads import (
@@ -34,8 +35,10 @@ def main() -> None:
     rows = []
     results = {}
     for method in ("serial", "lockstep", "factor", "greedy", "search"):
-        r = induce(region, model, method=method,
-                   config=SearchConfig(node_budget=200_000) if method == "search" else None)
+        config = SearchConfig(node_budget=200_000) \
+            if method == "search" else None
+        r = api.induce(api.InductionRequest(region, model, method=method,
+                                            config=config))
         results[method] = r
         rows.append([method, round(r.cost, 1), len(r.schedule),
                      round(r.schedule.sharing_factor(), 2),

@@ -8,7 +8,7 @@ instruction slots and schedules them once, under a PE mask.
 Run:  python examples/quickstart.py
 """
 
-from repro import induce, maspar_cost_model, parse_region
+from repro import api, maspar_cost_model, parse_region
 from repro.core import lower_schedule, render_simd_code
 
 # Two threads of a bigger region: same load/store skeleton, different math.
@@ -34,12 +34,12 @@ def main() -> None:
     print()
 
     for method in ("serial", "lockstep", "greedy", "search"):
-        result = induce(REGION, model, method=method)
+        result = api.induce(api.InductionRequest(REGION, model, method=method))
         print(f"{method:>9s}: cost {result.cost:6.1f} cycles   "
               f"speedup vs serial {result.speedup_vs_serial:4.2f}x")
     print()
 
-    best = induce(REGION, model, method="search")
+    best = api.induce(api.InductionRequest(REGION, model, method="search"))
     print("CSI schedule (X = thread enabled in that SIMD slot):")
     code = lower_schedule(best.schedule, REGION, model)
     print(render_simd_code(code, REGION.num_threads))

@@ -1,5 +1,6 @@
 """repro — reproduction of "Common Subexpression Induction" (Dietz, ICPP 1992).
 
+Entry point: :func:`repro.api.induce` on a :class:`repro.api.InductionRequest`.
 Core: :mod:`repro.core` (the CSI optimization).  Substrates: MIMD stack ISA
 (:mod:`repro.isa`), MIMDC mini-language (:mod:`repro.lang`), SIMD machine
 simulator (:mod:`repro.simd`), MIMD-on-SIMD interpreter (:mod:`repro.interp`),
@@ -14,7 +15,6 @@ from repro.core import (
     Region,
     Schedule,
     ThreadCode,
-    induce,
     maspar_cost_model,
     parse_region,
     uniform_cost_model,
@@ -43,7 +43,6 @@ __all__ = [
     "Schedule",
     "ThreadCode",
     "__version__",
-    "induce",
     "maspar_cost_model",
     "parse_region",
     "run_ahs",

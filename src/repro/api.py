@@ -1,29 +1,29 @@
 """The unified induction facade: one request type, one entry point.
 
-Before this module callers picked between three positional signatures —
-:func:`repro.core.pipeline.induce`, :func:`repro.core.window.windowed_induce`
-and (now) the service client — each with its own argument order and result
-shape.  The facade collapses that to::
+One request value describes every induction, local or served::
 
     from repro import api
 
     request = api.InductionRequest(region, model="maspar", window=8, jobs=4)
     result = api.induce(request)            # local execution
-    result = api.induce(request, client="/tmp/repro.sock")   # via the service
+    result = api.induce(request, client="unix:///tmp/repro.sock")  # served
 
 Routing rules, in order:
 
-1. ``client`` given (a :class:`repro.service.ServiceClient` or an address
-   string) — the request is submitted to a running ``repro serve`` daemon;
-2. ``method="portfolio"`` — the strategy race
-   (:func:`repro.core.portfolio.run_portfolio`), which enforces its own
-   ``deadline_s`` cooperatively and returns the best verified schedule
-   found by any strategy;
-3. ``deadline_s`` set — the request runs in a supervised one-shot worker
-   process that is killed at the deadline, degrading to the greedy
-   schedule (``degraded=True``, never an error);
-4. ``window > 0`` — windowed induction with optional process-pool fan-out;
-5. otherwise — one-shot induction.
+1. ``cluster`` given — the request is routed by fingerprint across a
+   cluster's nodes;
+2. ``client`` given (a :class:`repro.service.ServiceClient`, an
+   :class:`repro.service.Endpoint` or its URL string) — the request is
+   submitted to a running ``repro serve`` daemon;
+3. ``deadline_s`` set on a non-portfolio request — it runs in a supervised
+   one-shot worker process that is killed at the deadline, degrading to
+   the greedy schedule (``degraded=True``, never an error);
+4. otherwise — in this process, through the one induction driver
+   (:func:`repro.core.pipeline.run_induction`): one-shot, windowed
+   (``window > 0``, optional process-pool fan-out) or the strategy race
+   (``method="portfolio"``, which enforces its own ``deadline_s``
+   cooperatively and returns the best verified schedule any strategy
+   found).
 
 Every route returns an object implementing the unified result protocol
 (:class:`repro.core.result.ResultBase`), so callers never special-case
@@ -39,11 +39,10 @@ from typing import Any, Mapping
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel, maspar_cost_model, uniform_cost_model
 from repro.core.ops import Region, parse_region
-from repro.core.pipeline import METHODS, InductionResult, _induce_impl
+from repro.core.pipeline import REQUEST_METHODS, run_induction
 from repro.core.result import ResultBase
 from repro.core.search import SearchConfig
-from repro.core.vn import VN_MODES, vn_prepass
-from repro.core.window import WindowedResult, _windowed_induce_impl
+from repro.core.vn import VN_MODES
 from repro.obs import Tracer
 
 __all__ = ["InductionRequest", "KNOB_METHODS", "REQUEST_METHODS", "induce"]
@@ -51,11 +50,6 @@ __all__ = ["InductionRequest", "KNOB_METHODS", "REQUEST_METHODS", "induce"]
 #: Named cost models accepted anywhere a :class:`CostModel` is expected
 #: (including over the service wire).
 NAMED_MODELS = ("maspar", "uniform")
-
-#: Methods accepted by :class:`InductionRequest`: every pipeline method
-#: plus ``portfolio`` (the strategy race, which routes through
-#: :func:`repro.core.portfolio.run_portfolio` rather than the pipeline).
-REQUEST_METHODS = METHODS + ("portfolio",)
 
 #: The method/knob validity table: knob name -> methods where a
 #: non-default value actually reaches the execution path.  Every other
@@ -198,34 +192,20 @@ class InductionRequest:
 
 def _execute_local(request: InductionRequest,
                    portfolio_order=None, portfolio_skip=None) -> ResultBase:
-    """Run the request in this process (portfolio vs window vs one-shot).
+    """Run the request in this process through the one induction driver.
 
     ``portfolio_order``/``portfolio_skip`` are selector hints injected by
     the service worker path (the server consults its outcomes store and
     ships the ranking over the wire since the store handle itself cannot).
     """
-    region = request.resolved_region()
-    model = request.resolved_model()
-    config = request.resolved_config()
+    race = {}
     if request.method == "portfolio":
-        from repro.core.portfolio import run_portfolio
-        if request.vn != "off":
-            # The race has no prepass hook of its own: canonicalize here
-            # so every strategy races on the rewritten region.
-            region, _vnstats = vn_prepass(region, model, request.vn,
-                                          request.tracer)
-        return run_portfolio(
-            region, model, config, deadline_s=request.deadline_s,
-            order=portfolio_order, skip=portfolio_skip,
-            store=request.strategy_store, tracer=request.tracer)
-    if request.window:
-        return _windowed_induce_impl(
-            region, model, window_size=request.window, config=config,
-            jobs=request.jobs, cache=request.cache, tracer=request.tracer,
-            vn=request.vn)
-    return _induce_impl(
-        region, model, method=request.method, config=config,
-        cache=request.cache, tracer=request.tracer, vn=request.vn)
+        race = {"deadline_s": request.deadline_s, "order": portfolio_order,
+                "skip": portfolio_skip, "store": request.strategy_store}
+    return run_induction(
+        request.resolved_region(), request.resolved_model(), request.method,
+        request.resolved_config(), window=request.window, jobs=request.jobs,
+        vn=request.vn, cache=request.cache, tracer=request.tracer, **race)
 
 
 def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:
@@ -235,8 +215,7 @@ def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:
     :class:`repro.service.Endpoint`, or an endpoint URL string
     (``unix:///path`` / ``tcp://host:port``); any of these sends the
     request to a running ``repro serve`` daemon and returns its reply.
-    (Bare pre-Endpoint address strings still work through a warn-once
-    deprecation shim.)
+    A bare address string raises :class:`ValueError`.
 
     ``cluster`` may be a :class:`repro.cluster.ClusterConfig` or a live
     :class:`repro.cluster.ClusterClient`; the request is then routed by
@@ -245,8 +224,7 @@ def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:
     if not isinstance(request, InductionRequest):
         raise TypeError(
             f"repro.api.induce takes an InductionRequest, got "
-            f"{type(request).__name__}; the old positional signatures live "
-            "in repro.core (deprecated)")
+            f"{type(request).__name__}")
     if client is not None and cluster is not None:
         raise ValueError("pass client= or cluster=, not both")
     if cluster is not None:
@@ -260,7 +238,7 @@ def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:
         from repro.service.endpoint import Endpoint
         if not isinstance(client, ServiceClient) and \
                 not hasattr(client, "submit"):
-            client = Endpoint.coerce(client, where="api.induce(client=...)")
+            client = Endpoint.parse(client)
         if isinstance(client, Endpoint):
             with ServiceClient(client) as live:
                 return live.submit(request)

@@ -48,7 +48,7 @@ class ClusterConfig:
     """Everything a router or cluster client needs to know about a cluster."""
 
     #: Seed endpoints of the induction nodes (``Endpoint`` values or their
-    #: URL/legacy string forms; strings are coerced on construction).
+    #: URL string forms; strings are parsed on construction).
     endpoints: tuple[Endpoint, ...] = ()
     #: How many nodes (owner first) hold each fingerprint's schedule: the
     #: remote cache tier pushes finished schedules to this many owners, so
@@ -76,11 +76,9 @@ class ClusterConfig:
     peer_timeout_s: float = 2.0
 
     def __post_init__(self) -> None:
-        coerced = tuple(
-            Endpoint.coerce(e, where="ClusterConfig(endpoints=...)")
-            for e in self.endpoints)
-        object.__setattr__(self, "endpoints", coerced)
-        if len(set(coerced)) != len(coerced):
+        endpoints = tuple(Endpoint.parse(e) for e in self.endpoints)
+        object.__setattr__(self, "endpoints", endpoints)
+        if len(set(endpoints)) != len(endpoints):
             raise ValueError("duplicate endpoints in cluster config")
         if self.replication < 1:
             raise ValueError(

@@ -94,8 +94,7 @@ class Membership:
                  on_change: Callable[[], None] | None = None) -> None:
         self._nodes: dict[str, NodeHealth] = {}
         for endpoint in endpoints:
-            health = NodeHealth(endpoint=Endpoint.coerce(
-                endpoint, where="Membership(endpoints=...)"))
+            health = NodeHealth(endpoint=Endpoint.parse(endpoint))
             self._nodes[health.name] = health
         if not self._nodes:
             raise ValueError("membership needs at least one endpoint")

@@ -572,10 +572,10 @@ class ClusterRouter(ClusterForwarder):
                  tracer: Tracer | None = None,
                  slo: SLOTracker | None = None,
                  flightrec: FlightRecorder | None = None) -> None:
+        listen = Endpoint.parse(endpoint)
         super().__init__(config, membership=membership, metrics=metrics,
                          start_probes=start_probes, tracer=tracer,
                          slo=slo, flightrec=flightrec)
-        listen = Endpoint.coerce(endpoint, where="ClusterRouter(endpoint=...)")
         self._stopping = False
         self._stopped = threading.Event()
         self._unix_path = listen.path if listen.scheme == "unix" else None
@@ -591,10 +591,6 @@ class ClusterRouter(ClusterForwarder):
     @property
     def endpoint(self) -> Endpoint:
         return self._endpoint
-
-    @property
-    def address(self) -> str:
-        return self._endpoint.legacy
 
     def shutdown(self) -> None:
         """Stop the router (the nodes keep running)."""

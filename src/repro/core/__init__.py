@@ -5,17 +5,18 @@ produces a single SIMD schedule in which one instruction slot may be shared
 ("induced") by every thread that needs an instruction of that class at that
 point, minimizing total masked-SIMD execution time.
 
-Public entry points:
+Public entry points (most callers want :func:`repro.api.induce`, which
+wraps the driver with request parsing, deadlines and the service):
 
-- :func:`repro.core.pipeline.induce` — run CSI (or a baseline) on a region.
+- :func:`repro.core.pipeline.run_induction` — the one induction driver:
+  CSI, a baseline, windowed CSI or the strategy race on a region, checked
+  and reported next to the serial and lockstep baselines.
 - :class:`repro.core.ops.Region` / :class:`repro.core.ops.Operation` — IR.
 - :class:`repro.core.costmodel.CostModel` — SIMD timing/mergeability model.
 - :class:`repro.core.schedule.Schedule` — the result, verifiable with
   :func:`repro.core.verify.verify_schedule`.
 - :class:`repro.core.cache.ScheduleCache` — content-addressed memoization
   of finished schedules (in-memory LRU + optional on-disk tier).
-- :func:`repro.core.window.windowed_induce` — windowed induction with
-  optional process-pool fan-out, caching and tracing.
 """
 
 from repro.core.anneal import AnnealStats, anneal_schedule
@@ -31,7 +32,7 @@ from repro.core.factor import factor_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.lower import MaskedInstruction, lower_schedule, render_simd_code
 from repro.core.ops import Operation, Region, ThreadCode, parse_region
-from repro.core.pipeline import InductionResult, induce
+from repro.core.pipeline import InductionResult, run_induction
 from repro.core.portfolio import (
     PORTFOLIO_STRATEGIES,
     PortfolioResult,
@@ -48,7 +49,7 @@ from repro.core.schedule import Schedule, Slot
 from repro.core.search import SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import ScheduleError, verify_schedule
-from repro.core.window import WindowedResult, windowed_induce
+from repro.core.window import WindowedResult
 
 __all__ = [
     "AnnealStats",
@@ -72,7 +73,6 @@ __all__ = [
     "build_dags",
     "factor_schedule",
     "greedy_schedule",
-    "induce",
     "lockstep_schedule",
     "lower_schedule",
     "maspar_cost_model",
@@ -81,6 +81,7 @@ __all__ = [
     "render_simd_code",
     "result_from_payload",
     "result_to_payload",
+    "run_induction",
     "run_portfolio",
     "ResultBase",
     "ServiceResult",
@@ -89,6 +90,5 @@ __all__ = [
     "serial_schedule",
     "uniform_cost_model",
     "verify_schedule",
-    "windowed_induce",
     "WindowedResult",
 ]

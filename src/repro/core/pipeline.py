@@ -1,29 +1,44 @@
-"""High-level CSI entry point.
+"""The one induction driver.
 
-:func:`induce` runs the chosen induction method on a region, verifies the
-resulting schedule against the independent checker, and reports its cost
-next to the serialization baseline, so callers get a paper-style
-"speedup over serial MIMD emulation" number out of one call.
+Every local route runs :func:`run_induction`: :func:`repro.api.induce`
+for one-shot, windowed and portfolio requests, the service's degraded
+fallback, trace induction and the fuzzer's windowed oracle.  Once per
+request it runs the envelope around one build step:
 
-The entry point is also where the induction *service* features attach:
+1. the value-numbering pre-pass (:func:`repro.core.vn.vn_prepass`);
+   everything downstream sees the rewritten region;
+2. the build step, the only thing the modes differ in:
 
-- pass a :class:`repro.core.cache.ScheduleCache` to memoize finished
-  schedules under a content fingerprint of (region, model, config, method)
-  — repeated regions, the common case for interpreter handler sets, then
-  return in O(lookup) instead of re-running the exponential search;
-- pass a :class:`repro.obs.Tracer` to get one structured trace event per
-  call (search counters, costs, cache disposition, wall time).
+   - *one-shot*: one method from :data:`BUILDERS` on the whole region,
+     behind a per-request :class:`~repro.core.cache.ScheduleCache`;
+   - *windowed* (``window > 0``): :func:`repro.core.window.induce_windows`
+     cuts the region, searches the windows (per-window cache, dedup,
+     process pool) and stitches their schedules;
+   - *portfolio*: :func:`repro.core.portfolio.run_portfolio` races the
+     :data:`BUILDERS` entries named in ``PORTFOLIO_STRATEGIES``;
+
+3. the independent check (:func:`repro.core.verify.verify_schedule`) of
+   whatever the step computed.  Cache hits and all-cached windowed runs
+   were checked when they were computed, and the race checks every
+   candidate before it can win, so none of those is checked again.  An
+   invalid schedule is a library bug and raises
+   :class:`repro.core.verify.ScheduleError`;
+4. the serial and lockstep baselines (:func:`baselines`), so every result
+   carries a paper-style "speedup over serial MIMD emulation";
+5. the ``induce_*`` metrics and the mode's trace event (``induce`` or
+   ``windowed``; the race's spans are its record).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.core.anneal import anneal_schedule
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel
-from repro.core.deprecation import warn_once
 from repro.core.factor import factor_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
@@ -34,13 +49,18 @@ from repro.core.search import SearchConfig, SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import verify_schedule
 from repro.core.vn import vn_prepass
+from repro.core.window import induce_windows
 from repro.obs import NULL_TRACER, StopWatch, Tracer, span
 from repro.obs.metrics import get_registry, observe_search_throughput
 from repro.util.rng import resolve_seed
 
-__all__ = ["InductionResult", "METHODS", "induce"]
+__all__ = ["BUILDERS", "InductionResult", "METHODS", "REQUEST_METHODS",
+           "baselines", "run_induction"]
 
 METHODS = ("search", "greedy", "anneal", "factor", "lockstep", "serial")
+
+#: Every method a request may name: the :data:`METHODS` plus the race.
+REQUEST_METHODS = METHODS + ("portfolio",)
 
 
 @dataclass(frozen=True)
@@ -60,190 +80,248 @@ class InductionResult(ResultBase):
     kind = "induce"
 
 
-def _build_schedule(
-    prepared: PreparedRegion,
-    method: str,
-    config: SearchConfig | None,
-) -> tuple[Schedule, SearchStats | None]:
-    region, model = prepared.region, prepared.model
-    stats: SearchStats | None = None
-    if method == "search":
-        schedule, stats = branch_and_bound(region, model, config, prepared)
-    elif method == "greedy":
-        schedule = greedy_schedule(region, model, prepared)
-    elif method == "anneal":
-        # Resolve the seed here (explicit None -> $REPRO_SEED -> 0) so the
-        # single seed knob reaches the annealer like every other RNG user.
-        schedule, _astats = anneal_schedule(region, model,
-                                            seed=resolve_seed(default=0),
-                                            prepared=prepared)
-    elif method == "factor":
-        schedule = factor_schedule(region, model)
-    elif method == "lockstep":
-        schedule = lockstep_schedule(region, model)
-    else:
-        schedule = serial_schedule(region, model)
-    return schedule, stats
+# ---------------------------------------------------------------------------
+# Builders: (prepared, config, should_stop, seed) -> (schedule, stats | None).
+#
+# One table for one-shot requests and the portfolio race.  ``should_stop``
+# is the race's cooperative-cancel predicate (None outside a race) and
+# ``seed`` its resolved seed (None: $REPRO_SEED, else 0).  Tests stub a
+# strategy by patching an entry.
+# ---------------------------------------------------------------------------
 
 
-def induce(
-    region: Region,
-    model: CostModel,
-    method: str = "search",
-    config: SearchConfig | None = None,
-    verify: bool = True,
-    cache: ScheduleCache | None = None,
-    tracer: Tracer | None = None,
-) -> InductionResult:
-    """Deprecated positional entry point; use :func:`repro.api.induce`.
+def _search(prepared, config, should_stop, seed):
+    return branch_and_bound(prepared.region, prepared.model, config,
+                            prepared, should_stop=should_stop)
 
-    Behaves like the original ``induce`` and warns once per process;
-    ``verify`` is accepted for positional compatibility and ignored, since
-    every computed schedule is verified.  New code should build a
-    :class:`repro.api.InductionRequest` and call :func:`repro.api.induce`,
-    which routes between one-shot, windowed and service execution.
+
+def _greedy(prepared, config, should_stop, seed):
+    return greedy_schedule(prepared.region, prepared.model, prepared), None
+
+
+def _anneal(prepared, config, should_stop, seed):
+    schedule, _stats = anneal_schedule(
+        prepared.region, prepared.model, seed=resolve_seed(seed, default=0),
+        prepared=prepared, should_stop=should_stop)
+    return schedule, None
+
+
+def _factor(prepared, config, should_stop, seed):
+    return factor_schedule(prepared.region, prepared.model), None
+
+
+def _lockstep(prepared, config, should_stop, seed):
+    return lockstep_schedule(prepared.region, prepared.model), None
+
+
+def _serial(prepared, config, should_stop, seed):
+    return serial_schedule(prepared.region, prepared.model), None
+
+
+BUILDERS: dict[str, Callable] = {
+    "search": _search,
+    "greedy": _greedy,
+    "anneal": _anneal,
+    "factor": _factor,
+    "lockstep": _lockstep,
+    "serial": _serial,
+}
+
+
+def baselines(region: Region, model: CostModel, method: str | None = None,
+              cost: float | None = None) -> tuple[float, float]:
+    """``(serial_cost, lockstep_cost)`` of ``region``: the speedup baselines.
+
+    A schedule built by the ``serial`` or ``lockstep`` method *is* that
+    baseline, so its ``cost`` stands in for rebuilding it.  Baselines are
+    built in program order, valid under any dependence structure.
     """
-    warn_once(
-        "core.induce",
-        "repro.core.induce(region, model, ...) is deprecated; build a "
-        "repro.api.InductionRequest and call repro.api.induce(request)",
-    )
-    return _induce_impl(region, model, method=method, config=config,
-                        cache=cache, tracer=tracer)
+    serial = cost if method == "serial" else \
+        serial_schedule(region, model).cost(model)
+    lockstep = cost if method == "lockstep" else \
+        lockstep_schedule(region, model).cost(model)
+    return serial, lockstep
 
 
-def _induce_impl(
+def run_induction(
     region: Region,
     model: CostModel,
     method: str = "search",
     config: SearchConfig | None = None,
+    *,
+    window: int = 0,
+    jobs: int = 1,
+    vn: str = "off",
     cache: ScheduleCache | None = None,
     tracer: Tracer | None = None,
-    vn: str = "off",
-) -> InductionResult:
-    """Run CSI (``method='search'``) or a baseline on ``region``.
+    **race: Any,
+) -> ResultBase:
+    """Run one induction request end to end (see the module docstring).
 
     Methods: ``search`` (branch-and-bound CSI), ``greedy`` (list-scheduling
     heuristic), ``anneal`` (simulated annealing over op priorities),
     ``factor`` (common prefix/suffix hand-factoring), ``lockstep`` (naive
-    interpreter), ``serial`` (thread-at-a-time).
+    interpreter), ``serial`` (thread-at-a-time) and ``portfolio`` (the
+    strategy race; ``race`` holds :func:`~repro.core.portfolio.run_portfolio`'s
+    keywords).  ``window > 0`` searches ``window``-op windows, fanned out
+    over ``jobs`` processes (0 = all cores).
 
-    A computed request prepares its region once
-    (:class:`~repro.core.prepared.PreparedRegion`): the method reads it,
-    and the independent verifier checks the resulting schedule exactly
-    once against the prepared DAGs.  An invalid schedule is a library bug
-    and raises :class:`repro.core.verify.ScheduleError`.  Cache hits return
-    the previously verified schedule without re-checking — that skip is the
-    point of the cache.
-
-    ``cache`` memoizes (schedule, stats) under a content fingerprint;
-    ``tracer`` receives one ``induce`` event per call.  ``vn`` runs the
-    value-numbering pre-pass (:func:`repro.core.vn.vn_prepass`) on the
-    region first; everything downstream — fingerprinting, search,
-    verification, baselines — sees the rewritten region.
+    ``cache`` memoizes finished schedules under a content fingerprint of
+    the post-vn region: per request for one-shot, per window for windowed
+    runs, never for the race.  ``tracer`` receives the spans and the
+    mode's trace event.  ``vn`` is the pre-pass mode (``off``/``on``/``auto``).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in REQUEST_METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {REQUEST_METHODS}")
+    config = config or SearchConfig()
     tracer = tracer or NULL_TRACER
     metrics = get_registry()
     watch = StopWatch().start()
+    if method == "portfolio":
+        # The race's ``portfolio.race`` span is the request's root.
+        root = nullcontext()
+    elif window:
+        root = span("windowed_induce", tracer, ops=region.num_ops,
+                    threads=region.num_threads, window_size=window)
+    else:
+        root = span("induce", tracer, method=method, ops=region.num_ops)
 
-    with span("induce", tracer, method=method, ops=region.num_ops) as live:
-        vnstats = None
-        if vn != "off":
-            region, vnstats = vn_prepass(region, model, vn, tracer)
-        fingerprint = None
-        schedule: Schedule | None = None
-        stats: SearchStats | None = None
+    with root as live:
+        region, vnstats = vn_prepass(region, model, vn, tracer)
+        if method == "portfolio":
+            # Imported here: the race reads BUILDERS from this module.  It
+            # checks every candidate before it can win.
+            from repro.core.portfolio import run_portfolio
+            result = run_portfolio(
+                PreparedRegion.build(region, model, config.respect_order),
+                config, tracer=tracer, **race)
+        elif window:
+            result = induce_windows(region, model, window, config, jobs,
+                                    cache, tracer)
+            if result.cache_hits < result.num_windows:
+                # A window was searched: check the stitched schedule
+                # against the whole region.
+                verify_schedule(result.schedule, region, model,
+                                respect_order=config.respect_order)
+        else:
+            result = _one_shot(region, model, method, config, cache, tracer,
+                               vnstats)
+        serial_cost, lockstep_cost = baselines(region, model, method,
+                                               result.cost)
+        result = dataclasses.replace(result, serial_cost=serial_cost,
+                                     lockstep_cost=lockstep_cost,
+                                     wall_s=watch.stop())
+        if result.kind == "windowed":
+            live.set(cost=result.cost, windows=result.num_windows,
+                     cache_hits=result.cache_hits, jobs=result.jobs_used)
+        elif live is not None:
+            live.set(cost=result.cost, cache=_disposition(result, cache))
+
+    _record(result, region, metrics, tracer, cache, vnstats)
+    return result
+
+
+def _one_shot(region: Region, model: CostModel, method: str,
+              config: SearchConfig, cache: ScheduleCache | None,
+              tracer: Tracer, vnstats) -> InductionResult:
+    """One method on the whole region, checked, behind the request cache.
+
+    Baselines and wall time are left at 0 for the driver to fill in.
+    """
+    fingerprint = hit = None
+    if cache is not None:
+        fingerprint = region_fingerprint(region, model, config, method=method)
+        hit = cache.get(fingerprint)
+    if hit is not None:
+        schedule, stats = hit
+    else:
+        with span("induce.build", tracer, method=method):
+            prepared = PreparedRegion.build(region, model,
+                                            config.respect_order)
+            schedule, stats = BUILDERS[method](prepared, config, None, None)
+        with span("induce.verify", tracer):
+            verify_schedule(schedule, region, model, dags=prepared.dags)
         if cache is not None:
-            fingerprint = region_fingerprint(region, model, config,
-                                             method=method)
-            hit = cache.get(fingerprint)
-            if hit is not None:
-                schedule, stats = hit
-        cache_hit = schedule is not None
+            cache.put(fingerprint, schedule, stats)
+    if vnstats is not None and stats is not None:
+        # Copy-on-write: cached stats objects are shared (and the cache
+        # key is the post-vn region, which a vn=off request on an
+        # already-canonical region also hits), so never mutate the stored
+        # object with this request's vn counters.
+        stats = dataclasses.replace(
+            stats, vn_merged_candidates=vnstats.merged_candidates,
+            vn_rewrites=vnstats.rewrites)
+    return InductionResult(method=method, schedule=schedule,
+                           cost=schedule.cost(model), serial_cost=0.0,
+                           lockstep_cost=0.0, stats=stats,
+                           cache_hit=hit is not None)
 
-        if schedule is None:
-            with span("induce.build", tracer, method=method):
-                prepared = PreparedRegion.build(
-                    region, model, bool(config and config.respect_order))
-                schedule, stats = _build_schedule(prepared, method, config)
-            # Baselines built in program order are valid under any
-            # dependence structure; reordering methods are checked against
-            # the real DAGs.
-            with span("induce.verify", tracer):
-                verify_schedule(schedule, region, model, dags=prepared.dags)
-            if cache is not None:
-                cache.put(fingerprint, schedule, stats)
 
-        if vnstats is not None and stats is not None:
-            # Copy-on-write: cached stats objects are shared (and the
-            # cache key is the post-vn region, which a vn=off request on
-            # an already-canonical region also hits), so never mutate the
-            # stored object with this request's vn counters.
-            stats = dataclasses.replace(
-                stats,
-                vn_merged_candidates=vnstats.merged_candidates,
-                vn_rewrites=vnstats.rewrites)
+def _disposition(result: ResultBase, cache: ScheduleCache | None) -> str:
+    if result.cache_hit:
+        return "hit"
+    return "miss" if cache is not None else "off"
 
-        cost = schedule.cost(model)
-        # Reuse the schedule we just built when it *is* the baseline, and pay
-        # each baseline construction exactly once.
-        serial_cost = cost if method == "serial" else \
-            serial_schedule(region, model).cost(model)
-        lockstep_cost = cost if method == "lockstep" else \
-            lockstep_schedule(region, model).cost(model)
-        wall_s = watch.stop()
-        live.set(cost=cost,
-                 cache="hit" if cache_hit
-                 else ("miss" if cache is not None else "off"))
 
+def _record(result: ResultBase, region: Region, metrics, tracer: Tracer,
+            cache: ScheduleCache | None, vnstats) -> None:
+    """The request's ``induce_*`` metrics and its trace event."""
     metrics.inc("induce_total")
-    metrics.observe("induce_wall_seconds", wall_s)
-    if cache_hit:
+    metrics.observe("induce_wall_seconds", result.wall_s)
+    if result.cache_hit:
         metrics.inc("induce_cache_hits_total")
-    elif method == "search" and stats is not None:
-        metrics.observe("search_wall_seconds", stats.wall_s or wall_s)
-        observe_search_throughput(metrics, stats)
-
-    if tracer.enabled:
-        event: dict = {
-            "method": method,
-            "threads": region.num_threads,
-            "ops": region.num_ops,
-            "slots": len(schedule),
-            "cost": cost,
-            "serial_cost": serial_cost,
-            "lockstep_cost": lockstep_cost,
-            "cache": "hit" if cache_hit else ("miss" if cache is not None else "off"),
-            "wall_s": wall_s,
-        }
-        if vnstats is not None:
-            event.update(
-                vn=vnstats.mode,
-                vn_applied=vnstats.applied,
-                vn_rewrites=vnstats.rewrites,
-                vn_merged_candidates=vnstats.merged_candidates,
-            )
-        if stats is not None:
-            event.update(
-                nodes_per_s=round(stats.nodes_per_second, 1),
-                nodes=stats.nodes_expanded,
-                pruned_bound=stats.pruned_by_bound,
-                pruned_memo=stats.pruned_by_memo,
-                incumbent_updates=stats.incumbent_updates,
-                optimal=stats.optimal,
-                budget_exhausted=stats.budget_exhausted,
-            )
-        tracer.emit("induce", **event)
-
-    return InductionResult(
-        method=method,
-        schedule=schedule,
-        cost=cost,
-        serial_cost=serial_cost,
-        lockstep_cost=lockstep_cost,
-        stats=stats,
-        cache_hit=cache_hit,
-        wall_s=wall_s,
-    )
+    elif result.kind == "induce" and result.method == "search" and \
+            result.stats is not None:
+        metrics.observe("search_wall_seconds",
+                        result.stats.wall_s or result.wall_s)
+        observe_search_throughput(metrics, result.stats)
+    if not tracer.enabled or result.kind == "portfolio":
+        return
+    if result.kind == "windowed":
+        stats = result.stats
+        tracer.emit(
+            "windowed",
+            windows=result.num_windows,
+            window_size=result.window_size,
+            jobs=result.jobs_used,
+            ops=region.num_ops,
+            threads=region.num_threads,
+            cost=result.cost,
+            nodes=result.total_nodes,
+            cache_hits=result.cache_hits,
+            all_optimal=result.all_optimal,
+            budget_exhausted=sum(1 for s in stats if s.budget_exhausted),
+            wall_s=result.wall_s,
+        )
+        return
+    event: dict = {
+        "method": result.method,
+        "threads": region.num_threads,
+        "ops": region.num_ops,
+        "slots": len(result.schedule),
+        "cost": result.cost,
+        "serial_cost": result.serial_cost,
+        "lockstep_cost": result.lockstep_cost,
+        "cache": _disposition(result, cache),
+        "wall_s": result.wall_s,
+    }
+    if vnstats is not None:
+        event.update(
+            vn=vnstats.mode,
+            vn_applied=vnstats.applied,
+            vn_rewrites=vnstats.rewrites,
+            vn_merged_candidates=vnstats.merged_candidates,
+        )
+    stats = result.stats
+    if stats is not None:
+        event.update(
+            nodes_per_s=round(stats.nodes_per_second, 1),
+            nodes=stats.nodes_expanded,
+            pruned_bound=stats.pruned_by_bound,
+            pruned_memo=stats.pruned_by_memo,
+            incumbent_updates=stats.incumbent_updates,
+            optimal=stats.optimal,
+            budget_exhausted=stats.budget_exhausted,
+        )
+    tracer.emit("induce", **event)

@@ -3,8 +3,11 @@
 The paper's induction is one fixed branch-and-bound; ComPar-style systems
 show that *racing* several optimizers and keeping the best output per
 input beats any single one.  :func:`run_portfolio` races the existing
-strategies — exact search, greedy list scheduling, simulated annealing and
-the serial baseline — in threads under one deadline:
+strategies — the :data:`repro.core.pipeline.BUILDERS` entries for exact
+search, greedy list scheduling, simulated annealing and the serial
+baseline — in threads under one deadline.  It is the portfolio build step
+of the request driver, :func:`repro.core.pipeline.run_induction`, which
+runs the vn pre-pass and the baselines around it:
 
 - every strategy that produces a schedule has it **verified** before it
   can become the incumbent, so a buggy strategy can never win a race;
@@ -37,17 +40,16 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.core.anneal import anneal_schedule
 from repro.core.costmodel import CostModel
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
+from repro.core.pipeline import BUILDERS
 from repro.core.prepared import PreparedRegion
 from repro.core.result import ResultBase
 from repro.core.schedule import Schedule
-from repro.core.search import SearchConfig, SearchStats, branch_and_bound
-from repro.core.serial import lockstep_schedule, serial_schedule
+from repro.core.search import SearchConfig, SearchStats
 from repro.core.verify import verify_schedule
 from repro.obs import NULL_TRACER, Tracer, attach_context, current_context, span
 from repro.obs.metrics import get_registry
@@ -59,7 +61,6 @@ __all__ = [
     "StrategyOutcome",
     "feature_bucket",
     "region_features",
-    "region_lower_bound",
     "run_portfolio",
 ]
 
@@ -121,19 +122,6 @@ def feature_bucket(features: Mapping[str, float]) -> str:
     quarter = min(4, int(sharing * 4.0 + 0.5))
     return (f"t{int(features.get('threads', 0.0))}"
             f"_ops{pow2}_share{quarter * 25}")
-
-
-def region_lower_bound(region: Region, model: CostModel) -> float:
-    """Schedule-independent lower bound on any valid schedule's cost.
-
-    The max of the paper's two admissible bounds evaluated at the root
-    state: the longest critical path through any thread's dependence DAG,
-    and the class-count bound (each merge key needs at least ``max`` ops
-    of that key per thread slots).  An incumbent at this bound is optimal
-    and the race can stop everyone.  The race itself reads it from its
-    :class:`~repro.core.prepared.PreparedRegion`.
-    """
-    return PreparedRegion.build(region, model).lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -249,54 +237,13 @@ class _RaceState:
                 self.stop.set()
 
 
-# ---------------------------------------------------------------------------
-# Strategy builders.
-#
-# One entry per racable strategy: (region, model, config, prepared,
-# should_stop, seed) -> (schedule, search_stats | None).  A dict (rather
-# than inline dispatch) so tests can monkeypatch a crashing or hanging
-# strategy into the race without touching the real implementations.
-# ---------------------------------------------------------------------------
-
-
-def _build_search(region, model, config, prepared, should_stop, seed):
-    schedule, stats = branch_and_bound(region, model, config, prepared,
-                                       should_stop=should_stop)
-    return schedule, stats
-
-
-def _build_greedy(region, model, config, prepared, should_stop, seed):
-    return greedy_schedule(region, model, prepared), None
-
-
-def _build_anneal(region, model, config, prepared, should_stop, seed):
-    schedule, _stats = anneal_schedule(region, model, seed=seed,
-                                       prepared=prepared,
-                                       should_stop=should_stop)
-    return schedule, None
-
-
-def _build_serial(region, model, config, prepared, should_stop, seed):
-    return serial_schedule(region, model), None
-
-
-_BUILDERS: dict[str, Callable] = {
-    "search": _build_search,
-    "greedy": _build_greedy,
-    "anneal": _build_anneal,
-    "serial": _build_serial,
-}
-
-
 def _race_one(
     name: str,
     outcome: StrategyOutcome,
     state: _RaceState,
     t0: float,
-    region: Region,
-    model: CostModel,
-    config: SearchConfig | None,
     prepared: PreparedRegion,
+    config: SearchConfig,
     seed: int,
     tracer: Tracer,
     ctx: Mapping[str, str] | None,
@@ -309,11 +256,12 @@ def _race_one(
     with attach_context(ctx):
         with span("portfolio.strategy", tracer, strategy=name) as live:
             try:
-                schedule, stats = _BUILDERS[name](
-                    region, model, config, prepared, state.should_stop, seed)
-                verify_schedule(schedule, region, model, dags=prepared.dags)
+                schedule, stats = BUILDERS[name](
+                    prepared, config, state.should_stop, seed)
+                verify_schedule(schedule, prepared.region, prepared.model,
+                                dags=prepared.dags)
                 now = perf_counter()
-                cost = schedule.cost(model)
+                cost = schedule.cost(prepared.model)
                 outcome.schedule = schedule
                 outcome.stats = stats
                 outcome.cost = cost
@@ -329,8 +277,7 @@ def _race_one(
 
 
 def run_portfolio(
-    region: Region,
-    model: CostModel,
+    prepared: PreparedRegion,
     config: SearchConfig | None = None,
     *,
     deadline_s: float | None = None,
@@ -342,6 +289,11 @@ def run_portfolio(
     tracer: Tracer | None = None,
 ) -> PortfolioResult:
     """Race induction strategies concurrently; return the best verified one.
+
+    The portfolio build step of :func:`repro.core.pipeline.run_induction`,
+    which prepares the (post-vn) region and fills in the result's
+    baselines and wall time (left at 0 here).  Each strategy is the
+    :data:`~repro.core.pipeline.BUILDERS` entry of that name.
 
     ``strategies`` restricts the portfolio (default: all of
     :data:`PORTFOLIO_STRATEGIES`).  ``order``/``skip`` are selector hints
@@ -361,16 +313,16 @@ def run_portfolio(
     tracer = tracer or NULL_TRACER
     metrics = get_registry()
     chosen = tuple(strategies) if strategies is not None else PORTFOLIO_STRATEGIES
-    unknown = [s for s in chosen if s not in _BUILDERS]
+    unknown = [s for s in chosen if s not in PORTFOLIO_STRATEGIES]
     if unknown:
         raise ValueError(
             f"unknown portfolio strategies {unknown}; "
-            f"expected a subset of {sorted(_BUILDERS)}")
+            f"expected a subset of {sorted(PORTFOLIO_STRATEGIES)}")
     if not chosen:
         raise ValueError("portfolio needs at least one strategy")
 
-    prepared = PreparedRegion.build(
-        region, model, bool(config and config.respect_order))
+    config = config or SearchConfig()
+    region, model = prepared.region, prepared.model
     features = region_features(region, model)
     bucket = feature_bucket(features)
     seed = resolve_seed(seed, default=0)
@@ -402,8 +354,8 @@ def run_portfolio(
         for name in active:
             t = threading.Thread(
                 target=_race_one,
-                args=(name, outcomes[name], state, t0, region, model, config,
-                      prepared, seed, tracer, ctx),
+                args=(name, outcomes[name], state, t0, prepared, config,
+                      seed, tracer, ctx),
                 name=f"portfolio-{name}",
                 daemon=True,
             )
@@ -426,8 +378,7 @@ def run_portfolio(
         # Deterministic winner: cheapest verified schedule, canonical
         # order breaking ties — never racing arrival order.
         candidates = [
-            (outcomes[name].cost, PORTFOLIO_STRATEGIES.index(name)
-             if name in PORTFOLIO_STRATEGIES else len(PORTFOLIO_STRATEGIES), name)
+            (outcomes[name].cost, PORTFOLIO_STRATEGIES.index(name), name)
             for name in ordered
             if outcomes[name].cost is not None
         ]
@@ -446,12 +397,6 @@ def run_portfolio(
             degraded = True
 
         cost = schedule.cost(model)
-        wall_s = perf_counter() - t0
-        serial = next((o for o in outcomes.values()
-                       if o.strategy == "serial" and o.cost is not None), None)
-        serial_cost = serial.cost if serial is not None \
-            else serial_schedule(region, model).cost(model)
-        lockstep_cost = lockstep_schedule(region, model).cost(model)
         proven = bool(
             cost <= lb + _EPS
             or (winner == "search" and stats is not None and stats.optimal))
@@ -462,10 +407,9 @@ def run_portfolio(
         method="portfolio",
         schedule=schedule,
         cost=cost,
-        serial_cost=serial_cost,
-        lockstep_cost=lockstep_cost,
+        serial_cost=0.0,
+        lockstep_cost=0.0,
         stats=stats,
-        wall_s=wall_s,
         degraded=degraded,
         winner=winner,
         outcomes=tuple(outcomes[name] for name in ordered),

@@ -130,6 +130,9 @@ class ServiceResult(ResultBase):
 
     ``extras`` carries server-side context that has no local analogue:
     batch size, dedup disposition, retry count, queue wait.
+    ``claimed_optimal`` is the sender's ``optimal``: a race won without
+    proof has no stats to re-derive it from.  ``None`` (no claim sent)
+    derives it from ``stats`` like any result; ``degraded`` always wins.
     """
 
     method: str
@@ -142,8 +145,15 @@ class ServiceResult(ResultBase):
     wall_s: float = 0.0
     degraded: bool = False
     extras: Mapping[str, Any] = field(default_factory=dict)
+    claimed_optimal: bool | None = None
 
     kind = "service"
+
+    @property
+    def optimal(self) -> bool:
+        if self.claimed_optimal is None:
+            return super().optimal
+        return self.claimed_optimal and not self.degraded
 
 
 def result_to_payload(result: ResultBase) -> dict[str, Any]:
@@ -157,8 +167,10 @@ def result_from_payload(payload: Mapping[str, Any]) -> ServiceResult:
     """Rebuild a :class:`ServiceResult` from :func:`result_to_payload` output.
 
     Unknown keys are preserved in ``extras`` so protocol additions degrade
-    gracefully for older clients.
+    gracefully for older clients.  The payload's ``optimal`` claim is kept
+    as sent (see :class:`ServiceResult`).
     """
+    optimal = payload.get("optimal")
     known = {
         "kind", "method", "cost", "serial_cost", "lockstep_cost",
         "speedup_vs_serial", "speedup_vs_lockstep", "slots", "nodes",
@@ -175,4 +187,5 @@ def result_from_payload(payload: Mapping[str, Any]) -> ServiceResult:
         wall_s=float(payload.get("wall_s", 0.0)),
         degraded=bool(payload.get("degraded", False)),
         extras={k: v for k, v in payload.items() if k not in known},
+        claimed_optimal=None if optimal is None else bool(optimal),
     )

@@ -137,8 +137,9 @@ def branch_and_bound(
     reference oracle, so both engines share this one driver: the prepared
     region, the greedy seed and the final checks.
 
-    The returned schedule is **not** verified here: the request drivers
-    (``_induce_impl``, windowed induction, the portfolio) check it once.
+    The returned schedule is **not** verified here: the request driver
+    (:func:`repro.core.pipeline.run_induction`) or the portfolio race
+    checks it once.
     That covers the greedy seed too, whose cost gates the pruning: an
     invalid seed of cost ``C`` prunes only nodes whose cost plus bound is
     ``>= C``.  If the search returns the seed, the caller's check raises

@@ -9,8 +9,10 @@ window schedules are concatenated.
 Correctness: a window boundary is a cut across all threads at op index
 ``k*w``; every dependence inside a thread points forward in program order,
 so a concatenation of per-window schedules (each internally valid) is
-globally valid.  The standard checker verifies the stitched schedule once
-against the whole region whenever a window was searched.
+globally valid.  :func:`induce_windows` is the windowed build step of the
+one request driver, :func:`repro.core.pipeline.run_induction`, which
+checks the stitched schedule once against the whole region whenever a
+window was searched.
 
 Cost: windowing can only lose optimality at the seams (an op in window k
 cannot share a slot with an op in window k+1), trading schedule quality
@@ -26,8 +28,8 @@ Scale features (windows are embarrassingly parallel and highly repetitive):
 - ``cache`` consults a :class:`repro.core.cache.ScheduleCache` per window
   — traces of SPMD code repeat the same windows constantly, so warm runs
   skip the search entirely;
-- ``tracer`` receives one ``window`` event per window plus a ``windowed``
-  aggregate event.
+- ``tracer`` receives one ``window`` event per window (the driver adds
+  the ``windowed`` aggregate event).
 """
 
 from __future__ import annotations
@@ -38,17 +40,13 @@ from dataclasses import dataclass
 
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel
-from repro.core.deprecation import warn_once
 from repro.core.ops import Operation, Region, ThreadCode
 from repro.core.result import ResultBase
 from repro.core.schedule import Schedule, Slot
 from repro.core.search import SearchConfig, SearchStats, branch_and_bound
-from repro.core.serial import lockstep_schedule, serial_schedule
-from repro.core.verify import verify_schedule
 from repro.obs import (
     MemoryTracer,
     NULL_TRACER,
-    StopWatch,
     Tracer,
     attach_context,
     current_context,
@@ -57,7 +55,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import get_registry, observe_search_throughput
 
-__all__ = ["WindowedResult", "windowed_induce"]
+__all__ = ["WindowedResult", "induce_windows"]
 
 #: Structural floor for even considering the pool: total estimated search
 #: work over the missed windows, scored as ops x threads per window (the
@@ -182,7 +180,7 @@ def _run_windows_parallel(
         return None
 
 
-def windowed_induce(
+def induce_windows(
     region: Region,
     model: CostModel,
     window_size: int = 8,
@@ -191,33 +189,7 @@ def windowed_induce(
     cache: ScheduleCache | None = None,
     tracer: Tracer | None = None,
 ) -> WindowedResult:
-    """Deprecated positional entry point; use :func:`repro.api.induce`.
-
-    Behaves exactly like the original ``windowed_induce`` and warns once
-    per process.  New code should build a :class:`repro.api.InductionRequest`
-    with ``window > 0`` and call :func:`repro.api.induce`.
-    """
-    warn_once(
-        "core.windowed_induce",
-        "repro.core.windowed_induce(region, model, ...) is deprecated; build "
-        "a repro.api.InductionRequest and call repro.api.induce(request)",
-    )
-    return _windowed_induce_impl(region, model, window_size=window_size,
-                                 config=config, jobs=jobs, cache=cache,
-                                 tracer=tracer)
-
-
-def _windowed_induce_impl(
-    region: Region,
-    model: CostModel,
-    window_size: int = 8,
-    config: SearchConfig | None = None,
-    jobs: int = 1,
-    cache: ScheduleCache | None = None,
-    tracer: Tracer | None = None,
-    vn: str = "off",
-) -> WindowedResult:
-    """Induce ``region`` window by window; returns the stitched schedule.
+    """The windowed build step: cut, search each window, stitch.
 
     Each window is scheduled by the full branch-and-bound (with the given
     per-window ``config``); dependences are recomputed inside each window,
@@ -228,44 +200,19 @@ def _windowed_induce_impl(
     process pool; the stitched schedule is identical to the serial path's
     because every window search is deterministic and reassembly is ordered.
 
-    ``vn`` runs the value-numbering pre-pass over the whole region before
-    it is cut into windows, so per-window fingerprints (and the per-window
-    cache) see the canonical form.  Per-window stats are *not* stamped
-    with region-level vn counters — those cache entries are shared across
-    regions; vn telemetry rides the ``vn.prepass`` span and metrics.
+    Runs under :func:`repro.core.pipeline.run_induction`'s
+    ``windowed_induce`` span, so per-window ``window.search`` spans (local
+    or worker-side) hang off one parent.  The driver owns the rest of the
+    request: the vn pre-pass before the cut, the check of the stitched
+    schedule, the baselines and the wall time, which are left at 0 here.
+    Per-window stats are never stamped with region-level vn counters:
+    their cache entries are shared across regions.
     """
-    tracer = tracer or NULL_TRACER
-    with span("windowed_induce", tracer, ops=region.num_ops,
-              threads=region.num_threads, window_size=window_size) as live:
-        if vn != "off":
-            from repro.core.vn import vn_prepass
-            region, _vnstats = vn_prepass(region, model, vn, tracer)
-        result = _windowed_body(region, model, window_size=window_size,
-                                config=config, jobs=jobs, cache=cache,
-                                tracer=tracer)
-        live.set(cost=result.cost, windows=result.num_windows,
-                 cache_hits=result.cache_hits, jobs=result.jobs_used)
-    return result
-
-
-def _windowed_body(
-    region: Region,
-    model: CostModel,
-    window_size: int = 8,
-    config: SearchConfig | None = None,
-    jobs: int = 1,
-    cache: ScheduleCache | None = None,
-    tracer: Tracer | None = None,
-) -> WindowedResult:
-    # The real work; runs under _windowed_induce_impl's "windowed_induce"
-    # span so per-window "window.search" spans (local or worker-side) hang
-    # off one parent.
     if window_size < 1:
         raise ValueError(f"window size must be positive, got {window_size}")
     config = config or SearchConfig()
     tracer = tracer or NULL_TRACER
     jobs = _resolve_jobs(jobs)
-    watch = StopWatch().start()
 
     longest = max((len(tc) for tc in region.threads), default=0)
     windows: list[tuple[int, Region, dict]] = []
@@ -381,35 +328,12 @@ def _windowed_body(
             )
 
     schedule = Schedule(tuple(slots))
-    if unique_idx:  # all-cached windows were checked when computed
-        verify_schedule(schedule, region, model,
-                        respect_order=config.respect_order)
-    wall_s = watch.stop()
-    result = WindowedResult(
+    return WindowedResult(
         schedule=schedule,
         window_size=window_size,
         num_windows=len(windows),
         stats=tuple(stats),
         cache_hits=cache_hits,
         jobs_used=jobs_used,
-        wall_s=wall_s,
         cost=schedule.cost(model),
-        serial_cost=serial_schedule(region, model).cost(model),
-        lockstep_cost=lockstep_schedule(region, model).cost(model),
     )
-    if tracer.enabled:
-        tracer.emit(
-            "windowed",
-            windows=result.num_windows,
-            window_size=window_size,
-            jobs=jobs_used,
-            ops=region.num_ops,
-            threads=region.num_threads,
-            cost=result.cost,
-            nodes=result.total_nodes,
-            cache_hits=cache_hits,
-            all_optimal=result.all_optimal,
-            budget_exhausted=sum(1 for s in stats if s.budget_exhausted),
-            wall_s=wall_s,
-        )
-    return result

@@ -42,7 +42,7 @@ from repro.core.cache import ScheduleCache, region_fingerprint, schedule_to_payl
 from repro.core.engines import legacy_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import parse_region
-from repro.core.pipeline import InductionResult
+from repro.core.pipeline import InductionResult, run_induction
 from repro.core.prepared import PreparedRegion
 from repro.core.result import result_from_payload, result_to_payload
 from repro.core.search import branch_and_bound
@@ -50,7 +50,6 @@ from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.canon import regions_mismatch
 from repro.core.verify import ScheduleError, verify_schedule
 from repro.core.vn import rewrite_region, serial_issue_cost
-from repro.core.window import _windowed_induce_impl
 from repro.fuzz.generators import FuzzCase
 from repro.util.rng import resolve_seed
 
@@ -207,8 +206,7 @@ def _check_region(case: FuzzCase,
     # Windowed stitching: the stitched schedule must be valid against the
     # FULL region's DAGs (no cost claim — windowing restricts the space).
     if region.num_ops >= 2:
-        windowed = _windowed_induce_impl(region, model, window_size=4,
-                                         config=config)
+        windowed = run_induction(region, model, config=config, window=4)
         try:
             verify_schedule(windowed.schedule, region, model,
                             dags=prepared.dags,

@@ -21,9 +21,9 @@ import numpy as np
 from repro.core.cache import ScheduleCache
 from repro.core.costmodel import CostModel
 from repro.core.ops import Operation, Region, ThreadCode
+from repro.core.pipeline import run_induction
 from repro.core.search import SearchConfig
-from repro.core.serial import lockstep_schedule, serial_schedule
-from repro.core.window import WindowedResult, _windowed_induce_impl
+from repro.core.window import WindowedResult
 from repro.interp.interpreter import InterpreterConfig, MIMDInterpreter
 from repro.isa.opcodes import OPCODE_INFO, SHARED_COSTS
 from repro.isa.program import Program
@@ -107,27 +107,14 @@ def region_from_traces(streams) -> Region:
 
 @dataclass(frozen=True)
 class TraceInduction:
-    """Windowed CSI over a trace bundle, next to its interpreter baselines."""
+    """Windowed CSI over a trace bundle.
+
+    ``result`` carries the induced cost next to the serial and lockstep
+    interpreter baselines, and their speedups.
+    """
 
     bundle: TraceBundle
     result: WindowedResult
-    induced_cost: float
-    lockstep_cost: float
-    serial_cost: float
-
-    @property
-    def speedup_vs_serial(self) -> float:
-        """Induced SIMD time vs serializing the distinct streams."""
-        if self.induced_cost:
-            return self.serial_cost / self.induced_cost
-        return 1.0 if not self.serial_cost else float("inf")
-
-    @property
-    def speedup_vs_lockstep(self) -> float:
-        """Induced SIMD time vs the naive lockstep interpreter."""
-        if self.induced_cost:
-            return self.lockstep_cost / self.induced_cost
-        return 1.0 if not self.lockstep_cost else float("inf")
 
 
 def induce_traces(
@@ -146,18 +133,12 @@ def induce_traces(
     ``cache``, fresh ones fan out over ``jobs`` workers — and compare the
     induced cost against the serial and lockstep interpreter baselines.
     """
-    model = model or interp_cost_model()
-    region = bundle.region()
-    result = _windowed_induce_impl(
-        region, model, window_size=window_size, config=config, jobs=jobs,
-        cache=cache, tracer=tracer)
-    return TraceInduction(
-        bundle=bundle,
-        result=result,
-        induced_cost=result.schedule.cost(model),
-        lockstep_cost=lockstep_schedule(region, model).cost(model),
-        serial_cost=serial_schedule(region, model).cost(model),
-    )
+    if window_size < 1:
+        raise ValueError(f"window size must be positive, got {window_size}")
+    result = run_induction(
+        bundle.region(), model or interp_cost_model(), config=config,
+        window=window_size, jobs=jobs, cache=cache, tracer=tracer)
+    return TraceInduction(bundle=bundle, result=result)
 
 
 def interp_cost_model(mask_overhead: float = 1.0) -> CostModel:

@@ -8,9 +8,9 @@ so tracing off is effectively free.
 Event schema (all sinks): every event is a flat JSON object with
 
 - ``ts``    — seconds on a monotonic clock (not wall-clock time of day);
-- ``kind``  — event type: ``induce`` (one per :func:`repro.core.induce`
-  call), ``window`` (one per window of a windowed run), ``windowed``
-  (one aggregate per :func:`repro.core.windowed_induce` call);
+- ``kind``  — event type: ``induce`` (one per one-shot request of
+  :func:`repro.core.pipeline.run_induction`), ``window`` (one per window
+  of a windowed run), ``windowed`` (one aggregate per windowed request);
 - remaining keys are kind-specific numeric or string fields (search
   counters, costs, cache disposition, wall time).
 

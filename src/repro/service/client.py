@@ -56,19 +56,12 @@ class ServiceClient:
 
     def __init__(self, endpoint: Endpoint | str,
                  timeout: float | None = 600.0) -> None:
-        #: Where the service lives.  An :class:`Endpoint` (or its URL string
-        #: form); the pre-Endpoint bare address strings still work through a
-        #: warn-once deprecation shim.
-        self.endpoint = Endpoint.coerce(endpoint, where="ServiceClient(...)")
+        #: Where the service lives: an :class:`Endpoint` or its URL string.
+        self.endpoint = Endpoint.parse(endpoint)
         self.timeout = timeout
         #: Each calling thread's open connection.
         self._socks: dict[threading.Thread, socket.socket] = {}
         self._lock = threading.Lock()
-
-    @property
-    def address(self) -> str:
-        """Legacy bare-string form of :attr:`endpoint` (back-compat)."""
-        return self.endpoint.legacy
 
     def __enter__(self) -> "ServiceClient":
         return self

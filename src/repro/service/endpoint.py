@@ -11,20 +11,17 @@ IPv6 hosts, and made it impossible to type-check a cluster configuration
 - ``tcp://host:port``        — a TCP stream socket (loopback by default).
 
 ``Endpoint.parse`` accepts exactly these two URL forms and round-trips
-through ``str()``.  The legacy bare forms (``/tmp/repro.sock``,
-``host:port``) are still *understood* — :meth:`Endpoint.coerce` converts
-them with a warn-once :class:`DeprecationWarning`, and the CLI accepts both
-silently via :meth:`Endpoint.parse_lenient` — but every signature in
-:mod:`repro.service`, :mod:`repro.api` and :mod:`repro.cli` now carries an
-:class:`Endpoint`, never an ad-hoc string.
+through ``str()``; every library signature in :mod:`repro.service`,
+:mod:`repro.cluster` and :mod:`repro.api` takes an :class:`Endpoint` or its
+URL string through it, so a bare string raises :class:`ValueError` naming
+the URL forms.  Only the CLI's address flags also accept the bare forms
+(``/tmp/repro.sock``, ``host:port``), via :meth:`Endpoint.parse_lenient`.
 """
 
 from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
-
-from repro.core.deprecation import warn_once
 
 __all__ = ["Endpoint"]
 
@@ -79,8 +76,8 @@ class Endpoint:
         """Parse the canonical URL forms (and only those).
 
         ``unix:///path`` (also ``unix:/path``) and ``tcp://host:port``.
-        Raises :class:`ValueError` for anything else — including the legacy
-        bare forms, which only :meth:`parse_lenient`/:meth:`coerce` accept.
+        Raises :class:`ValueError` for anything else — including the bare
+        forms, which only the CLI's :meth:`parse_lenient` accepts.
         """
         if isinstance(spec, Endpoint):
             return spec
@@ -107,11 +104,10 @@ class Endpoint:
 
     @classmethod
     def parse_lenient(cls, spec: "Endpoint | str") -> "Endpoint":
-        """Parse URL forms *or* the legacy bare forms, without warning.
+        """Parse URL forms *or* the bare forms (CLI address flags only).
 
-        The CLI's address flags go through this so existing invocations
-        (``--socket /tmp/repro.sock``) keep working; library signatures use
-        :meth:`coerce`, which warns on the bare forms.
+        ``--socket /tmp/repro.sock`` and ``--socket host:port`` are
+        documented CLI syntax; library signatures use :meth:`parse`.
         """
         if isinstance(spec, Endpoint):
             return spec
@@ -128,28 +124,6 @@ class Endpoint:
                 raise ValueError(f"bad endpoint {spec!r}") from exc
         return cls.unix(text)
 
-    @classmethod
-    def coerce(cls, value: "Endpoint | str", where: str = "") -> "Endpoint":
-        """Accept an :class:`Endpoint` or its URL string; shim bare strings.
-
-        The bare legacy forms still work but emit a warn-once
-        :class:`DeprecationWarning` naming the signature (``where``) so
-        callers know which call site to migrate.
-        """
-        if isinstance(value, Endpoint):
-            return value
-        text = str(value).strip()
-        if text.startswith(("unix:", "tcp:")):
-            return cls.parse(text)
-        endpoint = cls.parse_lenient(text)
-        warn_once(
-            f"endpoint.bare:{where or 'address'}",
-            f"passing a bare address string ({text!r}) to "
-            f"{where or 'a service signature'} is deprecated; pass an "
-            f"Endpoint (repro.service.Endpoint.parse({str(endpoint)!r})) "
-            "or its URL string form")
-        return endpoint
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -159,15 +133,16 @@ class Endpoint:
         return f"tcp://{host}:{self.port}"
 
     @property
-    def legacy(self) -> str:
-        """The pre-:class:`Endpoint` bare form (wire/back-compat only)."""
-        return self.path if self.scheme == "unix" else f"{self.host}:{self.port}"
-
-    @property
     def label(self) -> str:
-        """A short metrics-safe identifier (``[a-z0-9_]``) for this node."""
+        """A short metrics-safe identifier (``[a-z0-9_]``) for this node.
+
+        Derived from the bare form (socket path, or ``host:port``), so
+        ``unix:///tmp/clu/n0.sock`` labels as ``tmp_clu_n0_sock``.
+        """
+        bare = self.path if self.scheme == "unix" \
+            else f"{self.host}:{self.port}"
         out = []
-        for ch in self.legacy.lower():
+        for ch in bare.lower():
             out.append(ch if ch.isalnum() else "_")
         return "".join(out).strip("_") or "endpoint"
 

@@ -2,10 +2,11 @@
 
 Framing: every message is one length-prefixed JSON object — a 4-byte
 big-endian length followed by that many UTF-8 bytes.  The transport is a
-connected stream socket, either ``AF_UNIX`` (the default — an address is a
-filesystem path) or ``AF_INET`` on loopback (an address containing a colon,
-``host:port``).  This is the real-transport sibling of the *simulated*
-IPC models in :mod:`repro.models`: requests flow over a shared stream like
+connected stream socket, either ``AF_UNIX`` (``unix:///path``) or
+``AF_INET`` on loopback (``tcp://host:port``); see
+:class:`~repro.service.endpoint.Endpoint`.  This is the real-transport
+sibling of the *simulated* IPC models in :mod:`repro.models`: requests
+flow over a shared stream like
 :class:`~repro.models.pipes.PipeModel`'s request pipe, and the address
 syntax mirrors the pipe-vs-datagram split of §3.2/§3.3.
 
@@ -60,7 +61,6 @@ __all__ = [
     "exchange",
     "model_from_payload",
     "model_to_payload",
-    "parse_address",
     "recv_message",
     "request_from_wire",
     "request_to_wire",
@@ -167,29 +167,12 @@ def exchange(sock: socket.socket | None, message: Mapping[str, Any],
 # -- addresses -------------------------------------------------------------
 
 
-def parse_address(spec: str) -> tuple[str, Any]:
-    """``("unix", path)`` or ``("tcp", (host, port))`` from an address string.
-
-    A spec containing a colon is ``host:port`` (empty host = loopback);
-    anything else is a unix-socket path.
-    """
-    if ":" in spec:
-        host, _, port = spec.rpartition(":")
-        try:
-            return ("tcp", (host or "127.0.0.1", int(port)))
-        except ValueError as exc:
-            raise ProtocolError(f"bad tcp address {spec!r}") from exc
-    if not spec:
-        raise ProtocolError("empty service address")
-    return ("unix", spec)
-
-
 def connect(spec, timeout: float | None = None) -> socket.socket:
-    """Open a client connection to an :class:`Endpoint` or address spec."""
+    """Open a client connection to an :class:`Endpoint` or its URL string."""
     from repro.service.endpoint import Endpoint
 
     try:
-        endpoint = Endpoint.parse_lenient(spec)
+        endpoint = Endpoint.parse(spec)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
     return endpoint.connect(timeout)

@@ -51,7 +51,6 @@ from repro.core.cache import (
     schedule_from_payload,
     schedule_to_payload,
 )
-from repro.core.deprecation import warn_once
 from repro.core.result import result_to_payload
 from repro.core.search import SearchStats
 from repro.service.endpoint import Endpoint
@@ -82,6 +81,7 @@ from repro.service.workers import (
     WorkerPool,
     WorkerTaskError,
     absorb_obs,
+    adopt_reply,
     build_result,
     degraded_result,
     inject_portfolio_hints,
@@ -97,10 +97,8 @@ class ServerConfig:
     """Tunables for one :class:`InductionServer`.
 
     ``endpoint`` is the one connection-config knob: an
-    :class:`~repro.service.endpoint.Endpoint` or its URL string form.  The
-    pre-Endpoint ``address=`` bare string still works through a warn-once
-    deprecation shim (and a bare string passed positionally as ``endpoint``
-    goes through the same shim inside :meth:`Endpoint.coerce`).
+    :class:`~repro.service.endpoint.Endpoint` or its URL string form
+    (:meth:`Endpoint.parse`; a bare address string raises ``ValueError``).
     """
 
     endpoint: Endpoint | str | None = None
@@ -112,25 +110,11 @@ class ServerConfig:
     backoff_s: float = 0.05
     #: Honour ``chaos`` fault-injection in requests (tests/CI only).
     allow_chaos: bool = False
-    #: Deprecated alias for ``endpoint`` (bare address string).
-    address: str | None = None
 
     def __post_init__(self) -> None:
-        if self.endpoint is None and self.address is None:
+        if self.endpoint is None:
             raise ValueError("ServerConfig needs an endpoint")
-        if self.endpoint is not None and self.address is not None:
-            raise ValueError("pass endpoint= or the deprecated address=, "
-                             "not both")
-        if self.address is not None:
-            warn_once(
-                "serverconfig.address",
-                "ServerConfig(address=...) is deprecated; pass "
-                "endpoint=Endpoint.parse('unix:///path' | 'tcp://host:port')")
-            self.endpoint = Endpoint.parse_lenient(self.address)
-        else:
-            self.endpoint = Endpoint.coerce(self.endpoint,
-                                            where="ServerConfig(endpoint=...)")
-        self.address = self.endpoint.legacy
+        self.endpoint = Endpoint.parse(self.endpoint)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_size < 1:
@@ -366,11 +350,6 @@ class InductionServer:
         """Where this node listens (with the real port for ``tcp://*:0``)."""
         return self._endpoint
 
-    @property
-    def address(self) -> str:
-        """Legacy bare form of :attr:`endpoint` (back-compat)."""
-        return self._endpoint.legacy
-
     @staticmethod
     def _spawn(target, name: str) -> threading.Thread:
         thread = threading.Thread(target=target, name=name, daemon=True)
@@ -573,7 +552,7 @@ class InductionServer:
             if hit is None:
                 return None
             result = build_result(
-                ticket.request, hit[0], hit[1], cache_hit=True,
+                ticket.request, hit[0], hit[1],
                 wall_s=time.monotonic() - ticket.enqueued_at)
         self.counters.bump("cache_hits")
         return self._ok_reply(ticket, result_to_payload(result), "cache",
@@ -738,7 +717,6 @@ class InductionServer:
                 hit = get(group.fingerprint)
                 if hit is not None:
                     result = build_result(request, hit[0], hit[1],
-                                          cache_hit=True,
                                           wall_s=time.monotonic() - started)
                     payload = result_to_payload(result)
                     disposition = "cache"
@@ -778,14 +756,7 @@ class InductionServer:
                         self.metrics.observe("service_worker_retries",
                                              meta["retries"],
                                              buckets=DEFAULT_SIZE_BUCKETS)
-                    if self.cache is not None and not payload.get("degraded"):
-                        stats_list = payload.get("stats") or []
-                        stats = SearchStats(**stats_list[0]) \
-                            if len(stats_list) == 1 else None
-                        self.cache.put(
-                            group.fingerprint,
-                            schedule_from_payload(payload["schedule"]),
-                            stats)
+                    adopt_reply(self.cache, group.fingerprint, payload)
                 except DeadlineExpired:
                     disposition = "deadline"
                     self.counters.bump("degraded_deadline")

@@ -34,11 +34,13 @@ import time
 from typing import Any, Mapping
 
 from repro.api import InductionRequest, _execute_local
-from repro.core.pipeline import InductionResult, _induce_impl
+from repro.core.cache import schedule_from_payload
+from repro.core.ops import Region
+from repro.core.pipeline import InductionResult, baselines, run_induction
 from repro.core.result import ResultBase, result_from_payload, result_to_payload
 from repro.core.schedule import Schedule
 from repro.core.search import SearchStats
-from repro.core.serial import lockstep_schedule, serial_schedule
+from repro.core.vn import vn_prepass
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 
@@ -48,10 +50,12 @@ __all__ = [
     "WorkerPool",
     "WorkerTaskError",
     "absorb_obs",
+    "adopt_reply",
     "degraded_result",
     "inject_portfolio_hints",
     "record_portfolio_outcome",
     "run_local_with_deadline",
+    "scheduled_region",
 ]
 
 
@@ -335,13 +339,17 @@ class WorkerPool:
 
 def inject_portfolio_hints(wire: dict, request: InductionRequest,
                            store) -> None:
-    """Attach the store's ranked order / skip set to a portfolio wire."""
+    """Attach the store's ranked order / skip set to a portfolio wire.
+
+    The bucket is the one the race will record its outcome under: that of
+    the region it actually runs, after the vn pre-pass.
+    """
     if store is None or wire.get("method") != "portfolio":
         return
     from repro.core.portfolio import (
         PORTFOLIO_STRATEGIES, feature_bucket, region_features)
 
-    features = region_features(request.resolved_region(),
+    features = region_features(scheduled_region(request),
                                request.resolved_model())
     order, skip = store.rank(feature_bucket(features), PORTFOLIO_STRATEGIES)
     wire["portfolio_order"] = list(order)
@@ -372,34 +380,63 @@ def record_portfolio_outcome(result, store) -> None:
 # -- result assembly -------------------------------------------------------
 
 
-def build_result(request: InductionRequest, schedule: Schedule,
-                 stats: SearchStats | None, cache_hit: bool,
-                 wall_s: float, degraded: bool = False,
-                 method: str | None = None) -> InductionResult:
-    """Assemble a protocol-shaped result around an already-built schedule.
+def scheduled_region(request: InductionRequest) -> Region:
+    """The region a request's schedule is built on: post-vn when vn is on.
 
-    Used for request-level cache hits and degraded fallbacks, where no
-    induction entry point ran end-to-end to produce the result for us.
+    The driver runs the pre-pass inside the worker; the supervising side
+    needs the same region for a cached reply's baselines and for the
+    portfolio selector's bucket.
     """
     region = request.resolved_region()
-    model = request.resolved_model()
     if request.vn != "off":
-        # The schedule being wrapped was built on the vn-rewritten region;
-        # baselines must measure the same region or a cache hit would
-        # report different serial/lockstep costs than the fresh run did.
-        from repro.core.vn import vn_prepass
-        region, _vnstats = vn_prepass(region, model, request.vn)
+        region, _vnstats = vn_prepass(region, request.resolved_model(),
+                                      request.vn)
+    return region
+
+
+def build_result(request: InductionRequest, schedule: Schedule,
+                 stats: SearchStats | None, wall_s: float) -> InductionResult:
+    """Assemble a protocol-shaped result around a cached schedule.
+
+    Used for request-level cache hits, where no induction ran to produce
+    the result.  Baselines measure the region the schedule was built on,
+    so a hit reports the same serial/lockstep costs as the fresh run did.
+    """
+    model = request.resolved_model()
+    cost = schedule.cost(model)
+    serial_cost, lockstep_cost = baselines(scheduled_region(request), model,
+                                           request.method, cost)
     return InductionResult(
-        method=method or request.method,
+        method=request.method,
         schedule=schedule,
-        cost=schedule.cost(model),
-        serial_cost=serial_schedule(region, model).cost(model),
-        lockstep_cost=lockstep_schedule(region, model).cost(model),
+        cost=cost,
+        serial_cost=serial_cost,
+        lockstep_cost=lockstep_cost,
         stats=stats,
-        cache_hit=cache_hit,
+        cache_hit=True,
         wall_s=wall_s,
-        degraded=degraded,
     )
+
+
+def adopt_reply(cache, fingerprint: str, payload: Mapping[str, Any]) -> bool:
+    """Store a computed reply under its request fingerprint, if faithful.
+
+    A hit is rebuilt from the stored ``(schedule, stats)`` alone, and
+    claims ``stats.optimal`` — or optimal, with no stats.  So a reply is
+    stored only when that claim equals its own: degraded replies,
+    multi-window replies that did not prove every window and unproven
+    portfolio replies are recomputed on repeat instead.  Returns whether
+    the reply was stored.
+    """
+    if cache is None or payload.get("degraded"):
+        return False
+    listed = payload.get("stats") or []
+    stats = SearchStats(**listed[0]) if len(listed) == 1 else None
+    claimed = stats.optimal if stats is not None else True
+    if claimed != bool(payload.get("optimal")):
+        return False
+    cache.put(fingerprint, schedule_from_payload(payload["schedule"]), stats)
+    return True
 
 
 def degraded_result(request: InductionRequest,
@@ -414,9 +451,9 @@ def degraded_result(request: InductionRequest,
     explicit value — including an explicit ``0.0`` — is reported verbatim.
     (A previous ``wall_s or res.wall_s`` treated 0.0 as "not given".)
     """
-    res = _induce_impl(
-        request.resolved_region(), request.resolved_model(), method="greedy",
-        config=request.resolved_config(), vn=request.vn)
+    res = run_induction(
+        request.resolved_region(), request.resolved_model(), "greedy",
+        request.resolved_config(), vn=request.vn)
     return dataclasses.replace(
         res, degraded=True,
         wall_s=wall_s if wall_s is not None else res.wall_s)
@@ -439,7 +476,7 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
         fingerprint = request.fingerprint()
         hit = request.cache.get(fingerprint)
         if hit is not None:
-            return build_result(request, hit[0], hit[1], cache_hit=True,
+            return build_result(request, hit[0], hit[1],
                                 wall_s=time.monotonic() - start)
 
     pool = WorkerPool(workers=1, max_retries=1)
@@ -461,11 +498,9 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
     finally:
         pool.close()
     absorb_obs(payload, tracer=request.tracer)
+    adopt_reply(request.cache, fingerprint, payload)
     result = result_from_payload(payload)
     record_portfolio_outcome(result, request.strategy_store)
-    if request.cache is not None and not result.degraded:
-        stats = result.search_stats[0] if len(result.search_stats) == 1 else None
-        request.cache.put(fingerprint, result.schedule, stats)
     if request.tracer is not None and request.tracer.enabled:
         request.tracer.emit("deadline_run", **result.as_dict())
     return result

@@ -1,16 +1,16 @@
 """Tests for the unified induction facade (`repro.api`)."""
 
-import warnings
+import importlib
 
 import pytest
 
+import repro
 from repro import api
 from repro.core import (
-    InductionResult, ScheduleCache, WindowedResult, induce as core_induce,
-    maspar_cost_model, parse_region, verify_schedule, windowed_induce,
+    InductionResult, PortfolioResult, ScheduleCache, WindowedResult,
+    maspar_cost_model, parse_region, verify_schedule,
 )
 from repro.core.cache import region_fingerprint
-from repro.core.deprecation import reset_warned
 from repro.core.result import result_from_payload, result_to_payload
 from repro.core.search import SearchConfig
 
@@ -168,39 +168,34 @@ class TestResultProtocol:
         payload["degraded"] = True
         assert result_from_payload(payload).optimal is False
 
+    def test_unproven_race_stays_unproven_on_the_wire(self, region):
+        # Anneal wins without proof and without search stats: the rebuilt
+        # result must keep the sender's claim, not re-derive "optimal"
+        # from its (empty) stats.
+        schedule = api.induce(api.InductionRequest(
+            region=REGION, method="greedy")).schedule
+        result = PortfolioResult(
+            method="portfolio", schedule=schedule,
+            cost=schedule.cost(maspar_cost_model()), serial_cost=0.0,
+            lockstep_cost=0.0, winner="anneal", proven=False)
+        assert result.optimal is False
+        back = result_from_payload(result_to_payload(result))
+        assert back.optimal is False
+        assert result_to_payload(back)["optimal"] is False
 
-class TestDeprecatedShims:
-    def test_core_induce_warns_exactly_once(self, region):
-        reset_warned()
-        model = maspar_cost_model()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            core_induce(region, model)
-            core_induce(region, model)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.api" in str(deprecations[0].message)
 
-    def test_windowed_induce_warns_exactly_once(self, region):
-        reset_warned()
-        model = maspar_cost_model()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            windowed_induce(region, model, window_size=2)
-            windowed_induce(region, model, window_size=2)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
+class TestNoShims:
+    """The positional pre-facade entry points are gone, not deprecated."""
 
-    def test_shim_results_match_api(self, region):
-        reset_warned()
-        model = maspar_cost_model()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            old = core_induce(region, model)
-        new = api.induce(api.InductionRequest(region=region, model=model))
-        assert old.cost == new.cost
+    @pytest.mark.parametrize("name", ["induce", "windowed_induce"])
+    def test_positional_entry_points_are_gone(self, name):
+        assert not hasattr(repro.core, name)
+        assert name not in repro.core.__all__
+        assert not hasattr(repro, name)
+
+    def test_deprecation_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.deprecation")
 
 
 def _knob_value(knob):

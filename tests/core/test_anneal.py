@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import api
 from repro.core import (
     anneal_schedule,
     greedy_schedule,
-    induce,
     maspar_cost_model,
     serial_schedule,
     uniform_cost_model,
@@ -87,15 +87,16 @@ class TestAnnealSchedule:
 class TestPipelineIntegration:
     def test_induce_anneal_method(self):
         region = region_for(5)
-        r = induce(region, MASPAR, method="anneal")
+        r = api.induce(api.InductionRequest(region, MASPAR, method="anneal"))
         assert r.method == "anneal"
         assert r.cost <= r.serial_cost
         assert r.stats is None
 
     def test_method_ordering_holds(self):
         region = region_for(6, threads=4, length=(8, 10))
-        costs = {m: induce(region, MASPAR, method=m,
-                           config=SearchConfig(node_budget=50_000)).cost
+        config = SearchConfig(node_budget=50_000)
+        costs = {m: api.induce(api.InductionRequest(
+                     region, MASPAR, method=m, config=config)).cost
                  for m in ("search", "anneal", "serial")}
         assert costs["search"] <= costs["anneal"] + 1e-9 <= costs["serial"] + 1e-9
 
@@ -133,7 +134,8 @@ class TestSeedPlumbing:
     def test_pipeline_anneal_honors_repro_seed_env(self, monkeypatch):
         region = region_for(3)
         monkeypatch.setenv("REPRO_SEED", "31337")
-        result = induce(region, MASPAR, method="anneal")
+        result = api.induce(api.InductionRequest(
+            region, MASPAR, method="anneal"))
         explicit, _ = anneal_schedule(region, MASPAR, seed=31337)
         assert result.schedule == explicit
         assert result.cost == explicit.cost(MASPAR)

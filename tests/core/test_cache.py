@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.core import (
     ScheduleCache,
-    induce,
     maspar_cost_model,
     region_fingerprint,
     schedule_from_payload,
@@ -143,8 +143,8 @@ class TestInduceWiring:
     def test_second_induce_is_a_hit_with_identical_result(self):
         cache = ScheduleCache()
         region = small_region(seed=3)
-        cold = induce(region, UNIT, cache=cache)
-        warm = induce(region, UNIT, cache=cache)
+        cold = api.induce(api.InductionRequest(region, UNIT, cache=cache))
+        warm = api.induce(api.InductionRequest(region, UNIT, cache=cache))
         assert not cold.cache_hit and warm.cache_hit
         assert warm.schedule == cold.schedule
         assert warm.cost == cold.cost
@@ -152,13 +152,15 @@ class TestInduceWiring:
 
     def test_methods_do_not_cross_pollinate(self):
         cache = ScheduleCache()
-        search = induce(REGION, UNIT, method="search", cache=cache)
-        serial = induce(REGION, UNIT, method="serial", cache=cache)
+        search = api.induce(api.InductionRequest(
+            REGION, UNIT, method="search", cache=cache))
+        serial = api.induce(api.InductionRequest(
+            REGION, UNIT, method="serial", cache=cache))
         assert not serial.cache_hit
         assert serial.cost > search.cost
 
     def test_warm_hit_at_least_10x_faster(self):
-        # Acceptance criterion: with a warm cache a second induce() of the
+        # Acceptance criterion: with a warm cache a second induction of the
         # same region returns in O(lookup) — >= 10x faster than the search.
         cache = ScheduleCache()
         region = random_region(
@@ -167,12 +169,14 @@ class TestInduceWiring:
             seed=1)
         config = SearchConfig(node_budget=60_000)
         t0 = perf_counter()
-        cold = induce(region, maspar_cost_model(), config=config, cache=cache)
+        cold = api.induce(api.InductionRequest(
+            region, maspar_cost_model(), config=config, cache=cache))
         cold_wall = perf_counter() - t0
         warm_walls = []
         for _ in range(3):
             t0 = perf_counter()
-            warm = induce(region, maspar_cost_model(), config=config, cache=cache)
+            warm = api.induce(api.InductionRequest(
+                region, maspar_cost_model(), config=config, cache=cache))
             warm_walls.append(perf_counter() - t0)
             assert warm.cache_hit and warm.schedule == cold.schedule
         assert cold_wall / min(warm_walls) >= 10.0, \

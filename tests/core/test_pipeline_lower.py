@@ -1,10 +1,10 @@
-"""Tests for the induce() pipeline and schedule lowering."""
+"""Tests for one-shot ``api.induce`` runs and schedule lowering."""
 
 import pytest
 
+from repro import api
 from repro.core import (
     InductionResult,
-    induce,
     lower_schedule,
     render_simd_code,
     uniform_cost_model,
@@ -32,43 +32,51 @@ thread 1:
 class TestInduce:
     @pytest.mark.parametrize("method", ["search", "greedy", "factor", "lockstep", "serial"])
     def test_all_methods_produce_valid_results(self, method):
-        r = induce(REGION, UNIT, method=method)
+        r = api.induce(api.InductionRequest(REGION, UNIT, method=method))
         assert isinstance(r, InductionResult)
         assert r.cost > 0
         assert r.serial_cost == 6.0
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
-            induce(REGION, UNIT, method="magic")
+            api.induce(api.InductionRequest(REGION, UNIT, method="magic"))
 
     def test_search_cost_ordering(self):
-        costs = {m: induce(REGION, UNIT, method=m).cost
+        costs = {m: api.induce(api.InductionRequest(REGION, UNIT,
+                                                    method=m)).cost
                  for m in ("search", "greedy", "serial")}
         assert costs["search"] <= costs["greedy"] <= costs["serial"]
 
     def test_speedups(self):
-        r = induce(REGION, UNIT, method="search")
+        r = api.induce(api.InductionRequest(REGION, UNIT, method="search"))
         assert r.speedup_vs_serial == pytest.approx(r.serial_cost / r.cost)
         assert r.speedup_vs_lockstep == pytest.approx(r.lockstep_cost / r.cost)
 
     def test_stats_only_for_search(self):
-        assert induce(REGION, UNIT, method="search").stats is not None
-        assert induce(REGION, UNIT, method="greedy").stats is None
+        assert api.induce(api.InductionRequest(
+            REGION, UNIT, method="search")).stats is not None
+        assert api.induce(api.InductionRequest(
+            REGION, UNIT, method="greedy")).stats is None
 
     def test_config_respected(self):
         region = random_region(
             RandomRegionSpec(num_threads=6, min_len=10, max_len=14, overlap=0.5),
             seed=2)
-        r = induce(region, UNIT, method="search", config=SearchConfig(node_budget=10))
+        r = api.induce(api.InductionRequest(
+            region, UNIT, method="search",
+            config=SearchConfig(node_budget=10)))
         assert r.stats.budget_exhausted and not r.stats.optimal
 
     def test_interpreter_region_end_to_end(self):
         region = interpreter_handler_region(("Add", "Sub", "Mul", "Push"))
         model = interpreter_micro_cost_model()
-        search = induce(region, model, method="search",
-                        config=SearchConfig(node_budget=50_000))
-        factor = induce(region, model, method="factor")
-        serial = induce(region, model, method="serial")
+        search = api.induce(api.InductionRequest(
+            region, model, method="search",
+            config=SearchConfig(node_budget=50_000)))
+        factor = api.induce(api.InductionRequest(
+            region, model, method="factor"))
+        serial = api.induce(api.InductionRequest(
+            region, model, method="serial"))
         # CSI must at least rediscover the hand factoring, and beat serial
         # clearly (the §3.1.3.2 "several times slower without factoring").
         assert search.cost <= factor.cost <= serial.cost
@@ -77,12 +85,12 @@ class TestInduce:
 
 class TestBaselineReuse:
     def test_serial_method_reuses_its_own_schedule_as_baseline(self):
-        r = induce(REGION, UNIT, method="serial")
+        r = api.induce(api.InductionRequest(REGION, UNIT, method="serial"))
         assert r.serial_cost == r.cost
         assert r.speedup_vs_serial == pytest.approx(1.0)
 
     def test_lockstep_method_reuses_its_own_schedule_as_baseline(self):
-        r = induce(REGION, UNIT, method="lockstep")
+        r = api.induce(api.InductionRequest(REGION, UNIT, method="lockstep"))
         assert r.lockstep_cost == r.cost
         assert r.speedup_vs_lockstep == pytest.approx(1.0)
 
@@ -102,13 +110,13 @@ class TestBaselineReuse:
         monkeypatch.setattr(pipeline, "serial_schedule", counting_serial)
         monkeypatch.setattr(pipeline, "lockstep_schedule", counting_lockstep)
 
-        induce(REGION, UNIT, method="serial")
+        api.induce(api.InductionRequest(REGION, UNIT, method="serial"))
         assert calls == {"serial": 1, "lockstep": 1}
         calls.update(serial=0, lockstep=0)
-        induce(REGION, UNIT, method="lockstep")
+        api.induce(api.InductionRequest(REGION, UNIT, method="lockstep"))
         assert calls == {"serial": 1, "lockstep": 1}
         calls.update(serial=0, lockstep=0)
-        induce(REGION, UNIT, method="greedy")
+        api.induce(api.InductionRequest(REGION, UNIT, method="greedy"))
         assert calls == {"serial": 1, "lockstep": 1}
 
 
@@ -118,7 +126,7 @@ class TestEmptyRegionSpeedup:
         # empty schedule against an empty baseline is a 1.0x "speedup".
         empty = parse_region("thread 0:\nthread 1:\n")
         for method in ("search", "greedy", "serial", "lockstep"):
-            r = induce(empty, UNIT, method=method)
+            r = api.induce(api.InductionRequest(empty, UNIT, method=method))
             assert r.cost == 0.0 and r.serial_cost == 0.0
             assert r.speedup_vs_serial == 1.0
             assert r.speedup_vs_lockstep == 1.0
@@ -136,7 +144,8 @@ class TestInduceTracing:
     def test_induce_emits_one_event(self):
         from repro.obs import MemoryTracer
         tracer = MemoryTracer()
-        r = induce(REGION, UNIT, method="search", tracer=tracer)
+        r = api.induce(api.InductionRequest(
+            REGION, UNIT, method="search", tracer=tracer))
         (event,) = tracer.of_kind("induce")
         assert event["method"] == "search"
         assert event["cost"] == pytest.approx(r.cost)
@@ -146,20 +155,21 @@ class TestInduceTracing:
 
     def test_no_tracer_means_no_overhead_path(self):
         # Just the API contract: tracer=None is accepted and ignored.
-        r = induce(REGION, UNIT, method="greedy", tracer=None)
+        r = api.induce(api.InductionRequest(
+            REGION, UNIT, method="greedy", tracer=None))
         assert r.cost > 0
 
 
 class TestLowering:
     def test_lowered_code_matches_schedule(self):
-        r = induce(REGION, UNIT, method="search")
+        r = api.induce(api.InductionRequest(REGION, UNIT, method="search"))
         code = lower_schedule(r.schedule, REGION, UNIT)
         assert len(code) == len(r.schedule)
         assert sum(instr.cost for instr in code) == pytest.approx(r.cost)
         assert sum(instr.width for instr in code) == REGION.num_ops
 
     def test_bindings_are_real_operations(self):
-        r = induce(REGION, UNIT, method="greedy")
+        r = api.induce(api.InductionRequest(REGION, UNIT, method="greedy"))
         for instr in lower_schedule(r.schedule, REGION, UNIT):
             for t, op in instr.bindings.items():
                 assert op.thread == t
@@ -171,7 +181,7 @@ class TestLowering:
             MaskedInstruction("ld", frozenset({0, 1}), {0: op}, cost=1.0)
 
     def test_render_shows_masks_and_total(self):
-        r = induce(REGION, UNIT, method="search")
+        r = api.induce(api.InductionRequest(REGION, UNIT, method="search"))
         text = render_simd_code(lower_schedule(r.schedule, REGION, UNIT), REGION.num_threads)
         assert "total cost" in text
         assert "|" in text and ("X." in text or "XX" in text or ".X" in text)
@@ -183,7 +193,7 @@ class TestRandomEndToEnd:
         region = random_region(
             RandomRegionSpec(num_threads=4, min_len=6, max_len=6, overlap=overlap),
             seed=11)
-        r = induce(region, UNIT, method="greedy")
+        r = api.induce(api.InductionRequest(region, UNIT, method="greedy"))
         if overlap == 0.0:
             assert r.speedup_vs_serial == pytest.approx(1.0)
         if overlap == 1.0:

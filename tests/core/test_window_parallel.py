@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro import api
 from repro.core import (
     ScheduleCache,
     maspar_cost_model,
     uniform_cost_model,
     verify_schedule,
-    windowed_induce,
 )
 from repro.core.search import SearchConfig
 from repro.obs import MemoryTracer
@@ -30,9 +30,10 @@ class TestParallelEquivalence:
         # per-window stats preserved.
         region = big_region()
         cfg = SearchConfig(node_budget=3_000)
-        serial = windowed_induce(region, UNIT, window_size=6, config=cfg)
-        parallel = windowed_induce(region, UNIT, window_size=6, config=cfg,
-                                   jobs=4)
+        serial = api.induce(api.InductionRequest(
+            region, UNIT, window=6, config=cfg))
+        parallel = api.induce(api.InductionRequest(
+            region, UNIT, window=6, config=cfg, jobs=4))
         assert parallel.schedule == serial.schedule
         assert parallel.schedule.cost(UNIT) == serial.schedule.cost(UNIT)
         assert parallel.num_windows == serial.num_windows
@@ -49,14 +50,16 @@ class TestParallelEquivalence:
         monkeypatch.setattr(window_mod, "_MIN_PARALLEL_CPUS", 1)
         monkeypatch.setattr(window_mod, "_PARALLEL_MIN_EST_S", 0.0)
         region = big_region(threads=8, length=48)
-        result = windowed_induce(region, UNIT, window_size=8,
-                                 config=SearchConfig(node_budget=2_000), jobs=3)
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=8, config=SearchConfig(node_budget=2_000),
+            jobs=3))
         assert result.jobs_used == 3
 
     def test_small_input_falls_back_to_serial(self):
         region = big_region(threads=2, length=4)
-        result = windowed_induce(region, UNIT, window_size=2,
-                                 config=SearchConfig(node_budget=2_000), jobs=4)
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=2, config=SearchConfig(node_budget=2_000),
+            jobs=4))
         assert result.jobs_used == 1          # below the parallel threshold
         verify_schedule(result.schedule, region, UNIT)
 
@@ -64,24 +67,31 @@ class TestParallelEquivalence:
         # Structurally big enough for the pool, but the first window's
         # measured search time prices the remainder below the pool's
         # startup cost — the adaptive gate must keep the serial loop.
+        # The startup cost is pinned far above any host's estimate (the
+        # sibling test pins it to 0.0 to force the pool), so the premise
+        # does not hang on how fast this host searches a window.
         from repro.core import window as window_mod
         monkeypatch.setattr(window_mod, "_MIN_PARALLEL_CPUS", 1)
+        monkeypatch.setattr(window_mod, "_PARALLEL_MIN_EST_S", 3600.0)
         region = big_region(threads=8, length=48)
-        result = windowed_induce(region, UNIT, window_size=8,
-                                 config=SearchConfig(node_budget=2_000), jobs=3)
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=8, config=SearchConfig(node_budget=2_000),
+            jobs=3))
         assert result.jobs_used == 1
         verify_schedule(result.schedule, region, UNIT)
 
     def test_jobs_zero_means_all_cores(self):
         region = big_region(threads=4, length=24)
-        result = windowed_induce(region, UNIT, window_size=6,
-                                 config=SearchConfig(node_budget=2_000), jobs=0)
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=6, config=SearchConfig(node_budget=2_000),
+            jobs=0))
         assert result.jobs_used >= 1
         verify_schedule(result.schedule, region, UNIT)
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
-            windowed_induce(big_region(), UNIT, jobs=-1)
+            api.induce(api.InductionRequest(
+                big_region(), UNIT, jobs=-1, window=8))
 
 
 class TestWindowedCache:
@@ -89,10 +99,10 @@ class TestWindowedCache:
         cache = ScheduleCache()
         region = big_region(seed=2)
         cfg = SearchConfig(node_budget=2_000)
-        cold = windowed_induce(region, UNIT, window_size=5, config=cfg,
-                               cache=cache)
-        warm = windowed_induce(region, UNIT, window_size=5, config=cfg,
-                               cache=cache)
+        cold = api.induce(api.InductionRequest(
+            region, UNIT, window=5, config=cfg, cache=cache))
+        warm = api.induce(api.InductionRequest(
+            region, UNIT, window=5, config=cfg, cache=cache))
         assert cold.cache_hits == 0
         assert warm.cache_hits == warm.num_windows
         assert warm.schedule == cold.schedule
@@ -107,9 +117,9 @@ class TestWindowedCache:
         seqs = [[spec for _ in range(4) for spec in block] for _ in range(3)]
         region = Region.from_sequences(seqs)
         cache = ScheduleCache()
-        result = windowed_induce(region, UNIT, window_size=3,
-                                 config=SearchConfig(node_budget=2_000),
-                                 cache=cache)
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=3, config=SearchConfig(node_budget=2_000),
+            cache=cache))
         assert result.num_windows == 4
         assert result.cache_hits == 3
         verify_schedule(result.schedule, region, UNIT)
@@ -118,11 +128,12 @@ class TestWindowedCache:
         cache = ScheduleCache()
         region = big_region(seed=5)
         cfg = SearchConfig(node_budget=2_000)
-        plain = windowed_induce(region, UNIT, window_size=6, config=cfg)
-        cached = windowed_induce(region, UNIT, window_size=6, config=cfg,
-                                 jobs=4, cache=cache)
-        again = windowed_induce(region, UNIT, window_size=6, config=cfg,
-                                jobs=4, cache=cache)
+        plain = api.induce(api.InductionRequest(
+            region, UNIT, window=6, config=cfg))
+        cached = api.induce(api.InductionRequest(
+            region, UNIT, window=6, config=cfg, jobs=4, cache=cache))
+        again = api.induce(api.InductionRequest(
+            region, UNIT, window=6, config=cfg, jobs=4, cache=cache))
         assert cached.schedule == plain.schedule
         assert again.schedule == plain.schedule
         assert again.cache_hits == again.num_windows
@@ -131,16 +142,16 @@ class TestWindowedCache:
 class TestBudgetExhaustion:
     def test_all_optimal_false_when_any_window_exhausts(self):
         region = big_region(seed=3, threads=6, length=24)
-        result = windowed_induce(region, UNIT, window_size=12,
-                                 config=SearchConfig(node_budget=30))
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=12, config=SearchConfig(node_budget=30)))
         assert any(s.budget_exhausted for s in result.stats)
         assert not result.all_optimal
         verify_schedule(result.schedule, region, UNIT)
 
     def test_all_optimal_true_when_no_window_exhausts(self):
         region = big_region(seed=0, threads=3, length=8)
-        result = windowed_induce(region, UNIT, window_size=2,
-                                 config=SearchConfig(node_budget=100_000))
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=2, config=SearchConfig(node_budget=100_000)))
         assert result.all_optimal
         assert not any(s.budget_exhausted for s in result.stats)
 
@@ -149,9 +160,9 @@ class TestWindowTracing:
     def test_one_event_per_window_plus_aggregate(self):
         tracer = MemoryTracer()
         region = big_region(seed=1, threads=4, length=20)
-        result = windowed_induce(region, UNIT, window_size=5,
-                                 config=SearchConfig(node_budget=2_000),
-                                 tracer=tracer)
+        result = api.induce(api.InductionRequest(
+            region, UNIT, window=5, config=SearchConfig(node_budget=2_000),
+            tracer=tracer))
         window_events = tracer.of_kind("window")
         assert len(window_events) == result.num_windows
         assert [e["index"] for e in window_events] == list(range(result.num_windows))
@@ -166,9 +177,11 @@ class TestWindowTracing:
         cache = ScheduleCache()
         region = big_region(seed=1, threads=4, length=10)
         cfg = SearchConfig(node_budget=2_000)
-        windowed_induce(region, maspar_cost_model(), window_size=5, config=cfg,
-                        cache=cache, tracer=tracer)
-        windowed_induce(region, maspar_cost_model(), window_size=5, config=cfg,
-                        cache=cache, tracer=tracer)
+        api.induce(api.InductionRequest(
+            region, maspar_cost_model(), window=5, config=cfg, cache=cache,
+            tracer=tracer))
+        api.induce(api.InductionRequest(
+            region, maspar_cost_model(), window=5, config=cfg, cache=cache,
+            tracer=tracer))
         dispositions = [e["cache"] for e in tracer.of_kind("window")]
         assert dispositions == ["miss", "miss", "hit", "hit"]

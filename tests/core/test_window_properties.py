@@ -4,11 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.core import (
     maspar_cost_model,
     serial_schedule,
     verify_schedule,
-    windowed_induce,
 )
 from repro.core.search import SearchConfig
 from repro.workloads import RandomRegionSpec, random_region
@@ -31,8 +31,8 @@ def test_windowed_always_valid_and_bounded(seed, threads, length, window):
                          max_len=length, vocab_size=6, overlap=0.5,
                          private_vocab=False),
         seed=seed)
-    result = windowed_induce(region, MODEL, window_size=window,
-                             config=SearchConfig(node_budget=1_500))
+    result = api.induce(api.InductionRequest(
+        region, MODEL, window=window, config=SearchConfig(node_budget=1_500)))
     verify_schedule(result.schedule, region, MODEL)
     serial_cost = serial_schedule(region, MODEL).cost(MODEL)
     cost = result.schedule.cost(MODEL)
@@ -50,8 +50,8 @@ def test_window_stats_consistent(seed, window):
         RandomRegionSpec(num_threads=3, min_len=6, max_len=12,
                          vocab_size=5, overlap=0.6, private_vocab=False),
         seed=seed)
-    result = windowed_induce(region, MODEL, window_size=window,
-                             config=SearchConfig(node_budget=1_500))
+    result = api.induce(api.InductionRequest(
+        region, MODEL, window=window, config=SearchConfig(node_budget=1_500)))
     longest = max(len(tc) for tc in region.threads)
     expected_windows = -(-longest // window)  # ceil
     assert result.num_windows == expected_windows

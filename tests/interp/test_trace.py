@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import induce
+from repro import api
 from repro.interp.trace import (
     interp_cost_model,
     region_from_traces,
@@ -70,7 +70,8 @@ class TestRegionFromTraces:
         ]
         region = region_from_traces(streams)
         model = interp_cost_model()
-        result = induce(region, model, method="search")
+        result = api.induce(api.InductionRequest(
+            region, model, method="search"))
         # Everything except Mul/Add merges: 6 slots for 10 ops.
         assert len(result.schedule) == 6
         assert result.speedup_vs_serial > 1.5
@@ -91,10 +92,10 @@ class TestInduceTraces:
         induction = induce_traces(bundle, window_size=8)
         assert induction.bundle is bundle
         assert induction.result.num_windows >= 1
-        assert induction.induced_cost == pytest.approx(
+        assert induction.result.cost == pytest.approx(
             induction.result.schedule.cost(interp_cost_model()))
-        assert induction.speedup_vs_serial >= 1.0 - 1e-9
-        assert induction.speedup_vs_lockstep >= 1.0 - 1e-9
+        assert induction.result.speedup_vs_serial >= 1.0 - 1e-9
+        assert induction.result.speedup_vs_lockstep >= 1.0 - 1e-9
 
     def test_cache_reused_across_bundles(self):
         from repro.core import ScheduleCache
@@ -105,4 +106,4 @@ class TestInduceTraces:
         cold = induce_traces(bundle, window_size=8, cache=cache)
         warm = induce_traces(bundle, window_size=8, cache=cache)
         assert warm.result.cache_hits == warm.result.num_windows
-        assert warm.induced_cost == pytest.approx(cold.induced_cost)
+        assert warm.result.cost == pytest.approx(cold.result.cost)

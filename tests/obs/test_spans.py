@@ -4,8 +4,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro import api
 from repro.core import maspar_cost_model, parse_region
-from repro.core.window import _windowed_induce_impl
 from repro.obs import (
     MemoryTracer,
     NULL_TRACER,
@@ -136,8 +136,8 @@ class TestCrossProcess:
             for t in range(2))
         region = parse_region(body)
         tracer = MemoryTracer()
-        result = _windowed_induce_impl(region, maspar_cost_model(),
-                                       window_size=4, jobs=2, tracer=tracer)
+        result = api.induce(api.InductionRequest(
+            region, maspar_cost_model(), window=4, jobs=2, tracer=tracer))
         spans = [e for e in tracer.events if e["kind"] == "span"]
         assert len({e["trace"] for e in spans}) == 1
         (root,) = (e for e in spans if e["name"] == "windowed_induce")

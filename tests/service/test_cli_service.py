@@ -7,7 +7,7 @@ exercised by the CI smoke job); the CLI talks to it over the real socket.
 import pytest
 
 from repro.cli import main
-from repro.service import InductionServer, ServerConfig
+from repro.service import Endpoint, InductionServer, ServerConfig
 
 REGION = """
 thread 0:
@@ -29,14 +29,14 @@ def region_file(tmp_path):
 @pytest.fixture
 def server(tmp_path):
     server = InductionServer(ServerConfig(
-        address=str(tmp_path / "svc.sock"), workers=1))
+        endpoint=Endpoint.unix(str(tmp_path / "svc.sock")), workers=1))
     yield server
     if not server.wait_stopped(0.0):
         server.shutdown()
 
 
 def test_submit_repeat_and_summary(server, region_file, capsys):
-    assert main(["submit", region_file, "--socket", server.address,
+    assert main(["submit", region_file, "--socket", server.endpoint.path,
                  "--repeat", "3", "--concurrency", "3",
                  "--budget", "10000"]) == 0
     out = capsys.readouterr().out
@@ -46,34 +46,34 @@ def test_submit_repeat_and_summary(server, region_file, capsys):
 
 
 def test_submit_windowed_flags_match_induce(server, region_file, capsys):
-    assert main(["submit", region_file, "--socket", server.address,
+    assert main(["submit", region_file, "--socket", server.endpoint.path,
                  "--window", "1", "--jobs", "2", "--budget", "10000"]) == 0
     assert "1 ok" in capsys.readouterr().out
 
 
 def test_submit_rejects_window_with_greedy(server, region_file):
     with pytest.raises(SystemExit):
-        main(["submit", region_file, "--socket", server.address,
+        main(["submit", region_file, "--socket", server.endpoint.path,
               "--window", "2", "--method", "greedy"])
 
 
 def test_serve_status_prints_metrics(server, region_file, capsys):
-    main(["submit", region_file, "--socket", server.address,
+    main(["submit", region_file, "--socket", server.endpoint.path,
           "--budget", "10000"])
-    assert main(["serve", "--socket", server.address, "--status"]) == 0
+    assert main(["serve", "--socket", server.endpoint.path, "--status"]) == 0
     out = capsys.readouterr().out
     assert "requests" in out and "workers" in out
 
 
 def test_serve_stop_drains(server, capsys):
-    assert main(["serve", "--socket", server.address, "--stop"]) == 0
+    assert main(["serve", "--socket", server.endpoint.path, "--stop"]) == 0
     assert "drained and stopped" in capsys.readouterr().out
     assert server.wait_stopped(5.0)
 
 
 def test_submit_trace_writes_events(server, region_file, tmp_path, capsys):
     trace = str(tmp_path / "trace.jsonl")
-    assert main(["submit", region_file, "--socket", server.address,
+    assert main(["submit", region_file, "--socket", server.endpoint.path,
                  "--budget", "10000", "--trace", trace]) == 0
     import json
     events = [json.loads(line) for line in open(trace)]
@@ -87,17 +87,17 @@ def test_submit_trace_writes_events(server, region_file, tmp_path, capsys):
 
 
 def test_slo_command_table_and_json(server, region_file, capsys):
-    main(["submit", region_file, "--socket", server.address,
+    main(["submit", region_file, "--socket", server.endpoint.path,
           "--budget", "5000"])
     capsys.readouterr()
-    assert main(["slo", "--socket", server.address]) == 0
+    assert main(["slo", "--socket", server.endpoint.path]) == 0
     out = capsys.readouterr().out
     assert "SLO HEALTHY" in out
     assert "| latency" in out and "| errors" in out
     assert "60s" in out and "600s" in out
 
     import json
-    assert main(["slo", "--json", "--socket", server.address]) == 0
+    assert main(["slo", "--json", "--socket", server.endpoint.path]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["healthy"] is True
     assert data["requests_total"] == 1
@@ -105,26 +105,27 @@ def test_slo_command_table_and_json(server, region_file, capsys):
 
 def test_flightrec_command_empty_and_captured(region_file, tmp_path, capsys):
     from repro.obs import FlightConfig, FlightRecorder
-    from repro.service import InductionServer, ServerConfig
+    from repro.service import Endpoint, InductionServer, ServerConfig
 
     server = InductionServer(
-        ServerConfig(address=str(tmp_path / "rec.sock"), workers=1),
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "rec.sock")),
+                     workers=1),
         flightrec=FlightRecorder(FlightConfig(capture_all=True)))
     try:
         # Nothing considered yet: empty snapshot exits 1.
-        assert main(["flightrec", "--socket", server.address]) == 1
+        assert main(["flightrec", "--socket", server.endpoint.path]) == 1
         assert "0 matching" in capsys.readouterr().out
-        main(["submit", region_file, "--socket", server.address,
+        main(["submit", region_file, "--socket", server.endpoint.path,
               "--budget", "5000"])
         capsys.readouterr()
-        assert main(["flightrec", "--socket", server.address]) == 0
+        assert main(["flightrec", "--socket", server.endpoint.path]) == 0
         out = capsys.readouterr().out
         assert "1 captured" in out
         assert "replay of digest #1" in out
         assert "service.request" in out     # replayed span tree
         import json
         assert main(["flightrec", "--json",
-                     "--socket", server.address]) == 0
+                     "--socket", server.endpoint.path]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["captured"] == 1
         assert data["digests"][0]["outcome"] == "ok"

@@ -69,12 +69,13 @@ class FakeServer:
 
 class TestConnectFailures:
     def test_nothing_listening(self, tmp_path, request_):
-        client = ServiceClient(str(tmp_path / "absent.sock"))
+        client = ServiceClient(Endpoint.unix(str(tmp_path / "absent.sock")))
         with pytest.raises(ServiceError, match="unreachable"):
             client.submit(request_)
 
     def test_ping_false_when_absent(self, tmp_path):
-        assert not ServiceClient(str(tmp_path / "absent.sock")).ping()
+        absent = Endpoint.unix(str(tmp_path / "absent.sock"))
+        assert not ServiceClient(absent).ping()
 
     def test_connect_timeout(self, request_):
         # A listener whose accept backlog is already full drops further
@@ -87,7 +88,7 @@ class TestConnectFailures:
         filler.settimeout(1.0)
         filler.connect((host, port))  # occupies the single backlog slot
         try:
-            client = ServiceClient(f"{host}:{port}", timeout=0.2)
+            client = ServiceClient(Endpoint.tcp(host, port), timeout=0.2)
             with pytest.raises(ServiceError, match="unreachable"):
                 client.submit(request_)
         finally:
@@ -102,7 +103,7 @@ class TestBrokenReplies:
 
         fake = FakeServer(tmp_path, handler)
         try:
-            client = ServiceClient(fake.path, timeout=2.0)
+            client = ServiceClient(Endpoint.unix(fake.path), timeout=2.0)
             with pytest.raises(ServiceError, match="closed the connection"):
                 client.submit(request_)
         finally:
@@ -116,7 +117,7 @@ class TestBrokenReplies:
 
         fake = FakeServer(tmp_path, handler)
         try:
-            client = ServiceClient(fake.path, timeout=2.0)
+            client = ServiceClient(Endpoint.unix(fake.path), timeout=2.0)
             with pytest.raises(ServiceError, match="mid-frame"):
                 client.submit(request_)
         finally:
@@ -130,7 +131,7 @@ class TestBrokenReplies:
 
         fake = FakeServer(tmp_path, handler)
         try:
-            client = ServiceClient(fake.path, timeout=2.0)
+            client = ServiceClient(Endpoint.unix(fake.path), timeout=2.0)
             with pytest.raises(ServiceError, match="bad frame"):
                 client.submit(request_)
         finally:
@@ -146,7 +147,7 @@ class TestBrokenReplies:
 
         fake = FakeServer(tmp_path, handler)
         try:
-            client = ServiceClient(fake.path, timeout=0.2)
+            client = ServiceClient(Endpoint.unix(fake.path), timeout=0.2)
             with pytest.raises(ServiceError, match="unreachable"):
                 client.submit(request_)
         finally:
@@ -155,10 +156,10 @@ class TestBrokenReplies:
 
 class TestReconnect:
     def test_client_survives_server_restart(self, tmp_path, request_):
-        address = str(tmp_path / "svc.sock")
-        client = ServiceClient(address, timeout=10.0)
+        endpoint = Endpoint.unix(str(tmp_path / "svc.sock"))
+        client = ServiceClient(endpoint, timeout=10.0)
 
-        server = InductionServer(ServerConfig(address=address, workers=1))
+        server = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
         try:
             first = client.submit(request_)
         finally:
@@ -169,7 +170,7 @@ class TestReconnect:
             client.submit(request_)
 
         # ...and works again, unchanged, once a new server binds the address.
-        server = InductionServer(ServerConfig(address=address, workers=1))
+        server = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
         try:
             second = client.submit(request_)
         finally:
@@ -257,7 +258,7 @@ class TestKeepAlive:
 
         fake = FakeServer(tmp_path, handler)
         try:
-            client = ServiceClient(fake.path, timeout=2.0)
+            client = ServiceClient(Endpoint.unix(fake.path), timeout=2.0)
             with pytest.raises(ServiceError):
                 client.submit(request_)
             assert client.ping() and client.ping()
@@ -280,7 +281,7 @@ class TestKeepAlive:
 
         fake = FakeServer(tmp_path, handler)
         try:
-            client = ServiceClient(fake.path, timeout=2.0)
+            client = ServiceClient(Endpoint.unix(fake.path), timeout=2.0)
             assert client.ping()
             with pytest.raises(ServiceError, match="closed the connection"):
                 client.submit(request_)

@@ -1,22 +1,20 @@
-"""Tests for typed service addresses and their deprecation shims.
+"""Tests for typed service addresses.
 
-:class:`Endpoint` is the single connection-config type; the old bare
-string forms must keep working through :meth:`coerce` with exactly one
-:class:`DeprecationWarning` per call site, and the CLI-facing
-:meth:`parse_lenient` must accept both bare forms silently.
+:class:`Endpoint` is the single connection-config type.  Library
+signatures take an :class:`Endpoint` or its URL string and reject the bare
+string forms with a :class:`ValueError` naming the URL forms; only the
+CLI-facing :meth:`parse_lenient` accepts the bare forms, silently.
 """
 
 import warnings
 
 import pytest
 
-from repro.core.deprecation import reset_warned
-from repro.service import Endpoint, InductionServer, ServerConfig
+from repro import api
+from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster.membership import Membership
+from repro.service import Endpoint, InductionServer, ServerConfig, protocol
 from repro.service.client import ServiceClient
-
-
-def deprecations(recorded):
-    return [w for w in recorded if issubclass(w.category, DeprecationWarning)]
 
 
 class TestParse:
@@ -75,77 +73,82 @@ class TestParseLenient:
             Endpoint.unix("/tmp/x.sock")
 
     def test_no_warning_is_emitted(self):
-        reset_warned()
         with warnings.catch_warnings(record=True) as recorded:
             warnings.simplefilter("always")
             Endpoint.parse_lenient("/tmp/bare.sock")
-        assert not deprecations(recorded)
+        assert not recorded
 
     def test_empty_is_rejected(self):
         with pytest.raises(ValueError):
             Endpoint.parse_lenient("  ")
 
+    def test_bare_port_defaults_to_loopback(self):
+        assert Endpoint.parse_lenient(":0") == Endpoint.tcp("127.0.0.1", 0)
 
-class TestCoerceShim:
-    def test_bare_string_warns_once_per_site(self):
-        reset_warned()
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            Endpoint.coerce("/tmp/bare.sock", where="test_site(a=...)")
-            Endpoint.coerce("/tmp/bare.sock", where="test_site(a=...)")
-        warned = deprecations(recorded)
-        assert len(warned) == 1
-        assert "test_site(a=...)" in str(warned[0].message)
+    def test_bad_port_rejected(self):
+        with pytest.raises(ValueError):
+            Endpoint.parse_lenient("host:abc")
 
-    def test_distinct_sites_each_warn(self):
-        reset_warned()
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            Endpoint.coerce("/tmp/bare.sock", where="site_one(...)")
-            Endpoint.coerce("/tmp/bare.sock", where="site_two(...)")
-        assert len(deprecations(recorded)) == 2
 
-    def test_endpoint_and_url_strings_never_warn(self):
-        reset_warned()
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            Endpoint.coerce(Endpoint.unix("/tmp/x.sock"), where="s(...)")
-            Endpoint.coerce("unix:///tmp/x.sock", where="s(...)")
-            Endpoint.coerce("tcp://h:1", where="s(...)")
-        assert not deprecations(recorded)
+class TestBareStringsRejected:
+    """Library signatures parse strictly: a bare string is an error."""
 
-    def test_serviceclient_bare_address_shim(self):
-        reset_warned()
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            client = ServiceClient("/tmp/bare.sock")
-        assert client.endpoint == Endpoint.unix("/tmp/bare.sock")
-        warned = deprecations(recorded)
-        assert len(warned) == 1
-        assert "ServiceClient" in str(warned[0].message)
+    def test_serviceclient_rejects_bare_address(self):
+        with pytest.raises(ValueError, match="unix:///path"):
+            ServiceClient("/tmp/bare.sock")
 
-    def test_serverconfig_address_shim(self):
-        reset_warned()
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            config = ServerConfig(address="/tmp/bare.sock")
-        assert config.endpoint == Endpoint.unix("/tmp/bare.sock")
-        assert len(deprecations(recorded)) == 1
+    def test_serverconfig_rejects_bare_endpoint(self):
+        with pytest.raises(ValueError, match="tcp://host:port"):
+            ServerConfig(endpoint="localhost:7777")
 
-    def test_serverconfig_rejects_both_forms_at_once(self):
-        with pytest.raises(ValueError, match="not both"):
-            ServerConfig(endpoint=Endpoint.unix("/tmp/a.sock"),
-                         address="/tmp/b.sock")
+    def test_serverconfig_has_no_address(self):
+        with pytest.raises(TypeError):
+            ServerConfig(address="/tmp/bare.sock")
+        config = ServerConfig(endpoint="unix:///tmp/x.sock")
+        assert config.endpoint == Endpoint.unix("/tmp/x.sock")
+        assert not hasattr(config, "address")
+
+    def test_cluster_and_api_signatures_reject_bare_strings(self):
+        with pytest.raises(ValueError, match="unix:///path"):
+            ClusterConfig(endpoints=("/tmp/a.sock",))
+        with pytest.raises(ValueError, match="unix:///path"):
+            Membership(["/tmp/a.sock"])
+        with pytest.raises(ValueError, match="unix:///path"):
+            ClusterRouter("/tmp/router.sock", ClusterConfig(
+                endpoints=(Endpoint.unix("/tmp/a.sock"),)),
+                start_probes=False)
+        with pytest.raises(ValueError, match="unix:///path"):
+            api.induce(api.InductionRequest(region="thread 0:\n a = ld x\n"),
+                       client="/tmp/bare.sock")
+        with pytest.raises(protocol.ProtocolError, match="unix:///path"):
+            protocol.connect("/tmp/bare.sock")
+
+    def test_url_strings_accepted(self):
+        assert ServiceClient("unix:///tmp/x.sock").endpoint == \
+            Endpoint.unix("/tmp/x.sock")
+        assert ClusterConfig(endpoints=("tcp://h:1",)).endpoints == \
+            (Endpoint.tcp("h", 1),)
+
+    def test_no_bare_form_accessors(self):
+        assert not hasattr(Endpoint, "coerce")
+        assert not hasattr(Endpoint.unix("/tmp/x.sock"), "legacy")
+        for cls in (ServiceClient, InductionServer, ClusterRouter):
+            assert not hasattr(cls, "address"), cls
+        assert not hasattr(protocol, "parse_address")
 
 
 class TestRendering:
     def test_legacy_forms(self):
-        assert Endpoint.unix("/tmp/x.sock").legacy == "/tmp/x.sock"
-        assert Endpoint.tcp("h", 9).legacy == "h:9"
+        # The bare forms the CLI still accepts map onto the URL forms.
+        assert str(Endpoint.parse_lenient("/tmp/x.sock")) == \
+            "unix:///tmp/x.sock"
+        assert str(Endpoint.parse_lenient("h:9")) == "tcp://h:9"
 
     def test_label_is_metrics_safe(self):
         label = Endpoint.unix("/tmp/x-y.sock").label
         assert label == "tmp_x_y_sock"
+        assert Endpoint.parse("unix:///tmp/clu/n0.sock").label == \
+            "tmp_clu_n0_sock"
         assert all(c.isalnum() or c == "_" for c in label)
         assert Endpoint.tcp("127.0.0.1", 80).label == "127_0_0_1_80"
 

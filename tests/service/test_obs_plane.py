@@ -15,7 +15,7 @@ from repro.obs import (
     build_traces,
 )
 from repro.service import (
-    InductionServer, ServerConfig, ServiceClient, protocol,
+    Endpoint, InductionServer, ServerConfig, ServiceClient, protocol,
 )
 
 REGION = """
@@ -31,7 +31,8 @@ thread 1:
 
 
 def make_server(tmp_path, **overrides):
-    defaults = dict(address=str(tmp_path / "svc.sock"), workers=1,
+    defaults = dict(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                    workers=1,
                     backoff_s=0.01, allow_chaos=True)
     defaults.update(overrides)
     return InductionServer(ServerConfig(**defaults))
@@ -49,7 +50,7 @@ class TestReplyObs:
         try:
             tracer = MemoryTracer()
             request_.tracer = tracer
-            with ServiceClient(server.address) as client:
+            with ServiceClient(server.endpoint) as client:
                 client.submit(request_)
         finally:
             server.shutdown()
@@ -66,7 +67,7 @@ class TestReplyObs:
         try:
             wire = protocol.request_to_wire(request_)
             assert "trace_ctx" not in wire
-            with protocol.connect(server.address, timeout=10.0) as sock:
+            with protocol.connect(server.endpoint, timeout=10.0) as sock:
                 protocol.send_message(sock, wire)
                 reply = protocol.recv_message(sock)
             assert reply["status"] == "ok"
@@ -80,7 +81,7 @@ class TestReplyObs:
         try:
             wire = protocol.request_to_wire(request_)
             wire["trace_ctx"] = {"trace": "ab" * 16, "span": "12" * 8}
-            with protocol.connect(server.address, timeout=10.0) as sock:
+            with protocol.connect(server.endpoint, timeout=10.0) as sock:
                 protocol.send_message(sock, wire)
                 reply = protocol.recv_message(sock)
             spans = reply["result"]["obs"]["spans"]
@@ -96,7 +97,7 @@ class TestSLOPlane:
     def test_stats_carry_slo_gauges(self, tmp_path, request_):
         server = make_server(tmp_path)
         try:
-            with ServiceClient(server.address) as client:
+            with ServiceClient(server.endpoint) as client:
                 client.submit(request_)
                 stats = client.stats()
         finally:
@@ -110,10 +111,11 @@ class TestSLOPlane:
                                                           request_):
         slo = SLOTracker(SLOConfig(latency_threshold_s=1e-6))
         server = InductionServer(
-            ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+            ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                         workers=1),
             slo=slo)
         try:
-            with ServiceClient(server.address) as client:
+            with ServiceClient(server.endpoint) as client:
                 client.submit(request_)
                 status = client.slo()
         finally:
@@ -131,7 +133,7 @@ class TestFlightRecorderPlane:
                                                           request_):
         server = make_server(tmp_path)
         try:
-            with ServiceClient(server.address) as client:
+            with ServiceClient(server.endpoint) as client:
                 client.submit(request_)
                 snap = client.flightrec()
         finally:
@@ -144,7 +146,7 @@ class TestFlightRecorderPlane:
                                                      request_):
         server = make_server(tmp_path, max_retries=1)
         try:
-            with ServiceClient(server.address) as client:
+            with ServiceClient(server.endpoint) as client:
                 result = client.submit(request_,
                                        chaos={"crash_attempts": 5})
                 assert result.degraded
@@ -163,10 +165,11 @@ class TestFlightRecorderPlane:
     def test_capture_all_server_records_phases(self, tmp_path, request_):
         flightrec = FlightRecorder(FlightConfig(capture_all=True))
         server = InductionServer(
-            ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+            ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                         workers=1),
             flightrec=flightrec)
         try:
-            with ServiceClient(server.address) as client:
+            with ServiceClient(server.endpoint) as client:
                 client.submit(request_)
                 snap = client.flightrec(last=5)
         finally:
@@ -178,7 +181,7 @@ class TestFlightRecorderPlane:
     def test_flightrec_op_rejects_bad_last(self, tmp_path, request_):
         server = make_server(tmp_path)
         try:
-            with protocol.connect(server.address, timeout=10.0) as sock:
+            with protocol.connect(server.endpoint, timeout=10.0) as sock:
                 protocol.send_message(sock, {"op": "flightrec",
                                              "last": "many"})
                 reply = protocol.recv_message(sock)

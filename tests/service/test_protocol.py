@@ -10,6 +10,7 @@ from repro.api import InductionRequest
 from repro.core.costmodel import CostModel, maspar_cost_model
 from repro.core.search import SearchConfig
 from repro.service import protocol
+from repro.service.endpoint import Endpoint
 
 REGION = """
 thread 0:
@@ -119,23 +120,24 @@ class TestFraming:
 
 
 class TestAddresses:
+    """Bare address forms (CLI flags) map onto what :func:`connect` takes."""
+
     def test_path_is_unix(self):
-        assert protocol.parse_address("/tmp/x.sock") == ("unix", "/tmp/x.sock")
+        endpoint = Endpoint.parse_lenient("/tmp/x.sock")
+        assert (endpoint.scheme, endpoint.path) == ("unix", "/tmp/x.sock")
+        assert Endpoint.parse(str(endpoint)) == endpoint
 
     def test_host_port_is_tcp(self):
-        assert protocol.parse_address("127.0.0.1:9999") == \
+        endpoint = Endpoint.parse_lenient("127.0.0.1:9999")
+        assert (endpoint.scheme, (endpoint.host, endpoint.port)) == \
             ("tcp", ("127.0.0.1", 9999))
-
-    def test_bare_port_defaults_to_loopback(self):
-        assert protocol.parse_address(":0") == ("tcp", ("127.0.0.1", 0))
-
-    def test_bad_port_rejected(self):
-        with pytest.raises(protocol.ProtocolError):
-            protocol.parse_address("host:abc")
+        assert Endpoint.parse(str(endpoint)) == endpoint
 
     def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            Endpoint.parse_lenient("")
         with pytest.raises(protocol.ProtocolError):
-            protocol.parse_address("")
+            protocol.connect("")
 
 
 class TestModelPayload:

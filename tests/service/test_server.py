@@ -14,7 +14,7 @@ import pytest
 from repro.api import InductionRequest
 from repro.core import maspar_cost_model, parse_region, verify_schedule
 from repro.service import (
-    InductionServer, ServerConfig, ServiceBusy, ServiceClient,
+    Endpoint, InductionServer, ServerConfig, ServiceBusy, ServiceClient,
 )
 
 REGION = """
@@ -29,7 +29,8 @@ thread 1:
 """
 
 def make_server(tmp_path, **overrides):
-    defaults = dict(address=str(tmp_path / "svc.sock"), workers=1,
+    defaults = dict(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                    workers=1,
                     queue_size=8, batch_max=4,
                     backoff_s=0.01, allow_chaos=True)
     defaults.update(overrides)
@@ -44,7 +45,7 @@ def request_():
 def test_submit_returns_verified_schedule(tmp_path, request_):
     server = make_server(tmp_path)
     try:
-        with ServiceClient(server.address) as client:
+        with ServiceClient(server.endpoint) as client:
             result = client.submit(request_)
         assert not result.degraded
         assert result.cost > 0
@@ -57,7 +58,7 @@ def test_submit_returns_verified_schedule(tmp_path, request_):
 def test_ping_and_stats(tmp_path, request_):
     server = make_server(tmp_path)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         assert client.ping()
         client.submit(request_)
         stats = client.stats()
@@ -71,7 +72,7 @@ def test_ping_and_stats(tmp_path, request_):
 def test_concurrent_duplicates_are_deduplicated(tmp_path, request_):
     server = make_server(tmp_path, workers=2)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         results = [None] * 6
         # A stalled first submit holds the group in-flight so the
         # duplicates have something to join.
@@ -97,7 +98,7 @@ def test_concurrent_duplicates_are_deduplicated(tmp_path, request_):
 def test_killed_worker_is_retried_and_completes(tmp_path, request_):
     server = make_server(tmp_path, max_retries=2)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         result = client.submit(request_, chaos={"crash_attempts": 1})
         assert not result.degraded
         assert result.cost > 0
@@ -114,7 +115,7 @@ def test_killed_worker_is_retried_and_completes(tmp_path, request_):
 def test_retries_exhausted_degrades_not_errors(tmp_path, request_):
     server = make_server(tmp_path, max_retries=1)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         result = client.submit(request_, chaos={"crash_attempts": 5})
         assert result.degraded
         assert result.optimal is False
@@ -128,7 +129,7 @@ def test_retries_exhausted_degrades_not_errors(tmp_path, request_):
 def test_deadline_expiry_degrades_to_verified_greedy(tmp_path, request_):
     server = make_server(tmp_path)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         start = time.monotonic()
         result = client.submit(request_.replace(deadline_s=0.2),
                                chaos={"sleep_s": 5.0})
@@ -145,7 +146,7 @@ def test_deadline_expiry_degrades_to_verified_greedy(tmp_path, request_):
 def test_queue_overflow_sheds_with_busy(tmp_path, request_):
     server = make_server(tmp_path, workers=1, queue_size=1, batch_max=1)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         background = []
         # Occupy the single worker, then the batcher, then the queue —
         # each with a distinct fingerprint so nothing deduplicates.
@@ -170,7 +171,7 @@ def test_queue_overflow_sheds_with_busy(tmp_path, request_):
 
 def test_shutdown_drains_in_flight(tmp_path, request_):
     server = make_server(tmp_path)
-    client = ServiceClient(server.address)
+    client = ServiceClient(server.endpoint)
     box = {}
 
     def go():
@@ -188,8 +189,7 @@ def test_shutdown_drains_in_flight(tmp_path, request_):
 
 def test_requests_after_shutdown_get_busy(tmp_path, request_):
     server = make_server(tmp_path)
-    address = server.address
-    client = ServiceClient(address)
+    client = ServiceClient(server.endpoint)
     # TCP keeps the port logic exercised too, but unix is the default here:
     # after shutdown the socket file is unlinked, so the client sees
     # "unreachable" rather than busy; test the stopping window instead.
@@ -200,10 +200,10 @@ def test_requests_after_shutdown_get_busy(tmp_path, request_):
 
 
 def test_tcp_transport(tmp_path, request_):
-    server = make_server(tmp_path, address="127.0.0.1:0")
+    server = make_server(tmp_path, endpoint=Endpoint.tcp("127.0.0.1", 0))
     try:
-        assert ":" in server.address
-        with ServiceClient(server.address) as client:
+        assert server.endpoint.scheme == "tcp" and server.endpoint.port
+        with ServiceClient(server.endpoint) as client:
             result = client.submit(request_)
         assert result.cost > 0
     finally:
@@ -214,7 +214,7 @@ def test_windowed_request_over_service(tmp_path):
     server = make_server(tmp_path)
     try:
         request = InductionRequest(region=REGION, window=2, budget=10_000)
-        with ServiceClient(server.address) as client:
+        with ServiceClient(server.endpoint) as client:
             result = client.submit(request)
         assert not result.degraded
         verify_schedule(result.schedule, parse_region(REGION),
@@ -226,11 +226,12 @@ def test_windowed_request_over_service(tmp_path):
 def test_cache_hit_disposition(tmp_path, request_):
     from repro.core import ScheduleCache
 
-    config = ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
+    config = ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                          workers=1,
                           allow_chaos=True)
     server = InductionServer(config, cache=ScheduleCache())
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         first = client.submit(request_)
         second = client.submit(request_)
         assert first.extras["disposition"] == "miss"
@@ -242,15 +243,83 @@ def test_cache_hit_disposition(tmp_path, request_):
         server.shutdown()
 
 
+def test_cache_stores_only_replies_a_hit_can_claim(tmp_path):
+    # Window 2 exhausts its budget, so the reply is unproven; a hit
+    # rebuilt from a stats-less entry would read optimal.  Such a reply
+    # is recomputed on repeat instead of cached.
+    pytest.importorskip("numpy")
+    from repro.core import ScheduleCache
+    from repro.workloads.threads import RandomRegionSpec, random_region
+
+    region = random_region(
+        RandomRegionSpec(num_threads=4, min_len=12, max_len=12), seed=3)
+    request = InductionRequest(region=region, window=6, budget=50)
+    server = InductionServer(
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
+        cache=ScheduleCache())
+    try:
+        client = ServiceClient(server.endpoint)
+        cold = client.submit(request)
+        again = client.submit(request)
+    finally:
+        server.shutdown()
+    assert not cold.optimal
+    assert not again.optimal and not again.cache_hit
+
+
+VN_PORTFOLIO_REGION = """
+thread 0:
+    a = ld x
+    b = mul a #2
+    c = mul b #4
+thread 1:
+    d = ld y
+    e = shl d #1
+    f = shl e #2
+"""
+
+
+def test_served_portfolio_ranks_the_bucket_it_records(tmp_path,
+                                                      monkeypatch):
+    # The vn pre-pass rewrites ``mul #2`` into ``shl #1``, so the region
+    # the race runs (and records its outcome under) shares every key;
+    # the selector must rank that bucket, not the submitted region's.
+    pytest.importorskip("numpy")
+    from repro.sched import StrategyOutcomesStore
+
+    store = StrategyOutcomesStore()
+    ranked = []
+    rank = store.rank
+
+    def spy(bucket, strategies):
+        ranked.append(bucket)
+        return rank(bucket, strategies)
+
+    monkeypatch.setattr(store, "rank", spy)
+    server = InductionServer(
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
+        strategy_store=store)
+    try:
+        with ServiceClient(server.endpoint) as client:
+            result = client.submit(InductionRequest(
+                region=VN_PORTFOLIO_REGION, method="portfolio", vn="on"))
+        assert not result.degraded
+    finally:
+        server.shutdown()
+    assert ranked == list(store.snapshot()) == ["t2_ops8_share100"]
+
+
 def test_malformed_region_is_an_error_not_a_crash(tmp_path, request_):
     from repro.service import protocol
 
     server = make_server(tmp_path)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         wire = protocol.request_to_wire(request_)
         wire["method"] = "magic"
-        with protocol.connect(server.address, timeout=10.0) as sock:
+        with protocol.connect(server.endpoint, timeout=10.0) as sock:
             protocol.send_message(sock, wire)
             reply = protocol.recv_message(sock)
         assert reply["status"] == "error"
@@ -267,7 +336,7 @@ def test_malformed_region_text_is_an_error_not_a_crash(tmp_path, request_):
     try:
         wire = protocol.request_to_wire(request_)
         wire["region"] = "thread 3:\n    a = ld x\n"
-        with protocol.connect(server.address, timeout=10.0) as sock:
+        with protocol.connect(server.endpoint, timeout=10.0) as sock:
             protocol.send_message(sock, wire)
             reply = protocol.recv_message(sock)
             assert reply["status"] == "error"
@@ -293,11 +362,12 @@ def test_cached_submit_is_answered_without_queueing(tmp_path, request_):
 
     tracer = MemoryTracer()
     server = InductionServer(
-        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
         cache=ScheduleCache(), tracer=tracer,
         flightrec=FlightRecorder(FlightConfig(capture_all=True)))
     try:
-        with ServiceClient(server.address) as client:
+        with ServiceClient(server.endpoint) as client:
             assert client.submit(request_).extras["disposition"] == "miss"
             before = client.stats()
             seconds = _series(client.metrics(),
@@ -331,10 +401,11 @@ def test_cache_hit_does_not_wait_behind_busy_workers(tmp_path, request_):
     from repro.core import ScheduleCache
 
     server = InductionServer(
-        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1,
                      allow_chaos=True), cache=ScheduleCache())
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         client.submit(request_)
         # Occupy the only worker with a slow, distinct request.
         slow = threading.Thread(target=client.submit, args=(
@@ -354,7 +425,7 @@ def test_cache_hit_does_not_wait_behind_busy_workers(tmp_path, request_):
 def test_stats_gauges_and_percentiles(tmp_path, request_):
     server = make_server(tmp_path)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         client.submit(request_)
         stats = client.stats()
         assert stats["uptime_s"] > 0
@@ -369,7 +440,7 @@ def test_stats_gauges_and_percentiles(tmp_path, request_):
 def test_metrics_op_returns_prometheus_text(tmp_path, request_):
     server = make_server(tmp_path)
     try:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.endpoint)
         client.submit(request_)
         client.submit(request_)
         text = client.metrics()
@@ -400,10 +471,11 @@ def test_service_round_trip_is_one_stitched_trace(tmp_path, request_):
 
     tracer = MemoryTracer()
     server = InductionServer(
-        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
         tracer=tracer)
     try:
-        with ServiceClient(server.address) as client:
+        with ServiceClient(server.endpoint) as client:
             assert not client.submit(request_).degraded
     finally:
         server.shutdown()

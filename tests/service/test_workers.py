@@ -235,6 +235,21 @@ class TestLocalDeadlineRoute:
         assert time.monotonic() - start < 2.0  # no worker spawn
         assert second.cost == first.cost
 
+    def test_cache_skips_a_reply_a_hit_would_overclaim(self):
+        # Window 2 exhausts its budget, so the reply is unproven; a hit
+        # rebuilt from a stats-less entry would read optimal.  Such a
+        # reply is recomputed on repeat instead of cached.
+        from repro.core import ScheduleCache
+
+        region = random_region(
+            RandomRegionSpec(num_threads=4, min_len=12, max_len=12), seed=3)
+        request = api.InductionRequest(region=region, window=6, budget=50,
+                                       deadline_s=60.0, cache=ScheduleCache())
+        cold = api.induce(request)
+        again = api.induce(request)
+        assert not cold.optimal
+        assert not again.optimal and not again.cache_hit
+
 
 class TestPortfolioWire:
     def test_execute_wire_keeps_portfolio_deadline(self):

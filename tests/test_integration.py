@@ -8,7 +8,7 @@ loop against the simulated fleet.
 import numpy as np
 import pytest
 
-from repro.core import induce
+from repro import api
 from repro.interp import FrequencyBias, InterpreterConfig, run_program
 from repro.interp.trace import interp_cost_model, trace_program
 from repro.isa import decode_object, disassemble, encode_object, assemble
@@ -84,7 +84,8 @@ class TestTraceToCSI:
         bundle = trace_program(unit.program, 32, max_ops_per_pe=24)
         assert len(bundle.streams) >= 2
         region = bundle.region()
-        result = induce(region, interp_cost_model(), method="greedy")
+        result = api.induce(api.InductionRequest(
+            region, interp_cost_model(), method="greedy"))
         # Divergent lanes share their loop skeleton: induction must find it.
         assert result.speedup_vs_serial > 1.3
 
