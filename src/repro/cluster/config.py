@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 from repro.service.endpoint import Endpoint
 
-__all__ = ["ClusterConfig", "RetryPolicy"]
+__all__ = ["ClusterConfig", "PEER_TIMEOUT_S", "RetryPolicy"]
+
+#: Socket timeout for peer cache reads, membership probes and drains, kept
+#: tight: a dead peer's cache read must degrade to a miss, not stall an
+#: induction.
+PEER_TIMEOUT_S = 2.0
+
+#: Ceiling on one retry's backoff.
+_BACKOFF_CAP_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -23,14 +31,14 @@ class RetryPolicy:
 
     ``attempts`` bounds the total tries (first + retries); each retry
     targets the *next* replica in the fingerprint's preference order, with
-    exponential backoff starting at ``backoff_s``.  A reply with status
-    ``busy`` also advances to the next replica (shedding is per-node), but
-    without backoff — the next node is idle or it isn't.
+    exponential backoff starting at ``backoff_s`` and capped at one second.
+    A reply with status ``busy`` also advances to the next replica
+    (shedding is per-node), but without backoff — the next node is idle or
+    it isn't.
     """
 
     attempts: int = 3
     backoff_s: float = 0.05
-    backoff_cap_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
@@ -40,7 +48,7 @@ class RetryPolicy:
 
     def backoff(self, attempt: int) -> float:
         """Seconds to sleep before retry number ``attempt`` (0-based)."""
-        return min(self.backoff_s * (2 ** attempt), self.backoff_cap_s)
+        return min(self.backoff_s * (2 ** attempt), _BACKOFF_CAP_S)
 
 
 @dataclass(frozen=True)
@@ -56,24 +64,17 @@ class ClusterConfig:
     replication: int = 2
     #: Virtual nodes per physical node on the hash ring.
     vnodes: int = 64
-    #: Bounded-load spill factor for :meth:`repro.cluster.HashRing.pick`.
-    load_factor: float = 1.25
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Heartbeat cadence for health-checked membership.
     probe_interval_s: float = 1.0
     #: Consecutive failed probes before a node is marked down.
     mark_down_after: int = 3
-    #: Per-hop socket timeout for forwarded requests.
-    forward_timeout_s: float | None = 600.0
-    #: Fingerprint-keyed LRU cache of finished routed replies held by the
-    #: forwarder itself: a repeated request is answered at the front door
-    #: without touching a node.  Only ``ok``, non-degraded replies are
-    #: cached (induction is deterministic per fingerprint, so a cached
-    #: reply is exactly what the node would recompute).  0 disables.
+    #: Entries in the forwarder's own memory-only
+    #: :class:`~repro.core.cache.ScheduleCache` of routed results: a
+    #: repeated request is answered at the front door without touching a
+    #: node.  An ``ok`` reply's result is stored under the cache's one
+    #: store rule (nothing degraded, no unproven race).  0 disables.
     request_cache_size: int = 256
-    #: Socket timeout for peer cache reads/probes (kept tight: a dead
-    #: peer's cache read must degrade to a miss, not stall an induction).
-    peer_timeout_s: float = 2.0
 
     def __post_init__(self) -> None:
         endpoints = tuple(Endpoint.parse(e) for e in self.endpoints)

@@ -49,7 +49,6 @@ class LocalCluster:
                  retry: RetryPolicy | None = None,
                  mark_down_after: int = 2,
                  start_probes: bool = False,
-                 remote_cache: bool = True,
                  request_cache_size: int = 256,
                  router_tracer=None) -> None:
         if nodes < 1:
@@ -63,16 +62,14 @@ class LocalCluster:
             replication=replication,
             retry=retry or RetryPolicy(),
             mark_down_after=mark_down_after,
-            peer_timeout_s=2.0,
             request_cache_size=request_cache_size,
         )
         self.servers: list[InductionServer] = []
-        self.caches: list[RemoteScheduleCache | ScheduleCache] = []
+        self.caches: list[RemoteScheduleCache] = []
         for endpoint in endpoints:
-            local = ScheduleCache(capacity=cache_capacity)
             cache = RemoteScheduleCache(
-                local, self.config, self_name=str(endpoint)) \
-                if remote_cache else local
+                ScheduleCache(capacity=cache_capacity), self.config,
+                self_name=str(endpoint))
             server = InductionServer(
                 ServerConfig(endpoint=endpoint, workers=workers,
                              allow_chaos=allow_chaos,

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+from repro.cluster.config import PEER_TIMEOUT_S
 from repro.service.endpoint import Endpoint
 
 __all__ = ["Membership", "NodeHealth", "UP", "DOWN", "DRAINING"]
@@ -89,7 +90,6 @@ class Membership:
     def __init__(self, endpoints: Iterable[Endpoint],
                  probe_interval_s: float = 1.0,
                  mark_down_after: int = 3,
-                 probe_timeout_s: float = 2.0,
                  probe: Callable[[Endpoint, float], Mapping] | None = None,
                  on_change: Callable[[], None] | None = None) -> None:
         self._nodes: dict[str, NodeHealth] = {}
@@ -100,7 +100,6 @@ class Membership:
             raise ValueError("membership needs at least one endpoint")
         self.probe_interval_s = probe_interval_s
         self.mark_down_after = mark_down_after
-        self.probe_timeout_s = probe_timeout_s
         self._probe = probe or _default_probe
         self._on_change = on_change
         self._lock = threading.Lock()
@@ -138,7 +137,7 @@ class Membership:
         """
         for health in list(self._nodes.values()):
             try:
-                stats = self._probe(health.endpoint, self.probe_timeout_s)
+                stats = self._probe(health.endpoint, PEER_TIMEOUT_S)
             except Exception as exc:  # noqa: BLE001 - any failure is a strike
                 self._record_failure(health.name, f"{type(exc).__name__}: {exc}")
                 continue

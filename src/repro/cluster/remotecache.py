@@ -1,19 +1,21 @@
-"""Remote cache tier: schedules induced anywhere hit everywhere.
+"""Remote cache tier: results induced anywhere hit everywhere.
 
 :class:`RemoteScheduleCache` wraps a node's local
 :class:`~repro.core.cache.ScheduleCache` with a third tier of lookup: the
 *other nodes' caches*, consulted in the fingerprint's ring preference
-order.  Because schedules are content-addressed, a peer's entry for a
-fingerprint is exactly the entry this node would have computed — so a
-cross-node hit is as trustworthy as a local one, and costs one framed
-round-trip instead of an induction.
+order.  Because entries are content-addressed, a peer's entry for a
+fingerprint is exactly the entry this node would have computed, and it
+costs one framed round-trip instead of an induction.  It crosses a trust
+boundary all the same, so it is checked once
+(:func:`~repro.core.cache.check_entry`); one that fails — a peer of
+another version sends none — is a counted miss.
 
-Placement mirrors routing: :meth:`put` pushes the finished schedule to the
+Placement mirrors routing: :meth:`put` pushes the stored entry to the
 fingerprint's first ``replication`` ring owners, the same nodes a router
 failover would try next, so the node that inherits a dead owner's arc
-usually already holds its schedules locally.
+usually already holds its entries locally.
 
-Peer reads use a tight ``peer_timeout_s`` and swallow every transport
+Peer reads use a tight :data:`PEER_TIMEOUT_S` and swallow every transport
 error into a miss — a dead peer must degrade a lookup, never stall or
 fail an induction.  One client per peer keeps its connections open
 across lookups; :meth:`RemoteScheduleCache.close` closes them.  Counters
@@ -30,19 +32,12 @@ fingerprint can't fan out to each other forever.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-from typing import Callable
+from typing import Any, Callable, Mapping
 
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import PEER_TIMEOUT_S, ClusterConfig
 from repro.cluster.ring import HashRing
-from repro.core.cache import (
-    ScheduleCache,
-    schedule_from_payload,
-    schedule_to_payload,
-)
-from repro.core.schedule import Schedule
-from repro.core.search import SearchStats
+from repro.core.cache import ScheduleCache, cache_entry, check_entry
 
 __all__ = ["RemoteScheduleCache"]
 
@@ -67,7 +62,7 @@ class RemoteScheduleCache:
             from repro.service.client import ServiceClient
 
             client_factory = lambda endpoint: ServiceClient(  # noqa: E731
-                endpoint, timeout=config.peer_timeout_s)
+                endpoint, timeout=PEER_TIMEOUT_S)
         self._client_factory = client_factory
         self._clients: dict[str, object] = {}
         self._clients_lock = threading.Lock()
@@ -89,54 +84,50 @@ class RemoteScheduleCache:
     def hit_rate(self) -> float:
         return self.local.hit_rate
 
-    def get(self, fingerprint: str) -> tuple[Schedule, SearchStats | None] | None:
+    def get(self, fingerprint: str) -> dict | None:
         """Local tiers first, then the fingerprint's ring owners."""
         found = self.local.get(fingerprint)
         if found is not None:
             return found
         for peer in self._peers_for(fingerprint):
-            payload = self._peer_get(peer, fingerprint)
-            if payload is None:
+            entry = self._peer_get(peer, fingerprint)
+            if entry is None:
                 continue
             try:
-                schedule = schedule_from_payload(payload["schedule"])
-                raw_stats = payload.get("stats")
-                stats = SearchStats(**raw_stats) if raw_stats else None
-            except (KeyError, TypeError, ValueError):
+                check_entry(entry)
+            except ValueError:
                 self.counters.bump("remote_errors")
                 continue
             # Adopt the entry locally so the next lookup is a memory hit.
-            self.local.put(fingerprint, schedule, stats)
+            self.local.put(fingerprint, entry)
             self.counters.bump("remote_hits")
-            return schedule, stats
+            return entry
         self.counters.bump("remote_misses")
         return None
 
-    def put(self, fingerprint: str, schedule: Schedule,
-            stats: SearchStats | None = None) -> None:
-        """Store locally and push to the fingerprint's replica owners."""
-        self.local.put(fingerprint, schedule, stats)
-        payload = None
+    def put(self, fingerprint: str, payload: Mapping[str, Any]) -> bool:
+        """Store locally and push the entry to the fingerprint's replica
+        owners; nothing the store rule refuses leaves the node."""
+        if not self.local.put(fingerprint, payload):
+            return False
+        entry = cache_entry(payload)
         for peer in self._peers_for(fingerprint):
-            if payload is None:
-                payload = (schedule_to_payload(schedule),
-                           dataclasses.asdict(stats) if stats else None)
             try:
-                self._client_for(peer).cache_put(
-                    fingerprint, payload[0], payload[1])
+                self._client_for(peer).cache_put(fingerprint, entry)
                 self.counters.bump("remote_stores")
             except Exception:  # noqa: BLE001 - replication is best-effort
                 self.counters.bump("remote_errors")
+        return True
 
     # -- local-only surface (used by the server's peer ops) ----------------
 
-    def get_local(self, fingerprint: str):
+    def get_local(self, fingerprint: str) -> dict | None:
         """Local tiers only — peer traffic must not re-enter the cluster."""
         return self.local.get(fingerprint)
 
-    def put_local(self, fingerprint: str, schedule: Schedule,
-                  stats: SearchStats | None = None) -> None:
-        self.local.put(fingerprint, schedule, stats)
+    def put_local(self, fingerprint: str,
+                  payload: Mapping[str, Any]) -> bool:
+        return self.local.put(fingerprint, payload)
 
     def close(self) -> None:
         """Close the peer clients' connections."""

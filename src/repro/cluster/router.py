@@ -8,10 +8,13 @@ exponential backoff.  Duplicate submits that arrive while a fingerprint is
 already in flight — the common case for interpreter workloads — do not
 fan out: they join the in-flight forward and share its reply, so the
 cluster-wide dedup mirrors the per-node batcher's.  *Finished* duplicates
-are answered by a fingerprint-keyed LRU request cache
-(``ClusterConfig.request_cache_size``; ``ok`` non-degraded replies only)
-without touching a node at all — ``router_cache_hits`` counts them, and
-cached replies carry a ``router_cache`` extra.
+are answered from the forwarder's own memory-only
+:class:`~repro.core.cache.ScheduleCache`
+(``ClusterConfig.request_cache_size`` entries; an ``ok`` reply's result,
+under the cache's one store rule) without touching a node at all — the
+hit replays the stored result, routing facts included;
+``router_cache_hits`` counts them, and cached replies carry a
+``router_cache`` extra.
 
 Two skins over the core:
 
@@ -48,17 +51,16 @@ and ``flightrec`` ops.
 
 from __future__ import annotations
 
-import copy
 import socket
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Mapping
 
 from repro.api import InductionRequest
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import PEER_TIMEOUT_S, ClusterConfig
 from repro.cluster.membership import Membership
 from repro.cluster.ring import HashRing
+from repro.core.cache import ScheduleCache, replay
 from repro.core.result import ServiceResult, result_from_payload
 from repro.obs import (
     NULL_TRACER,
@@ -87,6 +89,9 @@ __all__ = ["ClusterClient", "ClusterForwarder", "ClusterRouter"]
 
 #: Queue-depth histogram buckets: service queues are small integers.
 _DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: Per-hop socket timeout for forwarded requests.
+FORWARD_TIMEOUT_S = 600.0
 
 
 class _Flight:
@@ -123,8 +128,7 @@ class ClusterForwarder:
         self.membership = membership or Membership(
             config.endpoints,
             probe_interval_s=config.probe_interval_s,
-            mark_down_after=config.mark_down_after,
-            probe_timeout_s=config.peer_timeout_s)
+            mark_down_after=config.mark_down_after)
         self._ring = HashRing(config.node_names, vnodes=config.vnodes)
         self._ring_version = -1
         self._ring_lock = threading.Lock()
@@ -132,8 +136,9 @@ class ClusterForwarder:
         self._loads_lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
-        self._request_cache: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._request_cache_lock = threading.Lock()
+        #: Finished routed results; None when ``request_cache_size`` is 0.
+        self.cache = ScheduleCache(capacity=config.request_cache_size) \
+            if config.request_cache_size else None
         #: Open connections to each node not in use by a forward.
         self._idle: dict[str, list[socket.socket]] = {}
         self._idle_lock = threading.Lock()
@@ -178,8 +183,7 @@ class ClusterForwarder:
         ring = self._current_ring()
         with self._loads_lock:
             loads = dict(self._loads)
-        first = ring.pick(fingerprint, loads=loads,
-                          factor=self.config.load_factor)
+        first = ring.pick(fingerprint, loads=loads)
         order = ring.preference(fingerprint)
         return [first] + [node for node in order if node != first]
 
@@ -205,16 +209,19 @@ class ClusterForwarder:
         started = time.monotonic()
         recorder = MemoryTracer()
         tee = TeeTracer(self.tracer, recorder)
-        cached = self._cache_lookup(fingerprint)
-        if cached is not None:
-            # A finished duplicate: answer from the front door without
-            # touching a node (deep copy — the caller owns its reply).
+        entry = self.cache.get(fingerprint) if self.cache is not None \
+            else None
+        if entry is not None:
+            # A finished duplicate: replay it from the front door without
+            # touching a node (the hit is the caller's own copy).
             self.counters.bump("router_cache_hits")
             with attach_context(wire.get("trace_ctx")), \
                     span("cluster.route", tee,
                          fingerprint=fingerprint[:12], cached=True) as route:
-                reply = self._annotate(copy.deepcopy(cached), cached=True)
-                route.set(status=str(reply.get("status")))
+                entry["router_cache"] = True
+                reply = {"status": "ok", "result": replay(
+                    entry, wall_s=time.monotonic() - started)}
+                route.set(status="ok")
             return self._finish_route(reply,
                                       {"route": [], "failed_over": False},
                                       recorder, route.trace_id, fingerprint,
@@ -257,7 +264,10 @@ class ClusterForwarder:
                         if self._flights.get(fingerprint) is flight:
                             del self._flights[fingerprint]
                 reply = flight.reply
-                self._cache_store(fingerprint, reply)
+                result = reply.get("result")
+                if self.cache is not None and reply.get("status") == "ok" \
+                        and isinstance(result, dict):
+                    self.cache.put(fingerprint, result)
                 route.set(status=str(reply.get("status")))
         return self._finish_route(reply, info, recorder, route.trace_id,
                                   fingerprint, started,
@@ -403,7 +413,7 @@ class ClusterForwarder:
         try:
             sock, reply = protocol.exchange(
                 kept, message, lambda: endpoint.connect(
-                    timeout=self.config.forward_timeout_s))
+                    timeout=FORWARD_TIMEOUT_S))
         finally:
             with self._loads_lock:
                 self._loads[node] -= 1
@@ -414,40 +424,9 @@ class ClusterForwarder:
         sock.close()
         return reply
 
-    # -- request cache -----------------------------------------------------
-
-    def _cache_lookup(self, fingerprint: str) -> dict[str, Any] | None:
-        if self.config.request_cache_size <= 0:
-            return None
-        with self._request_cache_lock:
-            reply = self._request_cache.get(fingerprint)
-            if reply is not None:
-                self._request_cache.move_to_end(fingerprint)
-            return reply
-
-    def _cache_store(self, fingerprint: str, reply: dict[str, Any]) -> None:
-        """Cache a finished reply, LRU-evicting past the size cap.
-
-        Only ``ok`` and non-degraded: errors and busy sheds are transient,
-        and a deadline-degraded result depends on wall-clock luck, not just
-        the fingerprint."""
-        if self.config.request_cache_size <= 0:
-            return
-        if reply.get("status") != "ok":
-            return
-        result = reply.get("result")
-        if not isinstance(result, dict) or result.get("degraded"):
-            return
-        with self._request_cache_lock:
-            self._request_cache[fingerprint] = reply
-            self._request_cache.move_to_end(fingerprint)
-            while len(self._request_cache) > self.config.request_cache_size:
-                self._request_cache.popitem(last=False)
-
     @staticmethod
     def _annotate(reply: dict, node: str | None = None,
-                  attempts: int = 0, dedup: bool = False,
-                  cached: bool = False) -> dict:
+                  attempts: int = 0, dedup: bool = False) -> dict:
         """Stamp routing facts into the result payload (ServiceResult
         surfaces unknown keys through ``extras``)."""
         result = reply.get("result")
@@ -458,8 +437,6 @@ class ClusterForwarder:
                 result["route_attempts"] = attempts
             if dedup:
                 result["router_dedup"] = True
-            if cached:
-                result["router_cache"] = True
             reply = dict(reply)
             reply["result"] = result
         return reply
@@ -476,8 +453,7 @@ class ClusterForwarder:
         from repro.service.client import ServiceClient
 
         endpoint = self.membership.endpoint_of(name)
-        with ServiceClient(endpoint,
-                           timeout=self.config.peer_timeout_s) as client:
+        with ServiceClient(endpoint, timeout=PEER_TIMEOUT_S) as client:
             reply = client.drain()
         self.membership.drain(name)
         self.counters.bump("drains")

@@ -16,16 +16,11 @@ wraps the driver with request parsing, deadlines and the service):
 - :class:`repro.core.schedule.Schedule` — the result, verifiable with
   :func:`repro.core.verify.verify_schedule`.
 - :class:`repro.core.cache.ScheduleCache` — content-addressed memoization
-  of finished schedules (in-memory LRU + optional on-disk tier).
+  of finished results (in-memory LRU + optional on-disk tier).
 """
 
 from repro.core.anneal import AnnealStats, anneal_schedule
-from repro.core.cache import (
-    ScheduleCache,
-    region_fingerprint,
-    schedule_from_payload,
-    schedule_to_payload,
-)
+from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel, maspar_cost_model, uniform_cost_model
 from repro.core.dag import DependenceDAG, build_dags
 from repro.core.factor import factor_schedule
@@ -45,7 +40,12 @@ from repro.core.result import (
     result_from_payload,
     result_to_payload,
 )
-from repro.core.schedule import Schedule, Slot
+from repro.core.schedule import (
+    Schedule,
+    Slot,
+    schedule_from_payload,
+    schedule_to_payload,
+)
 from repro.core.search import SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import ScheduleError, verify_schedule

@@ -1,26 +1,38 @@
-"""Content-addressed schedule cache for the induction service.
+"""Content-addressed result cache for induction requests.
 
 Repeated regions are the common case for interpreter workloads — the same
 handler set is induced every time a program is loaded, and windowed traces
 of SPMD code contain many identical windows.  Re-running the exponential
-branch-and-bound for each of them is pure waste: a schedule is a pure
+branch-and-bound for each of them is pure waste: a result is a pure
 function of (region ops, cost-model parameters, search configuration), so
-the triple is hashed into a stable *fingerprint* and finished schedules are
+the triple is hashed into a stable *fingerprint* and finished results are
 memoized under it.
 
-Two tiers:
+An entry is the finished result itself: the JSON payload
+:func:`repro.core.result.result_to_payload` gives for it, minus the fields
+that belong to one request (its ``obs`` freight, ``retries``, ``wall_s``
+and ``cache_hit``; :func:`cache_entry`).  It carries the schedule, the
+search stats and the serial/lockstep baselines, and whatever else the
+result reported (a windowed run's windows, a race's winner), so a hit
+replays it and rebuilds nothing.  One rule (:func:`storable`) decides
+what may be stored, in every tier: nothing degraded, and no race that did
+not prove its schedule — ``deadline_s`` is not in the fingerprint, so a
+short deadline's best-so-far must not answer a longer one.
+
+Two tiers hold the entry as the same JSON text:
 
 - an in-memory LRU (:class:`collections.OrderedDict`) bounded by
   ``capacity`` entries, always on;
-- an optional on-disk JSON tier (``cache_dir``) that persists schedules
-  across processes and runs — entries are one pretty-printed JSON file per
-  fingerprint, written atomically (temp file + ``os.replace``) so parallel
-  writers can never leave a torn file.
+- an optional on-disk tier (``cache_dir``) that persists entries across
+  processes and runs — one ``<fingerprint>.result.json`` file per entry,
+  written atomically (temp file + ``os.replace``) so parallel writers can
+  never leave a torn file.
 
-Hits return a *copy* of the stored stats so callers can't mutate cache
-state; schedules are immutable and shared.  A hit deliberately skips
-re-verification — trusting the cache is exactly the O(lookup) fast path —
-while corrupt or unreadable disk entries degrade to a miss, never an error.
+A hit is a private copy (parsed from the text), so no caller can alter
+what is stored.  Memory entries are trusted; an entry from outside this
+process — a disk file here, a peer's reply in
+:mod:`repro.cluster.remotecache` — is checked once with
+:func:`check_entry`, and one that fails is a counted miss, never an error.
 """
 
 from __future__ import annotations
@@ -32,24 +44,28 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
-
 from time import perf_counter
+from typing import Any, Mapping
 
 from repro.core.costmodel import CostModel
 from repro.core.ops import Region
-from repro.core.schedule import Schedule, Slot
-from repro.core.search import SearchConfig, SearchStats
+from repro.core.result import result_from_payload
+from repro.core.search import SearchConfig
 from repro.obs import Counters
 from repro.obs.metrics import get_registry
 
 __all__ = [
     "ScheduleCache",
+    "cache_entry",
+    "check_entry",
     "region_fingerprint",
-    "schedule_from_payload",
-    "schedule_to_payload",
+    "replay",
+    "storable",
 ]
+
+#: Reply fields that describe one request, not its result: never stored.
+_PER_REQUEST = ("obs", "retries", "wall_s", "cache_hit")
 
 #: Bump when the fingerprint payload layout changes, so stale disk tiers
 #: from older code can never alias new entries.
@@ -103,30 +119,43 @@ def region_fingerprint(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def schedule_to_payload(schedule: Schedule) -> list:
-    """JSON-able form of a schedule (inverse of :func:`schedule_from_payload`)."""
-    return [
-        [slot.opclass, sorted([int(t), int(i)] for t, i in slot.picks.items())]
-        for slot in schedule
-    ]
+def cache_entry(payload: Mapping[str, Any]) -> dict:
+    """The entry a result payload is stored as: minus per-request fields."""
+    return {k: v for k, v in payload.items() if k not in _PER_REQUEST}
 
 
-def schedule_from_payload(payload: list) -> Schedule:
-    """Rebuild a :class:`Schedule` from :func:`schedule_to_payload` output."""
-    return Schedule(tuple(
-        Slot(opclass, {int(t): int(i) for t, i in picks})
-        for opclass, picks in payload
-    ))
+def storable(payload: Mapping[str, Any]) -> bool:
+    """The one store rule: not degraded, and no unproven race."""
+    if payload.get("degraded"):
+        return False
+    return payload.get("kind") != "portfolio" or bool(payload.get("optimal"))
 
 
-@dataclass(frozen=True)
-class _Entry:
-    schedule: Schedule
-    stats: SearchStats | None
+def check_entry(entry: Any) -> dict:
+    """``entry`` itself when it is a storable result payload.
+
+    The trust-boundary check for entries read from disk or from a peer:
+    anything else raises :class:`ValueError`.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"entry is {type(entry).__name__}, not an object")
+    try:
+        result_from_payload(entry)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"entry is not a result payload: {exc!r}") from exc
+    if not storable(entry):
+        raise ValueError("entry is degraded or an unproven race")
+    return entry
+
+
+def replay(entry: dict, wall_s: float) -> dict:
+    """A hit's reply payload: ``entry`` plus this request's own fields."""
+    entry.update(cache_hit=True, wall_s=wall_s, retries=0)
+    return entry
 
 
 class ScheduleCache:
-    """Two-tier (memory LRU + optional disk) schedule cache.
+    """Two-tier (memory LRU + optional disk) cache of finished results.
 
     Counter names: ``hits``, ``memory_hits``, ``disk_hits``, ``misses``,
     ``stores``, ``evictions``, ``disk_errors``.
@@ -145,7 +174,8 @@ class ScheduleCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._memory: OrderedDict[str, _Entry] = OrderedDict()
+        #: fingerprint -> the entry's JSON text.
+        self._memory: OrderedDict[str, str] = OrderedDict()
         self._lock = threading.RLock()
         self.counters = Counters()
 
@@ -158,86 +188,76 @@ class ScheduleCache:
         looked_up = self.counters["hits"] + self.counters["misses"]
         return self.counters["hits"] / looked_up if looked_up else 0.0
 
-    def get(self, fingerprint: str) -> tuple[Schedule, SearchStats | None] | None:
-        """Schedule + stats stored under ``fingerprint``, or None on miss."""
+    def get(self, fingerprint: str) -> dict | None:
+        """A private copy of the entry under ``fingerprint``, or None."""
         start = perf_counter()
         with self._lock:
-            entry = self._memory.get(fingerprint)
-            if entry is not None:
+            text = self._memory.get(fingerprint)
+            if text is not None:
                 self._memory.move_to_end(fingerprint)
-                self.counters.bump("hits")
-                self.counters.bump("memory_hits")
-                get_registry().observe("cache_hit_seconds",
-                                       perf_counter() - start)
-                return entry.schedule, self._copy_stats(entry.stats)
-        entry = self._disk_get(fingerprint)
+        if text is not None:
+            self.counters.bump("hits")
+            self.counters.bump("memory_hits")
+            entry = json.loads(text)
+            get_registry().observe("cache_hit_seconds", perf_counter() - start)
+            return entry
+        text, entry = self._disk_get(fingerprint)
         if entry is not None:
             with self._lock:
-                self._remember(fingerprint, entry)
+                self._remember(fingerprint, text)
             self.counters.bump("hits")
             self.counters.bump("disk_hits")
             get_registry().observe("cache_hit_seconds", perf_counter() - start)
-            return entry.schedule, self._copy_stats(entry.stats)
+            return entry
         self.counters.bump("misses")
         get_registry().observe("cache_miss_seconds", perf_counter() - start)
         return None
 
-    def put(self, fingerprint: str, schedule: Schedule,
-            stats: SearchStats | None = None) -> None:
-        """Store a finished schedule in both tiers."""
-        entry = _Entry(schedule, self._copy_stats(stats))
+    def put(self, fingerprint: str, payload: Mapping[str, Any]) -> bool:
+        """Store ``payload``'s entry in both tiers if it is :func:`storable`."""
+        if not storable(payload):
+            return False
+        text = json.dumps(cache_entry(payload))
         with self._lock:
-            self._remember(fingerprint, entry)
+            self._remember(fingerprint, text)
         self.counters.bump("stores")
         if self.cache_dir is not None:
-            self._disk_put(fingerprint, entry)
+            self._disk_put(fingerprint, text)
+        return True
 
     # -- memory tier ------------------------------------------------------
 
-    def _remember(self, fingerprint: str, entry: _Entry) -> None:
+    def _remember(self, fingerprint: str, text: str) -> None:
         # Caller holds the lock.
-        self._memory[fingerprint] = entry
+        self._memory[fingerprint] = text
         self._memory.move_to_end(fingerprint)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
             self.counters.bump("evictions")
 
-    @staticmethod
-    def _copy_stats(stats: SearchStats | None) -> SearchStats | None:
-        return dataclasses.replace(stats) if stats is not None else None
-
     # -- disk tier --------------------------------------------------------
 
     def _disk_path(self, fingerprint: str) -> Path:
-        return self.cache_dir / f"{fingerprint}.json"
+        return self.cache_dir / f"{fingerprint}.result.json"
 
-    def _disk_get(self, fingerprint: str) -> _Entry | None:
+    def _disk_get(self, fingerprint: str) -> tuple[str, dict | None]:
         if self.cache_dir is None:
-            return None
-        path = self._disk_path(fingerprint)
+            return "", None
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            schedule = schedule_from_payload(data["schedule"])
-            raw_stats = data.get("stats")
-            stats = SearchStats(**raw_stats) if raw_stats is not None else None
-            return _Entry(schedule, stats)
+            text = self._disk_path(fingerprint).read_text(encoding="utf-8")
+            return text, check_entry(json.loads(text))
         except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Torn, corrupt or incompatible entry: a miss, never an error.
+            return "", None
+        except (OSError, ValueError):
+            # Torn, corrupt or foreign entry: a miss, never an error.
             self.counters.bump("disk_errors")
-            return None
+            return "", None
 
-    def _disk_put(self, fingerprint: str, entry: _Entry) -> None:
-        data = {
-            "fingerprint": fingerprint,
-            "schedule": schedule_to_payload(entry.schedule),
-            "stats": dataclasses.asdict(entry.stats) if entry.stats else None,
-        }
+    def _disk_put(self, fingerprint: str, text: str) -> None:
         try:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, indent=1)
+                fh.write(text)
             os.replace(tmp, self._disk_path(fingerprint))
         except OSError:
             self.counters.bump("disk_errors")

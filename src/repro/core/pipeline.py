@@ -19,13 +19,17 @@ request it runs the envelope around one build step:
 
 3. the independent check (:func:`repro.core.verify.verify_schedule`) of
    whatever the step computed.  Cache hits and all-cached windowed runs
-   were checked when they were computed, and the race checks every
+   were checked before they were stored, and the race checks every
    candidate before it can win, so none of those is checked again.  An
    invalid schedule is a library bug and raises
    :class:`repro.core.verify.ScheduleError`;
 4. the serial and lockstep baselines (:func:`baselines`), so every result
    carries a paper-style "speedup over serial MIMD emulation";
-5. the ``induce_*`` metrics and the mode's trace event (``induce`` or
+5. the cache stores, only of what step 3 checked: a one-shot result with
+   its baselines, and each freshly searched window as the one-shot
+   ``search`` result of its window region.  A one-shot hit replays the
+   stored result, baselines included;
+6. the ``induce_*`` metrics and the mode's trace event (``induce`` or
    ``windowed``; the race's spans are its record).
 """
 
@@ -43,7 +47,7 @@ from repro.core.factor import factor_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
 from repro.core.prepared import PreparedRegion
-from repro.core.result import ResultBase
+from repro.core.result import ResultBase, result_from_payload, result_to_payload
 from repro.core.schedule import Schedule
 from repro.core.search import SearchConfig, SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
@@ -193,25 +197,16 @@ def run_induction(
             # Imported here: the race reads BUILDERS from this module.  It
             # checks every candidate before it can win.
             from repro.core.portfolio import run_portfolio
-            result = run_portfolio(
+            result = _with_baselines(run_portfolio(
                 PreparedRegion.build(region, model, config.respect_order),
-                config, tracer=tracer, **race)
+                config, tracer=tracer, **race), region, model)
         elif window:
-            result = induce_windows(region, model, window, config, jobs,
-                                    cache, tracer)
-            if result.cache_hits < result.num_windows:
-                # A window was searched: check the stitched schedule
-                # against the whole region.
-                verify_schedule(result.schedule, region, model,
-                                respect_order=config.respect_order)
+            result = _windowed(region, model, window, config, jobs, cache,
+                               tracer)
         else:
             result = _one_shot(region, model, method, config, cache, tracer,
                                vnstats)
-        serial_cost, lockstep_cost = baselines(region, model, method,
-                                               result.cost)
-        result = dataclasses.replace(result, serial_cost=serial_cost,
-                                     lockstep_cost=lockstep_cost,
-                                     wall_s=watch.stop())
+        result = dataclasses.replace(result, wall_s=watch.stop())
         if result.kind == "windowed":
             live.set(cost=result.cost, windows=result.num_windows,
                      cache_hits=result.cache_hits, jobs=result.jobs_used)
@@ -222,19 +217,58 @@ def run_induction(
     return result
 
 
+def _with_baselines(result: ResultBase, region: Region,
+                    model: CostModel) -> ResultBase:
+    serial_cost, lockstep_cost = baselines(region, model, result.method,
+                                           result.cost)
+    return dataclasses.replace(result, serial_cost=serial_cost,
+                               lockstep_cost=lockstep_cost)
+
+
+def _checked(region: Region, model: CostModel, method: str,
+             schedule: Schedule, stats: SearchStats | None) -> InductionResult:
+    """A checked schedule as the one-shot result on ``region``, baselines
+    included: what a cache entry holds."""
+    cost = schedule.cost(model)
+    return InductionResult(method, schedule, cost,
+                           *baselines(region, model, method, cost), stats)
+
+
+def _windowed(region: Region, model: CostModel, window: int,
+              config: SearchConfig, jobs: int, cache: ScheduleCache | None,
+              tracer: Tracer) -> ResultBase:
+    """Windowed build, its check, and the store of its fresh windows."""
+    result, fresh = induce_windows(region, model, window, config, jobs,
+                                   cache, tracer)
+    if result.cache_hits < result.num_windows:
+        # A window was searched: check the stitched schedule against the
+        # whole region before any window is stored.
+        verify_schedule(result.schedule, region, model,
+                        respect_order=config.respect_order)
+    for fingerprint, sub, schedule, stats in fresh:
+        cache.put(fingerprint, result_to_payload(
+            _checked(sub, model, "search", schedule, stats)))
+    return _with_baselines(result, region, model)
+
+
 def _one_shot(region: Region, model: CostModel, method: str,
               config: SearchConfig, cache: ScheduleCache | None,
               tracer: Tracer, vnstats) -> InductionResult:
     """One method on the whole region, checked, behind the request cache.
 
-    Baselines and wall time are left at 0 for the driver to fill in.
+    A hit replays the stored result.  Wall time is left at 0 for the
+    driver to fill in.
     """
-    fingerprint = hit = None
+    fingerprint = entry = None
     if cache is not None:
         fingerprint = region_fingerprint(region, model, config, method=method)
-        hit = cache.get(fingerprint)
-    if hit is not None:
-        schedule, stats = hit
+        entry = cache.get(fingerprint)
+    if entry is not None:
+        stored = result_from_payload(entry)
+        result = InductionResult(
+            stored.method, stored.schedule, stored.cost, stored.serial_cost,
+            stored.lockstep_cost, stored.stats[0] if stored.stats else None,
+            cache_hit=True)
     else:
         with span("induce.build", tracer, method=method):
             prepared = PreparedRegion.build(region, model,
@@ -242,20 +276,17 @@ def _one_shot(region: Region, model: CostModel, method: str,
             schedule, stats = BUILDERS[method](prepared, config, None, None)
         with span("induce.verify", tracer):
             verify_schedule(schedule, region, model, dags=prepared.dags)
+        result = _checked(region, model, method, schedule, stats)
         if cache is not None:
-            cache.put(fingerprint, schedule, stats)
-    if vnstats is not None and stats is not None:
-        # Copy-on-write: cached stats objects are shared (and the cache
-        # key is the post-vn region, which a vn=off request on an
-        # already-canonical region also hits), so never mutate the stored
-        # object with this request's vn counters.
-        stats = dataclasses.replace(
-            stats, vn_merged_candidates=vnstats.merged_candidates,
-            vn_rewrites=vnstats.rewrites)
-    return InductionResult(method=method, schedule=schedule,
-                           cost=schedule.cost(model), serial_cost=0.0,
-                           lockstep_cost=0.0, stats=stats,
-                           cache_hit=hit is not None)
+            cache.put(fingerprint, result_to_payload(result))
+    if vnstats is not None and result.stats is not None:
+        # Entries stay vn-neutral: their key is the post-vn region, which
+        # every vn mode shares, so only the returned result carries this
+        # request's vn counters.
+        result = dataclasses.replace(result, stats=dataclasses.replace(
+            result.stats, vn_merged_candidates=vnstats.merged_candidates,
+            vn_rewrites=vnstats.rewrites))
+    return result
 
 
 def _disposition(result: ResultBase, cache: ScheduleCache | None) -> str:

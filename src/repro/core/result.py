@@ -29,8 +29,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.cache import schedule_from_payload, schedule_to_payload
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, schedule_from_payload, schedule_to_payload
 from repro.core.search import SearchStats
 
 __all__ = [

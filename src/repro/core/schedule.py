@@ -16,7 +16,7 @@ from typing import Iterator, Mapping
 from repro.core.costmodel import CostModel
 from repro.core.ops import Region
 
-__all__ = ["Schedule", "Slot"]
+__all__ = ["Schedule", "Slot", "schedule_from_payload", "schedule_to_payload"]
 
 
 @dataclass(frozen=True)
@@ -107,3 +107,19 @@ class Schedule:
                 ]
                 lines.append(f"{k:4d}: {slot.opclass:<8s} {'  '.join(parts)}")
         return "\n".join(lines)
+
+
+def schedule_to_payload(schedule: Schedule) -> list:
+    """JSON-able form of a schedule (inverse of :func:`schedule_from_payload`)."""
+    return [
+        [slot.opclass, sorted([int(t), int(i)] for t, i in slot.picks.items())]
+        for slot in schedule
+    ]
+
+
+def schedule_from_payload(payload: list) -> Schedule:
+    """Rebuild a :class:`Schedule` from :func:`schedule_to_payload` output."""
+    return Schedule(tuple(
+        Slot(opclass, {int(t): int(i) for t, i in picks})
+        for opclass, picks in payload
+    ))

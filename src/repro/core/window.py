@@ -27,7 +27,8 @@ Scale features (windows are embarrassingly parallel and highly repetitive):
   pool-less environments fall back to the serial loop;
 - ``cache`` consults a :class:`repro.core.cache.ScheduleCache` per window
   — traces of SPMD code repeat the same windows constantly, so warm runs
-  skip the search entirely;
+  skip the search entirely.  The freshly searched windows are handed back
+  to the driver, which stores them only after the stitched check;
 - ``tracer`` receives one ``window`` event per window (the driver adds
   the ``windowed`` aggregate event).
 """
@@ -42,7 +43,7 @@ from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel
 from repro.core.ops import Operation, Region, ThreadCode
 from repro.core.result import ResultBase
-from repro.core.schedule import Schedule, Slot
+from repro.core.schedule import Schedule, Slot, schedule_from_payload
 from repro.core.search import SearchConfig, SearchStats, branch_and_bound
 from repro.obs import (
     MemoryTracer,
@@ -188,7 +189,7 @@ def induce_windows(
     jobs: int = 1,
     cache: ScheduleCache | None = None,
     tracer: Tracer | None = None,
-) -> WindowedResult:
+) -> tuple[WindowedResult, list[tuple[str, Region, Schedule, SearchStats]]]:
     """The windowed build step: cut, search each window, stitch.
 
     Each window is scheduled by the full branch-and-bound (with the given
@@ -205,8 +206,12 @@ def induce_windows(
     or worker-side) hang off one parent.  The driver owns the rest of the
     request: the vn pre-pass before the cut, the check of the stitched
     schedule, the baselines and the wall time, which are left at 0 here.
-    Per-window stats are never stamped with region-level vn counters:
-    their cache entries are shared across regions.
+
+    Returns the result and, with a ``cache``, each freshly searched window
+    as ``(fingerprint, window region, schedule, stats)`` for the driver to
+    store once the stitched schedule is checked.  Per-window stats are
+    never stamped with region-level vn counters: their cache entries are
+    shared across regions.
     """
     if window_size < 1:
         raise ValueError(f"window size must be positive, got {window_size}")
@@ -222,16 +227,18 @@ def induce_windows(
             windows.append((start, sub, back))
 
     # Pass 1: cache lookups (always in the parent — the cache is not shared
-    # with workers).  ``results`` is indexed by window position.
+    # with workers).  ``results`` is indexed by window position.  A window
+    # entry is the one-shot search result of the window region.
     results: list[tuple[Schedule, SearchStats] | None] = [None] * len(windows)
     fingerprints: list[str | None] = [None] * len(windows)
     cache_hits = 0
     if cache is not None:
         for w, (_start, sub, _back) in enumerate(windows):
             fingerprints[w] = region_fingerprint(sub, model, config)
-            hit = cache.get(fingerprints[w])
-            if hit is not None and hit[1] is not None:
-                results[w] = (hit[0], hit[1])
+            entry = cache.get(fingerprints[w])
+            if entry is not None and entry.get("stats"):
+                results[w] = (schedule_from_payload(entry["schedule"]),
+                              SearchStats(**entry["stats"][0]))
                 cache_hits += 1
 
     # Pass 2: search the misses — deduplicated by fingerprint (SPMD traces
@@ -287,10 +294,8 @@ def induce_windows(
         metrics.observe("window_search_seconds", st.wall_s)
         observe_search_throughput(metrics, st)
         results[w] = (sched, st)
-    if cache is not None:
-        for w in unique_idx:
-            sched, st = results[w]
-            cache.put(fingerprints[w], sched, st)
+    fresh = [(fingerprints[w], windows[w][1], *results[w])
+             for w in unique_idx] if cache is not None else []
     for w, source in duplicate_of.items():
         sched, st = results[source]
         results[w] = (sched, dataclasses.replace(st))
@@ -336,4 +341,4 @@ def induce_windows(
         cache_hits=cache_hits,
         jobs_used=jobs_used,
         cost=schedule.cost(model),
-    )
+    ), fresh

@@ -38,13 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.cache import ScheduleCache, region_fingerprint, schedule_to_payload
+from repro.core.cache import ScheduleCache, cache_entry, region_fingerprint
 from repro.core.engines import legacy_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import parse_region
 from repro.core.pipeline import InductionResult, run_induction
 from repro.core.prepared import PreparedRegion
 from repro.core.result import result_from_payload, result_to_payload
+from repro.core.schedule import schedule_to_payload
 from repro.core.search import branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.canon import regions_mismatch
@@ -164,36 +165,35 @@ def _check_region(case: FuzzCase,
             failures.append(OracleFailure(
                 "fingerprint", "re-parsed region fingerprints differently"))
 
-    # Cache round-trip: memory tier always, disk tier when given a workdir.
-    cache_dir = (workdir / "cache") if workdir is not None else None
-    cache = ScheduleCache(capacity=4, cache_dir=cache_dir)
-    cache.put(fingerprint, schedule, stats)
-    hit = cache.get(fingerprint)
-    if hit is None:
-        failures.append(OracleFailure("cache_roundtrip", "put then get missed"))
-    else:
-        cached_sched, cached_stats = hit
-        if _slots_payload(cached_sched) != _slots_payload(schedule):
-            failures.append(OracleFailure(
-                "cache_roundtrip", "cached schedule differs from stored"))
-        if cached_stats is None or \
-                dataclasses.asdict(cached_stats) != dataclasses.asdict(stats):
-            failures.append(OracleFailure(
-                "cache_roundtrip", "cached stats differ from stored"))
-    if cache_dir is not None:
-        disk_hit = ScheduleCache(capacity=4, cache_dir=cache_dir).get(fingerprint)
-        if disk_hit is None or \
-                _slots_payload(disk_hit[0]) != _slots_payload(schedule):
-            failures.append(OracleFailure(
-                "cache_disk_roundtrip", "disk tier lost or changed the schedule"))
-
-    # Result wire round-trip: payload → JSON text → payload must be a
-    # fixed point (modulo the kind discriminator, which becomes "service").
+    # The result as the driver reports (and caches) it.
     result = InductionResult(
         method="search", schedule=schedule, cost=stats.best_cost,
         serial_cost=serial_cost, lockstep_cost=lockstep_schedule(region, model).cost(model),
         stats=stats, wall_s=stats.wall_s)
     payload = result_to_payload(result)
+
+    # Cache round-trip: memory tier always, disk tier when given a workdir.
+    # A hit is the stored entry: the payload minus its per-request fields.
+    entry = cache_entry(payload)
+    cache_dir = (workdir / "cache") if workdir is not None else None
+    cache = ScheduleCache(capacity=4, cache_dir=cache_dir)
+    cache.put(fingerprint, payload)
+    hit = cache.get(fingerprint)
+    if hit is None:
+        failures.append(OracleFailure("cache_roundtrip", "put then get missed"))
+    elif hit != entry:
+        diff = sorted(k for k in set(hit) | set(entry)
+                      if hit.get(k) != entry.get(k))
+        failures.append(OracleFailure(
+            "cache_roundtrip", f"cached entry differs from stored: {diff}"))
+    if cache_dir is not None:
+        disk_hit = ScheduleCache(capacity=4, cache_dir=cache_dir).get(fingerprint)
+        if disk_hit != entry:
+            failures.append(OracleFailure(
+                "cache_disk_roundtrip", "disk tier lost or changed the entry"))
+
+    # Result wire round-trip: payload → JSON text → payload must be a
+    # fixed point (modulo the kind discriminator, which becomes "service").
     rebuilt = result_from_payload(json.loads(json.dumps(payload, sort_keys=True)))
     payload2 = result_to_payload(rebuilt)
     a = {k: v for k, v in payload.items() if k != "kind"}

@@ -196,30 +196,25 @@ class ServiceClient:
             raise ServiceError(f"drain failed: {reply!r}")
         return reply
 
-    def cache_get(self, fingerprint: str) -> dict[str, Any] | None:
-        """Fetch a schedule payload from the server's *local* cache tier.
+    def cache_get(self, fingerprint: str) -> Any:
+        """The cache entry under ``fingerprint`` in the server's local tiers.
 
-        The peer-cache read behind :class:`repro.cluster.RemoteScheduleCache`:
-        returns ``{"schedule": ..., "stats": ...}`` on a hit, ``None`` on a
-        miss.  Unreachable peers raise :class:`ServiceError`; the remote
-        tier treats that as a miss.
+        The peer-cache read behind :class:`repro.cluster.RemoteScheduleCache`,
+        which checks what it gets: ``None`` on a miss (and from a server
+        that sends no ``entry``).  Unreachable peers raise
+        :class:`ServiceError`; the remote tier treats that as a miss.
         """
         reply = self._roundtrip({"op": "cache_get",
                                  "fingerprint": fingerprint})
         if reply.get("status") != "cache":
             raise ServiceError(f"bad cache_get reply {reply!r}")
-        if not reply.get("hit"):
-            return None
-        return {"schedule": reply["schedule"], "stats": reply.get("stats")}
+        return reply.get("entry") if reply.get("hit") else None
 
-    def cache_put(self, fingerprint: str, schedule_payload: list,
-                  stats_payload: Mapping[str, Any] | None = None) -> None:
-        """Push a finished schedule into the server's local cache tier."""
-        reply = self._roundtrip({
-            "op": "cache_put", "fingerprint": fingerprint,
-            "schedule": list(schedule_payload),
-            "stats": dict(stats_payload) if stats_payload else None,
-        })
+    def cache_put(self, fingerprint: str, entry: Mapping[str, Any]) -> None:
+        """Push a cache entry into the server's local cache tiers."""
+        reply = self._roundtrip({"op": "cache_put",
+                                 "fingerprint": fingerprint,
+                                 "entry": dict(entry)})
         if reply.get("status") != "ok":
             raise ServiceError(f"cache_put failed: {reply!r}")
 

@@ -37,7 +37,6 @@ given) receives one ``service_batch`` event per batch and one
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import socket
 import threading
@@ -46,13 +45,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.api import InductionRequest
-from repro.core.cache import (
-    ScheduleCache,
-    schedule_from_payload,
-    schedule_to_payload,
-)
+from repro.core.cache import ScheduleCache, check_entry, replay
 from repro.core.result import result_to_payload
-from repro.core.search import SearchStats
 from repro.service.endpoint import Endpoint
 from repro.obs import (
     NULL_TRACER,
@@ -81,8 +75,6 @@ from repro.service.workers import (
     WorkerPool,
     WorkerTaskError,
     absorb_obs,
-    adopt_reply,
-    build_result,
     degraded_result,
     inject_portfolio_hints,
     record_portfolio_outcome,
@@ -437,43 +429,36 @@ class InductionServer:
     # -- peer cache ops ----------------------------------------------------
     #
     # The remote cache tier (repro.cluster.remotecache) reads and writes
-    # peers' *local* tiers through these ops; a RemoteScheduleCache exposes
-    # get_local/put_local so serving a peer never recurses back out to the
-    # cluster.
+    # peers' *local* tiers through these ops, one cache entry each way; a
+    # RemoteScheduleCache exposes get_local/put_local so serving a peer
+    # never recurses back out to the cluster.
 
     def _peer_cache_get(self, msg: dict) -> dict:
         fingerprint = msg.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
             raise protocol.ProtocolError("cache_get needs a fingerprint")
         self.counters.bump("peer_cache_requests")
-        hit = None
+        entry = None
         if self.cache is not None:
             get = getattr(self.cache, "get_local", self.cache.get)
-            hit = get(fingerprint)
-        if hit is None:
+            entry = get(fingerprint)
+        if entry is None:
             return {"status": "cache", "hit": False}
         self.counters.bump("peer_cache_served")
-        schedule, stats = hit
-        return {
-            "status": "cache", "hit": True,
-            "schedule": schedule_to_payload(schedule),
-            "stats": dataclasses.asdict(stats) if stats is not None else None,
-        }
+        return {"status": "cache", "hit": True, "entry": entry}
 
     def _peer_cache_put(self, msg: dict) -> dict:
         try:
             fingerprint = msg["fingerprint"]
-            schedule = schedule_from_payload(msg["schedule"])
-            raw_stats = msg.get("stats")
-            stats = SearchStats(**raw_stats) if raw_stats else None
             if not isinstance(fingerprint, str) or not fingerprint:
                 raise ValueError("bad fingerprint")
-        except (KeyError, TypeError, ValueError) as exc:
+            entry = check_entry(msg.get("entry"))
+        except (KeyError, ValueError) as exc:
             raise protocol.ProtocolError(f"bad cache_put payload: {exc}") \
                 from exc
         if self.cache is not None:
             put = getattr(self.cache, "put_local", self.cache.put)
-            put(fingerprint, schedule, stats)
+            put(fingerprint, entry)
             self.counters.bump("peer_cache_stores")
         return {"status": "ok", "stored": self.cache is not None}
 
@@ -539,7 +524,7 @@ class InductionServer:
         return ticket.response
 
     def _answer_from_cache(self, ticket: _Ticket) -> dict | None:
-        """Reply to a cached fingerprint on the handler thread, or None.
+        """Replay a cached fingerprint on the handler thread, or None.
 
         A hit never queues, so it waits behind neither the batcher nor a
         saturated worker pool.  A miss asks the cache's every tier (peers
@@ -548,16 +533,13 @@ class InductionServer:
         if self.cache is None:
             return None
         with use_registry(self.metrics):
-            hit = self.cache.get(ticket.fingerprint)
-            if hit is None:
-                return None
-            result = build_result(
-                ticket.request, hit[0], hit[1],
-                wall_s=time.monotonic() - ticket.enqueued_at)
+            entry = self.cache.get(ticket.fingerprint)
+        if entry is None:
+            return None
         self.counters.bump("cache_hits")
-        return self._ok_reply(ticket, result_to_payload(result), "cache",
-                              batch=1, deduped=False,
-                              started=ticket.enqueued_at)
+        payload = replay(entry, wall_s=time.monotonic() - ticket.enqueued_at)
+        return self._ok_reply(ticket, payload, "cache", batch=1,
+                              deduped=False, started=ticket.enqueued_at)
 
     def _ok_reply(self, ticket: _Ticket, payload: dict, disposition: str,
                   batch: int, deduped: bool, started: float) -> dict:
@@ -714,11 +696,9 @@ class InductionServer:
                 # A duplicate that finished while this group queued has
                 # filled the local tier; admission already asked the peers.
                 get = getattr(self.cache, "get_local", self.cache.get)
-                hit = get(group.fingerprint)
-                if hit is not None:
-                    result = build_result(request, hit[0], hit[1],
-                                          wall_s=time.monotonic() - started)
-                    payload = result_to_payload(result)
+                payload = get(group.fingerprint)
+                if payload is not None:
+                    replay(payload, wall_s=time.monotonic() - started)
                     disposition = "cache"
                     self.counters.bump("cache_hits")
 
@@ -756,7 +736,8 @@ class InductionServer:
                         self.metrics.observe("service_worker_retries",
                                              meta["retries"],
                                              buckets=DEFAULT_SIZE_BUCKETS)
-                    adopt_reply(self.cache, group.fingerprint, payload)
+                    if self.cache is not None:
+                        self.cache.put(group.fingerprint, payload)
                 except DeadlineExpired:
                     disposition = "deadline"
                     self.counters.bump("degraded_deadline")

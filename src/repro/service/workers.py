@@ -34,12 +34,9 @@ import time
 from typing import Any, Mapping
 
 from repro.api import InductionRequest, _execute_local
-from repro.core.cache import schedule_from_payload
-from repro.core.ops import Region
-from repro.core.pipeline import InductionResult, baselines, run_induction
+from repro.core.cache import replay
+from repro.core.pipeline import InductionResult, run_induction
 from repro.core.result import ResultBase, result_from_payload, result_to_payload
-from repro.core.schedule import Schedule
-from repro.core.search import SearchStats
 from repro.core.vn import vn_prepass
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
@@ -50,12 +47,10 @@ __all__ = [
     "WorkerPool",
     "WorkerTaskError",
     "absorb_obs",
-    "adopt_reply",
     "degraded_result",
     "inject_portfolio_hints",
     "record_portfolio_outcome",
     "run_local_with_deadline",
-    "scheduled_region",
 ]
 
 
@@ -333,8 +328,8 @@ class WorkerPool:
 # -- portfolio plumbing ----------------------------------------------------
 #
 # The strategy-outcomes store is a live handle and never crosses the wire;
-# the supervising process (here or the server) consults it before the race
-# and folds the race's outcomes back in afterwards.
+# the server consults it before the race and folds the race's outcomes back
+# in afterwards.
 
 
 def inject_portfolio_hints(wire: dict, request: InductionRequest,
@@ -342,101 +337,39 @@ def inject_portfolio_hints(wire: dict, request: InductionRequest,
     """Attach the store's ranked order / skip set to a portfolio wire.
 
     The bucket is the one the race will record its outcome under: that of
-    the region it actually runs, after the vn pre-pass.
+    the region it actually runs, after the vn pre-pass (which the worker
+    runs again inside the driver).
     """
     if store is None or wire.get("method") != "portfolio":
         return
     from repro.core.portfolio import (
         PORTFOLIO_STRATEGIES, feature_bucket, region_features)
 
-    features = region_features(scheduled_region(request),
-                               request.resolved_model())
+    region, model = request.resolved_region(), request.resolved_model()
+    if request.vn != "off":
+        region, _vnstats = vn_prepass(region, model, request.vn)
+    features = region_features(region, model)
     order, skip = store.rank(feature_bucket(features), PORTFOLIO_STRATEGIES)
     wire["portfolio_order"] = list(order)
     wire["portfolio_skip"] = sorted(skip)
 
 
-def record_portfolio_outcome(result, store) -> None:
-    """Fold a portfolio reply's per-strategy outcomes into the store.
+def record_portfolio_outcome(payload: Mapping[str, Any], store) -> None:
+    """Fold a portfolio reply payload's per-strategy outcomes into the store.
 
-    ``result`` is either a reconstructed :class:`ServiceResult` (the keys
-    land in ``extras``) or a raw wire payload dict; both carry the
-    ``winner`` / ``portfolio`` keys that
+    The payload carries the ``winner`` / ``portfolio`` keys that
     :meth:`repro.core.portfolio.PortfolioResult.as_dict` emits.  A no-op
-    for non-portfolio results and for payloads without them (degraded
+    for non-portfolio payloads and for payloads without them (degraded
     fallbacks never raced, so they teach the selector nothing).
     """
-    if store is None:
+    info = payload.get("portfolio")
+    if store is None or not info:
         return
-    extras = result if isinstance(result, Mapping) \
-        else getattr(result, "extras", None) or {}
-    info = extras.get("portfolio")
-    if not info:
-        return
-    store.record(info.get("bucket", ""), extras.get("winner"),
+    store.record(info.get("bucket", ""), payload.get("winner"),
                  info.get("outcomes", ()))
 
 
-# -- result assembly -------------------------------------------------------
-
-
-def scheduled_region(request: InductionRequest) -> Region:
-    """The region a request's schedule is built on: post-vn when vn is on.
-
-    The driver runs the pre-pass inside the worker; the supervising side
-    needs the same region for a cached reply's baselines and for the
-    portfolio selector's bucket.
-    """
-    region = request.resolved_region()
-    if request.vn != "off":
-        region, _vnstats = vn_prepass(region, request.resolved_model(),
-                                      request.vn)
-    return region
-
-
-def build_result(request: InductionRequest, schedule: Schedule,
-                 stats: SearchStats | None, wall_s: float) -> InductionResult:
-    """Assemble a protocol-shaped result around a cached schedule.
-
-    Used for request-level cache hits, where no induction ran to produce
-    the result.  Baselines measure the region the schedule was built on,
-    so a hit reports the same serial/lockstep costs as the fresh run did.
-    """
-    model = request.resolved_model()
-    cost = schedule.cost(model)
-    serial_cost, lockstep_cost = baselines(scheduled_region(request), model,
-                                           request.method, cost)
-    return InductionResult(
-        method=request.method,
-        schedule=schedule,
-        cost=cost,
-        serial_cost=serial_cost,
-        lockstep_cost=lockstep_cost,
-        stats=stats,
-        cache_hit=True,
-        wall_s=wall_s,
-    )
-
-
-def adopt_reply(cache, fingerprint: str, payload: Mapping[str, Any]) -> bool:
-    """Store a computed reply under its request fingerprint, if faithful.
-
-    A hit is rebuilt from the stored ``(schedule, stats)`` alone, and
-    claims ``stats.optimal`` — or optimal, with no stats.  So a reply is
-    stored only when that claim equals its own: degraded replies,
-    multi-window replies that did not prove every window and unproven
-    portfolio replies are recomputed on repeat instead.  Returns whether
-    the reply was stored.
-    """
-    if cache is None or payload.get("degraded"):
-        return False
-    listed = payload.get("stats") or []
-    stats = SearchStats(**listed[0]) if len(listed) == 1 else None
-    claimed = stats.optimal if stats is not None else True
-    if claimed != bool(payload.get("optimal")):
-        return False
-    cache.put(fingerprint, schedule_from_payload(payload["schedule"]), stats)
-    return True
+# -- local results ---------------------------------------------------------
 
 
 def degraded_result(request: InductionRequest,
@@ -464,43 +397,36 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
 
     Spawns one supervised worker for the duration of the call; on deadline
     expiry or repeated worker death the greedy fallback is returned with
-    ``degraded=True``.  A request-level cache hit skips the worker
-    entirely; a fresh result is written back to the cache in the parent
-    (handles never cross the process boundary).
+    ``degraded=True``.  A request-level cache hit skips the worker and
+    replays the stored result; a fresh reply is stored in the parent under
+    the cache's one store rule (handles never cross the process boundary).
+    Both come back as a :class:`~repro.core.result.ServiceResult`.
     """
     from repro.service.protocol import request_to_wire
 
     start = time.monotonic()
+    cache = request.cache
     fingerprint = None
-    if request.cache is not None:
+    if cache is not None:
         fingerprint = request.fingerprint()
-        hit = request.cache.get(fingerprint)
-        if hit is not None:
-            return build_result(request, hit[0], hit[1],
-                                wall_s=time.monotonic() - start)
+        entry = cache.get(fingerprint)
+        if entry is not None:
+            return result_from_payload(
+                replay(entry, wall_s=time.monotonic() - start))
 
     pool = WorkerPool(workers=1, max_retries=1)
     try:
-        deadline = start + float(request.deadline_s)
-        if request.method == "portfolio":
-            # The race self-deadlines inside the worker and replies with
-            # its best verified schedule; the supervisor's kill switch is
-            # only the backstop for a wedged worker, so it fires late.
-            wire = request_to_wire(request)
-            inject_portfolio_hints(wire, request, request.strategy_store)
-            deadline += PORTFOLIO_KILL_GRACE_S
-        else:
-            wire = request_to_wire(request.replace(deadline_s=None))
+        wire = request_to_wire(request.replace(deadline_s=None))
         try:
-            payload, _meta = pool.run(wire, deadline)
+            payload, _meta = pool.run(wire, start + float(request.deadline_s))
         except (DeadlineExpired, RetriesExhausted):
             return degraded_result(request, wall_s=time.monotonic() - start)
     finally:
         pool.close()
     absorb_obs(payload, tracer=request.tracer)
-    adopt_reply(request.cache, fingerprint, payload)
+    if cache is not None:
+        cache.put(fingerprint, payload)
     result = result_from_payload(payload)
-    record_portfolio_outcome(result, request.strategy_store)
     if request.tracer is not None and request.tracer.enabled:
         request.tracer.emit("deadline_run", **result.as_dict())
     return result

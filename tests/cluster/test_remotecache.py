@@ -1,16 +1,18 @@
 """Remote cache tier tests with stubbed peer clients (no sockets).
 
 The stub client exposes exactly the two peer ops the tier uses
-(``cache_get``/``cache_put``) backed by plain dicts, so hit adoption,
-replication pushes and dead-peer degradation are all deterministic.
+(``cache_get``/``cache_put``, one cache entry each way) backed by plain
+dicts, so hit adoption, replication pushes, the boundary check and
+dead-peer degradation are all deterministic.
 """
 
 import pytest
 
+from repro import api
 from repro.cluster import ClusterConfig, RemoteScheduleCache
-from repro.core import maspar_cost_model, parse_region
-from repro.core.cache import ScheduleCache, region_fingerprint, schedule_to_payload
-from repro.core.search import SearchConfig, SearchStats, branch_and_bound
+from repro.core import maspar_cost_model, parse_region, result_to_payload
+from repro.core.cache import ScheduleCache, cache_entry, region_fingerprint
+from repro.core.search import SearchStats
 from repro.service import Endpoint
 
 REGION = """
@@ -38,16 +40,13 @@ class StubPeer:
         self.gets += 1
         if self.fail:
             raise OSError("peer down")
-        entry = self.store.get(fingerprint)
-        if entry is None:
-            return None
-        return {"schedule": entry[0], "stats": entry[1]}
+        return self.store.get(fingerprint)
 
-    def cache_put(self, fingerprint, schedule_payload, stats_payload):
+    def cache_put(self, fingerprint, entry):
         self.puts += 1
         if self.fail:
             raise OSError("peer down")
-        self.store[fingerprint] = (schedule_payload, stats_payload)
+        self.store[fingerprint] = entry
 
 
 @pytest.fixture
@@ -59,11 +58,11 @@ def cluster():
 
 @pytest.fixture
 def induced():
+    """``(fingerprint, payload)`` of a finished one-shot search."""
     region = parse_region(REGION)
     model = maspar_cost_model()
-    schedule, stats = branch_and_bound(region, model,
-                                       SearchConfig(node_budget=2_000))
-    return region_fingerprint(region, model), schedule, stats
+    result = api.induce(api.InductionRequest(region, model, budget=2_000))
+    return region_fingerprint(region, model), result_to_payload(result)
 
 
 def make_cache(config, peers, self_name, capacity=8):
@@ -79,27 +78,26 @@ def owners(cache, fingerprint):
 class TestGet:
     def test_local_miss_then_peer_hit_is_adopted(self, cluster, induced):
         config, peers = cluster
-        fp, schedule, stats = induced
+        fp, payload = induced
         owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = (schedule_to_payload(schedule), None)
+        peers[owner].store[fp] = cache_entry(payload)
 
         me = next(n for n in config.node_names if n != owner)
         cache = make_cache(config, peers, me)
         found = cache.get(fp)
-        assert found is not None
-        assert found[0] == schedule
+        assert found == cache_entry(payload)
         assert cache.counters["remote_hits"] == 1
         # Adopted into the local tier: the next get never leaves the node.
         gets_before = sum(p.gets for p in peers.values())
-        assert cache.get(fp)[0] == schedule
+        assert cache.get(fp) == cache_entry(payload)
         assert sum(p.gets for p in peers.values()) == gets_before
 
     def test_stats_survive_the_peer_roundtrip(self, cluster, induced):
         config, peers = cluster
-        fp, schedule, stats = induced
+        fp, payload = induced
         owner_cache = make_cache(config, peers, owners(
             make_cache(config, peers, ""), fp)[0])
-        owner_cache.put(fp, schedule, stats)
+        owner_cache.put(fp, payload)
 
         outsider = next(n for n in config.node_names
                         if n not in owners(owner_cache, fp))
@@ -108,8 +106,9 @@ class TestGet:
         cache = make_cache(config, peers, outsider)
         found = cache.get(fp)
         assert found is not None
-        assert isinstance(found[1], SearchStats)
-        assert found[1] == stats
+        assert [SearchStats(**s) for s in found["stats"]] == \
+            [SearchStats(**s) for s in payload["stats"]]
+        assert found["serial_cost"] == payload["serial_cost"]
 
     def test_all_peers_miss_counts_remote_miss(self, cluster):
         config, peers = cluster
@@ -119,7 +118,7 @@ class TestGet:
 
     def test_dead_peer_degrades_to_miss(self, cluster, induced):
         config, peers = cluster
-        fp, schedule, _ = induced
+        fp, _ = induced
         for peer in peers.values():
             peer.fail = True
         cache = make_cache(config, peers, config.node_names[0])
@@ -129,47 +128,69 @@ class TestGet:
 
     def test_garbage_payload_is_an_error_not_a_crash(self, cluster, induced):
         config, peers = cluster
-        fp, _, _ = induced
+        fp, _ = induced
         owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = ("not-a-schedule", None)
+        peers[owner].store[fp] = "not-an-entry"
         me = next(n for n in config.node_names if n != owner)
         cache = make_cache(config, peers, me)
         assert cache.get(fp) is None
         assert cache.counters["remote_errors"] >= 1
+
+    def test_entry_without_cost_is_a_counted_miss(self, cluster, induced):
+        config, peers = cluster
+        fp, payload = induced
+        owner = owners(make_cache(config, peers, ""), fp)[0]
+        peers[owner].store[fp] = {k: v for k, v in cache_entry(payload).items()
+                                  if k != "cost"}
+        me = next(n for n in config.node_names if n != owner)
+        cache = make_cache(config, peers, me)
+        assert cache.get(fp) is None
+        assert cache.counters["remote_errors"] == 1
+        assert cache.counters["remote_misses"] == 1
+        assert cache.get_local(fp) is None  # nothing adopted
 
 
 class TestPut:
     def test_put_pushes_to_replica_owners_excluding_self(self, cluster,
                                                          induced):
         config, peers = cluster
-        fp, schedule, stats = induced
+        fp, payload = induced
         reference = make_cache(config, peers, "")
         replica_owners = owners(reference, fp)
         me = replica_owners[0]
         cache = make_cache(config, peers, me)
-        cache.put(fp, schedule, stats)
+        assert cache.put(fp, payload)
         # Local copy plus a push to the OTHER replica owner, nobody else.
         assert cache.get_local(fp) is not None
         pushed = [n for n, p in peers.items() if fp in p.store]
         assert pushed == [replica_owners[1]]
+        assert peers[replica_owners[1]].store[fp] == cache_entry(payload)
         assert cache.counters["remote_stores"] == 1
 
     def test_put_with_dead_replica_still_stores_locally(self, cluster,
                                                         induced):
         config, peers = cluster
-        fp, schedule, _ = induced
+        fp, payload = induced
         for peer in peers.values():
             peer.fail = True
         cache = make_cache(config, peers, config.node_names[0])
-        cache.put(fp, schedule, None)
+        cache.put(fp, payload)
         assert cache.get_local(fp) is not None
         assert cache.counters["remote_errors"] >= 1
+
+    def test_put_refuses_what_the_store_rule_refuses(self, cluster, induced):
+        config, peers = cluster
+        fp, payload = induced
+        cache = make_cache(config, peers, config.node_names[0])
+        assert not cache.put(fp, {**payload, "degraded": True})
+        assert cache.get_local(fp) is None
+        assert sum(p.puts for p in peers.values()) == 0
 
 
 class TestLocalOnlySurface:
     def test_get_local_never_touches_peers(self, cluster, induced):
         config, peers = cluster
-        fp, schedule, _ = induced
+        fp, payload = induced
 
         def explode(endpoint):
             raise AssertionError("peer traffic from a local-only op")
@@ -178,15 +199,15 @@ class TestLocalOnlySurface:
             ScheduleCache(capacity=4), config,
             self_name=config.node_names[0], client_factory=explode)
         assert cache.get_local(fp) is None
-        cache.put_local(fp, schedule, None)
-        assert cache.get_local(fp)[0] == schedule
+        cache.put_local(fp, payload)
+        assert cache.get_local(fp) == cache_entry(payload)
 
     def test_delegated_schedulecache_surface(self, cluster, induced):
         config, peers = cluster
-        fp, schedule, _ = induced
+        fp, payload = induced
         cache = make_cache(config, peers, config.node_names[0], capacity=4)
         assert len(cache) == 0
         assert cache.capacity == 4
-        cache.put_local(fp, schedule, None)
+        cache.put_local(fp, payload)
         assert len(cache) == 1
         assert 0.0 <= cache.hit_rate <= 1.0

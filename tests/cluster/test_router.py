@@ -5,14 +5,16 @@ cluster-wide in-flight dedup, failover after a node crash, draining, and
 the router's protocol surface (status/metrics/ping ops).
 """
 
+import copy
 import threading
 
 import pytest
 
+from repro import api
 from repro.api import InductionRequest
 from repro.cluster import HashRing, LocalCluster, RetryPolicy
-from repro.core import maspar_cost_model, parse_region
-from repro.service import ServiceError
+from repro.core import maspar_cost_model, parse_region, result_to_payload
+from repro.service import ServiceError, protocol
 
 REGION = """
 thread 0:
@@ -237,20 +239,45 @@ class TestRequestCache:
             assert not repeat.extras.get("router_cache")
             assert clu.router.counters["router_cache_hits"] == 0
 
-    def test_only_ok_nondegraded_replies_cached(self, cluster):
+    def test_only_ok_nondegraded_replies_cached(self, cluster, monkeypatch):
+        # One store rule: errors and sheds are transient, a degraded reply
+        # depends on wall-clock luck and an unproven race on its deadline,
+        # none of which the fingerprint holds.
         router = cluster.router
-        router._cache_store("fp-err", {"status": "error", "error": "boom"})
-        router._cache_store("fp-busy", {"status": "busy"})
-        router._cache_store(
-            "fp-degraded",
-            {"status": "ok", "result": {"degraded": True, "cost": 1.0}})
-        assert router._cache_lookup("fp-err") is None
-        assert router._cache_lookup("fp-busy") is None
-        assert router._cache_lookup("fp-degraded") is None
-        router._cache_store(
-            "fp-ok", {"status": "ok", "result": {"degraded": False,
-                                                 "cost": 1.0}})
-        assert router._cache_lookup("fp-ok") is not None
+        ok = result_to_payload(api.induce(request(44)))
+        replies = [
+            ({"status": "error", "error": "boom"}, False),
+            ({"status": "busy"}, False),
+            ({"status": "ok", "result": {**ok, "degraded": True}}, False),
+            ({"status": "ok", "result": {**ok, "kind": "portfolio",
+                                         "optimal": False}}, False),
+            ({"status": "ok", "result": ok}, True),
+        ]
+        for seed, (reply, cached) in enumerate(replies, start=40):
+            monkeypatch.setattr(router, "_forward",
+                                lambda *args, reply=reply: copy.deepcopy(reply))
+            wire = protocol.request_to_wire(request(seed))
+            router.submit_wire(dict(wire))
+            again = router.submit_wire(dict(wire)).get("result") or {}
+            assert bool(again.get("router_cache")) is cached, reply
+
+    def test_unproven_race_is_not_router_cached(self, cluster):
+        # deadline_s is not in the fingerprint, so a race that proved
+        # nothing must not answer a request with a longer deadline.
+        pytest.importorskip("numpy")
+        from repro.workloads import RandomRegionSpec, random_region
+
+        region = random_region(
+            RandomRegionSpec(num_threads=5, min_len=14, max_len=14), seed=6)
+        race = InductionRequest(region=region, method="portfolio",
+                                budget=30)
+        first = cluster.client().submit(race)
+        assert not first.optimal
+        hits = cluster.router.counters["router_cache_hits"]
+        second = cluster.client().submit(race.replace(deadline_s=30.0))
+        assert not second.extras.get("router_cache")
+        assert second.extras["disposition"] == "miss"
+        assert cluster.router.counters["router_cache_hits"] == hits
 
     def test_cached_reply_is_a_private_copy(self, cluster):
         req = request(21)

@@ -10,6 +10,11 @@ verify/DAG units, cluster, service, observability, ISA, lang front-end,
 events) still run and pass.
 """
 
+import sys
+from collections import Counter
+
+import pytest
+
 try:
     import numpy  # noqa: F401
     _HAVE_NUMPY = True
@@ -54,3 +59,23 @@ if not _HAVE_NUMPY:
         "test_examples.py",
         "test_integration.py",
     ]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(*functions)`` returns a :class:`Counter` of their calls
+    by name, wrapping every module that binds each function by name."""
+    counts: Counter = Counter()
+
+    def install(*functions) -> Counter:
+        for original in functions:
+            def counted(*args, _fn=original, **kwargs):
+                counts[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+            for mod in list(sys.modules.values()):
+                for attr, value in list(getattr(mod, "__dict__", {}).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        return counts
+
+    return install

@@ -1,25 +1,35 @@
-"""Tests for the content-addressed schedule cache."""
+"""Tests for the content-addressed result cache."""
 
 import dataclasses
 import json
+from collections import Counter
 from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.serial as serial_mod
+import repro.core.window as window_mod
 from repro import api
 from repro.core import (
+    InductionResult,
     ScheduleCache,
+    ScheduleError,
+    SearchStats,
     maspar_cost_model,
     region_fingerprint,
+    result_to_payload,
     schedule_from_payload,
     schedule_to_payload,
     uniform_cost_model,
     verify_schedule,
 )
+from repro.core.cache import cache_entry, check_entry
 from repro.core.ops import Operation, Region, ThreadCode, parse_region
+from repro.core.schedule import Schedule
 from repro.core.search import SearchConfig, branch_and_bound
+from repro.core.vn import vn_prepass
 from repro.workloads import RandomRegionSpec, random_region
 
 UNIT = uniform_cost_model(cost=1.0, mask_overhead=0.0)
@@ -34,6 +44,15 @@ thread 1:
     d = mul c c
     st y d
 """)
+
+
+def search_payload(schedule, stats, model=UNIT, **fields):
+    """The result payload of a one-shot search, as every tier stores it."""
+    payload = result_to_payload(InductionResult(
+        method="search", schedule=schedule, cost=schedule.cost(model),
+        serial_cost=9.0, lockstep_cost=7.0, stats=stats, wall_s=0.25))
+    payload.update(fields)
+    return payload
 
 
 def small_region(seed=0, **kw):
@@ -83,25 +102,33 @@ class TestMemoryTier:
         cache = ScheduleCache()
         fp = region_fingerprint(REGION, UNIT)
         assert cache.get(fp) is None
-        sched, stats = branch_and_bound(REGION, UNIT)
-        cache.put(fp, sched, stats)
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
+        assert cache.put(fp, payload)
         got = cache.get(fp)
-        assert got is not None and got[0] == sched and got[1] == stats
+        assert got == cache_entry(payload)
+        assert "wall_s" not in got and "cache_hit" not in got
         assert cache.counters["hits"] == 1 and cache.counters["misses"] == 1
 
     def test_hit_returns_stats_copy(self):
+        # A hit is the caller's own copy: mutating it, or the payload it
+        # was stored from, never reaches the stored entry.
         cache = ScheduleCache()
-        sched, stats = branch_and_bound(REGION, UNIT)
-        cache.put("fp", sched, stats)
-        first = cache.get("fp")[1]
-        first.nodes_expanded = -1
-        assert cache.get("fp")[1].nodes_expanded != -1
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
+        cache.put("fp", payload)
+        payload["stats"][0]["nodes_expanded"] = -2
+        first = cache.get("fp")
+        first["stats"][0]["nodes_expanded"] = -1
+        first["schedule"].clear()
+        first["cost"] = -1.0
+        again = cache.get("fp")
+        assert again["stats"][0]["nodes_expanded"] > 0
+        assert again["schedule"] and again["cost"] > 0
 
     def test_lru_eviction(self):
         cache = ScheduleCache(capacity=2)
-        sched, stats = branch_and_bound(REGION, UNIT)
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
         for fp in ("a", "b", "c"):
-            cache.put(fp, sched, stats)
+            cache.put(fp, payload)
         assert cache.get("a") is None          # evicted, oldest
         assert cache.get("c") is not None
         assert len(cache) == 2
@@ -112,31 +139,90 @@ class TestMemoryTier:
             ScheduleCache(capacity=0)
 
 
+class TestStoreRule:
+    def test_degraded_and_unproven_races_are_never_stored(self):
+        cache = ScheduleCache()
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
+        assert not cache.put("degraded", {**payload, "degraded": True})
+        race = {**payload, "kind": "portfolio", "winner": "anneal"}
+        assert not cache.put("unproven", {**race, "optimal": False})
+        assert cache.put("proven", {**race, "optimal": True})
+        unproven_search = search_payload(
+            *branch_and_bound(REGION, UNIT), optimal=False)
+        assert cache.put("unproven-search", unproven_search)
+        assert cache.get("degraded") is None
+        assert cache.get("unproven") is None
+        assert cache.get("proven")["winner"] == "anneal"
+        assert cache.get("unproven-search")["optimal"] is False
+        assert cache.counters["stores"] == 2
+
+    def test_check_entry_takes_only_storable_result_payloads(self):
+        entry = cache_entry(search_payload(*branch_and_bound(REGION, UNIT)))
+        assert check_entry(entry) is entry
+        missing_cost = {k: v for k, v in entry.items() if k != "cost"}
+        for bad in (None, [], "text", missing_cost,
+                    {**entry, "schedule": "not-a-schedule"},
+                    {**entry, "stats": [{"no_such_counter": 1}]},
+                    {**entry, "degraded": True}):
+            with pytest.raises(ValueError):
+                check_entry(bad)
+
+
 class TestDiskTier:
     def test_survives_new_cache_instance(self, tmp_path):
-        sched, stats = branch_and_bound(REGION, UNIT)
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
         fp = region_fingerprint(REGION, UNIT)
-        ScheduleCache(cache_dir=tmp_path).put(fp, sched, stats)
+        ScheduleCache(cache_dir=tmp_path).put(fp, payload)
         fresh = ScheduleCache(cache_dir=tmp_path)
         got = fresh.get(fp)
-        assert got is not None and got[0] == sched and got[1] == stats
+        assert got == cache_entry(payload)
         assert fresh.counters["disk_hits"] == 1
+        # Kept in memory after the disk hit.
+        assert fresh.get(fp) == got and fresh.counters["memory_hits"] == 1
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        sched, stats = branch_and_bound(REGION, UNIT)
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
         fp = region_fingerprint(REGION, UNIT)
-        ScheduleCache(cache_dir=tmp_path).put(fp, sched, stats)
+        ScheduleCache(cache_dir=tmp_path).put(fp, payload)
         for path in tmp_path.glob("*.json"):
             path.write_text("{ not json")
         fresh = ScheduleCache(cache_dir=tmp_path)
         assert fresh.get(fp) is None
         assert fresh.counters["disk_errors"] == 1
 
+    def test_entry_that_does_not_parse_is_a_miss(self, tmp_path):
+        # Valid JSON that is not a result payload: a file written by older
+        # code under the new name, say.
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
+        ScheduleCache(cache_dir=tmp_path).put("fp", payload)
+        [path] = tmp_path.glob("*.json")
+        path.write_text(json.dumps(
+            {"fingerprint": "fp", "schedule": payload["schedule"],
+             "stats": payload["stats"][0]}))
+        fresh = ScheduleCache(cache_dir=tmp_path)
+        assert fresh.get("fp") is None
+        assert fresh.counters["disk_errors"] == 1 and len(fresh) == 0
+
+    def test_old_format_files_are_never_read(self, tmp_path):
+        # Files of the schedule/stats format were named <fingerprint>.json;
+        # entries live under a name that format never used.
+        fp = region_fingerprint(REGION, UNIT)
+        (tmp_path / f"{fp}.json").write_text(json.dumps(
+            {"fingerprint": fp, "schedule": [], "stats": None}))
+        fresh = ScheduleCache(cache_dir=tmp_path)
+        assert fresh.get(fp) is None
+        assert fresh.counters["disk_errors"] == 0
+
     def test_stats_none_roundtrip(self, tmp_path):
-        sched, _ = branch_and_bound(REGION, UNIT)
-        ScheduleCache(cache_dir=tmp_path).put("fp", sched, None)
+        # A method without a search stores an empty stats list.
+        result = api.induce(api.InductionRequest(REGION, UNIT,
+                                                 method="greedy"))
+        payload = result_to_payload(result)
+        assert payload["stats"] == []
+        ScheduleCache(cache_dir=tmp_path).put("fp", payload)
         got = ScheduleCache(cache_dir=tmp_path).get("fp")
-        assert got is not None and got[0] == sched and got[1] is None
+        assert got == cache_entry(payload)
+        assert schedule_from_payload(got["schedule"]) == result.schedule
 
 
 class TestInduceWiring:
@@ -183,6 +269,87 @@ class TestInduceWiring:
             f"warm speedup only {cold_wall / min(warm_walls):.1f}x"
 
 
+#: ``mul #2`` is rewritten into ``shl #1`` by the vn pre-pass.
+VN_REGION = """
+thread 0:
+    a = ld x
+    b = mul a #2
+thread 1:
+    d = ld y
+    e = shl d #1
+"""
+
+
+class TestHitReplays:
+    def test_one_shot_hit_rebuilds_no_baseline(self, count_calls):
+        cache = ScheduleCache()
+        request = api.InductionRequest(small_region(seed=4), UNIT,
+                                       cache=cache)
+        cold = api.induce(request)
+        counts = count_calls(serial_mod.serial_schedule,
+                             serial_mod.lockstep_schedule)
+        warm = api.induce(request)
+        assert warm.cache_hit and isinstance(warm, InductionResult)
+        assert counts == Counter()
+        ignore = ("cache_hit", "wall_s")
+        assert {k: v for k, v in warm.as_dict(True).items()
+                if k not in ignore} == \
+            {k: v for k, v in cold.as_dict(True).items() if k not in ignore}
+        assert warm.stats == cold.stats
+        # The wrappers do count: a miss builds both baselines.
+        api.induce(api.InductionRequest(small_region(seed=5), UNIT,
+                                        cache=cache))
+        assert counts == Counter(serial_schedule=1, lockstep_schedule=1)
+
+    def test_entries_stay_vn_neutral(self):
+        cache = ScheduleCache()
+        region, model = parse_region(VN_REGION), maspar_cost_model()
+        on = api.InductionRequest(region, model, vn="on", cache=cache)
+        cold, warm = api.induce(on), api.induce(on)
+        assert cold.stats.vn_rewrites > 0
+        assert warm.cache_hit and warm.stats == cold.stats
+        # The entry's key is the post-vn region: a vn=off request on it
+        # hits the same entry and reports no vn work of its own.
+        rewritten, _ = vn_prepass(region, model, "on")
+        off = api.induce(api.InductionRequest(rewritten, model, cache=cache))
+        assert off.cache_hit and off.stats.vn_rewrites == 0
+        assert off.schedule == cold.schedule
+
+    def test_window_entry_without_stats_is_searched_again(self):
+        # A window reads its entry's stats[0]; a stats-less entry under a
+        # window key (from another writer of the disk tier, say) is a miss.
+        region = small_region(seed=2)
+        sub, _back = window_mod._window_region(region, 0, 2)
+        cache = ScheduleCache()
+        greedy = api.induce(api.InductionRequest(sub, UNIT, method="greedy"))
+        cache.put(region_fingerprint(sub, UNIT, SearchConfig()),
+                  result_to_payload(greedy))
+        result = api.induce(api.InductionRequest(region, UNIT, window=2,
+                                                 cache=cache))
+        assert result.cache_hits == 0
+        verify_schedule(result.schedule, region, UNIT)
+
+    def test_windows_are_stored_only_after_the_stitched_check(
+            self, monkeypatch):
+        region = random_region(
+            RandomRegionSpec(num_threads=3, min_len=6, max_len=6), seed=1)
+        request = api.InductionRequest(region, window=3,
+                                       cache=ScheduleCache())
+        search = window_mod.branch_and_bound
+
+        def drops_last_slot(*args, **kwargs):
+            schedule, stats = search(*args, **kwargs)
+            return Schedule(schedule.slots[:-1]), stats
+
+        monkeypatch.setattr(window_mod, "branch_and_bound", drops_last_slot)
+        with pytest.raises(ScheduleError):
+            api.induce(request)
+        monkeypatch.setattr(window_mod, "branch_and_bound", search)
+        again = api.induce(request)
+        assert not again.cache_hit and again.cache_hits == 0
+        verify_schedule(again.schedule, region, request.resolved_model())
+
+
 OPCODES = ["ld", "st", "add", "mul", "neg"]
 
 
@@ -214,15 +381,15 @@ class TestCachedBitIdentical:
         config = SearchConfig(node_budget=5_000)
         fresh_sched, fresh_stats = branch_and_bound(region, UNIT, config)
         fp = region_fingerprint(region, UNIT, config)
-        cache.put(fp, fresh_sched, fresh_stats)
-        cached_sched, cached_stats = cache.get(fp)
-        assert cached_sched == fresh_sched
-        assert cached_stats == fresh_stats
+        cache.put(fp, search_payload(fresh_sched, fresh_stats))
+        hit = cache.get(fp)
+        assert schedule_from_payload(hit["schedule"]) == fresh_sched
+        assert SearchStats(**hit["stats"][0]) == fresh_stats
         # A brand-new search is deterministic, so it matches the cache too.
         again_sched, again_stats = branch_and_bound(region, UNIT, config)
-        assert again_sched == cached_sched
+        assert again_sched == schedule_from_payload(hit["schedule"])
         assert dataclasses.replace(again_stats, wall_s=0.0) == \
-            dataclasses.replace(cached_stats, wall_s=0.0)
+            dataclasses.replace(SearchStats(**hit["stats"][0]), wall_s=0.0)
 
     @PROPERTY
     @given(regions(max_threads=2, max_len=4))
@@ -236,7 +403,9 @@ class TestCachedBitIdentical:
         config = SearchConfig(node_budget=5_000)
         fresh_sched, fresh_stats = branch_and_bound(region, UNIT, config)
         fp = region_fingerprint(region, UNIT, config)
-        ScheduleCache(cache_dir=tmp_path).put(fp, fresh_sched, fresh_stats)
-        cached_sched, cached_stats = ScheduleCache(cache_dir=tmp_path).get(fp)
-        assert cached_sched == fresh_sched
-        assert cached_stats == fresh_stats
+        payload = search_payload(fresh_sched, fresh_stats)
+        ScheduleCache(cache_dir=tmp_path).put(fp, payload)
+        hit = ScheduleCache(cache_dir=tmp_path).get(fp)
+        assert hit == cache_entry(payload)
+        assert schedule_from_payload(hit["schedule"]) == fresh_sched
+        assert SearchStats(**hit["stats"][0]) == fresh_stats

@@ -244,9 +244,9 @@ def test_cache_hit_disposition(tmp_path, request_):
 
 
 def test_cache_stores_only_replies_a_hit_can_claim(tmp_path):
-    # Window 2 exhausts its budget, so the reply is unproven; a hit
-    # rebuilt from a stats-less entry would read optimal.  Such a reply
-    # is recomputed on repeat instead of cached.
+    # Window 2 exhausts its budget, so the reply is unproven.  The entry
+    # is the reply itself, per-window stats included, so a hit replays it
+    # as unproven.
     pytest.importorskip("numpy")
     from repro.core import ScheduleCache
     from repro.workloads.threads import RandomRegionSpec, random_region
@@ -265,7 +265,8 @@ def test_cache_stores_only_replies_a_hit_can_claim(tmp_path):
     finally:
         server.shutdown()
     assert not cold.optimal
-    assert not again.optimal and not again.cache_hit
+    assert not again.optimal and again.cache_hit
+    assert again.search_stats == cold.search_stats
 
 
 VN_PORTFOLIO_REGION = """
@@ -278,6 +279,137 @@ thread 1:
     e = shl d #1
     f = shl e #2
 """
+
+
+#: Reply fields that belong to one request: all a served replay changes.
+PER_HOP = {"cache_hit", "wall_s", "disposition", "queue_wait_s",
+           "server_wall_s", "batch", "deduped", "retries"}
+
+
+def _cold_and_repeat(tmp_path, request, store=None):
+    """The cold reply to ``request`` and its served repeat."""
+    from repro.core import ScheduleCache
+
+    server = InductionServer(
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
+        cache=ScheduleCache(), strategy_store=store)
+    try:
+        with ServiceClient(server.endpoint) as client:
+            cold = client.submit(request)
+            again = client.submit(request)
+    finally:
+        server.shutdown()
+    assert not cold.cache_hit and again.cache_hit
+    assert again.extras["disposition"] == "cache"
+    assert again.extras["retries"] == 0
+    return cold, again
+
+
+def _result_fields(result):
+    return ({k: v for k, v in result.as_dict(True).items()
+             if k not in PER_HOP},
+            {k: v for k, v in result.extras.items() if k not in PER_HOP})
+
+
+@pytest.mark.parametrize("request_kind", ["one-shot", "windowed",
+                                          "portfolio"])
+def test_served_repeat_replays_the_cold_reply(tmp_path, request_kind):
+    if request_kind == "portfolio":
+        pytest.importorskip("numpy")
+    request = {
+        "one-shot": InductionRequest(region=REGION, budget=10_000),
+        "windowed": InductionRequest(region=REGION, window=2,
+                                     budget=10_000),
+        "portfolio": InductionRequest(region=REGION, method="portfolio"),
+    }[request_kind]
+    cold, again = _cold_and_repeat(tmp_path, request)
+    assert cold.optimal
+    assert _result_fields(again) == _result_fields(cold)
+
+
+def test_served_windowed_repeat_keeps_its_windows(tmp_path):
+    pytest.importorskip("numpy")
+    from repro.workloads.threads import RandomRegionSpec, random_region
+
+    region = random_region(
+        RandomRegionSpec(num_threads=3, min_len=6, max_len=6), seed=1)
+    cold, again = _cold_and_repeat(
+        tmp_path, InductionRequest(region=region, window=3))
+    assert again.extras["windows"] == cold.extras["windows"] == 2
+    assert again.extras["window_size"] == 3
+    assert len(again.search_stats) == 2
+    assert again.search_stats == cold.search_stats
+
+
+def test_served_proven_race_repeat_keeps_winner_and_record(tmp_path):
+    pytest.importorskip("numpy")
+    from repro.sched import StrategyOutcomesStore
+
+    store = StrategyOutcomesStore()
+    cold, again = _cold_and_repeat(
+        tmp_path, InductionRequest(region=REGION, method="portfolio"),
+        store=store)
+    assert cold.optimal and cold.extras["winner"]
+    assert again.extras["winner"] == cold.extras["winner"]
+    assert again.extras["portfolio"] == cold.extras["portfolio"]
+    # The replay ran no race, so it teaches the selector nothing.
+    assert store.races == 1
+
+
+def test_served_hit_rebuilds_nothing(tmp_path, count_calls):
+    import repro.core.serial as serial_mod
+    import repro.core.vn as vn_mod
+    from repro.core import ScheduleCache
+
+    server = InductionServer(
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
+        cache=ScheduleCache())
+    request = InductionRequest(region=VN_PORTFOLIO_REGION, vn="on")
+    try:
+        with ServiceClient(server.endpoint) as client:
+            cold = client.submit(request)
+            counts = count_calls(vn_mod.vn_prepass,
+                                 serial_mod.serial_schedule,
+                                 serial_mod.lockstep_schedule)
+            again = client.submit(request)
+    finally:
+        server.shutdown()
+    assert again.extras["disposition"] == "cache"
+    assert counts == {}
+    assert (again.serial_cost, again.lockstep_cost) == \
+        (cold.serial_cost, cold.lockstep_cost)
+    assert again.search_stats == cold.search_stats
+    assert again.search_stats[0].vn_rewrites > 0
+
+
+def test_peer_cache_ops_carry_checked_entries(tmp_path, request_):
+    from repro.core import ScheduleCache
+
+    server = InductionServer(
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
+        cache=ScheduleCache())
+    fingerprint = request_.fingerprint()
+    try:
+        with ServiceClient(server.endpoint) as client:
+            assert client.cache_get(fingerprint) is None
+            client.submit(request_)
+            entry = client.cache_get(fingerprint)
+            assert entry["cost"] > 0 and "cache_hit" not in entry
+            client.cache_put("f" * 64, entry)
+            assert client.cache_get("f" * 64) == entry
+            bad = {k: v for k, v in entry.items() if k != "cost"}
+            reply = client._roundtrip({"op": "cache_put",
+                                       "fingerprint": "e" * 64,
+                                       "entry": bad})
+            assert reply["status"] == "error"
+            assert "bad cache_put payload" in reply["error"]
+            assert client.cache_get("e" * 64) is None
+            assert client.ping()  # the connection stays usable
+    finally:
+        server.shutdown()
 
 
 def test_served_portfolio_ranks_the_bucket_it_records(tmp_path,

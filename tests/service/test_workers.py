@@ -10,13 +10,12 @@ import time
 import pytest
 
 from repro import api
-from repro.core import maspar_cost_model, verify_schedule
+from repro.core import ServiceResult, maspar_cost_model, verify_schedule
 from repro.core.search import SearchConfig
 from repro.service import protocol
-from repro.sched import StrategyOutcomesStore
 from repro.service.workers import (
     DeadlineExpired, RetriesExhausted, WorkerPool, WorkerTaskError,
-    _execute_wire, degraded_result, run_local_with_deadline,
+    _execute_wire, degraded_result,
 )
 from repro.workloads.threads import RandomRegionSpec, random_region
 
@@ -204,23 +203,6 @@ class TestLocalDeadlineRoute:
         assert elapsed < 10.0  # killed the search, did not wait out 50M nodes
         verify_schedule(result.schedule, region, request.resolved_model())
 
-    def test_portfolio_keeps_deadline_and_races_in_worker(self):
-        # Portfolio requests keep their deadline on the wire: the race
-        # enforces it cooperatively and replies with its best verified
-        # schedule instead of being killed into the greedy fallback.
-        store = StrategyOutcomesStore()
-        request = api.InductionRequest(region=REGION, method="portfolio",
-                                       deadline_s=30.0, strategy_store=store)
-        result = run_local_with_deadline(request)
-        assert not result.degraded
-        assert result.extras["winner"] in ("search", "greedy", "anneal",
-                                           "serial")
-        verify_schedule(result.schedule, request.resolved_region(),
-                        maspar_cost_model())
-        # Outcomes are recorded parent-side from the reply payload — the
-        # store handle itself never crossed the process boundary.
-        assert store.races == 1
-
     def test_cache_short_circuits_the_worker(self, tmp_path):
         from repro.core import ScheduleCache
 
@@ -231,14 +213,14 @@ class TestLocalDeadlineRoute:
         start = time.monotonic()
         second = api.induce(request)
         assert not first.cache_hit
-        assert second.cache_hit
+        assert second.cache_hit and isinstance(second, ServiceResult)
         assert time.monotonic() - start < 2.0  # no worker spawn
         assert second.cost == first.cost
+        assert second.serial_cost == first.serial_cost
 
     def test_cache_skips_a_reply_a_hit_would_overclaim(self):
-        # Window 2 exhausts its budget, so the reply is unproven; a hit
-        # rebuilt from a stats-less entry would read optimal.  Such a
-        # reply is recomputed on repeat instead of cached.
+        # Window 2 exhausts its budget, so the reply is unproven.  The
+        # entry is the reply itself, so a hit replays it as unproven.
         from repro.core import ScheduleCache
 
         region = random_region(
@@ -248,7 +230,8 @@ class TestLocalDeadlineRoute:
         cold = api.induce(request)
         again = api.induce(request)
         assert not cold.optimal
-        assert not again.optimal and not again.cache_hit
+        assert not again.optimal and again.cache_hit
+        assert again.search_stats == cold.search_stats
 
 
 class TestPortfolioWire:
