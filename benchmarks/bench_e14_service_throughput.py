@@ -1,11 +1,12 @@
-"""E14 (service) — batching/dedup throughput of the induction server.
+"""E14 (service) — dedup throughput of the induction server.
 
 The service exists because real frontends resubmit the *same* hot regions
 constantly (every PE executes the interpreter loop, every kernel shares
 inner bodies).  A workload that repeats each unique region 10x should
 therefore cost the server ~one search per unique region — duplicates
-either join the in-flight group (dedup) or hit the request-level cache —
-while a sequential cold ``repro.api.induce`` loop pays for every repeat.
+either join the in-flight request's single flight (dedup) or hit the
+request-level cache — while a sequential cold ``repro.api.induce`` loop
+pays for every repeat.
 
 Acceptance criterion: the service sustains at least 5x the throughput of
 the sequential cold loop on the 10x-repeat workload.
@@ -57,11 +58,11 @@ def run_experiment():
         seq_costs[label.split("[")[0]] = result.cost
     seq_wall = time.perf_counter() - t0
 
-    # -- service: batching + dedup + request cache over a unix socket.
+    # -- service: dedup + request cache over a unix socket.
     workers = min(4, os.cpu_count() or 1)
     server = InductionServer(
         ServerConfig(endpoint=Endpoint.unix("/tmp/repro-bench-e14.sock"),
-                     workers=workers, queue_size=2 * n, batch_max=16),
+                     workers=workers, queue_size=2 * n),
         cache=ScheduleCache())
     try:
         client = ServiceClient(server.endpoint)

@@ -216,7 +216,6 @@ def _cmd_serve(args) -> int:
         endpoint=args.socket,
         workers=args.jobs or (os.cpu_count() or 1),
         queue_size=args.queue_size,
-        batch_max=args.batch_max,
         default_deadline_s=args.deadline,
         allow_chaos=args.allow_chaos,
     )
@@ -793,13 +792,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = all cores)")
     p.add_argument("--queue-size", type=int, default=64,
-                   help="admission-control bound; excess requests get 'busy'")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="max requests batched/deduplicated per dispatch")
+                   help="admission-control bound: most requests waiting for "
+                        "a worker; one more gets 'busy'")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="default per-request deadline (requests may override)")
     p.add_argument("--trace", metavar="FILE",
-                   help="append one JSONL trace event per service batch/request")
+                   help="append the service's spans and one JSONL "
+                        "service_request event per reply to FILE")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persistent schedule cache directory (content-addressed)")
     p.add_argument("--strategy-store", metavar="FILE",

@@ -6,8 +6,9 @@ the request fingerprint, picks a node with the consistent-hash ring
 retries the *next* replica in the fingerprint's preference order with
 exponential backoff.  Duplicate submits that arrive while a fingerprint is
 already in flight — the common case for interpreter workloads — do not
-fan out: they join the in-flight forward and share its reply, so the
-cluster-wide dedup mirrors the per-node batcher's.  *Finished* duplicates
+fan out: they join the in-flight route and share its reply, through the
+same :class:`~repro.service.server.SingleFlight` each node dedups with.
+The route's leader alone asks the request cache: *finished* duplicates
 are answered from the forwarder's own memory-only
 :class:`~repro.core.cache.ScheduleCache`
 (``ClusterConfig.request_cache_size`` entries; an ``ok`` reply's result,
@@ -66,6 +67,7 @@ from repro.obs import (
     NULL_TRACER,
     Counters,
     MemoryTracer,
+    Span,
     TeeTracer,
     Tracer,
     attach_context,
@@ -83,7 +85,12 @@ from repro.obs.slo import SLOTracker
 from repro.service import protocol
 from repro.service.client import ServiceBusy, ServiceError, absorb_reply_obs
 from repro.service.endpoint import Endpoint
-from repro.service.server import Connections, flightrec_reply
+from repro.service.server import (
+    Connections,
+    SingleFlight,
+    finish_request,
+    flightrec_reply,
+)
 
 __all__ = ["ClusterClient", "ClusterForwarder", "ClusterRouter"]
 
@@ -92,17 +99,6 @@ _DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 #: Per-hop socket timeout for forwarded requests.
 FORWARD_TIMEOUT_S = 600.0
-
-
-class _Flight:
-    """One in-flight forward; duplicate submits rendezvous here."""
-
-    __slots__ = ("event", "reply", "done")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.reply: dict[str, Any] | None = None
-        self.done = False
 
 
 class ClusterForwarder:
@@ -134,8 +130,7 @@ class ClusterForwarder:
         self._ring_lock = threading.Lock()
         self._loads: dict[str, int] = {}
         self._loads_lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
-        self._flights_lock = threading.Lock()
+        self._flights = SingleFlight()
         #: Finished routed results; None when ``request_cache_size`` is 0.
         self.cache = ScheduleCache(capacity=config.request_cache_size) \
             if config.request_cache_size else None
@@ -192,7 +187,7 @@ class ClusterForwarder:
     def submit_wire(self, wire: dict[str, Any]) -> dict[str, Any]:
         """Route one submit frame; returns the node's raw reply.
 
-        Duplicate fingerprints already in flight join the live forward and
+        Duplicate fingerprints already in flight join the live route and
         share its reply instead of fanning out to the nodes.
 
         The whole route runs inside a ``cluster.route`` span (continuing
@@ -209,95 +204,48 @@ class ClusterForwarder:
         started = time.monotonic()
         recorder = MemoryTracer()
         tee = TeeTracer(self.tracer, recorder)
+        info = {"route": [], "failed_over": False}
+        with attach_context(wire.get("trace_ctx")), \
+                span("cluster.route", tee,
+                     fingerprint=fingerprint[:12]) as route:
+            reply, led = self._flights.share(
+                fingerprint,
+                lambda: self._lead(wire, fingerprint, started, tee, info,
+                                   route))
+            if not led:
+                # The joiner shares the leader's reply but not its spans:
+                # the leader popped the node-side obs into its own trace,
+                # so a joiner's tree shows its route span joining a live
+                # flight, which is what actually happened.  Nodes enforce
+                # deadlines, so it waits for the leader however long.
+                self.counters.bump("route_dedup_hits")
+                route.set(dedup=True)
+                reply = self._annotate(dict(reply), dedup=True)
+            route.set(status=str(reply.get("status")))
+        return finish_request(
+            reply, recorder, route.trace_id, fingerprint=fingerprint,
+            started=started, stitch=bool(wire.get("trace_ctx")),
+            slo=self.slo, flightrec=self.flightrec, route=info["route"],
+            failed_over=info["failed_over"])
+
+    def _lead(self, wire: dict[str, Any], fingerprint: str, started: float,
+              tee: Tracer, info: dict, route: Span) -> dict[str, Any]:
+        """Answer a flight: the request cache once, else a forward."""
         entry = self.cache.get(fingerprint) if self.cache is not None \
             else None
         if entry is not None:
             # A finished duplicate: replay it from the front door without
             # touching a node (the hit is the caller's own copy).
             self.counters.bump("router_cache_hits")
-            with attach_context(wire.get("trace_ctx")), \
-                    span("cluster.route", tee,
-                         fingerprint=fingerprint[:12], cached=True) as route:
-                entry["router_cache"] = True
-                reply = {"status": "ok", "result": replay(
-                    entry, wall_s=time.monotonic() - started)}
-                route.set(status="ok")
-            return self._finish_route(reply,
-                                      {"route": [], "failed_over": False},
-                                      recorder, route.trace_id, fingerprint,
-                                      started,
-                                      stitch=bool(wire.get("trace_ctx")))
-        with self._flights_lock:
-            flight = self._flights.get(fingerprint)
-            if flight is not None and not flight.done:
-                leader = False
-            else:
-                flight = _Flight()
-                self._flights[fingerprint] = flight
-                leader = True
-        info = {"route": [], "failed_over": False}
-        with attach_context(wire.get("trace_ctx")), \
-                span("cluster.route", tee, fingerprint=fingerprint[:12],
-                     dedup=not leader) as route:
-            if not leader:
-                # The joiner shares the leader's reply but not its spans:
-                # the leader popped the node-side obs into its own trace,
-                # so a joiner's tree shows its route span joining a live
-                # flight, which is what actually happened.
-                self.counters.bump("route_dedup_hits")
-                flight.event.wait(timeout=3600.0)
-                reply = flight.reply or \
-                    {"status": "error",
-                     "error": "deduplicated forward timed out"}
-                reply = self._annotate(dict(reply), dedup=True)
-                route.set(status=str(reply.get("status")))
-            else:
-                try:
-                    flight.reply = self._forward(wire, fingerprint, tee,
-                                                 info)
-                finally:
-                    # Publish before unlinking so late joiners never miss
-                    # the reply.
-                    flight.done = True
-                    flight.event.set()
-                    with self._flights_lock:
-                        if self._flights.get(fingerprint) is flight:
-                            del self._flights[fingerprint]
-                reply = flight.reply
-                result = reply.get("result")
-                if self.cache is not None and reply.get("status") == "ok" \
-                        and isinstance(result, dict):
-                    self.cache.put(fingerprint, result)
-                route.set(status=str(reply.get("status")))
-        return self._finish_route(reply, info, recorder, route.trace_id,
-                                  fingerprint, started,
-                                  stitch=bool(wire.get("trace_ctx")))
-
-    def _finish_route(self, reply: dict, info: dict, recorder: MemoryTracer,
-                      trace_id: str, fingerprint: str, started: float,
-                      stitch: bool) -> dict:
-        """Post-span bookkeeping: SLO sample, flight digest, reply obs."""
-        wall_s = time.monotonic() - started
-        status = str(reply.get("status", "error"))
-        self.slo.record(wall_s, ok=status == "ok")
+            route.set(cached=True)
+            entry["router_cache"] = True
+            return {"status": "ok", "result": replay(
+                entry, wall_s=time.monotonic() - started)}
+        reply = self._forward(wire, fingerprint, tee, info)
         result = reply.get("result")
-        if not isinstance(result, dict):
-            result = None
-        phases = {"route_s": wall_s}
-        if result:
-            for key in ("queue_wait_s", "server_wall_s"):
-                if result.get(key) is not None:
-                    phases[key] = result[key]
-        self.flightrec.record(
-            fingerprint=fingerprint, outcome=status, wall_s=wall_s,
-            trace=trace_id, phases=phases, route=info["route"],
-            spans=recorder.events,
-            degraded=bool(result.get("degraded")) if result else False,
-            failed_over=info["failed_over"])
-        if stitch and result is not None:
-            reply = dict(reply)
-            reply["result"] = {**result,
-                               "obs": {"spans": list(recorder.events)}}
+        if self.cache is not None and reply.get("status") == "ok" \
+                and isinstance(result, dict):
+            self.cache.put(fingerprint, result)
         return reply
 
     def _forward(self, wire: dict[str, Any], fingerprint: str,

@@ -160,8 +160,8 @@ class ScheduleCache:
     Counter names: ``hits``, ``memory_hits``, ``disk_hits``, ``misses``,
     ``stores``, ``evictions``, ``disk_errors``.
 
-    Thread-safe: the induction server's connection handlers and batcher
-    share one cache, so the memory tier is guarded by an :class:`RLock`
+    Thread-safe: the induction server's connection threads share one
+    cache, so the memory tier is guarded by an :class:`RLock`
     (the disk tier was already safe — atomic replace on write, torn reads
     degrade to a miss).
     """

@@ -289,7 +289,7 @@ def _check_cluster(case: FuzzCase, cluster) -> list[OracleFailure]:
     """Cluster round-trip: route → induce must equal a local single run.
 
     The whole routed path — fingerprint routing, forwarding, the node's
-    batcher/worker/cache, the replica push — must be invisible to the
+    dedup/worker/cache, the replica push — must be invisible to the
     caller: same slots, same cost, never degraded.  ``cluster`` is a live
     :class:`repro.cluster.LocalCluster` owned by the run loop.
     """

@@ -3,7 +3,7 @@
 A :class:`Counters` is a tiny mapping of name -> number with O(1)
 increment and no per-bump allocation beyond the dict entry — cheap enough
 to leave enabled on hot paths.  Updates are guarded by a lock so the
-induction server's handler/batcher/worker-supervisor threads can share one
+induction server's connection threads and its worker pool can share one
 instance; :meth:`set` records gauge-style values (queue depth, workers
 alive) next to the monotonic counts.
 """

@@ -1,6 +1,6 @@
 """Hierarchical tracing spans with cross-process context propagation.
 
-A *span* is one timed phase of work (a request, a batch dispatch, a
+A *span* is one timed phase of work (a request, a worker dispatch, a
 window search) with a ``trace_id`` shared by everything done on behalf of
 the same root operation and a ``span_id``/``parent_id`` pair encoding the
 call tree.  Spans ride the existing :class:`repro.obs.Tracer` sinks as
@@ -21,8 +21,8 @@ supervised workers — is explicit: the parent serializes
 itself with :func:`attach_context`.  Child spans are recorded into an
 in-memory tracer (:class:`repro.obs.MemoryTracer` works), shipped back as
 plain dicts, and stitched into the parent's sink with
-:func:`replay_events` — one trace ID, end to end, across server thread,
-batch and worker process.
+:func:`replay_events` — one trace ID, end to end, across server thread
+and worker process.
 
 All timestamps are :func:`time.perf_counter` seconds.  On Linux that is
 ``CLOCK_MONOTONIC``, which is shared across processes on one machine, so

@@ -107,8 +107,8 @@ class JsonlTracer(Tracer):
     Events are flushed as they are written so a crashed or killed run
     still leaves a readable trace.  Emission happens only in the parent
     process (workers record in memory and report events back over the
-    pipe), but *within* the process the induction server's handler,
-    batcher and dispatcher threads share one sink — so the lock is held
+    pipe), but *within* the process the induction server's connection
+    threads share one sink — so the lock is held
     across serialize+write, keeping every line whole.  ``close`` fsyncs
     before releasing the descriptor so a trace survives a power-cut-style
     kill of whatever reads it next.

@@ -12,9 +12,10 @@ backend.  Layout:
 - :mod:`repro.service.workers`  — supervised worker processes: per-request
   deadlines enforced by killing the worker, crash retry with backoff,
   graceful degradation to the greedy schedule;
-- :mod:`repro.service.server`   — admission control (bounded queue, clear
-  ``busy`` shed), fingerprint-deduplicating batcher, drain-on-shutdown,
-  :mod:`repro.obs` counters as service metrics;
+- :mod:`repro.service.server`   — one thread per request: single-flight
+  fingerprint dedup, admission control (a bounded wait for a worker,
+  clear ``busy`` shed), drain-on-shutdown, :mod:`repro.obs` counters as
+  service metrics;
 - :mod:`repro.service.client`   — blocking client used by
   :func:`repro.api.induce` and the CLI.
 """

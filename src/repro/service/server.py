@@ -1,18 +1,19 @@
-"""The induction server: batching, dedup, admission control, drain.
+"""The induction server: single-flight dedup, admission control, drain.
 
-One :class:`InductionServer` owns a listening socket and three layers of
-threads:
+One :class:`InductionServer` owns a listening socket and one thread per
+connection (kept open across requests).  The thread that reads a submit
+answers it:
 
-- *handlers* (one per connection, kept open across requests) parse each
-  frame once, apply admission control, answer a cached fingerprint
-  themselves and otherwise queue a ticket and wait for its response;
-- the *batcher* takes the first queued ticket plus whatever else is
-  already queued — it never waits for more — joins duplicates onto
-  in-flight groups, groups the rest by request fingerprint (the dedup
-  key) and dispatches each unique group once;
-- *dispatchers* (as many as there are workers) re-check the local cache
-  tier, run a group through the supervised
-  :class:`~repro.service.workers.WorkerPool`, then respond to every member.
+- it parses the frame once, fingerprints it and sheds ``busy`` while the
+  server stops or drains;
+- it joins the :class:`SingleFlight` of its fingerprint: while another
+  request with the same fingerprint is being answered, it waits for that
+  reply (dedup) instead of working — but not past its own deadline;
+- otherwise it leads: it asks the cache once, every tier, and replays a
+  hit at once; on a miss it waits for a free worker (at most
+  ``queue_size`` requests wait; one more is shed ``busy``) and runs the
+  search through the supervised
+  :class:`~repro.service.workers.WorkerPool` itself.
 
 Robustness contract (the point of the service):
 
@@ -20,29 +21,29 @@ Robustness contract (the point of the service):
 - a deadline that expires degrades to the verified greedy schedule with
   ``degraded=True`` — never an error;
 - a worker death is retried with backoff; only exhausted retries degrade;
-- shutdown stops admitting, *drains* every in-flight ticket, then stops.
+- a leader that fails answers itself and every joiner with an ``error``;
+- shutdown stops admitting, *drains* every admitted request, then stops.
 
-Deduplicated requests share one search: the effective deadline of a group
-is the earliest member deadline at dispatch, so a degraded group degrades
-together (each member still gets a valid, verified schedule).
+A flight runs under its leader's deadline; a joiner whose own deadline
+passes first answers itself with the degraded schedule.
 
 Metrics are plain :class:`repro.obs.Counters` — ``requests``, ``ok``,
 ``shed``, ``degraded_deadline``, ``degraded_retries``, ``dedup_hits``,
-``cache_hits``, ``batches``, ``batched_tickets``, ``retries``,
-``worker_deaths`` — plus gauges ``queue_depth``/``inflight``; the
+``cache_hits``, ``retries``, ``worker_deaths`` — plus the gauges
+``queue_depth`` (requests waiting for a worker), ``inflight`` (flights)
+and ``open_tickets`` (requests admitted and not yet answered); the
 ``stats`` op returns a snapshot, and a :class:`repro.obs.Tracer` (if
-given) receives one ``service_batch`` event per batch and one
-``service_request`` event per response.
+given) receives one ``service_request`` event per ``ok`` reply.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
+import traceback
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable, NamedTuple
 
 from repro.api import InductionRequest
 from repro.core.cache import ScheduleCache, check_entry, replay
@@ -80,8 +81,8 @@ from repro.service.workers import (
     record_portfolio_outcome,
 )
 
-__all__ = ["Connections", "InductionServer", "ServerConfig",
-           "flightrec_reply"]
+__all__ = ["Connections", "InductionServer", "ServerConfig", "SingleFlight",
+           "finish_request", "flightrec_reply"]
 
 
 @dataclass
@@ -95,11 +96,9 @@ class ServerConfig:
 
     endpoint: Endpoint | str | None = None
     workers: int = 1
+    #: Most requests that may wait for a worker; one more is shed ``busy``.
     queue_size: int = 64
-    batch_max: int = 16
     default_deadline_s: float | None = None
-    max_retries: int = 2
-    backoff_s: float = 0.05
     #: Honour ``chaos`` fault-injection in requests (tests/CI only).
     allow_chaos: bool = False
 
@@ -111,8 +110,6 @@ class ServerConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_size < 1:
             raise ValueError(f"queue size must be >= 1, got {self.queue_size}")
-        if self.batch_max < 1:
-            raise ValueError(f"batch max must be >= 1, got {self.batch_max}")
 
 
 def flightrec_reply(recorder: FlightRecorder, msg: dict) -> dict:
@@ -223,57 +220,128 @@ class Connections:
                 pass
 
 
-class _Ticket:
-    """One admitted submit: parsed request plus its response rendezvous."""
+class _Flight:
+    """One request being answered; its duplicates wait for the answer."""
 
-    __slots__ = ("wire", "request", "fingerprint", "deadline", "enqueued_at",
-                 "event", "response", "trace_ctx", "recorder")
+    __slots__ = ("landed", "answer")
 
-    def __init__(self, wire: dict, request: InductionRequest,
-                 fingerprint: str, deadline: float | None) -> None:
-        self.wire = wire
-        #: The request parsed from ``wire`` at admission; every later
-        #: consumer reuses it instead of parsing the region text again.
-        self.request = request
-        self.fingerprint = fingerprint
-        self.deadline = deadline
-        self.enqueued_at = time.monotonic()
-        self.event = threading.Event()
-        self.response: dict[str, Any] | None = None
-        #: Span context of this ticket's ``service.request`` span, so the
-        #: dispatcher thread can parent its work onto the right trace.
-        self.trace_ctx: dict | None = None
-        #: Per-request span recorder: the handler (and, for the group
-        #: leader, the dispatcher) tees spans in here so the reply can
-        #: carry them back to a traced caller and the flight recorder can
-        #: keep them for untraced ones.
-        self.recorder = MemoryTracer()
-
-    def respond(self, response: dict[str, Any]) -> None:
-        self.response = response
-        self.event.set()
+    def __init__(self) -> None:
+        #: Made by the first joiner, so a flight nobody joins (nearly
+        #: every one) allocates no event.
+        self.landed: threading.Event | None = None
+        self.answer = None
 
 
-class _Group:
-    """All tickets deduplicated onto one search."""
+class SingleFlight:
+    """At most one computation per request fingerprint at a time.
 
-    def __init__(self, fingerprint: str, first: _Ticket) -> None:
-        self.fingerprint = fingerprint
-        self.tickets = [first]
-        self.lock = threading.Lock()
-        self.done = False
+    The first caller for a fingerprint *leads*: it computes the answer.
+    Callers that arrive while it does *join*: they wait for the leader's
+    answer instead of computing their own.  A leader that raises answers
+    with an ``error`` reply naming the exception, so no joiner waits
+    forever.  The induction server and the cluster router both dedup
+    through one.
+    """
 
-    def try_join(self, ticket: _Ticket) -> bool:
-        with self.lock:
-            if self.done:
-                return False
-            self.tickets.append(ticket)
-            return True
+    def __init__(self) -> None:
+        self._flights: dict[str, _Flight] = {}
+        self._lock = threading.Lock()
 
-    def members(self) -> list[_Ticket]:
-        with self.lock:
-            self.done = True
-            return list(self.tickets)
+    def __len__(self) -> int:
+        return len(self._flights)
+
+    def share(self, key: str, lead: Callable[[], object],
+              wait_s: float | None = None) -> tuple[object, bool]:
+        """``(answer, led)``: ``lead()``'s answer, or the running leader's.
+
+        A joiner waits at most ``wait_s`` seconds (``None``: until the
+        leader is done) and gets ``None`` when that runs out first.
+        """
+        with self._lock:
+            flight = self._flights.get(key)
+            led = flight is None
+            if led:
+                flight = self._flights[key] = _Flight()
+            elif flight.landed is None:
+                flight.landed = threading.Event()
+        if not led:
+            return (flight.answer if flight.landed.wait(wait_s) else None), \
+                False
+        answer: object = None
+        try:
+            answer = lead()
+        except Exception as exc:  # noqa: BLE001 - every waiter is answered
+            traceback.print_exc()
+            answer = {"status": "error",
+                      "error": f"{type(exc).__name__}: {exc}"}
+        finally:
+            # Unlink before publishing: a caller that arrives now leads a
+            # new flight, and every joiner of this one already made the
+            # event it waits on.
+            with self._lock:
+                del self._flights[key]
+            flight.answer = answer
+            if flight.landed is not None:
+                flight.landed.set()
+        return answer, True
+
+
+def finish_request(reply: dict, recorder: MemoryTracer, trace_id: str, *,
+                   fingerprint: str, started: float, stitch: bool,
+                   slo: SLOTracker, flightrec: FlightRecorder,
+                   route: list[str] | None = None,
+                   failed_over: bool = False) -> dict:
+    """Close one answered request's books once its span has ended.
+
+    Takes the SLO sample and records the flight-recorder digest (the
+    reply's timing phases, plus ``route_s``, ``route`` and
+    ``failed_over`` for a routed request).  For a ``stitch`` caller — one
+    that sent a trace context — the reply's result carries the request's
+    span records as ``obs``; everyone else gets the reply untouched.
+    Shared by the induction server and the cluster router.
+    """
+    wall_s = time.monotonic() - started
+    status = str(reply.get("status", "error"))
+    slo.record(wall_s, ok=status == "ok")
+    result = reply.get("result")
+    if not isinstance(result, dict):
+        result = None
+    phases = {key: result[key] for key in
+              ("queue_wait_s", "server_wall_s", "wall_s")
+              if result and result.get(key) is not None}
+    if route is not None:
+        phases["route_s"] = wall_s
+    flightrec.record(
+        fingerprint=fingerprint, outcome=status, wall_s=wall_s,
+        trace=trace_id, phases=phases, route=route,
+        spans=recorder.events,
+        degraded=bool(result.get("degraded")) if result else False,
+        failed_over=failed_over)
+    if stitch and result is not None:
+        reply = dict(reply)
+        reply["result"] = {**result, "obs": {"spans": list(recorder.events)}}
+    return reply
+
+
+class _Ticket(NamedTuple):
+    """One admitted submit, parsed once."""
+
+    wire: dict
+    request: InductionRequest
+    fingerprint: str
+    admitted: float
+    #: Absolute :func:`time.monotonic` deadline, or None.
+    deadline: float | None
+
+
+class _Served(NamedTuple):
+    """A flight's ``ok`` outcome, before it becomes each request's reply."""
+
+    payload: dict
+    disposition: str
+    #: When the work began: the dispatch for a computed reply, the
+    #: leader's admission for a cache hit.
+    started: float
 
 
 class InductionServer:
@@ -300,20 +368,18 @@ class InductionServer:
         self.flightrec = flightrec if flightrec is not None \
             else FlightRecorder()
         self._started = time.monotonic()
-        self.pool = WorkerPool(
-            workers=config.workers, max_retries=config.max_retries,
-            backoff_s=config.backoff_s, counters=self.counters)
-        self._queue: queue.Queue[_Ticket] = queue.Queue(maxsize=config.queue_size)
-        # Dispatch concurrency is bounded by the worker count so that when
-        # every worker is busy the queue genuinely backs up and admission
-        # control (queue_size) is the thing that sheds load.
-        self._dispatch_slots = threading.BoundedSemaphore(config.workers)
-        self._inflight: dict[str, _Group] = {}
-        self._inflight_lock = threading.Lock()
-        self._open_tickets = 0
-        self._open_lock = threading.Lock()
-        self._drained = threading.Event()
-        self._drained.set()
+        self.pool = WorkerPool(workers=config.workers, counters=self.counters)
+        self._flights = SingleFlight()
+        # One lock guards admission and the worker slots.  Leaders hold at
+        # most ``workers`` slots, so when every worker is busy requests
+        # wait here and queue_size is the thing that sheds load.
+        self._lock = threading.Lock()
+        self._worker_freed = threading.Condition(self._lock)
+        self._all_answered = threading.Condition(self._lock)
+        self._free_workers = config.workers
+        self._waiting = 0
+        self._open = 0
+        self._shedding = False
         self._stopping = False
         self._draining = False
         self._stopped = threading.Event()
@@ -325,9 +391,10 @@ class InductionServer:
         # thread) before the client hears back.
         self._conns = Connections(self._dispatch_op, self._finalize,
                                   "serve-conn")
-        self._accept_thread = self._spawn(
-            lambda: self._conns.accept_loop(self._listener), "serve-accept")
-        self._batcher_thread = self._spawn(self._batch_loop, "serve-batch")
+        self._accept_thread = threading.Thread(
+            target=self._conns.accept_loop, args=(self._listener,),
+            name="serve-accept", daemon=True)
+        self._accept_thread.start()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -342,36 +409,29 @@ class InductionServer:
         """Where this node listens (with the real port for ``tcp://*:0``)."""
         return self._endpoint
 
-    @staticmethod
-    def _spawn(target, name: str) -> threading.Thread:
-        thread = threading.Thread(target=target, name=name, daemon=True)
-        thread.start()
-        return thread
-
     def shutdown(self, drain: bool = True) -> None:
-        """Stop the server; with ``drain`` every admitted ticket finishes.
+        """Stop the server; with ``drain`` every admitted request finishes.
 
-        Without ``drain``, queued-but-undispatched tickets are shed with a
-        ``busy`` reply (dispatched groups still complete — workers are
-        never abandoned mid-write).
+        Without ``drain``, requests still waiting for a worker are shed
+        with a ``busy`` reply (running searches still complete — workers
+        are never abandoned mid-write).
         """
         self._drain_phase(drain)
         self._finalize()
 
     def _drain_phase(self, drain: bool) -> None:
-        self._stopping = True
+        with self._lock:
+            self._stopping = True
+            if not drain:
+                self._shedding = True
+                self._worker_freed.notify_all()
         try:
             self._listener.close()
         except OSError:
             pass
-        if not drain:
-            while True:
-                try:
-                    ticket = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                self._respond(ticket, {"status": "busy", "reason": "shutdown"})
-        self._drained.wait(timeout=600.0)
+        with self._lock:
+            self._all_answered.wait_for(lambda: self._open == 0,
+                                        timeout=600.0)
 
     def _finalize(self) -> None:
         # _stopped is set LAST: a foreground `repro serve` exits (killing
@@ -406,8 +466,8 @@ class InductionServer:
         if op == "ping":
             return {"status": "pong", "draining": self._draining}
         if op == "drain":
-            # Unlike shutdown, a drained node keeps running: in-flight
-            # tickets finish, new submits shed with busy/"draining", and
+            # Unlike shutdown, a drained node keeps running: admitted
+            # requests finish, new submits shed with busy/"draining", and
             # stats/metrics/ping stay live so the cluster can watch it
             # empty out before stopping it for real.
             self._draining = True
@@ -472,296 +532,185 @@ class InductionServer:
         # the client's connection, and the parsed request rides the ticket.
         request = protocol.request_from_wire(wire)
         fingerprint = request.fingerprint()
+        admitted = time.monotonic()
         deadline_s = request.deadline_s if request.deadline_s is not None \
             else self.config.default_deadline_s
-        deadline = None if deadline_s is None \
-            else time.monotonic() + float(deadline_s)
-        ticket = _Ticket(wire, request, fingerprint, deadline)
-        # The handler thread owns the request's server-side span: it covers
-        # queue wait, dispatch and response, and continues the client's
-        # trace when the wire carried a context.  The ticket's recorder
-        # tees off the same spans so the reply can carry them back.
-        tee = TeeTracer(self.tracer, ticket.recorder)
+        ticket = _Ticket(wire, request, fingerprint, admitted,
+                         None if deadline_s is None
+                         else admitted + float(deadline_s))
+        # This thread owns the request's server-side span: it covers the
+        # whole answer, and continues the client's trace when the wire
+        # carried a context.  The recorder tees off the same spans so the
+        # reply can carry them back.
+        recorder = MemoryTracer()
+        tee = TeeTracer(self.tracer, recorder)
         with attach_context(wire.get("trace_ctx")), \
                 span("service.request", tee, method=wire.get(
-                    "method", "search")) as live:
-            ticket.trace_ctx = current_context()
-            response = self._admit_wait(ticket, deadline_s, live)
-        return self._finish_request(ticket, response, live.trace_id,
-                                    stitch=bool(wire.get("trace_ctx")))
+                    "method", "search")) as live, \
+                use_registry(self.metrics):
+            reply = self._answer(ticket, tee, live.trace_id)
+            live.set(status=reply["status"])
+            if reply["status"] == "ok":
+                live.set(disposition=reply["result"]["disposition"])
+            elif reply["status"] == "busy":
+                self.counters.bump("shed")
+        return finish_request(
+            reply, recorder, live.trace_id, fingerprint=fingerprint,
+            started=admitted, stitch=bool(wire.get("trace_ctx")),
+            slo=self.slo, flightrec=self.flightrec)
 
-    def _admit_wait(self, ticket: _Ticket, deadline_s: float | None,
-                    live) -> dict:
-        if self._stopping or self._draining:
-            self.counters.bump("shed")
-            live.set(status="busy")
+    def _answer(self, ticket: _Ticket, tee: Tracer, trace_id: str) -> dict:
+        """Reply to one submit: join its fingerprint's flight, or lead it."""
+        with self._lock:
+            refused = self._stopping or self._draining
+            if not refused:
+                self._open += 1
+        if refused:
             return {"status": "busy",
                     "reason": "draining" if self._draining and
                     not self._stopping else "shutdown"}
-        cached = self._answer_from_cache(ticket)
-        if cached is not None:
-            live.set(status="ok", disposition="cache")
-            return cached
-        with self._open_lock:
-            self._open_tickets += 1
-            self._drained.clear()
         try:
-            self._queue.put_nowait(ticket)
-        except queue.Full:
-            self._ticket_closed()
-            self.counters.bump("shed")
-            live.set(status="busy")
-            return {"status": "busy", "reason": "queue full",
-                    "queue_depth": self._queue.qsize()}
-        self.counters.set("queue_depth", self._queue.qsize())
-        wait = None if ticket.deadline is None \
-            else max(1.0, deadline_s) + 600.0
-        if not ticket.event.wait(timeout=wait or 3600.0):
-            live.set(status="error")
-            return {"status": "error",
-                    "error": "response timed out in server"}
-        live.set(status=ticket.response.get("status", "ok"))
-        return ticket.response
+            wait_s = None
+            if ticket.deadline is not None:
+                wait_s = ticket.deadline - time.monotonic()
+                if ticket.request.method == "portfolio":
+                    wait_s += PORTFOLIO_KILL_GRACE_S
+            outcome, led = self._flights.share(
+                ticket.fingerprint, lambda: self._lead(ticket, tee),
+                wait_s=wait_s)
+            if not led:
+                self.counters.bump("dedup_hits")
+                if outcome is None:
+                    # The leader outlived this request's own deadline.
+                    self.counters.bump("degraded_deadline")
+                    outcome = _Served(result_to_payload(degraded_result(
+                        ticket.request,
+                        wall_s=time.monotonic() - ticket.admitted)),
+                        "deadline", ticket.admitted)
+            if not isinstance(outcome, _Served):
+                return outcome
+            return self._ok_reply(outcome, ticket.admitted,
+                                  deduped=not led, trace_id=trace_id)
+        finally:
+            with self._lock:
+                self._open -= 1
+                if not self._open:
+                    self._all_answered.notify_all()
 
-    def _answer_from_cache(self, ticket: _Ticket) -> dict | None:
-        """Replay a cached fingerprint on the handler thread, or None.
-
-        A hit never queues, so it waits behind neither the batcher nor a
-        saturated worker pool.  A miss asks the cache's every tier (peers
-        included) here; the dispatcher re-checks the local tier only.
-        """
-        if self.cache is None:
-            return None
-        with use_registry(self.metrics):
+    def _lead(self, ticket: _Ticket, tee: Tracer) -> _Served | dict:
+        """Answer a flight: the cache once, else a worker's search."""
+        if self.cache is not None:
             entry = self.cache.get(ticket.fingerprint)
-        if entry is None:
-            return None
-        self.counters.bump("cache_hits")
-        payload = replay(entry, wall_s=time.monotonic() - ticket.enqueued_at)
-        return self._ok_reply(ticket, payload, "cache", batch=1,
-                              deduped=False, started=ticket.enqueued_at)
+            if entry is not None:
+                self.counters.bump("cache_hits")
+                return _Served(
+                    replay(entry, wall_s=time.monotonic() - ticket.admitted),
+                    "cache", ticket.admitted)
+        with self._lock:
+            if not self._free_workers:
+                if self._waiting >= self.config.queue_size:
+                    return {"status": "busy", "reason": "queue full",
+                            "queue_depth": self._waiting}
+                self._waiting += 1
+                try:
+                    while not self._free_workers and not self._shedding:
+                        self._worker_freed.wait()
+                finally:
+                    self._waiting -= 1
+            if self._shedding:
+                return {"status": "busy", "reason": "shutdown"}
+            self._free_workers -= 1
+        try:
+            return self._dispatch(ticket, tee)
+        finally:
+            with self._lock:
+                self._free_workers += 1
+                self._worker_freed.notify()
 
-    def _ok_reply(self, ticket: _Ticket, payload: dict, disposition: str,
-                  batch: int, deduped: bool, started: float) -> dict:
-        """One member's ``ok`` reply, counted and timed.
+    def _dispatch(self, ticket: _Ticket, tee: Tracer) -> _Served | dict:
+        """Run one search on a worker; degrade or error as it ends."""
+        request, deadline = ticket.request, ticket.deadline
+        started = time.monotonic()
+        # Worker-side spans hang off the dispatch span via the context
+        # injected into the wire below, completing the stitched trace in
+        # the leader's recorder (joiners carry only their own
+        # service.request span — the search ran on the leader's trace).
+        with span("service.dispatch", tee) as live:
+            disposition = "miss"
+            wire = dict(ticket.wire)
+            ctx = current_context()
+            if ctx is not None:
+                wire["trace_ctx"] = ctx
+            if wire.get("method") == "portfolio":
+                # The race self-deadlines inside the worker; the pool's
+                # kill switch is only the wedged-worker backstop.  A
+                # server-default deadline reaches the race through the
+                # wire, since the client never set one there.
+                inject_portfolio_hints(wire, request, self.strategy_store)
+                if deadline is not None:
+                    if "deadline_s" not in wire:
+                        wire["deadline_s"] = max(
+                            0.0, deadline - time.monotonic())
+                    deadline += PORTFOLIO_KILL_GRACE_S
+            try:
+                worker_started = time.monotonic()
+                payload, meta = self.pool.run(wire, deadline)
+                self.metrics.observe(
+                    "service_worker_seconds",
+                    time.monotonic() - worker_started,
+                    trace_id=live.trace_id)
+                absorb_obs(payload, tracer=tee, registry=self.metrics)
+                record_portfolio_outcome(payload, self.strategy_store)
+                payload["retries"] = meta["retries"]
+                if meta["retries"]:
+                    self.metrics.observe("service_worker_retries",
+                                         meta["retries"],
+                                         buckets=DEFAULT_SIZE_BUCKETS)
+                if self.cache is not None:
+                    self.cache.put(ticket.fingerprint, payload)
+            except DeadlineExpired:
+                disposition = "deadline"
+                self.counters.bump("degraded_deadline")
+                payload = result_to_payload(degraded_result(
+                    request, wall_s=time.monotonic() - started))
+            except RetriesExhausted:
+                disposition = "retries"
+                self.counters.bump("degraded_retries")
+                payload = result_to_payload(degraded_result(
+                    request, wall_s=time.monotonic() - started))
+            except WorkerTaskError as exc:
+                self.counters.bump("task_errors")
+                live.set(disposition="error")
+                return {"status": "error", "error": str(exc)}
+            live.set(disposition=disposition)
+        return _Served(payload, disposition, started)
 
-        ``started`` is when its work began: the dispatch for a queued
-        ticket, admission itself for a cache hit (zero queue wait).
-        """
+    def _ok_reply(self, served: _Served, admitted: float, deduped: bool,
+                  trace_id: str) -> dict:
+        """One request's ``ok`` reply, counted and timed."""
         now = time.monotonic()
-        self.metrics.observe("service_queue_wait_seconds",
-                             max(0.0, started - ticket.enqueued_at))
-        self.metrics.observe("service_request_seconds",
-                             now - ticket.enqueued_at,
-                             trace_id=(ticket.trace_ctx or {}).get("trace"))
+        # A joiner that arrived after its leader got a worker waited for
+        # none.
+        queue_wait_s = max(0.0, served.started - admitted)
+        self.metrics.observe("service_queue_wait_seconds", queue_wait_s)
+        self.metrics.observe("service_request_seconds", now - admitted,
+                             trace_id=trace_id)
         extras = {
-            "batch": batch,
             "deduped": deduped,
-            "queue_wait_s": round(started - ticket.enqueued_at, 6),
-            "server_wall_s": round(now - ticket.enqueued_at, 6),
-            "disposition": disposition,
+            "queue_wait_s": round(queue_wait_s, 6),
+            "server_wall_s": round(now - admitted, 6),
+            "disposition": served.disposition,
         }
         if deduped:
             self.counters.bump("dedup_served")
         self.counters.bump("ok")
         if self.tracer.enabled:
-            self.tracer.emit("service_request", disposition=disposition,
-                             degraded=bool(payload.get("degraded")),
-                             batch=batch, deduped=deduped,
+            self.tracer.emit("service_request",
+                             disposition=served.disposition,
+                             degraded=bool(served.payload.get("degraded")),
+                             deduped=deduped,
                              wall_s=extras["server_wall_s"])
-        return {"status": "ok", "result": {**payload, **extras}}
-
-    def _finish_request(self, ticket: _Ticket, response: dict,
-                        trace_id: str, stitch: bool) -> dict:
-        """Post-span bookkeeping: SLO sample, flight digest, reply obs."""
-        status = str(response.get("status", "ok"))
-        wall_s = time.monotonic() - ticket.enqueued_at
-        result = response.get("result")
-        if not isinstance(result, dict):
-            result = None
-        degraded = bool(result.get("degraded")) if result else False
-        self.slo.record(wall_s, ok=status == "ok")
-        phases = {key: result[key] for key in
-                  ("queue_wait_s", "server_wall_s", "wall_s")
-                  if result and result.get(key) is not None}
-        self.flightrec.record(
-            fingerprint=ticket.fingerprint, outcome=status, wall_s=wall_s,
-            trace=trace_id, phases=phases, spans=ticket.recorder.events,
-            degraded=degraded)
-        if stitch and result is not None:
-            # Only a caller that propagated a trace context pays for span
-            # records on the wire; everyone else gets the reply untouched.
-            response = dict(response)
-            response["result"] = {
-                **result, "obs": {"spans": list(ticket.recorder.events)}}
-        return response
-
-    def _ticket_closed(self) -> None:
-        with self._open_lock:
-            self._open_tickets -= 1
-            if self._open_tickets == 0:
-                self._drained.set()
-
-    def _respond(self, ticket: _Ticket, response: dict) -> None:
-        try:
-            ticket.respond(response)
-        finally:
-            self._ticket_closed()
-
-    # -- batching ----------------------------------------------------------
-
-    def _batch_loop(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stopped.is_set():
-                    return
-                continue
-            # No linger: a lone ticket dispatches at once, and a burst
-            # that queued up meanwhile (behind busy workers) still batches.
-            batch = [first]
-            while len(batch) < self.config.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            self.counters.set("queue_depth", self._queue.qsize())
-            self._form_groups(batch)
-
-    def _form_groups(self, batch: list[_Ticket]) -> None:
-        self.counters.bump("batches")
-        self.counters.bump("batched_tickets", len(batch))
-        self.metrics.observe("service_batch_size", len(batch),
-                             buckets=DEFAULT_SIZE_BUCKETS)
-        fresh: dict[str, _Group] = {}
-        for ticket in batch:
-            live = self._inflight.get(ticket.fingerprint)
-            if live is not None and live.try_join(ticket):
-                self.counters.bump("dedup_hits")
-                continue
-            group = fresh.get(ticket.fingerprint)
-            if group is not None:
-                group.tickets.append(ticket)
-                self.counters.bump("dedup_hits")
-                continue
-            fresh[ticket.fingerprint] = _Group(ticket.fingerprint, ticket)
-        if self.tracer.enabled:
-            self.tracer.emit("service_batch", tickets=len(batch),
-                             groups=len(fresh),
-                             deduped=len(batch) - len(fresh))
-        for group in fresh.values():
-            self._dispatch_slots.acquire()
-            with self._inflight_lock:
-                self._inflight[group.fingerprint] = group
-            self.counters.set("inflight", len(self._inflight))
-            self._spawn(lambda g=group: self._run_group(g), "serve-dispatch")
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _run_group(self, group: _Group) -> None:
-        try:
-            # Everything the dispatch does — cache lookups, degraded
-            # fallback searches, worker supervision — records into the
-            # server's registry, not the process default.
-            with use_registry(self.metrics):
-                self._run_group_inner(group)
-        finally:
-            self._dispatch_slots.release()
-            with self._inflight_lock:
-                # Identity check: a successor group for the same fingerprint
-                # may already have replaced this one.
-                if self._inflight.get(group.fingerprint) is group:
-                    del self._inflight[group.fingerprint]
-                self.counters.set("inflight", len(self._inflight))
-
-    def _run_group_inner(self, group: _Group) -> None:
-        first = group.tickets[0]
-        request = first.request
-        started = time.monotonic()
-
-        # The dispatch span hangs off the first member's service.request
-        # span; worker-side spans hang off the dispatch via the context
-        # injected into the wire below, completing the stitched trace.
-        # Teeing into the leader's recorder puts dispatch + worker spans
-        # into the leader's reply obs (dedup members carry only their own
-        # service.request span — the search ran on the leader's trace).
-        tee = TeeTracer(self.tracer, first.recorder)
-        with attach_context(first.trace_ctx), \
-                span("service.dispatch", tee,
-                     tickets=len(group.tickets)) as live:
-            payload: dict | None = None
-            disposition = "miss"
-            if self.cache is not None:
-                # A duplicate that finished while this group queued has
-                # filled the local tier; admission already asked the peers.
-                get = getattr(self.cache, "get_local", self.cache.get)
-                payload = get(group.fingerprint)
-                if payload is not None:
-                    replay(payload, wall_s=time.monotonic() - started)
-                    disposition = "cache"
-                    self.counters.bump("cache_hits")
-
-            if payload is None:
-                deadlines = [t.deadline for t in group.tickets
-                             if t.deadline is not None]
-                effective = min(deadlines) if deadlines else None
-                wire = dict(first.wire)
-                ctx = current_context()
-                if ctx is not None:
-                    wire["trace_ctx"] = ctx
-                if wire.get("method") == "portfolio":
-                    # The race self-deadlines inside the worker; the pool's
-                    # kill switch is only the wedged-worker backstop.  A
-                    # server-default deadline reaches the race through the
-                    # wire, since the client never set one there.
-                    inject_portfolio_hints(wire, request, self.strategy_store)
-                    if effective is not None:
-                        if "deadline_s" not in wire:
-                            wire["deadline_s"] = max(
-                                0.0, effective - time.monotonic())
-                        effective += PORTFOLIO_KILL_GRACE_S
-                try:
-                    worker_started = time.monotonic()
-                    payload, meta = self.pool.run(wire, effective)
-                    self.metrics.observe(
-                        "service_worker_seconds",
-                        time.monotonic() - worker_started,
-                        trace_id=live.trace_id)
-                    absorb_obs(payload, tracer=tee,
-                               registry=self.metrics)
-                    record_portfolio_outcome(payload, self.strategy_store)
-                    payload["retries"] = meta["retries"]
-                    if meta["retries"]:
-                        self.metrics.observe("service_worker_retries",
-                                             meta["retries"],
-                                             buckets=DEFAULT_SIZE_BUCKETS)
-                    if self.cache is not None:
-                        self.cache.put(group.fingerprint, payload)
-                except DeadlineExpired:
-                    disposition = "deadline"
-                    self.counters.bump("degraded_deadline")
-                    payload = result_to_payload(degraded_result(
-                        request, wall_s=time.monotonic() - started))
-                except RetriesExhausted:
-                    disposition = "retries"
-                    self.counters.bump("degraded_retries")
-                    payload = result_to_payload(degraded_result(
-                        request, wall_s=time.monotonic() - started))
-                except WorkerTaskError as exc:
-                    self.counters.bump("task_errors")
-                    live.set(disposition="error")
-                    for ticket in group.members():
-                        self._respond(ticket, {"status": "error",
-                                               "error": str(exc)})
-                    return
-            live.set(disposition=disposition)
-
-        members = group.members()
-        for position, ticket in enumerate(members):
-            self._respond(ticket, self._ok_reply(
-                ticket, payload, disposition, batch=len(members),
-                deduped=position > 0, started=started))
+        return {"status": "ok", "result": {**served.payload, **extras}}
 
     # -- introspection -----------------------------------------------------
 
@@ -775,18 +724,19 @@ class InductionServer:
     def stats(self) -> dict:
         """One consistent snapshot: counters, gauges, latency percentiles.
 
-        The live gauges (queue depth, open tickets, uptime, tracer output)
-        are written and the counters copied under a single lock acquisition
-        (:meth:`Counters.snapshot_with`), so a snapshot taken mid-burst
-        cannot pair a new counter value with a stale gauge.
+        The live gauges (queue depth, open requests, uptime, tracer
+        output) are written and the counters copied under a single lock
+        acquisition (:meth:`Counters.snapshot_with`), so a snapshot taken
+        mid-burst cannot pair a new counter value with a stale gauge.
         """
-        with self._open_lock:
-            open_tickets = self._open_tickets
+        with self._lock:
+            waiting, open_requests = self._waiting, self._open
         gauges = {
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": waiting,
+            "inflight": len(self._flights),
             "workers": self.pool.workers,
             "inline_pool": int(self.pool.inline),
-            "open_tickets": open_tickets,
+            "open_tickets": open_requests,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "trace_events": self.tracer.events_written,
             "draining": int(self._draining),

@@ -32,8 +32,7 @@ thread 1:
 
 def make_server(tmp_path, **overrides):
     defaults = dict(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
-                    workers=1,
-                    backoff_s=0.01, allow_chaos=True)
+                    workers=1, allow_chaos=True)
     defaults.update(overrides)
     return InductionServer(ServerConfig(**defaults))
 
@@ -144,7 +143,7 @@ class TestFlightRecorderPlane:
 
     def test_degraded_request_is_captured_with_spans(self, tmp_path,
                                                      request_):
-        server = make_server(tmp_path, max_retries=1)
+        server = make_server(tmp_path)
         try:
             with ServiceClient(server.endpoint) as client:
                 result = client.submit(request_,

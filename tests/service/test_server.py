@@ -15,6 +15,7 @@ from repro.api import InductionRequest
 from repro.core import maspar_cost_model, parse_region, verify_schedule
 from repro.service import (
     Endpoint, InductionServer, ServerConfig, ServiceBusy, ServiceClient,
+    ServiceError,
 )
 
 REGION = """
@@ -30,9 +31,7 @@ thread 1:
 
 def make_server(tmp_path, **overrides):
     defaults = dict(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
-                    workers=1,
-                    queue_size=8, batch_max=4,
-                    backoff_s=0.01, allow_chaos=True)
+                    workers=1, queue_size=8, allow_chaos=True)
     defaults.update(overrides)
     return InductionServer(ServerConfig(**defaults))
 
@@ -89,14 +88,128 @@ def test_concurrent_duplicates_are_deduplicated(tmp_path, request_):
             t.join(timeout=30)
         assert all(r is not None for r in results)
         assert len({r.cost for r in results}) == 1
+        for r in results:
+            assert 0 <= r.extras["queue_wait_s"] <= r.extras["server_wall_s"]
         stats = client.stats()
         assert stats["dedup_hits"] + stats.get("cache_hits", 0) >= 1
     finally:
         server.shutdown()
 
 
+def test_joiner_degrades_at_its_own_deadline(tmp_path, request_):
+    server = make_server(tmp_path)
+    try:
+        client = ServiceClient(server.endpoint)
+        box = {}
+
+        def lead():
+            box["leader"] = client.submit(request_, chaos={"sleep_s": 1.5})
+
+        leader = threading.Thread(target=lead)
+        leader.start()
+        time.sleep(0.2)
+        start = time.monotonic()
+        joiner = client.submit(request_.replace(deadline_s=0.2))
+        assert time.monotonic() - start < 1.0
+        assert joiner.degraded
+        assert joiner.extras["disposition"] == "deadline"
+        verify_schedule(joiner.schedule, parse_region(REGION),
+                        maspar_cost_model())
+        leader.join(timeout=30)
+        assert not leader.is_alive()
+        assert not box["leader"].degraded
+        stats = client.stats()
+        assert stats["dedup_hits"] == 1
+        assert stats["degraded_deadline"] == 1
+    finally:
+        server.shutdown()
+
+
+def test_failing_dispatch_answers_every_waiting_request(tmp_path, request_,
+                                                        monkeypatch):
+    import repro.service.server as server_mod
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("absorb failed")
+
+    monkeypatch.setattr(server_mod, "absorb_obs", broken)
+    server = make_server(tmp_path)
+    client = ServiceClient(server.endpoint, timeout=5)
+    errors = []
+
+    def lead():
+        try:
+            client.submit(request_, chaos={"sleep_s": 0.6})
+        except ServiceError as exc:
+            errors.append(str(exc))
+
+    # The leader's stall holds its flight open while the joiner arrives.
+    leader = threading.Thread(target=lead)
+    leader.start()
+    time.sleep(0.2)
+    try:
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="RuntimeError: absorb failed"):
+            client.submit(request_)
+        assert time.monotonic() - start < 3.0
+        leader.join(timeout=5)
+        assert not leader.is_alive()
+        assert errors == ["RuntimeError: absorb failed"]
+        stats = client.stats()
+        assert stats["dedup_hits"] == 1
+        assert stats["open_tickets"] == 0
+    finally:
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()  # draining waits for no one
+
+
+def test_single_flight_runs_one_leader_per_key_at_a_time():
+    import sys
+
+    from repro.service.server import SingleFlight
+
+    flights = SingleFlight()
+    lock = threading.Lock()
+    running = dict.fromkeys("abc", 0)
+    overlaps = []
+    answers = []
+
+    def lead(key):
+        with lock:
+            running[key] += 1
+            overlaps.append(running[key])
+        time.sleep(0.001)
+        with lock:
+            running[key] -= 1
+        return {"status": "ok", "key": key}
+
+    def work(key):
+        for _ in range(50):
+            answer, _led = flights.share(key, lambda: lead(key))
+            answers.append((key, answer["key"]))
+
+    threads = [threading.Thread(target=work, args=("abc"[i % 3],))
+               for i in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(answers) == 600
+    assert all(key == got for key, got in answers)
+    assert max(overlaps) == 1
+    assert len(flights) == 0
+
+
 def test_killed_worker_is_retried_and_completes(tmp_path, request_):
-    server = make_server(tmp_path, max_retries=2)
+    server = make_server(tmp_path)
     try:
         client = ServiceClient(server.endpoint)
         result = client.submit(request_, chaos={"crash_attempts": 1})
@@ -113,7 +226,7 @@ def test_killed_worker_is_retried_and_completes(tmp_path, request_):
 
 
 def test_retries_exhausted_degrades_not_errors(tmp_path, request_):
-    server = make_server(tmp_path, max_retries=1)
+    server = make_server(tmp_path)
     try:
         client = ServiceClient(server.endpoint)
         result = client.submit(request_, chaos={"crash_attempts": 5})
@@ -144,27 +257,28 @@ def test_deadline_expiry_degrades_to_verified_greedy(tmp_path, request_):
 
 
 def test_queue_overflow_sheds_with_busy(tmp_path, request_):
-    server = make_server(tmp_path, workers=1, queue_size=1, batch_max=1)
+    server = make_server(tmp_path, workers=1, queue_size=1)
     try:
         client = ServiceClient(server.endpoint)
         background = []
-        # Occupy the single worker, then the batcher, then the queue —
-        # each with a distinct fingerprint so nothing deduplicates.
+        # Occupy the single worker, then the one queue slot — each with a
+        # distinct fingerprint so nothing deduplicates.
         def go(budget):
             background.append(client.submit(
                 request_.replace(budget=budget), chaos={"sleep_s": 0.6}))
         threads = []
-        for i, budget in enumerate((11_111, 22_222, 33_333)):
+        for budget in (11_111, 22_222):
             t = threading.Thread(target=go, args=(budget,))
             t.start()
             threads.append(t)
             time.sleep(0.15)
+        assert client.stats()["queue_depth"] == 1
         with pytest.raises(ServiceBusy, match="queue full"):
             client.submit(request_.replace(budget=44_444))
         assert client.stats()["shed"] == 1
         for t in threads:
             t.join(timeout=30)
-        assert len(background) == 3  # the occupants all completed fine
+        assert len(background) == 2  # the occupants all completed fine
     finally:
         server.shutdown()
 
@@ -185,6 +299,35 @@ def test_shutdown_drains_in_flight(tmp_path, request_):
     assert not box["result"].degraded
     assert box["result"].cost > 0
     assert server.wait_stopped(0.0)
+
+
+def test_shutdown_without_drain_sheds_waiting_requests(tmp_path, request_):
+    server = make_server(tmp_path, workers=1)
+    client = ServiceClient(server.endpoint)
+    box = {}
+
+    def stalled():
+        box["stalled"] = client.submit(request_, chaos={"sleep_s": 0.8})
+
+    def waiting():
+        try:
+            box["waiting"] = client.submit(request_.replace(budget=12_345))
+        except ServiceBusy as exc:
+            box["waiting"] = exc
+
+    threads = [threading.Thread(target=stalled),
+               threading.Thread(target=waiting)]
+    for t in threads:
+        t.start()
+        time.sleep(0.15)
+    assert server.stats()["queue_depth"] == 1
+    server.shutdown(drain=False)
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert isinstance(box["waiting"], ServiceBusy)
+    assert "shutdown" in str(box["waiting"])
+    assert not box["stalled"].degraded and box["stalled"].cost > 0
 
 
 def test_requests_after_shutdown_get_busy(tmp_path, request_):
@@ -233,6 +376,8 @@ def test_cache_hit_disposition(tmp_path, request_):
     try:
         client = ServiceClient(server.endpoint)
         first = client.submit(request_)
+        # A computed request asks the cache once.
+        assert client.stats()["cache_misses"] == 1
         second = client.submit(request_)
         assert first.extras["disposition"] == "miss"
         assert second.extras["disposition"] == "cache"
@@ -283,7 +428,7 @@ thread 1:
 
 #: Reply fields that belong to one request: all a served replay changes.
 PER_HOP = {"cache_hit", "wall_s", "disposition", "queue_wait_s",
-           "server_wall_s", "batch", "deduped", "retries"}
+           "server_wall_s", "deduped", "retries"}
 
 
 def _cold_and_repeat(tmp_path, request, store=None):
@@ -504,23 +649,26 @@ def test_cached_submit_is_answered_without_queueing(tmp_path, request_):
             before = client.stats()
             seconds = _series(client.metrics(),
                               "repro_service_request_seconds_count")
+            searches = _series(client.metrics(),
+                               "repro_service_worker_seconds_count")
             slo = server.slo.status()["requests_total"]
             digests = server.flightrec.counts()["considered"]
             spans_before = len(tracer.events)
             hit = client.submit(request_)
             after = client.stats()
-            assert _series(client.metrics(),
-                           "repro_service_request_seconds_count") \
+            metrics = client.metrics()
+            assert _series(metrics, "repro_service_request_seconds_count") \
                 == seconds + 1
+            assert _series(metrics, "repro_service_worker_seconds_count") \
+                == searches == 1
     finally:
         server.shutdown()
     assert hit.extras["disposition"] == "cache"
     assert hit.extras["queue_wait_s"] == 0.0
-    assert hit.extras["batch"] == 1
     assert hit.cache_hit and not hit.degraded
     for key in ("requests", "ok", "cache_hits"):
         assert after[key] == before.get(key, 0) + 1, key
-    assert after["batches"] == before["batches"]
+    assert after["cache_misses"] == before["cache_misses"]
     assert server.slo.status()["requests_total"] == slo + 1
     assert server.flightrec.counts()["considered"] == digests + 1
     # A cached request's trace is one lone service.request span.
