@@ -73,18 +73,15 @@ def bench_seed(default: int = 0) -> int:
     return resolve_seed(default=default)
 
 
-def api_induce(region, model, *, window_size: int = 0, **kwargs):
+def api_induce(region, model, **kwargs):
     """Benchmark entry point for induction, routed through ``repro.api``.
 
-    Accepts the old keyword spelling (``window_size``) so experiment code
-    reads like the paper; everything else maps 1:1 onto
-    :class:`repro.api.InductionRequest`.
+    Keywords map 1:1 onto :class:`repro.api.InductionRequest`.
     """
     from repro import api
 
-    request = api.InductionRequest(region=region, model=model,
-                                   window=window_size, **kwargs)
-    return api.induce(request)
+    return api.induce(api.InductionRequest(region=region, model=model,
+                                           **kwargs))
 
 
 @pytest.hookimpl(trylast=True)

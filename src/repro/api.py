@@ -4,7 +4,7 @@ One request value describes every induction, local or served::
 
     from repro import api
 
-    request = api.InductionRequest(region, model="maspar", window=8, jobs=4)
+    request = api.InductionRequest(region, model="maspar", budget=20_000)
     result = api.induce(request)            # local execution
     result = api.induce(request, client="unix:///tmp/repro.sock")  # served
 
@@ -19,11 +19,10 @@ Routing rules, in order:
    one-shot worker process that is killed at the deadline, degrading to
    the greedy schedule (``degraded=True``, never an error);
 4. otherwise — in this process, through the one induction driver
-   (:func:`repro.core.pipeline.run_induction`): one-shot, windowed
-   (``window > 0``, optional process-pool fan-out) or the strategy race
-   (``method="portfolio"``, which enforces its own ``deadline_s``
-   cooperatively and returns the best verified schedule any strategy
-   found).
+   (:func:`repro.core.pipeline.run_induction`): one method on the whole
+   region, or the strategy race (``method="portfolio"``, which enforces
+   its own ``deadline_s`` cooperatively and returns the best verified
+   schedule any strategy found).
 
 Every route returns an object implementing the unified result protocol
 (:class:`repro.core.result.ResultBase`), so callers never special-case
@@ -57,12 +56,6 @@ NAMED_MODELS = ("maspar", "uniform")
 #: rejects it with :class:`ValueError` — the same error type for every
 #: knob, built by :func:`_reject_knob`.
 KNOB_METHODS: Mapping[str, tuple[str, ...]] = {
-    # Windowing splits the branch-and-bound search; baselines and the
-    # portfolio race always schedule the whole region.
-    "window": ("search",),
-    # Process fan-out parallelizes *windows*; without windowing there is
-    # nothing to fan out (enforced as: jobs != 1 requires window > 0).
-    "jobs": ("search",),
     # node_budget bounds branch-and-bound expansion; greedy/anneal/factor/
     # lockstep/serial never read it.
     "budget": ("search", "portfolio"),
@@ -94,8 +87,6 @@ class InductionRequest:
     region: Region | str
     model: CostModel | str = "maspar"
     method: str = "search"
-    window: int = 0
-    jobs: int = 1
     config: SearchConfig | None = None
     budget: int | None = None
     deadline_s: float | None = None
@@ -125,8 +116,6 @@ class InductionRequest:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of "
                 f"{REQUEST_METHODS}")
-        if self.window < 0:
-            raise ValueError(f"window must be >= 0, got {self.window}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline_s}")
         if self.vn not in VN_MODES:
@@ -134,14 +123,6 @@ class InductionRequest:
                 f"unknown vn mode {self.vn!r}; expected one of {VN_MODES}")
         # The method/knob table: a non-default value of any knob whose
         # method can never consume it is an error, uniformly.
-        if self.window and self.method not in KNOB_METHODS["window"]:
-            _reject_knob("window", self.window, self.method)
-        if self.jobs != 1 and self.method not in KNOB_METHODS["jobs"]:
-            _reject_knob("jobs", self.jobs, self.method)
-        if self.jobs != 1 and not self.window:
-            raise ValueError(
-                f"jobs={self.jobs!r} has no effect without window > 0; "
-                "process fan-out parallelizes windows")
         if self.budget is not None and \
                 self.method not in KNOB_METHODS["budget"]:
             _reject_knob("budget", self.budget, self.method)
@@ -175,10 +156,9 @@ class InductionRequest:
         """Content fingerprint of the *request* — the service's dedup key.
 
         Two requests agree iff they must produce the same schedule, so
-        ``jobs``, ``deadline_s`` and the local handles are excluded while
-        ``window`` (which changes the schedule at seams) is folded in.
+        ``deadline_s``, ``routing`` and the local handles are excluded.
         """
-        tag = f"{self.method}+w{self.window}" if self.window else self.method
+        tag = self.method
         if self.vn != "off":
             # vn changes the region actually scheduled, so requests that
             # differ only in vn mode must not dedup against each other.
@@ -204,8 +184,8 @@ def _execute_local(request: InductionRequest,
                 "skip": portfolio_skip, "store": request.strategy_store}
     return run_induction(
         request.resolved_region(), request.resolved_model(), request.method,
-        request.resolved_config(), window=request.window, jobs=request.jobs,
-        vn=request.vn, cache=request.cache, tracer=request.tracer, **race)
+        request.resolved_config(), vn=request.vn, cache=request.cache,
+        tracer=request.tracer, **race)
 
 
 def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:

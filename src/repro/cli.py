@@ -7,7 +7,6 @@ Mirrors the user-facing surface of the 1992 prototype:
 - ``run``      — execute MIMDC source or an object file on the simulated
   MasPar through the MIMD-on-SIMD interpreter;
 - ``induce``   — run CSI (or a baseline) on a textual region file, with
-  optional windowing (``--window``), parallel window fan-out (``--jobs``),
   a persistent content-addressed schedule cache (``--cache-dir``) and a
   JSONL search trace (``--trace``);
 - ``stats``    — summarize a ``--trace`` file (nodes, prunes, cache hit
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 __all__ = ["main"]
 
@@ -36,7 +36,7 @@ def _cmd_compile(args) -> int:
     from repro.isa import disassemble, encode_object
     from repro.lang import compile_mimdc
 
-    source = open(args.source).read()
+    source = Path(args.source).read_text()
     unit = compile_mimdc(source, optimize=not args.no_optimize)
     if args.output:
         with open(args.output, "wb") as fh:
@@ -58,9 +58,9 @@ def _load_program(path: str, optimize: bool = True):
     from repro.lang import compile_mimdc
 
     if path.endswith(".mobj"):
-        program = decode_object(open(path, "rb").read())
+        program = decode_object(Path(path).read_bytes())
         return program, MemoryLayout(), {}
-    unit = compile_mimdc(open(path).read(), optimize=optimize)
+    unit = compile_mimdc(Path(path).read_text(), optimize=optimize)
     return unit.program, unit.layout, unit.globals_map
 
 
@@ -96,17 +96,11 @@ def _cmd_run(args) -> int:
 def _describe_result(result) -> list[str]:
     """Uniform result rendering via the unified result protocol."""
     d = result.as_dict()
-    head = "method=search/windowed" if d["kind"] == "windowed" \
-        else f"method={d['method']}"
-    lines = [f"{head} cost={d['cost']:.1f} serial={d['serial_cost']:.1f} "
+    lines = [f"method={d['method']} cost={d['cost']:.1f} "
+             f"serial={d['serial_cost']:.1f} "
              f"speedup={d['speedup_vs_serial']:.2f}x"
              + (" [degraded]" if d["degraded"] else "")]
-    if d["kind"] == "windowed":
-        lines.append(f"windows: {d['windows']} (size {d['window_size']}), "
-                     f"{d['nodes']} nodes, jobs={d['jobs']}, "
-                     f"cache_hits={d['cache_hits']}, "
-                     f"all_optimal={d['optimal']}, wall={d['wall_s']:.3f}s")
-    elif d.get("portfolio"):
+    if d.get("portfolio"):
         info = d["portfolio"]
         lines.append(f"portfolio: winner={d.get('winner') or 'fallback'} "
                      f"bucket={info['bucket']} "
@@ -142,7 +136,7 @@ def _build_request(args, region_text: str, strategy_store=None):
     try:
         return api.InductionRequest(
             region=region_text, model=args.model, method=args.method,
-            window=args.window, jobs=args.jobs, budget=budget,
+            budget=budget,
             strategy_store=strategy_store,
             deadline_s=args.deadline,
             vn=getattr(args, "vn", "off"))
@@ -164,7 +158,7 @@ def _cmd_induce(args) -> int:
     # The store goes through the constructor so the method/knob table sees
     # it (--strategy-store with a non-portfolio method is an error, not a
     # silently dead flag).
-    request = _build_request(args, open(args.region).read(),
+    request = _build_request(args, Path(args.region).read_text(),
                              strategy_store=store)
     request.cache = cache
     request.tracer = tracer
@@ -264,7 +258,7 @@ def _cmd_submit(args) -> int:
 
     requests = []
     for path in args.region:
-        request = _build_request(args, open(path).read())
+        request = _build_request(args, Path(path).read_text())
         for i in range(args.repeat):
             requests.append((f"{path}" + (f"[{i}]" if args.repeat > 1 else ""),
                              request))
@@ -628,7 +622,7 @@ def _cmd_fuzz(args) -> int:
             if os.path.isdir(args.replay):
                 entries = load_corpus(args.replay)
             else:
-                payload = json.loads(open(args.replay).read())
+                payload = json.loads(Path(args.replay).read_text())
                 entries = [(args.replay, case_from_payload(payload["case"]))]
         except Exception as exc:
             print(f"error: cannot load corpus from {args.replay}: {exc}")
@@ -698,7 +692,7 @@ def _cmd_select(args) -> int:
     from repro.sched import select_target
     from repro.workloads.machines import table1_database
 
-    unit = compile_mimdc(open(args.source).read())
+    unit = compile_mimdc(Path(args.source).read_text())
     db = table1_database(maspar_load=args.maspar_load)
     selection = select_target(db, unit.counts, args.pes)
     print(f"would run on: {selection.description}")
@@ -715,7 +709,7 @@ def _cmd_select(args) -> int:
 def _cmd_simdc(args) -> int:
     from repro.simdc import compile_simdc, run_simdc
 
-    unit = compile_simdc(open(args.source).read())
+    unit = compile_simdc(Path(args.source).read_text())
     if args.vir:
         print(unit.vir.render())
         return 0
@@ -763,10 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="branch-and-bound node budget (default 100000; only "
                         "valid for methods that search)")
-    p.add_argument("--window", type=int, default=0, metavar="SIZE",
-                   help="induce window-by-window at this window size (0 = whole region)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel window searches (0 = all cores; needs --window)")
     p.add_argument("--vn", default="off", choices=["off", "on", "auto"],
                    help="cross-thread value-numbering pre-pass: canonicalize "
                         "equivalent subexpressions before induction (auto = "
@@ -775,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget; on expiry degrade to the greedy "
                         "schedule (flagged degraded, never an error)")
     p.add_argument("--trace", metavar="FILE",
-                   help="append one JSONL trace event per search/window to FILE")
+                   help="append the request's spans and one JSONL induce "
+                        "event to FILE")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persistent schedule cache directory (content-addressed)")
     p.add_argument("--strategy-store", metavar="FILE",
@@ -836,10 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="branch-and-bound node budget (default 100000; only "
                         "valid for methods that search)")
-    p.add_argument("--window", type=int, default=0, metavar="SIZE",
-                   help="induce window-by-window at this window size (0 = whole region)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel window searches server-side (needs --window)")
     p.add_argument("--vn", default="off", choices=["off", "on", "auto"],
                    help="server-side value-numbering pre-pass (see "
                         "`repro induce --vn`)")

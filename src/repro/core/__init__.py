@@ -9,7 +9,7 @@ Public entry points (most callers want :func:`repro.api.induce`, which
 wraps the driver with request parsing, deadlines and the service):
 
 - :func:`repro.core.pipeline.run_induction` — the one induction driver:
-  CSI, a baseline, windowed CSI or the strategy race on a region, checked
+  CSI, a baseline or the strategy race on a whole region, checked
   and reported next to the serial and lockstep baselines.
 - :class:`repro.core.ops.Region` / :class:`repro.core.ops.Operation` — IR.
 - :class:`repro.core.costmodel.CostModel` — SIMD timing/mergeability model.
@@ -49,7 +49,6 @@ from repro.core.schedule import (
 from repro.core.search import SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import ScheduleError, verify_schedule
-from repro.core.window import WindowedResult
 
 __all__ = [
     "AnnealStats",
@@ -90,5 +89,4 @@ __all__ = [
     "serial_schedule",
     "uniform_cost_model",
     "verify_schedule",
-    "WindowedResult",
 ]

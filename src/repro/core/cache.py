@@ -1,8 +1,8 @@
 """Content-addressed result cache for induction requests.
 
 Repeated regions are the common case for interpreter workloads — the same
-handler set is induced every time a program is loaded, and windowed traces
-of SPMD code contain many identical windows.  Re-running the exponential
+handler set is induced every time a program is loaded, and traces of SPMD
+code repeat the same instruction streams.  Re-running the exponential
 branch-and-bound for each of them is pure waste: a result is a pure
 function of (region ops, cost-model parameters, search configuration), so
 the triple is hashed into a stable *fingerprint* and finished results are
@@ -13,11 +13,11 @@ An entry is the finished result itself: the JSON payload
 that belong to one request (its ``obs`` freight, ``retries``, ``wall_s``
 and ``cache_hit``; :func:`cache_entry`).  It carries the schedule, the
 search stats and the serial/lockstep baselines, and whatever else the
-result reported (a windowed run's windows, a race's winner), so a hit
-replays it and rebuilds nothing.  One rule (:func:`storable`) decides
-what may be stored, in every tier: nothing degraded, and no race that did
-not prove its schedule — ``deadline_s`` is not in the fingerprint, so a
-short deadline's best-so-far must not answer a longer one.
+result reported (a race's winner), so a hit replays it and rebuilds
+nothing.  One rule (:func:`storable`) decides what may be stored, in
+every tier: nothing degraded, and no race that did not prove its
+schedule — ``deadline_s`` is not in the fingerprint, so a short
+deadline's best-so-far must not answer a longer one.
 
 Two tiers hold the entry as the same JSON text:
 

@@ -95,23 +95,6 @@ class CostModel:
         object.__setattr__(self, "class_of", MappingProxyType(dict(self.class_of)))
         object.__setattr__(self, "class_cost", MappingProxyType(dict(self.class_cost)))
 
-    def __getstate__(self) -> dict:
-        # MappingProxyType is not picklable; ship plain dicts so cost models
-        # cross process boundaries (parallel windowed induction).
-        return {
-            "class_of": dict(self.class_of),
-            "class_cost": dict(self.class_cost),
-            "mask_overhead": self.mask_overhead,
-            "default_cost": self.default_cost,
-            "require_equal_imm": self.require_equal_imm,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "class_of", MappingProxyType(dict(state["class_of"])))
-        object.__setattr__(self, "class_cost", MappingProxyType(dict(state["class_cost"])))
-
     def opcode_class(self, opcode: str) -> str:
         """Class name for ``opcode`` (singleton class if unmapped)."""
         return self.class_of.get(opcode, opcode)

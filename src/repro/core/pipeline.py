@@ -1,9 +1,9 @@
 """The one induction driver.
 
 Every local route runs :func:`run_induction`: :func:`repro.api.induce`
-for one-shot, windowed and portfolio requests, the service's degraded
-fallback, trace induction and the fuzzer's windowed oracle.  Once per
-request it runs the envelope around one build step:
+for one-shot and portfolio requests, the service's degraded fallback and
+trace induction.  Every request schedules its whole region in one build
+step.  Once per request it runs the envelope around that step:
 
 1. the value-numbering pre-pass (:func:`repro.core.vn.vn_prepass`);
    everything downstream sees the rewritten region;
@@ -11,26 +11,20 @@ request it runs the envelope around one build step:
 
    - *one-shot*: one method from :data:`BUILDERS` on the whole region,
      behind a per-request :class:`~repro.core.cache.ScheduleCache`;
-   - *windowed* (``window > 0``): :func:`repro.core.window.induce_windows`
-     cuts the region, searches the windows (per-window cache, dedup,
-     process pool) and stitches their schedules;
    - *portfolio*: :func:`repro.core.portfolio.run_portfolio` races the
      :data:`BUILDERS` entries named in ``PORTFOLIO_STRATEGIES``;
 
 3. the independent check (:func:`repro.core.verify.verify_schedule`) of
-   whatever the step computed.  Cache hits and all-cached windowed runs
-   were checked before they were stored, and the race checks every
-   candidate before it can win, so none of those is checked again.  An
-   invalid schedule is a library bug and raises
-   :class:`repro.core.verify.ScheduleError`;
+   whatever the step computed.  Cache hits were checked before they were
+   stored, and the race checks every candidate before it can win, so
+   neither is checked again.  An invalid schedule is a library bug and
+   raises :class:`repro.core.verify.ScheduleError`;
 4. the serial and lockstep baselines (:func:`baselines`), so every result
    carries a paper-style "speedup over serial MIMD emulation";
-5. the cache stores, only of what step 3 checked: a one-shot result with
-   its baselines, and each freshly searched window as the one-shot
-   ``search`` result of its window region.  A one-shot hit replays the
-   stored result, baselines included;
-6. the ``induce_*`` metrics and the mode's trace event (``induce`` or
-   ``windowed``; the race's spans are its record).
+5. the cache store, only of what step 3 checked: a one-shot result with
+   its baselines.  A hit replays the stored result, baselines included;
+6. the ``induce_*`` metrics and the ``induce`` trace event (the race's
+   spans are its record).
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from repro.core.search import SearchConfig, SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import verify_schedule
 from repro.core.vn import vn_prepass
-from repro.core.window import induce_windows
 from repro.obs import NULL_TRACER, StopWatch, Tracer, span
 from repro.obs.metrics import get_registry, observe_search_throughput
 from repro.util.rng import resolve_seed
@@ -153,8 +146,6 @@ def run_induction(
     method: str = "search",
     config: SearchConfig | None = None,
     *,
-    window: int = 0,
-    jobs: int = 1,
     vn: str = "off",
     cache: ScheduleCache | None = None,
     tracer: Tracer | None = None,
@@ -167,13 +158,12 @@ def run_induction(
     ``factor`` (common prefix/suffix hand-factoring), ``lockstep`` (naive
     interpreter), ``serial`` (thread-at-a-time) and ``portfolio`` (the
     strategy race; ``race`` holds :func:`~repro.core.portfolio.run_portfolio`'s
-    keywords).  ``window > 0`` searches ``window``-op windows, fanned out
-    over ``jobs`` processes (0 = all cores).
+    keywords).
 
-    ``cache`` memoizes finished schedules under a content fingerprint of
-    the post-vn region: per request for one-shot, per window for windowed
-    runs, never for the race.  ``tracer`` receives the spans and the
-    mode's trace event.  ``vn`` is the pre-pass mode (``off``/``on``/``auto``).
+    ``cache`` memoizes finished one-shot results under a content
+    fingerprint of the post-vn region, never the race.  ``tracer``
+    receives the spans and the ``induce`` trace event.  ``vn`` is the
+    pre-pass mode (``off``/``on``/``auto``).
     """
     if method not in REQUEST_METHODS:
         raise ValueError(
@@ -185,9 +175,6 @@ def run_induction(
     if method == "portfolio":
         # The race's ``portfolio.race`` span is the request's root.
         root = nullcontext()
-    elif window:
-        root = span("windowed_induce", tracer, ops=region.num_ops,
-                    threads=region.num_threads, window_size=window)
     else:
         root = span("induce", tracer, method=method, ops=region.num_ops)
 
@@ -200,17 +187,11 @@ def run_induction(
             result = _with_baselines(run_portfolio(
                 PreparedRegion.build(region, model, config.respect_order),
                 config, tracer=tracer, **race), region, model)
-        elif window:
-            result = _windowed(region, model, window, config, jobs, cache,
-                               tracer)
         else:
             result = _one_shot(region, model, method, config, cache, tracer,
                                vnstats)
         result = dataclasses.replace(result, wall_s=watch.stop())
-        if result.kind == "windowed":
-            live.set(cost=result.cost, windows=result.num_windows,
-                     cache_hits=result.cache_hits, jobs=result.jobs_used)
-        elif live is not None:
+        if live is not None:
             live.set(cost=result.cost, cache=_disposition(result, cache))
 
     _record(result, region, metrics, tracer, cache, vnstats)
@@ -223,32 +204,6 @@ def _with_baselines(result: ResultBase, region: Region,
                                            result.cost)
     return dataclasses.replace(result, serial_cost=serial_cost,
                                lockstep_cost=lockstep_cost)
-
-
-def _checked(region: Region, model: CostModel, method: str,
-             schedule: Schedule, stats: SearchStats | None) -> InductionResult:
-    """A checked schedule as the one-shot result on ``region``, baselines
-    included: what a cache entry holds."""
-    cost = schedule.cost(model)
-    return InductionResult(method, schedule, cost,
-                           *baselines(region, model, method, cost), stats)
-
-
-def _windowed(region: Region, model: CostModel, window: int,
-              config: SearchConfig, jobs: int, cache: ScheduleCache | None,
-              tracer: Tracer) -> ResultBase:
-    """Windowed build, its check, and the store of its fresh windows."""
-    result, fresh = induce_windows(region, model, window, config, jobs,
-                                   cache, tracer)
-    if result.cache_hits < result.num_windows:
-        # A window was searched: check the stitched schedule against the
-        # whole region before any window is stored.
-        verify_schedule(result.schedule, region, model,
-                        respect_order=config.respect_order)
-    for fingerprint, sub, schedule, stats in fresh:
-        cache.put(fingerprint, result_to_payload(
-            _checked(sub, model, "search", schedule, stats)))
-    return _with_baselines(result, region, model)
 
 
 def _one_shot(region: Region, model: CostModel, method: str,
@@ -276,7 +231,10 @@ def _one_shot(region: Region, model: CostModel, method: str,
             schedule, stats = BUILDERS[method](prepared, config, None, None)
         with span("induce.verify", tracer):
             verify_schedule(schedule, region, model, dags=prepared.dags)
-        result = _checked(region, model, method, schedule, stats)
+        cost = schedule.cost(model)
+        result = InductionResult(method, schedule, cost,
+                                 *baselines(region, model, method, cost),
+                                 stats)
         if cache is not None:
             cache.put(fingerprint, result_to_payload(result))
     if vnstats is not None and result.stats is not None:
@@ -308,23 +266,6 @@ def _record(result: ResultBase, region: Region, metrics, tracer: Tracer,
                         result.stats.wall_s or result.wall_s)
         observe_search_throughput(metrics, result.stats)
     if not tracer.enabled or result.kind == "portfolio":
-        return
-    if result.kind == "windowed":
-        stats = result.stats
-        tracer.emit(
-            "windowed",
-            windows=result.num_windows,
-            window_size=result.window_size,
-            jobs=result.jobs_used,
-            ops=region.num_ops,
-            threads=region.num_threads,
-            cost=result.cost,
-            nodes=result.total_nodes,
-            cache_hits=result.cache_hits,
-            all_optimal=result.all_optimal,
-            budget_exhausted=sum(1 for s in stats if s.budget_exhausted),
-            wall_s=result.wall_s,
-        )
         return
     event: dict = {
         "method": result.method,

@@ -1,16 +1,16 @@
 """The unified induction-result protocol.
 
-Induction produces results through three doors — one-shot
-:class:`repro.core.pipeline.InductionResult`, windowed
-:class:`repro.core.window.WindowedResult`, and replies from the induction
-service (:class:`ServiceResult`) — and before this module each had its own
-shape, so every consumer (CLI, benchmarks, the service wire format)
-special-cased them.  :class:`ResultBase` gives all three one surface:
+Induction produces results through two doors — a local run
+(:class:`repro.core.pipeline.InductionResult`, or the race's
+:class:`repro.core.portfolio.PortfolioResult`) and replies from the
+induction service (:class:`ServiceResult`).  :class:`ResultBase` gives
+them one surface, so no consumer (CLI, benchmarks, the service wire
+format) special-cases where a result came from:
 
 - ``method``, ``schedule``, ``cost``, ``serial_cost``, ``lockstep_cost``;
 - ``speedup_vs_serial`` / ``speedup_vs_lockstep`` (paper-style ratios);
-- ``search_stats`` — always a tuple, empty for baselines, one entry per
-  window for windowed runs;
+- ``search_stats`` — always a tuple, empty for baselines, one entry when
+  a search ran;
 - ``cache_hit`` — True when the *whole* result came from the cache;
 - ``optimal`` — every search involved completed within budget and the
   result was not degraded;

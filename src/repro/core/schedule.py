@@ -31,15 +31,6 @@ class Slot:
             raise ValueError("slot with no participating threads")
         object.__setattr__(self, "picks", MappingProxyType(dict(self.picks)))
 
-    def __getstate__(self) -> dict:
-        # MappingProxyType is not picklable; schedules must survive the trip
-        # back from windowed-induction worker processes.
-        return {"opclass": self.opclass, "picks": dict(self.picks)}
-
-    def __setstate__(self, state: dict) -> None:
-        object.__setattr__(self, "opclass", state["opclass"])
-        object.__setattr__(self, "picks", MappingProxyType(dict(state["picks"])))
-
     @property
     def threads(self) -> frozenset[int]:
         return frozenset(self.picks)

@@ -16,9 +16,7 @@ holds for **any** correct implementation:
   so a violation means a cost or search bug, not a modeling choice;
 - **round-trips** — region text render/parse, fingerprint determinism,
   cache put/get (memory and, given a ``workdir``, the disk tier), and the
-  result wire payload must all reproduce their input exactly;
-- **windowed stitching** — the windowed pipeline's stitched schedule must
-  be valid for the *full* region's dependence DAGs.
+  result wire payload must all reproduce their input exactly.
 
 A *program* case is compiled with folding on and off and interpreted both
 ways; all global memory must match (:mod:`repro.lang.fold` may only change
@@ -42,7 +40,7 @@ from repro.core.cache import ScheduleCache, cache_entry, region_fingerprint
 from repro.core.engines import legacy_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import parse_region
-from repro.core.pipeline import InductionResult, run_induction
+from repro.core.pipeline import InductionResult
 from repro.core.prepared import PreparedRegion
 from repro.core.result import result_from_payload, result_to_payload
 from repro.core.schedule import schedule_to_payload
@@ -202,22 +200,6 @@ def _check_region(case: FuzzCase,
         diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
         failures.append(OracleFailure(
             "wire_roundtrip", f"payload changed through the wire: {sorted(diff)}"))
-
-    # Windowed stitching: the stitched schedule must be valid against the
-    # FULL region's DAGs (no cost claim — windowing restricts the space).
-    if region.num_ops >= 2:
-        windowed = run_induction(region, model, config=config, window=4)
-        try:
-            verify_schedule(windowed.schedule, region, model,
-                            dags=prepared.dags,
-                            respect_order=config.respect_order)
-        except ScheduleError as exc:
-            failures.append(OracleFailure("windowed_valid", str(exc)))
-        recomputed = windowed.schedule.cost(model)
-        if abs(recomputed - windowed.cost) > _EPS:
-            failures.append(OracleFailure(
-                "windowed_cost",
-                f"windowed.cost={windowed.cost!r} recomputed={recomputed!r}"))
 
     return failures
 

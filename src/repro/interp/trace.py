@@ -21,9 +21,8 @@ import numpy as np
 from repro.core.cache import ScheduleCache
 from repro.core.costmodel import CostModel
 from repro.core.ops import Operation, Region, ThreadCode
-from repro.core.pipeline import run_induction
+from repro.core.pipeline import InductionResult, run_induction
 from repro.core.search import SearchConfig
-from repro.core.window import WindowedResult
 from repro.interp.interpreter import InterpreterConfig, MIMDInterpreter
 from repro.isa.opcodes import OPCODE_INFO, SHARED_COSTS
 from repro.isa.program import Program
@@ -107,37 +106,32 @@ def region_from_traces(streams) -> Region:
 
 @dataclass(frozen=True)
 class TraceInduction:
-    """Windowed CSI over a trace bundle.
+    """CSI over a trace bundle's whole region.
 
     ``result`` carries the induced cost next to the serial and lockstep
     interpreter baselines, and their speedups.
     """
 
     bundle: TraceBundle
-    result: WindowedResult
+    result: InductionResult
 
 
 def induce_traces(
     bundle: TraceBundle,
     model: CostModel | None = None,
-    window_size: int = 16,
     config: SearchConfig | None = None,
-    jobs: int = 1,
     cache: ScheduleCache | None = None,
     tracer: Tracer | None = None,
 ) -> TraceInduction:
-    """Induce a traced program's distinct streams through the cached service.
+    """Induce a traced program's distinct streams as one request.
 
     The production loop this models: trace a running program, hand the
-    distinct streams to windowed CSI — repeated windows hit the schedule
-    ``cache``, fresh ones fan out over ``jobs`` workers — and compare the
-    induced cost against the serial and lockstep interpreter baselines.
+    distinct streams to CSI as one region — a repeated bundle hits the
+    schedule ``cache`` — and compare the induced cost against the serial
+    and lockstep interpreter baselines.
     """
-    if window_size < 1:
-        raise ValueError(f"window size must be positive, got {window_size}")
-    result = run_induction(
-        bundle.region(), model or interp_cost_model(), config=config,
-        window=window_size, jobs=jobs, cache=cache, tracer=tracer)
+    result = run_induction(bundle.region(), model or interp_cost_model(),
+                           config=config, cache=cache, tracer=tracer)
     return TraceInduction(bundle=bundle, result=result)
 
 

@@ -1,12 +1,11 @@
 """Observability for the induction service: spans, metrics, counters, traces.
 
 Four coordinated pieces, used together by :mod:`repro.core.pipeline`,
-:mod:`repro.core.window`, :mod:`repro.core.cache` and
-:mod:`repro.service.server`:
+:mod:`repro.core.cache` and :mod:`repro.service.server`:
 
 - :class:`StopWatch` / :func:`timed` — monotonic wall-clock timing;
-- :class:`Counters` — named counters (cache hits, stores, ...), now with
-  nested-snapshot merge for worker fan-out;
+- :class:`Counters` — named counters (cache hits, stores, ...), mergeable
+  across workers;
 - **spans** — :func:`span` opens a hierarchical, trace-id-carrying timed
   phase; :func:`current_context` / :func:`attach_context` propagate a
   trace across thread and process boundaries, and :func:`replay_events`

@@ -38,26 +38,12 @@ class Counters:
             self._counts[name] = value
             return value
 
-    def merge(self, other: "Counters | Mapping[str, object]") -> None:
-        """Fold another counter set (e.g. a worker's) into this one.
-
-        Values may themselves be mappings — the shape of the nested
-        snapshots returned by window fan-out workers — and are flattened
-        into dotted names (``{"window": {"nodes": 3}}`` bumps
-        ``window.nodes`` by 3), so per-worker counts survive the process
-        boundary instead of being dropped.
-        """
+    def merge(self, other: "Counters | Mapping[str, float]") -> None:
+        """Fold another counter set (e.g. a worker's snapshot) into this one."""
         items = other.snapshot().items() if isinstance(other, Counters) \
             else other.items()
         for name, amount in items:
-            self._merge_one(str(name), amount)
-
-    def _merge_one(self, name: str, amount: object) -> None:
-        if isinstance(amount, Mapping):
-            for sub_name, sub_amount in amount.items():
-                self._merge_one(f"{name}.{sub_name}", sub_amount)
-        else:
-            self.bump(name, float(amount))  # type: ignore[arg-type]
+            self.bump(str(name), float(amount))
 
     def snapshot(self) -> dict[str, float]:
         """Point-in-time copy, sorted by name for stable output."""

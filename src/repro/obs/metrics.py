@@ -58,7 +58,7 @@ DEFAULT_TIME_BUCKETS = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: Small-integer buckets for batch sizes, window counts and the like.
+#: Small-integer buckets for counts such as worker retries.
 DEFAULT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 #: Wide log-spaced buckets for fields of unknown scale (``repro stats``

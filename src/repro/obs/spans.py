@@ -1,7 +1,7 @@
 """Hierarchical tracing spans with cross-process context propagation.
 
 A *span* is one timed phase of work (a request, a worker dispatch, a
-window search) with a ``trace_id`` shared by everything done on behalf of
+search) with a ``trace_id`` shared by everything done on behalf of
 the same root operation and a ``span_id``/``parent_id`` pair encoding the
 call tree.  Spans ride the existing :class:`repro.obs.Tracer` sinks as
 flat ``span`` events, so JSONL traces, ``repro stats`` and the new
@@ -15,8 +15,8 @@ intends::
         with span("cache.lookup", tracer):   # child, same trace
             ...
 
-Crossing a process boundary — the window fan-out pool, the service's
-supervised workers — is explicit: the parent serializes
+Crossing a process boundary — the service's supervised workers — is
+explicit: the parent serializes
 :func:`current_context` into the task payload, and the child re-parents
 itself with :func:`attach_context`.  Child spans are recorded into an
 in-memory tracer (:class:`repro.obs.MemoryTracer` works), shipped back as

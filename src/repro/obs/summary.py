@@ -80,37 +80,40 @@ class TraceSummary:
     def kind(self, name: str) -> KindSummary:
         return self.kinds.get(name, KindSummary(name))
 
+    def _requests(self) -> Iterable[KindSummary]:
+        # Spans repeat their request's ``cache`` label and nest inside each
+        # other's ``wall_s``, so request totals count every kind but them.
+        return (ks for name, ks in self.kinds.items() if name != "span")
+
+    def _sum(self, field_name: str) -> float:
+        return sum(ks.sums.get(field_name, 0) for ks in self._requests())
+
     @property
     def cache_hits(self) -> int:
         return sum(ks.labels.get("cache", {}).get("hit", 0)
-                   for ks in self.kinds.values())
+                   for ks in self._requests())
 
     @property
     def cache_misses(self) -> int:
         return sum(ks.labels.get("cache", {}).get("miss", 0)
-                   for ks in self.kinds.values())
+                   for ks in self._requests())
 
     @property
     def cache_hit_rate(self) -> float:
         looked_up = self.cache_hits + self.cache_misses
         return self.cache_hits / looked_up if looked_up else 0.0
 
-    def _sum_excluding_aggregates(self, field_name: str) -> float:
-        # "windowed" aggregate events re-count their member "window" events.
-        return sum(ks.sums.get(field_name, 0)
-                   for name, ks in self.kinds.items() if name != "windowed")
-
     @property
     def total_nodes(self) -> float:
-        return self._sum_excluding_aggregates("nodes")
+        return self._sum("nodes")
 
     @property
     def total_wall_s(self) -> float:
-        return self._sum_excluding_aggregates("wall_s")
+        return self._sum("wall_s")
 
     @property
     def budget_exhaustions(self) -> float:
-        return self._sum_excluding_aggregates("budget_exhausted")
+        return self._sum("budget_exhausted")
 
 
 def _iter_events(lines: Iterable[str], summary: TraceSummary) -> Iterable[dict]:

@@ -1,4 +1,4 @@
-"""Monotonic timers for search and window instrumentation.
+"""Monotonic timers for search and request instrumentation.
 
 All timing in the observability layer goes through
 :func:`time.perf_counter` — a monotonic clock with the finest resolution

@@ -1,4 +1,4 @@
-"""Structured trace sinks: one JSONL event per search / window.
+"""Structured trace sinks: one flat JSON event per line.
 
 The induction entry points accept an optional tracer; when none is given
 they fall back to :data:`NULL_TRACER`, whose ``emit`` is a no-op ``pass``
@@ -8,9 +8,9 @@ so tracing off is effectively free.
 Event schema (all sinks): every event is a flat JSON object with
 
 - ``ts``    — seconds on a monotonic clock (not wall-clock time of day);
-- ``kind``  — event type: ``induce`` (one per one-shot request of
-  :func:`repro.core.pipeline.run_induction`), ``window`` (one per window
-  of a windowed run), ``windowed`` (one aggregate per windowed request);
+- ``kind``  — event type: ``induce`` (one per request of
+  :func:`repro.core.pipeline.run_induction`), ``span`` (one per timed
+  phase, :mod:`repro.obs.spans`), and the service's own kinds;
 - remaining keys are kind-specific numeric or string fields (search
   counters, costs, cache disposition, wall time).
 

@@ -18,8 +18,8 @@ stopping daemon closes its idle connections.
 Requests are flat JSON objects with an ``op``:
 
 - ``submit`` — one induction request (region text, model payload or name,
-  method, window, jobs, budget/config, deadline, optional ``chaos`` fault
-  injection honoured only by test servers).  Portfolio submits may carry
+  method, budget/config, deadline, optional ``chaos`` fault injection
+  honoured only by test servers).  Portfolio submits may carry
   supervisor-injected ``portfolio_order`` / ``portfolio_skip`` selector
   hints (see :func:`repro.service.workers.inject_portfolio_hints`) —
   advisory, ignored by non-portfolio methods;
@@ -217,8 +217,6 @@ def request_to_wire(request: InductionRequest,
         "region": request.resolved_region().render(),
         "model": model_to_payload(request.model),
         "method": request.method,
-        "window": request.window,
-        "jobs": request.jobs,
         "config": dataclasses.asdict(request.resolved_config()),
     }
     if request.vn != "off":
@@ -246,21 +244,26 @@ def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
     The region text is parsed and a named model resolved here, once: the
     returned request carries the :class:`Region` and :class:`CostModel`
     that its fingerprint, cache hit and degraded fallback all reuse, and
-    malformed text is a ``bad submit payload`` error, not a crash.  The
-    ``verify`` key older clients still send is ignored: the server
-    verifies every schedule it computes.
+    malformed text is a ``bad submit payload`` error, not a crash.
+
+    Older clients still send keys for knobs the request does not have.
+    ``verify``, ``jobs`` and ``window: 0`` (the whole region) are ignored;
+    a nonzero ``window`` asks for a windowed schedule, which no server
+    computes, so it is refused.
     """
     try:
         text = wire["region"]
         if not isinstance(text, str):
             raise TypeError(f"region must be text, not {type(text).__name__}")
+        if int(wire.get("window", 0)):
+            raise ProtocolError(
+                "bad submit payload: windowed induction was removed; "
+                "submit the whole region")
         config = SearchConfig(**wire["config"]) if "config" in wire else None
         request = InductionRequest(
             region=parse_region(text),
             model=model_from_payload(wire.get("model", "maspar")),
             method=wire.get("method", "search"),
-            window=int(wire.get("window", 0)),
-            jobs=int(wire.get("jobs", 1)),
             config=config,
             deadline_s=wire.get("deadline_s"),
             vn=str(wire.get("vn", "off")),

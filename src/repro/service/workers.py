@@ -426,7 +426,4 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
     absorb_obs(payload, tracer=request.tracer)
     if cache is not None:
         cache.put(fingerprint, payload)
-    result = result_from_payload(payload)
-    if request.tracer is not None and request.tracer.enabled:
-        request.tracer.emit("deadline_run", **result.as_dict())
-    return result
+    return result_from_payload(payload)

@@ -7,8 +7,8 @@ import pytest
 import repro
 from repro import api
 from repro.core import (
-    InductionResult, PortfolioResult, ScheduleCache, WindowedResult,
-    maspar_cost_model, parse_region, verify_schedule,
+    InductionResult, PortfolioResult, ScheduleCache, maspar_cost_model,
+    parse_region, verify_schedule,
 )
 from repro.core.cache import region_fingerprint
 from repro.core.result import result_from_payload, result_to_payload
@@ -42,10 +42,6 @@ class TestInductionRequest:
         with pytest.raises(ValueError, match="unknown method"):
             api.InductionRequest(region=REGION, method="magic")
 
-    def test_rejects_window_with_non_search(self):
-        with pytest.raises(ValueError, match="window"):
-            api.InductionRequest(region=REGION, window=2, method="greedy")
-
     def test_rejects_nonpositive_deadline(self):
         with pytest.raises(ValueError, match="deadline"):
             api.InductionRequest(region=REGION, deadline_s=0.0)
@@ -53,10 +49,6 @@ class TestInductionRequest:
     def test_accepts_portfolio_method(self):
         request = api.InductionRequest(region=REGION, method="portfolio")
         assert request.method == "portfolio"
-
-    def test_rejects_window_with_portfolio(self):
-        with pytest.raises(ValueError, match="window"):
-            api.InductionRequest(region=REGION, window=2, method="portfolio")
 
     def test_budget_shorthand(self):
         request = api.InductionRequest(region=REGION, budget=123)
@@ -67,21 +59,38 @@ class TestInductionRequest:
         request = api.InductionRequest(region=REGION, config=config, budget=5)
         assert request.resolved_config().node_budget == 77
 
-    def test_fingerprint_ignores_jobs_and_deadline(self):
+    def test_fingerprint_ignores_deadline(self):
         base = api.InductionRequest(region=REGION)
-        windowed = api.InductionRequest(region=REGION, window=2)
-        assert windowed.replace(jobs=8).fingerprint() == windowed.fingerprint()
         assert base.replace(deadline_s=5.0).fingerprint() == base.fingerprint()
 
-    def test_fingerprint_folds_window_in(self):
-        base = api.InductionRequest(region=REGION)
-        assert base.replace(window=2).fingerprint() != base.fingerprint()
 
-    def test_fingerprint_matches_library_cache_key_when_unwindowed(self, region):
-        request = api.InductionRequest(region=REGION)
+class TestFingerprintPin:
+    """Request fingerprints, pinned.  They key the cache, the single
+    flights and the router, so a change that re-keys them must show up as
+    an edit here."""
+
+    REGION = ("thread 0:\n    a = ld x\n    b = mul a a\n"
+              "thread 1:\n    c = ld x\n    d = mul c c\n")
+
+    @pytest.mark.parametrize("changes,fingerprint", [
+        ({}, "27508d489fd6197a6d6f68673fe03a75"
+             "f5583c1cbbc26ae699730cddc5319a95"),
+        ({"method": "greedy"}, "272764c676023837e15f0c637fd8d672"
+                               "59a9b7ae967e0ee37c7759fe578cb26d"),
+        ({"vn": "on"}, "c00e477721742192ae66ece986c63526"
+                       "aa2a1b4b7b9ba2d16fb77183c1fd0e42"),
+        ({"budget": 5000}, "a7a7164a6b97857d0c05c379a3c4bfc1"
+                           "eb5e60fbc31d0d468d8e743546a163ad"),
+    ], ids=["search", "greedy", "vn-on", "budget-5000"])
+    def test_fingerprint_is_pinned(self, changes, fingerprint):
+        request = api.InductionRequest(region=self.REGION, **changes)
+        assert request.fingerprint() == fingerprint
+
+    def test_fingerprint_matches_library_cache_key(self):
+        request = api.InductionRequest(region=self.REGION)
         assert request.fingerprint() == region_fingerprint(
-            region, request.resolved_model(), request.resolved_config(),
-            method="search")
+            parse_region(self.REGION), request.resolved_model(),
+            request.resolved_config(), method="search")
 
 
 class TestRouting:
@@ -94,12 +103,6 @@ class TestRouting:
         assert isinstance(result, InductionResult)
         assert result.kind == "induce"
         assert result.cost > 0 and not result.degraded
-
-    def test_windowed_route(self):
-        result = api.induce(api.InductionRequest(region=REGION, window=2))
-        assert isinstance(result, WindowedResult)
-        assert result.kind == "windowed"
-        assert result.num_windows >= 1
 
     def test_portfolio_route(self):
         result = api.induce(api.InductionRequest(region=REGION,
@@ -136,8 +139,9 @@ class TestResultProtocol:
 
     def test_uniform_as_dict_across_kinds(self):
         one = api.induce(api.InductionRequest(region=REGION))
-        win = api.induce(api.InductionRequest(region=REGION, window=2))
-        for result in (one, win):
+        race = api.induce(api.InductionRequest(region=REGION,
+                                               method="portfolio"))
+        for result in (one, race):
             d = result.as_dict()
             assert self.CORE_KEYS <= set(d)
             assert d["speedup_vs_serial"] == pytest.approx(
@@ -146,10 +150,8 @@ class TestResultProtocol:
     def test_search_stats_always_a_tuple(self):
         greedy = api.induce(api.InductionRequest(region=REGION, method="greedy"))
         search = api.induce(api.InductionRequest(region=REGION))
-        win = api.induce(api.InductionRequest(region=REGION, window=2))
         assert greedy.search_stats == ()
         assert len(search.search_stats) == 1
-        assert len(win.search_stats) == win.num_windows
 
     def test_payload_round_trip(self, region):
         request = api.InductionRequest(region=REGION)
@@ -200,8 +202,7 @@ class TestNoShims:
 
 def _knob_value(knob):
     from repro.sched import StrategyOutcomesStore
-    return {"window": 2, "jobs": 4, "budget": 99,
-            "strategy_store": StrategyOutcomesStore()}[knob]
+    return {"budget": 99, "strategy_store": StrategyOutcomesStore()}[knob]
 
 
 class TestKnobTable:
@@ -216,9 +217,6 @@ class TestKnobTable:
     ])
     def test_invalid_combination_rejected(self, knob, method):
         kwargs = {knob: _knob_value(knob), "method": method}
-        if knob == "jobs":
-            kwargs["window"] = 2 if method == "search" else None
-            kwargs = {k: v for k, v in kwargs.items() if v is not None}
         with pytest.raises(ValueError, match=knob):
             api.InductionRequest(region=REGION, **kwargs)
 
@@ -229,8 +227,6 @@ class TestKnobTable:
     ])
     def test_valid_combination_accepted(self, knob, method):
         kwargs = {knob: _knob_value(knob), "method": method}
-        if knob == "jobs":
-            kwargs["window"] = 2
         request = api.InductionRequest(region=REGION, **kwargs)
         assert request.method == method
 

@@ -186,15 +186,21 @@ class TestRouterProtocol:
         assert reply["status"] == "error"
         assert "unknown op" in reply["error"]
 
-    def test_malformed_region_text_is_an_error_not_a_crash(self, cluster):
+    @pytest.mark.parametrize("field,value,names", [
+        ("region", "thread 3:\n    a = ld x\n", "thread"),
+        ("window", 4, "windowed induction was removed"),
+    ], ids=["region", "window"])
+    def test_malformed_region_text_is_an_error_not_a_crash(
+            self, cluster, field, value, names):
         from repro.service import protocol
         wire = protocol.request_to_wire(request(9))
-        wire["region"] = "thread 3:\n    a = ld x\n"
+        wire[field] = value
         with cluster.router.endpoint.connect(timeout=5.0) as sock:
             protocol.send_message(sock, wire)
             reply = protocol.recv_message(sock)
             assert reply["status"] == "error"
             assert "bad submit payload" in reply["error"]
+            assert names in reply["error"]
             # The same kept-alive connection still answers.
             protocol.send_message(sock, {"op": "ping"})
             assert protocol.recv_message(sock)["status"] == "pong"

@@ -50,9 +50,6 @@ if not _HAVE_NUMPY:
         "core/test_greedy.py",
         "core/test_pipeline_lower.py",
         "core/test_search.py",
-        "core/test_window.py",
-        "core/test_window_parallel.py",
-        "core/test_window_properties.py",
         # End-to-end suites that drive the interpreter stack.
         "test_ahs.py",
         "test_cli.py",

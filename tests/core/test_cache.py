@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline_mod
 import repro.core.serial as serial_mod
-import repro.core.window as window_mod
 from repro import api
 from repro.core import (
     InductionResult,
@@ -315,38 +315,22 @@ class TestHitReplays:
         assert off.cache_hit and off.stats.vn_rewrites == 0
         assert off.schedule == cold.schedule
 
-    def test_window_entry_without_stats_is_searched_again(self):
-        # A window reads its entry's stats[0]; a stats-less entry under a
-        # window key (from another writer of the disk tier, say) is a miss.
-        region = small_region(seed=2)
-        sub, _back = window_mod._window_region(region, 0, 2)
-        cache = ScheduleCache()
-        greedy = api.induce(api.InductionRequest(sub, UNIT, method="greedy"))
-        cache.put(region_fingerprint(sub, UNIT, SearchConfig()),
-                  result_to_payload(greedy))
-        result = api.induce(api.InductionRequest(region, UNIT, window=2,
-                                                 cache=cache))
-        assert result.cache_hits == 0
-        verify_schedule(result.schedule, region, UNIT)
-
-    def test_windows_are_stored_only_after_the_stitched_check(
-            self, monkeypatch):
+    def test_a_schedule_is_stored_only_after_its_check(self, monkeypatch):
         region = random_region(
             RandomRegionSpec(num_threads=3, min_len=6, max_len=6), seed=1)
-        request = api.InductionRequest(region, window=3,
-                                       cache=ScheduleCache())
-        search = window_mod.branch_and_bound
+        request = api.InductionRequest(region, cache=ScheduleCache())
+        search = pipeline_mod.BUILDERS["search"]
 
-        def drops_last_slot(*args, **kwargs):
-            schedule, stats = search(*args, **kwargs)
+        def drops_last_slot(*args):
+            schedule, stats = search(*args)
             return Schedule(schedule.slots[:-1]), stats
 
-        monkeypatch.setattr(window_mod, "branch_and_bound", drops_last_slot)
+        monkeypatch.setitem(pipeline_mod.BUILDERS, "search", drops_last_slot)
         with pytest.raises(ScheduleError):
             api.induce(request)
-        monkeypatch.setattr(window_mod, "branch_and_bound", search)
+        monkeypatch.setitem(pipeline_mod.BUILDERS, "search", search)
         again = api.induce(request)
-        assert not again.cache_hit and again.cache_hits == 0
+        assert not again.cache_hit
         verify_schedule(again.schedule, region, request.resolved_model())
 
 

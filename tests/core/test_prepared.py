@@ -11,14 +11,11 @@ import pytest
 
 import repro.core.dag as dag_mod
 import repro.core.verify as verify_mod
-import repro.core.window as window_mod
 from repro import api
 from repro.core.costmodel import (MergeKeyTable, maspar_cost_model,
                                   uniform_cost_model)
 from repro.core.ops import parse_region
 from repro.core.prepared import PreparedRegion
-from repro.core.schedule import Schedule
-from repro.core.verify import ScheduleError
 from repro.service import protocol
 
 SHARED = """
@@ -128,29 +125,24 @@ class TestPrepareOnce:
                           "verify_schedule": 1}
 
 
-class TestVerifyOnce:
-    def test_invalid_window_schedule_raises(self, monkeypatch):
-        """No window result was checked before; the stitched schedule now
-        is, against the whole region."""
-        real = window_mod.branch_and_bound
+class TestRemovedKnobs:
+    """Knobs that are gone from the request.  Older clients may still send
+    their wire keys; ``window`` only as 0, the whole region."""
 
-        def drop_last_slot(*args, **kwargs):
-            schedule, stats = real(*args, **kwargs)
-            return Schedule(schedule.slots[:-1]), stats
-
-        monkeypatch.setattr(window_mod, "branch_and_bound", drop_last_slot)
-        with pytest.raises(ScheduleError):
-            api.induce(api.InductionRequest(region=SHARED, window=2))
-
-    def test_request_has_no_verify_knob(self):
+    @pytest.mark.parametrize("knob", ["verify", "window", "jobs"])
+    def test_request_has_no_verify_knob(self, knob):
         fields = {f.name for f in dataclasses.fields(api.InductionRequest)}
-        assert "verify" not in fields
+        assert knob not in fields
+        with pytest.raises(TypeError):
+            api.InductionRequest(region=SHARED, **{knob: 1})
         wire = protocol.request_to_wire(api.InductionRequest(region=SHARED))
-        assert "verify" not in wire
+        assert knob not in wire
 
-    def test_wire_accepts_an_older_clients_verify_key(self):
+    @pytest.mark.parametrize("knob,value",
+                             [("verify", False), ("window", 0), ("jobs", 4)])
+    def test_wire_accepts_an_older_clients_verify_key(self, knob, value):
         wire = protocol.request_to_wire(api.InductionRequest(region=SHARED))
-        wire["verify"] = False
+        wire[knob] = value
         request = protocol.request_from_wire(wire)
         assert request.resolved_region() == parse_region(SHARED)
         assert not api.induce(request).degraded

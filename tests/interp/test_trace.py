@@ -85,13 +85,13 @@ class TestRegionFromTraces:
 
 
 class TestInduceTraces:
-    def test_windowed_induction_over_bundle(self):
+    def test_whole_region_induction_over_bundle(self):
         from repro.interp import induce_traces
         unit = compile_mimdc(kernel_source("divergent", 3))
         bundle = trace_program(unit.program, 8, max_ops_per_pe=24)
-        induction = induce_traces(bundle, window_size=8)
+        induction = induce_traces(bundle)
         assert induction.bundle is bundle
-        assert induction.result.num_windows >= 1
+        assert induction.result.kind == "induce"
         assert induction.result.cost == pytest.approx(
             induction.result.schedule.cost(interp_cost_model()))
         assert induction.result.speedup_vs_serial >= 1.0 - 1e-9
@@ -103,7 +103,7 @@ class TestInduceTraces:
         unit = compile_mimdc(kernel_source("divergent", 3))
         bundle = trace_program(unit.program, 8, max_ops_per_pe=24)
         cache = ScheduleCache()
-        cold = induce_traces(bundle, window_size=8, cache=cache)
-        warm = induce_traces(bundle, window_size=8, cache=cache)
-        assert warm.result.cache_hits == warm.result.num_windows
+        cold = induce_traces(bundle, cache=cache)
+        warm = induce_traces(bundle, cache=cache)
+        assert not cold.result.cache_hit and warm.result.cache_hit
         assert warm.result.cost == pytest.approx(cold.result.cost)

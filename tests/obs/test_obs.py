@@ -99,7 +99,7 @@ class TestTracers:
         path = tmp_path / "trace.jsonl"
         with JsonlTracer(path) as tracer:
             tracer.emit("induce", cost=3.5, optimal=True, method="search")
-            tracer.emit("window", index=0, nodes=12)
+            tracer.emit("span", name="induce", wall_s=0.5)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
@@ -134,28 +134,29 @@ class TestSummary:
         path = tmp_path / "trace.jsonl"
         with JsonlTracer(path) as tracer:
             tracer.emit("induce", method="search", nodes=100, wall_s=0.25,
-                        cache="miss", budget_exhausted=False, cost=10.0)
+                        cache="miss", budget_exhausted=True, cost=10.0)
             tracer.emit("induce", method="search", nodes=0, wall_s=0.001,
                         cache="hit", budget_exhausted=False, cost=10.0)
-            tracer.emit("window", index=0, nodes=40, wall_s=0.1,
-                        budget_exhausted=True, cache="off")
-            tracer.emit("windowed", windows=1, nodes=40, wall_s=0.1)
+            # The first request's span repeats its cache label and wall time.
+            tracer.emit("span", trace="t1", span="s1", parent=None,
+                        name="induce", start_s=0.0, wall_s=0.25,
+                        method="search", cache="miss", cost=10.0)
         return path
 
     def test_aggregates_by_kind(self, tmp_path):
         summary = summarize_trace(self.make_trace(tmp_path))
-        assert summary.events == 4
-        assert set(summary.kinds) == {"induce", "window", "windowed"}
+        assert summary.events == 3
+        assert set(summary.kinds) == {"induce", "span"}
         induce = summary.kind("induce")
         assert induce.count == 2
         assert induce.sums["nodes"] == 100
         assert induce.mean("cost") == pytest.approx(10.0)
         assert induce.labels["cache"] == {"miss": 1, "hit": 1}
 
-    def test_headline_metrics_exclude_aggregate_events(self, tmp_path):
+    def test_headline_metrics_exclude_spans(self, tmp_path):
         summary = summarize_trace(self.make_trace(tmp_path))
-        assert summary.total_nodes == 140          # not 180: "windowed" excluded
-        assert summary.total_wall_s == pytest.approx(0.351)
+        assert summary.total_nodes == 100
+        assert summary.total_wall_s == pytest.approx(0.251)  # not 0.501
         assert summary.budget_exhaustions == 1
         assert summary.cache_hits == 1 and summary.cache_misses == 1
         assert summary.cache_hit_rate == pytest.approx(0.5)
@@ -165,7 +166,7 @@ class TestSummary:
         with open(path, "a") as fh:
             fh.write("{ not json\n\n[1, 2]\n")
         summary = summarize_trace(path)
-        assert summary.events == 4
+        assert summary.events == 3
         assert summary.malformed_lines == 2       # blank line is skipped silently
 
     def test_render_mentions_key_metrics(self, tmp_path):

@@ -4,8 +4,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro import api
-from repro.core import maspar_cost_model, parse_region
 from repro.obs import (
     MemoryTracer,
     NULL_TRACER,
@@ -15,16 +13,6 @@ from repro.obs import (
     replay_events,
     span,
 )
-
-REGION = """
-thread 0:
-    a = ld x
-    b = mul a a
-thread 1:
-    c = ld x
-    d = mul c c
-"""
-
 
 class TestSpanBasics:
     def test_nested_spans_share_trace_and_link_parent(self):
@@ -125,28 +113,6 @@ class TestCrossProcess:
         assert {e["trace"] for e in spans} == {parent.trace_id}
         child = next(e for e in spans if e["name"] == "child.work")
         assert child["parent"] == parent.span_id
-
-    def test_windowed_fanout_is_one_stitched_trace(self):
-        # Distinct immediates defeat fingerprint dedup so every window is a
-        # genuine fresh search (4-tuple with worker-recorded spans).
-        body = "\n".join(
-            f"thread {t}:\n" + "\n".join(
-                f"    r{(i + 1) % 3} = add r{i % 3} #{t * 100 + i}"
-                for i in range(24))
-            for t in range(2))
-        region = parse_region(body)
-        tracer = MemoryTracer()
-        result = api.induce(api.InductionRequest(
-            region, maspar_cost_model(), window=4, jobs=2, tracer=tracer))
-        spans = [e for e in tracer.events if e["kind"] == "span"]
-        assert len({e["trace"] for e in spans}) == 1
-        (root,) = (e for e in spans if e["name"] == "windowed_induce")
-        searches = [e for e in spans if e["name"] == "window.search"]
-        assert len(searches) == result.num_windows
-        assert {e["parent"] for e in searches} == {root["span"]}
-        (tree,) = build_traces(spans)
-        assert tree.span_count == 1 + result.num_windows
-        assert [r.name for r in tree.roots] == ["windowed_induce"]
 
 
 class TestTraceTrees:

@@ -4,6 +4,8 @@ The server runs in-process (the ``serve`` foreground loop itself is
 exercised by the CI smoke job); the CLI talks to it over the real socket.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -45,16 +47,13 @@ def test_submit_repeat_and_summary(server, region_file, capsys):
     assert "disposition=" in out
 
 
-def test_submit_windowed_flags_match_induce(server, region_file, capsys):
-    assert main(["submit", region_file, "--socket", server.endpoint.path,
-                 "--window", "1", "--jobs", "2", "--budget", "10000"]) == 0
-    assert "1 ok" in capsys.readouterr().out
-
-
-def test_submit_rejects_window_with_greedy(server, region_file):
-    with pytest.raises(SystemExit):
+@pytest.mark.parametrize("flag", ["--window", "--jobs"])
+def test_submit_window_flags_are_gone(server, region_file, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["submit", region_file, "--socket", server.endpoint.path,
-              "--window", "2", "--method", "greedy"])
+              flag, "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_serve_status_prints_metrics(server, region_file, capsys):
@@ -76,7 +75,8 @@ def test_submit_trace_writes_events(server, region_file, tmp_path, capsys):
     assert main(["submit", region_file, "--socket", server.endpoint.path,
                  "--budget", "10000", "--trace", trace]) == 0
     import json
-    events = [json.loads(line) for line in open(trace)]
+    events = [json.loads(line)
+              for line in Path(trace).read_text().splitlines()]
     (summary,) = [e for e in events if e["kind"] == "submit"]
     assert summary["cost"] > 0
     # The tracer rides the request, so the same file carries the stitched

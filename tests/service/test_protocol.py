@@ -159,11 +159,10 @@ class TestModelPayload:
 
 class TestRequestWire:
     def test_round_trip_preserves_fingerprint(self):
-        request = InductionRequest(region=REGION, window=2, jobs=3,
-                                   budget=5000, deadline_s=9.0)
+        request = InductionRequest(region=REGION, budget=5000,
+                                   deadline_s=9.0)
         back = protocol.request_from_wire(protocol.request_to_wire(request))
         assert back.fingerprint() == request.fingerprint()
-        assert back.window == 2 and back.jobs == 3
         assert back.deadline_s == 9.0
         assert back.resolved_config().node_budget == 5000
 
@@ -185,6 +184,8 @@ class TestRequestWire:
         # There is no engine knob: a config naming a search engine is
         # rejected, not silently ignored.
         ("config", {**dataclasses.asdict(SearchConfig()), "engine": "array"}),
+        # Windowed induction is gone: a windowed submit is refused.
+        ("window", 4),
     ])
     def test_malformed_submit_is_protocol_error(self, field, value):
         wire = protocol.request_to_wire(InductionRequest(region=REGION))

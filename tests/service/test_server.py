@@ -353,19 +353,6 @@ def test_tcp_transport(tmp_path, request_):
         server.shutdown()
 
 
-def test_windowed_request_over_service(tmp_path):
-    server = make_server(tmp_path)
-    try:
-        request = InductionRequest(region=REGION, window=2, budget=10_000)
-        with ServiceClient(server.endpoint) as client:
-            result = client.submit(request)
-        assert not result.degraded
-        verify_schedule(result.schedule, parse_region(REGION),
-                        maspar_cost_model())
-    finally:
-        server.shutdown()
-
-
 def test_cache_hit_disposition(tmp_path, request_):
     from repro.core import ScheduleCache
 
@@ -389,16 +376,15 @@ def test_cache_hit_disposition(tmp_path, request_):
 
 
 def test_cache_stores_only_replies_a_hit_can_claim(tmp_path):
-    # Window 2 exhausts its budget, so the reply is unproven.  The entry
-    # is the reply itself, per-window stats included, so a hit replays it
-    # as unproven.
+    # The search exhausts its budget, so the reply is unproven.  The entry
+    # is the reply itself, stats included, so a hit replays it as unproven.
     pytest.importorskip("numpy")
     from repro.core import ScheduleCache
     from repro.workloads.threads import RandomRegionSpec, random_region
 
     region = random_region(
         RandomRegionSpec(num_threads=4, min_len=12, max_len=12), seed=3)
-    request = InductionRequest(region=region, window=6, budget=50)
+    request = InductionRequest(region=region, budget=50)
     server = InductionServer(
         ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
                      workers=1),
@@ -457,34 +443,17 @@ def _result_fields(result):
             {k: v for k, v in result.extras.items() if k not in PER_HOP})
 
 
-@pytest.mark.parametrize("request_kind", ["one-shot", "windowed",
-                                          "portfolio"])
+@pytest.mark.parametrize("request_kind", ["one-shot", "portfolio"])
 def test_served_repeat_replays_the_cold_reply(tmp_path, request_kind):
     if request_kind == "portfolio":
         pytest.importorskip("numpy")
     request = {
         "one-shot": InductionRequest(region=REGION, budget=10_000),
-        "windowed": InductionRequest(region=REGION, window=2,
-                                     budget=10_000),
         "portfolio": InductionRequest(region=REGION, method="portfolio"),
     }[request_kind]
     cold, again = _cold_and_repeat(tmp_path, request)
     assert cold.optimal
     assert _result_fields(again) == _result_fields(cold)
-
-
-def test_served_windowed_repeat_keeps_its_windows(tmp_path):
-    pytest.importorskip("numpy")
-    from repro.workloads.threads import RandomRegionSpec, random_region
-
-    region = random_region(
-        RandomRegionSpec(num_threads=3, min_len=6, max_len=6), seed=1)
-    cold, again = _cold_and_repeat(
-        tmp_path, InductionRequest(region=region, window=3))
-    assert again.extras["windows"] == cold.extras["windows"] == 2
-    assert again.extras["window_size"] == 3
-    assert len(again.search_stats) == 2
-    assert again.search_stats == cold.search_stats
 
 
 def test_served_proven_race_repeat_keeps_winner_and_record(tmp_path):
@@ -606,18 +575,24 @@ def test_malformed_region_is_an_error_not_a_crash(tmp_path, request_):
         server.shutdown()
 
 
-def test_malformed_region_text_is_an_error_not_a_crash(tmp_path, request_):
+@pytest.mark.parametrize("field,value,names", [
+    ("region", "thread 3:\n    a = ld x\n", "thread"),
+    ("window", 4, "windowed induction was removed"),
+], ids=["region", "window"])
+def test_malformed_region_text_is_an_error_not_a_crash(tmp_path, request_,
+                                                       field, value, names):
     from repro.service import protocol
 
     server = make_server(tmp_path)
     try:
         wire = protocol.request_to_wire(request_)
-        wire["region"] = "thread 3:\n    a = ld x\n"
+        wire[field] = value
         with protocol.connect(server.endpoint, timeout=10.0) as sock:
             protocol.send_message(sock, wire)
             reply = protocol.recv_message(sock)
             assert reply["status"] == "error"
             assert "bad submit payload" in reply["error"]
+            assert names in reply["error"]
             # The same kept-alive connection still answers.
             protocol.send_message(sock, {"op": "ping"})
             assert protocol.recv_message(sock)["status"] == "pong"

@@ -184,11 +184,18 @@ class TestDegradedResult:
 
 class TestLocalDeadlineRoute:
     def test_fast_search_beats_deadline(self):
+        from repro.obs import MemoryTracer
+
+        tracer = MemoryTracer()
         request = api.InductionRequest(region=REGION, budget=10_000,
-                                       deadline_s=60.0)
+                                       deadline_s=60.0, tracer=tracer)
         result = api.induce(request)
         assert not result.degraded
         assert result.cost > 0
+        # The worker's replayed events are the run's record.
+        assert [e["kind"] for e in tracer.events].count("induce") == 1
+        assert any(e["kind"] == "span" and e["name"] == "worker.execute"
+                   for e in tracer.events)
 
     def test_slow_search_degrades_within_deadline(self):
         region = random_region(SLOW_SPEC, seed=5)
@@ -219,13 +226,13 @@ class TestLocalDeadlineRoute:
         assert second.serial_cost == first.serial_cost
 
     def test_cache_skips_a_reply_a_hit_would_overclaim(self):
-        # Window 2 exhausts its budget, so the reply is unproven.  The
+        # The search exhausts its budget, so the reply is unproven.  The
         # entry is the reply itself, so a hit replays it as unproven.
         from repro.core import ScheduleCache
 
         region = random_region(
             RandomRegionSpec(num_threads=4, min_len=12, max_len=12), seed=3)
-        request = api.InductionRequest(region=region, window=6, budget=50,
+        request = api.InductionRequest(region=region, budget=50,
                                        deadline_s=60.0, cache=ScheduleCache())
         cold = api.induce(request)
         again = api.induce(request)

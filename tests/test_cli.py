@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -49,7 +52,7 @@ class TestCompile:
         obj = str(tmp_path / "prog.mobj")
         assert main(["compile", src, "-o", obj]) == 0
         from repro.isa import decode_object
-        program = decode_object(open(obj, "rb").read())
+        program = decode_object(Path(obj).read_bytes())
         assert len(program) > 0
 
     def test_counts_flag(self, src, capsys):
@@ -87,6 +90,13 @@ class TestInduce:
         out = capsys.readouterr().out
         assert "speedup" in out and "total cost" in out
 
+    def test_input_file_is_closed(self, region_file, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["induce", region_file]) == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
     @pytest.mark.parametrize("method", ["greedy", "serial", "lockstep", "factor"])
     def test_methods(self, region_file, method, capsys):
         assert main(["induce", region_file, "--method", method]) == 0
@@ -117,26 +127,30 @@ class TestInduce:
         assert "cache: hit" in out
         assert "hits=1" in out
 
-    def test_windowed_with_jobs(self, region_file, capsys):
-        assert main(["induce", region_file, "--window", "1", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "method=search/windowed" in out
-        assert "windows: 2" in out and "all_optimal=True" in out
-
-    def test_window_requires_search_method(self, region_file):
-        with pytest.raises(SystemExit):
-            main(["induce", region_file, "--window", "2", "--method", "greedy"])
+    @pytest.mark.parametrize("flag", ["--window", "--jobs"])
+    def test_window_flags_are_gone(self, region_file, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["induce", region_file, flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStats:
     def test_summarizes_trace(self, region_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")
-        main(["induce", region_file, "--window", "1", "--trace", trace])
+        cache_dir = str(tmp_path / "cache")
+        for _ in range(2):  # a miss, then a hit
+            main(["induce", region_file, "--trace", trace,
+                  "--cache-dir", cache_dir])
         capsys.readouterr()
         assert main(["stats", trace]) == 0
         out = capsys.readouterr().out
         assert "trace summary" in out
-        assert "window: 2 events" in out
+        assert "induce: 2 events" in out
+        # Each request counts once, not once more per span.
+        (row,) = [line for line in out.splitlines()
+                  if "cache hits / misses" in line]
+        assert "1 / 1" in row
 
     def test_percentile_columns(self, region_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")
