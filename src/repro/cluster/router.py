@@ -8,6 +8,9 @@ exponential backoff.  Duplicate submits that arrive while a fingerprint is
 already in flight — the common case for interpreter workloads — do not
 fan out: they join the in-flight route and share its reply, through the
 same :class:`~repro.service.server.SingleFlight` each node dedups with.
+The fingerprint comes from the forwarder's own
+:class:`~repro.service.protocol.SubmitMemo`: a repeat costs one digest,
+and only a first-seen submit parses.
 The route's leader alone asks the request cache: *finished* duplicates
 are answered from the forwarder's own memory-only
 :class:`~repro.core.cache.ScheduleCache`
@@ -131,6 +134,7 @@ class ClusterForwarder:
         self._loads: dict[str, int] = {}
         self._loads_lock = threading.Lock()
         self._flights = SingleFlight()
+        self._memo = protocol.SubmitMemo(self.counters)
         #: Finished routed results; None when ``request_cache_size`` is 0.
         self.cache = ScheduleCache(capacity=config.request_cache_size) \
             if config.request_cache_size else None
@@ -199,8 +203,7 @@ class ClusterForwarder:
         either way the route lands in the SLO tracker and — if slow,
         failed or failed over — in the flight recorder.
         """
-        request = protocol.request_from_wire(wire)
-        fingerprint = request.fingerprint()
+        fingerprint = self._memo.fingerprint(wire)
         started = time.monotonic()
         recorder = MemoryTracer()
         tee = TeeTracer(self.tracer, recorder)

@@ -37,7 +37,6 @@ process — a disk file here, a peer's reply in
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -113,7 +112,9 @@ def region_fingerprint(
             "default_cost": repr(float(model.default_cost)),
             "require_equal_imm": model.require_equal_imm,
         },
-        "config": dataclasses.asdict(config),
+        # The config's fields by name: dataclasses.asdict without its
+        # deep copy of a flat record of scalars.
+        "config": dict(vars(config)),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -31,6 +31,19 @@ class Slot:
             raise ValueError("slot with no participating threads")
         object.__setattr__(self, "picks", MappingProxyType(dict(self.picks)))
 
+    @classmethod
+    def _adopt(cls, opclass: str, picks: dict[int, int]) -> "Slot":
+        """A slot that wraps ``picks`` instead of copying it.
+
+        For trusted callers only: ``picks`` must be a fresh dict that the
+        caller drops, since the slot's read-only view is of that dict.
+        """
+        if not picks:
+            raise ValueError("slot with no participating threads")
+        slot = object.__new__(cls)
+        slot.__dict__.update(opclass=opclass, picks=MappingProxyType(picks))
+        return slot
+
     @property
     def threads(self) -> frozenset[int]:
         return frozenset(self.picks)
@@ -109,8 +122,12 @@ def schedule_to_payload(schedule: Schedule) -> list:
 
 
 def schedule_from_payload(payload: list) -> Schedule:
-    """Rebuild a :class:`Schedule` from :func:`schedule_to_payload` output."""
-    return Schedule(tuple(
-        Slot(opclass, {int(t): int(i) for t, i in picks})
+    """Rebuild a :class:`Schedule` from :func:`schedule_to_payload` output.
+
+    Each slot's picks dict is built once, from ``int`` checks of the wire
+    values, and adopted without a second copy.
+    """
+    return Schedule(tuple([
+        Slot._adopt(opclass, {int(t): int(i) for t, i in picks})
         for opclass, picks in payload
-    ))
+    ]))

@@ -16,7 +16,10 @@ holds for **any** correct implementation:
   so a violation means a cost or search bug, not a modeling choice;
 - **round-trips** — region text render/parse, fingerprint determinism,
   cache put/get (memory and, given a ``workdir``, the disk tier), and the
-  result wire payload must all reproduce their input exactly.
+  result wire payload must all reproduce their input exactly;
+- **submit memo** — a daemon's :class:`~repro.service.protocol.SubmitMemo`
+  gives the case's submit, first seen and repeated, the fingerprint its
+  parsed request gives and the case's own ``region_fingerprint``.
 
 A *program* case is compiled with folding on and off and interpreted both
 ways; all global memory must match (:mod:`repro.lang.fold` may only change
@@ -36,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import InductionRequest
 from repro.core.cache import ScheduleCache, cache_entry, region_fingerprint
 from repro.core.engines import legacy_search
 from repro.core.greedy import greedy_schedule
@@ -50,6 +54,9 @@ from repro.core.canon import regions_mismatch
 from repro.core.verify import ScheduleError, verify_schedule
 from repro.core.vn import rewrite_region, serial_issue_cost
 from repro.fuzz.generators import FuzzCase
+from repro.obs import Counters
+from repro.service.protocol import (
+    SubmitMemo, request_from_wire, request_to_wire)
 from repro.util.rng import resolve_seed
 
 __all__ = ["OracleFailure", "check_case"]
@@ -162,6 +169,17 @@ def _check_region(case: FuzzCase,
         elif region_fingerprint(reparsed, model, config) != fingerprint:
             failures.append(OracleFailure(
                 "fingerprint", "re-parsed region fingerprints differently"))
+
+    # A served submit: the memo's fingerprint on first sight and on a
+    # repeat is the parsed request's, which is the case's own.
+    wire = request_to_wire(InductionRequest(region, model, config=config))
+    memo = SubmitMemo(Counters())
+    seen = [memo.fingerprint(wire), memo.fingerprint(wire),
+            request_from_wire(wire).fingerprint()]
+    if seen != [fingerprint] * 3:
+        failures.append(OracleFailure(
+            "submit_memo", f"first, repeat, parsed = {seen}, "
+                           f"region_fingerprint = {fingerprint}"))
 
     # The result as the driver reports (and caches) it.
     result = InductionResult(

@@ -76,17 +76,29 @@ class TraceSummary:
     events: int = 0
     malformed_lines: int = 0
     kinds: dict[str, KindSummary] = field(default_factory=dict)
+    #: Search counters summed over request events that ran their search:
+    #: a cache hit's event carries the stored entry's counters.
+    searched: dict[str, float] = field(default_factory=dict)
 
     def kind(self, name: str) -> KindSummary:
         return self.kinds.get(name, KindSummary(name))
+
+    def add(self, event: dict[str, Any]) -> None:
+        """Fold one trace event into the aggregate."""
+        self.events += 1
+        kind = str(event["kind"])
+        self.kinds.setdefault(kind, KindSummary(kind)).add(event)
+        if kind == "span" or event.get("cache") == "hit":
+            return
+        for name in ("nodes", "budget_exhausted"):
+            value = event.get(name)
+            if isinstance(value, (int, float)):
+                self.searched[name] = self.searched.get(name, 0) + value
 
     def _requests(self) -> Iterable[KindSummary]:
         # Spans repeat their request's ``cache`` label and nest inside each
         # other's ``wall_s``, so request totals count every kind but them.
         return (ks for name, ks in self.kinds.items() if name != "span")
-
-    def _sum(self, field_name: str) -> float:
-        return sum(ks.sums.get(field_name, 0) for ks in self._requests())
 
     @property
     def cache_hits(self) -> int:
@@ -105,15 +117,15 @@ class TraceSummary:
 
     @property
     def total_nodes(self) -> float:
-        return self._sum("nodes")
+        return self.searched.get("nodes", 0)
 
     @property
     def total_wall_s(self) -> float:
-        return self._sum("wall_s")
+        return sum(ks.sums.get("wall_s", 0) for ks in self._requests())
 
     @property
     def budget_exhaustions(self) -> float:
-        return self._sum("budget_exhausted")
+        return self.searched.get("budget_exhausted", 0)
 
 
 def _iter_events(lines: Iterable[str], summary: TraceSummary) -> Iterable[dict]:
@@ -138,9 +150,7 @@ def summarize_trace(path: str | Path) -> TraceSummary:
     summary = TraceSummary(path=str(path))
     with open(path, encoding="utf-8") as fh:
         for event in _iter_events(fh, summary):
-            summary.events += 1
-            kind = str(event["kind"])
-            summary.kinds.setdefault(kind, KindSummary(kind)).add(event)
+            summary.add(event)
     return summary
 
 

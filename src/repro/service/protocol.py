@@ -40,24 +40,39 @@ A submit that carried a ``trace_ctx`` gets its reply's ``result["obs"]``
 populated with the server-side span records (and, via the router, the
 routing spans), which :func:`repro.service.client.absorb_reply_obs`
 replays into the caller's tracer — one trace id end to end.
+
+A repeated submit costs one digest on every served hop.  The client sends
+``region`` text unchanged and renders only a parsed
+:class:`~repro.core.ops.Region`.  Each daemon (server and router) owns a
+:class:`SubmitMemo` from a digest of the submit's fingerprint keys to the
+fingerprint :func:`request_from_wire` gave the first time; parsing is
+pure, so only a first-seen submit parses, and one that fails to parse is
+an error and is never remembered.  Caches, single-flight and the hash ring
+stay keyed by the fingerprint, so textual variants of one region (spacing,
+comments) still share one entry.  No daemon takes a fingerprint from a
+client: one wrong fingerprint would answer every later request for it,
+through every cache tier.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
 import json
 import socket
 import struct
+import threading
+from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
 from repro.api import InductionRequest
 from repro.core.costmodel import CostModel
 from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
-from repro.obs import current_context
+from repro.obs import Counters, current_context
 
 __all__ = [
     "ProtocolError",
+    "SubmitMemo",
     "exchange",
     "model_from_payload",
     "model_to_payload",
@@ -211,13 +226,20 @@ def model_from_payload(payload: Mapping[str, Any] | str) -> CostModel | str:
 
 def request_to_wire(request: InductionRequest,
                     chaos: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """Wire form of a submit; live handles (cache/tracer) stay local."""
+    """Wire form of a submit; live handles (cache/tracer) stay local.
+
+    Region text travels as given, unparsed: the daemon that receives it
+    checks it.  Only a parsed :class:`~repro.core.ops.Region` is rendered.
+    """
+    region = request.region
     wire: dict[str, Any] = {
         "op": "submit",
-        "region": request.resolved_region().render(),
+        "region": region if isinstance(region, str) else region.render(),
         "model": model_to_payload(request.model),
         "method": request.method,
-        "config": dataclasses.asdict(request.resolved_config()),
+        # The config's fields by name: dataclasses.asdict without its
+        # deep copy of a flat record of scalars.
+        "config": dict(vars(request.resolved_config())),
     }
     if request.vn != "off":
         # Additive key: pre-vn servers rebuild from the keys they know.
@@ -238,27 +260,49 @@ def request_to_wire(request: InductionRequest,
     return wire
 
 
+def _check_unkeyed(wire: Mapping[str, Any]) -> None:
+    """Refuse what the fingerprint keys leave out of a submit.
+
+    A nonzero ``window`` asks for a windowed schedule, which no server
+    computes (older clients send ``window: 0`` and ``jobs`` on every
+    submit; both are ignored), and ``deadline_s`` must be a positive
+    number.  :class:`SubmitMemo` checks these on every submit, hit or not.
+    """
+    try:
+        window = int(wire.get("window", 0))
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad submit payload: {exc}") from exc
+    if window:
+        raise ProtocolError(
+            "bad submit payload: windowed induction was removed; "
+            "submit the whole region")
+    deadline_s = wire.get("deadline_s")
+    if deadline_s is not None and not (
+            isinstance(deadline_s, (int, float)) and deadline_s > 0):
+        raise ProtocolError(
+            f"bad submit payload: deadline must be positive, "
+            f"got {deadline_s!r}")
+
+
 def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
     """Rebuild an :class:`InductionRequest` server-side (validating).
 
-    The region text is parsed and a named model resolved here, once: the
+    The region text is parsed and a named model resolved here: the
     returned request carries the :class:`Region` and :class:`CostModel`
-    that its fingerprint, cache hit and degraded fallback all reuse, and
-    malformed text is a ``bad submit payload`` error, not a crash.
+    that its fingerprint and degraded fallback reuse, and malformed text
+    is a ``bad submit payload`` error, not a crash.  A daemon calls it
+    for a submit its :class:`SubmitMemo` has not seen and on the rare
+    paths that need the request itself; a worker, for every search.
 
     Older clients still send keys for knobs the request does not have.
     ``verify``, ``jobs`` and ``window: 0`` (the whole region) are ignored;
-    a nonzero ``window`` asks for a windowed schedule, which no server
-    computes, so it is refused.
+    a nonzero ``window`` is refused (:func:`_check_unkeyed`).
     """
+    _check_unkeyed(wire)
     try:
         text = wire["region"]
         if not isinstance(text, str):
             raise TypeError(f"region must be text, not {type(text).__name__}")
-        if int(wire.get("window", 0)):
-            raise ProtocolError(
-                "bad submit payload: windowed induction was removed; "
-                "submit the whole region")
         config = SearchConfig(**wire["config"]) if "config" in wire else None
         request = InductionRequest(
             region=parse_region(text),
@@ -275,3 +319,59 @@ def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad submit payload: {exc}") from exc
+
+
+#: The submit keys a request's fingerprint depends on.  The rest
+#: (``deadline_s``, ``routing``, ``trace_ctx``, ``chaos``) never change it.
+_FINGERPRINT_KEYS = ("region", "model", "method", "config", "vn")
+
+#: Submits a :class:`SubmitMemo` remembers: a digest and a fingerprint
+#: each, so a full memo holds about a megabyte.
+SUBMIT_MEMO_SIZE = 4096
+
+
+class SubmitMemo:
+    """A daemon's memo: digest of a submit's fingerprint keys → fingerprint.
+
+    :meth:`fingerprint` gives what ``request_from_wire(wire).fingerprint()``
+    gives, but parses only a submit whose keys it has not seen: parsing is
+    pure, so equal keys give an equal fingerprint, and a repeat costs one
+    SHA-256 of those keys.  A submit that fails to parse raises and is
+    never remembered.  The memo lives in memory only, is bounded LRU
+    (:data:`SUBMIT_MEMO_SIZE`), and counts ``submit_memo_hits`` and
+    ``submit_memo_misses`` in its owner's ``counters``.  The server and
+    the router each own one.
+    """
+
+    def __init__(self, counters: Counters) -> None:
+        self._counters = counters
+        self._fingerprints: OrderedDict[bytes, str] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def fingerprint(self, wire: Mapping[str, Any]) -> str:
+        """The fingerprint of the submit ``wire``.
+
+        Raises :class:`ProtocolError` for a malformed submit, the same as
+        :func:`request_from_wire`; ``window`` and ``deadline_s``, which the
+        digest leaves out, are checked every time.
+        """
+        _check_unkeyed(wire)
+        # JSON text of decoded JSON values is one-to-one, so equal digests
+        # mean equal keys.  Dict keys keep the frame's order: a client
+        # that orders them differently costs one more miss, no wrong hit.
+        blob = json.dumps([wire.get(key) for key in _FINGERPRINT_KEYS])
+        key = hashlib.sha256(blob.encode("utf-8")).digest()
+        with self._lock:
+            fingerprint = self._fingerprints.get(key)
+            if fingerprint is not None:
+                self._fingerprints.move_to_end(key)
+        if fingerprint is not None:
+            self._counters.bump("submit_memo_hits")
+            return fingerprint
+        self._counters.bump("submit_memo_misses")
+        fingerprint = request_from_wire(wire).fingerprint()
+        with self._lock:
+            self._fingerprints[key] = fingerprint
+            if len(self._fingerprints) > SUBMIT_MEMO_SIZE:
+                self._fingerprints.popitem(last=False)
+        return fingerprint

@@ -4,8 +4,11 @@ One :class:`InductionServer` owns a listening socket and one thread per
 connection (kept open across requests).  The thread that reads a submit
 answers it:
 
-- it parses the frame once, fingerprints it and sheds ``busy`` while the
-  server stops or drains;
+- it fingerprints the submit through the server's
+  :class:`~repro.service.protocol.SubmitMemo`, which parses only a submit
+  it has not seen (a repeat costs one digest; malformed text is a ``bad
+  submit payload`` error), and sheds ``busy`` while the server stops or
+  drains;
 - it joins the :class:`SingleFlight` of its fingerprint: while another
   request with the same fingerprint is being answered, it waits for that
   reply (dedup) instead of working — but not past its own deadline;
@@ -27,9 +30,14 @@ Robustness contract (the point of the service):
 A flight runs under its leader's deadline; a joiner whose own deadline
 passes first answers itself with the degraded schedule.
 
+Only the rare paths that need the parsed request — a degraded reply and
+a portfolio's selector hints — parse the submit again, from the ticket's
+wire.
+
 Metrics are plain :class:`repro.obs.Counters` — ``requests``, ``ok``,
 ``shed``, ``degraded_deadline``, ``degraded_retries``, ``dedup_hits``,
-``cache_hits``, ``retries``, ``worker_deaths`` — plus the gauges
+``cache_hits``, ``retries``, ``worker_deaths``, ``submit_memo_hits``,
+``submit_memo_misses`` — plus the gauges
 ``queue_depth`` (requests waiting for a worker), ``inflight`` (flights)
 and ``open_tickets`` (requests admitted and not yet answered); the
 ``stats`` op returns a snapshot, and a :class:`repro.obs.Tracer` (if
@@ -45,7 +53,6 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from repro.api import InductionRequest
 from repro.core.cache import ScheduleCache, check_entry, replay
 from repro.core.result import result_to_payload
 from repro.service.endpoint import Endpoint
@@ -324,14 +331,18 @@ def finish_request(reply: dict, recorder: MemoryTracer, trace_id: str, *,
 
 
 class _Ticket(NamedTuple):
-    """One admitted submit, parsed once."""
+    """One admitted submit, fingerprinted and checked but not parsed."""
 
     wire: dict
-    request: InductionRequest
     fingerprint: str
     admitted: float
     #: Absolute :func:`time.monotonic` deadline, or None.
     deadline: float | None
+
+    def degraded(self, wall_s: float) -> dict:
+        """The verified greedy reply payload; parses the wire (rare path)."""
+        return result_to_payload(degraded_result(
+            protocol.request_from_wire(self.wire), wall_s=wall_s))
 
 
 class _Served(NamedTuple):
@@ -370,6 +381,7 @@ class InductionServer:
         self._started = time.monotonic()
         self.pool = WorkerPool(workers=config.workers, counters=self.counters)
         self._flights = SingleFlight()
+        self._memo = protocol.SubmitMemo(self.counters)
         # One lock guards admission and the worker slots.  Leaders hold at
         # most ``workers`` slots, so when every worker is busy requests
         # wait here and queue_size is the thing that sheds load.
@@ -528,14 +540,14 @@ class InductionServer:
         self.counters.bump("requests")
         if not self.config.allow_chaos:
             wire.pop("chaos", None)
-        # Parse and validate now, once: a malformed region is an error on
-        # the client's connection, and the parsed request rides the ticket.
-        request = protocol.request_from_wire(wire)
-        fingerprint = request.fingerprint()
+        # A malformed submit is an error on the client's connection; the
+        # memo has checked deadline_s too.
+        fingerprint = self._memo.fingerprint(wire)
         admitted = time.monotonic()
-        deadline_s = request.deadline_s if request.deadline_s is not None \
-            else self.config.default_deadline_s
-        ticket = _Ticket(wire, request, fingerprint, admitted,
+        deadline_s = wire.get("deadline_s")
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        ticket = _Ticket(wire, fingerprint, admitted,
                          None if deadline_s is None
                          else admitted + float(deadline_s))
         # This thread owns the request's server-side span: it covers the
@@ -573,7 +585,7 @@ class InductionServer:
             wait_s = None
             if ticket.deadline is not None:
                 wait_s = ticket.deadline - time.monotonic()
-                if ticket.request.method == "portfolio":
+                if ticket.wire.get("method") == "portfolio":
                     wait_s += PORTFOLIO_KILL_GRACE_S
             outcome, led = self._flights.share(
                 ticket.fingerprint, lambda: self._lead(ticket, tee),
@@ -583,9 +595,8 @@ class InductionServer:
                 if outcome is None:
                     # The leader outlived this request's own deadline.
                     self.counters.bump("degraded_deadline")
-                    outcome = _Served(result_to_payload(degraded_result(
-                        ticket.request,
-                        wall_s=time.monotonic() - ticket.admitted)),
+                    outcome = _Served(
+                        ticket.degraded(time.monotonic() - ticket.admitted),
                         "deadline", ticket.admitted)
             if not isinstance(outcome, _Served):
                 return outcome
@@ -629,7 +640,7 @@ class InductionServer:
 
     def _dispatch(self, ticket: _Ticket, tee: Tracer) -> _Served | dict:
         """Run one search on a worker; degrade or error as it ends."""
-        request, deadline = ticket.request, ticket.deadline
+        deadline = ticket.deadline
         started = time.monotonic()
         # Worker-side spans hang off the dispatch span via the context
         # injected into the wire below, completing the stitched trace in
@@ -646,7 +657,7 @@ class InductionServer:
                 # kill switch is only the wedged-worker backstop.  A
                 # server-default deadline reaches the race through the
                 # wire, since the client never set one there.
-                inject_portfolio_hints(wire, request, self.strategy_store)
+                inject_portfolio_hints(wire, self.strategy_store)
                 if deadline is not None:
                     if "deadline_s" not in wire:
                         wire["deadline_s"] = max(
@@ -671,13 +682,11 @@ class InductionServer:
             except DeadlineExpired:
                 disposition = "deadline"
                 self.counters.bump("degraded_deadline")
-                payload = result_to_payload(degraded_result(
-                    request, wall_s=time.monotonic() - started))
+                payload = ticket.degraded(time.monotonic() - started)
             except RetriesExhausted:
                 disposition = "retries"
                 self.counters.bump("degraded_retries")
-                payload = result_to_payload(degraded_result(
-                    request, wall_s=time.monotonic() - started))
+                payload = ticket.degraded(time.monotonic() - started)
             except WorkerTaskError as exc:
                 self.counters.bump("task_errors")
                 live.set(disposition="error")

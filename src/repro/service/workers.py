@@ -332,19 +332,22 @@ class WorkerPool:
 # in afterwards.
 
 
-def inject_portfolio_hints(wire: dict, request: InductionRequest,
-                           store) -> None:
+def inject_portfolio_hints(wire: dict, store) -> None:
     """Attach the store's ranked order / skip set to a portfolio wire.
 
     The bucket is the one the race will record its outcome under: that of
     the region it actually runs, after the vn pre-pass (which the worker
     runs again inside the driver).
+
+    The wire is parsed here, and only when there is a store to rank with.
     """
     if store is None or wire.get("method") != "portfolio":
         return
     from repro.core.portfolio import (
         PORTFOLIO_STRATEGIES, feature_bucket, region_features)
+    from repro.service.protocol import request_from_wire
 
+    request = request_from_wire(wire)
     region, model = request.resolved_region(), request.resolved_model()
     if request.vn != "off":
         region, _vnstats = vn_prepass(region, model, request.vn)
@@ -414,9 +417,12 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
             return result_from_payload(
                 replay(entry, wall_s=time.monotonic() - start))
 
+    # Parsed here, so malformed text is this call's ValueError, raised
+    # before a worker starts.
+    wire = request_to_wire(request.replace(
+        region=request.resolved_region(), deadline_s=None))
     pool = WorkerPool(workers=1, max_retries=1)
     try:
-        wire = request_to_wire(request.replace(deadline_s=None))
         try:
             payload, _meta = pool.run(wire, start + float(request.deadline_s))
         except (DeadlineExpired, RetriesExhausted):

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.costmodel import uniform_cost_model
 from repro.core.ops import parse_region
-from repro.core.schedule import Schedule, Slot
+from repro.core.schedule import (
+    Schedule, Slot, schedule_from_payload, schedule_to_payload,
+)
 from repro.core.verify import ScheduleError, verify_schedule
 
 REGION = parse_region("""
@@ -43,6 +45,30 @@ class TestSlot:
     def test_iteration_sorted_by_thread(self):
         slot = Slot("ld", {2: 5, 0: 1})
         assert list(slot) == [(0, 1), (2, 5)]
+
+
+class TestDecodedSlots:
+    """Wire slots are built once, without the constructor's copy."""
+
+    def test_decoded_schedule_equals_the_original(self):
+        schedule = merged_schedule()
+        assert schedule_from_payload(schedule_to_payload(schedule)) == \
+            schedule
+
+    def test_decoded_picks_reject_assignment(self):
+        slot = schedule_from_payload([["ld", [[0, 0], [1, 0]]]])[0]
+        with pytest.raises(TypeError):
+            slot.picks[2] = 0
+        with pytest.raises(AttributeError):
+            slot.opclass = "add"
+
+    def test_wire_values_are_checked(self):
+        assert schedule_from_payload([["ld", [["1", 2.0]]]])[0].picks == \
+            {1: 2}
+        with pytest.raises(ValueError):
+            schedule_from_payload([["ld", [["one", 0]]]])
+        with pytest.raises(ValueError, match="no participating"):
+            schedule_from_payload([["ld", []]])
 
 
 class TestSchedule:

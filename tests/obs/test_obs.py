@@ -161,6 +161,19 @@ class TestSummary:
         assert summary.cache_hits == 1 and summary.cache_misses == 1
         assert summary.cache_hit_rate == pytest.approx(0.5)
 
+    def test_cache_hits_add_no_search_counters(self, tmp_path):
+        # A hit's event carries the stored entry's counters, but no search
+        # ran: a cold run then a warm one expanded the cold run's nodes.
+        path = tmp_path / "pair.jsonl"
+        with JsonlTracer(path) as tracer:
+            for cache in ("miss", "hit"):
+                tracer.emit("induce", method="search", nodes=7,
+                            budget_exhausted=True, cache=cache, wall_s=0.1)
+        summary = summarize_trace(path)
+        assert summary.total_nodes == 7
+        assert summary.budget_exhaustions == 1
+        assert summary.kind("induce").sums["nodes"] == 14
+
     def test_malformed_lines_tolerated(self, tmp_path):
         path = self.make_trace(tmp_path)
         with open(path, "a") as fh:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import InductionRequest
 from repro.core.costmodel import CostModel, maspar_cost_model
+from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
 from repro.service import protocol
 from repro.service.endpoint import Endpoint
@@ -165,6 +166,24 @@ class TestRequestWire:
         assert back.fingerprint() == request.fingerprint()
         assert back.deadline_s == 9.0
         assert back.resolved_config().node_budget == 5000
+
+    def test_region_text_travels_as_given(self, count_calls):
+        text = REGION + "\n\n"
+        counts = count_calls(parse_region)
+        wire = protocol.request_to_wire(InductionRequest(region=text))
+        assert wire["region"] is text
+        assert counts == {}
+
+    def test_parsed_region_is_rendered(self):
+        region = parse_region(REGION)
+        wire = protocol.request_to_wire(InductionRequest(region=region))
+        assert wire["region"] == region.render()
+
+    def test_config_is_its_fields_by_name(self):
+        config = SearchConfig(node_budget=123, use_memo=False)
+        wire = protocol.request_to_wire(
+            InductionRequest(region=REGION, config=config))
+        assert wire["config"] == dataclasses.asdict(config)
 
     def test_region_parsed_and_model_resolved_once(self):
         from repro.core.ops import Region

@@ -197,6 +197,14 @@ class TestLocalDeadlineRoute:
         assert any(e["kind"] == "span" and e["name"] == "worker.execute"
                    for e in tracer.events)
 
+    def test_malformed_text_is_a_local_value_error(self):
+        # Only the served client sends text unparsed; a local call still
+        # refuses malformed text itself, before starting a worker.
+        request = api.InductionRequest(region="thread 3:\n    a = ld x\n",
+                                       deadline_s=60.0)
+        with pytest.raises(ValueError, match="thread"):
+            api.induce(request)
+
     def test_slow_search_degrades_within_deadline(self):
         region = random_region(SLOW_SPEC, seed=5)
         request = api.InductionRequest(

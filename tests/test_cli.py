@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import warnings
 from pathlib import Path
 
@@ -151,6 +152,15 @@ class TestStats:
         (row,) = [line for line in out.splitlines()
                   if "cache hits / misses" in line]
         assert "1 / 1" in row
+        # The hit ran no search: only the cold run's nodes count.
+        with open(trace) as fh:
+            cold, hit = [event for event in map(json.loads, fh)
+                         if event["kind"] == "induce"]
+        assert (cold["cache"], hit["cache"]) == ("miss", "hit")
+        assert hit["nodes"] == cold["nodes"] > 0
+        (row,) = [line for line in out.splitlines()
+                  if "search nodes expanded" in line]
+        assert row.split("|")[2].strip() == str(cold["nodes"])
 
     def test_percentile_columns(self, region_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")
