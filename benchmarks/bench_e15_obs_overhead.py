@@ -19,19 +19,24 @@ observability:
   :class:`SLOTracker` sample, one :class:`FlightRecorder` consideration,
   and an exemplar-carrying histogram observation.
 
-Each row reports mean wall time per call and the overhead ratio against
-the uninstrumented baseline.  Honest accounting: the ratios depend on
-how search-heavy the region is — a huge search amortizes instrumentation
-to nothing, an all-cache-hit run is dominated by it — so the table
-reports a small-but-real search where overhead is most visible, rather
-than asserting a machine-dependent ratio.  Hard assertions: the JSONL
+The four variants run interleaved, call by call: each round times one
+call of every variant, in an order that rotates from round to round, so
+host drift over the run weighs on all of them alike.  Each row reports
+mean wall time per call and the median, over the rounds, of the call's
+ratio to the same round's uninstrumented call.  Honest accounting: the
+ratios depend on how search-heavy the region is — a huge search
+amortizes instrumentation to nothing, an all-cache-hit run is dominated
+by it — so the table reports a small-but-real search where overhead is
+most visible, rather than asserting a machine-dependent ratio.  Hard assertions: the JSONL
 runs must leave parseable span trees behind, and the *full* ratio must
 not silently regress past the committed ``BENCH_obs.json`` reference
-(with generous tolerance — it gates a 2x blow-up, not scheduler noise).
+(with generous tolerance — it gates a 2x blow-up, not scheduler noise;
+the gated figure is the median per-round ratio).
 """
 
 import json
 import pathlib
+import statistics
 import time
 
 from conftest import api_induce, bench_seed, record_table
@@ -47,6 +52,7 @@ from repro.workloads import RandomRegionSpec, random_region
 
 MODEL = maspar_cost_model()
 CALLS = 40
+VARIANTS = ("off", "memory", "jsonl", "full")
 
 _REFERENCE = pathlib.Path(__file__).parent / "BENCH_obs.json"
 
@@ -58,55 +64,69 @@ def bench_region(seed=7):
         seed=bench_seed(seed))
 
 
-def timed_calls(region, tracer=None):
-    cfg = SearchConfig(node_budget=20_000)
-    walls = []
-    with use_registry(MetricsRegistry()):  # fresh registry per variant
-        for _ in range(CALLS):
+class _Variants:
+    """One timed ``induce()`` call per variant, each with its own metrics
+    registry and sinks for the whole run."""
+
+    def __init__(self, region, jsonl, sink) -> None:
+        self.region = region
+        self.cfg = SearchConfig(node_budget=20_000)
+        self.registries = {name: MetricsRegistry() for name in VARIANTS}
+        self.tracers = {"off": None, "memory": MemoryTracer(),
+                        "jsonl": jsonl}
+        self.sink = sink
+        self.slo = SLOTracker()
+        self.flightrec = FlightRecorder()
+
+    def call(self, name: str, index: int) -> float:
+        with use_registry(self.registries[name]):
+            if name == "full":
+                return self._full(index)
             t0 = time.perf_counter()
-            api_induce(region, MODEL, config=cfg, tracer=tracer)
-            walls.append(time.perf_counter() - t0)
-    return sum(walls) / len(walls)
+            api_induce(self.region, MODEL, config=self.cfg,
+                       tracer=self.tracers[name])
+            return time.perf_counter() - t0
+
+    def _full(self, index: int) -> float:
+        """Per-call cost of the complete server-side observability plane."""
+        t0 = time.perf_counter()
+        recorder = MemoryTracer()
+        tee = TeeTracer(self.sink, recorder)
+        with span("bench.request", tee) as request:
+            api_induce(self.region, MODEL, config=self.cfg, tracer=tee)
+        induce_s = time.perf_counter() - t0
+        self.slo.record(induce_s, ok=True)
+        self.flightrec.record(fingerprint=f"bench-{index}", outcome="ok",
+                              wall_s=induce_s, trace=request.trace_id,
+                              spans=recorder.events)
+        self.registries["full"].observe("bench_request_seconds", induce_s,
+                                        trace_id=request.trace_id)
+        return time.perf_counter() - t0
 
 
-def timed_full(region, jsonl_path):
-    """Per-call cost of the complete server-side observability plane."""
-    cfg = SearchConfig(node_budget=20_000)
-    slo = SLOTracker()
-    flightrec = FlightRecorder()
-    registry = MetricsRegistry()
-    walls = []
-    with use_registry(registry), JsonlTracer(jsonl_path) as sink:
+def timed_rounds(region, jsonl_path, full_path) -> dict[str, list[float]]:
+    """``CALLS`` rounds, each timing one call of every variant."""
+    walls: dict[str, list[float]] = {name: [] for name in VARIANTS}
+    with JsonlTracer(jsonl_path) as jsonl, JsonlTracer(full_path) as sink:
+        variants = _Variants(region, jsonl, sink)
         for index in range(CALLS):
-            t0 = time.perf_counter()
-            recorder = MemoryTracer()
-            tee = TeeTracer(sink, recorder)
-            with span("bench.request", tee) as request:
-                api_induce(region, MODEL, config=cfg, tracer=tee)
-            induce_s = time.perf_counter() - t0
-            slo.record(induce_s, ok=True)
-            flightrec.record(fingerprint=f"bench-{index}", outcome="ok",
-                             wall_s=induce_s, trace=request.trace_id,
-                             spans=recorder.events)
-            registry.observe("bench_request_seconds", induce_s,
-                             trace_id=request.trace_id)
-            walls.append(time.perf_counter() - t0)
-    assert slo.status()["requests_total"] == CALLS
-    assert flightrec.counts()["considered"] == CALLS
-    return sum(walls) / len(walls)
+            shift = index % len(VARIANTS)
+            for name in VARIANTS[shift:] + VARIANTS[:shift]:
+                walls[name].append(variants.call(name, index))
+    assert variants.slo.status()["requests_total"] == CALLS
+    assert variants.flightrec.counts()["considered"] == CALLS
+    return walls
 
 
 def run_experiment(tmp_path):
     region = bench_region()
-    timed_calls(region)  # warm imports and allocator before measuring
+    # Warm imports and allocator before measuring.
+    for _ in range(CALLS):
+        api_induce(region, MODEL, config=SearchConfig(node_budget=20_000))
 
-    off = timed_calls(region)
-    memory = timed_calls(region, MemoryTracer())
     jsonl_path = tmp_path / "bench_trace.jsonl"
-    with JsonlTracer(jsonl_path) as tracer:
-        jsonl = timed_calls(region, tracer)
     full_path = tmp_path / "bench_full.jsonl"
-    full = timed_full(region, full_path)
+    walls = timed_rounds(region, jsonl_path, full_path)
 
     trees = build_traces(load_span_events(jsonl_path))
     assert len(trees) == CALLS
@@ -115,23 +135,26 @@ def run_experiment(tmp_path):
     assert len(full_trees) == CALLS
     assert all(t.roots[0].name == "bench.request" for t in full_trees)
 
-    rows = [
-        ["off (ids only)", f"{off * 1e3:.3f}", "1.00x"],
-        ["memory sink", f"{memory * 1e3:.3f}", f"{memory / off:.2f}x"],
-        ["jsonl sink", f"{jsonl * 1e3:.3f}", f"{jsonl / off:.2f}x"],
-        ["full obs plane", f"{full * 1e3:.3f}", f"{full / off:.2f}x"],
-    ]
+    mean = {name: statistics.fmean(w) for name, w in walls.items()}
+    ratio = {name: statistics.median(
+        call / off for call, off in zip(walls[name], walls["off"]))
+        for name in VARIANTS}
+    labels = {"off": "off (ids only)", "memory": "memory sink",
+              "jsonl": "jsonl sink", "full": "full obs plane"}
+    rows = [[labels[name], f"{mean[name] * 1e3:.3f}",
+             f"{ratio[name]:.2f}x"] for name in VARIANTS]
     table = format_table(
-        ["tracing", "mean wall (ms/call)", "vs off"], rows,
-        title=f"E15: observability overhead ({CALLS} induce() calls, "
-              f"{region.num_ops} ops)")
+        ["tracing", "mean wall (ms/call)", "vs off (median per round)"],
+        rows,
+        title=f"E15: observability overhead ({CALLS} interleaved rounds "
+              f"of induce() calls, {region.num_ops} ops)")
     data = {
         "rows": rows,
-        "off_ms": off * 1e3,
-        "full_ms": full * 1e3,
-        "memory_ratio": memory / off,
-        "jsonl_ratio": jsonl / off,
-        "full_ratio": full / off,
+        "off_ms": mean["off"] * 1e3,
+        "full_ms": mean["full"] * 1e3,
+        "memory_ratio": ratio["memory"],
+        "jsonl_ratio": ratio["jsonl"],
+        "full_ratio": ratio["full"],
     }
     record_table("e15_obs_overhead", table, data=data)
     return data
@@ -139,8 +162,8 @@ def run_experiment(tmp_path):
 
 def test_e15_obs_overhead(tmp_path):
     data = run_experiment(tmp_path)
-    # Regression gate: the full plane's overhead ratio must stay within
-    # 2x of the committed reference (with an absolute floor so very fast
+    # Regression gate: the full plane's median per-round overhead ratio
+    # must stay within 2x of the committed reference (with an absolute floor so very fast
     # machines, where a few microseconds of bookkeeping is a large
     # *fraction*, don't flake the gate).
     reference = json.loads(_REFERENCE.read_text())["full"]["ratio"]

@@ -32,7 +32,9 @@ where the schedule came from.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Any, Mapping
 
 from repro.core.cache import ScheduleCache, region_fingerprint
@@ -44,7 +46,8 @@ from repro.core.search import SearchConfig
 from repro.core.vn import VN_MODES
 from repro.obs import Tracer
 
-__all__ = ["InductionRequest", "KNOB_METHODS", "REQUEST_METHODS", "induce"]
+__all__ = ["InductionRequest", "KNOB_METHODS", "REQUEST_METHODS", "induce",
+           "valid_deadline"]
 
 #: Named cost models accepted anywhere a :class:`CostModel` is expected
 #: (including over the service wire).
@@ -62,6 +65,17 @@ KNOB_METHODS: Mapping[str, tuple[str, ...]] = {
     # The outcomes store only teaches the portfolio selector.
     "strategy_store": ("portfolio",),
 }
+
+
+def valid_deadline(deadline_s: object) -> bool:
+    """The one deadline rule, for a local request and a wire submit alike:
+    a real number, not a bool, finite and positive.
+
+    NaN and infinity would pass a bare ``> 0``-style check and fail only
+    once a worker turns them into a timeout.
+    """
+    return (isinstance(deadline_s, Real) and not isinstance(deadline_s, bool)
+            and math.isfinite(deadline_s) and deadline_s > 0)
 
 
 def _reject_knob(knob: str, value: Any, method: str) -> None:
@@ -116,8 +130,10 @@ class InductionRequest:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of "
                 f"{REQUEST_METHODS}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline_s}")
+        if self.deadline_s is not None and not valid_deadline(self.deadline_s):
+            raise ValueError(
+                f"deadline must be a positive finite number of seconds, "
+                f"got {self.deadline_s!r}")
         if self.vn not in VN_MODES:
             raise ValueError(
                 f"unknown vn mode {self.vn!r}; expected one of {VN_MODES}")

@@ -17,7 +17,9 @@ Two structures here serve the bitmask search engine
 
 - :attr:`DependenceDAG.pred_masks` — each op's predecessor set packed into a
   plain ``int`` bitmask, so readiness is one ``&``/``==`` pair instead of a
-  per-predecessor membership test;
+  per-predecessor membership test.  Construction works on these masks
+  (dependences, transitive reduction) and derives ``preds``/``succs``
+  from them;
 - :class:`ReadyIndex` — a mutable ready-ops-by-merge-key index maintained
   *incrementally* as ops complete/uncomplete, shared by the greedy list
   scheduler and the branch-and-bound push/pop loop so neither ever rescans
@@ -36,7 +38,6 @@ touches.  ``transitive_reduction=False`` restores the verbatim edge set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from repro.core.costmodel import CostModel, MergeKeyTable
@@ -49,34 +50,23 @@ __all__ = ["DependenceDAG", "ReadyIndex", "build_dags"]
 class DependenceDAG:
     """Immutable dependence DAG of one thread's operation sequence.
 
-    ``preds[i]``/``succs[i]`` are tuples of operation indices.  By default
-    edges are transitively reduced (see the module docstring); correctness
-    never depends on minimality, but the bitmask engine's bound and ready
-    maintenance get cheaper with smaller masks.
+    ``preds[i]``/``succs[i]`` are ascending tuples of operation indices.
+    By default edges are transitively reduced (see the module docstring);
+    correctness never depends on minimality, but the bitmask engine's
+    bound and ready maintenance get cheaper with smaller masks.
     """
 
     thread: int
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
+    #: ``pred_masks[i]``: ``preds[i]`` as an int bitmask.  Readiness of
+    #: ``i`` against a done-bitmask ``d`` is then
+    #: ``pred_masks[i] & d == pred_masks[i]`` — pure int ops, no set
+    #: objects, which is what the search hot path runs per push/pop.
+    pred_masks: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.preds)
-
-    @cached_property
-    def pred_masks(self) -> tuple[int, ...]:
-        """``pred_masks[i]``: predecessor set of op ``i`` as an int bitmask.
-
-        Readiness of ``i`` against a done-bitmask ``d`` is then
-        ``pred_masks[i] & d == pred_masks[i]`` — pure int ops, no set
-        objects, which is what the search hot path runs per push/pop.
-        """
-        masks = []
-        for ps in self.preds:
-            m = 0
-            for p in ps:
-                m |= 1 << p
-            masks.append(m)
-        return tuple(masks)
 
     def ready(self, done: frozenset[int]) -> list[int]:
         """Indices whose predecessors are all in ``done`` and not done."""
@@ -112,7 +102,7 @@ class DependenceDAG:
         return tuple(cp)
 
 
-def _transitive_reduce(preds: list[set[int]]) -> list[set[int]]:
+def _transitive_reduce(masks: list[int]) -> list[int]:
     """Drop every edge implied by a longer path.
 
     Ops are in program order and every dependence points backward, so the
@@ -120,53 +110,67 @@ def _transitive_reduce(preds: list[set[int]]) -> list[set[int]]:
     full ancestor bitmask suffices.  Edge ``p -> i`` is redundant iff ``p``
     is an ancestor of some other predecessor of ``i``.
     """
-    ancestors = [0] * len(preds)
-    reduced: list[set[int]] = []
-    for i, ps in enumerate(preds):
+    ancestors = [0] * len(masks)
+    reduced: list[int] = []
+    for i, mask in enumerate(masks):
         above = 0
-        full = 0
-        for p in ps:
-            above |= ancestors[p]
-            full |= ancestors[p] | (1 << p)
-        reduced.append({p for p in ps if not (above >> p) & 1})
-        ancestors[i] = full
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            above |= ancestors[low.bit_length() - 1]
+        reduced.append(mask & ~above)
+        ancestors[i] = above | mask
     return reduced
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, ascending."""
+    out: list[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _build_one(tc: ThreadCode, serialize: bool, reduce: bool = True) -> DependenceDAG:
     n = len(tc.ops)
-    preds: list[set[int]] = [set() for _ in range(n)]
     if serialize:
-        for i in range(1, n):
-            preds[i].add(i - 1)
+        masks = [1 << (i - 1) if i else 0 for i in range(n)]
     else:
+        masks = [0] * n
         last_write: dict[str, int] = {}
-        readers_since_write: dict[str, list[int]] = {}
+        readers_since_write: dict[str, int] = {}   # sym -> mask of readers
         for i, op in enumerate(tc.ops):
+            bit = 1 << i
+            mask = 0
             for sym in op.reads:
                 if sym in last_write:          # flow dependence
-                    preds[i].add(last_write[sym])
-                readers_since_write.setdefault(sym, []).append(i)
+                    mask |= 1 << last_write[sym]
+                readers_since_write[sym] = readers_since_write.get(sym, 0) | bit
             for sym in op.writes:
                 if sym in last_write:          # output dependence
-                    preds[i].add(last_write[sym])
-                for r in readers_since_write.get(sym, ()):  # anti dependence
-                    if r != i:
-                        preds[i].add(r)
+                    mask |= 1 << last_write[sym]
+                # anti dependence on every other reader since the write
+                mask |= readers_since_write.get(sym, 0) & ~bit
                 last_write[sym] = i
-                readers_since_write[sym] = []
+                readers_since_write[sym] = 0
             # An op both reading and writing sym: the read is of the old
             # value, handled above because reads were processed first.
+            masks[i] = mask
         if reduce:
-            preds = _transitive_reduce(preds)
+            masks = _transitive_reduce(masks)
+    preds = tuple(_bits(mask) for mask in masks)
     succs: list[list[int]] = [[] for _ in range(n)]
     for i, ps in enumerate(preds):
         for p in ps:
             succs[p].append(i)
     return DependenceDAG(
         thread=tc.thread,
-        preds=tuple(tuple(sorted(ps)) for ps in preds),
-        succs=tuple(tuple(sorted(ss)) for ss in succs),
+        preds=preds,
+        succs=tuple(tuple(ss) for ss in succs),   # ascending: i ascends
+        pred_masks=tuple(masks),
     )
 
 

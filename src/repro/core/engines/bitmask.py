@@ -50,7 +50,14 @@ def bitmask_search(
       recomputed only when the completed op *was* that thread's max (a
       scan over ops sorted by remaining path, skipping done bits);
     - the dominance memo keys on the tuple of int masks;
-    - recursion is an explicit stack over preallocated parallel arrays.
+    - recursion is an explicit stack over preallocated parallel arrays;
+    - an incumbent update keeps only the path of moves to its leaf; the
+      returned slots are built from the best path once, at exit.
+
+    The search stops at the incumbent update that meets the root bound
+    (that leaf is optimal) and at a ``should_stop`` poll that answers
+    true: at the root, like the legacy engine's node 0, and every 256
+    expanded nodes.
 
     The node loop is deliberately flat and monolithic: at several hundred
     thousand nodes per second every function call, closure-cell access and
@@ -224,14 +231,22 @@ def bitmask_search(
     st_old_contrib = [0.0] * cap
     st_old_class_bound = [0.0] * cap
 
+    # The applied moves of the best leaf found, root first; the slots are
+    # built from it once, at exit.  None: the caller's incumbent stands.
+    best_path: list | None = None
+
     # -- root node (mirrors one legacy _dfs() prologue; remaining > 0 and
-    # budget >= 1 hold whenever total_ops > 0, so only bound/memo apply).
+    # budget >= 1 hold whenever total_ops > 0, so only the stop poll,
+    # bound and memo apply).
     depth = -1
     if total_ops == 0:
         if 0.0 < best_cost:
             best_cost = 0.0
             incumbent_updates += 1
-            best_slots[:] = []
+            best_path = []
+    elif should_stop is not None and should_stop():
+        # Polled at node 0, like the legacy engine.
+        budget_exhausted = True
     else:
         nodes_expanded = 1
         bound = 0.0
@@ -239,6 +254,10 @@ def bitmask_search(
             bound = max(thread_max)
         if use_class and class_bound > bound:
             bound = class_bound
+        # A leaf that costs no more than the root bound is optimal, so the
+        # search stops at it.  With both bound knobs off the bound is 0.0,
+        # which no leaf meets (every slot costs more than 0).
+        root_bound = bound
         if bound >= best_cost:
             pruned_by_bound += 1
         else:
@@ -338,11 +357,10 @@ def bitmask_search(
                 best_cost = child_cost
                 incumbent_updates += 1
                 # The applied moves are exactly moves[idx-1] at each depth.
-                best_slots[:] = [
-                    Slot(opclasses[-mv[3]], dict(mv[4]))
-                    for mv in (st_moves[d][st_idx[d] - 1]
-                               for d in range(depth + 1))
-                ]
+                best_path = [st_moves[d][st_idx[d] - 1]
+                             for d in range(depth + 1)]
+                if child_cost <= root_bound:
+                    break
             continue
         if nodes_expanded >= node_budget:
             budget_exhausted = True
@@ -387,4 +405,7 @@ def bitmask_search(
     stats.incumbent_updates = incumbent_updates
     stats.best_cost = best_cost
     stats.budget_exhausted = budget_exhausted
-    return best_slots
+    if best_path is None:
+        return best_slots
+    return [Slot._adopt(opclasses[-kid], dict(picks))
+            for _saved, _longest, _width, kid, picks in best_path]

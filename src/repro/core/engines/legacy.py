@@ -1,11 +1,12 @@
 """Legacy engine — the reference oracle.
 
-This is the original frozenset/dict implementation, preserved verbatim.
-It defines the search semantics the production bitmask engine must
-reproduce exactly (schedules, costs and all pruning counters).  Nothing
-in production runs it: ``repro fuzz`` and the equivalence suite pass it
-to :func:`repro.core.search.branch_and_bound` as ``search_fn`` and diff
-the two engines, so changes here must be mirrored in
+This is the original frozenset/dict implementation, kept as written
+apart from the stop at a leaf that meets the root bound.  It defines the
+search semantics the production bitmask engine must reproduce exactly
+(schedules, costs and all pruning counters).  Nothing in production runs
+it: ``repro fuzz`` and the equivalence suite pass it to
+:func:`repro.core.search.branch_and_bound` as ``search_fn`` and diff the
+two engines, so changes here must be mirrored in
 :mod:`repro.core.engines.bitmask` and vice versa.  Its ``_lower_bound``
 still takes ``max(cp, class)`` at every node, which re-proves on every
 checked case that skipping the dominated critical-path bound in the
@@ -41,6 +42,11 @@ class _SearchCtx:
     best_slots: list[Slot] = field(default_factory=list)
     memo: dict[tuple[frozenset[int], ...], float] = field(default_factory=dict)
     should_stop: Callable[[], bool] | None = None
+    #: The root's lower bound; a leaf that meets it is optimal.
+    root_bound: float = 0.0
+    #: Set by the leaf that met ``root_bound``: the search unwinds like
+    #: on an exhausted budget, but is not exhausted.
+    proved: bool = False
 
 
 def _lower_bound(
@@ -128,6 +134,9 @@ def _dfs(
             stats.best_cost = cost
             stats.incumbent_updates += 1
             ctx.best_slots = list(slots)
+            # With both bound knobs off the root bound is 0.0, which no
+            # leaf meets (every slot costs more than 0).
+            ctx.proved = cost <= ctx.root_bound
         return
     if stats.nodes_expanded >= config.node_budget:
         stats.budget_exhausted = True
@@ -170,7 +179,7 @@ def _dfs(
         for t in picks:
             key_counts[key][t] += 1
         slots.pop()
-        if stats.budget_exhausted:
+        if stats.budget_exhausted or ctx.proved:
             return
 
 
@@ -181,7 +190,11 @@ def legacy_search(
     best_slots: list[Slot],
     should_stop: Callable[[], bool] | None = None,
 ) -> list[Slot]:
-    """Run the reference engine; returns the best slot list found."""
+    """Run the reference engine; returns the best slot list found.
+
+    The search stops at the incumbent update that meets the root bound
+    (that leaf is optimal), at the same point as the bitmask engine.
+    """
     region, model = prepared.region, prepared.model
     ctx = _SearchCtx(region=region, model=model, dags=prepared.dags,
                      crit=prepared.crit, config=config, stats=stats,
@@ -192,5 +205,6 @@ def legacy_search(
             key = model.merge_key(op)
             key_counts.setdefault(key, [0] * region.num_threads)[t] += 1
     done = [frozenset() for _ in region.threads]
+    ctx.root_bound = _lower_bound(ctx, done, key_counts)
     _dfs(ctx, done, key_counts, 0.0, [], region.num_ops)
     return ctx.best_slots

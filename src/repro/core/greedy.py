@@ -89,7 +89,7 @@ def greedy_schedule(
                 best_picks = picks
         if best_picks is None:
             raise RuntimeError("no ready operations but work remains (cyclic DAG?)")
-        slots.append(Slot(opclasses[best_kid], dict(best_picks)))
+        slots.append(Slot._adopt(opclasses[best_kid], dict(best_picks)))
         for t, i in best_picks:
             index.complete(t, i)
         remaining -= len(best_picks)

@@ -108,11 +108,11 @@ def _factor(prepared, config, should_stop, seed):
 
 
 def _lockstep(prepared, config, should_stop, seed):
-    return lockstep_schedule(prepared.region, prepared.model), None
+    return lockstep_schedule(prepared.region, prepared.model, prepared), None
 
 
 def _serial(prepared, config, should_stop, seed):
-    return serial_schedule(prepared.region, prepared.model), None
+    return serial_schedule(prepared.region, prepared.model, prepared), None
 
 
 BUILDERS: dict[str, Callable] = {
@@ -125,18 +125,27 @@ BUILDERS: dict[str, Callable] = {
 }
 
 
-def baselines(region: Region, model: CostModel, method: str | None = None,
+def baselines(prepared: PreparedRegion, method: str | None = None,
               cost: float | None = None) -> tuple[float, float]:
-    """``(serial_cost, lockstep_cost)`` of ``region``: the speedup baselines.
+    """``(serial_cost, lockstep_cost)`` of the prepared region: the
+    speedup baselines.
 
     A schedule built by the ``serial`` or ``lockstep`` method *is* that
     baseline, so its ``cost`` stands in for rebuilding it.  Baselines are
-    built in program order, valid under any dependence structure.
+    built in program order, valid under any dependence structure, and
+    costed from the merge-key table's slot costs, summed in slot order
+    like :meth:`Schedule.cost`.
     """
+    region, model, table = prepared.region, prepared.model, prepared.table
+    slot_cost = dict(zip(table.opclasses, table.slot_costs))
+
+    def total(schedule: Schedule) -> float:
+        return sum([slot_cost[slot.opclass] for slot in schedule.slots])
+
     serial = cost if method == "serial" else \
-        serial_schedule(region, model).cost(model)
+        total(serial_schedule(region, model, prepared))
     lockstep = cost if method == "lockstep" else \
-        lockstep_schedule(region, model).cost(model)
+        total(lockstep_schedule(region, model, prepared))
     return serial, lockstep
 
 
@@ -184,9 +193,11 @@ def run_induction(
             # Imported here: the race reads BUILDERS from this module.  It
             # checks every candidate before it can win.
             from repro.core.portfolio import run_portfolio
-            result = _with_baselines(run_portfolio(
-                PreparedRegion.build(region, model, config.respect_order),
-                config, tracer=tracer, **race), region, model)
+            prepared = PreparedRegion.build(region, model,
+                                            config.respect_order)
+            result = _with_baselines(
+                run_portfolio(prepared, config, tracer=tracer, **race),
+                prepared)
         else:
             result = _one_shot(region, model, method, config, cache, tracer,
                                vnstats)
@@ -198,9 +209,9 @@ def run_induction(
     return result
 
 
-def _with_baselines(result: ResultBase, region: Region,
-                    model: CostModel) -> ResultBase:
-    serial_cost, lockstep_cost = baselines(region, model, result.method,
+def _with_baselines(result: ResultBase,
+                    prepared: PreparedRegion) -> ResultBase:
+    serial_cost, lockstep_cost = baselines(prepared, result.method,
                                            result.cost)
     return dataclasses.replace(result, serial_cost=serial_cost,
                                lockstep_cost=lockstep_cost)
@@ -233,7 +244,7 @@ def _one_shot(region: Region, model: CostModel, method: str,
             verify_schedule(schedule, region, model, dags=prepared.dags)
         cost = schedule.cost(model)
         result = InductionResult(method, schedule, cost,
-                                 *baselines(region, model, method, cost),
+                                 *baselines(prepared, method, cost),
                                  stats)
         if cache is not None:
             cache.put(fingerprint, result_to_payload(result))

@@ -22,6 +22,13 @@ the minimum execution time code schedule using these merges"):
      ``cp_t <= sum of t's remaining slot costs <= sum_k cost_k * max_t
      cnt(t, k)``.  The engine therefore maintains the critical-path bound
      only when the class bound is off (the E3 ablation);
+   - **bound-met stop** — the root's bound under the enabled bound knobs
+     (``PreparedRegion.lower_bound`` with both on) holds for every
+     schedule, so a leaf that costs no more is optimal: both engines stop
+     at the incumbent update that reaches it, with ``optimal`` set and
+     nothing more expanded.  A greedy seed already at the bound prunes
+     the root (1 node); with both bound knobs off the bound is 0 and
+     nothing stops;
    - **dominance memoization** — the scheduler state is exactly the set of
      completed ops per thread; reaching a previously seen state at equal or
      higher cost is cut;
@@ -126,7 +133,8 @@ def branch_and_bound(
     better schedule (i.e. the proof is exact for the configured move set;
     with ``maximal_merges_only`` the claim is relative to maximal merges,
     which the test-suite cross-checks against exhaustive mode on small
-    regions).
+    regions).  A search that stops at a leaf meeting the root bound has
+    that proof too: no schedule costs less than the bound.
 
     ``prepared`` (:class:`~repro.core.prepared.PreparedRegion`) is built
     here with ``config.respect_order`` when the caller passes none.
@@ -147,8 +155,8 @@ def branch_and_bound(
     cheaper, that schedule is checked, and no path cheaper than ``C`` was
     cut.
 
-    ``should_stop`` (optional, polled every 256 expanded nodes) requests a
-    cooperative early exit: the search returns its incumbent best-so-far
+    ``should_stop`` (optional, polled at the root and every 256 expanded
+    nodes) requests a cooperative early exit: the search returns its incumbent best-so-far
     with ``budget_exhausted=True``, exactly like running out of node
     budget.  The portfolio racer uses this to cancel losing strategies and
     to honor deadlines without killing the process.

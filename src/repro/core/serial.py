@@ -17,41 +17,53 @@ common code is induced:
 
 from __future__ import annotations
 
-from repro.core.costmodel import CostModel, merge_key_sort_key
+from repro.core.costmodel import CostModel
 from repro.core.ops import Region
+from repro.core.prepared import PreparedRegion
 from repro.core.schedule import Schedule, Slot
 
 __all__ = ["lockstep_schedule", "serial_schedule"]
 
 
-def serial_schedule(region: Region, model: CostModel) -> Schedule:
-    """One slot per operation, threads strictly one after another."""
-    slots: list[Slot] = []
-    for tc in region.threads:
-        for op in tc.ops:
-            slots.append(Slot(model.opcode_class(op.opcode), {tc.thread: op.index}))
-    return Schedule(tuple(slots))
+def serial_schedule(region: Region, model: CostModel,
+                    prepared: PreparedRegion | None = None) -> Schedule:
+    """One slot per operation, threads strictly one after another.
+
+    Classes come from ``prepared``'s merge-key table, or from one built
+    here when none is passed.
+    """
+    if prepared is None:
+        prepared = PreparedRegion.build(region, model)
+    opclasses = prepared.table.opclasses
+    return Schedule(tuple([
+        Slot._adopt(opclasses[kid], {t: i})
+        for t, key_of in enumerate(prepared.table.ids_by_thread)
+        for i, kid in enumerate(key_of)
+    ]))
 
 
-def lockstep_schedule(region: Region, model: CostModel) -> Schedule:
+def lockstep_schedule(region: Region, model: CostModel,
+                      prepared: PreparedRegion | None = None) -> Schedule:
     """Interpreter-style lockstep execution in program order.
 
     Cycle ``k`` looks at operation ``k`` of every thread still running,
     groups them by merge key, and issues one slot per group (deterministic
     order: the canonical merge-key order, so results are reproducible and
-    independent of float formatting).
+    independent of float formatting).  Key ids come from ``prepared``'s
+    merge-key table, or from one built here when none is passed; id
+    order is the canonical order.
     """
+    if prepared is None:
+        prepared = PreparedRegion.build(region, model)
+    table = prepared.table
+    opclasses = table.opclasses
+    rows = table.ids_by_thread
     slots: list[Slot] = []
-    depth = max((len(tc) for tc in region.threads), default=0)
-    for k in range(depth):
-        groups: dict[tuple, dict[int, int]] = {}
-        for tc in region.threads:
-            if k < len(tc):
-                op = tc.ops[k]
-                groups.setdefault(model.merge_key(op), {})[tc.thread] = k
-        for key in sorted(groups, key=merge_key_sort_key):
-            picks = groups[key]
-            any_thread = next(iter(picks))
-            opclass = model.opcode_class(region[any_thread].ops[picks[any_thread]].opcode)
-            slots.append(Slot(opclass, picks))
+    for k in range(max(map(len, rows), default=0)):
+        groups: dict[int, dict[int, int]] = {}
+        for t, key_of in enumerate(rows):
+            if k < len(key_of):
+                groups.setdefault(key_of[k], {})[t] = k
+        for kid in sorted(groups):
+            slots.append(Slot._adopt(opclasses[kid], groups[kid]))
     return Schedule(tuple(slots))

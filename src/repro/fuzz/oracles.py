@@ -139,7 +139,7 @@ def _check_region(case: FuzzCase,
     # Upper bounds.  Slot cost includes masking for every slot, so merging
     # strictly removes cost: any leaf ≤ serial, and greedy ≤ serial too.
     greedy = greedy_schedule(region, model, prepared)
-    serial = serial_schedule(region, model)
+    serial = serial_schedule(region, model, prepared)
     greedy_cost = greedy.cost(model)
     serial_cost = serial.cost(model)
     if greedy_cost > serial_cost + _EPS:
@@ -182,9 +182,10 @@ def _check_region(case: FuzzCase,
                            f"region_fingerprint = {fingerprint}"))
 
     # The result as the driver reports (and caches) it.
+    lockstep_cost = lockstep_schedule(region, model, prepared).cost(model)
     result = InductionResult(
         method="search", schedule=schedule, cost=stats.best_cost,
-        serial_cost=serial_cost, lockstep_cost=lockstep_schedule(region, model).cost(model),
+        serial_cost=serial_cost, lockstep_cost=lockstep_cost,
         stats=stats, wall_s=stats.wall_s)
     payload = result_to_payload(result)
 

@@ -64,7 +64,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
-from repro.api import InductionRequest
+from repro.api import InductionRequest, valid_deadline
 from repro.core.costmodel import CostModel
 from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
@@ -265,8 +265,9 @@ def _check_unkeyed(wire: Mapping[str, Any]) -> None:
 
     A nonzero ``window`` asks for a windowed schedule, which no server
     computes (older clients send ``window: 0`` and ``jobs`` on every
-    submit; both are ignored), and ``deadline_s`` must be a positive
-    number.  :class:`SubmitMemo` checks these on every submit, hit or not.
+    submit; both are ignored), and ``deadline_s`` must pass
+    :func:`~repro.api.valid_deadline`, the rule a local request keeps.
+    :class:`SubmitMemo` checks these on every submit, hit or not.
     """
     try:
         window = int(wire.get("window", 0))
@@ -277,11 +278,10 @@ def _check_unkeyed(wire: Mapping[str, Any]) -> None:
             "bad submit payload: windowed induction was removed; "
             "submit the whole region")
     deadline_s = wire.get("deadline_s")
-    if deadline_s is not None and not (
-            isinstance(deadline_s, (int, float)) and deadline_s > 0):
+    if deadline_s is not None and not valid_deadline(deadline_s):
         raise ProtocolError(
-            f"bad submit payload: deadline must be positive, "
-            f"got {deadline_s!r}")
+            f"bad submit payload: deadline must be a positive finite "
+            f"number of seconds, got {deadline_s!r}")
 
 
 def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:

@@ -53,6 +53,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from repro.api import valid_deadline
 from repro.core.cache import ScheduleCache, check_entry, replay
 from repro.core.result import result_to_payload
 from repro.service.endpoint import Endpoint
@@ -117,6 +118,11 @@ class ServerConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_size < 1:
             raise ValueError(f"queue size must be >= 1, got {self.queue_size}")
+        if self.default_deadline_s is not None and \
+                not valid_deadline(self.default_deadline_s):
+            raise ValueError(
+                f"default deadline must be a positive finite number of "
+                f"seconds, got {self.default_deadline_s!r}")
 
 
 def flightrec_reply(recorder: FlightRecorder, msg: dict) -> dict:

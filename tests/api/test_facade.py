@@ -46,6 +46,22 @@ class TestInductionRequest:
         with pytest.raises(ValueError, match="deadline"):
             api.InductionRequest(region=REGION, deadline_s=0.0)
 
+    @pytest.mark.parametrize("deadline", [
+        float("nan"), float("inf"), True, 0, -1],
+        ids=["nan", "inf", "true", "zero", "minus-1"])
+    def test_rejects_what_no_timeout_can_hold(self, deadline):
+        # Refused up front, before a deadline request starts its worker
+        # process, which turns the deadline into a timeout.
+        assert not api.valid_deadline(deadline)
+        with pytest.raises(ValueError, match="deadline"):
+            api.InductionRequest(region=REGION, deadline_s=deadline)
+
+    @pytest.mark.parametrize("deadline", [0.25, 1, 3600.0])
+    def test_accepts_positive_finite_deadlines(self, deadline):
+        assert api.valid_deadline(deadline)
+        assert api.InductionRequest(region=REGION,
+                                    deadline_s=deadline).deadline_s == deadline
+
     def test_accepts_portfolio_method(self):
         request = api.InductionRequest(region=REGION, method="portfolio")
         assert request.method == "portfolio"

@@ -1,10 +1,15 @@
 """Tests for the serial, lockstep and factoring baselines."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.costmodel import uniform_cost_model
+from repro.core.costmodel import merge_key_sort_key, uniform_cost_model
 from repro.core.factor import factor_schedule
 from repro.core.ops import Region, parse_region
+from repro.core.pipeline import baselines
+from repro.core.prepared import PreparedRegion
+from repro.core.schedule import Schedule, Slot
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import verify_schedule
 
@@ -85,6 +90,60 @@ class TestLockstep:
         s1 = lockstep_schedule(region, UNIT)
         s2 = lockstep_schedule(region, UNIT)
         assert [slot.opclass for slot in s1] == [slot.opclass for slot in s2]
+
+
+def _reference_serial(region, model):
+    """The serial baseline built from the model, op by op."""
+    return Schedule(tuple(
+        Slot(model.opcode_class(op.opcode), {tc.thread: op.index})
+        for tc in region.threads for op in tc.ops))
+
+
+def _reference_lockstep(region, model):
+    """The lockstep baseline grouped by ``model.merge_key`` tuples."""
+    slots = []
+    for k in range(max((len(tc) for tc in region.threads), default=0)):
+        groups: dict[tuple, dict[int, int]] = {}
+        for tc in region.threads:
+            if k < len(tc):
+                groups.setdefault(model.merge_key(tc.ops[k]),
+                                  {})[tc.thread] = k
+        for key in sorted(groups, key=merge_key_sort_key):
+            picks = groups[key]
+            t = next(iter(picks))
+            slots.append(Slot(model.opcode_class(region[t].ops[k].opcode),
+                              picks))
+    return Schedule(tuple(slots))
+
+
+class TestPreparedBaselines:
+    """Serial and lockstep read classes and key ids from the prepared
+    region's merge-key table; their schedules and costs equal the ones
+    built from the model, and ``baselines`` sums them bit for bit."""
+
+    @pytest.mark.parametrize("equal_imm", [False, True],
+                             ids=["any-imm", "require-equal-imm"])
+    def test_equal_to_model_built_baselines(self, equal_imm):
+        pytest.importorskip("numpy")
+        from repro.fuzz import GeneratorSpec, generate_case
+
+        spec = GeneratorSpec(program_fraction=0.0, imm_probability=0.6)
+        for index in range(80):
+            case = generate_case(5, index, spec)
+            region = case.region
+            model = dataclasses.replace(case.model,
+                                        require_equal_imm=equal_imm)
+            prepared = PreparedRegion.build(region, model)
+            serial = _reference_serial(region, model)
+            lockstep = _reference_lockstep(region, model)
+            assert serial_schedule(region, model, prepared) == serial
+            assert lockstep_schedule(region, model, prepared) == lockstep
+            assert serial_schedule(region, model) == serial
+            assert lockstep_schedule(region, model) == lockstep
+            assert baselines(prepared) == (serial.cost(model),
+                                           lockstep.cost(model))
+            assert baselines(prepared, "lockstep", 1.5) == \
+                (serial.cost(model), 1.5)
 
 
 class TestFactor:

@@ -183,3 +183,75 @@ class TestCriticalPath:
         region = Region.from_sequences([[]])
         dag = build_dags(region)[0]
         assert dag.critical_path_costs(region[0], uniform_cost_model()) == ()
+
+
+def _reference_dag(tc, serialize: bool, reduce: bool):
+    """``(preds, succs, pred_masks)`` from the set-based construction that
+    ``build_dags`` used before it built predecessor bitmasks directly."""
+    n = len(tc.ops)
+    preds: list[set[int]] = [set() for _ in range(n)]
+    if serialize:
+        for i in range(1, n):
+            preds[i].add(i - 1)
+    else:
+        last_write: dict[str, int] = {}
+        readers: dict[str, list[int]] = {}
+        for i, op in enumerate(tc.ops):
+            for sym in op.reads:
+                if sym in last_write:
+                    preds[i].add(last_write[sym])
+                readers.setdefault(sym, []).append(i)
+            for sym in op.writes:
+                if sym in last_write:
+                    preds[i].add(last_write[sym])
+                for r in readers.get(sym, ()):
+                    if r != i:
+                        preds[i].add(r)
+                last_write[sym] = i
+                readers[sym] = []
+        if reduce:
+            ancestors = [0] * n
+            reduced = []
+            for i, ps in enumerate(preds):
+                above = full = 0
+                for p in ps:
+                    above |= ancestors[p]
+                    full |= ancestors[p] | (1 << p)
+                reduced.append({p for p in ps if not (above >> p) & 1})
+                ancestors[i] = full
+            preds = reduced
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for i, ps in enumerate(preds):
+        for p in ps:
+            succs[p].append(i)
+    return (tuple(tuple(sorted(ps)) for ps in preds),
+            tuple(tuple(sorted(ss)) for ss in succs),
+            tuple(sum(1 << p for p in ps) for ps in preds))
+
+
+class TestMaskConstruction:
+    """``build_dags`` works on predecessor bitmasks; its DAGs equal the
+    set-based construction's, edge for edge, on every fuzz generator."""
+
+    @pytest.mark.parametrize("redundancy", [0.0, 0.8],
+                             ids=["random+handlers", "vn-redundant"])
+    @pytest.mark.parametrize("respect_order", [False, True])
+    @pytest.mark.parametrize("reduce", [True, False],
+                             ids=["reduced", "verbatim"])
+    def test_equals_set_construction(self, redundancy, respect_order,
+                                     reduce):
+        pytest.importorskip("numpy")
+        from repro.fuzz import GeneratorSpec, generate_case
+
+        spec = GeneratorSpec(redundancy=redundancy, program_fraction=0.0)
+        regions = 0
+        for seed in range(2):
+            for index in range(60):
+                region = generate_case(seed, index, spec).region
+                dags = build_dags(region, respect_order=respect_order,
+                                  transitive_reduction=reduce)
+                for tc, dag in zip(region.threads, dags):
+                    assert (dag.preds, dag.succs, dag.pred_masks) == \
+                        _reference_dag(tc, respect_order, reduce)
+                regions += 1
+        assert regions == 120

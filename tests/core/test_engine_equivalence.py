@@ -21,6 +21,11 @@ calls handed one prebuilt :class:`~repro.core.prepared.PreparedRegion`,
 legacy first — the way the fuzzer and the request drivers call the
 driver — so state one engine leaves on the shared DAGs, table or
 critical paths cannot steer the other's traversal.
+
+Two further axes pin where a search stops: a ``should_stop`` predicate
+(always true, or true from its Nth call) must stop both engines at the
+same poll, and the bound-met stop must end both at the same incumbent
+update.
 """
 
 import pytest
@@ -60,23 +65,28 @@ def _region(seed: int, threads: int, length: int):
         seed=seed)
 
 
-def _run(region, model, shared_prepared, **cfg_kwargs):
+def _run(region, model, shared_prepared, stop=None, **cfg_kwargs):
+    """Both engines' ``(schedule, stats)``; ``stop`` makes each run's own
+    ``should_stop`` predicate."""
     config = SearchConfig(**cfg_kwargs)
+
+    def run(prepared, **engine):
+        return branch_and_bound(region, model, config, prepared,
+                                should_stop=stop() if stop else None,
+                                **engine)
+
     if not shared_prepared:
-        return {
-            "bitmask": branch_and_bound(region, model, config),
-            "legacy": branch_and_bound(region, model, config,
-                                       search_fn=legacy_search),
-        }
+        return {"bitmask": run(None),
+                "legacy": run(None, search_fn=legacy_search)}
     prepared = PreparedRegion.build(region, model, config.respect_order)
-    legacy = branch_and_bound(region, model, config, prepared,
-                              search_fn=legacy_search)
-    return {"legacy": legacy,
-            "bitmask": branch_and_bound(region, model, config, prepared)}
+    legacy = run(prepared, search_fn=legacy_search)
+    return {"legacy": legacy, "bitmask": run(prepared)}
 
 
-def _assert_equivalent(region, model, shared_prepared, **cfg_kwargs):
-    out = _run(region, model, shared_prepared, **cfg_kwargs)
+def _assert_equivalent(region, model, shared_prepared, stop=None,
+                       **cfg_kwargs):
+    """Assert parity; returns the bitmask engine's stats."""
+    out = _run(region, model, shared_prepared, stop, **cfg_kwargs)
     sched_ref, stats_ref = out["legacy"]
     sched, stats = out["bitmask"]
     for field in _COMPARED_FIELDS:
@@ -87,6 +97,7 @@ def _assert_equivalent(region, model, shared_prepared, **cfg_kwargs):
         f"schedules diverged: bitmask vs legacy (config={cfg_kwargs})")
     assert sched.cost(model) == sched_ref.cost(model)
     verify_schedule(sched_ref, region, model)
+    return stats
 
 
 @pytest.fixture(params=["scalar", "vec"])
@@ -157,6 +168,98 @@ class TestEngineEquivalence:
         from repro.core.ops import Region
         region = Region(())
         _assert_equivalent(region, maspar_cost_model(), shared_prepared)
+
+
+def _stop_from_call(n):
+    """A ``should_stop`` factory whose predicates turn true from their
+    ``n``-th call on (``n=1``: always true)."""
+    def make():
+        calls = 0
+
+        def should_stop():
+            nonlocal calls
+            calls += 1
+            return calls >= n
+        return should_stop
+    return make
+
+
+#: A region whose greedy seed (68) the search improves on (60): the
+#: bitmask engine used to skip the root poll that legacy makes at node 0.
+_POLLED = RandomRegionSpec(num_threads=4, min_len=8, max_len=8, vocab_size=8,
+                           overlap=0.5, private_vocab=False)
+
+
+class TestShouldStopParity:
+    """Both engines poll ``should_stop`` at the root and every 256 nodes,
+    and stop at the same poll."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3], ids=["always", "from-2nd",
+                                                  "from-3rd"])
+    def test_root_and_periodic_polls(self, n, shared_prepared):
+        region = random_region(_POLLED, seed=3)
+        stats = _assert_equivalent(region, maspar_cost_model(),
+                                   shared_prepared, _stop_from_call(n))
+        if n == 1:
+            assert stats.nodes_expanded == 0 and stats.budget_exhausted
+            assert stats.best_cost == 68.0
+
+    @pytest.mark.parametrize("seed", [4, 5, 10, 11])
+    @pytest.mark.parametrize("n", [1, 2, 3], ids=["always", "from-2nd",
+                                                  "from-3rd"])
+    def test_unpruned_search_stops_at_the_same_poll(self, seed, n,
+                                                    shared_prepared):
+        # Bounds off: 1,141-4,453 nodes, so the 2nd and 3rd polls (nodes
+        # 256 and 512) are reached.
+        region = _region(seed, 2 + seed % 3, 4 + seed % 7)
+        stats = _assert_equivalent(
+            region, maspar_cost_model(), shared_prepared, _stop_from_call(n),
+            node_budget=20_000, use_cp_bound=False, use_class_bound=False)
+        assert stats.budget_exhausted
+        assert stats.nodes_expanded == 256 * (n - 1)
+
+
+class TestBoundMetStop:
+    """The search stops at the incumbent update whose cost meets the root
+    bound: both engines at the same update, reported optimal and not
+    exhausted."""
+
+    @pytest.mark.parametrize("case", [
+        ("random", 5), ("random", 10), ("random", 11), ("polled", 3),
+        ("e3", 42)])
+    def test_stop_fires_mid_search(self, case, shared_prepared):
+        family, seed = case
+        if family == "random":
+            region = _region(seed, 2 + seed % 3, 4 + seed % 7)
+        elif family == "polled":
+            region = random_region(_POLLED, seed=seed)
+        else:
+            region = random_region(
+                RandomRegionSpec(num_threads=3, min_len=8, max_len=8,
+                                 vocab_size=8, overlap=0.6,
+                                 private_vocab=False), seed=seed)
+        model = maspar_cost_model()
+        stats = _assert_equivalent(region, model, shared_prepared,
+                                   node_budget=20_000)
+        bound = PreparedRegion.build(region, model).lower_bound
+        assert stats.incumbent_updates >= 1 and stats.nodes_expanded > 1
+        assert stats.best_cost == bound
+        assert stats.optimal and not stats.budget_exhausted
+
+    #: Nodes each region of ``test_random_regions_all_knob_combos`` takes
+    #: with both bound knobs off, before the stop existed: with no bound
+    #: the stop never fires, so the counts must not move.
+    UNBOUNDED_NODES = (19, 125, 127, 68, 1141, 1170, 791, 92, 447, 27,
+                       2391, 4453)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_stop_without_a_bound(self, seed, shared_prepared):
+        region = _region(seed, 2 + seed % 3, 4 + seed % 7)
+        stats = _assert_equivalent(
+            region, maspar_cost_model(), shared_prepared,
+            node_budget=20_000, use_cp_bound=False, use_class_bound=False)
+        assert stats.nodes_expanded == self.UNBOUNDED_NODES[seed]
+        assert stats.optimal
 
 
 class TestVnRewrittenEquivalence:

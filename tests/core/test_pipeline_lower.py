@@ -99,13 +99,17 @@ class TestBaselineReuse:
         calls = {"serial": 0, "lockstep": 0}
         real_serial, real_lockstep = pipeline.serial_schedule, pipeline.lockstep_schedule
 
-        def counting_serial(region, model):
+        # Each baseline reads the request's prepared region: none is
+        # built for it.
+        def counting_serial(region, model, prepared=None):
+            assert prepared is not None
             calls["serial"] += 1
-            return real_serial(region, model)
+            return real_serial(region, model, prepared)
 
-        def counting_lockstep(region, model):
+        def counting_lockstep(region, model, prepared=None):
+            assert prepared is not None
             calls["lockstep"] += 1
-            return real_lockstep(region, model)
+            return real_lockstep(region, model, prepared)
 
         monkeypatch.setattr(pipeline, "serial_schedule", counting_serial)
         monkeypatch.setattr(pipeline, "lockstep_schedule", counting_lockstep)

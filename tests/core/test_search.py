@@ -289,3 +289,59 @@ class TestGreedySeeding:
         assert sched == corrupt
         with pytest.raises(ScheduleError):
             api.induce(api.InductionRequest(region=region, model=UNIT))
+
+
+class TestBoundMetStop:
+    """The search stops at the incumbent update whose cost meets the root
+    bound ``max(cp, class)``: that leaf is optimal, so nothing after it
+    could improve on it or prove more."""
+
+    # Greedy costs 68 here; the optimum, 60, is the root bound.
+    SPEC = RandomRegionSpec(num_threads=4, min_len=8, max_len=8, vocab_size=8,
+                            overlap=0.5, private_vocab=False)
+
+    @pytest.mark.parametrize("search_fn", [bitmask_search, legacy_search],
+                             ids=["bitmask", "legacy"])
+    def test_stops_at_the_update_that_meets_the_root_bound(self, search_fn):
+        from dataclasses import replace
+
+        from repro.core.costmodel import maspar_cost_model
+        from repro.core.prepared import PreparedRegion
+
+        region, model = random_region(self.SPEC, seed=3), maspar_cost_model()
+        prepared = PreparedRegion.build(region, model)
+        greedy_cost = greedy_schedule(region, model, prepared).cost(model)
+        sched, stats = branch_and_bound(region, model, prepared=prepared,
+                                        search_fn=search_fn)
+        assert greedy_cost > prepared.lower_bound
+        assert sched.cost(model) == stats.best_cost == prepared.lower_bound
+        assert stats.optimal and not stats.budget_exhausted
+        assert stats.incumbent_updates >= 1
+        # It stopped at that update: one node less does not reach the
+        # optimal leaf, and a budget of exactly the nodes it expanded is
+        # never hit, since no node is tried after the leaf.
+        _, short = branch_and_bound(
+            region, model, SearchConfig(node_budget=stats.nodes_expanded - 1),
+            search_fn=search_fn)
+        assert short.budget_exhausted and short.best_cost > stats.best_cost
+        _, capped = branch_and_bound(
+            region, model, SearchConfig(node_budget=stats.nodes_expanded),
+            search_fn=search_fn)
+        assert replace(capped, wall_s=0.0) == replace(stats, wall_s=0.0)
+
+    @pytest.mark.parametrize("search_fn", [bitmask_search, legacy_search],
+                             ids=["bitmask", "legacy"])
+    def test_a_seed_at_the_bound_prunes_the_root(self, search_fn):
+        region = parse_region("""
+        thread 0:
+            a = ld x
+            b = add a a
+        thread 1:
+            c = ld x
+            d = add c c
+        """)
+        sched, stats = branch_and_bound(region, UNIT, search_fn=search_fn)
+        assert sched == greedy_schedule(region, UNIT)
+        assert (stats.nodes_expanded, stats.pruned_by_bound,
+                stats.incumbent_updates) == (1, 1, 0)
+        assert stats.optimal and not stats.budget_exhausted

@@ -229,3 +229,18 @@ class TestRequestWire:
         wire["deadline_s"] = -1
         with pytest.raises(protocol.ProtocolError):
             protocol.request_from_wire(wire)
+
+    @pytest.mark.parametrize("deadline", [
+        float("nan"), float("inf"), True, 0, -1],
+        ids=["nan", "inf", "true", "zero", "minus-1"])
+    def test_deadline_follows_the_local_rule(self, deadline):
+        # The wire refuses what InductionRequest refuses, JSON true (a
+        # bool is an int) and infinity included.
+        wire = protocol.request_to_wire(InductionRequest(region=REGION))
+        wire["deadline_s"] = deadline
+        with pytest.raises(protocol.ProtocolError, match="deadline"):
+            protocol.request_from_wire(wire)
+        with pytest.raises(ValueError, match="deadline"):
+            InductionRequest(region=REGION, deadline_s=deadline)
+        wire["deadline_s"] = 0.25
+        assert protocol.request_from_wire(wire).deadline_s == 0.25

@@ -54,6 +54,15 @@ def test_submit_returns_verified_schedule(tmp_path, request_):
         server.shutdown()
 
 
+@pytest.mark.parametrize("deadline", [
+    float("nan"), float("inf"), True, 0, -1],
+    ids=["nan", "inf", "true", "zero", "minus-1"])
+def test_default_deadline_follows_the_request_rule(tmp_path, deadline):
+    with pytest.raises(ValueError, match="deadline"):
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     default_deadline_s=deadline)
+
+
 def test_ping_and_stats(tmp_path, request_):
     server = make_server(tmp_path)
     try:

@@ -115,8 +115,10 @@ def test_malformed_text_is_refused_every_time_and_never_remembered(daemon):
 
 @pytest.mark.parametrize("field,value", [
     ("window", 4), ("deadline_s", 0), ("deadline_s", -1.0),
-    ("deadline_s", "soon"),
-], ids=["window", "deadline-0", "deadline-negative", "deadline-text"])
+    ("deadline_s", "soon"), ("deadline_s", float("nan")),
+    ("deadline_s", float("inf")), ("deadline_s", True), ("deadline_s", -1),
+], ids=["window", "deadline-0", "deadline-negative", "deadline-text",
+        "deadline-nan", "deadline-inf", "deadline-true", "deadline-minus-1"])
 def test_memo_hit_still_checks_the_unkeyed_fields(daemon, field, value):
     request = InductionRequest(region=REGION, budget=10_000)
     with ServiceClient(daemon.endpoint) as client:
