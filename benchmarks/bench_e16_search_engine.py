@@ -18,19 +18,27 @@ engines can actually differ on.  Equality of every SearchStats counter
 and of the returned schedule is asserted on every run: a speedup on a
 different traversal would be meaningless.
 
+The two engines run interleaved, call by call: each round times one
+call of each, the first of the two alternating from round to round, so
+host drift over the run weighs on both alike.  A config's ratio is the
+median, over the rounds, of the round's legacy/bitmask wall ratio (both
+calls expand the same nodes); its nodes/sec columns use each engine's
+median wall.
+
 Acceptance criteria, gated by ``test_e16_search_engine``:
 
 - bitmask >= 5x legacy nodes/sec on the best config (2x in smoke);
 - that ratio stays within 30% of the committed snapshot ratio
   (``best_ratio`` in ``benchmarks/BENCH_search.json``).
 
-``E16_SMOKE=1`` shrinks budgets/reps for CI.  The bench skips cleanly if
-numpy is missing (the workload generator needs it).
+``E16_SMOKE=1`` shrinks budgets/rounds for CI.  The bench skips cleanly
+if numpy is missing (the workload generator needs it).
 """
 
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import pytest
@@ -50,10 +58,9 @@ except ImportError:  # pragma: no cover - numpy-less install
 SMOKE = os.environ.get("E16_SMOKE", "") not in ("", "0")
 MODEL = maspar_cost_model()
 BUDGET = 4_000 if SMOKE else 400_000
-REPS = 2 if SMOKE else 3
+ROUNDS = 5 if SMOKE else 9
 SNAPSHOT = pathlib.Path(__file__).parent / "BENCH_search.json"
 
-#: Measurement order: the reference first, then the production engine.
 ENGINES = {"legacy": legacy_search, "bitmask": bitmask_search}
 
 CONFIGS = {
@@ -91,16 +98,18 @@ def _timed(search_fn, walls: list[float]):
 def run_experiment():
     region = e3_region()
     rows = []
-    data = {"smoke": SMOKE, "budget": BUDGET, "reps": REPS, "configs": {}}
+    data = {"smoke": SMOKE, "budget": BUDGET, "rounds": ROUNDS,
+            "configs": {}}
     for name, kwargs in CONFIGS.items():
         config = SearchConfig(**kwargs)
         walls = {engine: [] for engine in ENGINES}
         outcome = {}
-        for _ in range(REPS):
-            for engine, search_fn in ENGINES.items():
+        for index in range(ROUNDS):
+            order = list(ENGINES) if index % 2 == 0 else list(ENGINES)[::-1]
+            for engine in order:
                 outcome[engine] = branch_and_bound(
                     region, MODEL, config,
-                    search_fn=_timed(search_fn, walls[engine]))
+                    search_fn=_timed(ENGINES[engine], walls[engine]))
         # A faster engine on a different traversal would be meaningless:
         # schedules and every counter must agree before timing counts.
         sched_ref, stats_ref = outcome["legacy"]
@@ -111,17 +120,19 @@ def run_experiment():
                 f"{name}: bitmask {field} diverged"
 
         nodes = stats_ref.nodes_expanded
-        wall = {e: min(walls[e]) for e in ENGINES}
+        wall = {e: statistics.median(walls[e]) for e in ENGINES}
         nps = {e: nodes / wall[e] if wall[e] else float("inf")
                for e in ENGINES}
-        ratio = nps["bitmask"] / nps["legacy"] if nps["legacy"] \
-            else float("inf")
+        ratios = [legacy / bitmask for legacy, bitmask in
+                  zip(walls["legacy"], walls["bitmask"])]
+        ratio = statistics.median(ratios)
         data["configs"][name] = {
             "nodes": nodes,
             "legacy_wall_s": wall["legacy"],
             "bitmask_wall_s": wall["bitmask"],
             "legacy_nodes_per_s": nps["legacy"],
             "bitmask_nodes_per_s": nps["bitmask"],
+            "round_ratios": ratios,
             "ratio": ratio,
         }
         rows.append([name, nodes, f"{nps['legacy']:,.0f}",
@@ -130,11 +141,11 @@ def run_experiment():
     data["best_ratio"] = max(c["ratio"] for c in data["configs"].values())
     text = format_table(
         ["config", "nodes", "legacy nodes/s", "bitmask nodes/s",
-         "bitmask/legacy"],
+         "bitmask/legacy (median)"],
         rows,
         title=f"E16: bitmask vs legacy, engine-only timing "
-              f"(3x8-op E3 region, budget {BUDGET:,}"
-              f"{', smoke' if SMOKE else ''})")
+              f"(3x8-op E3 region, budget {BUDGET:,}, {ROUNDS} "
+              f"interleaved rounds{', smoke' if SMOKE else ''})")
     record_table("E16_search_engine", text, data=data)
     return data
 

@@ -8,44 +8,19 @@ discrete-event UNIX execution models (:mod:`repro.models`), and the AHS-style
 heterogeneous target-selection scheduler (:mod:`repro.sched`).
 """
 
-from repro.core import (
-    CostModel,
-    InductionResult,
-    Operation,
-    Region,
-    Schedule,
-    ThreadCode,
-    maspar_cost_model,
-    parse_region,
-    uniform_cost_model,
-    verify_schedule,
-)
+from repro._lazy import reexport
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name: str):
-    # Lazy so that `import repro` (and the whole CSI core) works without
-    # numpy; the AHS pipeline pulls in the interpreter stack, which needs
-    # the [fast] extra.
-    if name in ("AhsReport", "run_ahs"):
-        from repro import ahs
-
-        return getattr(ahs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "AhsReport",
-    "CostModel",
-    "InductionResult",
-    "Operation",
-    "Region",
-    "Schedule",
-    "ThreadCode",
-    "__version__",
-    "maspar_cost_model",
-    "parse_region",
-    "run_ahs",
-    "uniform_cost_model",
-    "verify_schedule",
-]
+# On access, so that `import repro` loads nothing else; the AHS pipeline
+# pulls in the interpreter stack, which needs the [fast] extra (numpy).
+__getattr__, __dir__, __all__ = reexport(__name__, {
+    "repro.ahs": ("AhsReport", "run_ahs"),
+    "repro.core.costmodel": ("CostModel", "maspar_cost_model",
+                             "uniform_cost_model"),
+    "repro.core.ops": ("Operation", "Region", "ThreadCode", "parse_region"),
+    "repro.core.pipeline": ("InductionResult",),
+    "repro.core.schedule": ("Schedule",),
+    "repro.core.verify": ("verify_schedule",),
+})
+__all__ = ["__version__", *__all__]

@@ -40,10 +40,9 @@ from typing import Any, Mapping
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel, maspar_cost_model, uniform_cost_model
 from repro.core.ops import Region, parse_region
-from repro.core.pipeline import REQUEST_METHODS, run_induction
+from repro.core.pipeline import REQUEST_METHODS, VN_MODES, run_induction
 from repro.core.result import ResultBase
 from repro.core.search import SearchConfig
-from repro.core.vn import VN_MODES
 from repro.obs import Tracer
 
 __all__ = ["InductionRequest", "KNOB_METHODS", "REQUEST_METHODS", "induce",

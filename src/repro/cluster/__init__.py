@@ -26,22 +26,15 @@ daemon; this package makes it a *cluster* of them.  The pieces, bottom-up:
   :class:`~repro.service.endpoint.Endpoint`).
 """
 
-from repro.cluster.config import ClusterConfig, RetryPolicy
-from repro.cluster.local import LocalCluster
-from repro.cluster.membership import Membership, NodeHealth
-from repro.cluster.remotecache import RemoteScheduleCache
-from repro.cluster.ring import HashRing
-from repro.cluster.router import ClusterClient, ClusterForwarder, ClusterRouter
+from repro._lazy import reexport
 
-__all__ = [
-    "ClusterClient",
-    "ClusterConfig",
-    "ClusterForwarder",
-    "ClusterRouter",
-    "HashRing",
-    "LocalCluster",
-    "Membership",
-    "NodeHealth",
-    "RemoteScheduleCache",
-    "RetryPolicy",
-]
+# On access: a node loads no router, and a router no in-process cluster.
+__getattr__, __dir__, __all__ = reexport(__name__, {
+    "repro.cluster.config": ("ClusterConfig", "RetryPolicy"),
+    "repro.cluster.local": ("LocalCluster",),
+    "repro.cluster.membership": ("Membership", "NodeHealth"),
+    "repro.cluster.remotecache": ("RemoteScheduleCache",),
+    "repro.cluster.ring": ("HashRing",),
+    "repro.cluster.router": ("ClusterClient", "ClusterForwarder",
+                             "ClusterRouter"),
+})

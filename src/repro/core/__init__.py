@@ -17,76 +17,32 @@ wraps the driver with request parsing, deadlines and the service):
   :func:`repro.core.verify.verify_schedule`.
 - :class:`repro.core.cache.ScheduleCache` — content-addressed memoization
   of finished results (in-memory LRU + optional on-disk tier).
+
+Every name below is re-exported on access (:mod:`repro._lazy`), so
+importing this package loads none of its modules.
 """
 
-from repro.core.anneal import AnnealStats, anneal_schedule
-from repro.core.cache import ScheduleCache, region_fingerprint
-from repro.core.costmodel import CostModel, maspar_cost_model, uniform_cost_model
-from repro.core.dag import DependenceDAG, build_dags
-from repro.core.factor import factor_schedule
-from repro.core.greedy import greedy_schedule
-from repro.core.lower import MaskedInstruction, lower_schedule, render_simd_code
-from repro.core.ops import Operation, Region, ThreadCode, parse_region
-from repro.core.pipeline import InductionResult, run_induction
-from repro.core.portfolio import (
-    PORTFOLIO_STRATEGIES,
-    PortfolioResult,
-    StrategyOutcome,
-    run_portfolio,
-)
-from repro.core.result import (
-    ResultBase,
-    ServiceResult,
-    result_from_payload,
-    result_to_payload,
-)
-from repro.core.schedule import (
-    Schedule,
-    Slot,
-    schedule_from_payload,
-    schedule_to_payload,
-)
-from repro.core.search import SearchStats, branch_and_bound
-from repro.core.serial import lockstep_schedule, serial_schedule
-from repro.core.verify import ScheduleError, verify_schedule
+from repro._lazy import reexport
 
-__all__ = [
-    "AnnealStats",
-    "CostModel",
-    "DependenceDAG",
-    "InductionResult",
-    "MaskedInstruction",
-    "Operation",
-    "PORTFOLIO_STRATEGIES",
-    "PortfolioResult",
-    "Region",
-    "Schedule",
-    "ScheduleCache",
-    "ScheduleError",
-    "SearchStats",
-    "Slot",
-    "StrategyOutcome",
-    "ThreadCode",
-    "anneal_schedule",
-    "branch_and_bound",
-    "build_dags",
-    "factor_schedule",
-    "greedy_schedule",
-    "lockstep_schedule",
-    "lower_schedule",
-    "maspar_cost_model",
-    "parse_region",
-    "region_fingerprint",
-    "render_simd_code",
-    "result_from_payload",
-    "result_to_payload",
-    "run_induction",
-    "run_portfolio",
-    "ResultBase",
-    "ServiceResult",
-    "schedule_from_payload",
-    "schedule_to_payload",
-    "serial_schedule",
-    "uniform_cost_model",
-    "verify_schedule",
-]
+__getattr__, __dir__, __all__ = reexport(__name__, {
+    "repro.core.anneal": ("AnnealStats", "anneal_schedule"),
+    "repro.core.cache": ("ScheduleCache", "region_fingerprint"),
+    "repro.core.costmodel": ("CostModel", "maspar_cost_model",
+                             "uniform_cost_model"),
+    "repro.core.dag": ("DependenceDAG", "build_dags"),
+    "repro.core.factor": ("factor_schedule",),
+    "repro.core.greedy": ("greedy_schedule",),
+    "repro.core.lower": ("MaskedInstruction", "lower_schedule",
+                         "render_simd_code"),
+    "repro.core.ops": ("Operation", "Region", "ThreadCode", "parse_region"),
+    "repro.core.pipeline": ("InductionResult", "run_induction"),
+    "repro.core.portfolio": ("PORTFOLIO_STRATEGIES", "PortfolioResult",
+                             "StrategyOutcome", "run_portfolio"),
+    "repro.core.result": ("ResultBase", "ServiceResult",
+                          "result_from_payload", "result_to_payload"),
+    "repro.core.schedule": ("Schedule", "Slot", "schedule_from_payload",
+                            "schedule_to_payload"),
+    "repro.core.search": ("SearchStats", "branch_and_bound"),
+    "repro.core.serial": ("lockstep_schedule", "serial_schedule"),
+    "repro.core.verify": ("ScheduleError", "verify_schedule"),
+})

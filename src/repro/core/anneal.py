@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-try:  # numpy is the [fast] extra; the annealer is the only core user.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    np = None
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.costmodel import CostModel
 from repro.core.dag import DependenceDAG
@@ -29,6 +24,9 @@ from repro.core.ops import Region
 from repro.core.prepared import PreparedRegion
 from repro.core.schedule import Schedule, Slot
 from repro.util.rng import make_rng, resolve_seed
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 __all__ = ["AnnealStats", "anneal_schedule"]
 
@@ -108,10 +106,12 @@ def anneal_schedule(
     exit with the best schedule found so far — used by the portfolio racer
     to cancel a losing anneal and to honor deadlines.
     """
-    if np is None:
+    try:  # numpy is the [fast] extra; the annealer is the only core user.
+        import numpy as np
+    except ImportError as exc:
         raise RuntimeError(
             "anneal_schedule requires numpy; install it with the [fast] "
-            "extra (pip install repro[fast])")
+            "extra (pip install repro[fast])") from exc
     if steps < 0:
         raise ValueError(f"negative step count {steps}")
     if not 0.0 < cooling <= 1.0:

@@ -21,9 +21,9 @@ Two structures here serve the bitmask search engine
   (dependences, transitive reduction) and derives ``preds``/``succs``
   from them;
 - :class:`ReadyIndex` — a mutable ready-ops-by-merge-key index maintained
-  *incrementally* as ops complete/uncomplete, shared by the greedy list
-  scheduler and the branch-and-bound push/pop loop so neither ever rescans
-  the whole DAG per step.
+  *incrementally* as ops complete, shared by the greedy list scheduler
+  and the branch-and-bound push/pop loop so neither ever rescans the
+  whole DAG per step.
 
 Construction applies *transitive reduction* by default: a direct edge
 ``p -> i`` is dropped when another predecessor ``q`` of ``i`` is reachable
@@ -38,10 +38,13 @@ touches.  ``transitive_reduction=False`` restores the verbatim edge set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.costmodel import CostModel, MergeKeyTable
+from repro.core.costmodel import CostModel
 from repro.core.ops import Region, ThreadCode
+
+if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
+    from repro.core.prepared import PreparedRegion
 
 __all__ = ["DependenceDAG", "ReadyIndex", "build_dags"]
 
@@ -199,41 +202,35 @@ class ReadyIndex:
     The index the bitmask engine and the greedy list scheduler share.  For
     every (merge-key id, thread) pair it keeps a bitmask of that thread's
     *ready* ops of that key, plus a per-key total so empty keys are skipped
-    in O(1).  :meth:`complete`/:meth:`uncomplete` maintain the structure as
-    ops finish and un-finish (branch-and-bound backtracking), touching only
-    the finished op's successors — there is no per-step ``ready()`` rescan
-    and no per-step dict building anywhere.
+    in O(1).  :meth:`complete` maintains the structure as ops finish,
+    touching only the finished op's successors — there is no per-step
+    ``ready()`` rescan and no per-step dict building anywhere (the bitmask
+    engine inlines the same update and its exact undo).
 
     Layout: ``ready[kid * num_threads + t]`` is the bitmask for merge key
-    ``kid`` in thread ``t``; key ids come from a :class:`MergeKeyTable`
-    whose id order equals the canonical merge-key order, so iterating ids
-    ascending reproduces the schedulers' canonical key exploration order.
+    ``kid`` in thread ``t``; key ids come from a
+    :class:`~repro.core.costmodel.MergeKeyTable` whose id order equals the
+    canonical merge-key order, so iterating ids ascending reproduces the
+    schedulers' canonical key exploration order.  The root state is a
+    copy of the one the prepared region built.
     """
 
-    __slots__ = ("num_threads", "table", "key_of", "pred_masks", "succs",
-                 "done", "ready", "ready_count")
+    __slots__ = ("num_threads", "key_of", "pred_masks", "succs", "done",
+                 "ready", "ready_count")
 
-    def __init__(self, region: Region, dags: tuple[DependenceDAG, ...],
-                 table: MergeKeyTable) -> None:
-        num_threads = region.num_threads
+    def __init__(self, prepared: "PreparedRegion") -> None:
+        num_threads = prepared.region.num_threads
         self.num_threads = num_threads
-        self.table = table
-        self.key_of = table.ids_by_thread
-        self.pred_masks = tuple(dag.pred_masks for dag in dags)
-        self.succs = tuple(dag.succs for dag in dags)
+        self.key_of = prepared.table.ids_by_thread
+        self.pred_masks = tuple(dag.pred_masks for dag in prepared.dags)
+        self.succs = tuple(dag.succs for dag in prepared.dags)
         self.done = [0] * num_threads
-        self.ready = [0] * (len(table) * num_threads)
-        self.ready_count = [0] * len(table)
-        for t in range(num_threads):
-            key_of = self.key_of[t]
-            for i, mask in enumerate(self.pred_masks[t]):
-                if mask == 0:
-                    self.ready[key_of[i] * num_threads + t] |= 1 << i
-                    self.ready_count[key_of[i]] += 1
+        self.ready = list(prepared.root_ready)
+        self.ready_count = list(prepared.root_ready_count)
 
-    def complete(self, t: int, i: int) -> list[int]:
-        """Mark op ``i`` of thread ``t`` done; returns the ops that became
-        ready (the exact undo token :meth:`uncomplete` needs)."""
+    def complete(self, t: int, i: int) -> None:
+        """Mark op ``i`` of thread ``t`` done and make ready every successor
+        whose predecessors are now all done."""
         num_threads = self.num_threads
         key_of = self.key_of[t]
         bit = 1 << i
@@ -241,48 +238,9 @@ class ReadyIndex:
         done_t = self.done[t]
         self.ready[key_of[i] * num_threads + t] &= ~bit
         self.ready_count[key_of[i]] -= 1
-        newly: list[int] = []
         pred_masks = self.pred_masks[t]
         for s in self.succs[t][i]:
             mask = pred_masks[s]
             if mask & done_t == mask:
                 self.ready[key_of[s] * num_threads + t] |= 1 << s
                 self.ready_count[key_of[s]] += 1
-                newly.append(s)
-        return newly
-
-    def uncomplete(self, t: int, i: int, newly: list[int]) -> None:
-        """Exact inverse of :meth:`complete` (backtracking)."""
-        num_threads = self.num_threads
-        key_of = self.key_of[t]
-        for s in newly:
-            self.ready[key_of[s] * num_threads + t] &= ~(1 << s)
-            self.ready_count[key_of[s]] -= 1
-        self.done[t] &= ~(1 << i)
-        self.ready[key_of[i] * num_threads + t] |= 1 << i
-        self.ready_count[key_of[i]] += 1
-
-    def pick_orders(self, crit: tuple[tuple[float, ...], ...],
-                    prefer_low_index: bool = False) -> list[tuple[int, ...]]:
-        """Per (key, thread) op-candidate order for ready-pick selection.
-
-        Ordered by remaining critical path descending; ties break toward
-        the higher op index (the search's ``max(idxs, key=(crit, i))``)
-        unless ``prefer_low_index`` (the greedy's first-max policy).  The
-        first candidate whose ready bit is set is the pick — almost always
-        the first probe, so selection is O(1) without any per-step sort.
-        """
-        num_threads = self.num_threads
-        orders: list[tuple[int, ...]] = [()] * (len(self.table) * num_threads)
-        for t in range(num_threads):
-            crit_t = crit[t]
-            buckets: dict[int, list[int]] = {}
-            for i, kid in enumerate(self.key_of[t]):
-                buckets.setdefault(kid, []).append(i)
-            for kid, idxs in buckets.items():
-                if prefer_low_index:
-                    idxs.sort(key=lambda i: (-crit_t[i], i))
-                else:
-                    idxs.sort(key=lambda i: (-crit_t[i], -i))
-                orders[kid * num_threads + t] = tuple(idxs)
-        return orders

@@ -13,7 +13,11 @@ picks the engine.  They must return the same schedules, costs and
 pruning-knob matrix, and ``repro fuzz`` re-checks it on random regions.
 """
 
-from repro.core.engines.bitmask import bitmask_search
-from repro.core.engines.legacy import legacy_search
+from repro._lazy import reexport
 
-__all__ = ["bitmask_search", "legacy_search"]
+# On access: a request runs only the bitmask engine, and never loads the
+# oracle.
+__getattr__, __dir__, __all__ = reexport(__name__, {
+    "repro.core.engines.bitmask": ("bitmask_search",),
+    "repro.core.engines.legacy": ("legacy_search",),
+})

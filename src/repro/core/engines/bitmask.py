@@ -70,8 +70,8 @@ def bitmask_search(
     num_threads = region.num_threads
     total_ops = region.num_ops
     num_keys = len(table)
-    index = ReadyIndex(region, prepared.dags, table)
-    orders = index.pick_orders(crit)
+    index = ReadyIndex(prepared)
+    orders = prepared.pick_orders()
 
     # True locals for everything the per-node loop touches.
     ready = index.ready

@@ -47,8 +47,8 @@ def greedy_schedule(
         prepared = PreparedRegion.build(region, model, respect_order)
     crit = prepared.crit
     table = prepared.table
-    index = ReadyIndex(region, prepared.dags, table)
-    orders = index.pick_orders(crit, prefer_low_index=True)
+    index = ReadyIndex(prepared)
+    orders = prepared.pick_orders(prefer_low_index=True)
     num_threads = region.num_threads
     num_keys = len(table)
     ready = index.ready

@@ -34,10 +34,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.anneal import anneal_schedule
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel
-from repro.core.factor import factor_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
 from repro.core.prepared import PreparedRegion
@@ -46,18 +44,23 @@ from repro.core.schedule import Schedule
 from repro.core.search import SearchConfig, SearchStats, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import verify_schedule
-from repro.core.vn import vn_prepass
 from repro.obs import NULL_TRACER, StopWatch, Tracer, span
 from repro.obs.metrics import get_registry, observe_search_throughput
-from repro.util.rng import resolve_seed
 
 __all__ = ["BUILDERS", "InductionResult", "METHODS", "REQUEST_METHODS",
-           "baselines", "run_induction"]
+           "VN_MODES", "baselines", "run_induction"]
 
 METHODS = ("search", "greedy", "anneal", "factor", "lockstep", "serial")
 
 #: Every method a request may name: the :data:`METHODS` plus the race.
 REQUEST_METHODS = METHODS + ("portfolio",)
+
+#: The value-numbering pre-pass modes (:func:`repro.core.vn.vn_prepass`):
+#: ``off`` (no pass — the default, bit-identical to pre-vn behavior),
+#: ``on`` (always rewrite), ``auto`` (rewrite, keep only if it lowered
+#: serial issue cost or raised cross-thread merge-key candidates).  Kept
+#: here, so a request checks its mode without loading the pass.
+VN_MODES = ("off", "on", "auto")
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,8 @@ class InductionResult(ResultBase):
 # One table for one-shot requests and the portfolio race.  ``should_stop``
 # is the race's cooperative-cancel predicate (None outside a race) and
 # ``seed`` its resolved seed (None: $REPRO_SEED, else 0).  Tests stub a
-# strategy by patching an entry.
+# strategy by patching an entry.  Builders that no search request runs
+# import their module on first use.
 # ---------------------------------------------------------------------------
 
 
@@ -97,6 +101,9 @@ def _greedy(prepared, config, should_stop, seed):
 
 
 def _anneal(prepared, config, should_stop, seed):
+    from repro.core.anneal import anneal_schedule
+    from repro.util.rng import resolve_seed
+
     schedule, _stats = anneal_schedule(
         prepared.region, prepared.model, seed=resolve_seed(seed, default=0),
         prepared=prepared, should_stop=should_stop)
@@ -104,6 +111,8 @@ def _anneal(prepared, config, should_stop, seed):
 
 
 def _factor(prepared, config, should_stop, seed):
+    from repro.core.factor import factor_schedule
+
     return factor_schedule(prepared.region, prepared.model), None
 
 
@@ -188,7 +197,10 @@ def run_induction(
         root = span("induce", tracer, method=method, ops=region.num_ops)
 
     with root as live:
-        region, vnstats = vn_prepass(region, model, vn, tracer)
+        vnstats = None
+        if vn != "off":
+            from repro.core.vn import vn_prepass
+            region, vnstats = vn_prepass(region, model, vn, tracer)
         if method == "portfolio":
             # Imported here: the race reads BUILDERS from this module.  It
             # checks every candidate before it can win.

@@ -1,16 +1,16 @@
 """One prepared region per request.
 
 :class:`PreparedRegion` derives the facts every consumer of a computed
-request needs — DAGs, merge-key table, critical paths, root lower bound —
-once, the way a CSE pass hashes each subexpression once for every later
-pass.  The greedy seed, both search engines, anneal, the portfolio race,
-the serial and lockstep baselines and the verifier read it.  It is immutable and lives for one request: it
-is never cached, and the portfolio's strategy threads share it.
+request needs — DAGs, merge-key table, critical paths, root lower bound,
+root ready state — once, the way a CSE pass hashes each subexpression
+once for every later pass.  The greedy seed, both search engines,
+anneal, the portfolio race, the serial and lockstep baselines and the
+verifier read it.  It is immutable and lives for one request: it is
+never cached, and the portfolio's strategy threads share it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.costmodel import CostModel, MergeKeyTable
@@ -36,6 +36,15 @@ class PreparedRegion:
     #: Schedule-independent bound on any valid schedule's cost: the max of
     #: the longest critical path and the class-count bound at the root.
     lower_bound: float
+    #: ``buckets[kid * num_threads + t]`` — op indices of merge key ``kid``
+    #: in thread ``t``, ascending.
+    buckets: tuple[tuple[int, ...], ...]
+    #: The root state of every :class:`~repro.core.dag.ReadyIndex`:
+    #: ``root_ready`` is the bitmask of ops without predecessors per
+    #: (key, thread), in ``buckets``' layout, and ``root_ready_count`` their
+    #: number per key.
+    root_ready: tuple[int, ...]
+    root_ready_count: tuple[int, ...]
 
     @classmethod
     def build(cls, region: Region, model: CostModel,
@@ -56,15 +65,53 @@ class PreparedRegion:
                         longest = cp[s]
                 cp[i] = slot_costs[key_of[i]] + longest
             crit.append(tuple(cp))
-        counts = [[0] * region.num_threads for _ in slot_costs]
-        for t, key_of in enumerate(table.ids_by_thread):
-            for kid, n in Counter(key_of).items():
-                counts[kid][t] = n
+        num_threads = region.num_threads
+        num_keys = len(slot_costs)
+        buckets: list[list[int]] = [[] for _ in range(num_keys * num_threads)]
+        ready = [0] * len(buckets)
+        ready_count = [0] * num_keys
+        for t, (dag, key_of) in enumerate(zip(dags, table.ids_by_thread)):
+            for i, kid in enumerate(key_of):
+                buckets[kid * num_threads + t].append(i)
+            for i, mask in enumerate(dag.pred_masks):
+                if not mask:
+                    ready[key_of[i] * num_threads + t] |= 1 << i
+                    ready_count[key_of[i]] += 1
+        sizes = list(map(len, buckets))
+        counts = tuple(tuple(sizes[kid * num_threads:(kid + 1) * num_threads])
+                       for kid in range(num_keys))
         # Summed in key-id order, like the bitmask engine's root bound.
         class_bound = sum(max(row) * cost
                           for row, cost in zip(counts, slot_costs))
         cp_bound = max((max(cp, default=0.0) for cp in crit), default=0.0)
         return cls(region=region, model=model, dags=dags, table=table,
-                   crit=tuple(crit),
-                   class_counts=tuple(tuple(row) for row in counts),
-                   lower_bound=max(cp_bound, class_bound))
+                   crit=tuple(crit), class_counts=counts,
+                   lower_bound=max(cp_bound, class_bound),
+                   buckets=tuple(map(tuple, buckets)),
+                   root_ready=tuple(ready),
+                   root_ready_count=tuple(ready_count))
+
+    def pick_orders(self, prefer_low_index: bool = False
+                    ) -> list[tuple[int, ...]]:
+        """Per (key, thread) op-candidate order for ready-pick selection,
+        in ``buckets``' layout.
+
+        Ordered by remaining critical path descending; ties break toward
+        the higher op index (the search's ``max(idxs, key=(crit, i))``)
+        unless ``prefer_low_index`` (the greedy's first-max policy).  The
+        first candidate whose ready bit is set is the pick — almost always
+        the first probe, so selection is O(1) without any per-step sort.
+        """
+        num_threads = self.region.num_threads
+        crit = self.crit
+        orders: list[tuple[int, ...]] = []
+        for slot, bucket in enumerate(self.buckets):
+            if len(bucket) < 2:
+                orders.append(bucket)
+                continue
+            # A stable descending sort keeps equal paths in bucket order:
+            # ascending op index, or descending once the bucket is reversed.
+            orders.append(tuple(sorted(
+                bucket if prefer_low_index else reversed(bucket),
+                key=crit[slot % num_threads].__getitem__, reverse=True)))
+        return orders

@@ -58,17 +58,12 @@ from repro.core.canon import (
 )
 from repro.core.costmodel import CostModel
 from repro.core.ops import Operation, Region, ThreadCode
+from repro.core.pipeline import VN_MODES
 from repro.obs import NULL_TRACER, StopWatch, Tracer, span
 from repro.obs.metrics import get_registry
 
 __all__ = ["VN_MODES", "VNStats", "rewrite_region", "serial_issue_cost",
            "vn_prepass"]
-
-#: Accepted values of ``InductionRequest.vn``: ``off`` (no pass — the
-#: default, bit-identical to pre-vn behavior), ``on`` (always rewrite),
-#: ``auto`` (rewrite, keep only if it lowered serial issue cost or raised
-#: cross-thread merge-key candidates).
-VN_MODES = ("off", "on", "auto")
 
 #: Opcodes the constant-pool hoist never produces a rewrite *for* —
 #: div/mod keep their (potentially trapping) spelled form untouched.

@@ -28,96 +28,32 @@ recording), :class:`JsonlTracer` (structured JSONL, interleave-safe).
 Traces are consumed by :func:`summarize_trace` / :func:`render_trace_summary`
 (the ``repro stats`` CLI) and by :func:`build_traces` /
 :func:`render_trace_trees` (the ``repro trace`` span-tree view).
+
+Every name below is re-exported on access (:mod:`repro._lazy`): a request
+loads only the pieces it uses, and :mod:`http.server` loads only when a
+metrics port is asked for.
 """
 
-from repro.obs.counters import Counters
-from repro.obs.flightrec import FlightConfig, FlightRecorder
-from repro.obs.httpexp import MetricsHTTPServer, start_metrics_server
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    DEFAULT_TIME_BUCKETS,
-    DEFAULT_VALUE_BUCKETS,
-    GAUGE_STAT_PREFIXES,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    render_prometheus,
-    split_stats,
-    use_registry,
-)
-from repro.obs.slo import SLOConfig, SLOTracker
-from repro.obs.spans import (
-    Span,
-    SpanContext,
-    attach_context,
-    current_context,
-    new_trace_id,
-    replay_events,
-    span,
-)
-from repro.obs.summary import (
-    KindSummary,
-    TraceSummary,
-    render_trace_summary,
-    summarize_trace,
-)
-from repro.obs.timing import StopWatch, timed
-from repro.obs.tracer import (
-    JsonlTracer,
-    MemoryTracer,
-    NULL_TRACER,
-    TeeTracer,
-    Tracer,
-)
-from repro.obs.tracetree import (
-    SpanNode,
-    TraceTree,
-    build_traces,
-    load_span_events,
-    render_trace_tree,
-    render_trace_trees,
-)
+from repro._lazy import reexport
 
-__all__ = [
-    "Counters",
-    "DEFAULT_SIZE_BUCKETS",
-    "DEFAULT_TIME_BUCKETS",
-    "DEFAULT_VALUE_BUCKETS",
-    "FlightConfig",
-    "FlightRecorder",
-    "GAUGE_STAT_PREFIXES",
-    "Histogram",
-    "JsonlTracer",
-    "KindSummary",
-    "MemoryTracer",
-    "MetricsHTTPServer",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "SLOConfig",
-    "SLOTracker",
-    "Span",
-    "SpanContext",
-    "SpanNode",
-    "StopWatch",
-    "TeeTracer",
-    "TraceSummary",
-    "TraceTree",
-    "Tracer",
-    "attach_context",
-    "build_traces",
-    "current_context",
-    "get_registry",
-    "load_span_events",
-    "new_trace_id",
-    "render_prometheus",
-    "render_trace_summary",
-    "render_trace_tree",
-    "render_trace_trees",
-    "replay_events",
-    "span",
-    "split_stats",
-    "start_metrics_server",
-    "summarize_trace",
-    "timed",
-    "use_registry",
-]
+__getattr__, __dir__, __all__ = reexport(__name__, {
+    "repro.obs.counters": ("Counters",),
+    "repro.obs.flightrec": ("FlightConfig", "FlightRecorder"),
+    "repro.obs.httpexp": ("MetricsHTTPServer", "start_metrics_server"),
+    "repro.obs.metrics": ("DEFAULT_SIZE_BUCKETS", "DEFAULT_TIME_BUCKETS",
+                          "DEFAULT_VALUE_BUCKETS", "GAUGE_STAT_PREFIXES",
+                          "Histogram", "MetricsRegistry", "get_registry",
+                          "render_prometheus", "split_stats", "use_registry"),
+    "repro.obs.slo": ("SLOConfig", "SLOTracker"),
+    "repro.obs.spans": ("Span", "SpanContext", "attach_context",
+                        "current_context", "new_trace_id", "replay_events",
+                        "span"),
+    "repro.obs.summary": ("KindSummary", "TraceSummary",
+                          "render_trace_summary", "summarize_trace"),
+    "repro.obs.timing": ("StopWatch", "timed"),
+    "repro.obs.tracer": ("JsonlTracer", "MemoryTracer", "NULL_TRACER",
+                         "TeeTracer", "Tracer"),
+    "repro.obs.tracetree": ("SpanNode", "TraceTree", "build_traces",
+                            "load_span_events", "render_trace_tree",
+                            "render_trace_trees"),
+})

@@ -20,15 +20,11 @@ backend.  Layout:
   :func:`repro.api.induce` and the CLI.
 """
 
-from repro.service.client import ServiceBusy, ServiceClient, ServiceError
-from repro.service.endpoint import Endpoint
-from repro.service.server import InductionServer, ServerConfig
+from repro._lazy import reexport
 
-__all__ = [
-    "Endpoint",
-    "InductionServer",
-    "ServerConfig",
-    "ServiceBusy",
-    "ServiceClient",
-    "ServiceError",
-]
+# On access: a client loads neither the server nor its worker processes.
+__getattr__, __dir__, __all__ = reexport(__name__, {
+    "repro.service.client": ("ServiceBusy", "ServiceClient", "ServiceError"),
+    "repro.service.endpoint": ("Endpoint",),
+    "repro.service.server": ("InductionServer", "ServerConfig"),
+})

@@ -37,7 +37,6 @@ from repro.api import InductionRequest, _execute_local
 from repro.core.cache import replay
 from repro.core.pipeline import InductionResult, run_induction
 from repro.core.result import ResultBase, result_from_payload, result_to_payload
-from repro.core.vn import vn_prepass
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 
@@ -345,6 +344,7 @@ def inject_portfolio_hints(wire: dict, store) -> None:
         return
     from repro.core.portfolio import (
         PORTFOLIO_STRATEGIES, feature_bucket, region_features)
+    from repro.core.vn import vn_prepass
     from repro.service.protocol import request_from_wire
 
     request = request_from_wire(wire)

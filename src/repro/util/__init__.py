@@ -1,32 +1,13 @@
 """Shared utilities: seeded RNG helpers, statistics, ASCII tables."""
 
-from repro.util.rng import (SEED_ENV, derive_rng, make_rng, resolve_seed,
-                            spawn_rngs)
-from repro.util.tables import format_table
+from repro._lazy import reexport
 
-_STATS_NAMES = ("Summary", "confidence_interval", "geometric_mean",
-                "harmonic_mean", "median_filter", "summarize")
-
-
-def __getattr__(name: str):
-    # Lazy so that `import repro` works without numpy (the [fast] extra):
-    # the statistics helpers are only needed by timing and benchmarks.
-    if name in _STATS_NAMES:
-        from repro.util import stats
-
-        return getattr(stats, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "confidence_interval",
-    "format_table",
-    "geometric_mean",
-    "harmonic_mean",
-    "SEED_ENV",
-    "derive_rng",
-    "make_rng",
-    "resolve_seed",
-    "median_filter",
-    "spawn_rngs",
-    "summarize",
-]
+# On access, so that `import repro` works without numpy (the [fast]
+# extra): the statistics helpers are only needed by timing and benchmarks.
+__getattr__, __dir__, __all__ = reexport(__name__, {
+    "repro.util.rng": ("SEED_ENV", "derive_rng", "make_rng", "resolve_seed",
+                       "spawn_rngs"),
+    "repro.util.stats": ("Summary", "confidence_interval", "geometric_mean",
+                         "harmonic_mean", "median_filter", "summarize"),
+    "repro.util.tables": ("format_table",),
+})

@@ -9,21 +9,26 @@ single top-level seed.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
-try:  # numpy is the [fast] extra; only the generator helpers require it.
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    np = None
 
 __all__ = ["SEED_ENV", "derive_rng", "make_rng", "resolve_seed", "spawn_rngs"]
 
 
-def _require_np():
-    if np is None:
+def _numpy():
+    """numpy, imported on first use: it is the [fast] extra, and only the
+    generator helpers need it, so :func:`resolve_seed` never loads it."""
+    try:
+        import numpy
+    except ImportError as exc:
         raise RuntimeError(
             "numpy is required for random-number generation; "
-            "install it with the [fast] extra (pip install repro[fast])")
-    return np
+            "install it with the [fast] extra (pip install repro[fast])"
+        ) from exc
+    return numpy
+
 
 #: Environment variable consulted by :func:`resolve_seed` — the single knob
 #: that reseeds the fuzzer and the randomized benchmark workloads alike.
@@ -37,7 +42,7 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
     generator (returned unchanged, so callers can thread one stream through a
     pipeline without reseeding).
     """
-    _require_np()
+    np = _numpy()
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -62,9 +67,7 @@ def resolve_seed(seed: int | None = None, default: int | None = None) -> int:
             raise ValueError(f"{SEED_ENV}={env!r} is not an integer") from exc
     if default is not None:
         return int(default)
-    if np is None:
-        return int.from_bytes(os.urandom(8), "little") >> 1
-    return int(np.random.SeedSequence().entropy % (1 << 63))
+    return int.from_bytes(os.urandom(8), "little") >> 1
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -75,7 +78,7 @@ def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     draws they consumed, which is what lets a fuzz failure report say
     "reproduce case ``i`` from root seed ``s``".
     """
-    return np.random.default_rng([int(seed), *(int(k) for k in keys)])
+    return _numpy().random.default_rng([int(seed), *(int(k) for k in keys)])
 
 
 def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
@@ -87,4 +90,5 @@ def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random
     if n < 0:
         raise ValueError(f"cannot spawn {n} generators")
     root = make_rng(seed)
-    return [np.random.default_rng(s) for s in root.bit_generator.seed_seq.spawn(n)]
+    default_rng = _numpy().random.default_rng
+    return [default_rng(s) for s in root.bit_generator.seed_seq.spawn(n)]

@@ -113,6 +113,106 @@ class TestPreparedRegion:
             prepared.lower_bound = 0.0
 
 
+# Equal critical paths inside one (key, thread) bucket: two loads and two
+# adds per thread, so the two tie-breaks order them differently.
+TIES = """
+thread 0:
+    a = ld x
+    b = ld y
+    c = add a #1
+    d = add b #1
+thread 1:
+    e = ld x
+    f = add e #1
+    g = ld y
+"""
+
+
+def _reference_ready_state(prepared):
+    """Buckets, root ready masks and both pick orders, built from the
+    merge-key ids and predecessor sets with the keyed sorts the greedy
+    and the engine used before the prepared region held them."""
+    n = prepared.region.num_threads
+    size = len(prepared.table) * n
+    buckets = [[] for _ in range(size)]
+    ready = [0] * size
+    for t, dag in enumerate(prepared.dags):
+        for i, kid in enumerate(prepared.table.ids_by_thread[t]):
+            buckets[kid * n + t].append(i)
+            if not dag.preds[i]:
+                ready[kid * n + t] |= 1 << i
+    low, high = [], []
+    for slot, bucket in enumerate(buckets):
+        crit = prepared.crit[slot % n]
+        low.append(tuple(sorted(bucket, key=lambda i: (-crit[i], i))))
+        high.append(tuple(sorted(bucket, key=lambda i: (-crit[i], -i))))
+    return [tuple(b) for b in buckets], ready, low, high
+
+
+def _assert_ready_state(prepared):
+    buckets, ready, low, high = _reference_ready_state(prepared)
+    n = prepared.region.num_threads
+    assert list(prepared.buckets) == buckets
+    assert list(prepared.root_ready) == ready
+    assert list(prepared.root_ready_count) == [
+        sum(bin(mask).count("1") for mask in ready[kid * n:(kid + 1) * n])
+        for kid in range(len(prepared.table))]
+    assert prepared.class_counts == tuple(
+        tuple(len(b) for b in buckets[kid * n:(kid + 1) * n])
+        for kid in range(len(prepared.table)))
+    assert prepared.pick_orders(prefer_low_index=True) == low
+    assert prepared.pick_orders() == high
+
+
+class TestRootReadyState:
+    """The root ready state is built once per request, in the prepared
+    region; greedy and the engine each copy it and sort their own
+    tie-break."""
+
+    @pytest.mark.parametrize("text", [SHARED, DIAMOND, TIES],
+                             ids=["shared", "diamond", "ties"])
+    @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+    @pytest.mark.parametrize("respect_order", [False, True])
+    def test_matches_a_direct_construction(self, text, model, respect_order):
+        _assert_ready_state(
+            PreparedRegion.build(parse_region(text), model, respect_order))
+
+    def test_tie_breaks_differ_on_equal_paths(self):
+        prepared = PreparedRegion.build(parse_region(TIES),
+                                        uniform_cost_model())
+        low = prepared.pick_orders(prefer_low_index=True)
+        high = prepared.pick_orders()
+        n = prepared.region.num_threads
+        ld = prepared.table.ids_by_thread[0][0]
+        assert low[ld * n] == (0, 1)
+        assert high[ld * n] == (1, 0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_on_random_regions(self, seed):
+        pytest.importorskip("numpy")
+        from repro.workloads import RandomRegionSpec, random_region
+
+        region = random_region(
+            RandomRegionSpec(num_threads=4, min_len=4, max_len=10,
+                             vocab_size=4, overlap=0.6, private_vocab=False),
+            seed=seed)
+        for model in MODELS.values():
+            _assert_ready_state(PreparedRegion.build(region, model))
+
+    def test_consumers_copy_the_root_state(self):
+        from repro.core.dag import ReadyIndex
+        from repro.core.greedy import greedy_schedule
+
+        prepared = PreparedRegion.build(parse_region(SHARED),
+                                        maspar_cost_model())
+        root = (prepared.root_ready, prepared.root_ready_count)
+        index = ReadyIndex(prepared)
+        index.complete(0, 0)
+        greedy_schedule(prepared.region, prepared.model, prepared)
+        assert (prepared.root_ready, prepared.root_ready_count) == root
+        assert index.ready != list(prepared.root_ready)
+
+
 class TestPrepareOnce:
     """A computed request builds its DAGs and merge-key table once and
     verifies its schedule once (two of each before)."""

@@ -471,6 +471,8 @@ class TestApiIntegration:
         assert "vn" not in request_to_wire(InductionRequest(region=region))
 
     def test_vn_oracle_block_passes_on_clean_cases(self):
+        # The fuzz oracles are numpy-backed (the [fast] extra).
+        pytest.importorskip("numpy")
         from repro.core.search import SearchConfig
         from repro.fuzz.generators import FuzzCase
         from repro.fuzz.oracles import check_case
