@@ -24,6 +24,11 @@ land in the *local* cache's counter set
 so they surface through the server's existing ``cache_*`` stats without
 any new plumbing.
 
+The server takes an entry's text (:meth:`get_text`), as it does from a
+plain :class:`~repro.core.cache.ScheduleCache`: local text as stored, and
+a peer's entry, once checked, encoded once into the text the local tier
+adopts.
+
 The server's peer ops (``cache_get``/``cache_put``) call
 :meth:`get_local`/:meth:`put_local`, which never touch the network: peer
 traffic terminates at the local tiers, so two nodes missing on the same
@@ -32,12 +37,18 @@ fingerprint can't fan out to each other forever.
 
 from __future__ import annotations
 
+import json
 import threading
 from typing import Any, Callable, Mapping
 
 from repro.cluster.config import PEER_TIMEOUT_S, ClusterConfig
 from repro.cluster.ring import HashRing
-from repro.core.cache import ScheduleCache, cache_entry, check_entry
+from repro.core.cache import (
+    ScheduleCache,
+    cache_entry,
+    check_entry,
+    encode_entry,
+)
 
 __all__ = ["RemoteScheduleCache"]
 
@@ -46,9 +57,9 @@ class RemoteScheduleCache:
     """A node's :class:`ScheduleCache` plus the cluster as a third tier.
 
     Drop-in for ``ScheduleCache`` where the server uses one (``get`` /
-    ``put`` / ``counters`` / ``hit_rate`` / ``len``); ``self_name`` is this
-    node's own ring name (its canonical endpoint string) so lookups skip
-    the node that just missed locally.
+    ``get_text`` / ``put`` / ``counters`` / ``hit_rate`` / ``len``);
+    ``self_name`` is this node's own ring name (its canonical endpoint
+    string) so lookups skip the node that just missed locally.
     """
 
     def __init__(self, local: ScheduleCache, config: ClusterConfig,
@@ -85,8 +96,13 @@ class RemoteScheduleCache:
         return self.local.hit_rate
 
     def get(self, fingerprint: str) -> dict | None:
+        """A private copy of :meth:`get_text`'s entry, or None."""
+        text = self.get_text(fingerprint)
+        return None if text is None else json.loads(text)
+
+    def get_text(self, fingerprint: str) -> str | None:
         """Local tiers first, then the fingerprint's ring owners."""
-        found = self.local.get(fingerprint)
+        found = self.local.get_text(fingerprint)
         if found is not None:
             return found
         for peer in self._peers_for(fingerprint):
@@ -99,16 +115,18 @@ class RemoteScheduleCache:
                 self.counters.bump("remote_errors")
                 continue
             # Adopt the entry locally so the next lookup is a memory hit.
-            self.local.put(fingerprint, entry)
+            text, _own = encode_entry(entry)
+            self.local.put(fingerprint, entry, text=text)
             self.counters.bump("remote_hits")
-            return entry
+            return text
         self.counters.bump("remote_misses")
         return None
 
-    def put(self, fingerprint: str, payload: Mapping[str, Any]) -> bool:
+    def put(self, fingerprint: str, payload: Mapping[str, Any],
+            text: str | None = None) -> bool:
         """Store locally and push the entry to the fingerprint's replica
         owners; nothing the store rule refuses leaves the node."""
-        if not self.local.put(fingerprint, payload):
+        if not self.local.put(fingerprint, payload, text=text):
             return False
         entry = cache_entry(payload)
         for peer in self._peers_for(fingerprint):
@@ -121,9 +139,10 @@ class RemoteScheduleCache:
 
     # -- local-only surface (used by the server's peer ops) ----------------
 
-    def get_local(self, fingerprint: str) -> dict | None:
-        """Local tiers only — peer traffic must not re-enter the cluster."""
-        return self.local.get(fingerprint)
+    def get_local(self, fingerprint: str) -> str | None:
+        """Local tiers only, as text — peer traffic must not re-enter the
+        cluster."""
+        return self.local.get_text(fingerprint)
 
     def put_local(self, fingerprint: str,
                   payload: Mapping[str, Any]) -> bool:

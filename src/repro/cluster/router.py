@@ -7,7 +7,7 @@ retries the *next* replica in the fingerprint's preference order with
 exponential backoff.  Duplicate submits that arrive while a fingerprint is
 already in flight — the common case for interpreter workloads — do not
 fan out: they join the in-flight route and share its reply, through the
-same :class:`~repro.service.server.SingleFlight` each node dedups with.
+same :class:`~repro.service.daemon.SingleFlight` each node dedups with.
 The fingerprint comes from the forwarder's own
 :class:`~repro.service.protocol.SubmitMemo`: a repeat costs one digest,
 and only a first-seen submit parses.
@@ -16,14 +16,17 @@ are answered from the forwarder's own memory-only
 :class:`~repro.core.cache.ScheduleCache`
 (``ClusterConfig.request_cache_size`` entries; an ``ok`` reply's result,
 under the cache's one store rule) without touching a node at all — the
-hit replays the stored result, routing facts included;
+hit sends the stored text, routing facts included, with this request's
+own fields spliced in (:class:`~repro.service.protocol.ResultText`);
 ``router_cache_hits`` counts them, and cached replies carry a
-``router_cache`` extra.
+``router_cache`` extra.  A forwarded ``ok`` result is encoded once: that
+text is what the cache stores and what the reply carries.
 
 Two skins over the core:
 
 - :class:`ClusterClient` — in-process client, the thing
-  :func:`repro.api.induce(cluster=...)` uses; ``submit`` returns a
+  :func:`repro.api.induce(cluster=...)` uses; ``submit`` decodes the
+  routed result (:func:`~repro.service.protocol.decode_result`) into a
   :class:`~repro.core.result.ServiceResult` whose ``extras`` carry
   ``routed_node``/``route_attempts``;
 - :class:`ClusterRouter` — the ``repro cluster route`` daemon: the same
@@ -64,7 +67,7 @@ from repro.api import InductionRequest
 from repro.cluster.config import PEER_TIMEOUT_S, ClusterConfig
 from repro.cluster.membership import Membership
 from repro.cluster.ring import HashRing
-from repro.core.cache import ScheduleCache, replay
+from repro.core.cache import ScheduleCache
 from repro.core.result import ServiceResult, result_from_payload
 from repro.obs import (
     NULL_TRACER,
@@ -87,13 +90,13 @@ from repro.obs.metrics import (
 from repro.obs.slo import SLOTracker
 from repro.service import protocol
 from repro.service.client import ServiceBusy, ServiceError, absorb_reply_obs
-from repro.service.endpoint import Endpoint
-from repro.service.server import (
+from repro.service.daemon import (
     Connections,
     SingleFlight,
     finish_request,
     flightrec_reply,
 )
+from repro.service.endpoint import Endpoint
 
 __all__ = ["ClusterClient", "ClusterForwarder", "ClusterRouter"]
 
@@ -189,7 +192,11 @@ class ClusterForwarder:
     # -- forwarding --------------------------------------------------------
 
     def submit_wire(self, wire: dict[str, Any]) -> dict[str, Any]:
-        """Route one submit frame; returns the node's raw reply.
+        """Route one submit frame; returns its reply, ready to send.
+
+        An ``ok`` reply's result is a
+        :class:`~repro.service.protocol.ResultText`; an in-process caller
+        decodes it with :func:`~repro.service.protocol.decode_result`.
 
         Duplicate fingerprints already in flight join the live route and
         share its reply instead of fanning out to the nodes.
@@ -223,7 +230,10 @@ class ClusterForwarder:
                 # deadlines, so it waits for the leader however long.
                 self.counters.bump("route_dedup_hits")
                 route.set(dedup=True)
-                reply = self._annotate(dict(reply), dedup=True)
+                result = reply.get("result")
+                if isinstance(result, protocol.ResultText):
+                    reply = {**reply, "result": result.with_fields(
+                        router_dedup=True)}
             route.set(status=str(reply.get("status")))
         return finish_request(
             reply, recorder, route.trace_id, fingerprint=fingerprint,
@@ -234,22 +244,25 @@ class ClusterForwarder:
     def _lead(self, wire: dict[str, Any], fingerprint: str, started: float,
               tee: Tracer, info: dict, route: Span) -> dict[str, Any]:
         """Answer a flight: the request cache once, else a forward."""
-        entry = self.cache.get(fingerprint) if self.cache is not None \
+        text = self.cache.get_text(fingerprint) if self.cache is not None \
             else None
-        if entry is not None:
-            # A finished duplicate: replay it from the front door without
-            # touching a node (the hit is the caller's own copy).
+        if text is not None:
+            # A finished duplicate: answer it from the front door without
+            # touching a node, with the stored text as it is.
             self.counters.bump("router_cache_hits")
             route.set(cached=True)
-            entry["router_cache"] = True
-            return {"status": "ok", "result": replay(
-                entry, wall_s=time.monotonic() - started)}
+            return {"status": "ok", "result": protocol.ResultText(text, {
+                "router_cache": True, "cache_hit": True,
+                "wall_s": time.monotonic() - started, "retries": 0})}
         reply = self._forward(wire, fingerprint, tee, info)
-        result = reply.get("result")
-        if self.cache is not None and reply.get("status") == "ok" \
-                and isinstance(result, dict):
-            self.cache.put(fingerprint, result)
-        return reply
+        payload = reply.get("result")
+        if reply.get("status") != "ok" or not isinstance(payload, dict):
+            return reply
+        # Encoded once: the cache stores the text the reply sends.
+        result = protocol.ResultText.encode(payload)
+        if self.cache is not None:
+            self.cache.put(fingerprint, payload, text=result.text)
+        return {**reply, "result": result}
 
     def _forward(self, wire: dict[str, Any], fingerprint: str,
                  tee: Tracer, info: dict) -> dict[str, Any]:
@@ -328,7 +341,7 @@ class ClusterForwarder:
             self.metrics.observe("cluster_route_seconds",
                                  time.monotonic() - started,
                                  trace_id=route_trace)
-            return self._annotate(reply, node=node, attempts=tried)
+            return self._annotate(reply, node, tried)
         self.metrics.observe("cluster_route_seconds",
                              time.monotonic() - started,
                              trace_id=route_trace)
@@ -376,20 +389,14 @@ class ClusterForwarder:
         return reply
 
     @staticmethod
-    def _annotate(reply: dict, node: str | None = None,
-                  attempts: int = 0, dedup: bool = False) -> dict:
-        """Stamp routing facts into the result payload (ServiceResult
-        surfaces unknown keys through ``extras``)."""
+    def _annotate(reply: dict, node: str, attempts: int) -> dict:
+        """Stamp routing facts into a node's result payload (ServiceResult
+        surfaces unknown keys through ``extras``); they are stored with
+        it, so a router cache hit reports the route that computed it."""
         result = reply.get("result")
         if isinstance(result, dict):
-            result = dict(result)
-            if node is not None:
-                result["routed_node"] = node
-                result["route_attempts"] = attempts
-            if dedup:
-                result["router_dedup"] = True
-            reply = dict(reply)
-            reply["result"] = result
+            reply = {**reply, "result": {**result, "routed_node": node,
+                                         "route_attempts": attempts}}
         return reply
 
     @staticmethod
@@ -484,8 +491,8 @@ class ClusterClient(ClusterForwarder):
                 f"cluster busy: {reply.get('reason', 'unspecified')}")
         if status != "ok":
             raise ServiceError(reply.get("error", f"bad reply {reply!r}"))
-        return result_from_payload(
-            absorb_reply_obs(reply["result"], tracer))
+        return result_from_payload(absorb_reply_obs(
+            protocol.decode_result(reply["result"]), tracer))
 
 
 class ClusterRouter(ClusterForwarder):

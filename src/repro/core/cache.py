@@ -13,13 +13,14 @@ An entry is the finished result itself: the JSON payload
 that belong to one request (its ``obs`` freight, ``retries``, ``wall_s``
 and ``cache_hit``; :func:`cache_entry`).  It carries the schedule, the
 search stats and the serial/lockstep baselines, and whatever else the
-result reported (a race's winner), so a hit replays it and rebuilds
-nothing.  One rule (:func:`storable`) decides what may be stored, in
-every tier: nothing degraded, and no race that did not prove its
-schedule — ``deadline_s`` is not in the fingerprint, so a short
-deadline's best-so-far must not answer a longer one.
+result reported (a race's winner), so a hit rebuilds nothing.  One rule
+(:func:`storable`) decides what may be stored, in every tier: nothing
+degraded, and no race that did not prove its schedule — ``deadline_s``
+is not in the fingerprint, so a short deadline's best-so-far must not
+answer a longer one.
 
-Two tiers hold the entry as the same JSON text:
+Two tiers hold the entry as the same JSON text, encoded once
+(:func:`encode_entry`):
 
 - an in-memory LRU (:class:`collections.OrderedDict`) bounded by
   ``capacity`` entries, always on;
@@ -28,9 +29,12 @@ Two tiers hold the entry as the same JSON text:
   written atomically (temp file + ``os.replace``) so parallel writers can
   never leave a torn file.
 
-A hit is a private copy (parsed from the text), so no caller can alter
-what is stored.  Memory entries are trusted; an entry from outside this
-process — a disk file here, a peer's reply in
+Daemons take the text itself (:meth:`ScheduleCache.get_text`) and splice
+it into their reply frames (:class:`repro.service.protocol.ResultText`),
+so a served hit neither decodes nor re-encodes its entry.  A local caller
+takes :meth:`ScheduleCache.get`, a private copy parsed from the text, so
+no caller can alter what is stored.  Memory entries are trusted; an entry
+from outside this process — a disk file here, a peer's reply in
 :mod:`repro.cluster.remotecache` — is checked once with
 :func:`check_entry`, and one that fails is a counted miss, never an error.
 """
@@ -58,8 +62,8 @@ __all__ = [
     "ScheduleCache",
     "cache_entry",
     "check_entry",
+    "encode_entry",
     "region_fingerprint",
-    "replay",
     "storable",
 ]
 
@@ -125,6 +129,19 @@ def cache_entry(payload: Mapping[str, Any]) -> dict:
     return {k: v for k, v in payload.items() if k not in _PER_REQUEST}
 
 
+def encode_entry(payload: Mapping[str, Any]) -> tuple[str, dict]:
+    """``payload`` split once: its entry's JSON text, its own fields.
+
+    The text is both what a cache stores and what a reply carries; the
+    fields are the per-request ones :func:`cache_entry` leaves out.
+    """
+    entry: dict = {}
+    own: dict = {}
+    for key, value in payload.items():
+        (own if key in _PER_REQUEST else entry)[key] = value
+    return json.dumps(entry, separators=(",", ":")), own
+
+
 def storable(payload: Mapping[str, Any]) -> bool:
     """The one store rule: not degraded, and no unproven race."""
     if payload.get("degraded"):
@@ -146,12 +163,6 @@ def check_entry(entry: Any) -> dict:
         raise ValueError(f"entry is not a result payload: {exc!r}") from exc
     if not storable(entry):
         raise ValueError("entry is degraded or an unproven race")
-    return entry
-
-
-def replay(entry: dict, wall_s: float) -> dict:
-    """A hit's reply payload: ``entry`` plus this request's own fields."""
-    entry.update(cache_hit=True, wall_s=wall_s, retries=0)
     return entry
 
 
@@ -191,6 +202,15 @@ class ScheduleCache:
 
     def get(self, fingerprint: str) -> dict | None:
         """A private copy of the entry under ``fingerprint``, or None."""
+        text = self.get_text(fingerprint)
+        return None if text is None else json.loads(text)
+
+    def get_text(self, fingerprint: str) -> str | None:
+        """The entry under ``fingerprint`` as its JSON text, or None.
+
+        What a daemon splices into its reply: memory text as stored, a
+        disk entry once :func:`check_entry` passed it.
+        """
         start = perf_counter()
         with self._lock:
             text = self._memory.get(fingerprint)
@@ -199,26 +219,31 @@ class ScheduleCache:
         if text is not None:
             self.counters.bump("hits")
             self.counters.bump("memory_hits")
-            entry = json.loads(text)
             get_registry().observe("cache_hit_seconds", perf_counter() - start)
-            return entry
-        text, entry = self._disk_get(fingerprint)
-        if entry is not None:
+            return text
+        text = self._disk_get(fingerprint)
+        if text is not None:
             with self._lock:
                 self._remember(fingerprint, text)
             self.counters.bump("hits")
             self.counters.bump("disk_hits")
             get_registry().observe("cache_hit_seconds", perf_counter() - start)
-            return entry
+            return text
         self.counters.bump("misses")
         get_registry().observe("cache_miss_seconds", perf_counter() - start)
         return None
 
-    def put(self, fingerprint: str, payload: Mapping[str, Any]) -> bool:
-        """Store ``payload``'s entry in both tiers if it is :func:`storable`."""
+    def put(self, fingerprint: str, payload: Mapping[str, Any],
+            text: str | None = None) -> bool:
+        """Store ``payload``'s entry in both tiers if it is :func:`storable`.
+
+        ``text`` is the entry's text when the caller already encoded it
+        (:func:`encode_entry`), so nothing encodes it twice.
+        """
         if not storable(payload):
             return False
-        text = json.dumps(cache_entry(payload))
+        if text is None:
+            text, _own = encode_entry(payload)
         with self._lock:
             self._remember(fingerprint, text)
         self.counters.bump("stores")
@@ -241,18 +266,21 @@ class ScheduleCache:
     def _disk_path(self, fingerprint: str) -> Path:
         return self.cache_dir / f"{fingerprint}.result.json"
 
-    def _disk_get(self, fingerprint: str) -> tuple[str, dict | None]:
+    def _disk_get(self, fingerprint: str) -> str | None:
         if self.cache_dir is None:
-            return "", None
+            return None
         try:
             text = self._disk_path(fingerprint).read_text(encoding="utf-8")
-            return text, check_entry(json.loads(text))
+            check_entry(json.loads(text))
         except FileNotFoundError:
-            return "", None
+            return None
         except (OSError, ValueError):
             # Torn, corrupt or foreign entry: a miss, never an error.
             self.counters.bump("disk_errors")
-            return "", None
+            return None
+        # Only JSON whitespace can surround text that parsed: what memory
+        # keeps is the object itself, ready to splice.
+        return text.strip(" \t\n\r")
 
     def _disk_put(self, fingerprint: str, text: str) -> None:
         try:

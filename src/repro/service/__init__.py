@@ -12,10 +12,13 @@ backend.  Layout:
 - :mod:`repro.service.workers`  — supervised worker processes: per-request
   deadlines enforced by killing the worker, crash retry with backoff,
   graceful degradation to the greedy schedule;
+- :mod:`repro.service.daemon`   — what the server and the cluster router
+  share: per-connection threads, single-flight, the books each answered
+  request closes (SLO, flight recorder, stitched spans);
 - :mod:`repro.service.server`   — one thread per request: single-flight
   fingerprint dedup, admission control (a bounded wait for a worker,
   clear ``busy`` shed), drain-on-shutdown, :mod:`repro.obs` counters as
-  service metrics;
+  service metrics; a cache hit is answered with its stored text;
 - :mod:`repro.service.client`   — blocking client used by
   :func:`repro.api.induce` and the CLI.
 """

@@ -201,7 +201,8 @@ class ServiceClient:
 
         The peer-cache read behind :class:`repro.cluster.RemoteScheduleCache`,
         which checks what it gets: ``None`` on a miss (and from a server
-        that sends no ``entry``).  Unreachable peers raise
+        that sends no ``entry``).  The server sends the entry's stored
+        text; this is it decoded.  Unreachable peers raise
         :class:`ServiceError`; the remote tier treats that as a miss.
         """
         reply = self._roundtrip({"op": "cache_get",

@@ -36,6 +36,16 @@ Replies carry ``status``: ``ok`` (with a unified result payload), ``busy``
 used for deadline expiry or worker crashes, which degrade instead),
 ``pong``, ``stats``, ``flightrec``, ``slo``.
 
+Inside a daemon, an ``ok`` result is one :class:`ResultText`: a cache
+entry's JSON text plus this request's own fields.  A hit carries the text
+its cache holds; a miss, a degraded fallback and a router forward encode
+their entry once, and that one text is both stored and sent.
+:func:`send_message` splices the fields in before the text's closing
+brace, last, so they win on decode, and the peer ``cache_get`` op sends a
+stored entry the same way: no daemon decodes or re-encodes an entry to
+answer with it.  An in-process reader reads a result's fields, or decodes
+it with :func:`decode_result` into the dict a client would receive.
+
 A submit that carried a ``trace_ctx`` gets its reply's ``result["obs"]``
 populated with the server-side span records (and, via the router, the
 routing spans), which :func:`repro.service.client.absorb_reply_obs`
@@ -58,6 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import socket
 import struct
 import threading
@@ -65,6 +76,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
 from repro.api import InductionRequest, valid_deadline
+from repro.core.cache import encode_entry
 from repro.core.costmodel import CostModel
 from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
@@ -72,7 +84,9 @@ from repro.obs import Counters, current_context
 
 __all__ = [
     "ProtocolError",
+    "ResultText",
     "SubmitMemo",
+    "decode_result",
     "exchange",
     "model_from_payload",
     "model_to_payload",
@@ -93,12 +107,93 @@ class ProtocolError(ValueError):
     """Raised on malformed frames or payloads."""
 
 
+# -- results as text --------------------------------------------------------
+
+#: JSON's whitespace: all that may surround an object's text.
+_JSON_WS = " \t\n\r"
+
+_COMPACT = (",", ":")
+
+
+class ResultText:
+    """An ``ok`` result as a daemon holds it: JSON text plus own fields.
+
+    ``text`` is one JSON object — a cache entry as stored, or as
+    :meth:`encode` just made it.  ``fields`` belong to this request alone:
+    the keys :func:`~repro.core.cache.cache_entry` strips (``cache_hit``,
+    ``wall_s``, ``retries``, and ``obs`` when spans are stitched) and the
+    daemons' extras (``deduped``, ``queue_wait_s``, ``server_wall_s``,
+    ``disposition``, ``router_cache``, ``router_dedup``).
+    :func:`send_message` writes :meth:`splice`: the fields go in before
+    the text's closing brace, last, so a field wins over a same-named key
+    in the text when the frame is decoded.  ``degraded`` is the text's own
+    flag, for in-process readers (a stored entry never is: the store rule).
+
+    A value is never changed: :meth:`with_fields` makes a new one that
+    shares the text, so the requests of one flight share the text but
+    never one fields dict.
+    """
+
+    __slots__ = ("text", "fields", "degraded")
+
+    def __init__(self, text: str, fields: dict[str, Any] | None = None,
+                 degraded: bool = False) -> None:
+        self.text = text
+        self.fields = fields if fields is not None else {}
+        self.degraded = degraded
+
+    @classmethod
+    def encode(cls, payload: Mapping[str, Any], **fields: Any
+               ) -> "ResultText":
+        """``payload`` encoded once: its entry as text, the rest (and
+        ``fields``) as this request's fields."""
+        text, own = encode_entry(payload)
+        own.update(fields)
+        return cls(text, own, bool(payload.get("degraded")))
+
+    def with_fields(self, **fields: Any) -> "ResultText":
+        """The same text with ``fields`` added to (or replacing) its own."""
+        return ResultText(self.text, {**self.fields, **fields}, self.degraded)
+
+    def splice(self) -> str:
+        """The JSON text a receiver decodes: the text, then the fields."""
+        if not self.fields:
+            return self.text
+        head = self.text.rstrip(_JSON_WS)[:-1].rstrip(_JSON_WS)
+        tail = json.dumps(self.fields, separators=_COMPACT)
+        # An object's text before its closing brace ends in ``{`` only
+        # when the object is empty.
+        return head + ("" if head.endswith("{") else ",") + tail[1:]
+
+
+def decode_result(result: Any) -> Any:
+    """A reply's result as its receiver gets it: a :class:`ResultText`
+    decoded from its spliced text, anything else as it is."""
+    if isinstance(result, ResultText):
+        return json.loads(result.splice())
+    return result
+
+
 # -- framing ---------------------------------------------------------------
 
 
+def _frame_text(obj: Mapping[str, Any]) -> str:
+    """``obj``'s JSON text, each :class:`ResultText` value spliced in."""
+    spliced = [f"{json.dumps(key)}:{value.splice()}"
+               for key, value in obj.items() if isinstance(value, ResultText)]
+    if not spliced:
+        return json.dumps(obj, sort_keys=True, separators=_COMPACT)
+    rest = json.dumps({key: value for key, value in obj.items()
+                       if not isinstance(value, ResultText)},
+                      sort_keys=True, separators=_COMPACT)
+    if rest != "{}":
+        spliced.append(rest[1:-1])
+    return "{" + ",".join(spliced) + "}"
+
+
 def send_message(sock: socket.socket, obj: Mapping[str, Any]) -> None:
-    """Write one framed JSON message."""
-    body = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Write one framed JSON message (a :class:`ResultText` spliced in)."""
+    body = _frame_text(obj).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
     sock.sendall(_LEN.pack(len(body)) + body)
@@ -356,11 +451,19 @@ class SubmitMemo:
         digest leaves out, are checked every time.
         """
         _check_unkeyed(wire)
-        # JSON text of decoded JSON values is one-to-one, so equal digests
-        # mean equal keys.  Dict keys keep the frame's order: a client
-        # that orders them differently costs one more miss, no wrong hit.
-        blob = json.dumps([wire.get(key) for key in _FINGERPRINT_KEYS])
-        key = hashlib.sha256(blob.encode("utf-8")).digest()
+        keys = [wire.get(key) for key in _FINGERPRINT_KEYS]
+        try:
+            # marshal is type-exact (1, 1.0 and True differ, and so do 0.0
+            # and -0.0) and formats no float; version 2 writes no refs or
+            # intern flags, so equal keys give equal bytes.  Dict keys
+            # keep the frame's order: a client that orders them
+            # differently costs one more miss, no wrong hit.
+            key = hashlib.sha256(marshal.dumps(keys, 2)).digest()
+        except ValueError:
+            # A value no JSON frame decodes to (an in-process caller's
+            # str subclass, say): parse it, and remember nothing.
+            self._counters.bump("submit_memo_misses")
+            return request_from_wire(wire).fingerprint()
         with self._lock:
             fingerprint = self._fingerprints.get(key)
             if fingerprint is not None:

@@ -12,11 +12,18 @@ answers it:
 - it joins the :class:`SingleFlight` of its fingerprint: while another
   request with the same fingerprint is being answered, it waits for that
   reply (dedup) instead of working — but not past its own deadline;
-- otherwise it leads: it asks the cache once, every tier, and replays a
-  hit at once; on a miss it waits for a free worker (at most
-  ``queue_size`` requests wait; one more is shed ``busy``) and runs the
-  search through the supervised
+- otherwise it leads: it asks the cache once, every tier, and answers a
+  hit at once with the entry's stored text; on a miss it waits for a free
+  worker (at most ``queue_size`` requests wait; one more is shed
+  ``busy``) and runs the search through the supervised
   :class:`~repro.service.workers.WorkerPool` itself.
+
+Every ``ok`` reply carries a :class:`~repro.service.protocol.ResultText`:
+an entry's JSON text plus the request's own fields, spliced into the
+frame as it is sent.  A hit sends the text the cache holds, undecoded; a
+miss or a degraded fallback encodes its payload once, and that one text
+is what the cache stores and what the reply carries.  The peer
+``cache_get`` op sends the stored text too.
 
 Robustness contract (the point of the service):
 
@@ -49,12 +56,11 @@ from __future__ import annotations
 import socket
 import threading
 import time
-import traceback
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.api import valid_deadline
-from repro.core.cache import ScheduleCache, check_entry, replay
+from repro.core.cache import ScheduleCache, check_entry
 from repro.core.result import result_to_payload
 from repro.service.endpoint import Endpoint
 from repro.obs import (
@@ -77,6 +83,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.slo import SLOTracker
 from repro.service import protocol
+from repro.service.daemon import (
+    Connections,
+    SingleFlight,
+    finish_request,
+    flightrec_reply,
+)
 from repro.service.workers import (
     PORTFOLIO_KILL_GRACE_S,
     DeadlineExpired,
@@ -89,8 +101,7 @@ from repro.service.workers import (
     record_portfolio_outcome,
 )
 
-__all__ = ["Connections", "InductionServer", "ServerConfig", "SingleFlight",
-           "finish_request", "flightrec_reply"]
+__all__ = ["InductionServer", "ServerConfig"]
 
 
 @dataclass
@@ -125,217 +136,6 @@ class ServerConfig:
                 f"seconds, got {self.default_deadline_s!r}")
 
 
-def flightrec_reply(recorder: FlightRecorder, msg: dict) -> dict:
-    """Serve one ``flightrec`` op from ``recorder``.
-
-    Shared by the induction server and the cluster router so both speak
-    the identical reply shape: capture counters plus the filtered digest
-    list (``slow``/``failed`` flags AND-ed, ``last`` keeps the newest N).
-    """
-    last = msg.get("last")
-    if last is not None:
-        try:
-            last = int(last)
-        except (TypeError, ValueError) as exc:
-            raise protocol.ProtocolError(
-                f"flightrec last must be an integer, got {last!r}") from exc
-    return {"status": "flightrec", "flightrec": {
-        **recorder.counts(),
-        "digests": recorder.snapshot(
-            slow=bool(msg.get("slow")), failed=bool(msg.get("failed")),
-            last=last),
-    }}
-
-
-def _send(conn: socket.socket, obj: dict) -> bool:
-    try:
-        protocol.send_message(conn, obj)
-        return True
-    except OSError:
-        return False
-
-
-class Connections:
-    """A daemon's accepted connections, each served on its own thread.
-
-    Shared by the induction server and the cluster router.  ``dispatch``
-    turns one request frame into its reply (a
-    :class:`~repro.service.protocol.ProtocolError` becomes an ``error``
-    reply); ``on_shutdown`` runs once an ``ok`` reply to a ``shutdown``
-    op is on the wire.  Clients keep connections open across requests, so
-    a stopping daemon must close them itself: :meth:`close` shuts the read
-    side of each, which wakes an idle handler with EOF and lets a busy one
-    send its reply before it reads EOF in turn.
-    """
-
-    def __init__(self, dispatch: Callable[[dict], dict],
-                 on_shutdown: Callable[[], None], name: str) -> None:
-        self._dispatch = dispatch
-        self._on_shutdown = on_shutdown
-        self._name = name
-        self._open: set[socket.socket] = set()
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def accept_loop(self, listener: socket.socket) -> None:
-        while not self._closed:
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self.serve, args=(conn,),
-                             name=self._name, daemon=True).start()
-
-    def serve(self, conn: socket.socket) -> None:
-        with self._lock:
-            if self._closed:
-                conn.close()
-                return
-            self._open.add(conn)
-        try:
-            with conn:
-                self._serve(conn)
-        finally:
-            with self._lock:
-                self._open.discard(conn)
-
-    def _serve(self, conn: socket.socket) -> None:
-        while True:
-            try:
-                msg = protocol.recv_message(conn)
-            except protocol.ProtocolError as exc:
-                _send(conn, {"status": "error", "error": str(exc)})
-                return
-            except OSError:
-                return
-            if msg is None:
-                return
-            try:
-                reply = self._dispatch(msg)
-            except protocol.ProtocolError as exc:
-                reply = {"status": "error", "error": str(exc)}
-            sent = _send(conn, reply)
-            if msg.get("op") == "shutdown" and reply.get("status") == "ok":
-                self._on_shutdown()
-                return
-            if not sent:
-                return
-
-    def close(self) -> None:
-        """Stop serving: shut the read side of every open connection."""
-        with self._lock:
-            self._closed = True
-            conns = list(self._open)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-
-
-class _Flight:
-    """One request being answered; its duplicates wait for the answer."""
-
-    __slots__ = ("landed", "answer")
-
-    def __init__(self) -> None:
-        #: Made by the first joiner, so a flight nobody joins (nearly
-        #: every one) allocates no event.
-        self.landed: threading.Event | None = None
-        self.answer = None
-
-
-class SingleFlight:
-    """At most one computation per request fingerprint at a time.
-
-    The first caller for a fingerprint *leads*: it computes the answer.
-    Callers that arrive while it does *join*: they wait for the leader's
-    answer instead of computing their own.  A leader that raises answers
-    with an ``error`` reply naming the exception, so no joiner waits
-    forever.  The induction server and the cluster router both dedup
-    through one.
-    """
-
-    def __init__(self) -> None:
-        self._flights: dict[str, _Flight] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._flights)
-
-    def share(self, key: str, lead: Callable[[], object],
-              wait_s: float | None = None) -> tuple[object, bool]:
-        """``(answer, led)``: ``lead()``'s answer, or the running leader's.
-
-        A joiner waits at most ``wait_s`` seconds (``None``: until the
-        leader is done) and gets ``None`` when that runs out first.
-        """
-        with self._lock:
-            flight = self._flights.get(key)
-            led = flight is None
-            if led:
-                flight = self._flights[key] = _Flight()
-            elif flight.landed is None:
-                flight.landed = threading.Event()
-        if not led:
-            return (flight.answer if flight.landed.wait(wait_s) else None), \
-                False
-        answer: object = None
-        try:
-            answer = lead()
-        except Exception as exc:  # noqa: BLE001 - every waiter is answered
-            traceback.print_exc()
-            answer = {"status": "error",
-                      "error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            # Unlink before publishing: a caller that arrives now leads a
-            # new flight, and every joiner of this one already made the
-            # event it waits on.
-            with self._lock:
-                del self._flights[key]
-            flight.answer = answer
-            if flight.landed is not None:
-                flight.landed.set()
-        return answer, True
-
-
-def finish_request(reply: dict, recorder: MemoryTracer, trace_id: str, *,
-                   fingerprint: str, started: float, stitch: bool,
-                   slo: SLOTracker, flightrec: FlightRecorder,
-                   route: list[str] | None = None,
-                   failed_over: bool = False) -> dict:
-    """Close one answered request's books once its span has ended.
-
-    Takes the SLO sample and records the flight-recorder digest (the
-    reply's timing phases, plus ``route_s``, ``route`` and
-    ``failed_over`` for a routed request).  For a ``stitch`` caller — one
-    that sent a trace context — the reply's result carries the request's
-    span records as ``obs``; everyone else gets the reply untouched.
-    Shared by the induction server and the cluster router.
-    """
-    wall_s = time.monotonic() - started
-    status = str(reply.get("status", "error"))
-    slo.record(wall_s, ok=status == "ok")
-    result = reply.get("result")
-    if not isinstance(result, dict):
-        result = None
-    phases = {key: result[key] for key in
-              ("queue_wait_s", "server_wall_s", "wall_s")
-              if result and result.get(key) is not None}
-    if route is not None:
-        phases["route_s"] = wall_s
-    flightrec.record(
-        fingerprint=fingerprint, outcome=status, wall_s=wall_s,
-        trace=trace_id, phases=phases, route=route,
-        spans=recorder.events,
-        degraded=bool(result.get("degraded")) if result else False,
-        failed_over=failed_over)
-    if stitch and result is not None:
-        reply = dict(reply)
-        reply["result"] = {**result, "obs": {"spans": list(recorder.events)}}
-    return reply
-
-
 class _Ticket(NamedTuple):
     """One admitted submit, fingerprinted and checked but not parsed."""
 
@@ -345,16 +145,16 @@ class _Ticket(NamedTuple):
     #: Absolute :func:`time.monotonic` deadline, or None.
     deadline: float | None
 
-    def degraded(self, wall_s: float) -> dict:
-        """The verified greedy reply payload; parses the wire (rare path)."""
-        return result_to_payload(degraded_result(
-            protocol.request_from_wire(self.wire), wall_s=wall_s))
+    def degraded(self, wall_s: float) -> protocol.ResultText:
+        """The verified greedy result; parses the wire (rare path)."""
+        return protocol.ResultText.encode(result_to_payload(degraded_result(
+            protocol.request_from_wire(self.wire), wall_s=wall_s)))
 
 
 class _Served(NamedTuple):
     """A flight's ``ok`` outcome, before it becomes each request's reply."""
 
-    payload: dict
+    result: protocol.ResultText
     disposition: str
     #: When the work began: the dispatch for a computed reply, the
     #: leader's admission for a cache hit.
@@ -509,21 +309,22 @@ class InductionServer:
     # The remote cache tier (repro.cluster.remotecache) reads and writes
     # peers' *local* tiers through these ops, one cache entry each way; a
     # RemoteScheduleCache exposes get_local/put_local so serving a peer
-    # never recurses back out to the cluster.
+    # never recurses back out to the cluster.  A get sends the stored text.
 
     def _peer_cache_get(self, msg: dict) -> dict:
         fingerprint = msg.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
             raise protocol.ProtocolError("cache_get needs a fingerprint")
         self.counters.bump("peer_cache_requests")
-        entry = None
+        text = None
         if self.cache is not None:
-            get = getattr(self.cache, "get_local", self.cache.get)
-            entry = get(fingerprint)
-        if entry is None:
+            get = getattr(self.cache, "get_local", self.cache.get_text)
+            text = get(fingerprint)
+        if text is None:
             return {"status": "cache", "hit": False}
         self.counters.bump("peer_cache_served")
-        return {"status": "cache", "hit": True, "entry": entry}
+        return {"status": "cache", "hit": True,
+                "entry": protocol.ResultText(text)}
 
     def _peer_cache_put(self, msg: dict) -> dict:
         try:
@@ -569,7 +370,7 @@ class InductionServer:
             reply = self._answer(ticket, tee, live.trace_id)
             live.set(status=reply["status"])
             if reply["status"] == "ok":
-                live.set(disposition=reply["result"]["disposition"])
+                live.set(disposition=reply["result"].fields["disposition"])
             elif reply["status"] == "busy":
                 self.counters.bump("shed")
         return finish_request(
@@ -617,12 +418,13 @@ class InductionServer:
     def _lead(self, ticket: _Ticket, tee: Tracer) -> _Served | dict:
         """Answer a flight: the cache once, else a worker's search."""
         if self.cache is not None:
-            entry = self.cache.get(ticket.fingerprint)
-            if entry is not None:
+            text = self.cache.get_text(ticket.fingerprint)
+            if text is not None:
                 self.counters.bump("cache_hits")
-                return _Served(
-                    replay(entry, wall_s=time.monotonic() - ticket.admitted),
-                    "cache", ticket.admitted)
+                return _Served(protocol.ResultText(text, {
+                    "cache_hit": True,
+                    "wall_s": time.monotonic() - ticket.admitted,
+                    "retries": 0}), "cache", ticket.admitted)
         with self._lock:
             if not self._free_workers:
                 if self._waiting >= self.config.queue_size:
@@ -683,22 +485,25 @@ class InductionServer:
                     self.metrics.observe("service_worker_retries",
                                          meta["retries"],
                                          buckets=DEFAULT_SIZE_BUCKETS)
+                # Encoded once: the cache stores the text the reply sends.
+                result = protocol.ResultText.encode(payload)
                 if self.cache is not None:
-                    self.cache.put(ticket.fingerprint, payload)
+                    self.cache.put(ticket.fingerprint, payload,
+                                   text=result.text)
             except DeadlineExpired:
                 disposition = "deadline"
                 self.counters.bump("degraded_deadline")
-                payload = ticket.degraded(time.monotonic() - started)
+                result = ticket.degraded(time.monotonic() - started)
             except RetriesExhausted:
                 disposition = "retries"
                 self.counters.bump("degraded_retries")
-                payload = ticket.degraded(time.monotonic() - started)
+                result = ticket.degraded(time.monotonic() - started)
             except WorkerTaskError as exc:
                 self.counters.bump("task_errors")
                 live.set(disposition="error")
                 return {"status": "error", "error": str(exc)}
             live.set(disposition=disposition)
-        return _Served(payload, disposition, started)
+        return _Served(result, disposition, started)
 
     def _ok_reply(self, served: _Served, admitted: float, deduped: bool,
                   trace_id: str) -> dict:
@@ -722,10 +527,11 @@ class InductionServer:
         if self.tracer.enabled:
             self.tracer.emit("service_request",
                              disposition=served.disposition,
-                             degraded=bool(served.payload.get("degraded")),
+                             degraded=served.result.degraded,
                              deduped=deduped,
                              wall_s=extras["server_wall_s"])
-        return {"status": "ok", "result": {**served.payload, **extras}}
+        # Each request its own fields, over the flight's one text.
+        return {"status": "ok", "result": served.result.with_fields(**extras)}
 
     # -- introspection -----------------------------------------------------
 

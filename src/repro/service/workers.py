@@ -34,7 +34,6 @@ import time
 from typing import Any, Mapping
 
 from repro.api import InductionRequest, _execute_local
-from repro.core.cache import replay
 from repro.core.pipeline import InductionResult, run_induction
 from repro.core.result import ResultBase, result_from_payload, result_to_payload
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
@@ -414,8 +413,9 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
         fingerprint = request.fingerprint()
         entry = cache.get(fingerprint)
         if entry is not None:
-            return result_from_payload(
-                replay(entry, wall_s=time.monotonic() - start))
+            entry.update(cache_hit=True, wall_s=time.monotonic() - start,
+                         retries=0)
+            return result_from_payload(entry)
 
     # Parsed here, so malformed text is this call's ValueError, raised
     # before a worker starts.

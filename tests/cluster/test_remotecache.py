@@ -6,6 +6,8 @@ dicts, so hit adoption, replication pushes, the boundary check and
 dead-peer degradation are all deterministic.
 """
 
+import json
+
 import pytest
 
 from repro import api
@@ -200,7 +202,8 @@ class TestLocalOnlySurface:
             self_name=config.node_names[0], client_factory=explode)
         assert cache.get_local(fp) is None
         cache.put_local(fp, payload)
-        assert cache.get_local(fp) == cache_entry(payload)
+        # The local text, as the server's peer cache_get op sends it.
+        assert json.loads(cache.get_local(fp)) == cache_entry(payload)
 
     def test_delegated_schedulecache_surface(self, cluster, induced):
         config, peers = cluster

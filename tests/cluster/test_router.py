@@ -264,7 +264,8 @@ class TestRequestCache:
                                 lambda *args, reply=reply: copy.deepcopy(reply))
             wire = protocol.request_to_wire(request(seed))
             router.submit_wire(dict(wire))
-            again = router.submit_wire(dict(wire)).get("result") or {}
+            again = protocol.decode_result(
+                router.submit_wire(dict(wire)).get("result")) or {}
             assert bool(again.get("router_cache")) is cached, reply
 
     def test_unproven_race_is_not_router_cached(self, cluster):

@@ -177,7 +177,7 @@ def test_failing_dispatch_answers_every_waiting_request(tmp_path, request_,
 def test_single_flight_runs_one_leader_per_key_at_a_time():
     import sys
 
-    from repro.service.server import SingleFlight
+    from repro.service.daemon import SingleFlight
 
     flights = SingleFlight()
     lock = threading.Lock()

@@ -6,6 +6,7 @@ both daemons fingerprint through their own
 :class:`~repro.service.protocol.SubmitMemo`.
 """
 
+import json
 import sys
 import threading
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ import pytest
 from repro.api import InductionRequest
 from repro.cluster import LocalCluster
 from repro.core import ScheduleCache, maspar_cost_model, verify_schedule
+from repro.core.costmodel import CostModel
 from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
 from repro.obs import Counters
@@ -187,6 +189,66 @@ class TestSubmitMemo:
         assert memo.fingerprint(changed) == \
             protocol.request_from_wire(changed).fingerprint()
         assert counters["submit_memo_misses"] == 2
+
+    @staticmethod
+    def decoded(wire):
+        """``wire`` as a daemon holds it: decoded from a JSON frame."""
+        return json.loads(json.dumps(wire))
+
+    def model_wire(self, **changes):
+        """A submit whose custom model's fields are ``changes``."""
+        wire = self.wire(model=CostModel(
+            class_of={"ld": "mem", "mul": "alu", "add": "alu"},
+            class_cost={"mem": 4.0, "alu": 1.0}))
+        wire["model"].update(changes)
+        return self.decoded(wire)
+
+    @pytest.mark.parametrize("first,second", [
+        (1, 1.0), (1, True), (1.0, True), (0.0, -0.0),
+    ], ids=["int-float", "int-bool", "float-bool", "zero-signs"])
+    def test_the_digest_tells_equal_numbers_of_other_types_apart(
+            self, first, second):
+        # Each pair parses to one cost model, so a wrong memo hit would
+        # hide here; the digest is type-exact instead, and each spelling
+        # is parsed once and then remembered.
+        counters = Counters()
+        memo = protocol.SubmitMemo(counters)
+        wires = [self.model_wire(mask_overhead=first),
+                 self.model_wire(mask_overhead=second)]
+        got = [memo.fingerprint(wire) for wire in wires]
+        assert got == [protocol.request_from_wire(wire).fingerprint()
+                       for wire in wires]
+        assert counters["submit_memo_misses"] == 2
+        assert [memo.fingerprint(self.decoded(wire)) for wire in wires] == got
+        assert counters["submit_memo_hits"] == 2
+
+    def test_a_key_order_swap_is_another_digest_of_one_fingerprint(self):
+        counters = Counters()
+        memo = protocol.SubmitMemo(counters)
+        wire = self.model_wire()
+        swapped = self.decoded(wire)
+        swapped["model"]["class_cost"] = dict(
+            reversed(swapped["model"]["class_cost"].items()))
+        assert list(swapped["model"]["class_cost"]) != \
+            list(wire["model"]["class_cost"])
+        assert memo.fingerprint(wire) == memo.fingerprint(swapped)
+        assert counters["submit_memo_misses"] == 2
+        assert memo.fingerprint(self.decoded(swapped)) == \
+            memo.fingerprint(self.decoded(wire))
+        assert counters["submit_memo_hits"] == 2
+
+    def test_a_value_no_frame_decodes_to_is_parsed_not_remembered(self):
+        class Text(str):
+            pass
+
+        counters = Counters()
+        memo = protocol.SubmitMemo(counters)
+        wire = self.wire()
+        odd = dict(wire, region=Text(wire["region"]))
+        expected = protocol.request_from_wire(wire).fingerprint()
+        assert memo.fingerprint(odd) == memo.fingerprint(odd) == expected
+        assert counters["submit_memo_misses"] == 2
+        assert counters["submit_memo_hits"] == 0
 
     def test_is_bounded_lru(self, monkeypatch):
         monkeypatch.setattr(protocol, "SUBMIT_MEMO_SIZE", 2)

@@ -3,8 +3,9 @@
 A fresh process that imports :mod:`repro.api` (or :mod:`repro`) loads
 neither numpy nor :mod:`http.server`, nor any subsystem a plain search
 request never runs; ``python -m repro induce`` loads neither numpy nor
-:mod:`http.server`.  The packages still offer every name in their
-``__all__``, resolved on access from the defining module.
+:mod:`http.server`; the cluster router loads no worker pool.  The
+packages still offer every name in their ``__all__``, resolved on access
+from the defining module.
 """
 
 import importlib
@@ -76,6 +77,17 @@ def test_one_shot_induce_loads_no_numpy_and_no_http_server(tmp_path):
         "    assert not exc.code, exc.code\n")
     assert "repro.core.pipeline" in loaded
     assert not loaded & {"numpy", "http.server"}
+
+
+def test_router_loads_no_worker_pool():
+    # A router never starts a worker: the daemon pieces it shares with
+    # the server live apart from the pool and its multiprocessing.
+    loaded = _loaded_modules("import repro.cluster.router")
+    assert "repro.service.daemon" in loaded
+    assert not loaded & {"repro.service.workers", "repro.service.server",
+                         "multiprocessing", "pickle"}, sorted(
+        loaded & {"repro.service.workers", "repro.service.server",
+                  "multiprocessing", "pickle"})
 
 
 # -- re-exports on access ----------------------------------------------------
