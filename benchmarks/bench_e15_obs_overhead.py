@@ -156,7 +156,7 @@ def run_experiment(tmp_path):
         "jsonl_ratio": ratio["jsonl"],
         "full_ratio": ratio["full"],
     }
-    record_table("e15_obs_overhead", table, data=data)
+    record_table("E15_obs_overhead", table, data=data)
     return data
 
 

@@ -13,7 +13,8 @@ another version sends none — is a counted miss.
 Placement mirrors routing: :meth:`put` pushes the stored entry to the
 fingerprint's first ``replication`` ring owners, the same nodes a router
 failover would try next, so the node that inherits a dead owner's arc
-usually already holds its entries locally.
+usually already holds its entries locally.  A put that brings the
+entry's text (a server's miss) pushes that text, encoded no more.
 
 Peer reads use a tight :data:`PEER_TIMEOUT_S` and swallow every transport
 error into a miss — a dead peer must degrade a lookup, never stall or
@@ -49,6 +50,7 @@ from repro.core.cache import (
     check_entry,
     encode_entry,
 )
+from repro.service.protocol import ResultText
 
 __all__ = ["RemoteScheduleCache"]
 
@@ -128,7 +130,7 @@ class RemoteScheduleCache:
         owners; nothing the store rule refuses leaves the node."""
         if not self.local.put(fingerprint, payload, text=text):
             return False
-        entry = cache_entry(payload)
+        entry = cache_entry(payload) if text is None else ResultText(text)
         for peer in self._peers_for(fingerprint):
             try:
                 self._client_for(peer).cache_put(fingerprint, entry)

@@ -59,6 +59,7 @@ from repro.obs import Counters
 from repro.obs.metrics import get_registry
 
 __all__ = [
+    "RULE_KEYS",
     "ScheduleCache",
     "cache_entry",
     "check_entry",
@@ -70,9 +71,20 @@ __all__ = [
 #: Reply fields that describe one request, not its result: never stored.
 _PER_REQUEST = ("obs", "retries", "wall_s", "cache_hit")
 
+#: The entry keys the store rule (:func:`storable`) reads.
+RULE_KEYS = ("degraded", "kind", "optimal")
+
 #: Bump when the fingerprint payload layout changes, so stale disk tiers
 #: from older code can never alias new entries.
 _FINGERPRINT_VERSION = 1
+
+
+#: Built once, as ``json.dumps`` with options builds an encoder per call.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+#: The fingerprint's encoder.  Its payload is tuples, strings and numbers,
+#: never a cycle, so it skips the circular-reference check.
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                              check_circular=False).encode
 
 
 def _canon_imm(imm: int | float | None) -> list | None:
@@ -96,14 +108,15 @@ def region_fingerprint(
     opcode/operand/immediate sequences, same cost-model parameters, same
     search configuration, same induction method.  Thread ids and op indices
     are positional, so re-parsed or re-generated copies of a region
-    fingerprint identically.
+    fingerprint identically.  The hashed text names disk entries and ring
+    positions, so it must never change without :data:`_FINGERPRINT_VERSION`.
     """
     config = config or SearchConfig()
     payload = {
         "v": _FINGERPRINT_VERSION,
         "method": method,
         "region": [
-            [[op.opcode, list(op.reads), list(op.writes), _canon_imm(op.imm)]
+            [(op.opcode, op.reads, op.writes, _canon_imm(op.imm))
              for op in tc.ops]
             for tc in region.threads
         ],
@@ -118,10 +131,9 @@ def region_fingerprint(
         },
         # The config's fields by name: dataclasses.asdict without its
         # deep copy of a flat record of scalars.
-        "config": dict(vars(config)),
+        "config": vars(config),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL(payload).encode("utf-8")).hexdigest()
 
 
 def cache_entry(payload: Mapping[str, Any]) -> dict:
@@ -139,11 +151,14 @@ def encode_entry(payload: Mapping[str, Any]) -> tuple[str, dict]:
     own: dict = {}
     for key, value in payload.items():
         (own if key in _PER_REQUEST else entry)[key] = value
-    return json.dumps(entry, separators=(",", ":")), own
+    return _ENCODE(entry), own
 
 
 def storable(payload: Mapping[str, Any]) -> bool:
-    """The one store rule: not degraded, and no unproven race."""
+    """The one store rule: not degraded, and no unproven race.
+
+    It reads only :data:`RULE_KEYS`.
+    """
     if payload.get("degraded"):
         return False
     return payload.get("kind") != "portfolio" or bool(payload.get("optimal"))
@@ -238,7 +253,8 @@ class ScheduleCache:
         """Store ``payload``'s entry in both tiers if it is :func:`storable`.
 
         ``text`` is the entry's text when the caller already encoded it
-        (:func:`encode_entry`), so nothing encodes it twice.
+        (:func:`encode_entry`), so nothing encodes it twice; ``payload``
+        may then hold just its :data:`RULE_KEYS` (a ``ResultText.flags``).
         """
         if not storable(payload):
             return False

@@ -182,11 +182,18 @@ def parse_region(text: str) -> Region:
     """Parse the textual region syntax documented in the module docstring.
 
     Thread headers must be ``thread N:`` with consecutive ``N`` starting at 0.
+
+    One pass, since a served miss pays it in every process it reaches:
+    each line is split once, and its operands are scanned for an
+    immediate only when it holds a ``#``.  The frozen objects are built
+    without their ``__post_init__``, whose checks this has already made
+    (as :meth:`repro.core.schedule.Slot._adopt` builds a slot).
     """
     threads: list[list[Operation]] = []
-    current: list[Operation] | None = None
+    ops: list[Operation] | None = None
+    tid = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
+        line = raw.partition(";")[0].strip()
         if not line:
             continue
         if line.startswith("thread"):
@@ -200,35 +207,49 @@ def parse_region(text: str) -> Region:
             if tid != len(threads):
                 raise RegionParseError(
                     f"line {lineno}: expected thread {len(threads)}, got {tid}")
-            current = []
-            threads.append(current)
+            ops = []
+            threads.append(ops)
             continue
-        if current is None:
+        if ops is None:
             raise RegionParseError(f"line {lineno}: operation before any thread header")
+        lhs, eq, rhs = line.partition("=")
         writes: tuple[str, ...] = ()
-        rhs = line
-        if "=" in line:
-            lhs, rhs = (part.strip() for part in line.split("=", 1))
-            writes = tuple(s.strip() for s in lhs.split(",") if s.strip())
+        if eq:
+            lhs = lhs.strip()
+            if "," in lhs:
+                writes = tuple([name for name in [part.strip() for part in lhs.split(",")]
+                                if name])
+            elif lhs:
+                writes = (lhs,)
             if not writes:
                 raise RegionParseError(f"line {lineno}: empty destination list")
-        tokens = rhs.split()
-        if not tokens:
+        else:
+            rhs = line
+        reads = rhs.split()
+        if not reads:
             raise RegionParseError(f"line {lineno}: empty operation")
-        opcode = tokens[0]
-        reads: list[str] = []
+        opcode = reads.pop(0)
         imm: int | float | None = None
-        for tok in tokens[1:]:
-            if tok.startswith("#"):
-                if imm is not None:
+        if "#" in rhs:
+            operands, reads = reads, []
+            for tok in operands:
+                if tok[0] != "#":
+                    reads.append(tok)
+                elif imm is not None:
                     raise RegionParseError(f"line {lineno}: multiple immediates")
-                imm = _parse_imm(tok)
-            else:
-                reads.append(tok)
-        tid = len(threads) - 1
-        current.append(Operation(tid, len(current), opcode, tuple(reads), writes, imm))
+                else:
+                    imm = _parse_imm(tok)
+        op = object.__new__(Operation)
+        op.__dict__.update(thread=tid, index=len(ops), opcode=opcode,
+                           reads=tuple(reads), writes=writes, imm=imm)
+        ops.append(op)
     if not threads:
         raise RegionParseError("no threads in region text")
-    return Region(tuple(
-        ThreadCode(t, tuple(ops)) for t, ops in enumerate(threads)
-    ))
+    codes = []
+    for t, thread_ops in enumerate(threads):
+        code = object.__new__(ThreadCode)
+        code.__dict__.update(thread=t, ops=tuple(thread_ops))
+        codes.append(code)
+    region = object.__new__(Region)
+    region.__dict__["threads"] = tuple(codes)
+    return region

@@ -4,15 +4,15 @@ Four coordinated pieces, used together by :mod:`repro.core.pipeline`,
 :mod:`repro.core.cache` and :mod:`repro.service.server`:
 
 - :class:`StopWatch` / :func:`timed` — monotonic wall-clock timing;
-- :class:`Counters` — named counters (cache hits, stores, ...), mergeable
-  across workers;
+- :class:`Counters` — named counters (cache hits, stores, ...);
 - **spans** — :func:`span` opens a hierarchical, trace-id-carrying timed
   phase; :func:`current_context` / :func:`attach_context` propagate a
   trace across thread and process boundaries, and :func:`replay_events`
   stitches worker-recorded spans back into the parent's sink;
 - **metrics** — :class:`MetricsRegistry` holds counters, gauges and
   fixed-bucket :class:`Histogram` latency distributions (``p50/p90/p99``),
-  thread-safe and mergeable across workers; :func:`render_prometheus`
+  thread-safe; a worker records into a :class:`MetricsLog` whose calls
+  its parent replays; :func:`render_prometheus`
   emits the text exposition served by the ``metrics`` op and
   ``--metrics-port`` (:func:`start_metrics_server`), including
   OpenMetrics-style trace-id exemplars on histogram buckets;
@@ -42,8 +42,9 @@ __getattr__, __dir__, __all__ = reexport(__name__, {
     "repro.obs.httpexp": ("MetricsHTTPServer", "start_metrics_server"),
     "repro.obs.metrics": ("DEFAULT_SIZE_BUCKETS", "DEFAULT_TIME_BUCKETS",
                           "DEFAULT_VALUE_BUCKETS", "GAUGE_STAT_PREFIXES",
-                          "Histogram", "MetricsRegistry", "get_registry",
-                          "render_prometheus", "split_stats", "use_registry"),
+                          "Histogram", "MetricsLog", "MetricsRegistry",
+                          "get_registry", "render_prometheus", "split_stats",
+                          "use_registry"),
     "repro.obs.slo": ("SLOConfig", "SLOTracker"),
     "repro.obs.spans": ("Span", "SpanContext", "attach_context",
                         "current_context", "new_trace_id", "replay_events",

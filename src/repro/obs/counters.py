@@ -38,13 +38,6 @@ class Counters:
             self._counts[name] = value
             return value
 
-    def merge(self, other: "Counters | Mapping[str, float]") -> None:
-        """Fold another counter set (e.g. a worker's snapshot) into this one."""
-        items = other.snapshot().items() if isinstance(other, Counters) \
-            else other.items()
-        for name, amount in items:
-            self.bump(str(name), float(amount))
-
     def snapshot(self) -> dict[str, float]:
         """Point-in-time copy, sorted by name for stable output."""
         with self._lock:

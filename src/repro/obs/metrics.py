@@ -10,10 +10,10 @@ families:
   ``p50/p90/p99`` summaries, the paper-style "where does the time go"
   measurement that flat totals cannot answer.
 
-Everything is thread-safe, and every family is *mergeable*: a worker
-process snapshots its registry (:meth:`MetricsRegistry.snapshot`, plain
-JSON-able dicts) and ships it back over the pipe; the parent folds it in
-with :meth:`MetricsRegistry.merge`.  That is how search wall time measured
+Everything is thread-safe.  A worker process records into a
+:class:`MetricsLog`, which keeps the calls made on it, and ships those
+few tuples back over the pipe; the parent applies them with
+:meth:`MetricsRegistry.replay`.  That is how search wall time measured
 inside a supervised worker ends up in the serving process's ``metrics``
 exposition.
 
@@ -33,7 +33,7 @@ import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.obs.counters import Counters
 
@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_VALUE_BUCKETS",
     "GAUGE_STAT_PREFIXES",
     "Histogram",
+    "MetricsLog",
     "MetricsRegistry",
     "get_registry",
     "observe_search_throughput",
@@ -155,42 +156,17 @@ class Histogram:
             }
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-able state, mergeable on the other side of a process pipe."""
+        """JSON-able state: what the Prometheus exposition reads."""
         with self._lock:
             return {
                 "buckets": list(self.bounds),
                 "counts": list(self.counts),
                 "sum": self.total,
                 "count": self.count,
-                "min": self.vmin if self.count else None,
-                "max": self.vmax if self.count else None,
                 "exemplars": {str(index): [trace_id, value]
                               for index, (trace_id, value)
                               in sorted(self.exemplars.items())},
             }
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` (same bucket layout) into this histogram."""
-        bounds = tuple(float(b) for b in snapshot["buckets"])
-        if bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram with bounds {bounds} into {self.bounds}")
-        counts = snapshot["counts"]
-        with self._lock:
-            for index, bucket_count in enumerate(counts):
-                self.counts[index] += int(bucket_count)
-            self.total += float(snapshot["sum"])
-            self.count += int(snapshot["count"])
-            if snapshot.get("min") is not None:
-                self.vmin = min(self.vmin, float(snapshot["min"]))
-            if snapshot.get("max") is not None:
-                self.vmax = max(self.vmax, float(snapshot["max"]))
-            for key, entry in dict(snapshot.get("exemplars", {})).items():
-                index = int(key)
-                trace_id, value = str(entry[0]), float(entry[1])
-                held = self.exemplars.get(index)
-                if held is None or value >= held[1]:
-                    self.exemplars[index] = (trace_id, value)
 
 
 class MetricsRegistry:
@@ -260,7 +236,7 @@ class MetricsRegistry:
         return out
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-able whole-registry state for cross-process shipping."""
+        """JSON-able whole-registry state (:func:`render_prometheus`)."""
         with self._lock:
             histograms = dict(self._histograms)
         return {
@@ -270,15 +246,40 @@ class MetricsRegistry:
                            for name, hist in sorted(histograms.items())},
         }
 
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a worker registry snapshot into this registry."""
-        self._counters.merge(snapshot.get("counters", {}))
-        for name, value in dict(snapshot.get("gauges", {})).items():
-            self._gauges.set(name, value)
-        for name, hist_snap in dict(snapshot.get("histograms", {})).items():
-            hist = self.histogram(
-                name, tuple(float(b) for b in hist_snap["buckets"]))
-            hist.merge(hist_snap)
+    def replay(self, calls: Iterable[tuple]) -> None:
+        """Apply the calls a :class:`MetricsLog` recorded, in order."""
+        apply = {"inc": self.inc, "observe": self.observe,
+                 "set_gauge": self.set_gauge}
+        for method, *args in calls:
+            apply[method](*args)
+
+
+class MetricsLog:
+    """A stand-in registry that records its calls instead of applying them.
+
+    A worker process runs its request under one (:func:`use_registry`)
+    and sends back :attr:`calls`, a handful of plain tuples, which the
+    serving process applies with :meth:`MetricsRegistry.replay`: each
+    observation lands once, through the same ``observe`` as a local one
+    (so exemplars keep their max-wins rule), and no registry is snapshot
+    or merged.
+    """
+
+    __slots__ = ("calls",)
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def inc(self, name: str, amount: float = 1) -> None:
+        self.calls.append(("inc", name, amount))
+
+    def set_gauge(self, name: str, value: float) -> None:
+        self.calls.append(("set_gauge", name, value))
+
+    def observe(self, name: str, value: float,
+                buckets: tuple[float, ...] | None = None,
+                trace_id: str | None = None) -> None:
+        self.calls.append(("observe", name, value, buckets, trace_id))
 
 
 # -- default / scoped registry ---------------------------------------------
@@ -294,11 +295,12 @@ def get_registry() -> MetricsRegistry:
 
 
 @contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+def use_registry(registry: MetricsRegistry | MetricsLog) -> Iterator:
     """Route :func:`get_registry` to ``registry`` inside the ``with`` block.
 
-    Context-variable scoped, so worker tasks and tests get isolated metrics
-    without threading a registry through every call signature.
+    Context-variable scoped, so worker tasks (a :class:`MetricsLog`) and
+    tests get isolated metrics without threading a registry through every
+    call signature.
     """
     token = _current_registry.set(registry)
     try:

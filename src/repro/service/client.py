@@ -211,11 +211,14 @@ class ServiceClient:
             raise ServiceError(f"bad cache_get reply {reply!r}")
         return reply.get("entry") if reply.get("hit") else None
 
-    def cache_put(self, fingerprint: str, entry: Mapping[str, Any]) -> None:
-        """Push a cache entry into the server's local cache tiers."""
+    def cache_put(self, fingerprint: str,
+                  entry: Mapping[str, Any] | protocol.ResultText) -> None:
+        """Push a cache entry, or its text, into the server's local tiers."""
         reply = self._roundtrip({"op": "cache_put",
                                  "fingerprint": fingerprint,
-                                 "entry": dict(entry)})
+                                 "entry": entry if isinstance(
+                                     entry, protocol.ResultText)
+                                 else dict(entry)})
         if reply.get("status") != "ok":
             raise ServiceError(f"cache_put failed: {reply!r}")
 

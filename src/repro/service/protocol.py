@@ -76,7 +76,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
 from repro.api import InductionRequest, valid_deadline
-from repro.core.cache import encode_entry
+from repro.core.cache import RULE_KEYS, encode_entry
 from repro.core.costmodel import CostModel
 from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
@@ -112,7 +112,9 @@ class ProtocolError(ValueError):
 #: JSON's whitespace: all that may surround an object's text.
 _JSON_WS = " \t\n\r"
 
-_COMPACT = (",", ":")
+#: Built once, as ``json.dumps`` with options builds an encoder per call.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_ENCODE_SORTED = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 class ResultText:
@@ -126,21 +128,24 @@ class ResultText:
     ``disposition``, ``router_cache``, ``router_dedup``).
     :func:`send_message` writes :meth:`splice`: the fields go in before
     the text's closing brace, last, so a field wins over a same-named key
-    in the text when the frame is decoded.  ``degraded`` is the text's own
-    flag, for in-process readers (a stored entry never is: the store rule).
+    in the text when the frame is decoded.  ``flags`` holds the text's
+    own :data:`~repro.core.cache.RULE_KEYS`, for in-process readers: the
+    cache's store rule and :attr:`degraded` read them (a stored entry's
+    value has none: it passed the rule).
 
     A value is never changed: :meth:`with_fields` makes a new one that
     shares the text, so the requests of one flight share the text but
-    never one fields dict.
+    never one fields dict.  A worker process replies with one.
     """
 
-    __slots__ = ("text", "fields", "degraded")
+    __slots__ = ("text", "fields", "flags", "degraded")
 
     def __init__(self, text: str, fields: dict[str, Any] | None = None,
-                 degraded: bool = False) -> None:
+                 flags: Mapping[str, Any] | None = None) -> None:
         self.text = text
         self.fields = fields if fields is not None else {}
-        self.degraded = degraded
+        self.flags = flags if flags is not None else {}
+        self.degraded = bool(self.flags.get("degraded"))
 
     @classmethod
     def encode(cls, payload: Mapping[str, Any], **fields: Any
@@ -149,18 +154,19 @@ class ResultText:
         ``fields``) as this request's fields."""
         text, own = encode_entry(payload)
         own.update(fields)
-        return cls(text, own, bool(payload.get("degraded")))
+        return cls(text, own, {key: payload[key] for key in RULE_KEYS
+                               if key in payload})
 
     def with_fields(self, **fields: Any) -> "ResultText":
         """The same text with ``fields`` added to (or replacing) its own."""
-        return ResultText(self.text, {**self.fields, **fields}, self.degraded)
+        return ResultText(self.text, {**self.fields, **fields}, self.flags)
 
     def splice(self) -> str:
         """The JSON text a receiver decodes: the text, then the fields."""
         if not self.fields:
             return self.text
         head = self.text.rstrip(_JSON_WS)[:-1].rstrip(_JSON_WS)
-        tail = json.dumps(self.fields, separators=_COMPACT)
+        tail = _ENCODE(self.fields)
         # An object's text before its closing brace ends in ``{`` only
         # when the object is empty.
         return head + ("" if head.endswith("{") else ",") + tail[1:]
@@ -179,13 +185,14 @@ def decode_result(result: Any) -> Any:
 
 def _frame_text(obj: Mapping[str, Any]) -> str:
     """``obj``'s JSON text, each :class:`ResultText` value spliced in."""
+    # A key is encoded by json.dumps's own default encoder, which it
+    # builds once: only a call with options builds one per call.
     spliced = [f"{json.dumps(key)}:{value.splice()}"
                for key, value in obj.items() if isinstance(value, ResultText)]
     if not spliced:
-        return json.dumps(obj, sort_keys=True, separators=_COMPACT)
-    rest = json.dumps({key: value for key, value in obj.items()
-                       if not isinstance(value, ResultText)},
-                      sort_keys=True, separators=_COMPACT)
+        return _ENCODE_SORTED(obj)
+    rest = _ENCODE_SORTED({key: value for key, value in obj.items()
+                           if not isinstance(value, ResultText)})
     if rest != "{}":
         spliced.append(rest[1:-1])
     return "{" + ",".join(spliced) + "}"

@@ -20,10 +20,11 @@ answers it:
 
 Every ``ok`` reply carries a :class:`~repro.service.protocol.ResultText`:
 an entry's JSON text plus the request's own fields, spliced into the
-frame as it is sent.  A hit sends the text the cache holds, undecoded; a
-miss or a degraded fallback encodes its payload once, and that one text
-is what the cache stores and what the reply carries.  The peer
-``cache_get`` op sends the stored text too.
+frame as it is sent.  A hit sends the text the cache holds, undecoded.
+A miss sends the text its worker encoded, with ``retries`` added and no
+JSON of the server's own; a degraded fallback encodes its payload once.
+Either way one text is what the cache stores and what the reply
+carries.  The peer ``cache_get`` op sends the stored text too.
 
 Robustness contract (the point of the service):
 
@@ -39,7 +40,7 @@ passes first answers itself with the degraded schedule.
 
 Only the rare paths that need the parsed request — a degraded reply and
 a portfolio's selector hints — parse the submit again, from the ticket's
-wire.
+wire; a portfolio's outcomes decode its reply text once.
 
 Metrics are plain :class:`repro.obs.Counters` — ``requests``, ``ok``,
 ``shed``, ``degraded_deadline``, ``degraded_retries``, ``dedup_hits``,
@@ -473,22 +474,22 @@ class InductionServer:
                     deadline += PORTFOLIO_KILL_GRACE_S
             try:
                 worker_started = time.monotonic()
-                payload, meta = self.pool.run(wire, deadline)
+                result, meta = self.pool.run(wire, deadline)
                 self.metrics.observe(
                     "service_worker_seconds",
                     time.monotonic() - worker_started,
                     trace_id=live.trace_id)
-                absorb_obs(payload, tracer=tee, registry=self.metrics)
-                record_portfolio_outcome(payload, self.strategy_store)
-                payload["retries"] = meta["retries"]
+                result = absorb_obs(result, tracer=tee, registry=self.metrics)
+                record_portfolio_outcome(result, self.strategy_store)
+                result = result.with_fields(retries=meta["retries"])
                 if meta["retries"]:
                     self.metrics.observe("service_worker_retries",
                                          meta["retries"],
                                          buckets=DEFAULT_SIZE_BUCKETS)
-                # Encoded once: the cache stores the text the reply sends.
-                result = protocol.ResultText.encode(payload)
+                # Encoded once, in the worker: the cache stores the text
+                # the reply sends, under the store rule of its flags.
                 if self.cache is not None:
-                    self.cache.put(ticket.fingerprint, payload,
+                    self.cache.put(ticket.fingerprint, result.flags,
                                    text=result.text)
             except DeadlineExpired:
                 disposition = "deadline"

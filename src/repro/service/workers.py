@@ -17,6 +17,11 @@ gives the service its robustness guarantees:
   with best-effort (pre-start) deadline checks, so the service still
   functions everywhere the library does.
 
+A task is the submit's wire dict, region text and all (a parse costs less
+than a pickled region).  The reply is the entry text the server stores
+and sends, encoded once here, with an ``obs`` field that
+:func:`absorb_obs` replays: span records and metric calls.
+
 Fault injection for tests rides the wire: a ``chaos`` object may request
 ``crash_attempts`` (die with ``os._exit`` on the first N attempts) or
 ``sleep_s`` (stall before searching).  Servers strip ``chaos`` unless
@@ -26,6 +31,7 @@ explicitly constructed with ``allow_chaos=True``.
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import queue
@@ -37,7 +43,10 @@ from repro.api import InductionRequest, _execute_local
 from repro.core.pipeline import InductionResult, run_induction
 from repro.core.result import ResultBase, result_from_payload, result_to_payload
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
-from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
+from repro.obs.metrics import (
+    MetricsLog, MetricsRegistry, get_registry, use_registry)
+from repro.service.protocol import (
+    ResultText, decode_result, request_from_wire, request_to_wire)
 
 __all__ = [
     "DeadlineExpired",
@@ -74,59 +83,50 @@ class _WorkerDied(Exception):
     """Internal: the worker process exited without replying."""
 
 
-def _execute_wire(wire: Mapping[str, Any]) -> dict:
+def _execute_wire(wire: Mapping[str, Any]) -> ResultText:
     """Execute a wire-form submit with worker-side observability.
 
-    The request runs under a fresh :class:`MetricsRegistry` and a
+    The request runs under a :class:`MetricsLog` and a
     :class:`MemoryTracer` recorder, attached to the parent's span context
     shipped in ``wire["trace_ctx"]`` (if any) so the ``worker.execute``
     span — and everything the induction emits beneath it — stays on the
-    caller's trace.  The recorded events and the registry snapshot ride
-    back inside the payload's ``obs`` key; the supervising process replays
-    the spans into its own sink and merges the metrics, so nothing is
-    double-counted and nothing is lost at the process boundary.
+    caller's trace.  The result comes back encoded once, as the
+    :class:`ResultText` the server stores and sends; the recorded events
+    and metric calls ride in its ``obs`` field, which :func:`absorb_obs`
+    replays, so nothing is double-counted or lost at the process boundary.
     """
-    from repro.service.protocol import request_from_wire
-
     recorder = MemoryTracer()
-    registry = MetricsRegistry()
+    log = MetricsLog()
     request = request_from_wire(wire).replace(cache=None, tracer=recorder)
     if request.method != "portfolio":
         # Non-portfolio deadlines are enforced by the supervisor's kill
         # switch; the portfolio race enforces its own cooperatively, so it
         # keeps ``deadline_s`` and returns best-so-far instead of dying.
         request = request.replace(deadline_s=None)
-    with use_registry(registry), attach_context(wire.get("trace_ctx")):
+    with use_registry(log), attach_context(wire.get("trace_ctx")):
         with span("worker.execute", recorder, pid=os.getpid(),
                   method=request.method):
             result = _execute_local(
                 request,
                 portfolio_order=wire.get("portfolio_order"),
                 portfolio_skip=wire.get("portfolio_skip"))
-    payload = result_to_payload(result)
-    payload["obs"] = {"spans": recorder.events,
-                      "metrics": registry.snapshot()}
-    return payload
+    return ResultText.encode(result_to_payload(result), obs={
+        "spans": recorder.events, "metrics": log.calls})
 
 
-def absorb_obs(payload: dict, tracer=None,
-               registry: MetricsRegistry | None = None) -> None:
-    """Pop a payload's ``obs`` key and fold it into this process.
+def absorb_obs(result: ResultText, tracer=None,
+               registry: MetricsRegistry | None = None) -> ResultText:
+    """A worker's ``result`` without its ``obs`` field, replayed here.
 
-    Spans recorded in the worker are replayed into ``tracer`` (when given
-    and enabled); the worker's metrics snapshot merges into ``registry``
-    (default: the registry in scope).  Safe to call on payloads without
-    ``obs`` — older workers, degraded fallbacks.
+    Its spans go to ``tracer`` (when given and enabled), its metric calls
+    to ``registry`` (default: the registry in scope).
     """
-    obs = payload.pop("obs", None)
-    if not obs:
-        return
-    events = obs.get("spans") or []
-    if events and tracer is not None:
-        replay_events(events, tracer)
-    snapshot = obs.get("metrics")
-    if snapshot:
-        (registry if registry is not None else get_registry()).merge(snapshot)
+    fields = dict(result.fields)
+    obs = fields.pop("obs")
+    if tracer is not None:
+        replay_events(obs["spans"], tracer)
+    (registry or get_registry()).replay(obs["metrics"])
+    return ResultText(result.text, fields, result.flags)
 
 
 def _worker_main(conn, parent_end) -> None:
@@ -186,7 +186,7 @@ class _WorkerHandle:
             self.conn.close()
 
     def run(self, wire: Mapping[str, Any], attempt: int,
-            timeout: float | None) -> dict:
+            timeout: float | None) -> ResultText:
         """One task round-trip; respawns the worker on timeout or death."""
         try:
             self.conn.send((dict(wire), attempt))
@@ -223,7 +223,7 @@ class _InlineHandle:
     """
 
     def run(self, wire: Mapping[str, Any], attempt: int,
-            timeout: float | None) -> dict:
+            timeout: float | None) -> ResultText:
         if timeout is not None and timeout <= 0:
             raise DeadlineExpired("deadline expired before inline start")
         try:
@@ -277,11 +277,12 @@ class WorkerPool:
         self.workers = workers
 
     def run(self, wire: Mapping[str, Any],
-            deadline: float | None = None) -> tuple[dict, dict]:
+            deadline: float | None = None) -> tuple[ResultText, dict]:
         """Run one task to completion, surviving worker deaths.
 
         ``deadline`` is an absolute :func:`time.monotonic` instant.  Returns
-        ``(result_payload, meta)`` where meta counts retries/deaths; raises
+        ``(result, meta)``: the worker's :class:`ResultText`, ``obs`` field
+        and all, and counts of retries and deaths; raises
         :class:`DeadlineExpired` / :class:`RetriesExhausted` (callers
         degrade) or :class:`WorkerTaskError` (a genuine task bug).
         """
@@ -294,8 +295,8 @@ class WorkerPool:
             handle = self._handles.get()
             try:
                 meta["attempts"] += 1
-                payload = handle.run(wire, attempt, remaining)
-                return payload, meta
+                result = handle.run(wire, attempt, remaining)
+                return result, meta
             except _WorkerDied as exc:
                 meta["worker_deaths"] += 1
                 self.counters.bump("worker_deaths")
@@ -344,7 +345,6 @@ def inject_portfolio_hints(wire: dict, store) -> None:
     from repro.core.portfolio import (
         PORTFOLIO_STRATEGIES, feature_bucket, region_features)
     from repro.core.vn import vn_prepass
-    from repro.service.protocol import request_from_wire
 
     request = request_from_wire(wire)
     region, model = request.resolved_region(), request.resolved_model()
@@ -356,16 +356,19 @@ def inject_portfolio_hints(wire: dict, store) -> None:
     wire["portfolio_skip"] = sorted(skip)
 
 
-def record_portfolio_outcome(payload: Mapping[str, Any], store) -> None:
-    """Fold a portfolio reply payload's per-strategy outcomes into the store.
+def record_portfolio_outcome(result: ResultText, store) -> None:
+    """Fold a portfolio reply's per-strategy outcomes into the store.
 
-    The payload carries the ``winner`` / ``portfolio`` keys that
-    :meth:`repro.core.portfolio.PortfolioResult.as_dict` emits.  A no-op
-    for non-portfolio payloads and for payloads without them (degraded
-    fallbacks never raced, so they teach the selector nothing).
+    Its text carries the ``winner`` / ``portfolio`` keys that
+    :meth:`repro.core.portfolio.PortfolioResult.as_dict` emits, and is
+    decoded here, once (the rare path).  A no-op without a store and for
+    other result kinds.
     """
+    if store is None or result.flags.get("kind") != "portfolio":
+        return
+    payload = json.loads(result.text)
     info = payload.get("portfolio")
-    if store is None or not info:
+    if not info:
         return
     store.record(info.get("bucket", ""), payload.get("winner"),
                  info.get("outcomes", ()))
@@ -402,10 +405,10 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
     ``degraded=True``.  A request-level cache hit skips the worker and
     replays the stored result; a fresh reply is stored in the parent under
     the cache's one store rule (handles never cross the process boundary).
-    Both come back as a :class:`~repro.core.result.ServiceResult`.
+    Both come back as a :class:`~repro.core.result.ServiceResult`: the
+    worker's reply is the entry text the server would store, and it is
+    decoded here once.
     """
-    from repro.service.protocol import request_to_wire
-
     start = time.monotonic()
     cache = request.cache
     fingerprint = None
@@ -424,12 +427,12 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
     pool = WorkerPool(workers=1, max_retries=1)
     try:
         try:
-            payload, _meta = pool.run(wire, start + float(request.deadline_s))
+            result, _meta = pool.run(wire, start + float(request.deadline_s))
         except (DeadlineExpired, RetriesExhausted):
             return degraded_result(request, wall_s=time.monotonic() - start)
     finally:
         pool.close()
-    absorb_obs(payload, tracer=request.tracer)
+    result = absorb_obs(result, tracer=request.tracer)
     if cache is not None:
-        cache.put(fingerprint, payload)
-    return result_from_payload(payload)
+        cache.put(fingerprint, result.flags, text=result.text)
+    return result_from_payload(decode_result(result))

@@ -15,7 +15,7 @@ from repro.cluster import ClusterConfig, RemoteScheduleCache
 from repro.core import maspar_cost_model, parse_region, result_to_payload
 from repro.core.cache import ScheduleCache, cache_entry, region_fingerprint
 from repro.core.search import SearchStats
-from repro.service import Endpoint
+from repro.service import Endpoint, protocol
 
 REGION = """
 thread 0:
@@ -168,6 +168,37 @@ class TestPut:
         assert pushed == [replica_owners[1]]
         assert peers[replica_owners[1]].store[fp] == cache_entry(payload)
         assert cache.counters["remote_stores"] == 1
+
+    def test_put_with_text_pushes_that_text(self, cluster, induced):
+        # A server's miss brings the text its worker encoded: the push
+        # splices it into the peer frame, and nothing encodes it again.
+        config, peers = cluster
+        fp, payload = induced
+        replica_owners = owners(make_cache(config, peers, ""), fp)
+        cache = make_cache(config, peers, replica_owners[0])
+        value = protocol.ResultText.encode(payload)
+        assert cache.put(fp, value.flags, text=value.text)
+        assert cache.get_local(fp) == value.text
+        pushed = peers[replica_owners[1]].store[fp]
+        assert isinstance(pushed, protocol.ResultText)
+        assert pushed.text == value.text and not pushed.fields
+        assert protocol.decode_result(pushed) == \
+            json.loads(json.dumps(cache_entry(payload)))
+
+    def test_pushed_text_lands_in_a_real_peer(self, tmp_path, induced):
+        from repro.service import InductionServer, ServerConfig, ServiceClient
+
+        fp, payload = induced
+        server = InductionServer(
+            ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "p.sock"))),
+            cache=ScheduleCache())
+        try:
+            value = protocol.ResultText.encode(payload)
+            with ServiceClient(server.endpoint) as client:
+                client.cache_put(fp, value)
+            assert server.cache.get_text(fp) == value.text
+        finally:
+            server.shutdown()
 
     def test_put_with_dead_replica_still_stores_locally(self, cluster,
                                                         induced):

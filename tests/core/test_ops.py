@@ -1,6 +1,8 @@
 """Tests for the CSI IR (repro.core.ops)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ops import Operation, Region, RegionParseError, ThreadCode, parse_region
 
@@ -124,3 +126,136 @@ class TestParseRegion:
     def test_empty_thread_allowed(self):
         region = parse_region("thread 0:\nthread 1:\n  a = ld x\n")
         assert len(region[0]) == 0 and len(region[1]) == 1
+
+
+# -- parser equivalence ------------------------------------------------------
+
+#: Symbol characters: no whitespace and none of ``;``, ``=``, ``,``; a
+#: ``#`` may sit inside a token but never start one.
+_SYMBOL = st.text(alphabet="abcxyz019_.$#", min_size=1, max_size=5).filter(
+    lambda s: not s.startswith("#"))
+_IMM = st.one_of(
+    st.none(),
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_OP = st.tuples(
+    st.lists(_SYMBOL, max_size=3),      # writes
+    _SYMBOL,                            # opcode
+    st.lists(_SYMBOL, max_size=3),      # reads
+    _IMM,
+    st.sampled_from(["{lhs} = {rhs}", "{lhs}={rhs}", "\t{lhs} =\t{rhs}  "]),
+    st.sampled_from(["", " ; note", "\t;x = y, #1 ; z"]),
+    st.booleans(),                      # the immediate before the reads
+)
+_SPEC = st.lists(st.lists(_OP, max_size=5), min_size=1, max_size=4)
+
+
+def _render_spec(spec, data) -> str:
+    """Region text for ``spec``, with the layout noise ``data`` draws."""
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [data.draw(st.sampled_from(["", "; header comment", "  \t"]))]
+    for t, ops in enumerate(spec):
+        lines.append(data.draw(st.sampled_from(
+            [f"thread {t}:", f"  thread {t} :", f"\tthread {t}::"])))
+        for writes, opcode, reads, imm, layout, comment, imm_first in ops:
+            operands = list(reads)
+            if imm is not None:
+                operands.insert(0 if imm_first else len(operands),
+                                f"#{imm!r}")
+            rhs = " ".join([opcode, *operands])
+            if writes:
+                lhs = data.draw(st.sampled_from([", ", ",", " ,  "])).join(
+                    writes)
+                line = layout.format(lhs=lhs, rhs=rhs)
+            else:
+                line = rhs
+            lines.append("    " + line + comment)
+            if data.draw(st.booleans()):
+                lines.append("")
+    return newline.join(lines) + newline
+
+
+class TestParseEquivalence:
+    """``parse_region`` gives the region its generating spec describes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_SPEC, data=st.data())
+    def test_generated_text_parses_to_its_spec(self, spec, data):
+        text = _render_spec(spec, data)
+        expected = Region(tuple(
+            ThreadCode(t, tuple(
+                Operation(t, i, opcode, tuple(reads), tuple(writes), imm)
+                for i, (writes, opcode, reads, imm, *_layout)
+                in enumerate(ops)))
+            for t, ops in enumerate(spec)))
+        region = parse_region(text)
+        assert region == expected
+        for got, want in zip(region.all_ops(), expected.all_ops()):
+            # Equal and of the same type: 1 and 1.0 must not blur.
+            assert type(got.imm) is type(want.imm)
+            assert vars(got) == vars(want)
+        assert parse_region(region.render()) == region
+
+    def test_hash_inside_a_token_is_an_operand(self):
+        region = parse_region("thread 0:\n  a#1 = add x#1 #2 y#\n")
+        op = region[0].ops[0]
+        assert (op.writes, op.reads, op.imm) == (("a#1",), ("x#1", "y#"), 2)
+
+    def test_parsed_objects_are_the_frozen_dataclasses(self):
+        region = parse_region("thread 0:\n  a = ld x\n")
+        op = region[0].ops[0]
+        assert type(op) is Operation and hash(op) == hash(
+            Operation(0, 0, "ld", ("x",), ("a",)))
+        with pytest.raises(AttributeError):
+            op.opcode = "st"
+
+
+#: Malformed text -> the exact message, line number included.  A served
+#: submit's client reads these as ``bad submit payload: <message>``.
+MALFORMED = [
+    ("", "no threads in region text"),
+    ("; only a comment\n\n", "no threads in region text"),
+    ("a = ld x", "line 1: operation before any thread header"),
+    ("\n\n  ld x ; c", "line 3: operation before any thread header"),
+    ("thread 1:", "line 1: expected thread 0, got 1"),
+    ("thread 0:\nthread 0:", "line 2: expected thread 1, got 0"),
+    ("thread 0:\r\n a = ld x\r\nthread 2:", "line 3: expected thread 1, got 2"),
+    ("thread x:", "line 1: bad thread id 'x'"),
+    ("thread 0 1:", "line 1: bad thread header 'thread 0 1:'"),
+    ("  thread:  ; c", "line 1: bad thread header '  thread:  ; c'"),
+    ("threadA = ld x", "line 1: bad thread header 'threadA = ld x'"),
+    ("thread 0:\n = ld x", "line 2: empty destination list"),
+    ("thread 0:\n , ,= ld x", "line 2: empty destination list"),
+    ("thread 0:\n a =", "line 2: empty operation"),
+    ("thread 0:\n a =  ; c", "line 2: empty operation"),
+    ("thread 0:\n a = ld #1 #2", "line 2: multiple immediates"),
+    ("thread 0:\n a = ld x\n\n b = ld #1 x #2.5 ; c",
+     "line 4: multiple immediates"),
+    ("thread 0:\n a = ld #1 #x", "line 2: multiple immediates"),
+    # A bad immediate's message has never carried its line.
+    ("thread 0:\n a = ld #x", "bad immediate '#x'"),
+    ("thread 0:\n a = ld #", "bad immediate '#'"),
+    ("thread 0:\n a = ld #0x10", "bad immediate '#0x10'"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text,message", MALFORMED)
+    def test_message(self, text, message):
+        with pytest.raises(RegionParseError) as info:
+            parse_region(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", MALFORMED[::4])
+    def test_reaches_a_client_as_bad_submit_payload(self, text, message):
+        from repro import api
+        from repro.obs import Counters
+        from repro.service import protocol
+
+        wire = protocol.request_to_wire(api.InductionRequest(text))
+        for fingerprint in (protocol.request_from_wire,
+                            protocol.SubmitMemo(Counters()).fingerprint):
+            with pytest.raises(protocol.ProtocolError) as info:
+                fingerprint(wire)
+            assert str(info.value) == f"bad submit payload: {message}"

@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: histograms, merge, Prometheus text."""
+"""Tests for the metrics registry: histograms, replay, Prometheus text."""
 
 import threading
 
@@ -7,6 +7,7 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
     Histogram,
+    MetricsLog,
     MetricsRegistry,
     get_registry,
     render_prometheus,
@@ -61,22 +62,23 @@ class TestHistogramPercentiles:
 
 
 class TestHistogramMerge:
-    def test_merge_snapshot_accumulates(self):
-        a = Histogram((1.0, 2.0))
-        b = Histogram((1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(9.0)
-        a.merge(b.snapshot())
-        assert a.count == 3
-        assert a.summary()["max"] == pytest.approx(9.0)
-        assert a.summary()["min"] == pytest.approx(0.5)
+    """A worker's observations fold into the serving process's histogram
+    by replay (:meth:`MetricsRegistry.replay`)."""
 
-    def test_merge_requires_identical_bounds(self):
-        a = Histogram((1.0, 2.0))
-        b = Histogram((1.0, 4.0))
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
+    def test_replay_accumulates(self):
+        parent = MetricsRegistry()
+        parent.observe("lat", 0.5, buckets=(1.0, 2.0))
+        worker = MetricsLog()
+        worker.observe("lat", 1.5, buckets=(1.0, 2.0))
+        worker.observe("lat", 9.0, buckets=(1.0, 2.0))
+        parent.replay(worker.calls)
+        hist = parent.histogram("lat")
+        assert hist.bounds == (1.0, 2.0)
+        assert hist.counts == [1, 1, 1]
+        assert hist.count == 3
+        assert hist.summary()["max"] == pytest.approx(9.0)
+        assert hist.summary()["min"] == pytest.approx(0.5)
+        assert hist.summary()["sum"] == pytest.approx(11.0)
 
     def test_snapshot_is_jsonable_and_detached(self):
         import json
@@ -112,15 +114,36 @@ class TestMetricsRegistry:
         keys = reg.percentiles()
         assert "seen_p99" in keys and "never_observed_p99" not in keys
 
-    def test_snapshot_merge_round_trip(self):
-        worker = MetricsRegistry()
-        worker.inc("searches", 2)
-        worker.observe("search_seconds", 0.1)
+    def test_log_replay_round_trip(self):
+        worker = MetricsLog()
+        with use_registry(worker):
+            get_registry().inc("searches", 2)
+            get_registry().observe("search_seconds", 0.1)
+            get_registry().set_gauge("depth", 4)
+        # Plain tuples: they cross a process pipe as they are.
+        assert all(type(call) is tuple for call in worker.calls)
         parent = MetricsRegistry()
         parent.inc("searches", 1)
-        parent.merge(worker.snapshot())
+        parent.replay(worker.calls)
         assert parent.counters["searches"] == 3
+        assert parent.gauges["depth"] == 4
         assert parent.histogram("search_seconds").count == 1
+
+    def test_replay_accumulates_counters(self):
+        parent = MetricsRegistry()
+        parent.inc("hits", 2)
+        worker = MetricsLog()
+        worker.inc("hits")
+        worker.inc("misses", 4)
+        parent.replay(worker.calls)
+        assert parent.counters.snapshot() == {"hits": 3, "misses": 4}
+        parent.replay([("inc", "hits", 1)])
+        assert parent.counters["hits"] == 4
+
+    def test_replay_applies_only_recording_calls(self):
+        parent = MetricsRegistry()
+        with pytest.raises(KeyError):
+            parent.replay([("time", "phase_seconds")])
 
     def test_use_registry_scopes_get_registry(self):
         scoped = MetricsRegistry()
@@ -199,16 +222,18 @@ class TestExemplars:
         h.observe(0.5)
         assert h.exemplars == {}
 
-    def test_exemplars_survive_snapshot_and_merge(self):
-        worker = Histogram((1.0, 2.0))
-        worker.observe(1.5, trace_id="ww" * 16)
-        parent = Histogram((1.0, 2.0))
-        parent.observe(1.2, trace_id="pp" * 16)
-        parent.merge(worker.snapshot())
-        # Max wins per bucket across the merge.
-        assert parent.exemplars[1] == ("ww" * 16, 1.5)
-        parent.merge(Histogram((1.0, 2.0)).snapshot())  # no-op merge keeps it
-        assert parent.exemplars[1] == ("ww" * 16, 1.5)
+    def test_exemplars_survive_replay(self):
+        worker = MetricsLog()
+        worker.observe("lat", 1.5, buckets=(1.0, 2.0), trace_id="ww" * 16)
+        worker.observe("lat", 1.1, buckets=(1.0, 2.0), trace_id="vv" * 16)
+        parent = MetricsRegistry()
+        parent.observe("lat", 1.2, buckets=(1.0, 2.0), trace_id="pp" * 16)
+        parent.replay(worker.calls)
+        # Max wins per bucket across the replay.
+        assert parent.histogram("lat").exemplars[1] == ("ww" * 16, 1.5)
+        parent.replay(MetricsLog().calls)  # an empty replay keeps it
+        parent.replay([("observe", "lat", 1.3, None, None)])  # untraced
+        assert parent.histogram("lat").exemplars[1] == ("ww" * 16, 1.5)
 
     def test_overflow_bucket_exemplar(self):
         h = Histogram((1.0,))

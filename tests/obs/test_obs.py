@@ -64,14 +64,6 @@ class TestCounters:
         assert counters.bump("hits", 2) == 3
         assert counters["hits"] == 3
 
-    def test_merge(self):
-        a = Counters({"hits": 2})
-        b = Counters({"hits": 1, "misses": 4})
-        a.merge(b)
-        assert a.snapshot() == {"hits": 3, "misses": 4}
-        a.merge({"hits": 1})
-        assert a["hits"] == 4
-
     def test_snapshot_sorted_and_detached(self):
         counters = Counters()
         counters.bump("z"); counters.bump("a")

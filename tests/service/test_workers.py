@@ -43,8 +43,8 @@ class TestWorkerPool:
     def test_runs_a_task(self):
         pool = WorkerPool(workers=1)
         try:
-            payload, meta = pool.run(wire_for(budget=10_000))
-            assert payload["cost"] > 0
+            result, meta = pool.run(wire_for(budget=10_000))
+            assert protocol.decode_result(result)["cost"] > 0
             assert meta["worker_deaths"] == 0
         finally:
             pool.close()
@@ -52,9 +52,9 @@ class TestWorkerPool:
     def test_retries_after_crash_with_backoff(self):
         pool = WorkerPool(workers=1, max_retries=2, backoff_s=0.01)
         try:
-            payload, meta = pool.run(
+            result, meta = pool.run(
                 wire_for(budget=10_000, chaos={"crash_attempts": 2}))
-            assert payload["cost"] > 0
+            assert protocol.decode_result(result)["cost"] > 0
             assert meta["retries"] == 2
             assert meta["worker_deaths"] == 2
             assert pool.counters.snapshot()["worker_respawns"] == 2
@@ -78,8 +78,8 @@ class TestWorkerPool:
                          deadline=time.monotonic() + 0.2)
             assert time.monotonic() - start < 5.0
             # The respawned worker is healthy afterwards.
-            payload, _ = pool.run(wire_for(budget=10_000))
-            assert payload["cost"] > 0
+            result, _ = pool.run(wire_for(budget=10_000))
+            assert protocol.decode_result(result)["cost"] > 0
         finally:
             pool.close()
 
@@ -252,7 +252,7 @@ class TestLocalDeadlineRoute:
 class TestPortfolioWire:
     def test_execute_wire_keeps_portfolio_deadline(self):
         wire = wire_for(method="portfolio", deadline_s=30.0)
-        payload = _execute_wire(wire)
+        payload = protocol.decode_result(_execute_wire(wire))
         assert not payload["degraded"]
         assert payload["winner"] is not None
 
@@ -260,7 +260,7 @@ class TestPortfolioWire:
         wire = wire_for(method="portfolio")
         wire["portfolio_order"] = ["greedy", "search"]
         wire["portfolio_skip"] = ["anneal", "serial"]
-        payload = _execute_wire(wire)
+        payload = protocol.decode_result(_execute_wire(wire))
         skipped = {o["strategy"] for o in payload["portfolio"]["outcomes"]
                    if o.get("skipped")}
         assert skipped == {"anneal", "serial"}
