@@ -4,10 +4,10 @@ A 480-op region is within reach of the exact CSI search: the greedy seed
 and the root lower bound (the larger of the critical path and the
 per-class bound) settle such regions at or near the root, so the search
 schedules the whole region in one pass.  This experiment compares the
-practical options on a large random region — greedy list scheduling,
-simulated annealing and the whole-region search under a small node
-budget — reporting schedule cost, speedup over serialization, search
-effort and whether the search proved its schedule optimal.
+practical options on a large random region — greedy list scheduling
+and the whole-region search under a small node budget — reporting
+schedule cost, speedup over serialization, search effort and whether the
+search proved its schedule optimal.
 
 Two regimes, both reported:
 
@@ -21,7 +21,6 @@ Two regimes, both reported:
 
 from conftest import api_induce, bench_seed, record_table
 from repro.core import (
-    anneal_schedule,
     greedy_schedule,
     maspar_cost_model,
     serial_schedule,
@@ -59,13 +58,6 @@ def run_experiment():
     data["greedy"] = greedy.cost(MODEL)
     rows.append(["greedy list scheduling", round(greedy.cost(MODEL), 0),
                  f"{serial_cost / greedy.cost(MODEL):.2f}x", "-", "-"])
-
-    annealed, astats = anneal_schedule(region, MODEL, seed=0, steps=300)
-    verify_schedule(annealed, region, MODEL)
-    data["anneal"] = annealed.cost(MODEL)
-    rows.append(["simulated annealing (300 steps)",
-                 round(annealed.cost(MODEL), 0),
-                 f"{serial_cost / annealed.cost(MODEL):.2f}x", "-", "-"])
 
     result = api_induce(region, MODEL, config=SearchConfig(node_budget=BUDGET))
     verify_schedule(result.schedule, region, MODEL)

@@ -15,14 +15,16 @@ Routing rules, in order:
 2. ``client`` given (a :class:`repro.service.ServiceClient`, an
    :class:`repro.service.Endpoint` or its URL string) — the request is
    submitted to a running ``repro serve`` daemon;
-3. ``deadline_s`` set on a non-portfolio request — it runs in a supervised
-   one-shot worker process that is killed at the deadline, degrading to
-   the greedy schedule (``degraded=True``, never an error);
-4. otherwise — in this process, through the one induction driver
+3. otherwise — in this process, through the one induction driver
    (:func:`repro.core.pipeline.run_induction`): one method on the whole
-   region, or the strategy race (``method="portfolio"``, which enforces
-   its own ``deadline_s`` cooperatively and returns the best verified
-   schedule any strategy found).
+   region.
+
+``deadline_s`` means one thing on every route: a search still running at
+the deadline returns its checked incumbent, unproven and flagged
+``deadline_cut``, not degraded, and no cache stores it.  A served request
+degrades to the verified greedy schedule only when no worker answers:
+its deadline passed before a worker was free, or its worker hung past
+the deadline and was killed.
 
 Every route returns an object implementing the unified result protocol
 (:class:`repro.core.result.ResultBase`), so callers never special-case
@@ -40,12 +42,12 @@ from typing import Any, Mapping
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel, maspar_cost_model, uniform_cost_model
 from repro.core.ops import Region, parse_region
-from repro.core.pipeline import REQUEST_METHODS, VN_MODES, run_induction
+from repro.core.pipeline import METHODS, VN_MODES, run_induction
 from repro.core.result import ResultBase
 from repro.core.search import SearchConfig
 from repro.obs import Tracer
 
-__all__ = ["InductionRequest", "KNOB_METHODS", "REQUEST_METHODS", "induce",
+__all__ = ["InductionRequest", "KNOB_METHODS", "METHODS", "induce",
            "valid_deadline"]
 
 #: Named cost models accepted anywhere a :class:`CostModel` is expected
@@ -58,11 +60,9 @@ NAMED_MODELS = ("maspar", "uniform")
 #: rejects it with :class:`ValueError` — the same error type for every
 #: knob, built by :func:`_reject_knob`.
 KNOB_METHODS: Mapping[str, tuple[str, ...]] = {
-    # node_budget bounds branch-and-bound expansion; greedy/anneal/factor/
+    # node_budget bounds branch-and-bound expansion; greedy/factor/
     # lockstep/serial never read it.
-    "budget": ("search", "portfolio"),
-    # The outcomes store only teaches the portfolio selector.
-    "strategy_store": ("portfolio",),
+    "budget": ("search",),
 }
 
 
@@ -107,16 +107,11 @@ class InductionRequest:
     #: ``"off"`` (default — bit-identical to pre-vn behavior), ``"on"``
     #: (always canonicalize the region before scheduling) or ``"auto"``
     #: (canonicalize, keep only when it provably helps).  Consumed by
-    #: every method — the rewritten region feeds baselines and the
-    #: portfolio race alike — so it has no KNOB_METHODS entry.
+    #: every method — the rewritten region feeds every build and the
+    #: baselines alike — so it has no KNOB_METHODS entry.
     vn: str = "off"
     cache: ScheduleCache | None = None
     tracer: Tracer | None = None
-    #: Optional :class:`repro.sched.StrategyOutcomesStore` consulted and
-    #: updated by ``method="portfolio"`` races.  A live handle like
-    #: ``cache``/``tracer`` — never crosses a process boundary (the service
-    #: keeps its own store server-side).
-    strategy_store: object | None = None
     #: Opaque routing metadata attached by the cluster front door (replica
     #: index, attempt count, router identity).  Rides the wire as an extra
     #: key that pre-cluster servers simply ignore; excluded from
@@ -125,10 +120,10 @@ class InductionRequest:
     routing: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in REQUEST_METHODS:
+        if self.method not in METHODS:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of "
-                f"{REQUEST_METHODS}")
+                f"{METHODS}")
         if self.deadline_s is not None and not valid_deadline(self.deadline_s):
             raise ValueError(
                 f"deadline must be a positive finite number of seconds, "
@@ -141,9 +136,6 @@ class InductionRequest:
         if self.budget is not None and \
                 self.method not in KNOB_METHODS["budget"]:
             _reject_knob("budget", self.budget, self.method)
-        if self.strategy_store is not None and \
-                self.method not in KNOB_METHODS["strategy_store"]:
-            _reject_knob("strategy_store", self.strategy_store, self.method)
 
     def resolved_region(self) -> Region:
         return parse_region(self.region) if isinstance(self.region, str) \
@@ -185,22 +177,13 @@ class InductionRequest:
         return dataclasses.replace(self, **changes)
 
 
-def _execute_local(request: InductionRequest,
-                   portfolio_order=None, portfolio_skip=None) -> ResultBase:
-    """Run the request in this process through the one induction driver.
-
-    ``portfolio_order``/``portfolio_skip`` are selector hints injected by
-    the service worker path (the server consults its outcomes store and
-    ships the ranking over the wire since the store handle itself cannot).
-    """
-    race = {}
-    if request.method == "portfolio":
-        race = {"deadline_s": request.deadline_s, "order": portfolio_order,
-                "skip": portfolio_skip, "store": request.strategy_store}
+def _execute_local(request: InductionRequest) -> ResultBase:
+    """Run the request in this process through the one induction driver,
+    its deadline included."""
     return run_induction(
         request.resolved_region(), request.resolved_model(), request.method,
         request.resolved_config(), vn=request.vn, cache=request.cache,
-        tracer=request.tracer, **race)
+        tracer=request.tracer, deadline_s=request.deadline_s)
 
 
 def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:
@@ -238,12 +221,4 @@ def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:
             with ServiceClient(client) as live:
                 return live.submit(request)
         return client.submit(request)
-    if request.method == "portfolio":
-        # The race enforces its own deadline cooperatively (best verified
-        # schedule so far, not a degraded greedy), so it never needs the
-        # supervised-worker kill path.
-        return _execute_local(request)
-    if request.deadline_s is not None:
-        from repro.service.workers import run_local_with_deadline
-        return run_local_with_deadline(request)
     return _execute_local(request)

@@ -11,8 +11,6 @@ Mirrors the user-facing surface of the 1992 prototype:
   JSONL search trace (``--trace``);
 - ``stats``    — summarize a ``--trace`` file (nodes, prunes, cache hit
   rate, wall time, per-field p50/p90/p99);
-- ``strategies`` — inspect a portfolio strategy-outcomes store (per-bucket
-  win rates, time-to-best, skip set) written by ``--strategy-store``;
 - ``trace``    — render the hierarchical span trees in a ``--trace`` file
   (one tree per trace id, with per-phase self-time percentages);
 - ``flightrec`` — pull captured request digests from a running server or
@@ -100,29 +98,13 @@ def _describe_result(result) -> list[str]:
              f"serial={d['serial_cost']:.1f} "
              f"speedup={d['speedup_vs_serial']:.2f}x"
              + (" [degraded]" if d["degraded"] else "")]
-    if d.get("portfolio"):
-        info = d["portfolio"]
-        lines.append(f"portfolio: winner={d.get('winner') or 'fallback'} "
-                     f"bucket={info['bucket']} "
-                     f"lower_bound={info['lower_bound']:.1f} "
-                     f"proven={info['proven']}")
-        for o in info["outcomes"]:
-            if o.get("skipped"):
-                status = "skipped (historical loser)"
-            elif o.get("error"):
-                status = f"error: {o['error']}"
-            elif o.get("cost") is None:
-                status = "no schedule before deadline"
-            else:
-                status = (f"cost={o['cost']:.1f} "
-                          f"in {o['time_to_best_s'] * 1e3:.1f}ms")
-            lines.append(f"  {o['strategy']:8s} {status}")
-    elif result.search_stats:
-        lines.append(f"search: {d['nodes']} nodes, optimal={d['optimal']}")
+    if result.search_stats:
+        lines.append(f"search: {d['nodes']} nodes, optimal={d['optimal']}"
+                     + (" [cut at deadline]" if d["deadline_cut"] else ""))
     return lines
 
 
-def _build_request(args, region_text: str, strategy_store=None):
+def _build_request(args, region_text: str):
     """Shared ``induce``/``submit`` request construction (same flags)."""
     from repro import api
 
@@ -137,7 +119,6 @@ def _build_request(args, region_text: str, strategy_store=None):
         return api.InductionRequest(
             region=region_text, model=args.model, method=args.method,
             budget=budget,
-            strategy_store=strategy_store,
             deadline_s=args.deadline,
             vn=getattr(args, "vn", "off"))
     except ValueError as exc:
@@ -151,15 +132,7 @@ def _cmd_induce(args) -> int:
 
     cache = ScheduleCache(cache_dir=args.cache_dir) if args.cache_dir else None
     tracer = JsonlTracer(args.trace) if args.trace else None
-    store = None
-    if getattr(args, "strategy_store", None):
-        from repro.sched import StrategyOutcomesStore
-        store = StrategyOutcomesStore(args.strategy_store)
-    # The store goes through the constructor so the method/knob table sees
-    # it (--strategy-store with a non-portfolio method is an error, not a
-    # silently dead flag).
-    request = _build_request(args, Path(args.region).read_text(),
-                             strategy_store=store)
+    request = _build_request(args, Path(args.region).read_text())
     request.cache = cache
     request.tracer = tracer
     try:
@@ -213,10 +186,6 @@ def _cmd_serve(args) -> int:
         default_deadline_s=args.deadline,
         allow_chaos=args.allow_chaos,
     )
-    store = None
-    if args.strategy_store:
-        from repro.sched import StrategyOutcomesStore
-        store = StrategyOutcomesStore(args.strategy_store)
     slo = flightrec = None
     if args.slo_latency is not None:
         from repro.obs import (FlightConfig, FlightRecorder, SLOConfig,
@@ -226,8 +195,7 @@ def _cmd_serve(args) -> int:
         slo = SLOTracker(SLOConfig(latency_threshold_s=args.slo_latency))
         flightrec = FlightRecorder(
             FlightConfig(slow_threshold_s=args.slo_latency))
-    server = InductionServer(config, cache=cache, tracer=tracer,
-                             strategy_store=store, slo=slo,
+    server = InductionServer(config, cache=cache, tracer=tracer, slo=slo,
                              flightrec=flightrec)
     print(f"induction service listening on {server.endpoint} "
           f"(workers={config.workers}, queue={config.queue_size})", flush=True)
@@ -296,6 +264,7 @@ def _cmd_submit(args) -> int:
             print(f"{label}: cost={d['cost']:.1f} "
                   f"speedup={d['speedup_vs_serial']:.2f}x "
                   f"disposition={result.extras.get('disposition', '?')}"
+                  + (" [cut at deadline]" if d["deadline_cut"] else "")
                   + (" [degraded]" if d["degraded"] else ""))
             if tracer is not None:
                 fields = {k: v for k, v in d.items() if k != "kind"}
@@ -483,20 +452,6 @@ def _cmd_cluster_drain(args) -> int:
         raise SystemExit(f"drain failed: {reply.get('error', reply)}")
     print(f"draining {args.node}: in-flight work finishes, ring stops "
           "routing new requests to it")
-    return 0
-
-
-def _cmd_strategies(args) -> int:
-    import os
-
-    from repro.sched import StrategyOutcomesStore
-
-    if not os.path.exists(args.store):
-        print(f"no strategy-outcomes store at {args.store}")
-        return 1
-    store = StrategyOutcomesStore(args.store)
-    print(store.render())
-    print(f"({store.races} races recorded in {args.store})")
     return 0
 
 
@@ -751,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", help="run CSI on a textual region file")
     p.add_argument("region", help="region file (parse_region syntax)")
     p.add_argument("--method", default="search",
-                   choices=["search", "greedy", "anneal", "factor",
-                            "lockstep", "serial", "portfolio"])
+                   choices=["search", "greedy", "factor", "lockstep",
+                            "serial"])
     p.add_argument("--model", default="maspar", choices=["maspar", "uniform"])
     p.add_argument("--budget", type=int, default=None,
                    help="branch-and-bound node budget (default 100000; only "
@@ -762,16 +717,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "equivalent subexpressions before induction (auto = "
                         "keep the rewrite only when it helps)")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                   help="wall-clock budget; on expiry degrade to the greedy "
-                        "schedule (flagged degraded, never an error)")
+                   help="wall-clock budget: a search still running then "
+                        "returns its best schedule so far, unproven")
     p.add_argument("--trace", metavar="FILE",
                    help="append the request's spans and one JSONL induce "
                         "event to FILE")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persistent schedule cache directory (content-addressed)")
-    p.add_argument("--strategy-store", metavar="FILE",
-                   help="persistent strategy-outcomes store consulted and "
-                        "updated by --method portfolio")
     p.set_defaults(fn=_cmd_induce)
 
     p = sub.add_parser(
@@ -792,9 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "service_request event per reply to FILE")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persistent schedule cache directory (content-addressed)")
-    p.add_argument("--strategy-store", metavar="FILE",
-                   help="persistent strategy-outcomes store driving portfolio "
-                        "strategy selection (inspect with `repro strategies`)")
     p.add_argument("--allow-chaos", action="store_true",
                    help="honour client fault injection (tests only)")
     p.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
@@ -821,8 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="service or cluster-router endpoint (unix:///path, "
                         "tcp://host:port, or the bare legacy forms)")
     p.add_argument("--method", default="search",
-                   choices=["search", "greedy", "anneal", "factor",
-                            "lockstep", "serial", "portfolio"])
+                   choices=["search", "greedy", "factor", "lockstep",
+                            "serial"])
     p.add_argument("--model", default="maspar", choices=["maspar", "uniform"])
     p.add_argument("--budget", type=int, default=None,
                    help="branch-and-bound node budget (default 100000; only "
@@ -831,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="server-side value-numbering pre-pass (see "
                         "`repro induce --vn`)")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                   help="per-request deadline; server degrades to greedy on expiry")
+                   help="per-request deadline: the search answers then with "
+                        "its best schedule so far")
     p.add_argument("--trace", metavar="FILE",
                    help="append one JSONL event per reply to FILE")
     p.add_argument("--repeat", type=int, default=1,
@@ -908,13 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="the node's canonical endpoint name "
                          "(as shown by cluster status)")
     cp.set_defaults(fn=_cmd_cluster_drain)
-
-    p = sub.add_parser(
-        "strategies",
-        help="inspect a portfolio strategy-outcomes store (win rates, skips)")
-    p.add_argument("store", help="outcomes-store JSON file "
-                                 "(--strategy-store of induce/serve)")
-    p.set_defaults(fn=_cmd_strategies)
 
     p = sub.add_parser("stats", help="summarize a JSONL trace file")
     p.add_argument("trace", help="trace file written by --trace")

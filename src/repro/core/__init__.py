@@ -9,8 +9,8 @@ Public entry points (most callers want :func:`repro.api.induce`, which
 wraps the driver with request parsing, deadlines and the service):
 
 - :func:`repro.core.pipeline.run_induction` — the one induction driver:
-  CSI, a baseline or the strategy race on a whole region, checked
-  and reported next to the serial and lockstep baselines.
+  CSI or a baseline on a whole region, cut at its deadline if it has
+  one, checked and reported next to the serial and lockstep baselines.
 - :class:`repro.core.ops.Region` / :class:`repro.core.ops.Operation` — IR.
 - :class:`repro.core.costmodel.CostModel` — SIMD timing/mergeability model.
 - :class:`repro.core.schedule.Schedule` — the result, verifiable with
@@ -25,7 +25,6 @@ importing this package loads none of its modules.
 from repro._lazy import reexport
 
 __getattr__, __dir__, __all__ = reexport(__name__, {
-    "repro.core.anneal": ("AnnealStats", "anneal_schedule"),
     "repro.core.cache": ("ScheduleCache", "region_fingerprint"),
     "repro.core.costmodel": ("CostModel", "maspar_cost_model",
                              "uniform_cost_model"),
@@ -36,8 +35,6 @@ __getattr__, __dir__, __all__ = reexport(__name__, {
                          "render_simd_code"),
     "repro.core.ops": ("Operation", "Region", "ThreadCode", "parse_region"),
     "repro.core.pipeline": ("InductionResult", "run_induction"),
-    "repro.core.portfolio": ("PORTFOLIO_STRATEGIES", "PortfolioResult",
-                             "StrategyOutcome", "run_portfolio"),
     "repro.core.result": ("ResultBase", "ServiceResult",
                           "result_from_payload", "result_to_payload"),
     "repro.core.schedule": ("Schedule", "Slot", "schedule_from_payload",

@@ -13,11 +13,12 @@ An entry is the finished result itself: the JSON payload
 that belong to one request (its ``obs`` freight, ``retries``, ``wall_s``
 and ``cache_hit``; :func:`cache_entry`).  It carries the schedule, the
 search stats and the serial/lockstep baselines, and whatever else the
-result reported (a race's winner), so a hit rebuilds nothing.  One rule
-(:func:`storable`) decides what may be stored, in every tier: nothing
-degraded, and no race that did not prove its schedule — ``deadline_s``
-is not in the fingerprint, so a short deadline's best-so-far must not
-answer a longer one.
+result reported, so a hit rebuilds nothing.  One rule (:func:`storable`)
+decides what may be stored, in every tier: nothing degraded, and no
+search cut by its deadline — ``deadline_s`` is not in the fingerprint,
+so a short deadline's best-so-far must not answer a longer one.  A
+search that ran out of node budget is stored: the budget is in the
+fingerprint.
 
 Two tiers hold the entry as the same JSON text, encoded once
 (:func:`encode_entry`):
@@ -72,7 +73,7 @@ __all__ = [
 _PER_REQUEST = ("obs", "retries", "wall_s", "cache_hit")
 
 #: The entry keys the store rule (:func:`storable`) reads.
-RULE_KEYS = ("degraded", "kind", "optimal")
+RULE_KEYS = ("degraded", "deadline_cut")
 
 #: Bump when the fingerprint payload layout changes, so stale disk tiers
 #: from older code can never alias new entries.
@@ -155,13 +156,12 @@ def encode_entry(payload: Mapping[str, Any]) -> tuple[str, dict]:
 
 
 def storable(payload: Mapping[str, Any]) -> bool:
-    """The one store rule: not degraded, and no unproven race.
+    """The one store rule: not degraded, and not cut by a deadline.
 
-    It reads only :data:`RULE_KEYS`.
+    It reads only :data:`RULE_KEYS`; an entry written before
+    ``deadline_cut`` existed has none and is storable.
     """
-    if payload.get("degraded"):
-        return False
-    return payload.get("kind") != "portfolio" or bool(payload.get("optimal"))
+    return not payload.get("degraded") and not payload.get("deadline_cut")
 
 
 def check_entry(entry: Any) -> dict:
@@ -177,7 +177,7 @@ def check_entry(entry: Any) -> dict:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"entry is not a result payload: {exc!r}") from exc
     if not storable(entry):
-        raise ValueError("entry is degraded or an unproven race")
+        raise ValueError("entry is degraded or cut by a deadline")
     return entry
 
 

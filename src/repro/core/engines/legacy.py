@@ -141,10 +141,10 @@ def _dfs(
     if stats.nodes_expanded >= config.node_budget:
         stats.budget_exhausted = True
         return
-    # Cooperative cancellation (portfolio racing, deadlines): polled every
-    # 256 nodes so the callback costs nothing on the hot path.  A stopped
+    # Cooperative cancellation (the request's deadline): polled every 256
+    # nodes so the callback costs nothing on the hot path.  A stopped
     # search reports ``budget_exhausted`` — the anytime contract is the
-    # same whether the budget ran out or the caller lost interest.
+    # same whether the budget ran out or the deadline passed.
     if (ctx.should_stop is not None
             and not (stats.nodes_expanded & 255) and ctx.should_stop()):
         stats.budget_exhausted = True

@@ -1,38 +1,37 @@
 """The one induction driver.
 
-Every local route runs :func:`run_induction`: :func:`repro.api.induce`
-for one-shot and portfolio requests, the service's degraded fallback and
-trace induction.  Every request schedules its whole region in one build
-step.  Once per request it runs the envelope around that step:
+Every request runs :func:`run_induction`: :func:`repro.api.induce` in
+process, a service worker for a served miss, the service's degraded
+fallback and trace induction.  Every request schedules its whole region
+with one method from :data:`BUILDERS`.  Once per request the driver runs
+the envelope around that build:
 
 1. the value-numbering pre-pass (:func:`repro.core.vn.vn_prepass`);
    everything downstream sees the rewritten region;
-2. the build step, the only thing the modes differ in:
-
-   - *one-shot*: one method from :data:`BUILDERS` on the whole region,
-     behind a per-request :class:`~repro.core.cache.ScheduleCache`;
-   - *portfolio*: :func:`repro.core.portfolio.run_portfolio` races the
-     :data:`BUILDERS` entries named in ``PORTFOLIO_STRATEGIES``;
-
-3. the independent check (:func:`repro.core.verify.verify_schedule`) of
-   whatever the step computed.  Cache hits were checked before they were
-   stored, and the race checks every candidate before it can win, so
-   neither is checked again.  An invalid schedule is a library bug and
-   raises :class:`repro.core.verify.ScheduleError`;
-4. the serial and lockstep baselines (:func:`baselines`), so every result
+2. the cache lookup (:class:`~repro.core.cache.ScheduleCache`); a hit
+   replays the stored result, baselines included;
+3. the build.  A request with a deadline fixes one instant when the
+   driver starts; the ``search`` builder polls it through the engines'
+   ``should_stop`` hook (at the root, then every 256 nodes) and, when it
+   passes, returns its incumbent with ``stats.deadline_cut`` set.  The
+   other methods are linear-ish and ignore it;
+4. the independent check (:func:`repro.core.verify.verify_schedule`) of
+   what the build returned, a cut incumbent included.  Cache hits were
+   checked before they were stored.  An invalid schedule is a library bug
+   and raises :class:`repro.core.verify.ScheduleError`;
+5. the serial and lockstep baselines (:func:`baselines`), so every result
    carries a paper-style "speedup over serial MIMD emulation";
-5. the cache store, only of what step 3 checked: a one-shot result with
-   its baselines.  A hit replays the stored result, baselines included;
-6. the ``induce_*`` metrics and the ``induce`` trace event (the race's
-   spans are its record).
+6. the cache store, under the cache's one rule: never a result cut by
+   its deadline;
+7. the ``induce_*`` metrics and the ``induce`` trace event.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
+import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel
@@ -47,13 +46,11 @@ from repro.core.verify import verify_schedule
 from repro.obs import NULL_TRACER, StopWatch, Tracer, span
 from repro.obs.metrics import get_registry, observe_search_throughput
 
-__all__ = ["BUILDERS", "InductionResult", "METHODS", "REQUEST_METHODS",
-           "VN_MODES", "baselines", "run_induction"]
+__all__ = ["BUILDERS", "InductionResult", "METHODS", "VN_MODES",
+           "baselines", "run_induction"]
 
-METHODS = ("search", "greedy", "anneal", "factor", "lockstep", "serial")
-
-#: Every method a request may name: the :data:`METHODS` plus the race.
-REQUEST_METHODS = METHODS + ("portfolio",)
+#: Every method a request may name.
+METHODS = ("search", "greedy", "factor", "lockstep", "serial")
 
 #: The value-numbering pre-pass modes (:func:`repro.core.vn.vn_prepass`):
 #: ``off`` (no pass — the default, bit-identical to pre-vn behavior),
@@ -81,53 +78,41 @@ class InductionResult(ResultBase):
 
 
 # ---------------------------------------------------------------------------
-# Builders: (prepared, config, should_stop, seed) -> (schedule, stats | None).
+# Builders: (prepared, config, should_stop) -> (schedule, stats | None).
 #
-# One table for one-shot requests and the portfolio race.  ``should_stop``
-# is the race's cooperative-cancel predicate (None outside a race) and
-# ``seed`` its resolved seed (None: $REPRO_SEED, else 0).  Tests stub a
-# strategy by patching an entry.  Builders that no search request runs
-# import their module on first use.
+# ``should_stop`` is the request's deadline predicate (None without a
+# deadline); only the search polls it.  Tests stub a method by patching
+# an entry.  Builders that no search request runs import their module on
+# first use.
 # ---------------------------------------------------------------------------
 
 
-def _search(prepared, config, should_stop, seed):
+def _search(prepared, config, should_stop):
     return branch_and_bound(prepared.region, prepared.model, config,
                             prepared, should_stop=should_stop)
 
 
-def _greedy(prepared, config, should_stop, seed):
+def _greedy(prepared, config, should_stop):
     return greedy_schedule(prepared.region, prepared.model, prepared), None
 
 
-def _anneal(prepared, config, should_stop, seed):
-    from repro.core.anneal import anneal_schedule
-    from repro.util.rng import resolve_seed
-
-    schedule, _stats = anneal_schedule(
-        prepared.region, prepared.model, seed=resolve_seed(seed, default=0),
-        prepared=prepared, should_stop=should_stop)
-    return schedule, None
-
-
-def _factor(prepared, config, should_stop, seed):
+def _factor(prepared, config, should_stop):
     from repro.core.factor import factor_schedule
 
     return factor_schedule(prepared.region, prepared.model), None
 
 
-def _lockstep(prepared, config, should_stop, seed):
+def _lockstep(prepared, config, should_stop):
     return lockstep_schedule(prepared.region, prepared.model, prepared), None
 
 
-def _serial(prepared, config, should_stop, seed):
+def _serial(prepared, config, should_stop):
     return serial_schedule(prepared.region, prepared.model, prepared), None
 
 
 BUILDERS: dict[str, Callable] = {
     "search": _search,
     "greedy": _greedy,
-    "anneal": _anneal,
     "factor": _factor,
     "lockstep": _lockstep,
     "serial": _serial,
@@ -158,6 +143,25 @@ def baselines(prepared: PreparedRegion, method: str | None = None,
     return serial, lockstep
 
 
+class _Deadline:
+    """A request's ``should_stop``: true from its deadline instant on.
+
+    ``fired`` records that it answered true, so the driver can mark the
+    stats of the search it stopped.
+    """
+
+    __slots__ = ("at", "fired")
+
+    def __init__(self, at: float) -> None:
+        self.at = at
+        self.fired = False
+
+    def __call__(self) -> bool:
+        if not self.fired and time.monotonic() >= self.at:
+            self.fired = True
+        return self.fired
+
+
 def run_induction(
     region: Region,
     model: CostModel,
@@ -167,71 +171,49 @@ def run_induction(
     vn: str = "off",
     cache: ScheduleCache | None = None,
     tracer: Tracer | None = None,
-    **race: Any,
-) -> ResultBase:
+    deadline_s: float | None = None,
+) -> InductionResult:
     """Run one induction request end to end (see the module docstring).
 
     Methods: ``search`` (branch-and-bound CSI), ``greedy`` (list-scheduling
-    heuristic), ``anneal`` (simulated annealing over op priorities),
-    ``factor`` (common prefix/suffix hand-factoring), ``lockstep`` (naive
-    interpreter), ``serial`` (thread-at-a-time) and ``portfolio`` (the
-    strategy race; ``race`` holds :func:`~repro.core.portfolio.run_portfolio`'s
-    keywords).
+    heuristic), ``factor`` (common prefix/suffix hand-factoring),
+    ``lockstep`` (naive interpreter) and ``serial`` (thread-at-a-time).
 
-    ``cache`` memoizes finished one-shot results under a content
-    fingerprint of the post-vn region, never the race.  ``tracer``
-    receives the spans and the ``induce`` trace event.  ``vn`` is the
-    pre-pass mode (``off``/``on``/``auto``).
+    ``deadline_s`` is seconds from this call.  A ``search`` still running
+    then returns its checked incumbent, unproven, with
+    ``stats.deadline_cut`` set; it is not degraded, and the cache does not
+    store it.  ``cache`` memoizes finished results under a content
+    fingerprint of the post-vn region.  ``tracer`` receives the spans and
+    the ``induce`` trace event.  ``vn`` is the pre-pass mode
+    (``off``/``on``/``auto``).
     """
-    if method not in REQUEST_METHODS:
+    if method not in METHODS:
         raise ValueError(
-            f"unknown method {method!r}; expected one of {REQUEST_METHODS}")
+            f"unknown method {method!r}; expected one of {METHODS}")
+    stop = None if deadline_s is None \
+        else _Deadline(time.monotonic() + deadline_s)
     config = config or SearchConfig()
     tracer = tracer or NULL_TRACER
     metrics = get_registry()
     watch = StopWatch().start()
-    if method == "portfolio":
-        # The race's ``portfolio.race`` span is the request's root.
-        root = nullcontext()
-    else:
-        root = span("induce", tracer, method=method, ops=region.num_ops)
-
-    with root as live:
+    with span("induce", tracer, method=method, ops=region.num_ops) as live:
         vnstats = None
         if vn != "off":
             from repro.core.vn import vn_prepass
             region, vnstats = vn_prepass(region, model, vn, tracer)
-        if method == "portfolio":
-            # Imported here: the race reads BUILDERS from this module.  It
-            # checks every candidate before it can win.
-            from repro.core.portfolio import run_portfolio
-            prepared = PreparedRegion.build(region, model,
-                                            config.respect_order)
-            result = _with_baselines(
-                run_portfolio(prepared, config, tracer=tracer, **race),
-                prepared)
-        else:
-            result = _one_shot(region, model, method, config, cache, tracer,
-                               vnstats)
+        result = _one_shot(region, model, method, config, cache, tracer,
+                           vnstats, stop)
         result = dataclasses.replace(result, wall_s=watch.stop())
-        if live is not None:
-            live.set(cost=result.cost, cache=_disposition(result, cache))
+        live.set(cost=result.cost, cache=_disposition(result, cache))
 
     _record(result, region, metrics, tracer, cache, vnstats)
     return result
 
 
-def _with_baselines(result: ResultBase,
-                    prepared: PreparedRegion) -> ResultBase:
-    serial_cost, lockstep_cost = baselines(prepared, result.method,
-                                           result.cost)
-    return dataclasses.replace(result, serial_cost=serial_cost,
-                               lockstep_cost=lockstep_cost)
-
-
 def _one_shot(region: Region, model: CostModel, method: str,
               config: SearchConfig, cache: ScheduleCache | None,
-              tracer: Tracer, vnstats) -> InductionResult:
+              tracer: Tracer, vnstats,
+              stop: _Deadline | None) -> InductionResult:
     """One method on the whole region, checked, behind the request cache.
 
     A hit replays the stored result.  Wall time is left at 0 for the
@@ -251,7 +233,10 @@ def _one_shot(region: Region, model: CostModel, method: str,
         with span("induce.build", tracer, method=method):
             prepared = PreparedRegion.build(region, model,
                                             config.respect_order)
-            schedule, stats = BUILDERS[method](prepared, config, None, None)
+            schedule, stats = BUILDERS[method](prepared, config, stop)
+        if stop is not None and stop.fired:
+            # Only the search polls the deadline, so ``stats`` is its own.
+            stats = dataclasses.replace(stats, deadline_cut=True)
         with span("induce.verify", tracer):
             verify_schedule(schedule, region, model, dags=prepared.dags)
         cost = schedule.cost(model)
@@ -283,12 +268,11 @@ def _record(result: ResultBase, region: Region, metrics, tracer: Tracer,
     metrics.observe("induce_wall_seconds", result.wall_s)
     if result.cache_hit:
         metrics.inc("induce_cache_hits_total")
-    elif result.kind == "induce" and result.method == "search" and \
-            result.stats is not None:
+    elif result.method == "search" and result.stats is not None:
         metrics.observe("search_wall_seconds",
                         result.stats.wall_s or result.wall_s)
         observe_search_throughput(metrics, result.stats)
-    if not tracer.enabled or result.kind == "portfolio":
+    if not tracer.enabled:
         return
     event: dict = {
         "method": result.method,
@@ -318,5 +302,6 @@ def _record(result: ResultBase, region: Region, metrics, tracer: Tracer,
             incumbent_updates=stats.incumbent_updates,
             optimal=stats.optimal,
             budget_exhausted=stats.budget_exhausted,
+            deadline_cut=stats.deadline_cut,
         )
     tracer.emit("induce", **event)

@@ -3,10 +3,9 @@
 :class:`PreparedRegion` derives the facts every consumer of a computed
 request needs — DAGs, merge-key table, critical paths, root lower bound,
 root ready state — once, the way a CSE pass hashes each subexpression
-once for every later pass.  The greedy seed, both search engines,
-anneal, the portfolio race, the serial and lockstep baselines and the
-verifier read it.  It is immutable and lives for one request: it is
-never cached, and the portfolio's strategy threads share it.
+once for every later pass.  The greedy seed, both search engines, the
+serial and lockstep baselines and the verifier read it.  It is immutable
+and lives for one request: it is never cached.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """The unified induction-result protocol.
 
 Induction produces results through two doors — a local run
-(:class:`repro.core.pipeline.InductionResult`, or the race's
-:class:`repro.core.portfolio.PortfolioResult`) and replies from the
+(:class:`repro.core.pipeline.InductionResult`) and replies from the
 induction service (:class:`ServiceResult`).  :class:`ResultBase` gives
 them one surface, so no consumer (CLI, benchmarks, the service wire
 format) special-cases where a result came from:
@@ -14,8 +13,11 @@ format) special-cases where a result came from:
 - ``cache_hit`` — True when the *whole* result came from the cache;
 - ``optimal`` — every search involved completed within budget and the
   result was not degraded;
-- ``degraded`` — the service (or a local deadline) fell back to the
-  greedy/incumbent schedule instead of finishing the search;
+- ``deadline_cut`` — the request's deadline stopped the search, so the
+  schedule is its checked incumbent, unproven (never stored in a cache);
+- ``degraded`` — the service fell back to the verified greedy schedule:
+  the request's deadline passed before a worker got it, the worker hung
+  past its kill, or workers kept dying;
 - ``wall_s`` and ``as_dict()`` — one JSON-able serialization for traces,
   the service protocol and table printers.
 
@@ -101,6 +103,12 @@ class ResultBase:
         stats = self.search_stats
         return all(s.optimal for s in stats) if stats else True
 
+    @property
+    def deadline_cut(self) -> bool:
+        """A search stopped at the request's deadline, not at its proof
+        or its node budget."""
+        return any(s.deadline_cut for s in self.search_stats)
+
     def as_dict(self, include_schedule: bool = False) -> dict[str, Any]:
         """Uniform JSON-able summary shared by CLI, benchmarks and service."""
         out: dict[str, Any] = {
@@ -115,6 +123,7 @@ class ResultBase:
             "nodes": self.total_nodes,
             "cache_hit": bool(self.cache_hit),
             "optimal": self.optimal,
+            "deadline_cut": self.deadline_cut,
             "degraded": bool(self.degraded),
             "wall_s": self.wall_s,
         }
@@ -129,9 +138,8 @@ class ServiceResult(ResultBase):
 
     ``extras`` carries server-side context that has no local analogue:
     batch size, dedup disposition, retry count, queue wait.
-    ``claimed_optimal`` is the sender's ``optimal``: a race won without
-    proof has no stats to re-derive it from.  ``None`` (no claim sent)
-    derives it from ``stats`` like any result; ``degraded`` always wins.
+    ``optimal`` and ``deadline_cut`` derive from ``stats`` as for any
+    result, so they read as the sender's did.
     """
 
     method: str
@@ -144,15 +152,8 @@ class ServiceResult(ResultBase):
     wall_s: float = 0.0
     degraded: bool = False
     extras: Mapping[str, Any] = field(default_factory=dict)
-    claimed_optimal: bool | None = None
 
     kind = "service"
-
-    @property
-    def optimal(self) -> bool:
-        if self.claimed_optimal is None:
-            return super().optimal
-        return self.claimed_optimal and not self.degraded
 
 
 def result_to_payload(result: ResultBase) -> dict[str, Any]:
@@ -166,14 +167,13 @@ def result_from_payload(payload: Mapping[str, Any]) -> ServiceResult:
     """Rebuild a :class:`ServiceResult` from :func:`result_to_payload` output.
 
     Unknown keys are preserved in ``extras`` so protocol additions degrade
-    gracefully for older clients.  The payload's ``optimal`` claim is kept
-    as sent (see :class:`ServiceResult`).
+    gracefully for older clients.
     """
-    optimal = payload.get("optimal")
     known = {
         "kind", "method", "cost", "serial_cost", "lockstep_cost",
         "speedup_vs_serial", "speedup_vs_lockstep", "slots", "nodes",
-        "cache_hit", "optimal", "degraded", "wall_s", "schedule", "stats",
+        "cache_hit", "optimal", "deadline_cut", "degraded", "wall_s",
+        "schedule", "stats",
     }
     return ServiceResult(
         method=payload["method"],
@@ -186,5 +186,4 @@ def result_from_payload(payload: Mapping[str, Any]) -> ServiceResult:
         wall_s=float(payload.get("wall_s", 0.0)),
         degraded=bool(payload.get("degraded", False)),
         extras={k: v for k, v in payload.items() if k not in known},
-        claimed_optimal=None if optimal is None else bool(optimal),
     )

@@ -110,6 +110,11 @@ class SearchStats:
     #: reconstruct unchanged.
     vn_merged_candidates: int = 0
     vn_rewrites: int = 0
+    #: Set by the request driver when its deadline stopped the search:
+    #: the schedule is the incumbent at that instant.  ``deadline_s`` is
+    #: not in the fingerprint, so no cache tier stores such a result.
+    #: Defaulted so stats from before the field reconstruct unchanged.
+    deadline_cut: bool = False
 
     @property
     def nodes_per_second(self) -> float:
@@ -146,9 +151,8 @@ def branch_and_bound(
     region, the greedy seed and the final checks.
 
     The returned schedule is **not** verified here: the request driver
-    (:func:`repro.core.pipeline.run_induction`) or the portfolio race
-    checks it once.
-    That covers the greedy seed too, whose cost gates the pruning: an
+    (:func:`repro.core.pipeline.run_induction`) checks it once.  That
+    covers the greedy seed too, whose cost gates the pruning: an
     invalid seed of cost ``C`` prunes only nodes whose cost plus bound is
     ``>= C``.  If the search returns the seed, the caller's check raises
     :class:`~repro.core.verify.ScheduleError`; if it returns something
@@ -156,10 +160,11 @@ def branch_and_bound(
     cut.
 
     ``should_stop`` (optional, polled at the root and every 256 expanded
-    nodes) requests a cooperative early exit: the search returns its incumbent best-so-far
-    with ``budget_exhausted=True``, exactly like running out of node
-    budget.  The portfolio racer uses this to cancel losing strategies and
-    to honor deadlines without killing the process.
+    nodes) requests a cooperative early exit: the search returns its
+    incumbent best-so-far with ``budget_exhausted=True``, exactly like
+    running out of node budget.  The request driver passes one that
+    answers true at the request's deadline, and marks the stats
+    ``deadline_cut``.
     """
     t_start = perf_counter()
     config = config or SearchConfig()
@@ -176,8 +181,14 @@ def branch_and_bound(
     best_slots = search_fn(prepared, config, stats, best_slots,
                            should_stop=should_stop)
 
+    if not best_slots and region.num_ops:
+        if not stats.budget_exhausted:
+            raise RuntimeError("search produced no schedule (empty incumbent and no leaf reached)")
+        # An unseeded search stopped before its first leaf (a deadline
+        # already past at the root, say): greedy's schedule answers.
+        incumbent = greedy_schedule(region, model, prepared=prepared)
+        stats.best_cost = incumbent.cost(model)
+        best_slots = list(incumbent.slots)
     stats.optimal = not stats.budget_exhausted
     stats.wall_s = perf_counter() - t_start
-    if not best_slots and region.num_ops:
-        raise RuntimeError("search produced no schedule (empty incumbent and no leaf reached)")
     return Schedule(tuple(best_slots)), stats

@@ -16,17 +16,12 @@ The pieces map one-to-one onto the supplied text:
   update-load-averages command.
 - :mod:`repro.sched.runner` — executes the chosen target(s) on the event
   kernel, yielding *actual* times to compare with predictions.
-- :mod:`repro.sched.outcomes` — the portfolio racer's persistent
-  strategy-outcomes store (which induction strategy wins for which kind
-  of region), the same learn-from-history idea applied to strategy
-  selection instead of machine selection.
 """
 
 from repro.sched.cost import predict_time
 from repro.sched.database import MachineDatabase, TargetEntry
 from repro.sched.functions import FunctionSchedule, schedule_functions
 from repro.sched.load import LoadGenerator, update_load_averages
-from repro.sched.outcomes import StrategyOutcomesStore, StrategyStats
 from repro.sched.runner import simulate_execution
 from repro.sched.select import Selection, select_target
 from repro.sched.timing import measure_op_times
@@ -36,8 +31,6 @@ __all__ = [
     "LoadGenerator",
     "MachineDatabase",
     "Selection",
-    "StrategyOutcomesStore",
-    "StrategyStats",
     "TargetEntry",
     "measure_op_times",
     "predict_time",

@@ -19,10 +19,9 @@ Requests are flat JSON objects with an ``op``:
 
 - ``submit`` — one induction request (region text, model payload or name,
   method, budget/config, deadline, optional ``chaos`` fault injection
-  honoured only by test servers).  Portfolio submits may carry
-  supervisor-injected ``portfolio_order`` / ``portfolio_skip`` selector
-  hints (see :func:`repro.service.workers.inject_portfolio_hints`) —
-  advisory, ignored by non-portfolio methods;
+  honoured only by test servers).  A method outside
+  :data:`repro.api.METHODS` is a ``bad submit payload: unknown method``
+  error;
 - ``stats`` — service metrics snapshot;
 - ``ping`` — liveness probe;
 - ``flightrec`` — recent captured request digests (``slow``/``failed``

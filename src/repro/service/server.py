@@ -15,8 +15,8 @@ answers it:
 - otherwise it leads: it asks the cache once, every tier, and answers a
   hit at once with the entry's stored text; on a miss it waits for a free
   worker (at most ``queue_size`` requests wait; one more is shed
-  ``busy``) and runs the search through the supervised
-  :class:`~repro.service.workers.WorkerPool` itself.
+  ``busy``), but not past its deadline, and runs the search through the
+  supervised :class:`~repro.service.workers.WorkerPool` itself.
 
 Every ``ok`` reply carries a :class:`~repro.service.protocol.ResultText`:
 an entry's JSON text plus the request's own fields, spliced into the
@@ -29,8 +29,12 @@ carries.  The peer ``cache_get`` op sends the stored text too.
 Robustness contract (the point of the service):
 
 - a full queue sheds load with a clear ``busy`` reply — never a hang;
-- a deadline that expires degrades to the verified greedy schedule with
-  ``degraded=True`` — never an error;
+- a deadline is one instant per request, fixed at admission: the worker
+  gets the time left and its search answers then with its checked
+  incumbent (unproven, never cached).  A request whose deadline passes
+  before a worker is free, or whose worker hangs past the deadline plus
+  :data:`~repro.service.workers.KILL_GRACE_S`, degrades to the verified
+  greedy schedule with ``degraded=True`` — never an error;
 - a worker death is retried with backoff; only exhausted retries degrade;
 - a leader that fails answers itself and every joiner with an ``error``;
 - shutdown stops admitting, *drains* every admitted request, then stops.
@@ -38,9 +42,8 @@ Robustness contract (the point of the service):
 A flight runs under its leader's deadline; a joiner whose own deadline
 passes first answers itself with the degraded schedule.
 
-Only the rare paths that need the parsed request — a degraded reply and
-a portfolio's selector hints — parse the submit again, from the ticket's
-wire; a portfolio's outcomes decode its reply text once.
+Only the rare path that needs the parsed request — a degraded reply —
+parses the submit again, from the ticket's wire.
 
 Metrics are plain :class:`repro.obs.Counters` — ``requests``, ``ok``,
 ``shed``, ``degraded_deadline``, ``degraded_retries``, ``dedup_hits``,
@@ -91,15 +94,12 @@ from repro.service.daemon import (
     flightrec_reply,
 )
 from repro.service.workers import (
-    PORTFOLIO_KILL_GRACE_S,
     DeadlineExpired,
     RetriesExhausted,
     WorkerPool,
     WorkerTaskError,
     absorb_obs,
     degraded_result,
-    inject_portfolio_hints,
-    record_portfolio_outcome,
 )
 
 __all__ = ["InductionServer", "ServerConfig"]
@@ -169,16 +169,10 @@ class InductionServer:
                  cache: ScheduleCache | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
-                 strategy_store=None,
                  slo: SLOTracker | None = None,
                  flightrec: FlightRecorder | None = None) -> None:
         self.config = config
         self.cache = cache
-        #: Optional :class:`repro.sched.StrategyOutcomesStore`.  Portfolio
-        #: submits are dispatched with this store's ranked order/skip hints
-        #: and their outcomes are folded back in, so the server's strategy
-        #: selection improves as traffic flows.
-        self.strategy_store = strategy_store
         self.tracer = tracer or NULL_TRACER
         self.counters = Counters()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -393,8 +387,6 @@ class InductionServer:
             wait_s = None
             if ticket.deadline is not None:
                 wait_s = ticket.deadline - time.monotonic()
-                if ticket.wire.get("method") == "portfolio":
-                    wait_s += PORTFOLIO_KILL_GRACE_S
             outcome, led = self._flights.share(
                 ticket.fingerprint, lambda: self._lead(ticket, tee),
                 wait_s=wait_s)
@@ -402,10 +394,8 @@ class InductionServer:
                 self.counters.bump("dedup_hits")
                 if outcome is None:
                     # The leader outlived this request's own deadline.
-                    self.counters.bump("degraded_deadline")
-                    outcome = _Served(
-                        ticket.degraded(time.monotonic() - ticket.admitted),
-                        "deadline", ticket.admitted)
+                    outcome = self._degrade(ticket, "deadline",
+                                            ticket.admitted)
             if not isinstance(outcome, _Served):
                 return outcome
             return self._ok_reply(outcome, ticket.admitted,
@@ -433,13 +423,20 @@ class InductionServer:
                             "queue_depth": self._waiting}
                 self._waiting += 1
                 try:
-                    while not self._free_workers and not self._shedding:
-                        self._worker_freed.wait()
+                    self._worker_freed.wait_for(
+                        lambda: self._free_workers or self._shedding,
+                        None if ticket.deadline is None
+                        else ticket.deadline - time.monotonic())
                 finally:
                     self._waiting -= 1
             if self._shedding:
                 return {"status": "busy", "reason": "shutdown"}
-            self._free_workers -= 1
+            leased = self._free_workers > 0
+            if leased:
+                self._free_workers -= 1
+        if not leased:
+            # The deadline passed while every worker was busy.
+            return self._degrade(ticket, "deadline", time.monotonic())
         try:
             return self._dispatch(ticket, tee)
         finally:
@@ -447,40 +444,41 @@ class InductionServer:
                 self._free_workers += 1
                 self._worker_freed.notify()
 
+    def _degrade(self, ticket: _Ticket, disposition: str,
+                 started: float) -> _Served:
+        """The verified greedy answer, counted under ``disposition``.
+
+        Its ``wall_s`` is the request's time so far; ``started`` is when
+        its wait for a worker ended.
+        """
+        self.counters.bump(f"degraded_{disposition}")
+        return _Served(ticket.degraded(time.monotonic() - ticket.admitted),
+                       disposition, started)
+
     def _dispatch(self, ticket: _Ticket, tee: Tracer) -> _Served | dict:
-        """Run one search on a worker; degrade or error as it ends."""
-        deadline = ticket.deadline
+        """Run one search on a worker; degrade or error as it ends.
+
+        The pool sends the worker the time left until the ticket's
+        deadline, and nothing once it has passed.
+        """
         started = time.monotonic()
         # Worker-side spans hang off the dispatch span via the context
         # injected into the wire below, completing the stitched trace in
         # the leader's recorder (joiners carry only their own
         # service.request span — the search ran on the leader's trace).
         with span("service.dispatch", tee) as live:
-            disposition = "miss"
             wire = dict(ticket.wire)
             ctx = current_context()
             if ctx is not None:
                 wire["trace_ctx"] = ctx
-            if wire.get("method") == "portfolio":
-                # The race self-deadlines inside the worker; the pool's
-                # kill switch is only the wedged-worker backstop.  A
-                # server-default deadline reaches the race through the
-                # wire, since the client never set one there.
-                inject_portfolio_hints(wire, self.strategy_store)
-                if deadline is not None:
-                    if "deadline_s" not in wire:
-                        wire["deadline_s"] = max(
-                            0.0, deadline - time.monotonic())
-                    deadline += PORTFOLIO_KILL_GRACE_S
             try:
                 worker_started = time.monotonic()
-                result, meta = self.pool.run(wire, deadline)
+                result, meta = self.pool.run(wire, ticket.deadline)
                 self.metrics.observe(
                     "service_worker_seconds",
                     time.monotonic() - worker_started,
                     trace_id=live.trace_id)
                 result = absorb_obs(result, tracer=tee, registry=self.metrics)
-                record_portfolio_outcome(result, self.strategy_store)
                 result = result.with_fields(retries=meta["retries"])
                 if meta["retries"]:
                     self.metrics.observe("service_worker_retries",
@@ -492,19 +490,17 @@ class InductionServer:
                     self.cache.put(ticket.fingerprint, result.flags,
                                    text=result.text)
             except DeadlineExpired:
-                disposition = "deadline"
-                self.counters.bump("degraded_deadline")
-                result = ticket.degraded(time.monotonic() - started)
+                served = self._degrade(ticket, "deadline", started)
             except RetriesExhausted:
-                disposition = "retries"
-                self.counters.bump("degraded_retries")
-                result = ticket.degraded(time.monotonic() - started)
+                served = self._degrade(ticket, "retries", started)
             except WorkerTaskError as exc:
                 self.counters.bump("task_errors")
                 live.set(disposition="error")
                 return {"status": "error", "error": str(exc)}
-            live.set(disposition=disposition)
-        return _Served(result, disposition, started)
+            else:
+                served = _Served(result, "miss", started)
+            live.set(disposition=served.disposition)
+        return served
 
     def _ok_reply(self, served: _Served, admitted: float, deduped: bool,
                   trace_id: str) -> dict:

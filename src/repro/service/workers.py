@@ -7,15 +7,19 @@ parent by a :mod:`multiprocessing` pipe — the same control-process/PE-pipe
 shape as :class:`repro.models.pipes.PipeModel`, but real.  The supervisor
 gives the service its robustness guarantees:
 
-- **deadlines** — the parent waits on the pipe with a timeout; on expiry
-  the worker is killed and respawned, and the caller degrades to the
-  greedy schedule (``degraded=True``, never an error);
+- **deadlines** — each attempt's task carries the time left until the
+  request's deadline, so the worker's search stops there by itself and
+  answers with its checked incumbent.  The kill is only the backstop for
+  a hung worker: the parent waits on the pipe until :data:`KILL_GRACE_S`
+  past the deadline, then kills and respawns the worker, and the caller
+  degrades to the greedy schedule (``degraded=True``, never an error).
+  A task whose deadline has passed is never sent;
 - **crash retry** — a worker that dies mid-search (EOF on the pipe) is
   respawned and the task retried with exponential backoff, up to
   ``max_retries``; only then does the task degrade;
-- **inline fallback** — environments that cannot fork run tasks in-process
-  with best-effort (pre-start) deadline checks, so the service still
-  functions everywhere the library does.
+- **inline fallback** — environments that cannot fork run tasks
+  in-process, where the search honours the deadline all the same, so
+  the service still functions everywhere the library does.
 
 A task is the submit's wire dict, region text and all (a parse costs less
 than a pickled region).  The reply is the entry text the server stores
@@ -31,7 +35,6 @@ explicitly constructed with ``allow_chaos=True``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import queue
@@ -41,30 +44,28 @@ from typing import Any, Mapping
 
 from repro.api import InductionRequest, _execute_local
 from repro.core.pipeline import InductionResult, run_induction
-from repro.core.result import ResultBase, result_from_payload, result_to_payload
+from repro.core.result import result_to_payload
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
 from repro.obs.metrics import (
     MetricsLog, MetricsRegistry, get_registry, use_registry)
-from repro.service.protocol import (
-    ResultText, decode_result, request_from_wire, request_to_wire)
+from repro.service.protocol import ResultText, request_from_wire
 
 __all__ = [
     "DeadlineExpired",
+    "KILL_GRACE_S",
     "RetriesExhausted",
     "WorkerPool",
     "WorkerTaskError",
     "absorb_obs",
     "degraded_result",
-    "inject_portfolio_hints",
-    "record_portfolio_outcome",
-    "run_local_with_deadline",
 ]
 
 
-#: Extra seconds granted to a portfolio worker past the request deadline:
-#: the race inside enforces the deadline cooperatively and needs a moment
-#: to collect best-so-far schedules; the supervisor kill is the backstop.
-PORTFOLIO_KILL_GRACE_S = 2.0
+#: Seconds past a task's deadline before its worker is killed.  The search
+#: stops at the deadline by itself (within 256 nodes) and then only checks
+#: and costs its incumbent, so the kill catches a hung or stalled worker,
+#: not a search.
+KILL_GRACE_S = 1.0
 
 
 class DeadlineExpired(Exception):
@@ -90,26 +91,20 @@ def _execute_wire(wire: Mapping[str, Any]) -> ResultText:
     :class:`MemoryTracer` recorder, attached to the parent's span context
     shipped in ``wire["trace_ctx"]`` (if any) so the ``worker.execute``
     span — and everything the induction emits beneath it — stays on the
-    caller's trace.  The result comes back encoded once, as the
-    :class:`ResultText` the server stores and sends; the recorded events
-    and metric calls ride in its ``obs`` field, which :func:`absorb_obs`
-    replays, so nothing is double-counted or lost at the process boundary.
+    caller's trace.  The wire's ``deadline_s`` is the time its sender had
+    left; the search stops there with its checked incumbent.  The result
+    comes back encoded once, as the :class:`ResultText` the server stores
+    and sends; the recorded events and metric calls ride in its ``obs``
+    field, which :func:`absorb_obs` replays, so nothing is double-counted
+    or lost at the process boundary.
     """
     recorder = MemoryTracer()
     log = MetricsLog()
     request = request_from_wire(wire).replace(cache=None, tracer=recorder)
-    if request.method != "portfolio":
-        # Non-portfolio deadlines are enforced by the supervisor's kill
-        # switch; the portfolio race enforces its own cooperatively, so it
-        # keeps ``deadline_s`` and returns best-so-far instead of dying.
-        request = request.replace(deadline_s=None)
     with use_registry(log), attach_context(wire.get("trace_ctx")):
         with span("worker.execute", recorder, pid=os.getpid(),
                   method=request.method):
-            result = _execute_local(
-                request,
-                portfolio_order=wire.get("portfolio_order"),
-                portfolio_skip=wire.get("portfolio_skip"))
+            result = _execute_local(request)
     return ResultText.encode(result_to_payload(result), obs={
         "spans": recorder.events, "metrics": log.calls})
 
@@ -217,15 +212,13 @@ class _WorkerHandle:
 class _InlineHandle:
     """Fallback when processes are unavailable: run in this process.
 
-    Deadlines are best-effort (checked before the search starts, not
-    during) and chaos crash injection is ignored — there is no worker to
-    kill.
+    The search honours the task's deadline as in a worker; there is no
+    kill backstop and chaos injection is ignored — there is no worker to
+    kill or stall.
     """
 
     def run(self, wire: Mapping[str, Any], attempt: int,
             timeout: float | None) -> ResultText:
-        if timeout is not None and timeout <= 0:
-            raise DeadlineExpired("deadline expired before inline start")
         try:
             return _execute_wire(wire)
         except Exception as exc:  # noqa: BLE001 - mirror the worker contract
@@ -280,22 +273,30 @@ class WorkerPool:
             deadline: float | None = None) -> tuple[ResultText, dict]:
         """Run one task to completion, surviving worker deaths.
 
-        ``deadline`` is an absolute :func:`time.monotonic` instant.  Returns
-        ``(result, meta)``: the worker's :class:`ResultText`, ``obs`` field
-        and all, and counts of retries and deaths; raises
-        :class:`DeadlineExpired` / :class:`RetriesExhausted` (callers
-        degrade) or :class:`WorkerTaskError` (a genuine task bug).
+        ``deadline`` is the request's absolute :func:`time.monotonic`
+        instant.  Each attempt sends the task with the time left as its
+        ``deadline_s``, so the search stops at the deadline by itself; the
+        worker is killed only :data:`KILL_GRACE_S` later.  A task with no
+        time left is not sent.  Returns ``(result, meta)``: the worker's
+        :class:`ResultText`, ``obs`` field and all, and counts of retries
+        and deaths; raises :class:`DeadlineExpired` /
+        :class:`RetriesExhausted` (callers degrade) or
+        :class:`WorkerTaskError` (a genuine task bug).
         """
         meta = {"attempts": 0, "retries": 0, "worker_deaths": 0}
         attempt = 0
+        timeout = None
         while True:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise DeadlineExpired("deadline expired while queued")
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise DeadlineExpired("deadline expired while queued")
+                wire = {**wire, "deadline_s": left}
+                timeout = left + KILL_GRACE_S
             handle = self._handles.get()
             try:
                 meta["attempts"] += 1
-                result = handle.run(wire, attempt, remaining)
+                result = handle.run(wire, attempt, timeout)
                 return result, meta
             except _WorkerDied as exc:
                 meta["worker_deaths"] += 1
@@ -324,66 +325,17 @@ class WorkerPool:
             handle.close()
 
 
-# -- portfolio plumbing ----------------------------------------------------
-#
-# The strategy-outcomes store is a live handle and never crosses the wire;
-# the server consults it before the race and folds the race's outcomes back
-# in afterwards.
-
-
-def inject_portfolio_hints(wire: dict, store) -> None:
-    """Attach the store's ranked order / skip set to a portfolio wire.
-
-    The bucket is the one the race will record its outcome under: that of
-    the region it actually runs, after the vn pre-pass (which the worker
-    runs again inside the driver).
-
-    The wire is parsed here, and only when there is a store to rank with.
-    """
-    if store is None or wire.get("method") != "portfolio":
-        return
-    from repro.core.portfolio import (
-        PORTFOLIO_STRATEGIES, feature_bucket, region_features)
-    from repro.core.vn import vn_prepass
-
-    request = request_from_wire(wire)
-    region, model = request.resolved_region(), request.resolved_model()
-    if request.vn != "off":
-        region, _vnstats = vn_prepass(region, model, request.vn)
-    features = region_features(region, model)
-    order, skip = store.rank(feature_bucket(features), PORTFOLIO_STRATEGIES)
-    wire["portfolio_order"] = list(order)
-    wire["portfolio_skip"] = sorted(skip)
-
-
-def record_portfolio_outcome(result: ResultText, store) -> None:
-    """Fold a portfolio reply's per-strategy outcomes into the store.
-
-    Its text carries the ``winner`` / ``portfolio`` keys that
-    :meth:`repro.core.portfolio.PortfolioResult.as_dict` emits, and is
-    decoded here, once (the rare path).  A no-op without a store and for
-    other result kinds.
-    """
-    if store is None or result.flags.get("kind") != "portfolio":
-        return
-    payload = json.loads(result.text)
-    info = payload.get("portfolio")
-    if not info:
-        return
-    store.record(info.get("bucket", ""), payload.get("winner"),
-                 info.get("outcomes", ()))
-
-
-# -- local results ---------------------------------------------------------
+# -- the degraded fallback -------------------------------------------------
 
 
 def degraded_result(request: InductionRequest,
                     wall_s: float | None = None) -> InductionResult:
     """The graceful-degradation fallback: a verified greedy schedule.
 
-    Greedy list-scheduling is linear-ish and deterministic, so it always
-    beats the deadline that the search just blew; the result is flagged
-    ``degraded=True`` and is *verified* like any fresh schedule.
+    Greedy list-scheduling is linear-ish and deterministic, so it answers
+    at once when no worker did (the deadline passed before one was free,
+    the worker hung past its kill, or workers kept dying); the result is
+    flagged ``degraded=True`` and is *verified* like any fresh schedule.
 
     ``wall_s=None`` (not given) reports the fallback's own build time; an
     explicit value — including an explicit ``0.0`` — is reported verbatim.
@@ -395,44 +347,3 @@ def degraded_result(request: InductionRequest,
     return dataclasses.replace(
         res, degraded=True,
         wall_s=wall_s if wall_s is not None else res.wall_s)
-
-
-def run_local_with_deadline(request: InductionRequest) -> ResultBase:
-    """Local (serverless) execution of a request that carries a deadline.
-
-    Spawns one supervised worker for the duration of the call; on deadline
-    expiry or repeated worker death the greedy fallback is returned with
-    ``degraded=True``.  A request-level cache hit skips the worker and
-    replays the stored result; a fresh reply is stored in the parent under
-    the cache's one store rule (handles never cross the process boundary).
-    Both come back as a :class:`~repro.core.result.ServiceResult`: the
-    worker's reply is the entry text the server would store, and it is
-    decoded here once.
-    """
-    start = time.monotonic()
-    cache = request.cache
-    fingerprint = None
-    if cache is not None:
-        fingerprint = request.fingerprint()
-        entry = cache.get(fingerprint)
-        if entry is not None:
-            entry.update(cache_hit=True, wall_s=time.monotonic() - start,
-                         retries=0)
-            return result_from_payload(entry)
-
-    # Parsed here, so malformed text is this call's ValueError, raised
-    # before a worker starts.
-    wire = request_to_wire(request.replace(
-        region=request.resolved_region(), deadline_s=None))
-    pool = WorkerPool(workers=1, max_retries=1)
-    try:
-        try:
-            result, _meta = pool.run(wire, start + float(request.deadline_s))
-        except (DeadlineExpired, RetriesExhausted):
-            return degraded_result(request, wall_s=time.monotonic() - start)
-    finally:
-        pool.close()
-    result = absorb_obs(result, tracer=request.tracer)
-    if cache is not None:
-        cache.put(fingerprint, result.flags, text=result.text)
-    return result_from_payload(decode_result(result))

@@ -7,12 +7,13 @@ import pytest
 import repro
 from repro import api
 from repro.core import (
-    InductionResult, PortfolioResult, ScheduleCache, maspar_cost_model,
-    parse_region, verify_schedule,
+    InductionResult, ScheduleCache, maspar_cost_model, parse_region,
+    verify_schedule,
 )
 from repro.core.cache import region_fingerprint
 from repro.core.result import result_from_payload, result_to_payload
 from repro.core.search import SearchConfig
+from repro.workloads.threads import RandomRegionSpec, random_region
 
 REGION = """
 thread 0:
@@ -24,6 +25,12 @@ thread 1:
     e = mul d d
     f = add e d
 """
+
+#: A region whose search runs long (eight threads, moderate overlap): a
+#: 50-node budget or a short deadline stops it unproven.
+WIDE_REGION = random_region(
+    RandomRegionSpec(num_threads=8, min_len=10, max_len=10, vocab_size=12,
+                     overlap=0.4, private_vocab=False), seed=5)
 
 
 @pytest.fixture
@@ -50,8 +57,8 @@ class TestInductionRequest:
         float("nan"), float("inf"), True, 0, -1],
         ids=["nan", "inf", "true", "zero", "minus-1"])
     def test_rejects_what_no_timeout_can_hold(self, deadline):
-        # Refused up front, before a deadline request starts its worker
-        # process, which turns the deadline into a timeout.
+        # Refused up front: the driver turns a deadline into an instant
+        # and a served worker's kill into a timeout.
         assert not api.valid_deadline(deadline)
         with pytest.raises(ValueError, match="deadline"):
             api.InductionRequest(region=REGION, deadline_s=deadline)
@@ -62,9 +69,10 @@ class TestInductionRequest:
         assert api.InductionRequest(region=REGION,
                                     deadline_s=deadline).deadline_s == deadline
 
-    def test_accepts_portfolio_method(self):
-        request = api.InductionRequest(region=REGION, method="portfolio")
-        assert request.method == "portfolio"
+    @pytest.mark.parametrize("method", ["portfolio", "anneal"])
+    def test_rejects_removed_methods(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            api.InductionRequest(region=REGION, method=method)
 
     def test_budget_shorthand(self):
         request = api.InductionRequest(region=REGION, budget=123)
@@ -120,24 +128,18 @@ class TestRouting:
         assert result.kind == "induce"
         assert result.cost > 0 and not result.degraded
 
-    def test_portfolio_route(self):
-        result = api.induce(api.InductionRequest(region=REGION,
-                                                 method="portfolio"))
-        assert result.kind == "portfolio"
-        assert result.winner in ("search", "greedy", "anneal", "serial")
-        assert result.cost > 0 and not result.degraded
+    def test_deadline_route_starts_no_process(self, monkeypatch):
+        import multiprocessing.process
 
-    def test_portfolio_route_honors_deadline_in_process(self):
-        # Portfolio never takes the supervised-worker detour: the race
-        # itself enforces the deadline, so the local strategy_store handle
-        # keeps working.
-        from repro.sched import StrategyOutcomesStore
-        store = StrategyOutcomesStore()
-        result = api.induce(api.InductionRequest(
-            region=REGION, method="portfolio", deadline_s=30.0,
-            strategy_store=store))
-        assert not result.degraded
-        assert store.races == 1
+        def refuse(self):
+            raise AssertionError("a local request started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        result = api.induce(api.InductionRequest(region=REGION,
+                                                 deadline_s=30.0))
+        assert isinstance(result, InductionResult)
+        assert result.optimal and not result.deadline_cut
 
     def test_cache_handle_stays_local(self, tmp_path):
         cache = ScheduleCache(cache_dir=str(tmp_path / "cache"))
@@ -155,9 +157,8 @@ class TestResultProtocol:
 
     def test_uniform_as_dict_across_kinds(self):
         one = api.induce(api.InductionRequest(region=REGION))
-        race = api.induce(api.InductionRequest(region=REGION,
-                                               method="portfolio"))
-        for result in (one, race):
+        served = result_from_payload(result_to_payload(one))
+        for result in (one, served):
             d = result.as_dict()
             assert self.CORE_KEYS <= set(d)
             assert d["speedup_vs_serial"] == pytest.approx(
@@ -186,20 +187,45 @@ class TestResultProtocol:
         payload["degraded"] = True
         assert result_from_payload(payload).optimal is False
 
-    def test_unproven_race_stays_unproven_on_the_wire(self, region):
-        # Anneal wins without proof and without search stats: the rebuilt
-        # result must keep the sender's claim, not re-derive "optimal"
-        # from its (empty) stats.
-        schedule = api.induce(api.InductionRequest(
-            region=REGION, method="greedy")).schedule
-        result = PortfolioResult(
-            method="portfolio", schedule=schedule,
-            cost=schedule.cost(maspar_cost_model()), serial_cost=0.0,
-            lockstep_cost=0.0, winner="anneal", proven=False)
-        assert result.optimal is False
+    #: Each sender of a result, with the ``optimal`` it sends.
+    SENDERS = {
+        "proven-search": True,
+        "budget-exhausted-search": False,
+        "deadline-cut-search": False,
+        "degraded-greedy": False,
+        "greedy": True,
+        "factor": True,
+        "lockstep": True,
+        "serial": True,
+    }
+
+    @pytest.mark.parametrize("sender", SENDERS)
+    def test_optimal_survives_the_wire(self, sender):
+        # Every sender's ``optimal`` is what its stats derive, so the
+        # rebuilt result reads the same without a separate claim.
+        from repro.service.workers import degraded_result
+
+        optimal = self.SENDERS[sender]
+
+        if sender == "proven-search":
+            result = api.induce(api.InductionRequest(region=REGION))
+        elif sender == "budget-exhausted-search":
+            result = api.induce(api.InductionRequest(
+                region=WIDE_REGION, budget=50))
+        elif sender == "deadline-cut-search":
+            result = api.induce(api.InductionRequest(
+                region=WIDE_REGION, budget=50_000_000, deadline_s=0.05))
+            assert result.deadline_cut
+        elif sender == "degraded-greedy":
+            result = degraded_result(api.InductionRequest(region=REGION))
+        else:
+            result = api.induce(api.InductionRequest(region=REGION,
+                                                     method=sender))
+        assert result.optimal is optimal
         back = result_from_payload(result_to_payload(result))
-        assert back.optimal is False
-        assert result_to_payload(back)["optimal"] is False
+        assert back.optimal is optimal
+        assert back.deadline_cut is result.deadline_cut
+        assert result_to_payload(back)["optimal"] is optimal
 
 
 class TestNoShims:
@@ -217,8 +243,7 @@ class TestNoShims:
 
 
 def _knob_value(knob):
-    from repro.sched import StrategyOutcomesStore
-    return {"budget": 99, "strategy_store": StrategyOutcomesStore()}[knob]
+    return {"budget": 99}[knob]
 
 
 class TestKnobTable:
@@ -228,7 +253,7 @@ class TestKnobTable:
     @pytest.mark.parametrize("knob,method", [
         (knob, method)
         for knob, allowed in api.KNOB_METHODS.items()
-        for method in api.REQUEST_METHODS
+        for method in api.METHODS
         if method not in allowed
     ])
     def test_invalid_combination_rejected(self, knob, method):

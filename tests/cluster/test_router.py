@@ -247,7 +247,7 @@ class TestRequestCache:
 
     def test_only_ok_nondegraded_replies_cached(self, cluster, monkeypatch):
         # One store rule: errors and sheds are transient, a degraded reply
-        # depends on wall-clock luck and an unproven race on its deadline,
+        # depends on wall-clock luck and a search cut on its deadline,
         # none of which the fingerprint holds.
         router = cluster.router
         ok = result_to_payload(api.induce(request(44)))
@@ -255,7 +255,7 @@ class TestRequestCache:
             ({"status": "error", "error": "boom"}, False),
             ({"status": "busy"}, False),
             ({"status": "ok", "result": {**ok, "degraded": True}}, False),
-            ({"status": "ok", "result": {**ok, "kind": "portfolio",
+            ({"status": "ok", "result": {**ok, "deadline_cut": True,
                                          "optimal": False}}, False),
             ({"status": "ok", "result": ok}, True),
         ]
@@ -268,20 +268,24 @@ class TestRequestCache:
                 router.submit_wire(dict(wire)).get("result")) or {}
             assert bool(again.get("router_cache")) is cached, reply
 
-    def test_unproven_race_is_not_router_cached(self, cluster):
-        # deadline_s is not in the fingerprint, so a race that proved
-        # nothing must not answer a request with a longer deadline.
+    def test_deadline_cut_is_not_router_cached(self, cluster):
+        # deadline_s is not in the fingerprint, so a search its deadline
+        # cut must not answer a request with a longer deadline.
         pytest.importorskip("numpy")
         from repro.workloads import RandomRegionSpec, random_region
 
         region = random_region(
-            RandomRegionSpec(num_threads=5, min_len=14, max_len=14), seed=6)
-        race = InductionRequest(region=region, method="portfolio",
-                                budget=30)
-        first = cluster.client().submit(race)
-        assert not first.optimal
+            RandomRegionSpec(num_threads=8, min_len=10, max_len=10,
+                             vocab_size=12, overlap=0.4,
+                             private_vocab=False), seed=5)
+        cut = InductionRequest(region=region, budget=50_000_000,
+                               deadline_s=0.2)
+        first = cluster.client().submit(cut)
+        assert first.deadline_cut and not first.optimal
+        assert not first.degraded
         hits = cluster.router.counters["router_cache_hits"]
-        second = cluster.client().submit(race.replace(deadline_s=30.0))
+        second = cluster.client().submit(cut.replace(deadline_s=0.3))
+        assert second.deadline_cut
         assert not second.extras.get("router_cache")
         assert second.extras["disposition"] == "miss"
         assert cluster.router.counters["router_cache_hits"] == hits

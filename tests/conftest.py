@@ -37,14 +37,11 @@ if not _HAVE_NUMPY:
         "lang/test_lang_properties.py",
         # Individual files built on numpy-backed helpers.
         "api/test_facade.py",
-        "core/test_portfolio.py",
         "service/test_workers.py",
         "util/test_rng.py",
         "util/test_stats.py",
         # Suites whose fixtures come from the numpy-backed
-        # repro.workloads random-region generators (or, for anneal,
-        # from the numpy annealer itself).
-        "core/test_anneal.py",
+        # repro.workloads random-region generators.
         "core/test_cache.py",
         "core/test_engine_equivalence.py",
         "core/test_greedy.py",

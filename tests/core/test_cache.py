@@ -139,22 +139,30 @@ class TestMemoryTier:
             ScheduleCache(capacity=0)
 
 
+def cut_payload():
+    """A search payload whose request's deadline stopped the search."""
+    schedule, stats = branch_and_bound(REGION, UNIT)
+    return search_payload(schedule, dataclasses.replace(
+        stats, optimal=False, budget_exhausted=True, deadline_cut=True))
+
+
 class TestStoreRule:
-    def test_degraded_and_unproven_races_are_never_stored(self):
+    def test_degraded_and_deadline_cut_results_are_never_stored(self):
         cache = ScheduleCache()
-        payload = search_payload(*branch_and_bound(REGION, UNIT))
+        schedule, stats = branch_and_bound(REGION, UNIT)
+        payload = search_payload(schedule, stats)
         assert not cache.put("degraded", {**payload, "degraded": True})
-        race = {**payload, "kind": "portfolio", "winner": "anneal"}
-        assert not cache.put("unproven", {**race, "optimal": False})
-        assert cache.put("proven", {**race, "optimal": True})
-        unproven_search = search_payload(
-            *branch_and_bound(REGION, UNIT), optimal=False)
-        assert cache.put("unproven-search", unproven_search)
+        cut = cut_payload()
+        assert cut["deadline_cut"] is True and cut["optimal"] is False
+        assert not cache.put("cut", cut)
+        # Out of node budget is stored: the budget is in the fingerprint.
+        exhausted = search_payload(schedule, dataclasses.replace(
+            stats, optimal=False, budget_exhausted=True))
+        assert cache.put("exhausted", exhausted)
         assert cache.get("degraded") is None
-        assert cache.get("unproven") is None
-        assert cache.get("proven")["winner"] == "anneal"
-        assert cache.get("unproven-search")["optimal"] is False
-        assert cache.counters["stores"] == 2
+        assert cache.get("cut") is None
+        assert cache.get("exhausted")["optimal"] is False
+        assert cache.counters["stores"] == 1
 
     def test_check_entry_takes_only_storable_result_payloads(self):
         entry = cache_entry(search_payload(*branch_and_bound(REGION, UNIT)))
@@ -166,6 +174,10 @@ class TestStoreRule:
                     {**entry, "degraded": True}):
             with pytest.raises(ValueError):
                 check_entry(bad)
+
+    def test_check_entry_refuses_a_deadline_cut_entry(self):
+        with pytest.raises(ValueError, match="deadline"):
+            check_entry(cache_entry(cut_payload()))
 
 
 class TestDiskTier:
@@ -202,6 +214,29 @@ class TestDiskTier:
         fresh = ScheduleCache(cache_dir=tmp_path)
         assert fresh.get("fp") is None
         assert fresh.counters["disk_errors"] == 1 and len(fresh) == 0
+
+    def test_deadline_cut_entry_on_disk_is_a_miss(self, tmp_path):
+        # Written by hand (no tier stores one): read back, it is refused.
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
+        ScheduleCache(cache_dir=tmp_path).put("fp", payload)
+        [path] = tmp_path.glob("*.json")
+        path.write_text(json.dumps(cache_entry(cut_payload())))
+        fresh = ScheduleCache(cache_dir=tmp_path)
+        assert fresh.get("fp") is None
+        assert fresh.counters["disk_errors"] == 1 and len(fresh) == 0
+
+    def test_entry_written_before_deadline_cut_still_hits(self, tmp_path):
+        # Entries from before the flag carry it neither at the top nor in
+        # their stats; they parse and hit as they are.
+        payload = search_payload(*branch_and_bound(REGION, UNIT))
+        old = cache_entry(payload)
+        del old["deadline_cut"]
+        for stats in old["stats"]:
+            del stats["deadline_cut"]
+        (tmp_path / "fp.result.json").write_text(json.dumps(old))
+        fresh = ScheduleCache(cache_dir=tmp_path)
+        assert fresh.get("fp") == old
+        assert fresh.counters["disk_hits"] == 1
 
     def test_old_format_files_are_never_read(self, tmp_path):
         # Files of the schedule/stats format were named <fingerprint>.json;

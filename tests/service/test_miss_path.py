@@ -148,8 +148,7 @@ class TestWorkerReply:
         result = _execute_wire(wire_of(REGION))
         assert isinstance(result, protocol.ResultText)
         assert set(result.fields) == {"obs", "wall_s", "cache_hit"}
-        assert result.flags == {"degraded": False, "kind": "induce",
-                                "optimal": True}
+        assert result.flags == {"degraded": False, "deadline_cut": False}
         obs = result.fields["obs"]
         assert {e.get("name") for e in obs["spans"]} >= {"worker.execute",
                                                          "induce"}
@@ -177,9 +176,10 @@ class TestWorkerReply:
         payload = result_to_payload(
             api.induce(InductionRequest(region=REGION, method="greedy")))
         for extra, stored in (({}, True), ({"degraded": True}, False),
-                              ({"kind": "portfolio", "optimal": False},
+                              ({"deadline_cut": True, "optimal": False},
                                False),
-                              ({"kind": "portfolio", "optimal": True}, True)):
+                              ({"deadline_cut": False, "optimal": False},
+                               True)):
             value = protocol.ResultText.encode({**payload, **extra})
             cache = ScheduleCache()
             assert cache.put("f" * 64, value.flags,

@@ -15,7 +15,7 @@ from repro.api import InductionRequest
 from repro.core import maspar_cost_model, parse_region, verify_schedule
 from repro.service import (
     Endpoint, InductionServer, ServerConfig, ServiceBusy, ServiceClient,
-    ServiceError,
+    ServiceError, protocol,
 )
 
 REGION = """
@@ -265,6 +265,146 @@ def test_deadline_expiry_degrades_to_verified_greedy(tmp_path, request_):
         server.shutdown()
 
 
+def slow_region():
+    """Eight threads, moderate overlap: a 50M-node search on it runs for
+    minutes, so only a deadline stops it."""
+    pytest.importorskip("numpy")
+    from repro.workloads.threads import RandomRegionSpec, random_region
+
+    return random_region(
+        RandomRegionSpec(num_threads=8, min_len=10, max_len=10,
+                         vocab_size=12, overlap=0.4, private_vocab=False),
+        seed=5)
+
+
+def test_deadline_cut_answers_with_the_search_incumbent(tmp_path):
+    from repro.core import ScheduleCache
+
+    region = slow_region()
+    cache = ScheduleCache()
+    server = InductionServer(
+        ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
+                     workers=1),
+        cache=cache)
+    request = InductionRequest(region=region, budget=50_000_000,
+                               deadline_s=0.5)
+    try:
+        with ServiceClient(server.endpoint) as client:
+            start = time.monotonic()
+            result = client.submit(request)
+            elapsed = time.monotonic() - start
+            again = client.submit(request.replace(deadline_s=0.2))
+            stats = client.stats()
+    finally:
+        server.shutdown()
+    # The worker's search stopped at the deadline; no kill, no greedy.
+    assert not result.degraded
+    assert result.method == "search"
+    assert result.deadline_cut and not result.optimal
+    assert result.extras["disposition"] == "miss"
+    assert elapsed < 1.5
+    verify_schedule(result.schedule, region, maspar_cost_model())
+    # Never stored, so a repeat without a deadline cannot hit it.
+    assert stats.get("cache_stores", 0) == 0
+    assert cache.get_text(request.fingerprint()) is None
+    assert not again.cache_hit and again.extras["disposition"] == "miss"
+    assert stats.get("degraded_deadline", 0) == 0
+
+
+def _hold_the_worker(client, request, stall_s):
+    """Start a submit that keeps the one worker busy for ``stall_s``."""
+    holder = threading.Thread(target=client.submit, args=(request,),
+                              kwargs={"chaos": {"sleep_s": stall_s}})
+    holder.start()
+    time.sleep(0.1)
+    return holder
+
+
+def test_worker_gets_the_time_left_not_the_clients_deadline(tmp_path,
+                                                            request_):
+    # The submit waits about 0.9 s for the held worker, so its search has
+    # about 0.4 s of its 1.3 s left; with the client's 1.3 s restarted in
+    # the worker it would answer near 2.2 s.
+    region = slow_region()
+    server = make_server(tmp_path)
+    try:
+        client = ServiceClient(server.endpoint)
+        holder = _hold_the_worker(client, request_, 1.0)
+        start = time.monotonic()
+        result = client.submit(InductionRequest(
+            region=region, budget=50_000_000, deadline_s=1.3))
+        elapsed = time.monotonic() - start
+        holder.join(timeout=30)
+    finally:
+        server.shutdown()
+    assert not result.degraded and result.deadline_cut
+    assert result.extras["queue_wait_s"] > 0.5
+    assert elapsed < 1.3 + 0.45
+    verify_schedule(result.schedule, region, maspar_cost_model())
+
+
+def test_leaders_wait_for_a_worker_ends_at_its_deadline(tmp_path, request_):
+    server = make_server(tmp_path)
+    try:
+        client = ServiceClient(server.endpoint)
+        holder = _hold_the_worker(client, request_, 1.0)
+        start = time.monotonic()
+        # Another fingerprint, so it leads its own flight.
+        result = client.submit(request_.replace(budget=10_001,
+                                                deadline_s=0.3))
+        elapsed = time.monotonic() - start
+        holder.join(timeout=30)
+        stats = client.stats()
+    finally:
+        server.shutdown()
+    assert result.degraded
+    assert result.extras["disposition"] == "deadline"
+    assert elapsed < 0.3 + 0.4  # not when the worker frees, near 0.9 s
+    verify_schedule(result.schedule, parse_region(REGION),
+                    maspar_cost_model())
+    assert stats["degraded_deadline"] == 1
+    assert stats.get("dedup_hits", 0) == 0
+
+
+def test_dispatch_sends_the_time_left_and_nothing_once_it_is_gone(
+        tmp_path, request_, monkeypatch):
+    from repro.obs import NULL_TRACER
+    from repro.service.server import _Ticket
+    from repro.service.workers import KILL_GRACE_S
+
+    server = make_server(tmp_path)
+    handle_class = type(server.pool._all[0])
+    sent = []
+    real_run = handle_class.run
+
+    def spy(self, wire, attempt, timeout):
+        sent.append((wire.get("deadline_s"), timeout))
+        return real_run(self, wire, attempt, timeout)
+
+    monkeypatch.setattr(handle_class, "run", spy)
+    wire = protocol.request_to_wire(request_.replace(deadline_s=10.0))
+    fingerprint = request_.fingerprint()
+    try:
+        now = time.monotonic()
+        # Admitted 9.8 s ago: 0.2 s of the client's 10 s are left.
+        served = server._dispatch(
+            _Ticket(wire, fingerprint, now - 9.8, now + 0.2), NULL_TRACER)
+        assert served.disposition == "miss" and not served.result.degraded
+        [(deadline_s, timeout)] = sent
+        assert 0 < deadline_s <= 0.2
+        assert timeout == pytest.approx(deadline_s + KILL_GRACE_S)
+        # No time left: degraded at once, and never sent.
+        start = time.monotonic()
+        served = server._dispatch(
+            _Ticket(wire, fingerprint, now - 10.5, now - 0.5), NULL_TRACER)
+        assert time.monotonic() - start < 1.0
+        assert served.disposition == "deadline" and served.result.degraded
+        assert len(sent) == 1
+        assert server.counters["degraded_deadline"] == 1
+    finally:
+        server.shutdown()
+
+
 def test_queue_overflow_sheds_with_busy(tmp_path, request_):
     server = make_server(tmp_path, workers=1, queue_size=1)
     try:
@@ -409,7 +549,7 @@ def test_cache_stores_only_replies_a_hit_can_claim(tmp_path):
     assert again.search_stats == cold.search_stats
 
 
-VN_PORTFOLIO_REGION = """
+VN_REGION = """
 thread 0:
     a = ld x
     b = mul a #2
@@ -426,14 +566,14 @@ PER_HOP = {"cache_hit", "wall_s", "disposition", "queue_wait_s",
            "server_wall_s", "deduped", "retries"}
 
 
-def _cold_and_repeat(tmp_path, request, store=None):
+def _cold_and_repeat(tmp_path, request):
     """The cold reply to ``request`` and its served repeat."""
     from repro.core import ScheduleCache
 
     server = InductionServer(
         ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
                      workers=1),
-        cache=ScheduleCache(), strategy_store=store)
+        cache=ScheduleCache())
     try:
         with ServiceClient(server.endpoint) as client:
             cold = client.submit(request)
@@ -452,32 +592,15 @@ def _result_fields(result):
             {k: v for k, v in result.extras.items() if k not in PER_HOP})
 
 
-@pytest.mark.parametrize("request_kind", ["one-shot", "portfolio"])
+@pytest.mark.parametrize("request_kind", ["one-shot", "greedy"])
 def test_served_repeat_replays_the_cold_reply(tmp_path, request_kind):
-    if request_kind == "portfolio":
-        pytest.importorskip("numpy")
     request = {
         "one-shot": InductionRequest(region=REGION, budget=10_000),
-        "portfolio": InductionRequest(region=REGION, method="portfolio"),
+        "greedy": InductionRequest(region=REGION, method="greedy"),
     }[request_kind]
     cold, again = _cold_and_repeat(tmp_path, request)
     assert cold.optimal
     assert _result_fields(again) == _result_fields(cold)
-
-
-def test_served_proven_race_repeat_keeps_winner_and_record(tmp_path):
-    pytest.importorskip("numpy")
-    from repro.sched import StrategyOutcomesStore
-
-    store = StrategyOutcomesStore()
-    cold, again = _cold_and_repeat(
-        tmp_path, InductionRequest(region=REGION, method="portfolio"),
-        store=store)
-    assert cold.optimal and cold.extras["winner"]
-    assert again.extras["winner"] == cold.extras["winner"]
-    assert again.extras["portfolio"] == cold.extras["portfolio"]
-    # The replay ran no race, so it teaches the selector nothing.
-    assert store.races == 1
 
 
 def test_served_hit_rebuilds_nothing(tmp_path, count_calls):
@@ -489,7 +612,7 @@ def test_served_hit_rebuilds_nothing(tmp_path, count_calls):
         ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
                      workers=1),
         cache=ScheduleCache())
-    request = InductionRequest(region=VN_PORTFOLIO_REGION, vn="on")
+    request = InductionRequest(region=VN_REGION, vn="on")
     try:
         with ServiceClient(server.endpoint) as client:
             cold = client.submit(request)
@@ -535,35 +658,29 @@ def test_peer_cache_ops_carry_checked_entries(tmp_path, request_):
         server.shutdown()
 
 
-def test_served_portfolio_ranks_the_bucket_it_records(tmp_path,
-                                                      monkeypatch):
-    # The vn pre-pass rewrites ``mul #2`` into ``shl #1``, so the region
-    # the race runs (and records its outcome under) shares every key;
-    # the selector must rank that bucket, not the submitted region's.
-    pytest.importorskip("numpy")
-    from repro.sched import StrategyOutcomesStore
+def test_peer_cache_put_refuses_a_deadline_cut_entry(tmp_path, request_):
+    from repro.core import ScheduleCache
 
-    store = StrategyOutcomesStore()
-    ranked = []
-    rank = store.rank
-
-    def spy(bucket, strategies):
-        ranked.append(bucket)
-        return rank(bucket, strategies)
-
-    monkeypatch.setattr(store, "rank", spy)
     server = InductionServer(
         ServerConfig(endpoint=Endpoint.unix(str(tmp_path / "svc.sock")),
                      workers=1),
-        strategy_store=store)
+        cache=ScheduleCache())
     try:
         with ServiceClient(server.endpoint) as client:
-            result = client.submit(InductionRequest(
-                region=VN_PORTFOLIO_REGION, method="portfolio", vn="on"))
-        assert not result.degraded
+            client.submit(request_)
+            entry = client.cache_get(request_.fingerprint())
+            cut = {**entry, "deadline_cut": True, "optimal": False,
+                   "stats": [{**entry["stats"][0], "deadline_cut": True,
+                              "optimal": False, "budget_exhausted": True}]}
+            reply = client._roundtrip({"op": "cache_put",
+                                       "fingerprint": "c" * 64,
+                                       "entry": cut})
+            assert reply["status"] == "error"
+            assert "bad cache_put payload" in reply["error"]
+            assert "deadline" in reply["error"]
+            assert client.cache_get("c" * 64) is None
     finally:
         server.shutdown()
-    assert ranked == list(store.snapshot()) == ["t2_ops8_share100"]
 
 
 def test_malformed_region_is_an_error_not_a_crash(tmp_path, request_):

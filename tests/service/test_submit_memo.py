@@ -115,6 +115,27 @@ def test_malformed_text_is_refused_every_time_and_never_remembered(daemon):
     assert daemon.counters["submit_memo_misses"] == 3
 
 
+@pytest.mark.parametrize("method", ["portfolio", "anneal"])
+def test_removed_methods_are_refused_every_time(daemon, method):
+    # The race and the annealer are gone: a submit naming either is a
+    # bad payload on first sight and on every repeat, never remembered,
+    # while the same region's search submit is memoized as usual.
+    request = InductionRequest(region=REGION, budget=10_000)
+    with ServiceClient(daemon.endpoint) as client:
+        client.submit(request)
+        wire = protocol.request_to_wire(request)
+        wire["method"] = method
+        for _ in range(2):
+            reply = _submit_raw(daemon.endpoint, dict(wire))
+            assert reply["status"] == "error"
+            assert f"bad submit payload: unknown method {method!r}" in \
+                reply["error"]
+        assert daemon.counters["submit_memo_hits"] == 0
+        assert client.submit(request).cache_hit
+    assert daemon.counters["submit_memo_hits"] == 1
+    assert daemon.counters["submit_memo_misses"] == 3
+
+
 @pytest.mark.parametrize("field,value", [
     ("window", 4), ("deadline_s", 0), ("deadline_s", -1.0),
     ("deadline_s", "soon"), ("deadline_s", float("nan")),

@@ -1,4 +1,4 @@
-"""Tests for the supervised worker pool and the local deadline route."""
+"""Tests for the supervised worker pool and the deadline routes."""
 
 import os
 import pathlib
@@ -10,8 +10,7 @@ import time
 import pytest
 
 from repro import api
-from repro.core import ServiceResult, maspar_cost_model, verify_schedule
-from repro.core.search import SearchConfig
+from repro.core import maspar_cost_model, verify_schedule
 from repro.service import protocol
 from repro.service.workers import (
     DeadlineExpired, RetriesExhausted, WorkerPool, WorkerTaskError,
@@ -183,6 +182,8 @@ class TestDegradedResult:
 
 
 class TestLocalDeadlineRoute:
+    """A local request with a deadline runs in process, like any other."""
+
     def test_fast_search_beats_deadline(self):
         from repro.obs import MemoryTracer
 
@@ -190,46 +191,53 @@ class TestLocalDeadlineRoute:
         request = api.InductionRequest(region=REGION, budget=10_000,
                                        deadline_s=60.0, tracer=tracer)
         result = api.induce(request)
-        assert not result.degraded
-        assert result.cost > 0
-        # The worker's replayed events are the run's record.
+        assert not result.degraded and not result.deadline_cut
+        assert result.optimal and result.cost > 0
+        # The run's own record, with no worker in between.
         assert [e["kind"] for e in tracer.events].count("induce") == 1
-        assert any(e["kind"] == "span" and e["name"] == "worker.execute"
-                   for e in tracer.events)
+        assert not any(e.get("name") == "worker.execute"
+                       for e in tracer.events)
 
     def test_malformed_text_is_a_local_value_error(self):
         # Only the served client sends text unparsed; a local call still
-        # refuses malformed text itself, before starting a worker.
+        # refuses malformed text itself.
         request = api.InductionRequest(region="thread 3:\n    a = ld x\n",
                                        deadline_s=60.0)
         with pytest.raises(ValueError, match="thread"):
             api.induce(request)
 
-    def test_slow_search_degrades_within_deadline(self):
+    def test_slow_search_is_cut_at_its_deadline(self):
+        from repro.core import ScheduleCache
+
         region = random_region(SLOW_SPEC, seed=5)
-        request = api.InductionRequest(
-            region=region, config=SearchConfig(node_budget=50_000_000),
-            deadline_s=0.5)
+        cache = ScheduleCache()
+        request = api.InductionRequest(region=region, budget=50_000_000,
+                                       deadline_s=0.5, cache=cache)
         start = time.monotonic()
         result = api.induce(request)
         elapsed = time.monotonic() - start
-        assert result.degraded
-        assert result.method == "greedy"
-        assert elapsed < 10.0  # killed the search, did not wait out 50M nodes
+        # The search's checked incumbent, not the degraded greedy one.
+        assert not result.degraded
+        assert result.method == "search"
+        assert result.deadline_cut and not result.optimal
+        assert result.stats.nodes_expanded > 0
+        assert elapsed < 1.5  # cut at the deadline, not 50M nodes later
         verify_schedule(result.schedule, region, request.resolved_model())
+        # Never stored, so a repeat without a deadline cannot hit it.
+        assert len(cache) == 0 and cache.get(request.fingerprint()) is None
+        again = api.induce(request.replace(deadline_s=0.1))
+        assert not again.cache_hit and again.deadline_cut
 
-    def test_cache_short_circuits_the_worker(self, tmp_path):
+    def test_cache_hit_answers_before_the_search(self, tmp_path):
         from repro.core import ScheduleCache
 
         cache = ScheduleCache(cache_dir=str(tmp_path / "cache"))
         request = api.InductionRequest(region=REGION, budget=10_000,
                                        deadline_s=60.0, cache=cache)
         first = api.induce(request)
-        start = time.monotonic()
         second = api.induce(request)
         assert not first.cache_hit
-        assert second.cache_hit and isinstance(second, ServiceResult)
-        assert time.monotonic() - start < 2.0  # no worker spawn
+        assert second.cache_hit
         assert second.cost == first.cost
         assert second.serial_cost == first.serial_cost
 
@@ -249,19 +257,12 @@ class TestLocalDeadlineRoute:
         assert again.search_stats == cold.search_stats
 
 
-class TestPortfolioWire:
-    def test_execute_wire_keeps_portfolio_deadline(self):
-        wire = wire_for(method="portfolio", deadline_s=30.0)
+class TestDeadlineWire:
+    def test_execute_wire_keeps_the_deadline(self):
+        region = random_region(SLOW_SPEC, seed=5)
+        wire = wire_for(region=region, budget=50_000_000, deadline_s=0.3)
+        start = time.monotonic()
         payload = protocol.decode_result(_execute_wire(wire))
+        assert time.monotonic() - start < 1.5
         assert not payload["degraded"]
-        assert payload["winner"] is not None
-
-    def test_wire_hints_reach_the_race(self):
-        wire = wire_for(method="portfolio")
-        wire["portfolio_order"] = ["greedy", "search"]
-        wire["portfolio_skip"] = ["anneal", "serial"]
-        payload = protocol.decode_result(_execute_wire(wire))
-        skipped = {o["strategy"] for o in payload["portfolio"]["outcomes"]
-                   if o.get("skipped")}
-        assert skipped == {"anneal", "serial"}
-        assert payload["winner"] in ("greedy", "search")
+        assert payload["deadline_cut"] and not payload["optimal"]

@@ -135,6 +135,41 @@ class TestInduce:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["induce", "submit"])
+    @pytest.mark.parametrize("method", ["portfolio", "anneal"])
+    def test_removed_methods_are_refused(self, region_file, command, method,
+                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, region_file, "--method", method])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["induce", "REGION", "--strategy-store", "s.json"],
+        ["serve", "--strategy-store", "s.json"],
+        ["strategies", "s.json"],
+    ], ids=["induce", "serve", "strategies"])
+    def test_outcomes_store_flags_are_gone(self, region_file, argv, capsys):
+        argv = [region_file if arg == "REGION" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_deadline_cut_is_reported(self, tmp_path, capsys):
+        from repro.workloads.threads import RandomRegionSpec, random_region
+
+        region = random_region(
+            RandomRegionSpec(num_threads=8, min_len=10, max_len=10,
+                             vocab_size=12, overlap=0.4, private_vocab=False),
+            seed=5)
+        path = tmp_path / "slow.txt"
+        path.write_text(region.render())
+        assert main(["induce", str(path), "--budget", "50000000",
+                     "--deadline", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "optimal=False [cut at deadline]" in out
+        assert "[degraded]" not in out
+
 
 class TestStats:
     def test_summarizes_trace(self, region_file, tmp_path, capsys):

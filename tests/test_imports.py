@@ -27,8 +27,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NOT_ON_REQUEST_PATH = (
     "numpy",
     "http.server",
-    "repro.core.portfolio",
-    "repro.core.anneal",
     "repro.core.factor",
     "repro.core.lower",
     "repro.core.vn",
@@ -100,7 +98,6 @@ except ImportError:
 
 #: Re-exported values that carry no ``__module__`` of their own.
 _CONSTANT_HOMES = {
-    "PORTFOLIO_STRATEGIES": "repro.core.portfolio",
     "DEFAULT_SIZE_BUCKETS": "repro.obs.metrics",
     "DEFAULT_TIME_BUCKETS": "repro.obs.metrics",
     "DEFAULT_VALUE_BUCKETS": "repro.obs.metrics",
