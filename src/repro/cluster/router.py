@@ -212,6 +212,10 @@ class ClusterForwarder:
         """
         fingerprint = self._memo.fingerprint(wire)
         started = time.monotonic()
+        # The request's deadline is one instant, fixed here: each hop
+        # gets the time left, never the client's relative value again.
+        deadline_s = wire.get("deadline_s")
+        deadline = None if deadline_s is None else started + deadline_s
         recorder = MemoryTracer()
         tee = TeeTracer(self.tracer, recorder)
         info = {"route": [], "failed_over": False}
@@ -220,8 +224,8 @@ class ClusterForwarder:
                      fingerprint=fingerprint[:12]) as route:
             reply, led = self._flights.share(
                 fingerprint,
-                lambda: self._lead(wire, fingerprint, started, tee, info,
-                                   route))
+                lambda: self._lead(wire, fingerprint, started, deadline,
+                                   tee, info, route))
             if not led:
                 # The joiner shares the leader's reply but not its spans:
                 # the leader popped the node-side obs into its own trace,
@@ -242,7 +246,8 @@ class ClusterForwarder:
             failed_over=info["failed_over"])
 
     def _lead(self, wire: dict[str, Any], fingerprint: str, started: float,
-              tee: Tracer, info: dict, route: Span) -> dict[str, Any]:
+              deadline: float | None, tee: Tracer, info: dict,
+              route: Span) -> dict[str, Any]:
         """Answer a flight: the request cache once, else a forward."""
         text = self.cache.get_text(fingerprint) if self.cache is not None \
             else None
@@ -254,7 +259,7 @@ class ClusterForwarder:
             return {"status": "ok", "result": protocol.ResultText(text, {
                 "router_cache": True, "cache_hit": True,
                 "wall_s": time.monotonic() - started, "retries": 0})}
-        reply = self._forward(wire, fingerprint, tee, info)
+        reply = self._forward(wire, fingerprint, deadline, tee, info)
         payload = reply.get("result")
         if reply.get("status") != "ok" or not isinstance(payload, dict):
             return reply
@@ -265,7 +270,15 @@ class ClusterForwarder:
         return {**reply, "result": result}
 
     def _forward(self, wire: dict[str, Any], fingerprint: str,
-                 tee: Tracer, info: dict) -> dict[str, Any]:
+                 deadline: float | None, tee: Tracer,
+                 info: dict) -> dict[str, Any]:
+        """Forward to the plan's nodes in turn until one answers.
+
+        With a ``deadline`` (a :func:`time.monotonic` instant), each hop
+        carries the time left as its ``deadline_s``, and no attempt (or
+        backoff) starts once none is left: the route then answers as when
+        its attempts run out.
+        """
         started = time.monotonic()
         ctx = current_context()
         route_trace = ctx["trace"] if ctx else None
@@ -279,6 +292,11 @@ class ClusterForwarder:
         last_error = "no routable nodes"
         tried = 0
         for attempt in range(attempts):
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                if not tried:
+                    last_error = "the request's deadline passed"
+                break
             node = plan[attempt % len(plan)]
             if attempt and attempt % len(plan) == 0:
                 # Wrapped the whole plan: re-plan against fresh membership
@@ -296,6 +314,8 @@ class ClusterForwarder:
             with span("cluster.attempt", tee, node=label,
                       attempt=attempt) as att:
                 hop = dict(wire)
+                if left is not None:
+                    hop["deadline_s"] = left
                 hop["routing"] = {**(wire.get("routing") or {}),
                                   "node": node, "attempt": attempt,
                                   "fingerprint": fingerprint}
@@ -321,6 +341,9 @@ class ClusterForwarder:
                 info["failed_over"] = True
                 backoff_s = retry.backoff(attempt) \
                     if attempt + 1 < attempts else 0.0
+                if deadline is not None:
+                    backoff_s = min(backoff_s,
+                                    max(0.0, deadline - time.monotonic()))
                 with span("cluster.failover", tee, node=label,
                           error=str(error)[:120],
                           backoff_s=round(backoff_s, 4)):

@@ -159,31 +159,66 @@ class ServiceResult(ResultBase):
 def result_to_payload(result: ResultBase) -> dict[str, Any]:
     """Full wire form of any result implementing the protocol."""
     payload = result.as_dict(include_schedule=True)
-    payload["stats"] = [dataclasses.asdict(s) for s in result.search_stats]
+    # Each record's fields by name: dataclasses.asdict without its deep
+    # copy of a flat record of scalars.
+    payload["stats"] = [dict(vars(s)) for s in result.search_stats]
     return payload
+
+
+#: The payload keys that :func:`result_from_payload` reads or that
+#: :meth:`ResultBase.as_dict` derives; every other key is an extra.
+_RESULT_KEYS = frozenset({
+    "kind", "method", "cost", "serial_cost", "lockstep_cost",
+    "speedup_vs_serial", "speedup_vs_lockstep", "slots", "nodes",
+    "cache_hit", "optimal", "deadline_cut", "degraded", "wall_s",
+    "schedule", "stats",
+})
+
+#: :class:`SearchStats` fields and their defaults, in field order.
+_STATS_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SearchStats)}
+
+
+def _stats_from_payload(record: Any) -> SearchStats:
+    """``SearchStats(**record)`` without its ``__init__``: the record's
+    values over the defaults, and a :class:`TypeError` for anything that
+    call refuses (a record that is no object, a key it does not know)."""
+    if not isinstance(record, dict):
+        raise TypeError(
+            f"search stats record is {type(record).__name__}, not an object")
+    unknown = record.keys() - _STATS_DEFAULTS.keys()
+    if unknown:
+        raise TypeError(
+            f"unknown search stats fields {sorted(map(str, unknown))}")
+    stats = object.__new__(SearchStats)
+    fields = stats.__dict__
+    fields.update(_STATS_DEFAULTS)
+    fields.update(record)
+    return stats
 
 
 def result_from_payload(payload: Mapping[str, Any]) -> ServiceResult:
     """Rebuild a :class:`ServiceResult` from :func:`result_to_payload` output.
 
     Unknown keys are preserved in ``extras`` so protocol additions degrade
-    gracefully for older clients.
+    gracefully for older clients.  The result, its schedule and its stats
+    are built straight from ``payload``, with no dataclass ``__init__`` on
+    the way, but with every ``float``, ``int`` and ``bool`` conversion and
+    every :class:`ValueError` or :class:`TypeError` for a value that is no
+    result's: :func:`repro.core.cache.check_entry` relies on them at the
+    disk and peer boundary.  Nothing is left to decode later.
     """
-    known = {
-        "kind", "method", "cost", "serial_cost", "lockstep_cost",
-        "speedup_vs_serial", "speedup_vs_lockstep", "slots", "nodes",
-        "cache_hit", "optimal", "deadline_cut", "degraded", "wall_s",
-        "schedule", "stats",
-    }
-    return ServiceResult(
+    result = object.__new__(ServiceResult)
+    result.__dict__.update(
         method=payload["method"],
         schedule=schedule_from_payload(payload["schedule"]),
         cost=float(payload["cost"]),
         serial_cost=float(payload["serial_cost"]),
         lockstep_cost=float(payload["lockstep_cost"]),
-        stats=tuple(SearchStats(**s) for s in payload.get("stats", ())),
+        stats=tuple([_stats_from_payload(s)
+                     for s in payload.get("stats", ())]),
         cache_hit=bool(payload.get("cache_hit", False)),
         wall_s=float(payload.get("wall_s", 0.0)),
         degraded=bool(payload.get("degraded", False)),
-        extras={k: v for k, v in payload.items() if k not in known},
+        extras={k: v for k, v in payload.items() if k not in _RESULT_KEYS},
     )
+    return result

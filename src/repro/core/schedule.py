@@ -41,7 +41,9 @@ class Slot:
         if not picks:
             raise ValueError("slot with no participating threads")
         slot = object.__new__(cls)
-        slot.__dict__.update(opclass=opclass, picks=MappingProxyType(picks))
+        fields = slot.__dict__
+        fields["opclass"] = opclass
+        fields["picks"] = MappingProxyType(picks)
         return slot
 
     @property
@@ -125,9 +127,15 @@ def schedule_from_payload(payload: list) -> Schedule:
     """Rebuild a :class:`Schedule` from :func:`schedule_to_payload` output.
 
     Each slot's picks dict is built once, from ``int`` checks of the wire
-    values, and adopted without a second copy.
+    values, and adopted without a second copy.  The schedule is adopted
+    as well: its dataclass ``__init__`` would only store the tuple.
     """
-    return Schedule(tuple([
-        Slot._adopt(opclass, {int(t): int(i) for t, i in picks})
-        for opclass, picks in payload
-    ]))
+    slots = []
+    for opclass, picks in payload:
+        by_thread = {}
+        for t, i in picks:
+            by_thread[int(t)] = int(i)
+        slots.append(Slot._adopt(opclass, by_thread))
+    schedule = object.__new__(Schedule)
+    schedule.__dict__["slots"] = tuple(slots)
+    return schedule

@@ -93,18 +93,23 @@ class ServiceClient:
             old.close()
         return sock
 
-    def _roundtrip(self, message: Mapping[str, Any]) -> dict[str, Any]:
+    def _roundtrip(self, message: Mapping[str, Any] | protocol.Submit
+                   ) -> dict[str, Any]:
         me = threading.current_thread()
         try:
             _sock, reply = protocol.exchange(self._socks.get(me), message,
                                              self._open)
-        except (OSError, protocol.ProtocolError) as exc:
-            # The exchange closed the socket; a broken reply costs the
-            # connection, and the next call opens a fresh one.
+        except BaseException as exc:
+            # The exchange closed the socket; a broken reply, or a submit
+            # that fails to encode as it is sent (a budget of 0, say),
+            # costs the connection, and the next call opens a fresh one.
             with self._lock:
                 self._socks.pop(me, None)
-            raise ServiceError(
-                f"service at {self.endpoint} unreachable: {exc}") from exc
+            if isinstance(exc, (OSError, protocol.ProtocolError)):
+                raise ServiceError(
+                    f"service at {self.endpoint} unreachable: {exc}"
+                ) from exc
+            raise
         return reply
 
     def submit(self, request: InductionRequest,
@@ -121,17 +126,17 @@ class ServiceClient:
         servers started with ``allow_chaos=True``.
         """
         tracer = request.tracer
+        # Encoded as it is sent, inside the span when there is one.
+        message = protocol.Submit(request, chaos)
         if tracer is not None and tracer.enabled:
-            # The span makes a trace context current, so request_to_wire
-            # attaches it and the server knows to ship spans back.
+            # The span makes a trace context current, so the frame
+            # carries it and the server knows to ship spans back.
             with span("client.submit", tracer, endpoint=self.endpoint.label):
-                reply = self._roundtrip(
-                    protocol.request_to_wire(request, chaos=chaos))
+                reply = self._roundtrip(message)
         else:
             # No client tracer: no span of our own, but an ambient caller
-            # span (if any) still propagates through request_to_wire.
-            reply = self._roundtrip(
-                protocol.request_to_wire(request, chaos=chaos))
+            # span (if any) still propagates through the frame.
+            reply = self._roundtrip(message)
         status = reply.get("status")
         if status == "busy":
             raise ServiceBusy(

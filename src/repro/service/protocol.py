@@ -35,6 +35,19 @@ Replies carry ``status``: ``ok`` (with a unified result payload), ``busy``
 used for deadline expiry or worker crashes, which degrade instead),
 ``pong``, ``stats``, ``flightrec``, ``slo``.
 
+A client's submit is a :class:`Submit`, encoded as :func:`send_message`
+sends it.  A submit's keys and values are defined once, in the sorted
+order every frame has its keys in; the frame is their text, byte for
+byte the text of :func:`request_to_wire`'s dict (the form in-process
+callers take), so no daemon digest, fingerprint or cache entry depends
+on which one a caller used.  What a client's requests share is encoded
+once: a custom model's text per :class:`CostModel` instance and a
+config's per type-exact value.  The request's own fields (region,
+method, vn, deadline, routing, chaos, trace context) are encoded each
+time.  A reply is decoded once, by :func:`recv_message`, and
+:func:`repro.core.result.result_from_payload` builds the result straight
+from that dict.
+
 Inside a daemon, an ``ok`` result is one :class:`ResultText`: a cache
 entry's JSON text plus this request's own fields.  A hit carries the text
 its cache holds; a miss, a degraded fallback and a router forward encode
@@ -65,6 +78,7 @@ through every cache tier.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import marshal
@@ -84,6 +98,7 @@ from repro.obs import Counters, current_context
 __all__ = [
     "ProtocolError",
     "ResultText",
+    "Submit",
     "SubmitMemo",
     "decode_result",
     "exchange",
@@ -197,9 +212,12 @@ def _frame_text(obj: Mapping[str, Any]) -> str:
     return "{" + ",".join(spliced) + "}"
 
 
-def send_message(sock: socket.socket, obj: Mapping[str, Any]) -> None:
-    """Write one framed JSON message (a :class:`ResultText` spliced in)."""
-    body = _frame_text(obj).encode("utf-8")
+def send_message(sock: socket.socket, obj: Mapping[str, Any] | Submit
+                 ) -> None:
+    """Write one framed JSON message: a mapping (each :class:`ResultText`
+    value spliced in) or a :class:`Submit`'s text."""
+    text = obj.text() if isinstance(obj, Submit) else _frame_text(obj)
+    body = text.encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
     sock.sendall(_LEN.pack(len(body)) + body)
@@ -249,7 +267,7 @@ def recv_message(sock: socket.socket) -> dict[str, Any] | None:
     return obj
 
 
-def exchange(sock: socket.socket | None, message: Mapping[str, Any],
+def exchange(sock: socket.socket | None, message: Mapping[str, Any] | Submit,
              connect: Callable[[], socket.socket],
              ) -> tuple[socket.socket, dict[str, Any]]:
     """One request/reply over a kept-alive connection, reconnecting once.
@@ -325,40 +343,131 @@ def model_from_payload(payload: Mapping[str, Any] | str) -> CostModel | str:
         raise ProtocolError(f"bad model payload: {exc}") from exc
 
 
-def request_to_wire(request: InductionRequest,
-                    chaos: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """Wire form of a submit; live handles (cache/tracer) stay local.
+#: Entries each submit-text memo keeps: a process sends few distinct
+#: models and configs.  The memos are process-wide, not a client's:
+#: ``api.induce(request, client=<endpoint>)`` makes a client per call.
+_MEMO_SIZE = 64
 
-    Region text travels as given, unparsed: the daemon that receives it
-    checks it.  Only a parsed :class:`~repro.core.ops.Region` is rendered.
+#: ``id(model)`` -> ``(model, its JSON text)``.  An entry holds its
+#: model, so no other object can take that id while it is here.
+_MODEL_TEXTS: dict[int, tuple[CostModel, str]] = {}
+
+
+def _model_text(model: CostModel | str) -> str:
+    """A submit's ``model`` text, encoded once per :class:`CostModel`.
+
+    A model is frozen and its mappings are read-only copies, so one
+    instance always has the same text.
+    """
+    if isinstance(model, str):
+        return _ENCODE(model)
+    memo = _MODEL_TEXTS.get(id(model))
+    if memo is not None:
+        return memo[1]
+    text = _ENCODE_SORTED(model_to_payload(model))
+    if type(model) is CostModel:
+        if len(_MODEL_TEXTS) >= _MEMO_SIZE:
+            _MODEL_TEXTS.clear()
+        _MODEL_TEXTS[id(model)] = (model, text)
+    return text
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _config_text_of(key: bytes) -> str:
+    """The text of the config fields ``key`` holds marshalled."""
+    return _ENCODE_SORTED(marshal.loads(key))
+
+
+def _config_text(config: SearchConfig) -> str:
+    """A submit's ``config`` text, encoded once per type-exact value.
+
+    Equal configs can differ in text (``node_budget`` 7, 7.0 and True),
+    so the memo is keyed by the marshal bytes of the config's fields, as
+    :class:`SubmitMemo` keys submits; a value marshal refuses is encoded
+    every time.
+    """
+    fields = vars(config)
+    try:
+        key = marshal.dumps(fields, 2)
+    except ValueError:
+        return _ENCODE_SORTED(fields)
+    return _config_text_of(key)
+
+
+def _submit_fields(request: InductionRequest,
+                   chaos: Mapping[str, Any] | None) -> list[tuple[str, Any]]:
+    """A submit's keys and values, in the sorted order its frame has.
+
+    The one definition of a submit's wire form: :func:`request_to_wire`
+    makes it a dict and :meth:`Submit.text` its frame text, each turning
+    the request's own ``model`` and ``config`` objects into a payload or
+    a memoized text.
     """
     region = request.region
-    wire: dict[str, Any] = {
-        "op": "submit",
-        "region": region if isinstance(region, str) else region.render(),
-        "model": model_to_payload(request.model),
-        "method": request.method,
-        # The config's fields by name: dataclasses.asdict without its
-        # deep copy of a flat record of scalars.
-        "config": dict(vars(request.resolved_config())),
-    }
-    if request.vn != "off":
-        # Additive key: pre-vn servers rebuild from the keys they know.
-        wire["vn"] = request.vn
+    fields: list[tuple[str, Any]] = []
+    if chaos:
+        fields.append(("chaos", dict(chaos)))
+    fields.append(("config", request.resolved_config()))
     if request.deadline_s is not None:
-        wire["deadline_s"] = request.deadline_s
+        fields.append(("deadline_s", request.deadline_s))
+    fields.append(("method", request.method))
+    fields.append(("model", request.model))
+    fields.append(("op", "submit"))
+    # Region text travels as given, unparsed: the daemon that receives it
+    # checks it.  Only a parsed Region is rendered.
+    fields.append(("region", region if isinstance(region, str)
+                   else region.render()))
     if request.routing:
         # Routing metadata is additive: pre-cluster servers rebuild the
         # request from the keys they know and never see this one.
-        wire["routing"] = dict(request.routing)
-    if chaos:
-        wire["chaos"] = dict(chaos)
+        fields.append(("routing", dict(request.routing)))
     # Span context rides the wire so a client-side trace continues through
     # the server's threads and worker processes as one trace id.
     ctx = current_context()
     if ctx is not None:
-        wire["trace_ctx"] = ctx
+        fields.append(("trace_ctx", ctx))
+    if request.vn != "off":
+        # Additive key: pre-vn servers rebuild from the keys they know.
+        fields.append(("vn", request.vn))
+    return fields
+
+
+def request_to_wire(request: InductionRequest,
+                    chaos: Mapping[str, Any] | None = None) -> dict[str, Any]:
+    """Wire form of a submit as a dict, for in-process callers; live
+    handles (cache/tracer) stay local.  A client sends a :class:`Submit`,
+    whose frame is this dict's text."""
+    wire = dict(_submit_fields(request, chaos))
+    wire["model"] = model_to_payload(wire["model"])
+    # The config's fields by name: dataclasses.asdict without its deep
+    # copy of a flat record of scalars.
+    wire["config"] = dict(vars(wire["config"]))
     return wire
+
+
+#: The submit fields whose text is memoized; the rest are encoded each
+#: time.
+_FIELD_TEXT = {"model": _model_text, "config": _config_text}
+
+
+class Submit:
+    """A client's submit, encoded when :func:`send_message` sends it: the
+    text of :func:`request_to_wire`'s dict, byte for byte, with the model
+    and config text memoized, and the trace context current then."""
+
+    __slots__ = ("request", "chaos")
+
+    def __init__(self, request: InductionRequest,
+                 chaos: Mapping[str, Any] | None = None) -> None:
+        self.request = request
+        self.chaos = chaos
+
+    def text(self) -> str:
+        """The submit's frame text."""
+        return "{" + ",".join([
+            f'"{key}":{_FIELD_TEXT.get(key, _ENCODE_SORTED)(value)}'
+            for key, value in _submit_fields(self.request, self.chaos)
+        ]) + "}"
 
 
 def _check_unkeyed(wire: Mapping[str, Any]) -> None:

@@ -1,5 +1,6 @@
 """Tests for the unified induction facade (`repro.api`)."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -10,7 +11,7 @@ from repro.core import (
     InductionResult, ScheduleCache, maspar_cost_model, parse_region,
     verify_schedule,
 )
-from repro.core.cache import region_fingerprint
+from repro.core.cache import encode_entry, region_fingerprint
 from repro.core.result import result_from_payload, result_to_payload
 from repro.core.search import SearchConfig
 from repro.workloads.threads import RandomRegionSpec, random_region
@@ -199,33 +200,52 @@ class TestResultProtocol:
         "serial": True,
     }
 
+    @staticmethod
+    def _sent_by(sender):
+        """A result as ``sender`` (a :attr:`SENDERS` key) makes it."""
+        from repro.service.workers import degraded_result
+
+        if sender == "proven-search":
+            return api.induce(api.InductionRequest(region=REGION))
+        if sender == "budget-exhausted-search":
+            return api.induce(api.InductionRequest(
+                region=WIDE_REGION, budget=50))
+        if sender == "deadline-cut-search":
+            result = api.induce(api.InductionRequest(
+                region=WIDE_REGION, budget=50_000_000, deadline_s=0.05))
+            assert result.deadline_cut
+            return result
+        if sender == "degraded-greedy":
+            return degraded_result(api.InductionRequest(region=REGION))
+        return api.induce(api.InductionRequest(region=REGION, method=sender))
+
     @pytest.mark.parametrize("sender", SENDERS)
     def test_optimal_survives_the_wire(self, sender):
         # Every sender's ``optimal`` is what its stats derive, so the
         # rebuilt result reads the same without a separate claim.
-        from repro.service.workers import degraded_result
-
         optimal = self.SENDERS[sender]
-
-        if sender == "proven-search":
-            result = api.induce(api.InductionRequest(region=REGION))
-        elif sender == "budget-exhausted-search":
-            result = api.induce(api.InductionRequest(
-                region=WIDE_REGION, budget=50))
-        elif sender == "deadline-cut-search":
-            result = api.induce(api.InductionRequest(
-                region=WIDE_REGION, budget=50_000_000, deadline_s=0.05))
-            assert result.deadline_cut
-        elif sender == "degraded-greedy":
-            result = degraded_result(api.InductionRequest(region=REGION))
-        else:
-            result = api.induce(api.InductionRequest(region=REGION,
-                                                     method=sender))
+        result = self._sent_by(sender)
         assert result.optimal is optimal
         back = result_from_payload(result_to_payload(result))
         assert back.optimal is optimal
         assert back.deadline_cut is result.deadline_cut
         assert result_to_payload(back)["optimal"] is optimal
+
+    @pytest.mark.parametrize("sender", [
+        "proven-search", "greedy", "serial", "deadline-cut-search",
+        "degraded-greedy"])
+    def test_entry_text_is_the_asdict_text(self, sender):
+        # result_to_payload writes each SearchStats by its fields, without
+        # dataclasses.asdict's deep copy: the entry text (what every cache
+        # tier stores and every reply carries) must not move, for a result
+        # as computed and as a client rebuilds it.
+        result = self._sent_by(sender)
+        for sent in (result, result_from_payload(result_to_payload(result))):
+            reference = sent.as_dict(include_schedule=True)
+            reference["stats"] = [dataclasses.asdict(s)
+                                  for s in sent.search_stats]
+            assert encode_entry(result_to_payload(sent)) == \
+                encode_entry(reference)
 
 
 class TestNoShims:

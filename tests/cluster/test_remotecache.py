@@ -77,6 +77,30 @@ def owners(cache, fingerprint):
     return cache.ring.preference(fingerprint, count=cache.config.replication)
 
 
+def _set(entry, path, value):
+    """``entry`` with the value at ``path`` (keys and indices) replaced."""
+    *head, last = path
+    target = entry
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return entry
+
+
+#: Ways a peer's entry can fail to be a result payload; each must be a
+#: counted remote error and miss, never adopted.
+MALFORMED = {
+    "no-cost": lambda e: {k: v for k, v in e.items() if k != "cost"},
+    "slot-without-picks": lambda e: _set(e, ("schedule", 0, 1), []),
+    "thread-id-x": lambda e: _set(e, ("schedule", 0, 1, 0, 0), "x"),
+    "op-index-null": lambda e: _set(e, ("schedule", 0, 1, 0, 1), None),
+    "schedule-object": lambda e: _set(e, ("schedule",),
+                                      {"slots": e["schedule"]}),
+    "unknown-stats-key": lambda e: _set(e, ("stats", 0, "engine"),
+                                        "bitmask"),
+}
+
+
 class TestGet:
     def test_local_miss_then_peer_hit_is_adopted(self, cluster, induced):
         config, peers = cluster
@@ -138,12 +162,13 @@ class TestGet:
         assert cache.get(fp) is None
         assert cache.counters["remote_errors"] >= 1
 
-    def test_entry_without_cost_is_a_counted_miss(self, cluster, induced):
+    @pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED)
+    def test_entry_without_cost_is_a_counted_miss(self, cluster, induced,
+                                                  malform):
         config, peers = cluster
         fp, payload = induced
         owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = {k: v for k, v in cache_entry(payload).items()
-                                  if k != "cost"}
+        peers[owner].store[fp] = malform(cache_entry(payload))
         me = next(n for n in config.node_names if n != owner)
         cache = make_cache(config, peers, me)
         assert cache.get(fp) is None

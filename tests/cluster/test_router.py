@@ -7,12 +7,14 @@ the router's protocol surface (status/metrics/ping ops).
 
 import copy
 import threading
+import time
 
 import pytest
 
 from repro import api
 from repro.api import InductionRequest
-from repro.cluster import HashRing, LocalCluster, RetryPolicy
+from repro.cluster import (ClusterConfig, ClusterForwarder, HashRing,
+                           LocalCluster, RetryPolicy)
 from repro.core import maspar_cost_model, parse_region, result_to_payload
 from repro.service import ServiceError, protocol
 
@@ -143,6 +145,52 @@ class TestFailover:
             with pytest.raises(ServiceError):
                 clu.client().submit(request(5))
             assert clu.router.counters["routed_failed"] >= 1
+
+
+class TestDeadline:
+    """A routed request's deadline is one instant: the router fixes it
+    when it admits the request and sends each hop the time left."""
+
+    @staticmethod
+    def _route(deadline_s):
+        config = ClusterConfig(
+            endpoints=tuple(f"unix:///nonexistent/n{i}.sock"
+                            for i in range(3)),
+            retry=RetryPolicy(attempts=3, backoff_s=0.0),
+            request_cache_size=0)
+        forwarder = ClusterForwarder(config, start_probes=False)
+        payload = result_to_payload(api.induce(request(60)))
+        hops = []
+
+        def roundtrip(node, hop):
+            hops.append(hop)
+            if len(hops) == 1:
+                time.sleep(0.2)
+                raise OSError("node died mid-request")
+            return {"status": "ok", "result": copy.deepcopy(payload)}
+
+        forwarder._roundtrip = roundtrip
+        try:
+            wire = protocol.request_to_wire(
+                request(60).replace(deadline_s=deadline_s))
+            return forwarder.submit_wire(wire), hops
+        finally:
+            forwarder.close()
+
+    def test_failover_hop_carries_the_time_left(self):
+        reply, hops = self._route(1.0)
+        assert reply["status"] == "ok"
+        assert len(hops) == 2
+        assert 0 < hops[0]["deadline_s"] <= 1.0
+        assert 0 < hops[1]["deadline_s"] <= 0.8
+
+    def test_no_hop_starts_once_no_time_is_left(self):
+        started = time.monotonic()
+        reply, hops = self._route(0.1)
+        assert len(hops) == 1
+        assert reply["status"] == "error"
+        assert "no node accepted the request" in reply["error"]
+        assert time.monotonic() - started < 1.0
 
 
 class TestDrain:

@@ -55,6 +55,32 @@ def search_payload(schedule, stats, model=UNIT, **fields):
     return payload
 
 
+def _set(entry, path, value):
+    """``entry`` with the value at ``path`` (keys and indices) replaced."""
+    *head, last = path
+    target = entry
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return entry
+
+
+#: Ways a stored entry can fail to be a result payload; each must be a
+#: counted miss, never adopted.
+MALFORMED = {
+    "not-a-result": lambda e: {"fingerprint": "fp",
+                               "schedule": e["schedule"],
+                               "stats": e["stats"][0]},
+    "slot-without-picks": lambda e: _set(e, ("schedule", 0, 1), []),
+    "thread-id-x": lambda e: _set(e, ("schedule", 0, 1, 0, 0), "x"),
+    "op-index-null": lambda e: _set(e, ("schedule", 0, 1, 0, 1), None),
+    "schedule-object": lambda e: _set(e, ("schedule",),
+                                      {"slots": e["schedule"]}),
+    "unknown-stats-key": lambda e: _set(e, ("stats", 0, "engine"),
+                                        "bitmask"),
+}
+
+
 def small_region(seed=0, **kw):
     spec = dict(num_threads=3, min_len=3, max_len=5, overlap=0.6)
     spec.update(kw)
@@ -202,15 +228,15 @@ class TestDiskTier:
         assert fresh.get(fp) is None
         assert fresh.counters["disk_errors"] == 1
 
-    def test_entry_that_does_not_parse_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED)
+    def test_entry_that_does_not_parse_is_a_miss(self, tmp_path, malform):
         # Valid JSON that is not a result payload: a file written by older
-        # code under the new name, say.
+        # code under the new name, say, or one whose schedule or stats the
+        # decoder refuses.
         payload = search_payload(*branch_and_bound(REGION, UNIT))
         ScheduleCache(cache_dir=tmp_path).put("fp", payload)
         [path] = tmp_path.glob("*.json")
-        path.write_text(json.dumps(
-            {"fingerprint": "fp", "schedule": payload["schedule"],
-             "stats": payload["stats"][0]}))
+        path.write_text(json.dumps(malform(cache_entry(payload))))
         fresh = ScheduleCache(cache_dir=tmp_path)
         assert fresh.get("fp") is None
         assert fresh.counters["disk_errors"] == 1 and len(fresh) == 0

@@ -267,6 +267,21 @@ class TestKeepAlive:
             fake.close()
         assert len(seen) == 2
 
+    def test_a_submit_that_fails_to_encode_leaves_the_client_usable(
+            self, tmp_path, request_):
+        # The frame is encoded as it is sent, on the kept connection: the
+        # request's own error surfaces, and the next call still works.
+        server = InductionServer(ServerConfig(
+            endpoint=Endpoint.unix(str(tmp_path / "svc.sock")), workers=1))
+        try:
+            with ServiceClient(server.endpoint) as client:
+                assert client.ping()
+                with pytest.raises(ValueError, match="node budget"):
+                    client.submit(request_.replace(budget=0))
+                assert client.submit(request_).cost > 0
+        finally:
+            server.shutdown()
+
     def test_stale_socket_is_reopened_once(self, tmp_path, request_):
         seen = []
 
