@@ -19,7 +19,7 @@ __getattr__, __dir__, __all__ = reexport(__name__, {
     "repro.core.costmodel": ("CostModel", "maspar_cost_model",
                              "uniform_cost_model"),
     "repro.core.ops": ("Operation", "Region", "ThreadCode", "parse_region"),
-    "repro.core.pipeline": ("InductionResult",),
+    "repro.core.result": ("InductionResult",),
     "repro.core.schedule": ("Schedule",),
     "repro.core.verify": ("verify_schedule",),
 })

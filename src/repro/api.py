@@ -26,8 +26,8 @@ degrades to the verified greedy schedule only when no worker answers:
 its deadline passed before a worker was free, or its worker hung past
 the deadline and was killed.
 
-Every route returns an object implementing the unified result protocol
-(:class:`repro.core.result.ResultBase`), so callers never special-case
+Every route returns the one result class,
+:class:`repro.core.result.InductionResult`, so callers never special-case
 where the schedule came from.
 """
 
@@ -43,7 +43,7 @@ from repro.core.cache import ScheduleCache, region_fingerprint
 from repro.core.costmodel import CostModel, maspar_cost_model, uniform_cost_model
 from repro.core.ops import Region, parse_region
 from repro.core.pipeline import METHODS, VN_MODES, run_induction
-from repro.core.result import ResultBase
+from repro.core.result import InductionResult
 from repro.core.search import SearchConfig
 from repro.obs import Tracer
 
@@ -177,7 +177,7 @@ class InductionRequest:
         return dataclasses.replace(self, **changes)
 
 
-def _execute_local(request: InductionRequest) -> ResultBase:
+def _execute_local(request: InductionRequest) -> InductionResult:
     """Run the request in this process through the one induction driver,
     its deadline included."""
     return run_induction(
@@ -186,7 +186,8 @@ def _execute_local(request: InductionRequest) -> ResultBase:
         tracer=request.tracer, deadline_s=request.deadline_s)
 
 
-def induce(request: InductionRequest, client=None, cluster=None) -> ResultBase:
+def induce(request: InductionRequest, client=None,
+           cluster=None) -> InductionResult:
     """Route ``request`` to the right induction engine (see module doc).
 
     ``client`` may be a :class:`repro.service.ServiceClient`, an

@@ -92,7 +92,7 @@ def _cmd_run(args) -> int:
 
 
 def _describe_result(result) -> list[str]:
-    """Uniform result rendering via the unified result protocol."""
+    """One rendering for every route's result (an ``InductionResult``)."""
     d = result.as_dict()
     lines = [f"method={d['method']} cost={d['cost']:.1f} "
              f"serial={d['serial_cost']:.1f} "

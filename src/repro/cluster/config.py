@@ -72,9 +72,9 @@ class ClusterConfig:
     #: Entries in the forwarder's own memory-only
     #: :class:`~repro.core.cache.ScheduleCache` of routed results: a
     #: repeated request is answered at the front door without touching a
-    #: node.  An ``ok`` reply's result is stored under the cache's one
-    #: store rule (nothing degraded, nothing cut by a deadline).  0
-    #: disables.
+    #: node.  An ``ok`` reply's result is stored when it builds as a
+    #: result, under the cache's one store rule (nothing degraded,
+    #: nothing cut by a deadline).  0 disables.
     request_cache_size: int = 256
 
     def __post_init__(self) -> None:

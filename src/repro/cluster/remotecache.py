@@ -13,8 +13,8 @@ another version sends none — is a counted miss.
 Placement mirrors routing: :meth:`put` pushes the stored entry to the
 fingerprint's first ``replication`` ring owners, the same nodes a router
 failover would try next, so the node that inherits a dead owner's arc
-usually already holds its entries locally.  A put that brings the
-entry's text (a server's miss) pushes that text, encoded no more.
+usually already holds its entries locally.  A put pushes the text the
+local tier stored: a server's miss brings it, encoded no more.
 
 Peer reads use a tight :data:`PEER_TIMEOUT_S` and swallow every transport
 error into a miss — a dead peer must degrade a lookup, never stall or
@@ -44,12 +44,7 @@ from typing import Any, Callable, Mapping
 
 from repro.cluster.config import PEER_TIMEOUT_S, ClusterConfig
 from repro.cluster.ring import HashRing
-from repro.core.cache import (
-    ScheduleCache,
-    cache_entry,
-    check_entry,
-    encode_entry,
-)
+from repro.core.cache import ScheduleCache, check_entry, encode_entry
 from repro.service.protocol import ResultText
 
 __all__ = ["RemoteScheduleCache"]
@@ -125,19 +120,20 @@ class RemoteScheduleCache:
         return None
 
     def put(self, fingerprint: str, payload: Mapping[str, Any],
-            text: str | None = None) -> bool:
-        """Store locally and push the entry to the fingerprint's replica
-        owners; nothing the store rule refuses leaves the node."""
-        if not self.local.put(fingerprint, payload, text=text):
-            return False
-        entry = cache_entry(payload) if text is None else ResultText(text)
+            text: str | None = None) -> str | None:
+        """Store locally and push the stored text to the fingerprint's
+        replica owners; nothing the store rule refuses leaves the node."""
+        text = self.local.put(fingerprint, payload, text=text)
+        if text is None:
+            return None
+        entry = ResultText(text)
         for peer in self._peers_for(fingerprint):
             try:
                 self._client_for(peer).cache_put(fingerprint, entry)
                 self.counters.bump("remote_stores")
             except Exception:  # noqa: BLE001 - replication is best-effort
                 self.counters.bump("remote_errors")
-        return True
+        return text
 
     # -- local-only surface (used by the server's peer ops) ----------------
 
@@ -147,7 +143,7 @@ class RemoteScheduleCache:
         return self.local.get_text(fingerprint)
 
     def put_local(self, fingerprint: str,
-                  payload: Mapping[str, Any]) -> bool:
+                  payload: Mapping[str, Any]) -> str | None:
         return self.local.put(fingerprint, payload)
 
     def close(self) -> None:

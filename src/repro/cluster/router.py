@@ -20,15 +20,20 @@ hit sends the stored text, routing facts included, with this request's
 own fields spliced in (:class:`~repro.service.protocol.ResultText`);
 ``router_cache_hits`` counts them, and cached replies carry a
 ``router_cache`` extra.  A forwarded ``ok`` result is encoded once: that
-text is what the cache stores and what the reply carries.
+text is what the cache stores and what the reply carries.  The cache
+stores it only when it builds as a result, as the disk and peer tiers
+check an entry (:func:`~repro.core.cache.check_entry`): a node's reply
+that does not is passed on unstored and counted in
+``router_cache_refusals``.
 
 Two skins over the core:
 
 - :class:`ClusterClient` — in-process client, the thing
-  :func:`repro.api.induce(cluster=...)` uses; ``submit`` decodes the
-  routed result (:func:`~repro.service.protocol.decode_result`) into a
-  :class:`~repro.core.result.ServiceResult` whose ``extras`` carry
-  ``routed_node``/``route_attempts``;
+  :func:`repro.api.induce(cluster=...)` uses; ``submit`` reads the
+  routed reply as a :class:`~repro.service.client.ServiceClient` reads
+  one (:func:`~repro.service.client.read_reply`), into the
+  :class:`~repro.core.result.InductionResult` a local call returns, its
+  ``extras`` carrying ``routed_node``/``route_attempts``;
 - :class:`ClusterRouter` — the ``repro cluster route`` daemon: the same
   core behind a listening :class:`~repro.service.endpoint.Endpoint`
   speaking the ordinary framed-JSON protocol, so any existing
@@ -68,7 +73,7 @@ from repro.cluster.config import PEER_TIMEOUT_S, ClusterConfig
 from repro.cluster.membership import Membership
 from repro.cluster.ring import HashRing
 from repro.core.cache import ScheduleCache
-from repro.core.result import ServiceResult, result_from_payload
+from repro.core.result import InductionResult, result_from_payload
 from repro.obs import (
     NULL_TRACER,
     Counters,
@@ -89,7 +94,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.slo import SLOTracker
 from repro.service import protocol
-from repro.service.client import ServiceBusy, ServiceError, absorb_reply_obs
+from repro.service.client import ServiceError, read_reply
 from repro.service.daemon import (
     Connections,
     SingleFlight,
@@ -196,7 +201,7 @@ class ClusterForwarder:
 
         An ``ok`` reply's result is a
         :class:`~repro.service.protocol.ResultText`; an in-process caller
-        decodes it with :func:`~repro.service.protocol.decode_result`.
+        reads the reply with :func:`~repro.service.client.read_reply`.
 
         Duplicate fingerprints already in flight join the live route and
         share its reply instead of fanning out to the nodes.
@@ -266,7 +271,14 @@ class ClusterForwarder:
         # Encoded once: the cache stores the text the reply sends.
         result = protocol.ResultText.encode(payload)
         if self.cache is not None:
-            self.cache.put(fingerprint, payload, text=result.text)
+            try:
+                result_from_payload(payload)
+            except ValueError:
+                # No result: the caller's client raises on it, and no
+                # later request is answered with it.
+                self.counters.bump("router_cache_refusals")
+            else:
+                self.cache.put(fingerprint, payload, text=result.text)
         return {**reply, "result": result}
 
     def _forward(self, wire: dict[str, Any], fingerprint: str,
@@ -413,7 +425,7 @@ class ClusterForwarder:
 
     @staticmethod
     def _annotate(reply: dict, node: str, attempts: int) -> dict:
-        """Stamp routing facts into a node's result payload (ServiceResult
+        """Stamp routing facts into a node's result payload (a result
         surfaces unknown keys through ``extras``); they are stored with
         it, so a router cache hit reports the route that computed it."""
         result = reply.get("result")
@@ -492,7 +504,7 @@ class ClusterClient(ClusterForwarder):
         self.close()
 
     def submit(self, request: InductionRequest,
-               chaos: Mapping[str, Any] | None = None) -> ServiceResult:
+               chaos: Mapping[str, Any] | None = None) -> InductionResult:
         """Route one request through the cluster; blocks until the reply.
 
         With ``request.tracer`` set, the route happens inside a
@@ -508,14 +520,7 @@ class ClusterClient(ClusterForwarder):
         else:
             reply = self.submit_wire(
                 protocol.request_to_wire(request, chaos=chaos))
-        status = reply.get("status")
-        if status == "busy":
-            raise ServiceBusy(
-                f"cluster busy: {reply.get('reason', 'unspecified')}")
-        if status != "ok":
-            raise ServiceError(reply.get("error", f"bad reply {reply!r}"))
-        return result_from_payload(absorb_reply_obs(
-            protocol.decode_result(reply["result"]), tracer))
+        return read_reply(reply, tracer)
 
 
 class ClusterRouter(ClusterForwarder):

@@ -34,9 +34,9 @@ __getattr__, __dir__, __all__ = reexport(__name__, {
     "repro.core.lower": ("MaskedInstruction", "lower_schedule",
                          "render_simd_code"),
     "repro.core.ops": ("Operation", "Region", "ThreadCode", "parse_region"),
-    "repro.core.pipeline": ("InductionResult", "run_induction"),
-    "repro.core.result": ("ResultBase", "ServiceResult",
-                          "result_from_payload", "result_to_payload"),
+    "repro.core.pipeline": ("run_induction",),
+    "repro.core.result": ("InductionResult", "result_from_payload",
+                          "result_to_payload"),
     "repro.core.schedule": ("Schedule", "Slot", "schedule_from_payload",
                             "schedule_to_payload"),
     "repro.core.search": ("SearchStats", "branch_and_bound"),

@@ -11,7 +11,7 @@ memoized under it.
 An entry is the finished result itself: the JSON payload
 :func:`repro.core.result.result_to_payload` gives for it, minus the fields
 that belong to one request (its ``obs`` freight, ``retries``, ``wall_s``
-and ``cache_hit``; :func:`cache_entry`).  It carries the schedule, the
+and ``cache_hit``; :func:`encode_entry`).  It carries the schedule, the
 search stats and the serial/lockstep baselines, and whatever else the
 result reported, so a hit rebuilds nothing.  One rule (:func:`storable`)
 decides what may be stored, in every tier: nothing degraded, and no
@@ -62,7 +62,6 @@ from repro.obs.metrics import get_registry
 __all__ = [
     "RULE_KEYS",
     "ScheduleCache",
-    "cache_entry",
     "check_entry",
     "encode_entry",
     "region_fingerprint",
@@ -137,16 +136,11 @@ def region_fingerprint(
     return hashlib.sha256(_CANONICAL(payload).encode("utf-8")).hexdigest()
 
 
-def cache_entry(payload: Mapping[str, Any]) -> dict:
-    """The entry a result payload is stored as: minus per-request fields."""
-    return {k: v for k, v in payload.items() if k not in _PER_REQUEST}
-
-
 def encode_entry(payload: Mapping[str, Any]) -> tuple[str, dict]:
     """``payload`` split once: its entry's JSON text, its own fields.
 
     The text is both what a cache stores and what a reply carries; the
-    fields are the per-request ones :func:`cache_entry` leaves out.
+    fields are the per-request ones (:data:`_PER_REQUEST`) it leaves out.
     """
     entry: dict = {}
     own: dict = {}
@@ -170,12 +164,10 @@ def check_entry(entry: Any) -> dict:
     The trust-boundary check for entries read from disk or from a peer:
     anything else raises :class:`ValueError`.
     """
-    if not isinstance(entry, dict):
-        raise ValueError(f"entry is {type(entry).__name__}, not an object")
     try:
         result_from_payload(entry)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"entry is not a result payload: {exc!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"entry is not a result payload: {exc}") from exc
     if not storable(entry):
         raise ValueError("entry is degraded or cut by a deadline")
     return entry
@@ -249,15 +241,17 @@ class ScheduleCache:
         return None
 
     def put(self, fingerprint: str, payload: Mapping[str, Any],
-            text: str | None = None) -> bool:
+            text: str | None = None) -> str | None:
         """Store ``payload``'s entry in both tiers if it is :func:`storable`.
 
-        ``text`` is the entry's text when the caller already encoded it
-        (:func:`encode_entry`), so nothing encodes it twice; ``payload``
-        may then hold just its :data:`RULE_KEYS` (a ``ResultText.flags``).
+        Returns the entry's text as stored, or None when the store rule
+        refused it.  ``text`` is the entry's text when the caller already
+        encoded it (:func:`encode_entry`), so nothing encodes it twice;
+        ``payload`` may then hold just its :data:`RULE_KEYS` (a
+        ``ResultText.flags``).
         """
         if not storable(payload):
-            return False
+            return None
         if text is None:
             text, _own = encode_entry(payload)
         with self._lock:
@@ -265,7 +259,7 @@ class ScheduleCache:
         self.counters.bump("stores")
         if self.cache_dir is not None:
             self._disk_put(fingerprint, text)
-        return True
+        return text
 
     # -- memory tier ------------------------------------------------------
 

@@ -3,13 +3,16 @@
 Every request runs :func:`run_induction`: :func:`repro.api.induce` in
 process, a service worker for a served miss, the service's degraded
 fallback and trace induction.  Every request schedules its whole region
-with one method from :data:`BUILDERS`.  Once per request the driver runs
-the envelope around that build:
+with one method from :data:`BUILDERS` and returns the
+:class:`~repro.core.result.InductionResult` that every door returns.
+Once per request, the envelope around that build is:
 
 1. the value-numbering pre-pass (:func:`repro.core.vn.vn_prepass`);
    everything downstream sees the rewritten region;
-2. the cache lookup (:class:`~repro.core.cache.ScheduleCache`); a hit
-   replays the stored result, baselines included;
+2. the cache lookup (:class:`~repro.core.cache.ScheduleCache`); a hit is
+   the stored entry, baselines included, built as a client builds a reply
+   (:func:`~repro.core.result.result_from_payload`) with ``cache_hit``
+   set;
 3. the build.  A request with a deadline fixes one instant when the
    driver starts; the ``search`` builder polls it through the engines'
    ``should_stop`` hook (at the root, then every 256 nodes) and, when it
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.cache import ScheduleCache, region_fingerprint
@@ -38,16 +40,16 @@ from repro.core.costmodel import CostModel
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import Region
 from repro.core.prepared import PreparedRegion
-from repro.core.result import ResultBase, result_from_payload, result_to_payload
+from repro.core.result import (
+    InductionResult, result_from_payload, result_to_payload)
 from repro.core.schedule import Schedule
-from repro.core.search import SearchConfig, SearchStats, branch_and_bound
+from repro.core.search import SearchConfig, branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
 from repro.core.verify import verify_schedule
 from repro.obs import NULL_TRACER, StopWatch, Tracer, span
 from repro.obs.metrics import get_registry, observe_search_throughput
 
-__all__ = ["BUILDERS", "InductionResult", "METHODS", "VN_MODES",
-           "baselines", "run_induction"]
+__all__ = ["BUILDERS", "METHODS", "VN_MODES", "baselines", "run_induction"]
 
 #: Every method a request may name.
 METHODS = ("search", "greedy", "factor", "lockstep", "serial")
@@ -58,23 +60,6 @@ METHODS = ("search", "greedy", "factor", "lockstep", "serial")
 #: serial issue cost or raised cross-thread merge-key candidates).  Kept
 #: here, so a request checks its mode without loading the pass.
 VN_MODES = ("off", "on", "auto")
-
-
-@dataclass(frozen=True)
-class InductionResult(ResultBase):
-    """Outcome of one induction run (unified result protocol)."""
-
-    method: str
-    schedule: Schedule
-    cost: float
-    serial_cost: float
-    lockstep_cost: float
-    stats: SearchStats | None = None
-    cache_hit: bool = False
-    wall_s: float = 0.0
-    degraded: bool = False
-
-    kind = "induce"
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +209,9 @@ def _one_shot(region: Region, model: CostModel, method: str,
         fingerprint = region_fingerprint(region, model, config, method=method)
         entry = cache.get(fingerprint)
     if entry is not None:
-        stored = result_from_payload(entry)
-        result = InductionResult(
-            stored.method, stored.schedule, stored.cost, stored.serial_cost,
-            stored.lockstep_cost, stored.stats[0] if stored.stats else None,
-            cache_hit=True)
+        # ``entry`` is the cache's private copy: marking it costs nothing.
+        entry["cache_hit"] = True
+        result = result_from_payload(entry)
     else:
         with span("induce.build", tracer, method=method):
             prepared = PreparedRegion.build(region, model,
@@ -255,13 +238,13 @@ def _one_shot(region: Region, model: CostModel, method: str,
     return result
 
 
-def _disposition(result: ResultBase, cache: ScheduleCache | None) -> str:
+def _disposition(result: InductionResult, cache: ScheduleCache | None) -> str:
     if result.cache_hit:
         return "hit"
     return "miss" if cache is not None else "off"
 
 
-def _record(result: ResultBase, region: Region, metrics, tracer: Tracer,
+def _record(result: InductionResult, region: Region, metrics, tracer: Tracer,
             cache: ScheduleCache | None, vnstats) -> None:
     """The request's ``induce_*`` metrics and its trace event."""
     metrics.inc("induce_total")

@@ -1,28 +1,32 @@
-"""The unified induction-result protocol.
+"""The one induction result.
 
-Induction produces results through two doors — a local run
-(:class:`repro.core.pipeline.InductionResult`) and replies from the
-induction service (:class:`ServiceResult`).  :class:`ResultBase` gives
-them one surface, so no consumer (CLI, benchmarks, the service wire
-format) special-cases where a result came from:
+Every door returns an :class:`InductionResult`: a local run
+(:func:`repro.core.pipeline.run_induction`, a cache hit included), the
+service's degraded fallback, and a reply from a service or a cluster
+(:func:`repro.service.client.read_reply`).  No consumer (CLI,
+benchmarks, the service wire format) asks where a result came from:
 
 - ``method``, ``schedule``, ``cost``, ``serial_cost``, ``lockstep_cost``;
+- ``stats`` — the search's :class:`SearchStats`, None for the methods
+  that run none; ``search_stats`` is the same as a tuple (empty or one);
 - ``speedup_vs_serial`` / ``speedup_vs_lockstep`` (paper-style ratios);
-- ``search_stats`` — always a tuple, empty for baselines, one entry when
-  a search ran;
-- ``cache_hit`` — True when the *whole* result came from the cache;
-- ``optimal`` — every search involved completed within budget and the
+- ``cache_hit`` — True when the *whole* result came from a cache;
+- ``optimal`` — the search (if any) completed within budget and the
   result was not degraded;
 - ``deadline_cut`` — the request's deadline stopped the search, so the
   schedule is its checked incumbent, unproven (never stored in a cache);
 - ``degraded`` — the service fell back to the verified greedy schedule:
   the request's deadline passed before a worker got it, the worker hung
   past its kill, or workers kept dying;
+- ``extras`` — the payload keys a result does not read: the daemons'
+  per-request context (disposition, queue wait, retries, the routed
+  node), empty for a local run;
 - ``wall_s`` and ``as_dict()`` — one JSON-able serialization for traces,
   the service protocol and table printers.
 
-:func:`result_to_payload` / :func:`result_from_payload` round-trip any
-result through JSON; the reconstructed side is a :class:`ServiceResult`.
+:func:`result_to_payload` / :func:`result_from_payload` round-trip a
+result through JSON; the payload's ``"kind": "induce"`` is kept so every
+cache entry and reply keeps its text.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from repro.core.schedule import Schedule, schedule_from_payload, schedule_to_pay
 from repro.core.search import SearchStats
 
 __all__ = [
-    "ResultBase",
-    "ServiceResult",
+    "InductionResult",
     "result_from_payload",
     "result_to_payload",
     "speedup",
@@ -55,17 +58,20 @@ def speedup(baseline: float, cost: float) -> float:
     return 1.0 if not baseline else float("inf")
 
 
-class ResultBase:
-    """Mixin implementing the unified result protocol.
+@dataclass(frozen=True)
+class InductionResult:
+    """Outcome of one induction request, from whichever door answered it."""
 
-    Subclasses provide ``method``, ``schedule``, ``cost``, ``serial_cost``,
-    ``lockstep_cost``, ``stats``, ``cache_hit``, ``wall_s`` and
-    ``degraded`` (as fields, properties or class attributes); the mixin
-    derives the rest.
-    """
-
-    #: Discriminator used by :func:`result_to_payload` (overridden per class).
-    kind = "result"
+    method: str
+    schedule: Schedule
+    cost: float
+    serial_cost: float
+    lockstep_cost: float
+    stats: SearchStats | None = None
+    cache_hit: bool = False
+    wall_s: float = 0.0
+    degraded: bool = False
+    extras: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def speedup_vs_serial(self) -> float:
@@ -79,40 +85,34 @@ class ResultBase:
 
     @property
     def search_stats(self) -> tuple[SearchStats, ...]:
-        """Per-search statistics as a tuple, however many searches ran."""
-        stats = getattr(self, "stats", None)
-        if stats is None:
-            return ()
-        if isinstance(stats, SearchStats):
-            return (stats,)
-        return tuple(stats)
+        """``stats`` as a tuple: empty when no search ran."""
+        return () if self.stats is None else (self.stats,)
 
     @property
     def total_nodes(self) -> int:
-        return sum(s.nodes_expanded for s in self.search_stats)
+        return 0 if self.stats is None else self.stats.nodes_expanded
 
     @property
     def optimal(self) -> bool:
-        """Every search completed within budget and nothing was degraded.
+        """The search completed within budget and nothing was degraded.
 
         Baseline methods (no search ran) count as optimal for *their*
         method — the schedule is exactly what the method produces.
         """
         if self.degraded:
             return False
-        stats = self.search_stats
-        return all(s.optimal for s in stats) if stats else True
+        return self.stats is None or bool(self.stats.optimal)
 
     @property
     def deadline_cut(self) -> bool:
-        """A search stopped at the request's deadline, not at its proof
+        """The search stopped at the request's deadline, not at its proof
         or its node budget."""
-        return any(s.deadline_cut for s in self.search_stats)
+        return self.stats is not None and bool(self.stats.deadline_cut)
 
     def as_dict(self, include_schedule: bool = False) -> dict[str, Any]:
         """Uniform JSON-able summary shared by CLI, benchmarks and service."""
         out: dict[str, Any] = {
-            "kind": self.kind,
+            "kind": "induce",
             "method": self.method,
             "cost": self.cost,
             "serial_cost": self.serial_cost,
@@ -132,32 +132,8 @@ class ResultBase:
         return out
 
 
-@dataclass(frozen=True)
-class ServiceResult(ResultBase):
-    """A result reconstructed from the wire (or synthesized by the server).
-
-    ``extras`` carries server-side context that has no local analogue:
-    batch size, dedup disposition, retry count, queue wait.
-    ``optimal`` and ``deadline_cut`` derive from ``stats`` as for any
-    result, so they read as the sender's did.
-    """
-
-    method: str
-    schedule: Schedule
-    cost: float
-    serial_cost: float
-    lockstep_cost: float
-    stats: tuple[SearchStats, ...] = ()
-    cache_hit: bool = False
-    wall_s: float = 0.0
-    degraded: bool = False
-    extras: Mapping[str, Any] = field(default_factory=dict)
-
-    kind = "service"
-
-
-def result_to_payload(result: ResultBase) -> dict[str, Any]:
-    """Full wire form of any result implementing the protocol."""
+def result_to_payload(result: InductionResult) -> dict[str, Any]:
+    """Full wire form of a result."""
     payload = result.as_dict(include_schedule=True)
     # Each record's fields by name: dataclasses.asdict without its deep
     # copy of a flat record of scalars.
@@ -166,7 +142,7 @@ def result_to_payload(result: ResultBase) -> dict[str, Any]:
 
 
 #: The payload keys that :func:`result_from_payload` reads or that
-#: :meth:`ResultBase.as_dict` derives; every other key is an extra.
+#: :meth:`InductionResult.as_dict` derives; every other key is an extra.
 _RESULT_KEYS = frozenset({
     "kind", "method", "cost", "serial_cost", "lockstep_cost",
     "speedup_vs_serial", "speedup_vs_lockstep", "slots", "nodes",
@@ -178,16 +154,24 @@ _RESULT_KEYS = frozenset({
 _STATS_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SearchStats)}
 
 
-def _stats_from_payload(record: Any) -> SearchStats:
-    """``SearchStats(**record)`` without its ``__init__``: the record's
-    values over the defaults, and a :class:`TypeError` for anything that
-    call refuses (a record that is no object, a key it does not know)."""
+def _stats_from_payload(records: Any) -> SearchStats | None:
+    """A payload's ``stats`` list as its one record, or None when empty.
+
+    ``SearchStats(**record)`` without its ``__init__``: the record's
+    values over the defaults.  More than one record, a record that is no
+    object and a key the class does not have raise :class:`ValueError`.
+    """
+    if len(records) > 1:
+        raise ValueError(f"{len(records)} search stats records, not one")
+    if not records:
+        return None
+    record = records[0]
     if not isinstance(record, dict):
-        raise TypeError(
+        raise ValueError(
             f"search stats record is {type(record).__name__}, not an object")
     unknown = record.keys() - _STATS_DEFAULTS.keys()
     if unknown:
-        raise TypeError(
+        raise ValueError(
             f"unknown search stats fields {sorted(map(str, unknown))}")
     stats = object.__new__(SearchStats)
     fields = stats.__dict__
@@ -196,29 +180,33 @@ def _stats_from_payload(record: Any) -> SearchStats:
     return stats
 
 
-def result_from_payload(payload: Mapping[str, Any]) -> ServiceResult:
-    """Rebuild a :class:`ServiceResult` from :func:`result_to_payload` output.
+def result_from_payload(payload: Mapping[str, Any]) -> InductionResult:
+    """Rebuild an :class:`InductionResult` from :func:`result_to_payload`
+    output.
 
     Unknown keys are preserved in ``extras`` so protocol additions degrade
     gracefully for older clients.  The result, its schedule and its stats
     are built straight from ``payload``, with no dataclass ``__init__`` on
-    the way, but with every ``float``, ``int`` and ``bool`` conversion and
-    every :class:`ValueError` or :class:`TypeError` for a value that is no
-    result's: :func:`repro.core.cache.check_entry` relies on them at the
-    disk and peer boundary.  Nothing is left to decode later.
+    the way, but with every ``float``, ``int`` and ``bool`` conversion:
+    a payload that is no result's raises :class:`ValueError`, which
+    :func:`repro.core.cache.check_entry` relies on at the disk and peer
+    boundary and a client at the wire.  Nothing is left to decode later.
     """
-    result = object.__new__(ServiceResult)
-    result.__dict__.update(
-        method=payload["method"],
-        schedule=schedule_from_payload(payload["schedule"]),
-        cost=float(payload["cost"]),
-        serial_cost=float(payload["serial_cost"]),
-        lockstep_cost=float(payload["lockstep_cost"]),
-        stats=tuple([_stats_from_payload(s)
-                     for s in payload.get("stats", ())]),
-        cache_hit=bool(payload.get("cache_hit", False)),
-        wall_s=float(payload.get("wall_s", 0.0)),
-        degraded=bool(payload.get("degraded", False)),
-        extras={k: v for k, v in payload.items() if k not in _RESULT_KEYS},
-    )
+    result = object.__new__(InductionResult)
+    try:
+        result.__dict__.update(
+            method=payload["method"],
+            schedule=schedule_from_payload(payload["schedule"]),
+            cost=float(payload["cost"]),
+            serial_cost=float(payload["serial_cost"]),
+            lockstep_cost=float(payload["lockstep_cost"]),
+            stats=_stats_from_payload(payload.get("stats", ())),
+            cache_hit=bool(payload.get("cache_hit", False)),
+            wall_s=float(payload.get("wall_s", 0.0)),
+            degraded=bool(payload.get("degraded", False)),
+            extras={k: v for k, v in payload.items()
+                    if k not in _RESULT_KEYS},
+        )
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        raise ValueError(f"not a result payload: {exc!r}") from exc
     return result

@@ -40,13 +40,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import InductionRequest
-from repro.core.cache import ScheduleCache, cache_entry, region_fingerprint
+from repro.core.cache import ScheduleCache, encode_entry, region_fingerprint
 from repro.core.engines import legacy_search
 from repro.core.greedy import greedy_schedule
 from repro.core.ops import parse_region
-from repro.core.pipeline import InductionResult
 from repro.core.prepared import PreparedRegion
-from repro.core.result import result_from_payload, result_to_payload
+from repro.core.result import (
+    InductionResult, result_from_payload, result_to_payload)
 from repro.core.schedule import schedule_to_payload
 from repro.core.search import branch_and_bound
 from repro.core.serial import lockstep_schedule, serial_schedule
@@ -191,7 +191,7 @@ def _check_region(case: FuzzCase,
 
     # Cache round-trip: memory tier always, disk tier when given a workdir.
     # A hit is the stored entry: the payload minus its per-request fields.
-    entry = cache_entry(payload)
+    entry = json.loads(encode_entry(payload)[0])
     cache_dir = (workdir / "cache") if workdir is not None else None
     cache = ScheduleCache(capacity=4, cache_dir=cache_dir)
     cache.put(fingerprint, payload)
@@ -210,13 +210,12 @@ def _check_region(case: FuzzCase,
                 "cache_disk_roundtrip", "disk tier lost or changed the entry"))
 
     # Result wire round-trip: payload → JSON text → payload must be a
-    # fixed point (modulo the kind discriminator, which becomes "service").
+    # fixed point.
     rebuilt = result_from_payload(json.loads(json.dumps(payload, sort_keys=True)))
     payload2 = result_to_payload(rebuilt)
-    a = {k: v for k, v in payload.items() if k != "kind"}
-    b = {k: v for k, v in payload2.items() if k != "kind"}
-    if a != b:
-        diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
+    if payload != payload2:
+        diff = {k for k in set(payload) | set(payload2)
+                if payload.get(k) != payload2.get(k)}
         failures.append(OracleFailure(
             "wire_roundtrip", f"payload changed through the wire: {sorted(diff)}"))
 

@@ -21,7 +21,8 @@ import numpy as np
 from repro.core.cache import ScheduleCache
 from repro.core.costmodel import CostModel
 from repro.core.ops import Operation, Region, ThreadCode
-from repro.core.pipeline import InductionResult, run_induction
+from repro.core.pipeline import run_induction
+from repro.core.result import InductionResult
 from repro.core.search import SearchConfig
 from repro.interp.interpreter import InterpreterConfig, MIMDInterpreter
 from repro.isa.opcodes import OPCODE_INFO, SHARED_COSTS

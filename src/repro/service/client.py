@@ -4,11 +4,17 @@ One :class:`ServiceClient` per caller.  It keeps one open connection per
 calling thread, so a client object is safe to share across threads (the
 benchmark's submit pool does exactly that) and sequential calls pay for
 no connect; :meth:`ServiceClient.close` (or leaving its ``with`` block)
-closes them all.  Admission-control sheds surface as :class:`ServiceBusy`
-— a clear, retryable signal distinct from :class:`ServiceError`
-(malformed request or genuine server-side bug).  Degraded results are
-*not* errors: they come back as ordinary results with ``degraded=True``,
-per the service's graceful-degradation contract.
+closes them all.
+
+Every submit reply, from a server or through a cluster
+(:class:`repro.cluster.ClusterClient` reads its routed replies here too),
+becomes a result in one place, :func:`read_reply`: the same
+:class:`~repro.core.result.InductionResult` a local call returns.
+Admission-control sheds surface as :class:`ServiceBusy` — a clear,
+retryable signal distinct from :class:`ServiceError` (malformed request,
+a reply that is no result, or a genuine server-side bug).  Degraded
+results are *not* errors: they come back as ordinary results with
+``degraded=True``, per the service's graceful-degradation contract.
 """
 
 from __future__ import annotations
@@ -18,29 +24,12 @@ import threading
 from typing import Any, Mapping
 
 from repro.api import InductionRequest
-from repro.core.result import ServiceResult, result_from_payload
-from repro.obs import replay_events, span
+from repro.core.result import InductionResult, result_from_payload
+from repro.obs import Tracer, replay_events, span
 from repro.service import protocol
 from repro.service.endpoint import Endpoint
 
-__all__ = ["ServiceBusy", "ServiceClient", "ServiceError",
-           "absorb_reply_obs"]
-
-
-def absorb_reply_obs(result_payload: Any, tracer) -> Any:
-    """Pop a reply's ``obs`` payload and replay its spans into ``tracer``.
-
-    Every traced reply — from a server directly or via the cluster router
-    — carries its server-side span records under ``result["obs"]``.  The
-    records are popped unconditionally (they are observability freight,
-    not result fields) and replayed only when the caller actually has an
-    enabled tracer to stitch them into.
-    """
-    if isinstance(result_payload, dict):
-        obs = result_payload.pop("obs", None)
-        if obs and tracer is not None and tracer.enabled:
-            replay_events(obs.get("spans") or [], tracer)
-    return result_payload
+__all__ = ["ServiceBusy", "ServiceClient", "ServiceError", "read_reply"]
 
 
 class ServiceError(RuntimeError):
@@ -49,6 +38,36 @@ class ServiceError(RuntimeError):
 
 class ServiceBusy(ServiceError):
     """Admission control shed the request (queue full or shutting down)."""
+
+
+def read_reply(reply: Mapping[str, Any],
+               tracer: Tracer | None) -> InductionResult:
+    """A submit's reply as its result; raises for any other reply.
+
+    ``busy`` raises :class:`ServiceBusy`, any other status but ``ok``
+    raises :class:`ServiceError`, and so does an ``ok`` reply whose
+    result does not build.  A result a daemon holds as
+    :class:`~repro.service.protocol.ResultText` (an in-process router's
+    reply) is decoded as a receiver would.  The result's ``obs`` field —
+    the server-side span records of a traced request — is dropped, and
+    replayed into ``tracer`` when it is enabled.
+    """
+    status = reply.get("status")
+    if status == "busy":
+        raise ServiceBusy(
+            f"service busy: {reply.get('reason', 'unspecified')}")
+    if status != "ok":
+        raise ServiceError(reply.get("error", f"bad reply {reply!r}"))
+    payload = protocol.decode_result(reply.get("result"))
+    if isinstance(payload, dict):
+        obs = payload.pop("obs", None)
+        if obs and tracer is not None and tracer.enabled:
+            replay_events(obs.get("spans") or [], tracer)
+    try:
+        return result_from_payload(payload)
+    except ValueError as exc:
+        raise ServiceError(
+            f"ok reply with a bad result {payload!r}: {exc}") from exc
 
 
 class ServiceClient:
@@ -113,7 +132,7 @@ class ServiceClient:
         return reply
 
     def submit(self, request: InductionRequest,
-               chaos: Mapping[str, Any] | None = None) -> ServiceResult:
+               chaos: Mapping[str, Any] | None = None) -> InductionResult:
         """Run one request on the service; blocks until the reply.
 
         With ``request.tracer`` set, the roundtrip happens inside a
@@ -137,14 +156,7 @@ class ServiceClient:
             # No client tracer: no span of our own, but an ambient caller
             # span (if any) still propagates through the frame.
             reply = self._roundtrip(message)
-        status = reply.get("status")
-        if status == "busy":
-            raise ServiceBusy(
-                f"service busy: {reply.get('reason', 'unspecified')}")
-        if status != "ok":
-            raise ServiceError(reply.get("error", f"bad reply {reply!r}"))
-        return result_from_payload(
-            absorb_reply_obs(reply["result"], request.tracer))
+        return read_reply(reply, tracer)
 
     def stats(self) -> dict[str, Any]:
         reply = self._roundtrip({"op": "stats"})

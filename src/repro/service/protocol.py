@@ -45,8 +45,8 @@ once: a custom model's text per :class:`CostModel` instance and a
 config's per type-exact value.  The request's own fields (region,
 method, vn, deadline, routing, chaos, trace context) are encoded each
 time.  A reply is decoded once, by :func:`recv_message`, and
-:func:`repro.core.result.result_from_payload` builds the result straight
-from that dict.
+:func:`repro.service.client.read_reply` builds the result straight from
+that dict (:func:`repro.core.result.result_from_payload`).
 
 Inside a daemon, an ``ok`` result is one :class:`ResultText`: a cache
 entry's JSON text plus this request's own fields.  A hit carries the text
@@ -60,8 +60,8 @@ it with :func:`decode_result` into the dict a client would receive.
 
 A submit that carried a ``trace_ctx`` gets its reply's ``result["obs"]``
 populated with the server-side span records (and, via the router, the
-routing spans), which :func:`repro.service.client.absorb_reply_obs`
-replays into the caller's tracer — one trace id end to end.
+routing spans), which :func:`repro.service.client.read_reply` replays
+into the caller's tracer — one trace id end to end.
 
 A repeated submit costs one digest on every served hop.  The client sends
 ``region`` text unchanged and renders only a parsed
@@ -136,10 +136,11 @@ class ResultText:
 
     ``text`` is one JSON object — a cache entry as stored, or as
     :meth:`encode` just made it.  ``fields`` belong to this request alone:
-    the keys :func:`~repro.core.cache.cache_entry` strips (``cache_hit``,
-    ``wall_s``, ``retries``, and ``obs`` when spans are stitched) and the
-    daemons' extras (``deduped``, ``queue_wait_s``, ``server_wall_s``,
-    ``disposition``, ``router_cache``, ``router_dedup``).
+    the keys :func:`~repro.core.cache.encode_entry` splits off
+    (``cache_hit``, ``wall_s``, ``retries``, and ``obs`` when spans are
+    stitched) and the daemons' extras (``deduped``, ``queue_wait_s``,
+    ``server_wall_s``, ``disposition``, ``router_cache``,
+    ``router_dedup``).
     :func:`send_message` writes :meth:`splice`: the fields go in before
     the text's closing brace, last, so a field wins over a same-named key
     in the text when the frame is decoded.  ``flags`` holds the text's

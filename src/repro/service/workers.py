@@ -43,8 +43,8 @@ import time
 from typing import Any, Mapping
 
 from repro.api import InductionRequest, _execute_local
-from repro.core.pipeline import InductionResult, run_induction
-from repro.core.result import result_to_payload
+from repro.core.pipeline import run_induction
+from repro.core.result import InductionResult, result_to_payload
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
 from repro.obs.metrics import (
     MetricsLog, MetricsRegistry, get_registry, use_registry)

@@ -126,7 +126,7 @@ class TestRouting:
     def test_one_shot_route(self):
         result = api.induce(api.InductionRequest(region=REGION))
         assert isinstance(result, InductionResult)
-        assert result.kind == "induce"
+        assert result.as_dict()["kind"] == "induce"
         assert result.cost > 0 and not result.degraded
 
     def test_deadline_route_starts_no_process(self, monkeypatch):
@@ -175,12 +175,14 @@ class TestResultProtocol:
         request = api.InductionRequest(region=REGION)
         result = api.induce(request)
         back = result_from_payload(result_to_payload(result))
-        assert back.kind == "service"
-        assert back.cost == result.cost
-        assert back.serial_cost == result.serial_cost
-        assert not back.degraded
-        assert len(back.search_stats) == len(result.search_stats)
+        assert back == result
         verify_schedule(back.schedule, region, request.resolved_model())
+
+    def test_one_class_from_every_name(self):
+        import repro.core.result
+
+        assert repro.InductionResult is repro.core.InductionResult \
+            is repro.core.result.InductionResult
 
     def test_optimal_false_when_degraded(self):
         result = api.induce(api.InductionRequest(region=REGION))
@@ -200,24 +202,35 @@ class TestResultProtocol:
         "serial": True,
     }
 
+    #: The senders whose result a daemon computes as a local call does.
+    COMPUTED = ("proven-search", "budget-exhausted-search", "greedy",
+                "factor", "lockstep", "serial")
+
     @staticmethod
-    def _sent_by(sender):
+    def _request_of(sender):
+        """The request ``sender`` (a :attr:`SENDERS` key) answers."""
+        if sender == "proven-search":
+            return api.InductionRequest(region=REGION)
+        if sender == "budget-exhausted-search":
+            return api.InductionRequest(region=WIDE_REGION, budget=50)
+        if sender == "deadline-cut-search":
+            return api.InductionRequest(
+                region=WIDE_REGION, budget=50_000_000, deadline_s=0.05)
+        if sender == "degraded-greedy":
+            return api.InductionRequest(region=REGION)
+        return api.InductionRequest(region=REGION, method=sender)
+
+    @classmethod
+    def _sent_by(cls, sender):
         """A result as ``sender`` (a :attr:`SENDERS` key) makes it."""
         from repro.service.workers import degraded_result
 
-        if sender == "proven-search":
-            return api.induce(api.InductionRequest(region=REGION))
-        if sender == "budget-exhausted-search":
-            return api.induce(api.InductionRequest(
-                region=WIDE_REGION, budget=50))
-        if sender == "deadline-cut-search":
-            result = api.induce(api.InductionRequest(
-                region=WIDE_REGION, budget=50_000_000, deadline_s=0.05))
-            assert result.deadline_cut
-            return result
+        request = cls._request_of(sender)
         if sender == "degraded-greedy":
-            return degraded_result(api.InductionRequest(region=REGION))
-        return api.induce(api.InductionRequest(region=REGION, method=sender))
+            return degraded_result(request)
+        result = api.induce(request)
+        assert result.deadline_cut is (sender == "deadline-cut-search")
+        return result
 
     @pytest.mark.parametrize("sender", SENDERS)
     def test_optimal_survives_the_wire(self, sender):
@@ -246,6 +259,48 @@ class TestResultProtocol:
                                   for s in sent.search_stats]
             assert encode_entry(result_to_payload(sent)) == \
                 encode_entry(reference)
+
+
+def _run_invariant(result):
+    """``result`` without what two runs of one request may differ in: the
+    cache flag, the wall times and the daemons' extras."""
+    stats = result.stats
+    if stats is not None:
+        stats = dataclasses.replace(stats, wall_s=0.0)
+    return dataclasses.replace(result, cache_hit=False, wall_s=0.0,
+                               extras={}, stats=stats)
+
+
+@pytest.fixture(scope="class")
+def doors(tmp_path_factory):
+    """A live server's client and a :class:`LocalCluster`'s client."""
+    from repro.cluster import LocalCluster
+    from repro.service import (
+        Endpoint, InductionServer, ServerConfig, ServiceClient)
+
+    path = tmp_path_factory.mktemp("door") / "svc.sock"
+    server = InductionServer(ServerConfig(endpoint=Endpoint.unix(str(path)),
+                                          workers=1))
+    cluster = LocalCluster(nodes=2, cache_capacity=16)
+    try:
+        with ServiceClient(server.endpoint) as client, \
+                cluster.cluster_client() as routed:
+            yield {"client": client, "cluster": routed}
+    finally:
+        cluster.shutdown()
+        server.shutdown()
+
+
+class TestServedResultIsTheLocalResult:
+    @pytest.mark.parametrize("door", ["client", "cluster"])
+    @pytest.mark.parametrize("sender", TestResultProtocol.COMPUTED)
+    def test_fields_equal_the_local_call(self, doors, door, sender):
+        request = TestResultProtocol._request_of(sender)
+        local = api.induce(request)
+        served = doors[door].submit(request)
+        assert type(served) is InductionResult
+        assert served.extras and not local.extras
+        assert _run_invariant(served) == _run_invariant(local)
 
 
 class TestNoShims:

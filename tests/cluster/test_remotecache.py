@@ -13,7 +13,7 @@ import pytest
 from repro import api
 from repro.cluster import ClusterConfig, RemoteScheduleCache
 from repro.core import maspar_cost_model, parse_region, result_to_payload
-from repro.core.cache import ScheduleCache, cache_entry, region_fingerprint
+from repro.core.cache import ScheduleCache, encode_entry, region_fingerprint
 from repro.core.search import SearchStats
 from repro.service import Endpoint, protocol
 
@@ -42,7 +42,8 @@ class StubPeer:
         self.gets += 1
         if self.fail:
             raise OSError("peer down")
-        return self.store.get(fingerprint)
+        # What a client receives: pushed text comes back decoded.
+        return protocol.decode_result(self.store.get(fingerprint))
 
     def cache_put(self, fingerprint, entry):
         self.puts += 1
@@ -77,6 +78,11 @@ def owners(cache, fingerprint):
     return cache.ring.preference(fingerprint, count=cache.config.replication)
 
 
+def entry_of(payload):
+    """The entry ``payload`` is stored as: minus its per-request fields."""
+    return json.loads(encode_entry(payload)[0])
+
+
 def _set(entry, path, value):
     """``entry`` with the value at ``path`` (keys and indices) replaced."""
     *head, last = path
@@ -98,6 +104,8 @@ MALFORMED = {
                                       {"slots": e["schedule"]}),
     "unknown-stats-key": lambda e: _set(e, ("stats", 0, "engine"),
                                         "bitmask"),
+    "two-stats-records": lambda e: _set(e, ("stats",), e["stats"] * 2),
+    "cost-beyond-float": lambda e: _set(e, ("cost",), 10 ** 400),
 }
 
 
@@ -106,16 +114,16 @@ class TestGet:
         config, peers = cluster
         fp, payload = induced
         owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = cache_entry(payload)
+        peers[owner].store[fp] = entry_of(payload)
 
         me = next(n for n in config.node_names if n != owner)
         cache = make_cache(config, peers, me)
         found = cache.get(fp)
-        assert found == cache_entry(payload)
+        assert found == entry_of(payload)
         assert cache.counters["remote_hits"] == 1
         # Adopted into the local tier: the next get never leaves the node.
         gets_before = sum(p.gets for p in peers.values())
-        assert cache.get(fp) == cache_entry(payload)
+        assert cache.get(fp) == entry_of(payload)
         assert sum(p.gets for p in peers.values()) == gets_before
 
     def test_stats_survive_the_peer_roundtrip(self, cluster, induced):
@@ -168,7 +176,7 @@ class TestGet:
         config, peers = cluster
         fp, payload = induced
         owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = malform(cache_entry(payload))
+        peers[owner].store[fp] = malform(entry_of(payload))
         me = next(n for n in config.node_names if n != owner)
         cache = make_cache(config, peers, me)
         assert cache.get(fp) is None
@@ -191,7 +199,8 @@ class TestPut:
         assert cache.get_local(fp) is not None
         pushed = [n for n, p in peers.items() if fp in p.store]
         assert pushed == [replica_owners[1]]
-        assert peers[replica_owners[1]].store[fp] == cache_entry(payload)
+        assert protocol.decode_result(peers[replica_owners[1]].store[fp]) \
+            == entry_of(payload)
         assert cache.counters["remote_stores"] == 1
 
     def test_put_with_text_pushes_that_text(self, cluster, induced):
@@ -207,8 +216,7 @@ class TestPut:
         pushed = peers[replica_owners[1]].store[fp]
         assert isinstance(pushed, protocol.ResultText)
         assert pushed.text == value.text and not pushed.fields
-        assert protocol.decode_result(pushed) == \
-            json.loads(json.dumps(cache_entry(payload)))
+        assert protocol.decode_result(pushed) == entry_of(payload)
 
     def test_pushed_text_lands_in_a_real_peer(self, tmp_path, induced):
         from repro.service import InductionServer, ServerConfig, ServiceClient
@@ -259,7 +267,7 @@ class TestLocalOnlySurface:
         assert cache.get_local(fp) is None
         cache.put_local(fp, payload)
         # The local text, as the server's peer cache_get op sends it.
-        assert json.loads(cache.get_local(fp)) == cache_entry(payload)
+        assert json.loads(cache.get_local(fp)) == entry_of(payload)
 
     def test_delegated_schedulecache_surface(self, cluster, induced):
         config, peers = cluster

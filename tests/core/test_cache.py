@@ -25,7 +25,7 @@ from repro.core import (
     uniform_cost_model,
     verify_schedule,
 )
-from repro.core.cache import cache_entry, check_entry
+from repro.core.cache import check_entry, encode_entry
 from repro.core.ops import Operation, Region, ThreadCode, parse_region
 from repro.core.schedule import Schedule
 from repro.core.search import SearchConfig, branch_and_bound
@@ -55,6 +55,11 @@ def search_payload(schedule, stats, model=UNIT, **fields):
     return payload
 
 
+def entry_of(payload):
+    """The entry ``payload`` is stored as: minus its per-request fields."""
+    return json.loads(encode_entry(payload)[0])
+
+
 def _set(entry, path, value):
     """``entry`` with the value at ``path`` (keys and indices) replaced."""
     *head, last = path
@@ -78,6 +83,8 @@ MALFORMED = {
                                       {"slots": e["schedule"]}),
     "unknown-stats-key": lambda e: _set(e, ("stats", 0, "engine"),
                                         "bitmask"),
+    "two-stats-records": lambda e: _set(e, ("stats",), e["stats"] * 2),
+    "cost-beyond-float": lambda e: _set(e, ("cost",), 10 ** 400),
 }
 
 
@@ -131,7 +138,7 @@ class TestMemoryTier:
         payload = search_payload(*branch_and_bound(REGION, UNIT))
         assert cache.put(fp, payload)
         got = cache.get(fp)
-        assert got == cache_entry(payload)
+        assert got == entry_of(payload)
         assert "wall_s" not in got and "cache_hit" not in got
         assert cache.counters["hits"] == 1 and cache.counters["misses"] == 1
 
@@ -191,7 +198,7 @@ class TestStoreRule:
         assert cache.counters["stores"] == 1
 
     def test_check_entry_takes_only_storable_result_payloads(self):
-        entry = cache_entry(search_payload(*branch_and_bound(REGION, UNIT)))
+        entry = entry_of(search_payload(*branch_and_bound(REGION, UNIT)))
         assert check_entry(entry) is entry
         missing_cost = {k: v for k, v in entry.items() if k != "cost"}
         for bad in (None, [], "text", missing_cost,
@@ -203,7 +210,7 @@ class TestStoreRule:
 
     def test_check_entry_refuses_a_deadline_cut_entry(self):
         with pytest.raises(ValueError, match="deadline"):
-            check_entry(cache_entry(cut_payload()))
+            check_entry(entry_of(cut_payload()))
 
 
 class TestDiskTier:
@@ -213,7 +220,7 @@ class TestDiskTier:
         ScheduleCache(cache_dir=tmp_path).put(fp, payload)
         fresh = ScheduleCache(cache_dir=tmp_path)
         got = fresh.get(fp)
-        assert got == cache_entry(payload)
+        assert got == entry_of(payload)
         assert fresh.counters["disk_hits"] == 1
         # Kept in memory after the disk hit.
         assert fresh.get(fp) == got and fresh.counters["memory_hits"] == 1
@@ -236,7 +243,7 @@ class TestDiskTier:
         payload = search_payload(*branch_and_bound(REGION, UNIT))
         ScheduleCache(cache_dir=tmp_path).put("fp", payload)
         [path] = tmp_path.glob("*.json")
-        path.write_text(json.dumps(malform(cache_entry(payload))))
+        path.write_text(json.dumps(malform(entry_of(payload))))
         fresh = ScheduleCache(cache_dir=tmp_path)
         assert fresh.get("fp") is None
         assert fresh.counters["disk_errors"] == 1 and len(fresh) == 0
@@ -246,7 +253,7 @@ class TestDiskTier:
         payload = search_payload(*branch_and_bound(REGION, UNIT))
         ScheduleCache(cache_dir=tmp_path).put("fp", payload)
         [path] = tmp_path.glob("*.json")
-        path.write_text(json.dumps(cache_entry(cut_payload())))
+        path.write_text(json.dumps(entry_of(cut_payload())))
         fresh = ScheduleCache(cache_dir=tmp_path)
         assert fresh.get("fp") is None
         assert fresh.counters["disk_errors"] == 1 and len(fresh) == 0
@@ -255,7 +262,7 @@ class TestDiskTier:
         # Entries from before the flag carry it neither at the top nor in
         # their stats; they parse and hit as they are.
         payload = search_payload(*branch_and_bound(REGION, UNIT))
-        old = cache_entry(payload)
+        old = entry_of(payload)
         del old["deadline_cut"]
         for stats in old["stats"]:
             del stats["deadline_cut"]
@@ -282,7 +289,7 @@ class TestDiskTier:
         assert payload["stats"] == []
         ScheduleCache(cache_dir=tmp_path).put("fp", payload)
         got = ScheduleCache(cache_dir=tmp_path).get("fp")
-        assert got == cache_entry(payload)
+        assert got == entry_of(payload)
         assert schedule_from_payload(got["schedule"]) == result.schedule
 
 
@@ -451,6 +458,6 @@ class TestCachedBitIdentical:
         payload = search_payload(fresh_sched, fresh_stats)
         ScheduleCache(cache_dir=tmp_path).put(fp, payload)
         hit = ScheduleCache(cache_dir=tmp_path).get(fp)
-        assert hit == cache_entry(payload)
+        assert hit == entry_of(payload)
         assert schedule_from_payload(hit["schedule"]) == fresh_sched
         assert SearchStats(**hit["stats"][0]) == fresh_stats

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro import api
 from repro.interp.trace import (
     interp_cost_model,
@@ -91,7 +92,7 @@ class TestInduceTraces:
         bundle = trace_program(unit.program, 8, max_ops_per_pe=24)
         induction = induce_traces(bundle)
         assert induction.bundle is bundle
-        assert induction.result.kind == "induce"
+        assert isinstance(induction.result, repro.InductionResult)
         assert induction.result.cost == pytest.approx(
             induction.result.schedule.cost(interp_cost_model()))
         assert induction.result.speedup_vs_serial >= 1.0 - 1e-9

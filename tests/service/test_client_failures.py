@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.api import InductionRequest
+from repro.cluster import ClusterClient, ClusterConfig
 from repro.service import (
     Endpoint, InductionServer, ServerConfig, ServiceClient, ServiceError,
     protocol,
@@ -152,6 +153,70 @@ class TestBrokenReplies:
                 client.submit(request_)
         finally:
             fake.close()
+
+
+def answering(reply):
+    """A fake server's handler that answers each message with ``reply``;
+    its ``answered`` attribute counts the messages."""
+    def handler(conn):
+        while protocol.recv_message(conn) is not None:
+            handler.answered += 1
+            protocol.send_message(conn, reply)
+    handler.answered = 0
+    return handler
+
+
+def client_of(route, fake):
+    """A service client on ``fake``, or a cluster client whose one node
+    it is."""
+    endpoint = Endpoint.unix(fake.path)
+    if route == "service":
+        return ServiceClient(endpoint, timeout=2.0)
+    return ClusterClient(ClusterConfig(endpoints=(endpoint,)),
+                         start_probes=False)
+
+
+#: ``ok`` replies whose result does not build.
+BAD_OK_REPLIES = {
+    "no-result": {"status": "ok"},
+    "no-method": {"status": "ok", "result": {"cost": 1}},
+    "result-not-an-object": {"status": "ok", "result": [1, 2]},
+}
+
+
+class TestBadOkReplies:
+    @pytest.mark.parametrize("route", ["service", "cluster"])
+    @pytest.mark.parametrize("reply", BAD_OK_REPLIES.values(),
+                             ids=BAD_OK_REPLIES)
+    def test_is_a_service_error_naming_the_result(self, tmp_path, request_,
+                                                  route, reply):
+        fake = FakeServer(tmp_path, answering(reply))
+        client = client_of(route, fake)
+        try:
+            with pytest.raises(ServiceError, match="bad result"):
+                client.submit(request_)
+        finally:
+            client.close()
+            fake.close()
+
+    def test_router_cache_stores_no_result_that_does_not_build(
+            self, tmp_path, request_):
+        # What the disk and peer tiers refuse, the router's request cache
+        # never stores: each identical submit reaches the node again.
+        handler = answering({"status": "ok", "result": {"cost": 1.0}})
+        fake = FakeServer(tmp_path, handler)
+        client = client_of("cluster", fake)
+        try:
+            for _ in range(2):
+                with pytest.raises(ServiceError, match="bad result"):
+                    client.submit(request_)
+        finally:
+            client.close()
+            fake.close()
+        assert handler.answered == 2
+        assert client.counters["router_cache_refusals"] == 2
+        assert client.counters["router_cache_hits"] == 0
+        assert len(client.cache) == 0
 
 
 class TestReconnect:

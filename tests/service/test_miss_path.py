@@ -19,7 +19,7 @@ from repro import api
 from repro.api import InductionRequest
 from repro.core import ScheduleCache, result_to_payload
 from repro.core import cache as cache_mod
-from repro.core.cache import cache_entry
+from repro.core.cache import encode_entry
 from repro.obs import MemoryTracer
 from repro.obs.metrics import MetricsRegistry
 from repro.service import Endpoint, InductionServer, ServerConfig, protocol
@@ -159,7 +159,7 @@ class TestWorkerReply:
             ("observe", "search_nodes_per_second")]
         assert all(type(call) is tuple for call in obs["metrics"])
         entry = json.loads(result.text)
-        assert entry == json.loads(json.dumps(cache_entry(entry)))
+        assert entry == json.loads(encode_entry(entry)[0])
         assert "obs" not in entry and "wall_s" not in entry
 
     def test_absorb_obs_replays_and_strips_the_freight(self):
@@ -182,6 +182,6 @@ class TestWorkerReply:
                                True)):
             value = protocol.ResultText.encode({**payload, **extra})
             cache = ScheduleCache()
-            assert cache.put("f" * 64, value.flags,
-                             text=value.text) is stored
+            assert cache.put("f" * 64, value.flags, text=value.text) == \
+                (value.text if stored else None)
             assert (cache.get_text("f" * 64) == value.text) is stored

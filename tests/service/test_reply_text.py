@@ -19,7 +19,7 @@ import pytest
 from repro import api
 from repro.api import InductionRequest
 from repro.core import ScheduleCache, result_to_payload
-from repro.core.cache import cache_entry
+from repro.core.cache import encode_entry
 from repro.obs import MemoryTracer, span
 from repro.service import Endpoint, InductionServer, ServerConfig, protocol
 from repro.service.workers import degraded_result
@@ -111,7 +111,7 @@ class TestResultText:
         payload = {"cost": 2.0, "degraded": True, "obs": {"spans": []},
                    "retries": 1, "wall_s": 0.1, "cache_hit": False}
         value = protocol.ResultText.encode(payload, disposition="miss")
-        assert json.loads(value.text) == cache_entry(payload)
+        assert json.loads(value.text) == {"cost": 2.0, "degraded": True}
         assert value.fields == {"obs": {"spans": []}, "retries": 1,
                                 "wall_s": 0.1, "cache_hit": False,
                                 "disposition": "miss"}
@@ -141,8 +141,8 @@ class TestServerReplies:
                                 deduped=False, disposition="miss")["result"]
         # The stored entry is the local result's payload, minus only the
         # fields that belong to one request.
-        local = cache_entry(result_to_payload(api.induce(
-            InductionRequest(region=REGION, budget=10_000))))
+        local = json.loads(encode_entry(result_to_payload(api.induce(
+            InductionRequest(region=REGION, budget=10_000))))[0])
         assert set(entry) == set(local)
         assert (entry["cost"], entry["schedule"]) == \
             (local["cost"], json.loads(json.dumps(local["schedule"])))
