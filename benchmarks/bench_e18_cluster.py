@@ -18,10 +18,12 @@ Phases:
 
 - **1 node behind the router** vs **3 nodes behind the router** on the
   same workload (same code path, so the ratio isolates sharding);
-- **chaos**: warm 3-node cluster with replicated caches, kill one node
-  mid-run, and require zero lost requests with p99 within 3x of the
-  healthy run (failovers land on the replica that already holds the
-  schedule).
+- **chaos**: warm 3-node cluster, kill one node mid-run, and require
+  zero lost requests with p99 within 3x of the healthy run.  Each node's
+  remote cache tier calls only a fingerprint's ring owner, so the node
+  that inherits the dead owner's arc holds none of its schedules and
+  recomputes each once.  The router's request cache, which in a default
+  deployment answers repeats during an outage, is off in every phase.
 
 Acceptance criteria: 3-node throughput >= 2x single-node (and >= 0.5x the
 committed reference in ``BENCH_cluster.json``); chaos run completes with
@@ -141,14 +143,14 @@ def _p99(latencies):
 def _throughput_phase(nodes: int, requests_from=None):
     """Run the interleaved workload on an ``nodes``-node cluster.
 
-    ``replication=1`` keeps each schedule on its owner only, so cache
-    pressure per node is exactly its owned shard — the fixed-node-spec
-    premise of the scale-out claim.  The router's request cache is off
-    in every phase: it would answer each repeat at the front door, so
-    no repeat would ever reach the node caches this experiment measures.
+    A routed schedule stays on its owner only, so cache pressure per node
+    is exactly its owned shard — the fixed-node-spec premise of the
+    scale-out claim.  The router's request cache is off in every phase:
+    it would answer each repeat at the front door, so no repeat would
+    ever reach the node caches this experiment measures.
     """
     with LocalCluster(nodes=nodes, cache_capacity=CAPACITY,
-                      replication=1, request_cache_size=0) as cluster:
+                      request_cache_size=0) as cluster:
         requests = requests_from(cluster) if requests_from else \
             _pick_balanced(cluster, PER_NODE)
         wall, latencies, failed = _run_workload(
@@ -162,31 +164,31 @@ def _throughput_phase(nodes: int, requests_from=None):
 
 
 def _chaos_phase(requests, healthy_p99: float):
-    """Warm a replicated 3-node cluster, kill one node mid-run."""
-    with LocalCluster(nodes=NODES, cache_capacity=64, replication=2,
+    """Warm a 3-node cluster, kill one node mid-run: the node inheriting
+    the dead owner's arc recomputes each of its schedules once."""
+    with LocalCluster(nodes=NODES, cache_capacity=64,
                       retry=RetryPolicy(attempts=4, backoff_s=0.02),
                       mark_down_after=2, request_cache_size=0) as cluster:
         # Re-shard the request set for THIS cluster's ring (node names are
-        # per-run); ownership balance does not matter here, replication does.
+        # per-run); ownership balance does not matter here.
         client = cluster.client()
         for request in requests:
             client.submit(request)
 
-        # Cross-node cache tier check: a node that is neither owner nor
-        # replica of requests[0] must local-miss and remote-hit.
+        # Cross-node cache tier check: a node that does not own
+        # requests[0] must local-miss and remote-hit its owner.
         ring = HashRing(cluster.config.node_names,
                         vnodes=cluster.config.vnodes)
-        owners = ring.preference(requests[0].fingerprint(), count=2)
-        outsider = next(i for i, e in enumerate(cluster.endpoints)
-                        if str(e) not in owners)
-        cluster.node_client(outsider).submit(requests[0])
+        owner = ring.node_for(requests[0].fingerprint())
+        names = [str(e) for e in cluster.endpoints]
+        cluster.node_client((names.index(owner) + 1) % NODES).submit(
+            requests[0])
         remote_hits = sum(
             s.get("cache_remote_hits", 0) for s in cluster.node_stats())
 
         # Kill the node owning requests[0] one third into the run, while
         # requests are flowing.
-        victim = next(i for i, e in enumerate(cluster.endpoints)
-                      if str(e) == owners[0])
+        victim = names.index(owner)
         total = len(requests) * REPEATS
         kill_at = max(1, total // 3)
 

@@ -112,8 +112,8 @@ class InductionRequest:
     vn: str = "off"
     cache: ScheduleCache | None = None
     tracer: Tracer | None = None
-    #: Opaque routing metadata attached by the cluster front door (replica
-    #: index, attempt count, router identity).  Rides the wire as an extra
+    #: Opaque routing metadata attached by the cluster front door (node,
+    #: attempt count, router identity).  Rides the wire as an extra
     #: key that pre-cluster servers simply ignore; excluded from
     #: :meth:`fingerprint` so a rerouted retry still dedups and cache-hits
     #: against the original request.
@@ -198,7 +198,7 @@ def induce(request: InductionRequest, client=None,
 
     ``cluster`` may be a :class:`repro.cluster.ClusterConfig` or a live
     :class:`repro.cluster.ClusterClient`; the request is then routed by
-    fingerprint across the cluster's nodes with replica failover.
+    fingerprint across the cluster's nodes with failover.
     """
     if not isinstance(request, InductionRequest):
         raise TypeError(

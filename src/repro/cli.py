@@ -294,7 +294,6 @@ def _cluster_config(args):
     try:
         return ClusterConfig(
             endpoints=tuple(args.peers),
-            replication=args.replication,
             retry=RetryPolicy(attempts=args.retries),
             probe_interval_s=args.probe_interval,
             mark_down_after=args.mark_down_after,
@@ -326,8 +325,7 @@ def _cmd_cluster_serve(args) -> int:
                      allow_chaos=args.allow_chaos),
         cache=cache)
     print(f"cluster node listening on {server.endpoint} "
-          f"(peers={len(config.endpoints)}, "
-          f"replication={config.replication})", flush=True)
+          f"(peers={len(config.endpoints)})", flush=True)
     try:
         while not server.wait_stopped(0.5):
             pass
@@ -802,8 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
                         required=True, metavar="ENDPOINT",
                         help="every node endpoint in the cluster, in any "
                              "order (the ring is derived from the set)")
-        cp.add_argument("--replication", type=int, default=2,
-                        help="ring owners holding each schedule")
         cp.add_argument("--retries", type=int, default=3,
                         help="total forward attempts per request")
         cp.add_argument("--probe-interval", type=float, default=1.0,

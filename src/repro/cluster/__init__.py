@@ -9,13 +9,14 @@ daemon; this package makes it a *cluster* of them.  The pieces, bottom-up:
   deterministic across runs and ``REPRO_SEED`` settings by construction;
 - :mod:`repro.cluster.membership`  — health-checked node table: heartbeat
   probes, mark-down after consecutive failures, explicit draining;
-- :mod:`repro.cluster.remotecache` — the cluster as a third cache tier
-  under each node's :class:`~repro.core.cache.ScheduleCache`, with
-  replicated pushes to the ring's failover owners, so schedules induced
-  anywhere hit everywhere;
+- :mod:`repro.cluster.remotecache` — the fingerprint's ring owner as a
+  third cache tier under each node's
+  :class:`~repro.core.cache.ScheduleCache`: a non-owner reads through to
+  it and writes through to it, so schedules induced anywhere hit
+  everywhere;
 - :mod:`repro.cluster.router`      — the front door: routes by ring,
   dedups in-flight duplicates cluster-wide, retries with backoff on the
-  next replica when a node dies.  :class:`ClusterRouter` is the daemon
+  next node when a node dies.  :class:`ClusterRouter` is the daemon
   form (``repro cluster route``); :class:`ClusterClient` the in-process
   form behind :func:`repro.api.induce(cluster=...)`;
 - :mod:`repro.cluster.local`       — a whole cluster in one process over

@@ -1,4 +1,4 @@
-"""Cluster-level configuration values: seeds, replication, retry policy.
+"""Cluster-level configuration values: seeds, ring, retry policy.
 
 A :class:`ClusterConfig` is to a cluster what an
 :class:`~repro.service.endpoint.Endpoint` is to one node: the single typed
@@ -30,9 +30,9 @@ class RetryPolicy:
     """How the router retries a request when a node fails mid-flight.
 
     ``attempts`` bounds the total tries (first + retries); each retry
-    targets the *next* replica in the fingerprint's preference order, with
+    targets the *next* node in the fingerprint's preference order, with
     exponential backoff starting at ``backoff_s`` and capped at one second.
-    A reply with status ``busy`` also advances to the next replica
+    A reply with status ``busy`` also advances to the next node
     (shedding is per-node), but without backoff — the next node is idle or
     it isn't.
     """
@@ -53,15 +53,12 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Everything a router or cluster client needs to know about a cluster."""
+    """Everything a router or cluster client needs to know about a cluster.
+    No field places schedules: each lives on its fingerprint's ring owner."""
 
     #: Seed endpoints of the induction nodes (``Endpoint`` values or their
     #: URL string forms; strings are parsed on construction).
     endpoints: tuple[Endpoint, ...] = ()
-    #: How many nodes (owner first) hold each fingerprint's schedule: the
-    #: remote cache tier pushes finished schedules to this many owners, so
-    #: a failover target usually already has the schedule locally.
-    replication: int = 2
     #: Virtual nodes per physical node on the hash ring.
     vnodes: int = 64
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -82,9 +79,6 @@ class ClusterConfig:
         object.__setattr__(self, "endpoints", endpoints)
         if len(set(endpoints)) != len(endpoints):
             raise ValueError("duplicate endpoints in cluster config")
-        if self.replication < 1:
-            raise ValueError(
-                f"replication must be >= 1, got {self.replication}")
         if self.vnodes < 1:
             raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
         if self.probe_interval_s <= 0:

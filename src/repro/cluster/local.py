@@ -43,7 +43,6 @@ class LocalCluster:
     def __init__(self, nodes: int = 3,
                  cache_capacity: int = 64,
                  workers: int = 1,
-                 replication: int = 2,
                  allow_chaos: bool = True,
                  default_deadline_s: float | None = None,
                  retry: RetryPolicy | None = None,
@@ -59,7 +58,6 @@ class LocalCluster:
                      for i in range(nodes)]
         self.config = ClusterConfig(
             endpoints=tuple(endpoints),
-            replication=replication,
             retry=retry or RetryPolicy(),
             mark_down_after=mark_down_after,
             request_cache_size=request_cache_size,

@@ -2,33 +2,30 @@
 
 :class:`RemoteScheduleCache` wraps a node's local
 :class:`~repro.core.cache.ScheduleCache` with a third tier of lookup: the
-*other nodes' caches*, consulted in the fingerprint's ring preference
-order.  Because entries are content-addressed, a peer's entry for a
-fingerprint is exactly the entry this node would have computed, and it
-costs one framed round-trip instead of an induction.  It crosses a trust
-boundary all the same, so it is checked once
-(:func:`~repro.core.cache.check_entry`); one that fails — a peer of
-another version sends none — is a counted miss.
-
-Placement mirrors routing: :meth:`put` pushes the stored entry to the
-fingerprint's first ``replication`` ring owners, the same nodes a router
-failover would try next, so the node that inherits a dead owner's arc
-usually already holds its entries locally.  A put pushes the text the
-local tier stored: a server's miss brings it, encoded no more.
+fingerprint's ring owner (:meth:`~repro.cluster.ring.HashRing.node_for`),
+the only peer the tier ever calls.  An owner calls no peer, so a routed
+miss crosses no node but its owner.  A node serving a fingerprint it does
+not own (a bounded-load spill, a failover, a direct client) reads through
+to the owner on a local miss and writes the text its local tier stored
+through to the owner on a put.  Entries are content-addressed, so the
+owner's entry is exactly what this node would have computed; it crosses
+a trust boundary all the same, so it is checked once
+(:func:`~repro.core.cache.check_entry`), and one that fails is a counted
+miss.  A node that inherits a dead owner's arc recomputes each entry once.
 
 Peer reads use a tight :data:`PEER_TIMEOUT_S` and swallow every transport
 error into a miss — a dead peer must degrade a lookup, never stall or
 fail an induction.  One client per peer keeps its connections open
 across lookups; :meth:`RemoteScheduleCache.close` closes them.  Counters
 land in the *local* cache's counter set
-(``remote_hits``/``remote_misses``/``remote_errors``/``remote_stores``),
-so they surface through the server's existing ``cache_*`` stats without
-any new plumbing.
+(``remote_hits``/``remote_misses``/``remote_errors``/``remote_stores``;
+a ``remote_misses`` lookup asked the owner), so they surface through the
+server's ``cache_*`` stats.
 
 The server takes an entry's text (:meth:`get_text`), as it does from a
 plain :class:`~repro.core.cache.ScheduleCache`: local text as stored, and
-a peer's entry, once checked, encoded once into the text the local tier
-adopts.
+the owner's entry, once checked, encoded once into the text the local
+tier adopts.
 
 The server's peer ops (``cache_get``/``cache_put``) call
 :meth:`get_local`/:meth:`put_local`, which never touch the network: peer
@@ -56,7 +53,7 @@ class RemoteScheduleCache:
     Drop-in for ``ScheduleCache`` where the server uses one (``get`` /
     ``get_text`` / ``put`` / ``counters`` / ``hit_rate`` / ``len``);
     ``self_name`` is this node's own ring name (its canonical endpoint
-    string) so lookups skip the node that just missed locally.
+    string), so it knows the fingerprints it owns.
     """
 
     def __init__(self, local: ScheduleCache, config: ClusterConfig,
@@ -98,40 +95,47 @@ class RemoteScheduleCache:
         return None if text is None else json.loads(text)
 
     def get_text(self, fingerprint: str) -> str | None:
-        """Local tiers first, then the fingerprint's ring owners."""
+        """Local tiers first; then, on a non-owner, the owner's entry."""
         found = self.local.get_text(fingerprint)
         if found is not None:
             return found
-        for peer in self._peers_for(fingerprint):
-            entry = self._peer_get(peer, fingerprint)
-            if entry is None:
-                continue
+        owner = self._owner_peer(fingerprint)
+        if owner is None:
+            return None
+        try:
+            entry = self._client_for(owner).cache_get(fingerprint)
+        except Exception:  # noqa: BLE001 - a dead owner is a miss
+            self.counters.bump("remote_errors")
+            entry = None
+        if entry is not None:
             try:
                 check_entry(entry)
             except ValueError:
                 self.counters.bump("remote_errors")
-                continue
-            # Adopt the entry locally so the next lookup is a memory hit.
-            text, _own = encode_entry(entry)
-            self.local.put(fingerprint, entry, text=text)
-            self.counters.bump("remote_hits")
-            return text
-        self.counters.bump("remote_misses")
-        return None
+                entry = None
+        if entry is None:
+            self.counters.bump("remote_misses")
+            return None
+        # Adopt the entry locally so the next lookup is a memory hit.
+        text, _own = encode_entry(entry)
+        self.local.put(fingerprint, entry, text=text)
+        self.counters.bump("remote_hits")
+        return text
 
     def put(self, fingerprint: str, payload: Mapping[str, Any],
             text: str | None = None) -> str | None:
-        """Store locally and push the stored text to the fingerprint's
-        replica owners; nothing the store rule refuses leaves the node."""
+        """Store locally and, on a non-owner, push the stored text to the
+        owner; nothing the store rule refuses leaves the node."""
         text = self.local.put(fingerprint, payload, text=text)
         if text is None:
             return None
-        entry = ResultText(text)
-        for peer in self._peers_for(fingerprint):
+        owner = self._owner_peer(fingerprint)
+        if owner is not None:
             try:
-                self._client_for(peer).cache_put(fingerprint, entry)
+                self._client_for(owner).cache_put(fingerprint,
+                                                  ResultText(text))
                 self.counters.bump("remote_stores")
-            except Exception:  # noqa: BLE001 - replication is best-effort
+            except Exception:  # noqa: BLE001 - the push is best-effort
                 self.counters.bump("remote_errors")
         return text
 
@@ -166,14 +170,7 @@ class RemoteScheduleCache:
                     self.config.endpoint_named(peer))
             return client
 
-    def _peers_for(self, fingerprint: str) -> list[str]:
-        """The fingerprint's replica owners, excluding this node."""
-        order = self.ring.preference(fingerprint, count=self.config.replication)
-        return [name for name in order if name != self.self_name]
-
-    def _peer_get(self, peer: str, fingerprint: str) -> dict | None:
-        try:
-            return self._client_for(peer).cache_get(fingerprint)
-        except Exception:  # noqa: BLE001 - dead peer == miss
-            self.counters.bump("remote_errors")
-            return None
+    def _owner_peer(self, fingerprint: str) -> str | None:
+        """The fingerprint's ring owner, or None when that is this node."""
+        owner = self.ring.node_for(fingerprint)
+        return None if owner == self.self_name else owner

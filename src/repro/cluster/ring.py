@@ -83,9 +83,8 @@ class HashRing:
         """Distinct nodes in ring order starting at the owner.
 
         The first entry is :meth:`node_for`; subsequent entries are the
-        failover/replica order — the nodes that inherit the fingerprint's
-        arc if earlier ones leave, so replicated cache pushes land exactly
-        where a failover would look.
+        failover order — the nodes that inherit the fingerprint's arc if
+        earlier ones leave.
         """
         if not self.nodes:
             raise LookupError("empty hash ring")

@@ -3,7 +3,7 @@
 :class:`ClusterForwarder` is the routing core: given a submit, it computes
 the request fingerprint, picks a node with the consistent-hash ring
 (bounded-load, §ring), forwards the wire frame, and on node failure
-retries the *next* replica in the fingerprint's preference order with
+retries the *next* node in the fingerprint's preference order with
 exponential backoff.  Duplicate submits that arrive while a fingerprint is
 already in flight — the common case for interpreter workloads — do not
 fan out: they join the in-flight route and share its reply, through the
@@ -42,7 +42,7 @@ Two skins over the core:
 
 Failure handling is per-attempt, not per-request: a dead socket is a
 membership strike (three strikes → node marked down, ring rebuilt) and an
-immediate failover; a ``busy`` shed advances to the next replica without
+immediate failover; a ``busy`` shed advances to the next node without
 backoff (the next node is idle or it isn't); an ``error`` reply is
 returned as-is (malformed requests are deterministic — retrying them
 elsewhere just spreads the error).  Every hop lands in per-node counters
@@ -83,7 +83,6 @@ from repro.obs import (
     Tracer,
     attach_context,
     current_context,
-    replay_events,
     span,
 )
 from repro.obs.flightrec import FlightRecorder
@@ -94,7 +93,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.slo import SLOTracker
 from repro.service import protocol
-from repro.service.client import ServiceError, read_reply
+from repro.service.client import ServiceError, read_reply, replay_obs
 from repro.service.daemon import (
     Connections,
     SingleFlight,
@@ -338,12 +337,12 @@ class ClusterForwarder:
                 hop["trace_ctx"] = att.context()
                 try:
                     reply = self._roundtrip(node, hop)
+                    self._absorb_node_obs(reply, tee)
                 except (OSError, protocol.ProtocolError,
                         ServiceError) as exc:
                     error = exc
                     att.set(status="failover", error=str(exc)[:120])
                 else:
-                    self._absorb_node_obs(reply, tee)
                     att.set(status=str(reply.get("status")))
             if error is not None:
                 last_error = f"{node}: {error}"
@@ -364,7 +363,7 @@ class ClusterForwarder:
                 continue
             status = reply.get("status")
             if status == "busy":
-                # Shedding is per-node; the next replica may be idle.  No
+                # Shedding is per-node; the next node may be idle.  No
                 # backoff — but it *is* a strike against nobody: a busy
                 # node is alive.
                 last_busy = reply
@@ -389,12 +388,13 @@ class ClusterForwarder:
 
     @staticmethod
     def _absorb_node_obs(reply: dict, tee: Tracer) -> None:
-        """Pop a node reply's obs payload into the route's span stream."""
+        """Pop a node reply's obs payload into the route's span stream; a
+        malformed one raises :class:`ServiceError` (a failed attempt)."""
         result = reply.get("result")
         if isinstance(result, dict):
             obs = result.pop("obs", None)
             if obs:
-                replay_events(obs.get("spans") or [], tee)
+                replay_obs(obs, tee)
 
     def _roundtrip(self, node: str, message: Mapping[str, Any]) -> dict:
         """One exchange with ``node`` over a kept-alive connection.

@@ -289,9 +289,9 @@ def _check_cluster(case: FuzzCase, cluster) -> list[OracleFailure]:
     """Cluster round-trip: route → induce must equal a local single run.
 
     The whole routed path — fingerprint routing, forwarding, the node's
-    dedup/worker/cache, the replica push — must be invisible to the
-    caller: same slots, same cost, never degraded.  ``cluster`` is a live
-    :class:`repro.cluster.LocalCluster` owned by the run loop.
+    dedup/worker/cache, a non-owner's read of the owner — must be invisible
+    to the caller: same slots, same cost, never degraded.  ``cluster`` is a
+    live :class:`repro.cluster.LocalCluster` owned by the run loop.
     """
     from repro.api import InductionRequest
 

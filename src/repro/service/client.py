@@ -29,7 +29,8 @@ from repro.obs import Tracer, replay_events, span
 from repro.service import protocol
 from repro.service.endpoint import Endpoint
 
-__all__ = ["ServiceBusy", "ServiceClient", "ServiceError", "read_reply"]
+__all__ = ["ServiceBusy", "ServiceClient", "ServiceError", "read_reply",
+           "replay_obs"]
 
 
 class ServiceError(RuntimeError):
@@ -38,6 +39,19 @@ class ServiceError(RuntimeError):
 
 class ServiceBusy(ServiceError):
     """Admission control shed the request (queue full or shutting down)."""
+
+
+def replay_obs(obs: Any, tracer: Tracer) -> None:
+    """Replay a reply's ``obs`` freight (a daemon's span records) into
+    ``tracer``; unless it is an object whose ``spans`` is a list of objects
+    with string keys, replay nothing and raise :class:`ServiceError`."""
+    spans = obs.get("spans") if isinstance(obs, dict) else None
+    if not isinstance(spans, list) or not all(
+            isinstance(record, dict)
+            and all(isinstance(key, str) for key in record)
+            for record in spans):
+        raise ServiceError(f"reply with a bad obs freight: {obs!r:.200}")
+    replay_events(spans, tracer)
 
 
 def read_reply(reply: Mapping[str, Any],
@@ -50,7 +64,7 @@ def read_reply(reply: Mapping[str, Any],
     :class:`~repro.service.protocol.ResultText` (an in-process router's
     reply) is decoded as a receiver would.  The result's ``obs`` field —
     the server-side span records of a traced request — is dropped, and
-    replayed into ``tracer`` when it is enabled.
+    replayed into ``tracer`` when it is enabled (:func:`replay_obs`).
     """
     status = reply.get("status")
     if status == "busy":
@@ -62,7 +76,7 @@ def read_reply(reply: Mapping[str, Any],
     if isinstance(payload, dict):
         obs = payload.pop("obs", None)
         if obs and tracer is not None and tracer.enabled:
-            replay_events(obs.get("spans") or [], tracer)
+            replay_obs(obs, tracer)
     try:
         return result_from_payload(payload)
     except ValueError as exc:

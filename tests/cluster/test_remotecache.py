@@ -1,9 +1,11 @@
-"""Remote cache tier tests with stubbed peer clients (no sockets).
+"""Remote cache tier tests, mostly with stubbed peer clients (no sockets).
 
 The stub client exposes exactly the two peer ops the tier uses
 (``cache_get``/``cache_put``, one cache entry each way) backed by plain
-dicts, so hit adoption, replication pushes, the boundary check and
-dead-peer degradation are all deterministic.
+dicts, so hit adoption, the owner rule (a non-owner reads and writes
+through to the fingerprint's ring owner, an owner calls no peer), the
+boundary check and dead-peer degradation are all deterministic.
+:class:`TestOwnerRule` checks the same rule on a live 3-node cluster.
 """
 
 import json
@@ -11,7 +13,9 @@ import json
 import pytest
 
 from repro import api
-from repro.cluster import ClusterConfig, RemoteScheduleCache
+from repro.cluster import (
+    ClusterConfig, HashRing, LocalCluster, RemoteScheduleCache,
+)
 from repro.core import maspar_cost_model, parse_region, result_to_payload
 from repro.core.cache import ScheduleCache, encode_entry, region_fingerprint
 from repro.core.search import SearchStats
@@ -54,7 +58,7 @@ class StubPeer:
 
 @pytest.fixture
 def cluster():
-    config = ClusterConfig(endpoints=ENDPOINTS, replication=2)
+    config = ClusterConfig(endpoints=ENDPOINTS)
     peers = {str(e): StubPeer() for e in ENDPOINTS}
     return config, peers
 
@@ -74,8 +78,15 @@ def make_cache(config, peers, self_name, capacity=8):
         client_factory=lambda endpoint: peers[str(endpoint)])
 
 
-def owners(cache, fingerprint):
-    return cache.ring.preference(fingerprint, count=cache.config.replication)
+def owner_of(config, fingerprint):
+    """The fingerprint's ring owner: the one peer the tier ever calls."""
+    return HashRing(config.node_names,
+                    vnodes=config.vnodes).node_for(fingerprint)
+
+
+def non_owner_of(config, fingerprint):
+    owner = owner_of(config, fingerprint)
+    return next(n for n in config.node_names if n != owner)
 
 
 def entry_of(payload):
@@ -113,11 +124,9 @@ class TestGet:
     def test_local_miss_then_peer_hit_is_adopted(self, cluster, induced):
         config, peers = cluster
         fp, payload = induced
-        owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = entry_of(payload)
+        peers[owner_of(config, fp)].store[fp] = entry_of(payload)
 
-        me = next(n for n in config.node_names if n != owner)
-        cache = make_cache(config, peers, me)
+        cache = make_cache(config, peers, non_owner_of(config, fp))
         found = cache.get(fp)
         assert found == entry_of(payload)
         assert cache.counters["remote_hits"] == 1
@@ -129,16 +138,12 @@ class TestGet:
     def test_stats_survive_the_peer_roundtrip(self, cluster, induced):
         config, peers = cluster
         fp, payload = induced
-        owner_cache = make_cache(config, peers, owners(
-            make_cache(config, peers, ""), fp)[0])
-        owner_cache.put(fp, payload)
-
-        outsider = next(n for n in config.node_names
-                        if n not in owners(owner_cache, fp))
-        # The outsider is not a replica owner, so its peers DO include the
-        # owner that just stored: the lookup crosses the cluster.
-        cache = make_cache(config, peers, outsider)
-        found = cache.get(fp)
+        # One non-owner's put writes through to the owner; the other
+        # non-owner's lookup reads it back from there.
+        writer, reader = (n for n in config.node_names
+                          if n != owner_of(config, fp))
+        make_cache(config, peers, writer).put(fp, payload)
+        found = make_cache(config, peers, reader).get(fp)
         assert found is not None
         assert [SearchStats(**s) for s in found["stats"]] == \
             [SearchStats(**s) for s in payload["stats"]]
@@ -146,16 +151,26 @@ class TestGet:
 
     def test_all_peers_miss_counts_remote_miss(self, cluster):
         config, peers = cluster
-        cache = make_cache(config, peers, config.node_names[0])
+        cache = make_cache(config, peers, non_owner_of(config, "0" * 64))
         assert cache.get("0" * 64) is None
         assert cache.counters["remote_misses"] == 1
+
+    def test_an_owners_local_miss_asks_no_peer(self, cluster, induced):
+        config, peers = cluster
+        fp, payload = induced
+        for peer in peers.values():
+            peer.store[fp] = entry_of(payload)
+        cache = make_cache(config, peers, owner_of(config, fp))
+        assert cache.get(fp) is None
+        assert sum(p.gets for p in peers.values()) == 0
+        assert cache.counters["remote_misses"] == 0
 
     def test_dead_peer_degrades_to_miss(self, cluster, induced):
         config, peers = cluster
         fp, _ = induced
         for peer in peers.values():
             peer.fail = True
-        cache = make_cache(config, peers, config.node_names[0])
+        cache = make_cache(config, peers, non_owner_of(config, fp))
         assert cache.get(fp) is None
         assert cache.counters["remote_errors"] >= 1
         assert cache.counters["remote_misses"] == 1
@@ -163,10 +178,8 @@ class TestGet:
     def test_garbage_payload_is_an_error_not_a_crash(self, cluster, induced):
         config, peers = cluster
         fp, _ = induced
-        owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = "not-an-entry"
-        me = next(n for n in config.node_names if n != owner)
-        cache = make_cache(config, peers, me)
+        peers[owner_of(config, fp)].store[fp] = "not-an-entry"
+        cache = make_cache(config, peers, non_owner_of(config, fp))
         assert cache.get(fp) is None
         assert cache.counters["remote_errors"] >= 1
 
@@ -175,10 +188,8 @@ class TestGet:
                                                   malform):
         config, peers = cluster
         fp, payload = induced
-        owner = owners(make_cache(config, peers, ""), fp)[0]
-        peers[owner].store[fp] = malform(entry_of(payload))
-        me = next(n for n in config.node_names if n != owner)
-        cache = make_cache(config, peers, me)
+        peers[owner_of(config, fp)].store[fp] = malform(entry_of(payload))
+        cache = make_cache(config, peers, non_owner_of(config, fp))
         assert cache.get(fp) is None
         assert cache.counters["remote_errors"] == 1
         assert cache.counters["remote_misses"] == 1
@@ -186,37 +197,32 @@ class TestGet:
 
 
 class TestPut:
-    def test_put_pushes_to_replica_owners_excluding_self(self, cluster,
-                                                         induced):
+    def test_an_owners_put_pushes_nowhere(self, cluster, induced):
         config, peers = cluster
         fp, payload = induced
-        reference = make_cache(config, peers, "")
-        replica_owners = owners(reference, fp)
-        me = replica_owners[0]
-        cache = make_cache(config, peers, me)
+        cache = make_cache(config, peers, owner_of(config, fp))
         assert cache.put(fp, payload)
-        # Local copy plus a push to the OTHER replica owner, nobody else.
         assert cache.get_local(fp) is not None
-        pushed = [n for n, p in peers.items() if fp in p.store]
-        assert pushed == [replica_owners[1]]
-        assert protocol.decode_result(peers[replica_owners[1]].store[fp]) \
-            == entry_of(payload)
-        assert cache.counters["remote_stores"] == 1
+        assert sum(p.puts for p in peers.values()) == 0
+        assert cache.counters["remote_stores"] == 0
 
-    def test_put_with_text_pushes_that_text(self, cluster, induced):
+    def test_a_non_owners_put_pushes_its_text_to_the_owner_only(
+            self, cluster, induced):
         # A server's miss brings the text its worker encoded: the push
         # splices it into the peer frame, and nothing encodes it again.
         config, peers = cluster
         fp, payload = induced
-        replica_owners = owners(make_cache(config, peers, ""), fp)
-        cache = make_cache(config, peers, replica_owners[0])
+        owner = owner_of(config, fp)
+        cache = make_cache(config, peers, non_owner_of(config, fp))
         value = protocol.ResultText.encode(payload)
         assert cache.put(fp, value.flags, text=value.text)
         assert cache.get_local(fp) == value.text
-        pushed = peers[replica_owners[1]].store[fp]
+        assert [n for n, p in peers.items() if p.puts] == [owner]
+        pushed = peers[owner].store[fp]
         assert isinstance(pushed, protocol.ResultText)
         assert pushed.text == value.text and not pushed.fields
         assert protocol.decode_result(pushed) == entry_of(payload)
+        assert cache.counters["remote_stores"] == 1
 
     def test_pushed_text_lands_in_a_real_peer(self, tmp_path, induced):
         from repro.service import InductionServer, ServerConfig, ServiceClient
@@ -233,13 +239,13 @@ class TestPut:
         finally:
             server.shutdown()
 
-    def test_put_with_dead_replica_still_stores_locally(self, cluster,
-                                                        induced):
+    def test_put_with_dead_owner_still_stores_locally(self, cluster,
+                                                      induced):
         config, peers = cluster
         fp, payload = induced
         for peer in peers.values():
             peer.fail = True
-        cache = make_cache(config, peers, config.node_names[0])
+        cache = make_cache(config, peers, non_owner_of(config, fp))
         cache.put(fp, payload)
         assert cache.get_local(fp) is not None
         assert cache.counters["remote_errors"] >= 1
@@ -278,3 +284,30 @@ class TestLocalOnlySurface:
         cache.put_local(fp, payload)
         assert len(cache) == 1
         assert 0.0 <= cache.hit_rate <= 1.0
+
+
+class TestOwnerRule:
+    """A live 3-node cluster: a routed miss lands on its owner, which
+    calls no peer, and a direct submit to a non-owner reads through."""
+
+    def test_a_routed_miss_calls_no_peer(self):
+        with LocalCluster(nodes=3, cache_capacity=16) as clu:
+            clu.client().submit(api.InductionRequest(REGION, budget=2_000))
+            stats = clu.node_stats()
+            for key in ("peer_cache_requests", "peer_cache_stores"):
+                assert [s.get(key, 0) for s in stats] == [0, 0, 0]
+
+    def test_both_non_owners_read_through_to_the_owner(self):
+        request = api.InductionRequest(REGION, budget=2_000)
+        with LocalCluster(nodes=3, cache_capacity=16) as clu:
+            clu.client().submit(request)
+            for index in range(3):
+                with clu.node_client(index) as client:
+                    assert not client.submit(request).degraded
+            owner = owner_of(clu.config, request.fingerprint())
+            stats = dict(zip(clu.config.node_names, clu.node_stats()))
+            assert sum(s.get("cache_remote_hits", 0)
+                       for s in stats.values()) == 2
+            assert {name: s.get("peer_cache_served", 0)
+                    for name, s in stats.items()} == {
+                name: 2 if name == owner else 0 for name in stats}

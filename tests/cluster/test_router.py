@@ -120,7 +120,7 @@ class TestFailover:
     def test_kill_owner_fails_over_to_replica(self):
         # Request cache off: the strike-out below depends on the same
         # fingerprint being *forwarded* repeatedly, not answered cached.
-        with LocalCluster(nodes=3, cache_capacity=16, replication=2,
+        with LocalCluster(nodes=3, cache_capacity=16,
                           retry=RetryPolicy(attempts=4, backoff_s=0.01),
                           mark_down_after=2, request_cache_size=0) as clu:
             req = request(4)

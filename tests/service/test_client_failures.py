@@ -14,12 +14,18 @@ import threading
 
 import pytest
 
+from repro import api
 from repro.api import InductionRequest
-from repro.cluster import ClusterClient, ClusterConfig
+from repro.cluster import (
+    ClusterClient, ClusterConfig, ClusterForwarder, RetryPolicy,
+)
+from repro.core import result_to_payload
+from repro.obs import MemoryTracer
 from repro.service import (
     Endpoint, InductionServer, ServerConfig, ServiceClient, ServiceError,
     protocol,
 )
+from repro.service.client import read_reply
 
 REGION = """
 thread 0:
@@ -217,6 +223,74 @@ class TestBadOkReplies:
         assert client.counters["router_cache_refusals"] == 2
         assert client.counters["router_cache_hits"] == 0
         assert len(client.cache) == 0
+
+
+#: ``obs`` freights that are not span records.
+BAD_OBS = {
+    "not-an-object": [1],
+    "span-not-an-object": {"spans": [1]},
+    "span-key-not-a-string": {"spans": [{1: 2}]},
+    "spans-not-a-list": {"spans": "ab"},
+}
+
+
+@pytest.fixture(scope="module")
+def payload():
+    return result_to_payload(api.induce(
+        InductionRequest(region=REGION, budget=5_000)))
+
+
+class TestBadObsFreight:
+    """A freight that is not span records is a ServiceError at a traced
+    client and a failed attempt at the router; an untraced client drops
+    it unread."""
+
+    @pytest.mark.parametrize("obs", BAD_OBS.values(), ids=BAD_OBS)
+    def test_a_traced_client_raises_a_service_error(self, payload, obs):
+        reply = {"status": "ok", "result": {**payload, "obs": obs}}
+        tracer = MemoryTracer()
+        with pytest.raises(ServiceError, match="bad obs freight"):
+            read_reply(reply, tracer)
+        assert tracer.events == []
+        assert read_reply(reply, None).cost == payload["cost"]
+
+    def test_over_the_wire(self, tmp_path, request_, payload):
+        fake = FakeServer(tmp_path, answering(
+            {"status": "ok", "result": {**payload, "obs": [1]}}))
+        try:
+            with ServiceClient(Endpoint.unix(fake.path), timeout=2.0) as c:
+                assert c.submit(request_).cost == payload["cost"]
+                with pytest.raises(ServiceError, match="bad obs freight"):
+                    c.submit(request_.replace(tracer=MemoryTracer()))
+        finally:
+            fake.close()
+
+    @pytest.mark.parametrize("obs", BAD_OBS.values(), ids=BAD_OBS)
+    def test_a_node_sending_one_fails_the_attempt(self, request_, payload,
+                                                  obs):
+        forwarder = ClusterForwarder(ClusterConfig(
+            endpoints=("unix:///nonexistent/n0.sock",
+                       "unix:///nonexistent/n1.sock"),
+            retry=RetryPolicy(attempts=2, backoff_s=0.0),
+            request_cache_size=0), start_probes=False)
+        nodes = []
+
+        def roundtrip(node, hop):
+            nodes.append(node)
+            result = {**payload, "obs": obs} if len(nodes) == 1 else payload
+            return {"status": "ok", "result": dict(result)}
+
+        forwarder._roundtrip = roundtrip
+        try:
+            reply = forwarder.submit_wire(protocol.request_to_wire(request_))
+        finally:
+            forwarder.close()
+        assert read_reply(reply, None).cost == payload["cost"]
+        assert len(set(nodes)) == 2
+        assert forwarder.counters["route_failovers"] == 1
+        (struck,) = [n for n in forwarder.membership.snapshot()
+                     if n["failures"]]
+        assert struck["endpoint"] == nodes[0] and struck["failures"] == 1
 
 
 class TestReconnect:
