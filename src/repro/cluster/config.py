@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 
 from repro.service.endpoint import Endpoint
 
-__all__ = ["ClusterConfig", "PEER_TIMEOUT_S", "RetryPolicy"]
+__all__ = ["ClusterConfig", "PEER_COOLDOWN_S", "PEER_TIMEOUT_S", "RetryPolicy"]
 
 #: Socket timeout for peer cache reads, membership probes and drains, kept
 #: tight: a dead peer's cache read must degrade to a miss, not stall an
 #: induction.
 PEER_TIMEOUT_S = 2.0
+
+#: How long a node's remote cache tier leaves a ring owner alone after a
+#: call to it raised: a dead owner then costs one failed call per
+#: cool-down, not two per miss on its arc.
+PEER_COOLDOWN_S = 5.0
 
 #: Ceiling on one retry's backoff.
 _BACKOFF_CAP_S = 1.0

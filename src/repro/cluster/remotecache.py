@@ -15,12 +15,16 @@ miss.  A node that inherits a dead owner's arc recomputes each entry once.
 
 Peer reads use a tight :data:`PEER_TIMEOUT_S` and swallow every transport
 error into a miss — a dead peer must degrade a lookup, never stall or
-fail an induction.  One client per peer keeps its connections open
+fail an induction.  The ring never learns that a node died, so a call
+that raises also leaves that owner alone for :data:`PEER_COOLDOWN_S`: in
+the meantime a lookup on its arc is a miss and a push to it is dropped,
+both counted as ``remote_skips``, and the first call after the cool-down
+tries the owner again.  One client per peer keeps its connections open
 across lookups; :meth:`RemoteScheduleCache.close` closes them.  Counters
 land in the *local* cache's counter set
-(``remote_hits``/``remote_misses``/``remote_errors``/``remote_stores``;
-a ``remote_misses`` lookup asked the owner), so they surface through the
-server's ``cache_*`` stats.
+(``remote_hits``/``remote_misses``/``remote_errors``/``remote_skips``/
+``remote_stores``; a ``remote_misses`` lookup asked the owner), so they
+surface through the server's ``cache_*`` stats.
 
 The server takes an entry's text (:meth:`get_text`), as it does from a
 plain :class:`~repro.core.cache.ScheduleCache`: local text as stored, and
@@ -37,9 +41,10 @@ from __future__ import annotations
 
 import json
 import threading
+from time import monotonic
 from typing import Any, Callable, Mapping
 
-from repro.cluster.config import PEER_TIMEOUT_S, ClusterConfig
+from repro.cluster.config import PEER_COOLDOWN_S, PEER_TIMEOUT_S, ClusterConfig
 from repro.cluster.ring import HashRing
 from repro.core.cache import ScheduleCache, check_entry, encode_entry
 from repro.service.protocol import ResultText
@@ -70,6 +75,8 @@ class RemoteScheduleCache:
                 endpoint, timeout=PEER_TIMEOUT_S)
         self._client_factory = client_factory
         self._clients: dict[str, object] = {}
+        #: Peer name -> the monotonic time until which it is not called.
+        self._cooling: dict[str, float] = {}
         self._clients_lock = threading.Lock()
 
     # -- ScheduleCache surface --------------------------------------------
@@ -102,10 +109,12 @@ class RemoteScheduleCache:
         owner = self._owner_peer(fingerprint)
         if owner is None:
             return None
+        if self._skip(owner):
+            return None
         try:
             entry = self._client_for(owner).cache_get(fingerprint)
         except Exception:  # noqa: BLE001 - a dead owner is a miss
-            self.counters.bump("remote_errors")
+            self._failed(owner)
             entry = None
         if entry is not None:
             try:
@@ -130,13 +139,13 @@ class RemoteScheduleCache:
         if text is None:
             return None
         owner = self._owner_peer(fingerprint)
-        if owner is not None:
+        if owner is not None and not self._skip(owner):
             try:
                 self._client_for(owner).cache_put(fingerprint,
                                                   ResultText(text))
                 self.counters.bump("remote_stores")
             except Exception:  # noqa: BLE001 - the push is best-effort
-                self.counters.bump("remote_errors")
+                self._failed(owner)
         return text
 
     # -- local-only surface (used by the server's peer ops) ----------------
@@ -169,6 +178,22 @@ class RemoteScheduleCache:
                 client = self._clients[peer] = self._client_factory(
                     self.config.endpoint_named(peer))
             return client
+
+    def _skip(self, peer: str) -> bool:
+        """True, counted as ``remote_skips``, while ``peer`` cools down."""
+        until = self._cooling.get(peer)
+        if until is None:
+            return False
+        if monotonic() < until:
+            self.counters.bump("remote_skips")
+            return True
+        self._cooling.pop(peer, None)
+        return False
+
+    def _failed(self, peer: str) -> None:
+        """Count a call to ``peer`` that raised and start its cool-down."""
+        self.counters.bump("remote_errors")
+        self._cooling[peer] = monotonic() + PEER_COOLDOWN_S
 
     def _owner_peer(self, fingerprint: str) -> str | None:
         """The fingerprint's ring owner, or None when that is this node."""

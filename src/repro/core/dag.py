@@ -33,6 +33,14 @@ all predecessors have), ready sets are identical with or without the
 redundant edges, and since every op cost is positive the remaining critical
 paths are identical too — the reduction only shrinks the masks the hot loop
 touches.  ``transitive_reduction=False`` restores the verbatim edge set.
+
+A thread's DAG depends on nothing but its :class:`ThreadCode`, and both
+are immutable, so :func:`build_dags` keeps the default (reduced,
+unchained) DAG on the ThreadCode object it was built from.  With the
+parser's block table (:func:`repro.core.ops.parse_region`) a handler body
+the process has seen is therefore dependence-analysed once, not once per
+request; every consumer of a request still reads one ``build_dags``
+result through its prepared region.
 """
 
 from __future__ import annotations
@@ -127,14 +135,9 @@ def _transitive_reduce(masks: list[int]) -> list[int]:
     return reduced
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bit positions of ``mask``, ascending."""
-    out: list[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+#: The attribute of a :class:`ThreadCode` that keeps its default DAG; it
+#: is no dataclass field, so equality, hashing and ``repr`` ignore it.
+_DAG_ATTR = "_default_dag"
 
 
 def _build_one(tc: ThreadCode, serialize: bool, reduce: bool = True) -> DependenceDAG:
@@ -142,37 +145,44 @@ def _build_one(tc: ThreadCode, serialize: bool, reduce: bool = True) -> Dependen
     if serialize:
         masks = [1 << (i - 1) if i else 0 for i in range(n)]
     else:
-        masks = [0] * n
-        last_write: dict[str, int] = {}
+        masks = []
+        last_write: dict[str, int] = {}            # sym -> its last writer's bit
         readers_since_write: dict[str, int] = {}   # sym -> mask of readers
-        for i, op in enumerate(tc.ops):
-            bit = 1 << i
+        bit = 1
+        for op in tc.ops:
             mask = 0
             for sym in op.reads:
-                if sym in last_write:          # flow dependence
-                    mask |= 1 << last_write[sym]
+                mask |= last_write.get(sym, 0)     # flow dependence
                 readers_since_write[sym] = readers_since_write.get(sym, 0) | bit
             for sym in op.writes:
-                if sym in last_write:          # output dependence
-                    mask |= 1 << last_write[sym]
-                # anti dependence on every other reader since the write
-                mask |= readers_since_write.get(sym, 0) & ~bit
-                last_write[sym] = i
+                # Output dependence on the last writer, anti dependence on
+                # every other reader since it.
+                mask |= last_write.get(sym, 0) | (readers_since_write.get(sym, 0) & ~bit)
+                last_write[sym] = bit
                 readers_since_write[sym] = 0
             # An op both reading and writing sym: the read is of the old
             # value, handled above because reads were processed first.
-            masks[i] = mask
+            masks.append(mask)
+            bit <<= 1
         if reduce:
             masks = _transitive_reduce(masks)
-    preds = tuple(_bits(mask) for mask in masks)
+    # One pass over each mask's bits gives both directions; ``i`` ascends,
+    # so every succs list comes out ascending.
+    preds: list[tuple[int, ...]] = []
     succs: list[list[int]] = [[] for _ in range(n)]
-    for i, ps in enumerate(preds):
-        for p in ps:
+    for i, mask in enumerate(masks):
+        ps = []
+        while mask:
+            low = mask & -mask
+            p = low.bit_length() - 1
+            ps.append(p)
             succs[p].append(i)
+            mask ^= low
+        preds.append(tuple(ps))
     return DependenceDAG(
         thread=tc.thread,
-        preds=preds,
-        succs=tuple(tuple(ss) for ss in succs),   # ascending: i ascends
+        preds=tuple(preds),
+        succs=tuple(map(tuple, succs)),
         pred_masks=tuple(masks),
     )
 
@@ -189,11 +199,25 @@ def build_dags(
     baseline and a much cheaper search space.  ``transitive_reduction``
     (default on) drops redundant edges; see the module docstring for why
     this is behaviour-preserving for every scheduler in this package.
+
+    With the default flags a thread's DAG is built once per
+    :class:`ThreadCode` object and kept on it (both are immutable), so a
+    thread block the parser interned is analysed once per process.  The
+    other flag settings build afresh and are never kept.
     """
-    return tuple(
-        _build_one(tc, respect_order, reduce=transitive_reduction)
-        for tc in region.threads
-    )
+    if respect_order or not transitive_reduction:
+        return tuple(
+            _build_one(tc, respect_order, reduce=transitive_reduction)
+            for tc in region.threads
+        )
+    dags = []
+    for tc in region.threads:
+        memo = tc.__dict__
+        dag = memo.get(_DAG_ATTR)
+        if dag is None:
+            dag = memo[_DAG_ATTR] = _build_one(tc, False)
+        dags.append(dag)
+    return tuple(dags)
 
 
 class ReadyIndex:

@@ -21,10 +21,17 @@ workloads::
 
 Each line is ``dst = opcode src...`` or ``opcode src...`` (no result), with
 ``#value`` denoting an immediate operand.
+
+The objects are frozen, so :func:`parse_region` interns them: each thread
+block (a header line and the lines up to the next header) parses once
+per process, and a region whose bodies the process has seen before —
+the interpreter's handler sets, whose bodies come from a fixed
+vocabulary — shares their :class:`ThreadCode` objects.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -173,9 +180,30 @@ def _parse_imm(token: str) -> int | float:
         return int(body)
     except ValueError:
         try:
-            return float(body)
+            value = float(body)
         except ValueError as exc:
             raise RegionParseError(f"bad immediate {token!r}") from exc
+    # NaN equals nothing, itself included: a region holding one would be
+    # unequal to its own re-parse and order merge keys by object id.
+    if value != value:
+        raise RegionParseError(f"bad immediate {token!r}")
+    return value
+
+
+#: Thread blocks the process-wide table holds at most.  The interpreter's
+#: handler sets draw their bodies from a fixed vocabulary (23 bodies at
+#: 8 positions are 184 blocks).  A full table interns nothing more and
+#: evicts nothing: keeping each block of a stream that never repeats
+#: makes the garbage collector trace it, and evicting one frees memory
+#: long gone cold, so either would make every first-seen block dearer
+#: than a plain parse.
+BLOCK_TABLE_SIZE = 256
+#: A block longer than this (in characters) is parsed but not interned.
+BLOCK_MAX_CHARS = 1024
+
+#: ``(thread position, block text)`` -> the block's frozen ThreadCode.
+_BLOCKS: dict[tuple[int, str], ThreadCode] = {}
+_BLOCKS_LOCK = threading.Lock()
 
 
 def parse_region(text: str) -> Region:
@@ -183,35 +211,83 @@ def parse_region(text: str) -> Region:
 
     Thread headers must be ``thread N:`` with consecutive ``N`` starting at 0.
 
-    One pass, since a served miss pays it in every process it reaches:
-    each line is split once, and its operands are scanned for an
-    immediate only when it holds a ``#``.  The frozen objects are built
-    without their ``__post_init__``, whose checks this has already made
-    (as :meth:`repro.core.schedule.Slot._adopt` builds a slot).
+    The text is split at its header lines into thread blocks, and each
+    block is looked up in one process-wide table keyed by its position
+    and its text (header line, comments and blank lines included), never
+    by the whole region.  A hit is the frozen :class:`ThreadCode` the
+    block parsed to before, its operations included.  A miss parses that
+    block alone (:func:`_parse_block`, one pass) and interns it while the
+    table has room (:data:`BLOCK_TABLE_SIZE` entries, none longer than
+    :data:`BLOCK_MAX_CHARS`), so a body the process has seen costs one
+    lookup and a new one what a plain parse costs.  A block that fails
+    to parse is never interned.  Errors come out in line order with
+    their absolute line numbers, as from a line-by-line parse.
     """
-    threads: list[list[Operation]] = []
-    ops: list[Operation] | None = None
-    tid = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition(";")[0].strip()
+    if not text.isascii() or "\r" in text or "\v" in text or "\f" in text \
+            or "\x1c" in text or "\x1d" in text or "\x1e" in text:
+        # Every line break but "\n" made "\n": the lines and their
+        # numbers stay splitlines()', and a line starts after a "\n".
+        text = "\n".join(text.splitlines())
+    # A header is a line whose first non-blank characters are "thread".
+    starts = []
+    at = text.find("thread")
+    while at >= 0:
+        line = text.rfind("\n", 0, at) + 1
+        if line == at or text[line:at].isspace():
+            starts.append(line)
+        at = text.find("thread", at + 6)
+    head = text[:starts[0]] if starts else text
+    if head and not head.isspace():
+        for lineno, raw in enumerate(head.split("\n"), start=1):
+            if raw.partition(";")[0].strip():
+                raise RegionParseError(
+                    f"line {lineno}: operation before any thread header")
+    if not starts:
+        raise RegionParseError("no threads in region text")
+    starts.append(len(text))
+    blocks = _BLOCKS
+    codes = []
+    for t in range(len(starts) - 1):
+        block = text[starts[t]:starts[t + 1]]
+        key = (t, block)
+        code = blocks.get(key)
+        if code is None:
+            code = _parse_block(t, block, text.count("\n", 0, starts[t]) + 1)
+            if len(block) <= BLOCK_MAX_CHARS and len(blocks) < BLOCK_TABLE_SIZE:
+                with _BLOCKS_LOCK:
+                    if len(blocks) < BLOCK_TABLE_SIZE:
+                        blocks[key] = code
+        codes.append(code)
+    region = object.__new__(Region)
+    region.__dict__["threads"] = tuple(codes)
+    return region
+
+
+def _parse_block(tid: int, block: str, lineno: int) -> ThreadCode:
+    """Parse one thread block: its header line, numbered ``lineno``, and
+    the operation lines up to the next header.
+
+    One pass: each line is split once, and its operands are scanned for
+    an immediate only when it holds a ``#``.  The frozen objects are
+    built without their ``__post_init__``, whose checks this has already
+    made (as :meth:`repro.core.schedule.Slot._adopt` builds a slot).
+    """
+    header, *lines = block.split("\n")
+    line = header.partition(";")[0].strip()
+    head = line.rstrip(":").split()
+    if len(head) != 2:
+        raise RegionParseError(f"line {lineno}: bad thread header {header!r}")
+    try:
+        got = int(head[1])
+    except ValueError as exc:
+        raise RegionParseError(f"line {lineno}: bad thread id {head[1]!r}") from exc
+    if got != tid:
+        raise RegionParseError(f"line {lineno}: expected thread {tid}, got {got}")
+    ops: list[Operation] = []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = (raw.partition(";")[0] if ";" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("thread"):
-            head = line.rstrip(":").split()
-            if len(head) != 2:
-                raise RegionParseError(f"line {lineno}: bad thread header {raw!r}")
-            try:
-                tid = int(head[1])
-            except ValueError as exc:
-                raise RegionParseError(f"line {lineno}: bad thread id {head[1]!r}") from exc
-            if tid != len(threads):
-                raise RegionParseError(
-                    f"line {lineno}: expected thread {len(threads)}, got {tid}")
-            ops = []
-            threads.append(ops)
-            continue
-        if ops is None:
-            raise RegionParseError(f"line {lineno}: operation before any thread header")
         lhs, eq, rhs = line.partition("=")
         writes: tuple[str, ...] = ()
         if eq:
@@ -243,13 +319,6 @@ def parse_region(text: str) -> Region:
         op.__dict__.update(thread=tid, index=len(ops), opcode=opcode,
                            reads=tuple(reads), writes=writes, imm=imm)
         ops.append(op)
-    if not threads:
-        raise RegionParseError("no threads in region text")
-    codes = []
-    for t, thread_ops in enumerate(threads):
-        code = object.__new__(ThreadCode)
-        code.__dict__.update(thread=t, ops=tuple(thread_ops))
-        codes.append(code)
-    region = object.__new__(Region)
-    region.__dict__["threads"] = tuple(codes)
-    return region
+    code = object.__new__(ThreadCode)
+    code.__dict__.update(thread=tid, ops=tuple(ops))
+    return code

@@ -5,7 +5,9 @@ The stub client exposes exactly the two peer ops the tier uses
 dicts, so hit adoption, the owner rule (a non-owner reads and writes
 through to the fingerprint's ring owner, an owner calls no peer), the
 boundary check and dead-peer degradation are all deterministic.
-:class:`TestOwnerRule` checks the same rule on a live 3-node cluster.
+:class:`TestOwnerRule` checks the same rule on a live 3-node cluster, and
+:class:`TestDeadOwnerCooldown` the cool-down after a failed call on
+both.
 """
 
 import json
@@ -16,6 +18,8 @@ from repro import api
 from repro.cluster import (
     ClusterConfig, HashRing, LocalCluster, RemoteScheduleCache,
 )
+from repro.cluster import remotecache
+from repro.cluster.config import PEER_COOLDOWN_S
 from repro.core import maspar_cost_model, parse_region, result_to_payload
 from repro.core.cache import ScheduleCache, encode_entry, region_fingerprint
 from repro.core.search import SearchStats
@@ -311,3 +315,109 @@ class TestOwnerRule:
             assert {name: s.get("peer_cache_served", 0)
                     for name, s in stats.items()} == {
                 name: 2 if name == owner else 0 for name in stats}
+
+
+class Clock:
+    """A stand-in for the tier's monotonic clock."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        return self.now
+
+
+class TestDeadOwnerCooldown:
+    """After a call to the owner raises, the tier leaves it alone for
+    ``PEER_COOLDOWN_S``: lookups miss and pushes drop, as ``remote_skips``."""
+
+    def test_a_failed_lookup_skips_the_owner_until_the_cooldown_ends(
+            self, cluster, induced, monkeypatch):
+        clock = Clock()
+        monkeypatch.setattr(remotecache, "monotonic", clock)
+        config, peers = cluster
+        fp, payload = induced
+        owner = peers[owner_of(config, fp)]
+        owner.fail = True
+        cache = make_cache(config, peers, non_owner_of(config, fp))
+        assert cache.get(fp) is None
+        assert (owner.gets, cache.counters["remote_errors"]) == (1, 1)
+        # Cooling down: lookups miss and the push is dropped, uncalled.
+        for _ in range(5):
+            assert cache.get(fp) is None
+        cache.put(fp, payload)
+        assert (owner.gets, owner.puts) == (1, 0)
+        assert cache.counters["remote_skips"] == 6
+        assert cache.counters["remote_errors"] == 1
+        assert cache.counters["remote_misses"] == 1
+        assert cache.get_local(fp) is not None  # stored locally all the same
+        # The owner is back; after the cool-down the tier calls it again.
+        owner.fail = False
+        clock.now += PEER_COOLDOWN_S
+        cache.put(fp, payload)
+        assert owner.puts == 1 and cache.counters["remote_stores"] == 1
+        assert cache.counters["remote_skips"] == 6
+
+    def test_a_failed_push_cools_the_owner_too(self, cluster, induced,
+                                               monkeypatch):
+        clock = Clock()
+        monkeypatch.setattr(remotecache, "monotonic", clock)
+        config, peers = cluster
+        fp, payload = induced
+        owner = peers[owner_of(config, fp)]
+        owner.fail = True
+        cache = make_cache(config, peers, non_owner_of(config, fp))
+        cache.put(fp, payload)
+        cache.put(fp, payload)
+        assert owner.puts == 1
+        assert cache.counters["remote_errors"] == 1
+        assert cache.counters["remote_skips"] == 1
+        clock.now += PEER_COOLDOWN_S / 2
+        cache.put(fp, payload)
+        assert owner.puts == 1 and cache.counters["remote_skips"] == 2
+        # Still down after the cool-down: one more failed call, and
+        # another cool-down.
+        clock.now += PEER_COOLDOWN_S
+        cache.put(fp, payload)
+        cache.put(fp, payload)
+        assert owner.puts == 2 and cache.counters["remote_errors"] == 2
+        assert cache.counters["remote_skips"] == 3
+
+    def test_other_owners_are_still_called(self, cluster, induced,
+                                           monkeypatch):
+        monkeypatch.setattr(remotecache, "monotonic", Clock())
+        config, peers = cluster
+        fp, payload = induced
+        dead = owner_of(config, fp)
+        peers[dead].fail = True
+        me = non_owner_of(config, fp)
+        live = next(n for n in config.node_names if n not in (dead, me))
+        other = next(f"{k:064x}" for k in range(10_000)
+                     if owner_of(config, f"{k:064x}") == live)
+        cache = make_cache(config, peers, me)
+        assert cache.get(fp) is None
+        assert cache.get(other) is None
+        assert peers[live].gets == 1
+        assert cache.counters["remote_misses"] == 2
+
+    def test_n_misses_on_a_dead_owners_arc_cost_bounded_errors(self):
+        # Request cache off and each request sent to a survivor directly:
+        # every one is a local miss on the dead owner's arc.
+        with LocalCluster(nodes=3, cache_capacity=64,
+                          request_cache_size=0) as clu:
+            names = clu.config.node_names
+            dead, survivor = names[0], names[1]
+            requests = [api.InductionRequest(REGION, budget=2_000 + k)
+                        for k in range(200)]
+            mine = [r for r in requests
+                    if owner_of(clu.config, r.fingerprint()) == dead][:8]
+            assert len(mine) == 8
+            clu.kill_node(0)
+            with clu.node_client(1) as client:
+                for request in mine:
+                    assert not client.submit(request).degraded
+            stats = dict(zip(names, clu.node_stats()))[survivor]
+            # One failed call starts the cool-down; the other 15 peer
+            # calls (8 lookups, 8 pushes) are skipped.
+            assert stats.get("cache_remote_errors", 0) == 1
+            assert stats.get("cache_remote_skips", 0) == 15

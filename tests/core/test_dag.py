@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.costmodel import uniform_cost_model
-from repro.core.dag import build_dags
+from repro.core.dag import _build_one, build_dags
 from repro.core.ops import Region, parse_region
 
 
@@ -255,3 +255,75 @@ class TestMaskConstruction:
                         _reference_dag(tc, respect_order, reduce)
                 regions += 1
         assert regions == 120
+
+
+#: Hand-written regions: flow, anti and output dependences, an op that
+#: reads and writes one symbol, an empty thread, and a redundant edge.
+MEMO_TEXTS = [
+    "thread 0:\n  a = ld x\n  b = add a a\n  c = add b a\n"
+    "thread 1:\n  b = add a a\n  a = ld x\n  a = add a a\n  st y a\n",
+    "thread 0:\nthread 1:\n  a, b = divmod x y\n  x = mov a\n  st x b\n",
+]
+
+
+def _memo_regions():
+    """Parsed regions, plus fuzz regions where numpy is installed."""
+    regions = [parse_region(text) for text in MEMO_TEXTS]
+    try:
+        from repro.fuzz import GeneratorSpec, generate_case
+    except ImportError:
+        return regions
+    spec = GeneratorSpec(redundancy=0.5, program_fraction=0.0)
+    return regions + [generate_case(3, index, spec).region
+                      for index in range(40)]
+
+
+class TestDefaultDagMemo:
+    """With the default flags ``build_dags`` keeps one DAG per
+    ``ThreadCode`` object; the other flags never see it."""
+
+    def test_equals_a_fresh_build_for_every_thread(self):
+        for region in _memo_regions():
+            first = build_dags(region)
+            again = build_dags(region)
+            for tc, dag, kept in zip(region.threads, first, again):
+                assert kept is dag
+                assert dag == _build_one(tc, False)
+                assert (dag.preds, dag.succs, dag.pred_masks) == \
+                    _reference_dag(tc, False, True)
+
+    @pytest.mark.parametrize("default_first", [True, False],
+                             ids=["default-first", "default-last"])
+    def test_other_flags_never_read_the_kept_dag(self, default_first):
+        flags = [(True, True), (False, False), (True, False)]
+        for region in _memo_regions():
+            if default_first:
+                build_dags(region)
+            for respect_order, reduce in flags:
+                dags = build_dags(region, respect_order=respect_order,
+                                  transitive_reduction=reduce)
+                for tc, dag in zip(region.threads, dags):
+                    assert (dag.preds, dag.succs, dag.pred_masks) == \
+                        _reference_dag(tc, respect_order, reduce)
+            for tc, dag in zip(region.threads, build_dags(region)):
+                assert (dag.preds, dag.succs, dag.pred_masks) == \
+                    _reference_dag(tc, False, True)
+
+    def test_an_interned_block_is_analysed_once(self):
+        from repro.core import ops
+
+        saved, ops._BLOCKS = ops._BLOCKS, {}
+        try:
+            one = parse_region(MEMO_TEXTS[0])
+            two = parse_region(MEMO_TEXTS[0])
+        finally:
+            ops._BLOCKS = saved
+        assert build_dags(one)[1] is build_dags(two)[1]
+
+    def test_the_kept_dag_is_no_field(self):
+        region = parse_region(MEMO_TEXTS[0])
+        twin = Region.from_sequences(
+            [[(op.opcode, op.reads, op.writes) for op in tc] for tc in region])
+        build_dags(region)
+        assert region == twin and hash(region) == hash(twin)
+        assert repr(region) == repr(twin)

@@ -1,10 +1,30 @@
 """Tests for the CSI IR (repro.core.ops)."""
 
+import contextlib
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ops
 from repro.core.ops import Operation, Region, RegionParseError, ThreadCode, parse_region
+
+
+@contextlib.contextmanager
+def fresh_table():
+    """An empty block table of its own while the block runs.
+
+    The process-wide table admits nothing once full, and the suite
+    parses far more distinct blocks than it holds.
+    """
+    saved = ops._BLOCKS
+    ops._BLOCKS = {}
+    try:
+        yield ops._BLOCKS
+    finally:
+        ops._BLOCKS = saved
 
 
 class TestOperation:
@@ -189,8 +209,12 @@ class TestParseEquivalence:
                 for i, (writes, opcode, reads, imm, *_layout)
                 in enumerate(ops)))
             for t, ops in enumerate(spec)))
-        region = parse_region(text)
-        assert region == expected
+        with fresh_table():
+            region = parse_region(text)
+            again = parse_region(text)
+        assert region == expected and again == expected
+        # The second parse is the first's interned blocks.
+        assert all(a is b for a, b in zip(again.threads, region.threads))
         for got, want in zip(region.all_ops(), expected.all_ops()):
             # Equal and of the same type: 1 and 1.0 must not blur.
             assert type(got.imm) is type(want.imm)
@@ -237,7 +261,21 @@ MALFORMED = [
     ("thread 0:\n a = ld #x", "bad immediate '#x'"),
     ("thread 0:\n a = ld #", "bad immediate '#'"),
     ("thread 0:\n a = ld #0x10", "bad immediate '#0x10'"),
+    # NaN equals nothing, itself included: every spelling float() takes.
+    ("thread 0:\n a = ld #nan", "bad immediate '#nan'"),
+    ("thread 0:\n a = ld #NaN", "bad immediate '#NaN'"),
+    ("thread 0:\n a = ld #-nan", "bad immediate '#-nan'"),
+    ("thread 0:\n a = ld x #+NAN ; c", "bad immediate '#+NAN'"),
 ]
+
+
+def _blocks(text: str) -> list[str]:
+    """``text``'s thread blocks, each from its header line to the next."""
+    lines = text.splitlines(keepends=True)
+    heads = [i for i, line in enumerate(lines)
+             if line.lstrip().startswith("thread")]
+    return ["".join(lines[a:b]).replace("\r\n", "\n")
+            for a, b in zip(heads, heads[1:] + [len(lines)])]
 
 
 class TestParseErrors:
@@ -245,6 +283,22 @@ class TestParseErrors:
     def test_message(self, text, message):
         with pytest.raises(RegionParseError) as info:
             parse_region(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", MALFORMED)
+    def test_message_from_a_warm_table(self, text, message):
+        # Intern each block that parses at its position, whether it
+        # comes before the fault or after it; the fault's block is
+        # looked up, missed and parsed, and says what it said.
+        with fresh_table() as table:
+            for t, block in enumerate(_blocks(text)):
+                filler = "".join(f"thread {k}:\n" for k in range(t))
+                with contextlib.suppress(RegionParseError):
+                    parse_region(filler + block)
+            warmed = dict(table)
+            with pytest.raises(RegionParseError) as info:
+                parse_region(text)
+            assert table == warmed
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text,message", MALFORMED[::4])
@@ -259,3 +313,110 @@ class TestParseErrors:
             with pytest.raises(protocol.ProtocolError) as info:
                 fingerprint(wire)
             assert str(info.value) == f"bad submit payload: {message}"
+
+
+# -- the block table ---------------------------------------------------------
+
+HANDLER = "thread {t}:\n    ir = fetch pc ; {note}\n    pc = incpc pc\n"
+
+
+def _handler_region(notes) -> str:
+    return "".join(HANDLER.format(t=t, note=note) for t, note in enumerate(notes))
+
+
+class TestBlockTable:
+    def test_a_hit_is_the_same_frozen_threadcode(self):
+        with fresh_table() as table:
+            first = parse_region(_handler_region(["a", "b"]))
+            # Block 0 again, block 1 new: one hit and one miss.
+            second = parse_region(_handler_region(["a", "c"]))
+            assert len(table) == 3
+        assert second[0] is first[0] and second[0].ops[1] is first[0].ops[1]
+        assert second[1] is not first[1] and second[1] == first[1]
+
+    def test_key_is_position_and_text(self):
+        body = "    a = ld x\n"
+        with fresh_table() as table:
+            one = parse_region("thread 0:\n" + body + "thread 1:\n" + body)
+            assert len(table) == 2
+            assert one[0] is not one[1]
+            assert (one[0].thread, one[1].thread) == (0, 1)
+            # Another spelling of the same thread is another block.
+            two = parse_region("thread 0: ; note\n" + body)
+            assert two[0] is not one[0] and two[0] == one[0]
+            assert len(table) == 3
+
+    def test_bounded_under_churn(self):
+        size = ops.BLOCK_TABLE_SIZE
+        with fresh_table() as table:
+            regions = [parse_region(_handler_region([f"n{k}"]))
+                       for k in range(size + 40)]
+            assert len(table) == size
+            # Full: a new block parses, is not interned and evicts nothing.
+            kept = dict(table)
+            again = parse_region(_handler_region([f"n{size + 1}"]))
+            assert again == regions[size + 1]
+            assert again[0] is not regions[size + 1][0]
+            assert table == kept
+            # What the table holds still hits.
+            assert parse_region(_handler_region(["n0"]))[0] is regions[0][0]
+        want = parse_region("thread 0:\n    ir = fetch pc\n    pc = incpc pc\n")
+        assert all(r == want for r in regions)
+
+    def test_an_oversize_block_is_parsed_but_not_interned(self):
+        note = "x" * ops.BLOCK_MAX_CHARS
+        text = _handler_region([note])
+        with fresh_table() as table:
+            first = parse_region(text)
+            second = parse_region(text)
+            assert table == {}
+        assert first == second and first[0] is not second[0]
+        assert [op.opcode for op in first[0]] == ["fetch", "incpc"]
+
+    def test_a_failed_block_is_never_interned(self):
+        with fresh_table() as table:
+            with pytest.raises(RegionParseError):
+                parse_region("thread 0:\n    a = ld x\nthread 1:\n    b = ld #q\n")
+            assert list(table) == [(0, "thread 0:\n    a = ld x\n")]
+
+    def test_concurrent_parses_equal_a_serial_parse(self):
+        # 8 threads on 2 cores, switching often: shared regions race for
+        # the same keys, and each thread's own blocks race for the last
+        # free entries, which an unlocked check-then-insert would overfill.
+        shared = [_handler_region([f"s{(k + j) % 12}" for j in range(4)])
+                  for k in range(24)]
+        own = [[_handler_region([f"w{w}-{k}"]) for k in range(40)]
+               for w in range(8)]
+        with fresh_table():
+            serial = [[parse_region(text) for text in shared[w:] + shared[:w] + own[w]]
+                      for w in range(8)]
+        results: dict[int, list[Region]] = {}
+        errors: list[BaseException] = []
+        start = threading.Barrier(8)
+
+        def work(w: int) -> None:
+            try:
+                start.wait(timeout=30)
+                texts = shared[w:] + shared[:w] + own[w]
+                results[w] = [parse_region(text) for text in texts]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fresh_table() as table:
+                workers = [threading.Thread(target=work, args=(w,))
+                           for w in range(8)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+                # 48 shared blocks and 320 own ones: the table fills
+                # exactly to its bound.
+                assert len(table) == ops.BLOCK_TABLE_SIZE
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert [results[w] for w in range(8)] == serial
