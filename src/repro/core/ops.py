@@ -221,7 +221,9 @@ def parse_region(text: str) -> Region:
     :data:`BLOCK_MAX_CHARS`), so a body the process has seen costs one
     lookup and a new one what a plain parse costs.  A block that fails
     to parse is never interned.  Errors come out in line order with
-    their absolute line numbers, as from a line-by-line parse.
+    their absolute line numbers, as from a line-by-line parse.  The
+    whole parse is linear in the text, since a server runs it on any
+    submit frame in its connection thread.
     """
     if not text.isascii() or "\r" in text or "\v" in text or "\f" in text \
             or "\x1c" in text or "\x1d" in text or "\x1e" in text:
@@ -229,13 +231,18 @@ def parse_region(text: str) -> Region:
         # numbers stay splitlines()', and a line starts after a "\n".
         text = "\n".join(text.splitlines())
     # A header is a line whose first non-blank characters are "thread".
+    # Only a line's first "thread" can start one, so the scan goes on
+    # from the next line: each line is looked back over at most once.
     starts = []
     at = text.find("thread")
     while at >= 0:
         line = text.rfind("\n", 0, at) + 1
         if line == at or text[line:at].isspace():
             starts.append(line)
-        at = text.find("thread", at + 6)
+        at = text.find("\n", at)
+        if at < 0:
+            break
+        at = text.find("thread", at)
     head = text[:starts[0]] if starts else text
     if head and not head.isspace():
         for lineno, raw in enumerate(head.split("\n"), start=1):
@@ -247,12 +254,16 @@ def parse_region(text: str) -> Region:
     starts.append(len(text))
     blocks = _BLOCKS
     codes = []
+    # A miss's first line number, counted on from the last miss's.
+    lineno, counted = 1, 0
     for t in range(len(starts) - 1):
         block = text[starts[t]:starts[t + 1]]
         key = (t, block)
         code = blocks.get(key)
         if code is None:
-            code = _parse_block(t, block, text.count("\n", 0, starts[t]) + 1)
+            lineno += text.count("\n", counted, starts[t])
+            counted = starts[t]
+            code = _parse_block(t, block, lineno)
             if len(block) <= BLOCK_MAX_CHARS and len(blocks) < BLOCK_TABLE_SIZE:
                 with _BLOCKS_LOCK:
                     if len(blocks) < BLOCK_TABLE_SIZE:

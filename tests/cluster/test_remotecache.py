@@ -400,9 +400,13 @@ class TestDeadOwnerCooldown:
         assert peers[live].gets == 1
         assert cache.counters["remote_misses"] == 2
 
-    def test_n_misses_on_a_dead_owners_arc_cost_bounded_errors(self):
+    def test_n_misses_on_a_dead_owners_arc_cost_bounded_errors(
+            self, monkeypatch):
         # Request cache off and each request sent to a survivor directly:
-        # every one is a local miss on the dead owner's arc.
+        # every one is a local miss on the dead owner's arc.  The nodes
+        # run in this process, so a frozen clock keeps the whole run
+        # inside one cool-down however slowly the host computes.
+        monkeypatch.setattr(remotecache, "monotonic", Clock())
         with LocalCluster(nodes=3, cache_capacity=64,
                           request_cache_size=0) as clu:
             names = clu.config.node_names

@@ -10,6 +10,7 @@ verify/DAG units, cluster, service, observability, ISA, lang front-end,
 events) still run and pass.
 """
 
+import contextlib
 import sys
 from collections import Counter
 
@@ -73,3 +74,26 @@ def count_calls(monkeypatch):
         return counts
 
     return install
+
+
+@pytest.fixture(scope="session")
+def fresh_table():
+    """``with fresh_table() as table:`` gives the parser an empty block
+    table of its own (``repro.core.ops._BLOCKS``) while the block runs.
+
+    The process-wide table admits nothing once full, and the suite
+    parses far more distinct blocks than it holds.  Session-scoped, so a
+    hypothesis test can take it and swap once per example.
+    """
+    from repro.core import ops
+
+    @contextlib.contextmanager
+    def swap():
+        saved = ops._BLOCKS
+        ops._BLOCKS = {}
+        try:
+            yield ops._BLOCKS
+        finally:
+            ops._BLOCKS = saved
+
+    return swap

@@ -309,15 +309,10 @@ class TestDefaultDagMemo:
                 assert (dag.preds, dag.succs, dag.pred_masks) == \
                     _reference_dag(tc, False, True)
 
-    def test_an_interned_block_is_analysed_once(self):
-        from repro.core import ops
-
-        saved, ops._BLOCKS = ops._BLOCKS, {}
-        try:
+    def test_an_interned_block_is_analysed_once(self, fresh_table):
+        with fresh_table():
             one = parse_region(MEMO_TEXTS[0])
             two = parse_region(MEMO_TEXTS[0])
-        finally:
-            ops._BLOCKS = saved
         assert build_dags(one)[1] is build_dags(two)[1]
 
     def test_the_kept_dag_is_no_field(self):

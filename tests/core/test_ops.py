@@ -3,6 +3,7 @@
 import contextlib
 import sys
 import threading
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,21 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core import ops
 from repro.core.ops import Operation, Region, RegionParseError, ThreadCode, parse_region
-
-
-@contextlib.contextmanager
-def fresh_table():
-    """An empty block table of its own while the block runs.
-
-    The process-wide table admits nothing once full, and the suite
-    parses far more distinct blocks than it holds.
-    """
-    saved = ops._BLOCKS
-    ops._BLOCKS = {}
-    try:
-        yield ops._BLOCKS
-    finally:
-        ops._BLOCKS = saved
 
 
 class TestOperation:
@@ -201,7 +187,7 @@ class TestParseEquivalence:
 
     @settings(max_examples=300, deadline=None)
     @given(spec=_SPEC, data=st.data())
-    def test_generated_text_parses_to_its_spec(self, spec, data):
+    def test_generated_text_parses_to_its_spec(self, fresh_table, spec, data):
         text = _render_spec(spec, data)
         expected = Region(tuple(
             ThreadCode(t, tuple(
@@ -286,7 +272,7 @@ class TestParseErrors:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text,message", MALFORMED)
-    def test_message_from_a_warm_table(self, text, message):
+    def test_message_from_a_warm_table(self, fresh_table, text, message):
         # Intern each block that parses at its position, whether it
         # comes before the fault or after it; the fault's block is
         # looked up, missed and parsed, and says what it said.
@@ -325,7 +311,7 @@ def _handler_region(notes) -> str:
 
 
 class TestBlockTable:
-    def test_a_hit_is_the_same_frozen_threadcode(self):
+    def test_a_hit_is_the_same_frozen_threadcode(self, fresh_table):
         with fresh_table() as table:
             first = parse_region(_handler_region(["a", "b"]))
             # Block 0 again, block 1 new: one hit and one miss.
@@ -334,7 +320,7 @@ class TestBlockTable:
         assert second[0] is first[0] and second[0].ops[1] is first[0].ops[1]
         assert second[1] is not first[1] and second[1] == first[1]
 
-    def test_key_is_position_and_text(self):
+    def test_key_is_position_and_text(self, fresh_table):
         body = "    a = ld x\n"
         with fresh_table() as table:
             one = parse_region("thread 0:\n" + body + "thread 1:\n" + body)
@@ -346,7 +332,7 @@ class TestBlockTable:
             assert two[0] is not one[0] and two[0] == one[0]
             assert len(table) == 3
 
-    def test_bounded_under_churn(self):
+    def test_bounded_under_churn(self, fresh_table):
         size = ops.BLOCK_TABLE_SIZE
         with fresh_table() as table:
             regions = [parse_region(_handler_region([f"n{k}"]))
@@ -363,7 +349,7 @@ class TestBlockTable:
         want = parse_region("thread 0:\n    ir = fetch pc\n    pc = incpc pc\n")
         assert all(r == want for r in regions)
 
-    def test_an_oversize_block_is_parsed_but_not_interned(self):
+    def test_an_oversize_block_is_parsed_but_not_interned(self, fresh_table):
         note = "x" * ops.BLOCK_MAX_CHARS
         text = _handler_region([note])
         with fresh_table() as table:
@@ -373,13 +359,13 @@ class TestBlockTable:
         assert first == second and first[0] is not second[0]
         assert [op.opcode for op in first[0]] == ["fetch", "incpc"]
 
-    def test_a_failed_block_is_never_interned(self):
+    def test_a_failed_block_is_never_interned(self, fresh_table):
         with fresh_table() as table:
             with pytest.raises(RegionParseError):
                 parse_region("thread 0:\n    a = ld x\nthread 1:\n    b = ld #q\n")
             assert list(table) == [(0, "thread 0:\n    a = ld x\n")]
 
-    def test_concurrent_parses_equal_a_serial_parse(self):
+    def test_concurrent_parses_equal_a_serial_parse(self, fresh_table):
         # 8 threads on 2 cores, switching often: shared regions race for
         # the same keys, and each thread's own blocks race for the last
         # free entries, which an unlocked check-then-insert would overfill.
@@ -420,3 +406,41 @@ class TestBlockTable:
             sys.setswitchinterval(interval)
         assert not errors
         assert [results[w] for w in range(8)] == serial
+
+
+class TestParseCostIsLinear:
+    """A server parses any submit frame in its connection thread, so the
+    parse must stay linear in the text however it is laid out.  The
+    bounds are generous: on a 2-vCPU host the texts below parse in
+    about 0.2 s and 0.01 s, and a parser that rescans from the text's
+    start per block or per ``thread`` token took 9 s and 11 s."""
+
+    def test_many_one_line_threads(self, fresh_table):
+        n = 40_000
+        text = "".join(f"thread {t}:\n    a = ld x\n" for t in range(n))
+        with fresh_table():
+            t0 = perf_counter()
+            region = parse_region(text)
+            elapsed = perf_counter() - t0
+        assert region.num_threads == n and region[n - 1].ops[0].opcode == "ld"
+        assert elapsed < 4.0
+
+    def test_many_thread_tokens_on_one_line(self, fresh_table):
+        word = "thread" * 200_000
+        with fresh_table():
+            t0 = perf_counter()
+            region = parse_region(f"thread 0:\n    a = add x{word}\n")
+            with pytest.raises(RegionParseError) as info:
+                parse_region(f"a = add {word}\nthread 0:\n")
+            elapsed = perf_counter() - t0
+        assert region[0].ops[0].reads == (f"x{word}",)
+        assert str(info.value) == "line 1: operation before any thread header"
+        assert elapsed < 2.0
+
+    def test_a_line_number_counts_the_blocks_that_hit(self, fresh_table):
+        text = "".join(f"thread {t}:\n    a = ld x\n" for t in range(300))
+        with fresh_table():
+            parse_region(text)  # interns blocks 0-255; 256-299 stay misses
+            with pytest.raises(RegionParseError) as info:
+                parse_region(text + "thread 300:\n\n    b =\n")
+        assert str(info.value) == "line 603: empty operation"
