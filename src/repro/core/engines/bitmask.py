@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
 
 __all__ = ["bitmask_search"]
 
-_MOVE_ORDER_KEY = itemgetter(0, 1, 2)   # (saved, longest, width)
+_MOVE_ORDER_KEY = itemgetter(0, 1, 2, 3)   # (neutral, saved, longest, width)
 
 
 def bitmask_search(
@@ -129,27 +129,43 @@ def bitmask_search(
         # local of the call — this runs once per expanded node.
         key_ids=key_ids, thread_ids=thread_ids, num_threads=num_threads,
         ready=ready, ready_count=ready_count, orders=orders, crit=crit,
-        slot_costs=slot_costs, fast=fast_moves, maximal=maximal,
-        branch_choices=branch_choices, move_order=_MOVE_ORDER_KEY,
+        counts=counts, slot_costs=slot_costs, fast=fast_moves,
+        maximal=maximal, branch_choices=branch_choices, use_class=use_class,
+        move_order=_MOVE_ORDER_KEY,
         product=itertools.product, combinations=itertools.combinations,
     ) -> list:
         """Candidate moves from the current ready index, sorted like the
         legacy engine: canonical key order, then stable-sorted descending
-        by (time saved, longest critical path, width).
+        by (bound-neutral, time saved, longest critical path, width).
 
-        Moves are ``(saved, longest, width, -kid, picks)``.  The negated
-        key id lets the fast path sort with the default tuple comparison
-        (no key function, no per-move key tuples): ``reverse=True`` on
-        ``-kid`` means ties on the score triple resolve to ascending key
-        id, which is exactly the legacy stable generation order, and the
-        fast path has one move per key so ``picks`` is never compared."""
-        moves: list[tuple[float, float, int, int, list[tuple[int, int]]]] = []
+        A move is bound-neutral when it takes an op from every thread
+        holding the most remaining ops of its key: the key's class-bound
+        term falls by the slot the move pays for, so the child keeps the
+        node's ``cost + class bound``.  Trying those moves first lets a
+        search whose root bound is tight dive straight to a leaf that
+        meets it.  The flag is computed only under the class bound;
+        without it every move is non-neutral and the payoff order stands
+        alone.
+
+        Moves are ``(neutral, saved, longest, width, -kid, picks)``.  The
+        negated key id lets the fast path sort with the default tuple
+        comparison (no key function, no per-move key tuples):
+        ``reverse=True`` on ``-kid`` means ties on the score resolve to
+        ascending key id, which is exactly the legacy stable generation
+        order, and the fast path has one move per key so ``picks`` is
+        never compared."""
+        moves: list[tuple[bool, float, float, int, int,
+                          list[tuple[int, int]]]] = []
         append = moves.append
         for kid in key_ids:
             if not ready_count[kid]:
                 continue
             base = kid * num_threads
             slot_cost = slot_costs[kid]
+            neutral = use_class
+            if neutral:
+                cnt = counts[kid]
+                top = max(cnt)
             if fast:
                 # Fast path: exactly one (widest) move per ready key.
                 picks: list[tuple[int, int]] = []
@@ -158,6 +174,8 @@ def bitmask_search(
                 for t in thread_ids:
                     bits = ready[base + t]
                     if not bits:
+                        if neutral and cnt[t] == top:
+                            neutral = False
                         continue
                     for i in orders[base + t]:
                         if (bits >> i) & 1:
@@ -167,7 +185,7 @@ def bitmask_search(
                     if c > longest:
                         longest = c
                 width = len(picks)
-                append(((width - 1) * slot_cost, longest, width,
+                append((neutral, (width - 1) * slot_cost, longest, width,
                         -kid, picks))
                 continue
             # General path (exhaustive subset / all-choices ablations):
@@ -198,20 +216,23 @@ def bitmask_search(
                     for r in range(len(tids), 0, -1)
                     for subset in combinations(tids, r)
                 ]
+            tops = ([t for t in thread_ids if cnt[t] == top]
+                    if neutral else ())
             for subset in subsets:
+                neutral = use_class and all(t in subset for t in tops)
                 for combo in product(*(choices[t] for t in subset)):
                     picks_t = list(zip(subset, combo))
                     longest = max(crit[t][i] for t, i in picks_t)
                     width = len(picks_t)
-                    append(((width - 1) * slot_cost, longest, width,
-                            -kid, picks_t))
+                    append((neutral, (width - 1) * slot_cost, longest,
+                            width, -kid, picks_t))
         if len(moves) > 1:
             if fast:
                 moves.sort(reverse=True)
             else:
                 # Several moves can share a key here; keep the explicit
-                # stable sort on the score triple so generation order is
-                # the tie-break, exactly like the legacy engine.
+                # stable sort on the score so generation order is the
+                # tie-break, exactly like the legacy engine.
                 moves.sort(key=move_order, reverse=True)
         return moves
 
@@ -302,7 +323,7 @@ def bitmask_search(
             depth -= 1
             continue
         st_idx[depth] = idx + 1
-        _saved, _longest, width, kid, picks = st_moves[depth][idx]
+        _neutral, _saved, _longest, width, kid, picks = st_moves[depth][idx]
         kid = -kid
 
         # -- apply the move to the shared incremental state ----------------
@@ -408,4 +429,4 @@ def bitmask_search(
     if best_path is None:
         return best_slots
     return [Slot._adopt(opclasses[-kid], dict(picks))
-            for _saved, _longest, _width, kid, picks in best_path]
+            for *_score, kid, picks in best_path]

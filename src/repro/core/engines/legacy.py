@@ -1,7 +1,8 @@
 """Legacy engine — the reference oracle.
 
 This is the original frozenset/dict implementation, kept as written
-apart from the stop at a leaf that meets the root bound.  It defines the
+apart from the stop at a leaf that meets the root bound and the
+bound-neutral flag that leads its move score.  It defines the
 search semantics the production bitmask engine must reproduce exactly
 (schedules, costs and all pruning counters).  Nothing in production runs
 it: ``repro fuzz`` and the equivalence suite pass it to
@@ -113,11 +114,27 @@ def _candidate_moves(
     return moves
 
 
-def _greedy_move_score(ctx: _SearchCtx, move: tuple[tuple, dict[int, int]]) -> tuple:
+def _greedy_move_score(
+    ctx: _SearchCtx,
+    key_counts: dict[tuple, list[int]],
+    move: tuple[tuple, dict[int, int]],
+) -> tuple:
+    """Sort key, descending: bound-neutral first, then greedy payoff.
+
+    A move is bound-neutral when it takes an op from every thread that
+    holds the most remaining ops of its key: that key's class-bound term
+    then falls by the slot it pays for, so ``cost + class bound`` stays
+    put.  Only the class bound makes the flag meaningful; without it
+    every move scores ``False`` and the payoff order stands alone."""
     key, picks = move
+    neutral = False
+    if ctx.config.use_class_bound:
+        counts = key_counts[key]
+        m = max(counts)
+        neutral = all(t in picks for t, c in enumerate(counts) if c == m)
     saved = (len(picks) - 1) * ctx.model.slot_cost(key[0])
     longest = max(ctx.crit[t][i] for t, i in picks.items())
-    return (saved, longest, len(picks))
+    return (neutral, saved, longest, len(picks))
 
 
 def _dfs(
@@ -164,7 +181,8 @@ def _dfs(
         ctx.memo[state] = cost
 
     moves = _candidate_moves(ctx, done)
-    moves.sort(key=lambda m: _greedy_move_score(ctx, m), reverse=True)
+    moves.sort(key=lambda m: _greedy_move_score(ctx, key_counts, m),
+               reverse=True)
     stats.children_generated += len(moves)
 
     for key, picks in moves:

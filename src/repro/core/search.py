@@ -8,7 +8,12 @@ the minimum execution time code schedule using these merges"):
 1. operations are bucketed by *merge key* (classification / itemization);
 2. a depth-first branch-and-bound explores sequences of slots; at each node
    the candidate moves are, for each merge key with ready operations, the
-   slot induced over the threads that have one ready;
+   slot induced over the threads that have one ready.  Under the class
+   bound a node tries its *bound-neutral* moves first — those taking an op
+   from every thread that holds the most remaining ops of their key, so
+   ``cost + class bound`` stays put — and then the rest by greedy payoff.
+   On interpreter handler sets, whose root bound is the optimum, that
+   order dives straight to it: one expanded node per slot;
 3. pruning:
 
    - **incumbent bound** — a node is cut when ``cost + lower_bound``
@@ -87,7 +92,9 @@ class SearchConfig:
     seed_with_greedy: bool = True
 
     def __post_init__(self) -> None:
-        if self.node_budget < 1:
+        # Written so NaN fails too: no node count reaches a NaN budget, so
+        # it would never bind.  Infinity is an explicit unbounded search.
+        if not self.node_budget >= 1:
             raise ValueError(f"node budget must be positive, got {self.node_budget}")
 
 

@@ -79,6 +79,17 @@ class TestInductionRequest:
         request = api.InductionRequest(region=REGION, budget=123)
         assert request.resolved_config().node_budget == 123
 
+    def test_nan_budget_refused_before_any_search(self, monkeypatch):
+        from repro.core import pipeline
+
+        calls = []
+        monkeypatch.setitem(pipeline.BUILDERS, "search",
+                            lambda *args: calls.append(args))
+        request = api.InductionRequest(region=REGION, budget=float("nan"))
+        with pytest.raises(ValueError, match="node budget must be positive"):
+            api.induce(request)
+        assert calls == []
+
     def test_explicit_config_wins_over_budget(self):
         config = SearchConfig(node_budget=77)
         request = api.InductionRequest(region=REGION, config=config, budget=5)

@@ -25,7 +25,8 @@ critical paths cannot steer the other's traversal.
 Two further axes pin where a search stops: a ``should_stop`` predicate
 (always true, or true from its Nth call) must stop both engines at the
 same poll, and the bound-met stop must end both at the same incumbent
-update.
+update.  A third pins the move order: bound-neutral moves first under the
+class bound, on the fast and the general move generators alike.
 """
 
 import pytest
@@ -260,6 +261,65 @@ class TestBoundMetStop:
             node_budget=20_000, use_cp_bound=False, use_class_bound=False)
         assert stats.nodes_expanded == self.UNBOUNDED_NODES[seed]
         assert stats.optimal
+
+
+class TestBoundNeutralOrder:
+    """Under the class bound both engines order a node's moves
+    bound-neutral first (each keeps the node's ``cost + class bound``),
+    then by greedy payoff; without the class bound, by payoff alone."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("maximal,branch",
+                             [(True, True), (False, False), (False, True)],
+                             ids=["choices", "subsets", "exhaustive"])
+    @pytest.mark.parametrize("knobs", [{}, {"use_cp_bound": False}],
+                             ids=["all", "no-cp"])
+    def test_general_path_parity(self, seed, maximal, branch, knobs,
+                                 shared_prepared):
+        # The general move generator, where one key offers several moves
+        # and only some of them are neutral.
+        region = _region(500 + seed, 2 + seed % 2, 4 + seed % 2)
+        _assert_equivalent(region, maspar_cost_model(), shared_prepared,
+                           node_budget=20_000, maximal_merges_only=maximal,
+                           branch_thread_choices=branch, **knobs)
+
+    def test_handler_sets_dive_to_the_root_bound(self, shared_prepared):
+        # The paper's traffic: an unseeded search reaches a leaf at the
+        # root bound with one expanded node per slot, and a seeded one
+        # does the same unless greedy's seed already meets the bound.
+        pytest.importorskip("numpy")  # the fuzz generators draw with it
+        from repro.fuzz.generators import GeneratorSpec, generate_case
+
+        spec = GeneratorSpec(handler_fraction=1.0, program_fraction=0.0)
+        for index in range(40):
+            case = generate_case(1, index, spec)
+            region, model = case.region, case.model
+            bound = PreparedRegion.build(region, model).lower_bound
+            for seeded in (False, True):
+                out = _run(region, model, shared_prepared,
+                           seed_with_greedy=seeded)
+                for engine, (sched, stats) in out.items():
+                    where = (index, engine, seeded)
+                    assert stats.optimal and stats.best_cost == bound, where
+                    if seeded and stats.pruned_by_bound:
+                        assert stats.nodes_expanded == 1, where
+                    else:
+                        assert stats.nodes_expanded == len(sched), where
+
+    #: Nodes each region of ``test_random_regions_all_knob_combos`` takes
+    #: with the class bound off and the critical-path bound on, before the
+    #: neutral flag existed: with no class bound the order is unchanged.
+    CP_ONLY_NODES = (18, 87, 106, 62, 1031, 1078, 788, 81, 361, 18, 2177,
+                     3830)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_order_unchanged_without_the_class_bound(self, seed,
+                                                     shared_prepared):
+        region = _region(seed, 2 + seed % 3, 4 + seed % 7)
+        stats = _assert_equivalent(
+            region, maspar_cost_model(), shared_prepared,
+            node_budget=20_000, use_class_bound=False)
+        assert stats.nodes_expanded == self.CP_ONLY_NODES[seed]
 
 
 class TestVnRewrittenEquivalence:

@@ -129,9 +129,11 @@ class TestOptimality:
 
 class TestPruningAndBudget:
     def test_node_budget_respected_and_anytime(self):
+        # 50 nodes do not prove this region: the search returns a leaf
+        # cheaper than greedy's seed without reaching the root bound.
         region = random_region(
             RandomRegionSpec(num_threads=6, min_len=10, max_len=14, overlap=0.5),
-            seed=2)
+            seed=0)
         sched, stats = branch_and_bound(region, UNIT, SearchConfig(node_budget=50))
         verify_schedule(sched, region, UNIT)
         assert stats.budget_exhausted and not stats.optimal
@@ -172,6 +174,18 @@ class TestPruningAndBudget:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             SearchConfig(node_budget=0)
+
+    def test_nan_budget_rejected(self):
+        # No node count reaches NaN, so such a budget would never bind.
+        with pytest.raises(ValueError, match="node budget must be positive"):
+            SearchConfig(node_budget=float("nan"))
+
+    @pytest.mark.parametrize("budget", [7, 7.0, True, float("inf")],
+                             ids=["int", "float", "true", "inf"])
+    def test_wire_budgets_accepted(self, budget):
+        # The wire's golden frames pin 7, 7.0 and true; infinity is an
+        # explicit unbounded search.
+        assert SearchConfig(node_budget=budget).node_budget == budget
 
 
 class TestDeterminism:
@@ -345,3 +359,41 @@ class TestBoundMetStop:
         assert (stats.nodes_expanded, stats.pruned_by_bound,
                 stats.incumbent_updates) == (1, 1, 0)
         assert stats.optimal and not stats.budget_exhausted
+
+
+class TestBoundNeutralOrder:
+    """Under the class bound a node tries its bound-neutral moves first:
+    a move that takes an op from every thread holding the most remaining
+    ops of its key keeps the node's ``cost + class bound``.  Greedy payoff
+    orders the rest (and all moves when the class bound is off; see
+    ``CP_ONLY_NODES`` in test_engine_equivalence.py)."""
+
+    # Payoff order takes the two-wide add first, as greedy does (cost 3);
+    # the optimum, 2, issues thread 0's ld alone and then all three adds.
+    TRAP = """
+    thread 0:
+        a = ld x
+        b = add a a
+    thread 1:
+        c = add y y
+    thread 2:
+        d = add z z
+    """
+
+    @pytest.mark.parametrize("search_fn", [bitmask_search, legacy_search],
+                             ids=["bitmask", "legacy"])
+    def test_dives_where_payoff_order_backtracks(self, search_fn):
+        from repro.core.prepared import PreparedRegion
+
+        region = parse_region(self.TRAP)
+        prepared = PreparedRegion.build(region, UNIT)
+        assert greedy_schedule(region, UNIT, prepared).cost(UNIT) == 3.0
+        # A budget of one node per optimal slot: payoff order spends its
+        # second node on the pruned add and runs out before the leaf.
+        sched, stats = branch_and_bound(region, UNIT,
+                                        SearchConfig(node_budget=2),
+                                        search_fn=search_fn)
+        assert stats.optimal and not stats.budget_exhausted
+        assert sched.cost(UNIT) == prepared.lower_bound == 2.0
+        assert stats.nodes_expanded == len(sched) == 2
+        assert stats.pruned_by_bound == 0

@@ -1,6 +1,7 @@
 """Tests for the service wire protocol (framing, addresses, payloads)."""
 
 import dataclasses
+import json
 import socket
 import threading
 
@@ -222,6 +223,18 @@ class TestRequestWire:
         wire = protocol.request_to_wire(InductionRequest(region=REGION))
         wire["method"] = "magic"
         with pytest.raises(protocol.ProtocolError, match="bad submit"):
+            protocol.request_from_wire(wire)
+
+    def test_nan_node_budget_is_protocol_error(self):
+        # json.loads reads the NaN literal, so the check is the config's.
+        text = protocol.Submit(InductionRequest(region=REGION, budget=7),
+                               None).text()
+        assert '"node_budget":7,' in text
+        wire = json.loads(text.replace('"node_budget":7,',
+                                       '"node_budget":NaN,'))
+        with pytest.raises(protocol.ProtocolError,
+                           match="bad submit payload: node budget must be "
+                                 "positive, got nan"):
             protocol.request_from_wire(wire)
 
     def test_bad_deadline_is_protocol_error(self):

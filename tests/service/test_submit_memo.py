@@ -115,6 +115,21 @@ def test_malformed_text_is_refused_every_time_and_never_remembered(daemon):
     assert daemon.counters["submit_memo_misses"] == 3
 
 
+def test_a_nan_node_budget_is_refused_every_time(daemon):
+    # The frame carries the NaN literal; a budget no node count reaches
+    # would let the worker search without bound.
+    wire = protocol.request_to_wire(InductionRequest(region=REGION,
+                                                     budget=10_000))
+    wire["config"]["node_budget"] = float("nan")
+    for _ in range(2):
+        reply = _submit_raw(daemon.endpoint, wire)
+        assert reply["status"] == "error"
+        assert "bad submit payload: node budget must be positive" in \
+            reply["error"]
+    assert daemon.counters["submit_memo_hits"] == 0
+    assert daemon.counters["submit_memo_misses"] == 2
+
+
 @pytest.mark.parametrize("method", ["portfolio", "anneal"])
 def test_removed_methods_are_refused_every_time(daemon, method):
     # The race and the annealer are gone: a submit naming either is a
